@@ -1,9 +1,9 @@
 # Convenience targets for the SUPReMM reproduction.
 GO ?= go
 
-.PHONY: all build test test-race vet lint lint-fast fuzz-smoke test-faults test-chaos test-serve test-store test-shards test-scrub bench bench-ingest bench-serve bench-store figures dashboard clean
+.PHONY: all build test test-race vet lint lint-fast fuzz-smoke test-faults test-chaos test-serve test-store test-shards test-scrub test-bench bench bench-ingest bench-serve bench-store figures dashboard clean
 
-all: build vet lint test test-race test-chaos test-shards test-scrub
+all: build vet lint test test-race test-chaos test-shards test-scrub test-bench
 
 build:
 	$(GO) build ./...
@@ -70,15 +70,19 @@ test-chaos:
 
 # Query-daemon suite: race-detector HTTP tests (concurrent queries vs
 # hot reload), the simulate→ingest→supremmd golden harness, the fuzz
-# seed corpus replay, and the indexed-vs-scan speedup floor.
+# seed corpus replay, and the indexed-vs-scan speedup floor. Run at one,
+# two and four cores: the reload path's check-then-act race
+# (TestConcurrentMaybeReload) never showed at GOMAXPROCS=1.
 test-serve:
-	$(GO) test -race ./internal/serve ./cmd/supremmd
+	$(GO) test -race -cpu 1,2,4 ./internal/serve ./cmd/supremmd
 
 # Columnar store suite under the race detector: row-vs-columnar
 # bit-equivalence, the binary codec round-trip/rejection matrix, the
-# fuzz seed replay, and the columnar speedup floor (DESIGN.md §11).
+# fuzz seed replay, and the columnar speedup floor (DESIGN.md §11), at
+# one, two and four cores (the chunked kernel and the shard loader fan
+# out over GOMAXPROCS).
 test-store:
-	$(GO) test -race ./internal/store
+	$(GO) test -race -cpu 1,2,4 ./internal/store
 
 # Shard-store suite under the race detector: the manifest codec reject
 # matrix, the property-style shard/monolith differential equivalence,
@@ -97,6 +101,13 @@ test-shards:
 test-scrub:
 	$(GO) test -race -run 'Scrub|Quarantine|Repair|Degraded|Heal|Coverage|VerifyShard|CleansHealing|BitRot|Rot' \
 		./internal/store ./internal/serve ./internal/faultinject ./cmd/ingest
+
+# The benchmark (BENCHMARK.json) is its own module, supremm/bench, which
+# the root `go build ./...` never sees: vet it and run its self-tests
+# here so a rename of anything bench/adapter.go names fails the build,
+# not the next benchmark run.
+test-bench:
+	$(GO) vet -C bench ./... && $(GO) test -C bench -short ./...
 
 test:
 	$(GO) test ./...

@@ -8,6 +8,7 @@ package supremm_test
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 
 	"supremm/internal/appkernels"
@@ -250,7 +251,7 @@ func BenchmarkIngestRaw(b *testing.B) {
 }
 
 func ingestRaw(dir string, res *sim.Result) (int, error) {
-	rr, err := ingest.IngestRaw(dir, res.Acct)
+	rr, err := ingest.IngestRawOpts(dir, res.Acct, ingest.Options{Policy: ingest.Strict})
 	if err != nil {
 		return 0, err
 	}
@@ -274,7 +275,7 @@ func BenchmarkIngestParallel(b *testing.B) {
 	}
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ingest.IngestRaw(cfg.RawDir, res.Acct); err != nil {
+			if _, err := ingest.IngestRawOpts(cfg.RawDir, res.Acct, ingest.Options{Policy: ingest.Strict}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -282,7 +283,7 @@ func BenchmarkIngestParallel(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ingest.IngestRawParallel(cfg.RawDir, res.Acct, 0); err != nil {
+			if _, err := ingest.IngestRawOpts(cfg.RawDir, res.Acct, ingest.Options{Policy: ingest.Strict, Workers: runtime.GOMAXPROCS(0)}); err != nil {
 				b.Fatal(err)
 			}
 		}

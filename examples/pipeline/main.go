@@ -70,7 +70,7 @@ func main() {
 
 	// 2. Ingest the raw directory against the accounting log — the ETL
 	//    stage the deployed system runs on the Netezza appliance.
-	rr, err := ingest.IngestRaw(rawDir, res.Acct)
+	rr, err := ingest.IngestRawOpts(rawDir, res.Acct, ingest.Options{Policy: ingest.Strict})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func Analyzers() []Scoped {
 			FileMatch: func(base string) bool {
 				switch base {
 				case "stream.go", "format.go", "plan.go", "raw.go", "accumulator.go",
-					"columns.go", "codec.go", "query.go", "index.go":
+					"columns.go", "codec.go", "query.go", "index.go", "kernel.go":
 					return true
 				}
 				return false

@@ -5,7 +5,7 @@
 //
 //   - the raw path parses TACC_Stats text files, computes counter deltas
 //     per interval and attributes them to jobs via the accounting windows
-//     (IngestRaw);
+//     (IngestRawOpts);
 //   - the direct path accumulates the simulator's per-interval usage
 //     in memory, skipping serialization for large sweeps (Accumulator).
 //

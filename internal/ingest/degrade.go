@@ -19,9 +19,9 @@ import (
 // clock, and the bridging interval is noise.
 const DefaultMaxIntervalSec = 86400
 
-// Options parameterizes IngestRawOpts. The zero value reproduces the
-// legacy IngestRaw behavior: strict policy, sequential, reading the
-// local filesystem, one-day plausibility bound, no retries.
+// Options parameterizes IngestRawOpts. The zero value is the strict
+// policy, sequential, reading the local filesystem, one-day
+// plausibility bound, no retries.
 type Options struct {
 	// Policy selects abort-on-fault (Strict) or quarantine-and-account
 	// (Lenient).
@@ -286,9 +286,17 @@ func cpuMovedBackwards(p *metricPlan, prev, cur []uint64) bool {
 	return false
 }
 
-// IngestRawOpts is IngestRaw with the full degraded-mode control
-// surface. Sequential (Workers <= 1) and parallel runs produce
-// byte-identical results, including every quarantine decision.
+// IngestRawOpts parses every raw TACC_Stats file under dir (layout:
+// dir/<hostname>/<day>.raw) and joins the counter deltas with the
+// accounting records to produce per-job summaries and the cluster-wide
+// series. This is the paper's Netezza/MySQL ingest stage.
+//
+// Files stream through the schema-compiled fast path: records are
+// reduced to Intervals as they are parsed, so peak memory per host is
+// two flat records rather than a materialized file. opts selects the
+// strict (abort on the first fault) or lenient degraded-mode policy.
+// Sequential (Workers <= 1) and parallel runs produce byte-identical
+// results, including every quarantine decision.
 func IngestRawOpts(dir string, acct []sched.AcctRecord, opts Options) (*RawResult, error) {
 	if opts.Workers > 1 {
 		return ingestParallel(dir, acct, opts)

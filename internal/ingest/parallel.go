@@ -3,7 +3,6 @@ package ingest
 import (
 	"fmt"
 	"io/fs"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -62,20 +61,12 @@ type attributedInterval struct {
 	iv    Interval
 }
 
-// IngestRawParallel is IngestRaw with a per-host worker pool: hosts are
-// parsed and delta-reduced concurrently, then merged in sorted host
-// order so the result is byte-identical to the sequential path (float
-// summation order is fixed by the merge order, not by goroutine
-// scheduling; quarantine decisions are per-host and deterministic).
-// workers <= 0 uses GOMAXPROCS.
-func IngestRawParallel(dir string, acct []sched.AcctRecord, workers int) (*RawResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return IngestRawOpts(dir, acct, Options{Policy: Strict, Workers: workers})
-}
-
-// ingestParallel is the Workers > 1 arm of IngestRawOpts.
+// ingestParallel is the Workers > 1 arm of IngestRawOpts: hosts are
+// parsed and delta-reduced concurrently by a per-host worker pool, then
+// merged in sorted host order so the result is byte-identical to the
+// sequential path (float summation order is fixed by the merge order,
+// not by goroutine scheduling; quarantine decisions are per-host and
+// deterministic).
 func ingestParallel(dir string, acct []sched.AcctRecord, opts Options) (*RawResult, error) {
 	workers := opts.Workers
 	o := opts.resolve(dir)

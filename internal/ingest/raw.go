@@ -28,20 +28,6 @@ type RawResult struct {
 	Quality DataQuality
 }
 
-// IngestRaw parses every raw TACC_Stats file under dir (layout:
-// dir/<hostname>/<day>.raw) and joins the counter deltas with the
-// accounting records to produce per-job summaries and the cluster-wide
-// series. This is the paper's Netezza/MySQL ingest stage.
-//
-// Files stream through the schema-compiled fast path: records are
-// reduced to Intervals as they are parsed, so peak memory per host is
-// two flat records rather than a materialized file. IngestRaw keeps the
-// legacy strict policy (abort on the first fault); IngestRawOpts exposes
-// the lenient degraded-mode path.
-func IngestRaw(dir string, acct []sched.AcctRecord) (*RawResult, error) {
-	return IngestRawOpts(dir, acct, Options{Policy: Strict})
-}
-
 // finalize turns the accumulated state into the RawResult: every
 // accounting job is finished (zero-metric records for jobs that
 // contributed no intervals), in sorted job order.

@@ -12,6 +12,17 @@ import (
 	"supremm/internal/workload"
 )
 
+// IngestRaw and IngestRawParallel spell the strict-policy calls the
+// tests in this package make: sequential, and with a per-host worker
+// pool.
+func IngestRaw(dir string, acct []sched.AcctRecord) (*RawResult, error) {
+	return IngestRawOpts(dir, acct, Options{Policy: Strict})
+}
+
+func IngestRawParallel(dir string, acct []sched.AcctRecord, workers int) (*RawResult, error) {
+	return IngestRawOpts(dir, acct, Options{Policy: Strict, Workers: workers})
+}
+
 // writeRawHost writes a hand-built raw file tree for one host: a job
 // running from t=1000 to t=2800 with three samples, with known counter
 // rates.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -65,7 +66,7 @@ func BenchmarkServeAggregate(b *testing.B) {
 	b.Run("store-indexed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = st.AggregateParallel(store.MetricFlops, selectiveFilter, workers)
+			_, _ = st.AggregateParallelCtx(context.Background(), store.MetricFlops, selectiveFilter, workers)
 		}
 	})
 
@@ -75,7 +76,7 @@ func BenchmarkServeAggregate(b *testing.B) {
 		broad := store.Filter{Cluster: "ranger", MinSamples: 1}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = st.AggregateParallel(store.MetricFlops, broad, workers)
+			_, _ = st.AggregateParallelCtx(context.Background(), store.MetricFlops, broad, workers)
 		}
 	})
 
@@ -217,7 +218,7 @@ func TestIndexedSpeedupFloor(t *testing.T) {
 	st.BuildIndex()
 	indexed := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = st.AggregateParallel(store.MetricFlops, selectiveFilter, runtime.GOMAXPROCS(0))
+			_, _ = st.AggregateParallelCtx(context.Background(), store.MetricFlops, selectiveFilter, runtime.GOMAXPROCS(0))
 		}
 	})
 	ratio := float64(scan.NsPerOp()) / float64(indexed.NsPerOp())

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -185,7 +186,7 @@ func BenchmarkIncrementalReload(b *testing.B) {
 	const days, perDay = 90, 150
 	dir := b.TempDir()
 	writeShardDataDir(b, dir, dayStore(days, perDay), fixtureSeries(8), nil)
-	base, err := loadSnapshot(dir, 1, 0, nil, osOpen, nil)
+	base, err := loadSnapshot(dir, 1, 0, nil, osOpen, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func BenchmarkIncrementalReload(b *testing.B) {
 	b.Run("full-load", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := loadSnapshot(dir, 2, 0, nil, osOpen, nil); err != nil {
+			if _, err := loadSnapshot(dir, 2, 0, nil, osOpen, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -203,7 +204,7 @@ func BenchmarkIncrementalReload(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			snap, err := loadSnapshot(dir, 2, 0, nil, osOpen, base)
+			snap, err := loadSnapshot(dir, 2, 0, nil, osOpen, base, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -217,8 +218,7 @@ func BenchmarkIncrementalReload(b *testing.B) {
 // TestIncrementalReloadSpeedupFloor is the executable form of the
 // incremental-reload acceptance criterion: after appending one day to a
 // 90-day history, reloading against the previous generation must be at
-// least 5x faster than a cold full load. Measured ratios are far
-// higher; 5x keeps scheduler noise from flaking it.
+// least 5x faster than a cold full load.
 func TestIncrementalReloadSpeedupFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("90-day load comparison in -short mode")
@@ -226,28 +226,31 @@ func TestIncrementalReloadSpeedupFloor(t *testing.T) {
 	const days, perDay = 90, 150
 	dir := t.TempDir()
 	writeShardDataDir(t, dir, dayStore(days, perDay), fixtureSeries(8), nil)
-	base, err := loadSnapshot(dir, 1, 0, nil, osOpen, nil)
+	base, err := loadSnapshot(dir, 1, 0, nil, osOpen, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	writeShardDataDir(t, dir, dayStore(days+1, perDay), fixtureSeries(8), nil)
 
-	full := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := loadSnapshot(dir, 2, 0, nil, osOpen, nil); err != nil {
-				b.Fatal(err)
+	// Each side is the minimum ns/op of three interleaved rounds: noise
+	// on a shared box only ever slows a round down, so one noisy round
+	// of either side cannot fail the floor.
+	load := func(prev *Snapshot) int64 {
+		return testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := loadSnapshot(dir, 2, 0, nil, osOpen, prev, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	incr := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := loadSnapshot(dir, 2, 0, nil, osOpen, base); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	ratio := float64(full.NsPerOp()) / float64(incr.NsPerOp())
-	t.Logf("full %v/op, incremental %v/op, speedup %.1fx", full.NsPerOp(), incr.NsPerOp(), ratio)
+		}).NsPerOp()
+	}
+	full, incr := int64(math.MaxInt64), int64(math.MaxInt64)
+	for round := 0; round < 3; round++ {
+		full = min(full, load(nil))
+		incr = min(incr, load(base))
+	}
+	ratio := float64(full) / float64(incr)
+	t.Logf("full %v ns/op, incremental %v ns/op, speedup %.1fx", full, incr, ratio)
 	if ratio < 5 {
 		t.Errorf("one-day append reload only %.1fx faster than full load, want >= 5x", ratio)
 	}

@@ -28,11 +28,13 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// DataDir is the ingested data directory (jobs.jsonl, series.jsonl,
-	// optional quality.json).
+	// DataDir is the ingested data directory: the job store in its
+	// preferred form (MANIFEST.supremm + shard-<day>.supremm files, else
+	// jobs.supremm, else jobs.jsonl — see loadStore), plus optional
+	// series.jsonl and quality.json.
 	DataDir string
 	// Workers bounds the aggregation fan-out; 0 means GOMAXPROCS. The
-	// worker count never changes results (store.AggregateParallel).
+	// worker count never changes results (store.AggregateParallelCtx).
 	Workers int
 	// CacheSize caps the query-result cache entries; 0 means the
 	// default (1024), negative disables caching.
@@ -69,8 +71,10 @@ type Config struct {
 	// default (2).
 	BreakerBackoffPolls int
 	// Open, when non-nil, replaces os.Open for snapshot data files —
-	// the seam the chaos harness uses to inject slow-fs reads. Reads of
-	// jobs.supremm, jobs.jsonl and series.jsonl go through it.
+	// the seam the chaos harness uses to inject slow or failing reads.
+	// Reads of the manifest, every shard file, jobs.supremm, jobs.jsonl
+	// and series.jsonl go through it, as do the scrubber's and the
+	// repair's; quality.json does not.
 	Open func(path string) (io.ReadCloser, error)
 	// Hooks are chaos/test instrumentation; see Hooks.
 	Hooks Hooks
@@ -172,7 +176,7 @@ func New(cfg Config) (*Server, error) {
 			s.scrubBudget = defaultScrubBudget
 		}
 	}
-	snap, err := loadSnapshotHeal(cfg.DataDir, s.lastGen.Add(1), cfg.RetryMax, cfg.Backoff, s.open, nil, s.newHealLoad())
+	snap, err := loadSnapshot(cfg.DataDir, s.lastGen.Add(1), cfg.RetryMax, cfg.Backoff, s.open, nil, s.newHealLoad())
 	if err != nil {
 		return nil, err
 	}
@@ -223,9 +227,14 @@ func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 func (s *Server) Reload() (*Snapshot, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
+	return s.reloadLocked()
+}
+
+// reloadLocked is Reload's body; the caller holds reloadMu.
+func (s *Server) reloadLocked() (*Snapshot, error) {
 	// The current snapshot seeds incremental shard reuse: unchanged
 	// shards are shared by pointer with the generation still serving.
-	snap, err := loadSnapshotHeal(s.cfg.DataDir, s.lastGen.Add(1), s.cfg.RetryMax, s.cfg.Backoff, s.open, s.snap.Load(), s.newHealLoad())
+	snap, err := loadSnapshot(s.cfg.DataDir, s.lastGen.Add(1), s.cfg.RetryMax, s.cfg.Backoff, s.open, s.snap.Load(), s.newHealLoad())
 	if err != nil {
 		s.met.reloadErrors.Add(1)
 		s.brk.onFailure()
@@ -246,7 +255,10 @@ func (s *Server) Reload() (*Snapshot, error) {
 // ticker (fsnotify-free hot reload). When the breaker is open the
 // attempt is skipped (no load, no error) until the cooldown elapses
 // and a half-open probe is due; the daemon keeps serving the last-good
-// snapshot throughout.
+// snapshot throughout. The fingerprint compare, the breaker tick and
+// the load run under one acquisition of reloadMu: concurrent pollers
+// that all saw the same change queue behind the first, then find the
+// fingerprint current and return — one generation per directory change.
 func (s *Server) MaybeReload() (bool, error) {
 	if s.cfg.SelfHeal {
 		// The scrub tick runs before the fingerprint check: a quarantine
@@ -254,13 +266,15 @@ func (s *Server) MaybeReload() (bool, error) {
 		// and flows into a (degraded or repaired) reload this same tick.
 		s.scrubTick()
 	}
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
 	if DirFingerprint(s.cfg.DataDir) == s.snap.Load().Fingerprint {
 		return false, nil
 	}
 	if !s.brk.tick() {
 		return false, nil
 	}
-	if _, err := s.Reload(); err != nil {
+	if _, err := s.reloadLocked(); err != nil {
 		return false, err
 	}
 	return true, nil

@@ -1,13 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -352,5 +358,50 @@ func TestNaNSafeJSONOnEmptyPopulation(t *testing.T) {
 	}
 	if v["n"] != float64(0) {
 		t.Fatalf("empty aggregate n = %v, want 0", v["n"])
+	}
+}
+
+// TestReloadFailsOnUnreadableSeries: only a missing series.jsonl means
+// "no series". Any other open error (EACCES, EIO, an injected fault)
+// must fail the reload, so the last-good generation — with its series —
+// keeps serving instead of a new one with an empty time series.
+func TestReloadFailsOnUnreadableSeries(t *testing.T) {
+	dir := t.TempDir()
+	writeDataDir(t, dir, fixtureStore(10), fixtureSeries(6), nil)
+	var broken atomic.Bool
+	srv, err := New(Config{DataDir: dir, Open: func(path string) (io.ReadCloser, error) {
+		if broken.Load() && filepath.Base(path) == "series.jsonl" {
+			return nil, &fs.PathError{Op: "open", Path: path, Err: syscall.EIO}
+		}
+		return os.Open(path)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, before := get(t, srv, "/api/v1/trends")
+
+	broken.Store(true)
+	if _, err := srv.Reload(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("reload with unreadable series.jsonl: err = %v, want EIO", err)
+	}
+	if snap := srv.Snapshot(); snap.Gen != 1 || len(snap.Realm.Series) != 6 {
+		t.Fatalf("serving generation %d with %d series samples, want last-good generation 1 with 6",
+			snap.Gen, len(snap.Realm.Series))
+	}
+	if _, after := get(t, srv, "/api/v1/trends"); !bytes.Equal(after, before) {
+		t.Errorf("trends changed after a failed reload:\n%s\nwant\n%s", after, before)
+	}
+
+	// Absent is still not an error.
+	broken.Store(false)
+	if err := os.Remove(filepath.Join(dir, "series.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := srv.Reload()
+	if err != nil {
+		t.Fatalf("reload without series.jsonl: %v", err)
+	}
+	if len(snap.Realm.Series) != 0 {
+		t.Errorf("%d series samples without series.jsonl", len(snap.Realm.Series))
 	}
 }

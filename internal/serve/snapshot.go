@@ -102,23 +102,26 @@ func LoadRealm(dir string) (*core.Realm, error) {
 // alongside readable fallbacks means the directory is torn and the
 // load should retry, not silently serve another file.
 func loadStore(dir string, open func(path string) (io.ReadCloser, error), prev *store.ShardSet, heal *healLoad) (store.Reader, string, error) {
-	mdata, err := readManifest(dir, open)
+	mf, err := open(filepath.Join(dir, store.ManifestFile))
 	if err == nil {
+		defer mf.Close()
+		mdata, err := io.ReadAll(mf)
+		if err != nil {
+			return nil, "", err
+		}
 		entries, err := store.DecodeManifest(mdata)
 		if err != nil {
 			return nil, "", fmt.Errorf("serve: %s: %w", store.ManifestFile, err)
 		}
+		var ss *store.ShardSet
 		if heal != nil {
 			// Self-heal path: per-shard fault isolation with quarantine and
 			// repair instead of all-or-nothing (see heal.go).
 			heal.entries = entries
-			ss, err := healShardLoad(dir, entries, prev, store.Opener(open), heal)
-			if err != nil {
-				return nil, "", err
-			}
-			return ss, SourceShards, nil
+			ss, err = healShardLoad(dir, entries, prev, store.Opener(open), heal)
+		} else {
+			ss, err = store.LoadShards(dir, entries, prev, store.Opener(open))
 		}
-		ss, err := store.LoadShards(dir, entries, prev, store.Opener(open))
 		if err != nil {
 			return nil, "", err
 		}
@@ -151,24 +154,6 @@ func loadStore(dir string, open func(path string) (io.ReadCloser, error), prev *
 	return st, SourceJSONL, nil
 }
 
-// readManifest reads the shard manifest bytes through the injected
-// opener (so chaos slow-fs wrapping applies to the manifest too).
-func readManifest(dir string, open func(path string) (io.ReadCloser, error)) ([]byte, error) {
-	mf, err := open(filepath.Join(dir, store.ManifestFile))
-	if err != nil {
-		return nil, err
-	}
-	data, rerr := io.ReadAll(mf)
-	cerr := mf.Close()
-	if rerr != nil {
-		return nil, rerr
-	}
-	if cerr != nil {
-		return nil, cerr
-	}
-	return data, nil
-}
-
 // Snapshot source labels.
 const (
 	SourceShards = "shards"
@@ -191,13 +176,19 @@ func loadRealmSource(dir string, open func(path string) (io.ReadCloser, error), 
 	if err != nil {
 		return nil, "", err
 	}
+	// Only a missing series.jsonl means "no series"; any other open error
+	// fails the attempt like the jobs files do, so an unreadable file
+	// cannot publish a generation with an empty time series.
 	var series []store.SystemSample
-	if sf, err := open(filepath.Join(dir, "series.jsonl")); err == nil {
+	sf, err := open(filepath.Join(dir, "series.jsonl"))
+	switch {
+	case err == nil:
 		defer sf.Close()
-		series, err = store.LoadSeries(sf)
-		if err != nil {
+		if series, err = store.LoadSeries(sf); err != nil {
 			return nil, "", err
 		}
+	case !errors.Is(err, fs.ErrNotExist):
+		return nil, "", err
 	}
 	// Infer the cluster shape from the records; the active-node peak in
 	// the series keeps the peak-TF scale honest for scaled runs.
@@ -245,14 +236,10 @@ func LoadQuality(dir string) (*ingest.DataQuality, error) {
 // manifest entry (and on-disk size) are unchanged from the previous
 // snapshot's set are adopted by pointer instead of re-decoded, making
 // a one-day append reload O(1 day) instead of O(history).
-func loadSnapshot(dir string, gen uint64, retryMax int, backoff func(attempt int), open func(path string) (io.ReadCloser, error), prev *Snapshot) (*Snapshot, error) {
-	return loadSnapshotHeal(dir, gen, retryMax, backoff, open, prev, nil)
-}
-
-// loadSnapshotHeal is loadSnapshot with an optional self-heal context:
-// non-nil heal routes the shard load through quarantine/repair and
-// fills the snapshot's coverage accounting from what survived.
-func loadSnapshotHeal(dir string, gen uint64, retryMax int, backoff func(attempt int), open func(path string) (io.ReadCloser, error), prev *Snapshot, heal *healLoad) (*Snapshot, error) {
+// heal is the optional self-heal context: non-nil routes the shard
+// load through quarantine/repair and fills the snapshot's coverage
+// accounting from what survived; nil is the strict all-or-nothing load.
+func loadSnapshot(dir string, gen uint64, retryMax int, backoff func(attempt int), open func(path string) (io.ReadCloser, error), prev *Snapshot, heal *healLoad) (*Snapshot, error) {
 	var prevShards *store.ShardSet
 	if prev != nil {
 		if ss, ok := prev.Realm.Store.(*store.ShardSet); ok {

@@ -66,7 +66,7 @@ func TestRawIngestMatchesFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := ingest.IngestRaw(cfg.RawDir, res.Acct)
+	raw, err := ingest.IngestRawOpts(cfg.RawDir, res.Acct, ingest.Options{Policy: ingest.Strict})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestRawIngestSystemSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := ingest.IngestRaw(cfg.RawDir, res.Acct)
+	raw, err := ingest.IngestRawOpts(cfg.RawDir, res.Acct, ingest.Options{Policy: ingest.Strict})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestRawIngestUnattributedIsSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := ingest.IngestRaw(cfg.RawDir, res.Acct)
+	raw, err := ingest.IngestRawOpts(cfg.RawDir, res.Acct, ingest.Options{Policy: ingest.Strict})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestRawPipelineLonestar4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := ingest.IngestRaw(cfg.RawDir, res.Acct)
+	raw, err := ingest.IngestRawOpts(cfg.RawDir, res.Acct, ingest.Options{Policy: ingest.Strict})
 	if err != nil {
 		t.Fatal(err)
 	}

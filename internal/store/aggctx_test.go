@@ -28,11 +28,11 @@ func aggCtxFixture(n int) *Store {
 }
 
 // TestAggregateParallelCtx: with a live context the result is
-// bit-identical to AggregateParallel; with a cancelled context the
+// bit-identical to the row baseline; with a cancelled context the
 // call reports the cancellation instead of a silent partial result.
 func TestAggregateParallelCtx(t *testing.T) {
 	st := aggCtxFixture(10000)
-	want := st.AggregateParallel(MetricCPUIdle, Filter{}, 4)
+	want := st.baselineAggregateParallel(MetricCPUIdle, Filter{}, 4)
 
 	got, err := st.AggregateParallelCtx(context.Background(), MetricCPUIdle, Filter{}, 4)
 	if err != nil {

@@ -1,18 +1,23 @@
 package store
 
 import (
+	"context"
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 )
 
 // ---- the pre-columnar row path, kept verbatim as the reference ----
 //
-// baselineAggregate* reimplement the row-oriented execution engine the
-// columnar kernels replaced: string-compare filtering, a materialized
-// []int row list, and node-hours recomputed per row from three columns.
-// The equivalence tests require the columnar kernels to be bit-identical
-// to this path; the speedup floor tests require them to beat it.
+// baseline* reimplement the row-oriented execution engine the columnar
+// kernels replaced: string-compare filtering, a materialized []int row
+// list, node-hours recomputed per row from three columns, group-by
+// through a string-keyed map over materialized records. It is the one
+// naive reference every Reader method of both *Store and *ShardSet is
+// checked against: the equivalence tests require the kernels to be
+// bit-identical to this path; the speedup floor tests require them to
+// beat it.
 
 func (s *Store) baselineMatch(i int, f Filter) bool {
 	switch {
@@ -179,6 +184,99 @@ func (s *Store) baselineAggregateParallel(m Metric, f Filter, workers int) Agg {
 	return agg
 }
 
+// baselineRecords materializes the selected rows one by one.
+func (s *Store) baselineRecords(f Filter) []JobRecord {
+	out := []JobRecord{}
+	for _, i := range s.baselineSelect(f) {
+		out = append(out, s.Record(i))
+	}
+	return out
+}
+
+// baselineValues reads each selected row's metric off its materialized
+// record, with the recomputed node-hour weight.
+func (s *Store) baselineValues(m Metric, f Filter) (vals, weights []float64) {
+	for _, i := range s.baselineSelect(f) {
+		r := s.Record(i)
+		vals = append(vals, r.Value(m))
+		weights = append(weights, s.baselineNodeHours(i))
+	}
+	return vals, weights
+}
+
+func (s *Store) baselineTotalNodeHours(f Filter) float64 {
+	var sw float64
+	for _, i := range s.baselineSelect(f) {
+		sw += s.baselineNodeHours(i)
+	}
+	return sw
+}
+
+// baselineGroupBy is the old string-keyed group-by over materialized
+// records; an out-of-range key groups everything under "".
+func (s *Store) baselineGroupBy(k GroupKey, metrics []Metric, f Filter) []Group {
+	type acc struct {
+		n   int
+		sw  float64
+		swx []float64
+	}
+	accs := map[string]*acc{}
+	for _, i := range s.baselineSelect(f) {
+		r := s.Record(i)
+		key := ""
+		switch k {
+		case ByUser:
+			key = r.User
+		case ByApp:
+			key = r.App
+		case ByScience:
+			key = r.Science
+		case ByCluster:
+			key = r.Cluster
+		case ByStatus:
+			key = r.Status
+		}
+		a := accs[key]
+		if a == nil {
+			a = &acc{swx: make([]float64, len(metrics))}
+			accs[key] = a
+		}
+		w := s.baselineNodeHours(i)
+		a.n++
+		a.sw += w
+		for mj, m := range metrics {
+			a.swx[mj] += w * r.Value(m)
+		}
+	}
+	out := []Group{}
+	for key, a := range accs {
+		g := Group{Key: key, N: a.n, NodeHours: a.sw, Mean: map[Metric]float64{}}
+		for mj, m := range metrics {
+			g.Mean[m] = math.NaN()
+			if a.sw > 0 {
+				g.Mean[m] = a.swx[mj] / a.sw
+			}
+		}
+		out = append(out, g)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].NodeHours != out[j].NodeHours {
+			return out[i].NodeHours > out[j].NodeHours
+		}
+		return out[i].Key < out[j].Key
+	})
+	return out
+}
+
+// aggParallel is AggregateParallelCtx on a context that never fires.
+func aggParallel(r Reader, m Metric, f Filter, workers int) Agg {
+	agg, err := r.AggregateParallelCtx(context.Background(), m, f, workers)
+	if err != nil {
+		panic(err)
+	}
+	return agg
+}
+
 // equivStore builds a store exercising the tricky aggregation inputs:
 // NaN metric values, zero-sample jobs, zero-node-hour jobs (end ==
 // start), negative values, enough rows to span multiple 4096-row
@@ -223,16 +321,16 @@ func aggBitsEqual(a, b Agg) bool {
 }
 
 var equivFilters = []Filter{
-	{},                                      // all rows, vacuous
-	{Cluster: "ranger"},                     // posting-list selective
-	{Cluster: "ranger", MinSamples: 1},      // broad-scan shape
-	{User: "ub", App: "amber"},              // narrow intersection
-	{Science: "Physics", MinSamples: 3},     // scan with residual filter
-	{Status: "failed"},                      // low-count dictionary value
-	{EndAfter: 5000, EndBefore: 200000},     // time window
-	{Cluster: "nonesuch"},                   // impossible value
-	{App: "hpl", EndBefore: 1},              // empty result via window
-	{MinSamples: 10},                        // empty result via samples
+	{},                                  // all rows, vacuous
+	{Cluster: "ranger"},                 // posting-list selective
+	{Cluster: "ranger", MinSamples: 1},  // broad-scan shape
+	{User: "ub", App: "amber"},          // narrow intersection
+	{Science: "Physics", MinSamples: 3}, // scan with residual filter
+	{Status: "failed"},                  // low-count dictionary value
+	{EndAfter: 5000, EndBefore: 200000}, // time window
+	{Cluster: "nonesuch"},               // impossible value
+	{App: "hpl", EndBefore: 1},          // empty result via window
+	{MinSamples: 10},                    // empty result via samples
 	{Cluster: "ranger", User: "uc", App: "namd", Science: "Chemistry", Status: "completed", MinSamples: 1, EndAfter: 1, EndBefore: 1 << 40}, // every predicate at once
 }
 
@@ -254,8 +352,8 @@ func TestColumnarAggregateEquivalence(t *testing.T) {
 				}
 				for _, workers := range []int{1, 2, 3, 8} {
 					wantP := st.baselineAggregateParallel(m, f, workers)
-					if got := st.AggregateParallel(m, f, workers); !aggBitsEqual(got, wantP) {
-						t.Errorf("indexed=%v filter#%d %s workers=%d: AggregateParallel %+v != baseline %+v",
+					if got := aggParallel(st, m, f, workers); !aggBitsEqual(got, wantP) {
+						t.Errorf("indexed=%v filter#%d %s workers=%d: AggregateParallelCtx %+v != baseline %+v",
 							indexed, fi, m, workers, got, wantP)
 					}
 				}
@@ -264,8 +362,9 @@ func TestColumnarAggregateEquivalence(t *testing.T) {
 	}
 }
 
-// TestColumnarSelectEquivalence pins Select/SelectScan (and therefore
-// every kernel's row enumeration) to the baseline string-compare scan.
+// TestColumnarSelectEquivalence pins Select (and therefore every
+// kernel's row enumeration), indexed and scanning, to the baseline
+// string-compare scan.
 func TestColumnarSelectEquivalence(t *testing.T) {
 	for _, indexed := range []bool{false, true} {
 		st := equivStore(5_000)
@@ -274,16 +373,15 @@ func TestColumnarSelectEquivalence(t *testing.T) {
 		}
 		for fi, f := range equivFilters {
 			want := st.baselineSelect(f)
-			for name, got := range map[string][]int{"Select": st.Select(f), "SelectScan": st.SelectScan(f)} {
-				if len(got) != len(want) {
-					t.Errorf("indexed=%v filter#%d %s: %d rows != baseline %d", indexed, fi, name, len(got), len(want))
-					continue
-				}
-				for j := range got {
-					if got[j] != want[j] {
-						t.Errorf("indexed=%v filter#%d %s: row[%d]=%d != baseline %d", indexed, fi, name, j, got[j], want[j])
-						break
-					}
+			got := st.Select(f)
+			if len(got) != len(want) {
+				t.Errorf("indexed=%v filter#%d Select: %d rows != baseline %d", indexed, fi, len(got), len(want))
+				continue
+			}
+			for j := range got {
+				if got[j] != want[j] {
+					t.Errorf("indexed=%v filter#%d Select: row[%d]=%d != baseline %d", indexed, fi, j, got[j], want[j])
+					break
 				}
 			}
 		}
@@ -297,9 +395,9 @@ func TestAggregateParallelWorkerInvariance(t *testing.T) {
 	st := equivStore(20_000)
 	st.BuildIndex()
 	for _, f := range equivFilters {
-		want := st.AggregateParallel(MetricFlops, f, 1)
+		want := aggParallel(st, MetricFlops, f, 1)
 		for workers := 2; workers <= 9; workers++ {
-			if got := st.AggregateParallel(MetricFlops, f, workers); !aggBitsEqual(got, want) {
+			if got := aggParallel(st, MetricFlops, f, workers); !aggBitsEqual(got, want) {
 				t.Fatalf("workers=%d: %+v != workers=1 %+v (filter %+v)", workers, got, want, f)
 			}
 		}
@@ -320,7 +418,7 @@ func TestColumnarSpeedupFloor(t *testing.T) {
 	st.BuildIndex()
 	broad := Filter{Cluster: "ranger", MinSamples: 1}
 	workers := runtime.GOMAXPROCS(0)
-	if got, want := st.AggregateParallel(MetricFlops, broad, workers), st.baselineAggregateParallel(MetricFlops, broad, workers); !aggBitsEqual(got, want) {
+	if got, want := aggParallel(st, MetricFlops, broad, workers), st.baselineAggregateParallel(MetricFlops, broad, workers); !aggBitsEqual(got, want) {
 		t.Fatalf("columnar %+v != baseline %+v", got, want)
 	}
 	base := testing.Benchmark(func(b *testing.B) {
@@ -330,7 +428,7 @@ func TestColumnarSpeedupFloor(t *testing.T) {
 	})
 	columnar := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = st.AggregateParallel(MetricFlops, broad, workers)
+			_, _ = st.AggregateParallelCtx(context.Background(), MetricFlops, broad, workers)
 		}
 	})
 	ratio := float64(base.NsPerOp()) / float64(columnar.NsPerOp())
@@ -373,7 +471,10 @@ func floorStore(n int) *Store {
 
 // BenchmarkAggregateColumnar is the committed columnar-kernel benchmark
 // (make bench-store): the broad vacuous-filter sweep and the selective
-// posting-list path, against the retired row-path baseline.
+// posting-list path through the chunked aggregate, against the retired
+// row-path baseline, plus the serial aggregate, group-by and values
+// kernels on the same two filters — the monolithic *Store figures the
+// one-partition case of the shared kernels is held to.
 func BenchmarkAggregateColumnar(b *testing.B) {
 	st := floorStore(100_000)
 	st.BuildIndex()
@@ -383,7 +484,7 @@ func BenchmarkAggregateColumnar(b *testing.B) {
 	b.Run("broad-columnar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = st.AggregateParallel(MetricFlops, broad, workers)
+			_, _ = st.AggregateParallelCtx(context.Background(), MetricFlops, broad, workers)
 		}
 	})
 	b.Run("broad-rowpath", func(b *testing.B) {
@@ -395,7 +496,37 @@ func BenchmarkAggregateColumnar(b *testing.B) {
 	b.Run("selective-columnar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = st.AggregateParallel(MetricFlops, selective, workers)
+			_, _ = st.AggregateParallelCtx(context.Background(), MetricFlops, selective, workers)
+		}
+	})
+	b.Run("broad-serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = st.Aggregate(MetricFlops, broad)
+		}
+	})
+	b.Run("broad-groupby-user", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = st.GroupBy(ByUser, []Metric{MetricFlops, MetricCPUIdle}, broad)
+		}
+	})
+	b.Run("selective-groupby-app", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = st.GroupBy(ByApp, []Metric{MetricFlops, MetricCPUIdle}, selective)
+		}
+	})
+	b.Run("broad-values", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, _ = st.Values(MetricFlops, broad)
+		}
+	})
+	b.Run("selective-values", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, _ = st.Values(MetricFlops, selective)
 		}
 	})
 	b.Run("selective-rowpath", func(b *testing.B) {

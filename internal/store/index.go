@@ -1,26 +1,14 @@
 package store
 
-import (
-	"context"
-	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
-)
-
 // Index is the read-optimized secondary-index layer over a Store: one
 // posting list of ascending row ids per distinct cluster, user and app
-// value. The cluster lists partition the rows — they are the store's
-// shards — while the user and app lists accelerate the selective
-// filters the query daemon serves. Lists are ascending, so an indexed
-// Select returns exactly the row set (and order) a full scan would.
+// value, accelerating the selective filters the query daemon serves.
+// Lists are ascending, so an indexed Select returns exactly the row set
+// (and order) a full scan would.
 type Index struct {
 	cluster postings
 	user    postings
 	app     postings
-	// clusters holds the shard names in sorted order, for deterministic
-	// shard iteration.
-	clusters []string
 }
 
 // postings maps a column value to the ascending row ids holding it.
@@ -50,30 +38,15 @@ func buildPostings(d *DictColumn) postings {
 // mutate-then-query sequence falls back to scans rather than serving
 // stale postings.
 func (s *Store) BuildIndex() {
-	idx := &Index{
+	s.idx = &Index{
 		cluster: buildPostings(&s.c.Cluster),
 		user:    buildPostings(&s.c.User),
 		app:     buildPostings(&s.c.App),
 	}
-	idx.clusters = make([]string, 0, len(idx.cluster))
-	for c := range idx.cluster {
-		idx.clusters = append(idx.clusters, c)
-	}
-	sort.Strings(idx.clusters)
-	s.idx = idx
 }
 
 // HasIndex reports whether the store currently carries an index.
 func (s *Store) HasIndex() bool { return s.idx != nil }
-
-// Clusters returns the sorted cluster shard names, or nil when the
-// store is unindexed.
-func (s *Store) Clusters() []string {
-	if s.idx == nil {
-		return nil
-	}
-	return s.idx.clusters
-}
 
 // narrowest returns the shortest posting list among the filter's
 // equality predicates on indexed columns, or ok=false when the filter
@@ -94,213 +67,4 @@ func (ix *Index) narrowest(f Filter) ([]int32, bool) {
 	consider(ix.user, f.User)
 	consider(ix.app, f.App)
 	return best, found
-}
-
-// aggChunk is the fixed accumulation granularity of the parallel
-// aggregation path. Partials are computed per chunk and merged in chunk
-// order, so the result is bit-identical for any worker count — the
-// property the daemon's golden responses rely on.
-const aggChunk = 4096
-
-// aggPartial is one chunk's running sums.
-type aggPartial struct {
-	sw, swx, plain float64
-	min, max       float64
-	ss             float64 // second pass only
-}
-
-// AggregateParallel computes the same node-hour-weighted aggregate as
-// Aggregate, accumulating in fixed-size chunks fanned out over up to
-// workers goroutines. Chunk partials merge in chunk order, so the
-// result does not depend on the worker count (only the last-ulp
-// rounding differs from the purely sequential Aggregate). workers <= 1
-// still uses the chunked accumulation, single-threaded.
-//
-// Chunks cover 4096 consecutive *selected* rows. When the filter is
-// provably vacuous the selection is the implicit 0..n-1 set and the
-// kernel runs directly over the contiguous columns — same chunk
-// boundaries, same accumulation order, no materialized index.
-func (s *Store) AggregateParallel(m Metric, f Filter, workers int) Agg {
-	return s.aggregateSet(nil, m, s.selectSet(f), workers)
-}
-
-// AggregateParallelCtx is AggregateParallel with cooperative
-// cancellation: the chunk scheduler checks ctx between chunks and
-// abandons the aggregation once the deadline passes or the caller
-// gives up, returning ctx's error instead of a half-summed Agg. On a
-// ctx that never fires the result is bit-identical to
-// AggregateParallel — the cancellation check never reorders or splits
-// chunk accumulation, it only decides whether the next chunk runs.
-func (s *Store) AggregateParallelCtx(ctx context.Context, m Metric, f Filter, workers int) (Agg, error) {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	agg := s.aggregateSet(done, m, s.selectSet(f), workers)
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return Agg{}, err
-		}
-	}
-	return agg, nil
-}
-
-// aggregateSet is the chunked kernel over a selection. Both arms (the
-// contiguous all-rows sweep and the index-indirect sweep) enumerate the
-// same rows in the same order with the same 4096-row chunk partials, so
-// they are bit-identical whenever they see the same selection. A
-// non-nil done channel requests early abandonment: the partials become
-// meaningless and the caller must discard the returned Agg (only
-// AggregateParallelCtx passes one, and it checks ctx.Err after).
-func (s *Store) aggregateSet(done <-chan struct{}, m Metric, rs rowSet, workers int) Agg {
-	col := s.col(m)
-	weight := s.c.weight
-	n := rs.len()
-	agg := Agg{N: n}
-	if n == 0 {
-		nan := math.NaN()
-		return Agg{Mean: nan, StdDev: nan, Min: nan, Max: nan, UnweightedMean: nan}
-	}
-	chunks := (n + aggChunk - 1) / aggChunk
-	partials := make([]aggPartial, chunks)
-	runChunks(done, chunks, workers, func(c int) {
-		lo, hi := c*aggChunk, (c+1)*aggChunk
-		if hi > n {
-			hi = n
-		}
-		var p aggPartial
-		if rs.all {
-			p = aggPartial{min: col[lo], max: col[lo]}
-			for i := lo; i < hi; i++ {
-				w := weight[i]
-				v := col[i]
-				p.sw += w
-				p.swx += w * v
-				p.plain += v
-				if v < p.min {
-					p.min = v
-				}
-				if v > p.max {
-					p.max = v
-				}
-			}
-		} else {
-			p = aggPartial{min: col[rs.idx[lo]], max: col[rs.idx[lo]]}
-			for _, i := range rs.idx[lo:hi] {
-				w := weight[i]
-				v := col[i]
-				p.sw += w
-				p.swx += w * v
-				p.plain += v
-				if v < p.min {
-					p.min = v
-				}
-				if v > p.max {
-					p.max = v
-				}
-			}
-		}
-		partials[c] = p
-	})
-	var sw, swx, plain float64
-	agg.Min, agg.Max = partials[0].min, partials[0].max
-	for _, p := range partials {
-		sw += p.sw
-		swx += p.swx
-		plain += p.plain
-		if p.min < agg.Min {
-			agg.Min = p.min
-		}
-		if p.max > agg.Max {
-			agg.Max = p.max
-		}
-	}
-	agg.NodeHours = sw
-	agg.UnweightedMean = plain / float64(agg.N)
-	if sw == 0 {
-		agg.Mean, agg.StdDev = math.NaN(), math.NaN()
-		return agg
-	}
-	agg.Mean = swx / sw
-	mean := agg.Mean
-	runChunks(done, chunks, workers, func(c int) {
-		lo, hi := c*aggChunk, (c+1)*aggChunk
-		if hi > n {
-			hi = n
-		}
-		var ss float64
-		if rs.all {
-			for i := lo; i < hi; i++ {
-				d := col[i] - mean
-				ss += weight[i] * d * d
-			}
-		} else {
-			for _, i := range rs.idx[lo:hi] {
-				d := col[i] - mean
-				ss += weight[i] * d * d
-			}
-		}
-		partials[c].ss = ss
-	})
-	var ss float64
-	for _, p := range partials {
-		ss += p.ss
-	}
-	agg.StdDev = math.Sqrt(ss / sw)
-	return agg
-}
-
-// runChunks executes fn(c) for every chunk index, on up to workers
-// goroutines. Chunk assignment is work-stealing (atomic counter) but
-// since each chunk writes only its own slot, the outcome is
-// deterministic regardless of scheduling. A non-nil done channel is
-// polled between chunks: once it fires, no further chunks start
-// (chunks already running finish), so a cancelled aggregation stops
-// within one chunk's worth of work per worker.
-func runChunks(done <-chan struct{}, chunks, workers int, fn func(c int)) {
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		for c := 0; c < chunks; c++ {
-			if chunkCancelled(done) {
-				return
-			}
-			fn(c)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if chunkCancelled(done) {
-					return
-				}
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				fn(c)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// chunkCancelled reports whether done has fired; a nil done never
-// cancels and costs only a nil check.
-func chunkCancelled(done <-chan struct{}) bool {
-	if done == nil {
-		return false
-	}
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
 }

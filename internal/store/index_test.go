@@ -37,6 +37,7 @@ func testStore(n int) *Store {
 func TestSelectIndexedMatchesScan(t *testing.T) {
 	s := testStore(5000)
 	s.BuildIndex()
+	scan := testStore(5000) // unindexed twin: the baseline scans every row
 	filters := []Filter{
 		{},
 		{Cluster: "ranger"},
@@ -49,7 +50,7 @@ func TestSelectIndexedMatchesScan(t *testing.T) {
 		{Science: "sci4"}, // unindexed column: falls back to scan
 	}
 	for _, f := range filters {
-		want := s.SelectScan(f)
+		want := scan.baselineSelect(f)
 		got := s.Select(f)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("filter %+v: indexed select %d rows, scan %d rows", f, len(got), len(want))
@@ -73,18 +74,6 @@ func TestIndexInvalidatedByAdd(t *testing.T) {
 	}
 }
 
-func TestClustersSorted(t *testing.T) {
-	s := testStore(10)
-	if s.Clusters() != nil {
-		t.Fatal("unindexed store must report nil shards")
-	}
-	s.BuildIndex()
-	want := []string{"lonestar4", "ranger"}
-	if !reflect.DeepEqual(s.Clusters(), want) {
-		t.Fatalf("Clusters() = %v, want %v", s.Clusters(), want)
-	}
-}
-
 // TestAggregateParallelMatchesSequential checks the chunked parallel
 // aggregation against the reference Aggregate: counts, extrema and
 // node-hours exactly, means to float tolerance (summation order
@@ -96,7 +85,7 @@ func TestAggregateParallelMatchesSequential(t *testing.T) {
 	for _, f := range filters {
 		for _, m := range []Metric{MetricCPUIdle, MetricMemUsed, MetricFlops} {
 			want := s.Aggregate(m, f)
-			got := s.AggregateParallel(m, f, 8)
+			got := aggParallel(s, m, f, 8)
 			if got.N != want.N {
 				t.Fatalf("%v %s: N=%d want %d", f, m, got.N, want.N)
 			}
@@ -117,7 +106,7 @@ func TestAggregateParallelMatchesSequential(t *testing.T) {
 			// Worker-count independence: the chunk merge order is fixed,
 			// so any worker count must produce identical bits.
 			for _, w := range []int{1, 2, 3, 16} {
-				again := s.AggregateParallel(m, f, w)
+				again := aggParallel(s, m, f, w)
 				if again != got {
 					t.Fatalf("%v %s: workers=%d changed the result: %+v vs %+v", f, m, w, again, got)
 				}
@@ -138,9 +127,9 @@ func closeEnough(a, b float64) bool {
 func BenchmarkStoreSelect(b *testing.B) {
 	s := testStore(100_000)
 	f := Filter{User: "u042"}
-	b.Run("scan", func(b *testing.B) {
+	b.Run("scan", func(b *testing.B) { // no index yet: Select scans
 		for i := 0; i < b.N; i++ {
-			s.SelectScan(f)
+			s.Select(f)
 		}
 	})
 	s.BuildIndex()

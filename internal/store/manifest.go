@@ -333,15 +333,7 @@ func defaultOpener(path string) (io.ReadCloser, error) { return os.Open(path) }
 // LoadShardSet reads dir's manifest and loads (or, against prev,
 // reuses) every shard it lists.
 func LoadShardSet(dir string, prev *ShardSet) (*ShardSet, error) {
-	return LoadShardSetOpen(dir, prev, nil)
-}
-
-// LoadShardSetOpen is LoadShardSet with the file opener injected.
-func LoadShardSetOpen(dir string, prev *ShardSet, open Opener) (*ShardSet, error) {
-	if open == nil {
-		open = defaultOpener
-	}
-	data, err := readAllClose(open, filepath.Join(dir, ManifestFile))
+	data, err := readAllClose(defaultOpener, filepath.Join(dir, ManifestFile))
 	if err != nil {
 		return nil, err
 	}
@@ -349,17 +341,43 @@ func LoadShardSetOpen(dir string, prev *ShardSet, open Opener) (*ShardSet, error
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: %w", ManifestFile, err)
 	}
-	return LoadShards(dir, entries, prev, open)
+	return LoadShards(dir, entries, prev, nil)
 }
 
-// LoadShards assembles a shard set from already-decoded manifest
-// entries. A shard whose manifest entry is unchanged from prev — same
-// ID, rows, size, hash — and whose on-disk file still has the manifest
-// size is adopted from prev by pointer (columns shared, no copy, no
-// decode); everything else is read, CRC-verified against the manifest,
-// and decoded, in parallel. This is what makes a one-day append reload
-// O(1 day) instead of O(history).
+// LoadShards is the all-or-nothing load — the right default for a data
+// directory that is supposed to be one consistent batch: it runs the
+// fault-isolating loader and fails with the first fault, in manifest
+// order.
 func LoadShards(dir string, entries []ShardInfo, prev *ShardSet, open Opener) (*ShardSet, error) {
+	set, faults := LoadShardsDegraded(dir, entries, prev, open)
+	if len(faults) > 0 {
+		return nil, faults[0].Err
+	}
+	return set, nil
+}
+
+// ShardFault is one manifest entry that could not be served: the entry
+// and the load or verification error that disqualified it.
+type ShardFault struct {
+	Info ShardInfo
+	Err  error
+}
+
+// LoadShardsDegraded assembles a shard set from already-decoded
+// manifest entries with per-shard fault isolation (DESIGN.md §15): a
+// shard that fails to load becomes a ShardFault instead of failing the
+// set — under self-healing one rotted day must not take 364 healthy
+// days off the air — and the returned set holds only the healthy
+// shards, in manifest order, so the global row order is the healthy
+// subsequence of the full order.
+//
+// A shard whose manifest entry is unchanged from prev — same ID, rows,
+// size, hash — and whose on-disk file still has the manifest size is
+// adopted from prev by pointer (columns shared, no copy, no decode);
+// everything else is read, CRC-verified against the manifest, and
+// decoded, in parallel. This is what makes a one-day append reload
+// O(1 day) instead of O(history).
+func LoadShardsDegraded(dir string, entries []ShardInfo, prev *ShardSet, open Opener) (*ShardSet, []ShardFault) {
 	if open == nil {
 		open = defaultOpener
 	}
@@ -370,10 +388,12 @@ func LoadShards(dir string, entries []ShardInfo, prev *ShardSet, open Opener) (*
 			if sh := prev.shardByID(e.ID); sh != nil && sh.info == e {
 				// The entry matches the previous generation's, but the
 				// file on disk may still have been replaced or torn with
-				// the manifest left stale: verify at least its size before
-				// trusting the in-memory copy. (Writers producing a
-				// different same-size content also produce a different
-				// hash, which already failed the entry equality.)
+				// the manifest left stale, or renamed away by a
+				// quarantine: verify at least its size before trusting the
+				// in-memory copy, else the entry goes down the load path
+				// and into the faults. (Writers producing a different
+				// same-size content also produce a different hash, which
+				// already failed the entry equality.)
 				if st, err := os.Stat(filepath.Join(dir, ShardFileName(e.ID))); err == nil && st.Size() == e.Size {
 					shards[i] = sh
 					continue
@@ -387,15 +407,22 @@ func LoadShards(dir string, entries []ShardInfo, prev *ShardSet, open Opener) (*
 		i := work[c]
 		shards[i], errs[c] = loadShard(dir, entries[i], open)
 	})
-	for _, err := range errs {
+	var faults []ShardFault
+	for c, err := range errs {
 		if err != nil {
-			return nil, err
+			faults = append(faults, ShardFault{Info: entries[work[c]], Err: err})
 		}
 	}
-	return newShardSet(shards, ShardLoadStats{
-		Loaded: len(work),
+	healthy := shards[:0]
+	for _, sh := range shards {
+		if sh != nil {
+			healthy = append(healthy, sh)
+		}
+	}
+	return newShardSet(healthy, ShardLoadStats{
+		Loaded: len(work) - len(faults),
 		Reused: len(entries) - len(work),
-	}), nil
+	}), faults
 }
 
 // loadShard reads and verifies one shard file against its manifest

@@ -1,9 +1,6 @@
 package store
 
-import (
-	"math"
-	"sort"
-)
+import "context"
 
 // Filter restricts a query to matching rows. Zero values mean "any".
 type Filter struct {
@@ -105,16 +102,6 @@ func (s *Store) matchCompiled(i int, cf *compiledFilter) bool {
 	return true
 }
 
-// match reports whether row i passes the filter. Kept as the one-off
-// entry point; scans compile the filter once instead.
-func (s *Store) match(i int, f Filter) bool {
-	cf := s.compile(f)
-	if cf.impossible {
-		return false
-	}
-	return s.matchCompiled(i, &cf)
-}
-
 // rowSet is the internal result of a selection: either an implicit
 // "all n rows" (no materialized index — the broad-scan fast path) or an
 // explicit ascending row-id list. Both enumerate rows in the same
@@ -167,6 +154,25 @@ func (s *Store) selectSet(f Filter) rowSet {
 	return rowSet{idx: s.scanCompiled(&cf)}
 }
 
+// canMatch prunes a whole partition against the filter's end-time
+// window using the columns' derived bounds — O(1), no row touched.
+// Pruning only ever skips partitions whose selection is provably empty
+// (matchCompiled rejects End < EndAfter and End >= EndBefore), so it
+// cannot change the selected set, only the work done to compute it.
+func (s *Store) canMatch(f Filter) bool {
+	c := &s.c
+	if c.Len() == 0 {
+		return false
+	}
+	if f.EndAfter != 0 && c.maxEnd < f.EndAfter {
+		return false
+	}
+	if f.EndBefore != 0 && c.minEnd >= f.EndBefore {
+		return false
+	}
+	return true
+}
+
 // scanCompiled is the full-scan arm over the compiled filter.
 func (s *Store) scanCompiled(cf *compiledFilter) []int32 {
 	var idx []int32
@@ -176,49 +182,6 @@ func (s *Store) scanCompiled(cf *compiledFilter) []int32 {
 		}
 	}
 	return idx
-}
-
-// Select returns the row indices passing the filter, ascending. With
-// an index built (BuildIndex) and an equality predicate on an indexed
-// column, the candidates come from the narrowest posting list instead
-// of a full scan; the result is identical either way.
-func (s *Store) Select(f Filter) []int {
-	rs := s.selectSet(f)
-	if rs.len() == 0 {
-		return nil
-	}
-	idx := make([]int, rs.len())
-	for j := range idx {
-		idx[j] = rs.row(j)
-	}
-	return idx
-}
-
-// SelectScan is the always-scan path, kept exported as the reference
-// implementation the index equivalence tests and benchmarks compare
-// against.
-func (s *Store) SelectScan(f Filter) []int {
-	var idx []int
-	cf := s.compile(f)
-	if cf.impossible {
-		return nil
-	}
-	for i := 0; i < s.Len(); i++ {
-		if s.matchCompiled(i, &cf) {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
-// Records returns materialized records passing the filter.
-func (s *Store) Records(f Filter) []JobRecord {
-	rs := s.selectSet(f)
-	out := make([]JobRecord, rs.len())
-	for j := range out {
-		out[j] = s.Record(rs.row(j))
-	}
-	return out
 }
 
 // Agg is a weighted aggregate of one metric over a row set.
@@ -231,77 +194,6 @@ type Agg struct {
 	// UnweightedMean is the plain per-job mean, kept for the ablation
 	// benchmark comparing weighted vs unweighted statistics.
 	UnweightedMean float64
-}
-
-// Aggregate computes the node-hour-weighted aggregate of metric m over
-// rows passing the filter, accumulating strictly in ascending row
-// order (the sequential reference the chunked parallel kernel's
-// equivalence tests compare against).
-func (s *Store) Aggregate(m Metric, f Filter) Agg {
-	col := s.col(m)
-	weight := s.c.weight
-	agg := Agg{Min: math.Inf(1), Max: math.Inf(-1)}
-	var sw, swx, plain float64
-	rs := s.selectSet(f)
-	n := rs.len()
-	if rs.all {
-		// Columnar fast path: no row-index indirection, two contiguous
-		// streams. Same accumulation order as the indirect loop below.
-		for i := 0; i < n; i++ {
-			w := weight[i]
-			v := col[i]
-			sw += w
-			swx += w * v
-			plain += v
-			if v < agg.Min {
-				agg.Min = v
-			}
-			if v > agg.Max {
-				agg.Max = v
-			}
-		}
-	} else {
-		for _, i := range rs.idx {
-			w := weight[i]
-			v := col[i]
-			sw += w
-			swx += w * v
-			plain += v
-			if v < agg.Min {
-				agg.Min = v
-			}
-			if v > agg.Max {
-				agg.Max = v
-			}
-		}
-	}
-	agg.N = n
-	agg.NodeHours = sw
-	if agg.N == 0 {
-		agg.Mean, agg.StdDev, agg.Min, agg.Max = math.NaN(), math.NaN(), math.NaN(), math.NaN()
-		agg.UnweightedMean = math.NaN()
-		return agg
-	}
-	agg.UnweightedMean = plain / float64(agg.N)
-	if sw == 0 {
-		agg.Mean, agg.StdDev = math.NaN(), math.NaN()
-		return agg
-	}
-	agg.Mean = swx / sw
-	var ss float64
-	if rs.all {
-		for i := 0; i < n; i++ {
-			d := col[i] - agg.Mean
-			ss += weight[i] * d * d
-		}
-	} else {
-		for _, i := range rs.idx {
-			d := col[i] - agg.Mean
-			ss += weight[i] * d * d
-		}
-	}
-	agg.StdDev = math.Sqrt(ss / sw)
-	return agg
 }
 
 // GroupKey selects the grouping dimension.
@@ -343,128 +235,42 @@ type Group struct {
 	Mean map[Metric]float64
 }
 
-// GroupBy computes node-hour-weighted means of the metrics per group,
-// over rows passing the filter, sorted by descending node-hours. The
-// grouping runs over dictionary codes — one flat accumulator slot per
-// distinct value — instead of a string-keyed map.
-func (s *Store) GroupBy(k GroupKey, metrics []Metric, f Filter) []Group {
-	kc := s.keyColumn(k)
-	if kc == nil {
-		// Unknown dimension: one empty-keyed group over the selection,
-		// matching the old key(i)=="" behavior.
-		return s.groupByEmptyKey(metrics, f)
-	}
-	type acc struct {
-		n   int
-		sw  float64
-		swx []float64 // parallel to metrics
-	}
-	accs := make([]acc, len(kc.Values))
-	rs := s.selectSet(f)
-	cols := make([][]float64, len(metrics))
-	for j, m := range metrics {
-		cols[j] = s.col(m)
-	}
-	for j, n := 0, rs.len(); j < n; j++ {
-		i := rs.row(j)
-		a := &accs[kc.Codes[i]]
-		if a.swx == nil {
-			a.swx = make([]float64, len(metrics))
-		}
-		w := s.c.weight[i]
-		a.n++
-		a.sw += w
-		for mj, col := range cols {
-			a.swx[mj] += w * col[i]
-		}
-	}
-	out := make([]Group, 0, len(accs))
-	for code := range accs {
-		a := &accs[code]
-		if a.n == 0 {
-			continue
-		}
-		g := Group{Key: kc.Values[code], N: a.n, NodeHours: a.sw, Mean: make(map[Metric]float64)}
-		for mj, m := range metrics {
-			if a.sw > 0 {
-				g.Mean[m] = a.swx[mj] / a.sw
-			} else {
-				g.Mean[m] = math.NaN()
-			}
-		}
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].NodeHours != out[j].NodeHours {
-			return out[i].NodeHours > out[j].NodeHours
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
+// The Reader methods of a *Store: the kernels of kernel.go over the
+// one-partition list holding s. A store is a shard set with one shard.
+
+// Select returns the row indices passing the filter, ascending. With
+// an index built (BuildIndex) and an equality predicate on an indexed
+// column, the candidates come from the narrowest posting list instead
+// of a full scan; the result is identical either way.
+func (s *Store) Select(f Filter) []int { return selectRows([]*Store{s}, f) }
+
+// Records returns materialized records passing the filter.
+func (s *Store) Records(f Filter) []JobRecord { return selectRecords([]*Store{s}, f) }
+
+// Aggregate computes the node-hour-weighted aggregate of metric m over
+// rows passing the filter, accumulating strictly in ascending row
+// order.
+func (s *Store) Aggregate(m Metric, f Filter) Agg { return aggregateSerial([]*Store{s}, m, f) }
+
+// AggregateParallelCtx computes the same aggregate in fixed 4096-row
+// chunks on up to workers goroutines, bit-identical for any worker
+// count, abandoning the work with ctx's error once ctx fires (see
+// aggregateChunked).
+func (s *Store) AggregateParallelCtx(ctx context.Context, m Metric, f Filter, workers int) (Agg, error) {
+	return aggregateChunked(ctx, []*Store{s}, m, f, workers)
 }
 
-// groupByEmptyKey handles an out-of-range GroupKey: every selected row
-// lands in the "" bucket.
-func (s *Store) groupByEmptyKey(metrics []Metric, f Filter) []Group {
-	rs := s.selectSet(f)
-	if rs.len() == 0 {
-		return []Group{}
-	}
-	g := Group{Key: "", N: rs.len(), Mean: make(map[Metric]float64)}
-	swx := make([]float64, len(metrics))
-	for j, n := 0, rs.len(); j < n; j++ {
-		i := rs.row(j)
-		w := s.c.weight[i]
-		g.NodeHours += w
-		for mj, m := range metrics {
-			swx[mj] += w * s.col(m)[i]
-		}
-	}
-	for mj, m := range metrics {
-		if g.NodeHours > 0 {
-			g.Mean[m] = swx[mj] / g.NodeHours
-		} else {
-			g.Mean[m] = math.NaN()
-		}
-	}
-	return []Group{g}
+// GroupBy computes node-hour-weighted means of the metrics per group,
+// over rows passing the filter, sorted by descending node-hours.
+func (s *Store) GroupBy(k GroupKey, metrics []Metric, f Filter) []Group {
+	return groupRows([]*Store{s}, k, metrics, f)
 }
 
 // Values extracts metric m for rows passing the filter, paired with
 // node-hour weights (for weighted statistics and KDE inputs).
 func (s *Store) Values(m Metric, f Filter) (vals, weights []float64) {
-	col := s.col(m)
-	rs := s.selectSet(f)
-	n := rs.len()
-	if n == 0 {
-		return nil, nil
-	}
-	vals = make([]float64, n)
-	weights = make([]float64, n)
-	if rs.all {
-		copy(vals, col[:n])
-		copy(weights, s.c.weight[:n])
-		return vals, weights
-	}
-	for j, i := range rs.idx {
-		vals[j] = col[i]
-		weights[j] = s.c.weight[i]
-	}
-	return vals, weights
+	return selectValues([]*Store{s}, m, f)
 }
 
 // TotalNodeHours sums weights over the filtered rows.
-func (s *Store) TotalNodeHours(f Filter) float64 {
-	var sw float64
-	rs := s.selectSet(f)
-	if rs.all {
-		for _, w := range s.c.weight[:rs.n] {
-			sw += w
-		}
-		return sw
-	}
-	for _, i := range rs.idx {
-		sw += s.c.weight[i]
-	}
-	return sw
-}
+func (s *Store) TotalNodeHours(f Filter) float64 { return totalNodeHours([]*Store{s}, f) }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sort"
 )
@@ -12,15 +11,15 @@ import (
 // serve, anomaly) consumes this interface, so the daemon can swap a
 // sharded backing in without the analyses noticing: for any shard
 // split, every method answers bit-identically to the monolithic store
-// holding the same rows in the same global order (see
-// TestShardEquivalenceDifferential).
+// holding the same rows in the same global order — both run the one
+// kernel family of kernel.go, which TestShardDifferentialEquivalence
+// checks against a naive row reference.
 type Reader interface {
 	Len() int
 	Record(i int) JobRecord
 	Records(f Filter) []JobRecord
 	Select(f Filter) []int
 	Aggregate(m Metric, f Filter) Agg
-	AggregateParallel(m Metric, f Filter, workers int) Agg
 	AggregateParallelCtx(ctx context.Context, m Metric, f Filter, workers int) (Agg, error)
 	GroupBy(k GroupKey, metrics []Metric, f Filter) []Group
 	Values(m Metric, f Filter) (vals, weights []float64)
@@ -64,6 +63,8 @@ func (sh *Shard) Columns() *Columns { return &sh.st.c }
 // the sharded and monolithic load paths answer byte-identically.
 type ShardSet struct {
 	shards []*Shard
+	// parts[i] is shards[i]'s rows: the partition list the kernels walk.
+	parts []*Store
 	// starts[i] is the global row offset of shard i; starts[len] = Len().
 	starts []int
 	// built marks that BuildIndex ran over the set (per-shard indexes
@@ -96,8 +97,9 @@ func NewShardSet(parts []*Columns) *ShardSet {
 }
 
 func newShardSet(shards []*Shard, stats ShardLoadStats) *ShardSet {
-	ss := &ShardSet{shards: shards, starts: make([]int, len(shards)+1), stats: stats}
+	ss := &ShardSet{shards: shards, parts: make([]*Store, len(shards)), starts: make([]int, len(shards)+1), stats: stats}
 	for i, sh := range shards {
+		ss.parts[i] = sh.st
 		ss.starts[i+1] = ss.starts[i] + sh.st.Len()
 	}
 	return ss
@@ -149,423 +151,33 @@ func (ss *ShardSet) BuildIndex() {
 // HasIndex reports whether BuildIndex ran over the set.
 func (ss *ShardSet) HasIndex() bool { return ss.built }
 
-// shardSel is a per-shard selection with cumulative offsets into the
-// global selected sequence: cum[i] selected rows precede shard i.
-type shardSel struct {
-	sets []rowSet
-	cum  []int
-}
-
-func (sel *shardSel) total() int { return sel.cum[len(sel.cum)-1] }
-
-// canMatch prunes a whole shard against the filter's end-time window
-// using the columns' derived bounds — O(1) per shard, no row touched.
-// Pruning only ever skips shards whose selection is provably empty
-// (matchCompiled rejects End < EndAfter and End >= EndBefore), so it
-// cannot change the selected set, only the work done to compute it.
-func (sh *Shard) canMatch(f Filter) bool {
-	c := &sh.st.c
-	if c.Len() == 0 {
-		return false
-	}
-	if f.EndAfter != 0 && c.maxEnd < f.EndAfter {
-		return false
-	}
-	if f.EndBefore != 0 && c.minEnd >= f.EndBefore {
-		return false
-	}
-	return true
-}
-
-// selectShards evaluates the filter per shard, time-pruning whole
-// shards first; per-shard compilation then prunes dictionary misses
-// (compile's impossible flag) without scanning. pruned counts the
-// shards answered without touching any row data.
-func (ss *ShardSet) selectShards(f Filter) (shardSel, int) {
-	sel := shardSel{sets: make([]rowSet, len(ss.shards)), cum: make([]int, len(ss.shards)+1)}
-	pruned := 0
-	for i, sh := range ss.shards {
-		if sh.canMatch(f) {
-			sel.sets[i] = sh.st.selectSet(f)
-		} else {
-			pruned++
-		}
-		sel.cum[i+1] = sel.cum[i] + sel.sets[i].len()
-	}
-	return sel, pruned
-}
-
-// walkSel visits every selected row in global order: fn is called per
-// shard with its store, its selection, and the [a,b) positions of that
-// selection to consume.
-func (ss *ShardSet) walkSel(sel *shardSel, fn func(st *Store, rs rowSet, a, b int)) {
-	for i, sh := range ss.shards {
-		if n := sel.sets[i].len(); n > 0 {
-			fn(sh.st, sel.sets[i], 0, n)
-		}
-	}
-}
-
-// walkRange visits selected positions [lo,hi) of the global sequence —
-// the cross-shard analogue of slicing one shard's rowSet. A 4096-row
-// chunk may span a shard boundary; fn then runs once per covered
-// shard, in order, so the accumulation order matches the monolithic
-// kernel's exactly.
-func (ss *ShardSet) walkRange(sel *shardSel, lo, hi int, fn func(st *Store, rs rowSet, a, b int)) {
-	si := sort.Search(len(ss.shards), func(k int) bool { return sel.cum[k+1] > lo })
-	for pos := lo; pos < hi && si < len(ss.shards); si++ {
-		base := sel.cum[si]
-		end := sel.cum[si+1]
-		if end == base {
-			continue
-		}
-		b := end - base
-		if end > hi {
-			b = hi - base
-		}
-		fn(ss.shards[si].st, sel.sets[si], pos-base, b)
-		pos = base + b
-	}
-}
-
 // Select returns the global row indices passing the filter, ascending.
-func (ss *ShardSet) Select(f Filter) []int {
-	sel, _ := ss.selectShards(f)
-	if sel.total() == 0 {
-		return nil
-	}
-	out := make([]int, 0, sel.total())
-	for i := range ss.shards {
-		base := ss.starts[i]
-		rs := sel.sets[i]
-		for j, n := 0, rs.len(); j < n; j++ {
-			out = append(out, base+rs.row(j))
-		}
-	}
-	return out
-}
+func (ss *ShardSet) Select(f Filter) []int { return selectRows(ss.parts, f) }
 
 // Records materializes the records passing the filter, global order.
-func (ss *ShardSet) Records(f Filter) []JobRecord {
-	sel, _ := ss.selectShards(f)
-	out := make([]JobRecord, 0, sel.total())
-	ss.walkSel(&sel, func(st *Store, rs rowSet, a, b int) {
-		for j := a; j < b; j++ {
-			out = append(out, st.Record(rs.row(j)))
-		}
-	})
-	return out
-}
+func (ss *ShardSet) Records(f Filter) []JobRecord { return selectRecords(ss.parts, f) }
 
 // Values extracts metric m and node-hour weights over the filtered
 // rows, global order.
 func (ss *ShardSet) Values(m Metric, f Filter) (vals, weights []float64) {
-	sel, _ := ss.selectShards(f)
-	n := sel.total()
-	if n == 0 {
-		return nil, nil
-	}
-	vals = make([]float64, 0, n)
-	weights = make([]float64, 0, n)
-	ss.walkSel(&sel, func(st *Store, rs rowSet, a, b int) {
-		col := st.col(m)
-		for j := a; j < b; j++ {
-			i := rs.row(j)
-			vals = append(vals, col[i])
-			weights = append(weights, st.c.weight[i])
-		}
-	})
-	return vals, weights
+	return selectValues(ss.parts, m, f)
 }
 
-// TotalNodeHours sums weights over the filtered rows, accumulating in
-// global row order (one running sum carried across shard boundaries,
-// matching Store.TotalNodeHours bit for bit).
-func (ss *ShardSet) TotalNodeHours(f Filter) float64 {
-	sel, _ := ss.selectShards(f)
-	var sw float64
-	ss.walkSel(&sel, func(st *Store, rs rowSet, a, b int) {
-		for j := a; j < b; j++ {
-			sw += st.c.weight[rs.row(j)]
-		}
-	})
-	return sw
-}
+// TotalNodeHours sums weights over the filtered rows.
+func (ss *ShardSet) TotalNodeHours(f Filter) float64 { return totalNodeHours(ss.parts, f) }
 
 // Aggregate computes the node-hour-weighted aggregate of metric m over
-// the filtered rows, strictly in global row order with one running
-// accumulator carried across shard boundaries — the same operation
-// sequence as Store.Aggregate over the concatenated rows, hence
-// bit-identical to it for any shard split.
-func (ss *ShardSet) Aggregate(m Metric, f Filter) Agg {
-	sel, _ := ss.selectShards(f)
-	agg := Agg{Min: math.Inf(1), Max: math.Inf(-1)}
-	var sw, swx, plain float64
-	ss.walkSel(&sel, func(st *Store, rs rowSet, a, b int) {
-		col := st.col(m)
-		weight := st.c.weight
-		for j := a; j < b; j++ {
-			i := rs.row(j)
-			w := weight[i]
-			v := col[i]
-			sw += w
-			swx += w * v
-			plain += v
-			if v < agg.Min {
-				agg.Min = v
-			}
-			if v > agg.Max {
-				agg.Max = v
-			}
-		}
-	})
-	agg.N = sel.total()
-	agg.NodeHours = sw
-	if agg.N == 0 {
-		agg.Mean, agg.StdDev, agg.Min, agg.Max = math.NaN(), math.NaN(), math.NaN(), math.NaN()
-		agg.UnweightedMean = math.NaN()
-		return agg
-	}
-	agg.UnweightedMean = plain / float64(agg.N)
-	if sw == 0 {
-		agg.Mean, agg.StdDev = math.NaN(), math.NaN()
-		return agg
-	}
-	agg.Mean = swx / sw
-	var ss2 float64
-	ss.walkSel(&sel, func(st *Store, rs rowSet, a, b int) {
-		col := st.col(m)
-		weight := st.c.weight
-		for j := a; j < b; j++ {
-			i := rs.row(j)
-			d := col[i] - agg.Mean
-			ss2 += weight[i] * d * d
-		}
-	})
-	agg.StdDev = math.Sqrt(ss2 / sw)
-	return agg
-}
+// the filtered rows, strictly in global row order.
+func (ss *ShardSet) Aggregate(m Metric, f Filter) Agg { return aggregateSerial(ss.parts, m, f) }
 
-// AggregateParallel is the chunked parallel aggregate over the global
-// selected sequence: the same fixed 4096-row chunks as the monolithic
-// kernel, laid over the concatenation of the per-shard selections. A
-// chunk spanning a shard boundary accumulates its shards in order, so
-// every chunk partial — and therefore the chunk-ordered merge — is
-// bit-identical to Store.AggregateParallel over the same rows, for any
-// shard split and any worker count.
-func (ss *ShardSet) AggregateParallel(m Metric, f Filter, workers int) Agg {
-	sel, _ := ss.selectShards(f)
-	return ss.aggregateSel(nil, m, &sel, workers)
-}
-
-// AggregateParallelCtx is AggregateParallel with the same cooperative
-// cancellation contract as Store.AggregateParallelCtx.
+// AggregateParallelCtx is the chunked, cancellable aggregate over the
+// global selected sequence (see aggregateChunked).
 func (ss *ShardSet) AggregateParallelCtx(ctx context.Context, m Metric, f Filter, workers int) (Agg, error) {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	sel, _ := ss.selectShards(f)
-	agg := ss.aggregateSel(done, m, &sel, workers)
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return Agg{}, err
-		}
-	}
-	return agg, nil
-}
-
-// aggregateSel mirrors Store.aggregateSet over a cross-shard selection:
-// chunk c covers selected positions [c*4096, (c+1)*4096) of the global
-// sequence, its partial seeds min/max from the chunk's first selected
-// value and merges in chunk order.
-func (ss *ShardSet) aggregateSel(done <-chan struct{}, m Metric, sel *shardSel, workers int) Agg {
-	n := sel.total()
-	agg := Agg{N: n}
-	if n == 0 {
-		nan := math.NaN()
-		return Agg{Mean: nan, StdDev: nan, Min: nan, Max: nan, UnweightedMean: nan}
-	}
-	chunks := (n + aggChunk - 1) / aggChunk
-	partials := make([]aggPartial, chunks)
-	runChunks(done, chunks, workers, func(c int) {
-		lo, hi := c*aggChunk, (c+1)*aggChunk
-		if hi > n {
-			hi = n
-		}
-		var p aggPartial
-		first := true
-		ss.walkRange(sel, lo, hi, func(st *Store, rs rowSet, a, b int) {
-			col := st.col(m)
-			weight := st.c.weight
-			for j := a; j < b; j++ {
-				i := rs.row(j)
-				w := weight[i]
-				v := col[i]
-				if first {
-					// Same seeding as the monolithic kernel: min/max start
-					// at the chunk's first value, then every value of the
-					// chunk (including the first) is compared against them.
-					p.min, p.max = v, v
-					first = false
-				}
-				p.sw += w
-				p.swx += w * v
-				p.plain += v
-				if v < p.min {
-					p.min = v
-				}
-				if v > p.max {
-					p.max = v
-				}
-			}
-		})
-		partials[c] = p
-	})
-	var sw, swx, plain float64
-	agg.Min, agg.Max = partials[0].min, partials[0].max
-	for _, p := range partials {
-		sw += p.sw
-		swx += p.swx
-		plain += p.plain
-		if p.min < agg.Min {
-			agg.Min = p.min
-		}
-		if p.max > agg.Max {
-			agg.Max = p.max
-		}
-	}
-	agg.NodeHours = sw
-	agg.UnweightedMean = plain / float64(agg.N)
-	if sw == 0 {
-		agg.Mean, agg.StdDev = math.NaN(), math.NaN()
-		return agg
-	}
-	agg.Mean = swx / sw
-	mean := agg.Mean
-	runChunks(done, chunks, workers, func(c int) {
-		lo, hi := c*aggChunk, (c+1)*aggChunk
-		if hi > n {
-			hi = n
-		}
-		var ssq float64
-		ss.walkRange(sel, lo, hi, func(st *Store, rs rowSet, a, b int) {
-			col := st.col(m)
-			weight := st.c.weight
-			for j := a; j < b; j++ {
-				i := rs.row(j)
-				d := col[i] - mean
-				ssq += weight[i] * d * d
-			}
-		})
-		partials[c].ss = ssq
-	})
-	var ssq float64
-	for _, p := range partials {
-		ssq += p.ss
-	}
-	agg.StdDev = math.Sqrt(ssq / sw)
-	return agg
+	return aggregateChunked(ctx, ss.parts, m, f, workers)
 }
 
 // GroupBy computes node-hour-weighted means per group over the
-// filtered rows. Accumulation runs in global row order, so each key's
-// running sums see contributions in exactly the order the monolithic
-// GroupBy's per-code accumulators do; the output uses the same sort
-// (node-hours descending, key ascending). Keys are accumulated by
-// string (shards have independent dictionaries, so codes don't align
-// across shards).
+// filtered rows, sorted by descending node-hours.
 func (ss *ShardSet) GroupBy(k GroupKey, metrics []Metric, f Filter) []Group {
-	sel, _ := ss.selectShards(f)
-	if len(ss.shards) == 0 {
-		return []Group{}
-	}
-	if ss.shards[0].st.keyColumn(k) == nil {
-		return ss.groupByEmptyKey(metrics, &sel)
-	}
-	type acc struct {
-		n   int
-		sw  float64
-		swx []float64
-	}
-	accs := make(map[string]*acc)
-	for si, sh := range ss.shards {
-		rs := sel.sets[si]
-		n := rs.len()
-		if n == 0 {
-			continue
-		}
-		kc := sh.st.keyColumn(k)
-		cols := make([][]float64, len(metrics))
-		for j, m := range metrics {
-			cols[j] = sh.st.col(m)
-		}
-		weight := sh.st.c.weight
-		for j := 0; j < n; j++ {
-			i := rs.row(j)
-			key := kc.Values[kc.Codes[i]]
-			a := accs[key]
-			if a == nil {
-				a = &acc{swx: make([]float64, len(metrics))}
-				accs[key] = a
-			}
-			w := weight[i]
-			a.n++
-			a.sw += w
-			for mj, col := range cols {
-				a.swx[mj] += w * col[i]
-			}
-		}
-	}
-	out := make([]Group, 0, len(accs))
-	for key, a := range accs {
-		g := Group{Key: key, N: a.n, NodeHours: a.sw, Mean: make(map[Metric]float64)}
-		for mj, m := range metrics {
-			if a.sw > 0 {
-				g.Mean[m] = a.swx[mj] / a.sw
-			} else {
-				g.Mean[m] = math.NaN()
-			}
-		}
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].NodeHours != out[j].NodeHours {
-			return out[i].NodeHours > out[j].NodeHours
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}
-
-// groupByEmptyKey mirrors Store.groupByEmptyKey for an out-of-range
-// GroupKey: every selected row lands in the "" bucket, global order.
-func (ss *ShardSet) groupByEmptyKey(metrics []Metric, sel *shardSel) []Group {
-	if sel.total() == 0 {
-		return []Group{}
-	}
-	g := Group{Key: "", N: sel.total(), Mean: make(map[Metric]float64)}
-	swx := make([]float64, len(metrics))
-	ss.walkSel(sel, func(st *Store, rs rowSet, a, b int) {
-		cols := make([][]float64, len(metrics))
-		for j, m := range metrics {
-			cols[j] = st.col(m)
-		}
-		for j := a; j < b; j++ {
-			i := rs.row(j)
-			w := st.c.weight[i]
-			g.NodeHours += w
-			for mj, col := range cols {
-				swx[mj] += w * col[i]
-			}
-		}
-	})
-	for mj, m := range metrics {
-		if g.NodeHours > 0 {
-			g.Mean[m] = swx[mj] / g.NodeHours
-		} else {
-			g.Mean[m] = math.NaN()
-		}
-	}
-	return []Group{g}
+	return groupRows(ss.parts, k, metrics, f)
 }

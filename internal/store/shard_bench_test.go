@@ -14,7 +14,7 @@ func BenchmarkShardPrune(b *testing.B) {
 	ss.BuildIndex()
 	mid := ss.ShardAt(ss.NumShards() / 2).Info()
 	f := Filter{Cluster: "ranger", EndAfter: mid.MinEnd, EndBefore: mid.MaxEnd + 1}
-	if _, pruned := ss.selectShards(f); pruned != ss.NumShards()-1 {
+	if _, pruned := selectParts(ss.parts, f); pruned != ss.NumShards()-1 {
 		b.Fatalf("window pruned %d of %d shards, want all but one", pruned, ss.NumShards())
 	}
 

@@ -74,20 +74,92 @@ func floatsBitsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestShardDifferentialEquivalence is the property-style suite: for
-// seeded random split points, a ShardSet must answer every query API
-// bit-identically to the monolithic store holding the same rows in the
+// checkAgainstBaseline asserts that r answers every Reader query method
+// bit-identically to the naive row reference computed over ref, which
+// holds the same rows in the same global order: Select, Records,
+// TotalNodeHours, serial and chunked aggregates (workers 1–6), Values
+// and GroupBy over all five keys plus an out-of-range one.
+func checkAgainstBaseline(t *testing.T, label string, r Reader, ref *Store, metrics []Metric) {
+	t.Helper()
+	keys := []GroupKey{ByUser, ByApp, ByScience, ByCluster, ByStatus, GroupKey(99)}
+	for fi, f := range equivFilters {
+		fail := func(what string) {
+			t.Helper()
+			t.Fatalf("%s, filter %d %+v: %s diverges from the row baseline", label, fi, f, what)
+		}
+		wantSel := ref.baselineSelect(f)
+		gotSel := r.Select(f)
+		if len(gotSel) != len(wantSel) || (gotSel == nil) != (wantSel == nil) {
+			fail("Select length")
+		}
+		for i := range gotSel {
+			if gotSel[i] != wantSel[i] {
+				fail("Select")
+			}
+		}
+		wantRecs := ref.baselineRecords(f)
+		gotRecs := r.Records(f)
+		if len(gotRecs) != len(wantRecs) || gotRecs == nil {
+			fail("Records length")
+		}
+		for i := range gotRecs {
+			// equivStore plants NaN metric values, so struct equality
+			// would reject identical records; formatted comparison
+			// treats NaN == NaN while still seeing every field.
+			if fmt.Sprintf("%+v", gotRecs[i]) != fmt.Sprintf("%+v", wantRecs[i]) {
+				fail("Records")
+			}
+		}
+		if math.Float64bits(r.TotalNodeHours(f)) != math.Float64bits(ref.baselineTotalNodeHours(f)) {
+			fail("TotalNodeHours")
+		}
+		for _, m := range metrics {
+			// Serial compares against serial and chunked against
+			// chunked: the two kernels accumulate in different orders by
+			// design (fixed 4096-row chunks vs one running sum).
+			if got := r.Aggregate(m, f); !aggBitsEqual(got, ref.baselineAggregate(m, f)) {
+				fail("Aggregate " + string(m))
+			}
+			wantPar := ref.baselineAggregateParallel(m, f, 4)
+			for w := 1; w <= 6; w++ {
+				if got := aggParallel(r, m, f, w); !aggBitsEqual(got, wantPar) {
+					fail(fmt.Sprintf("AggregateParallelCtx %s workers=%d", m, w))
+				}
+			}
+			wv, ww := ref.baselineValues(m, f)
+			gv, gw := r.Values(m, f)
+			if !floatsBitsEqual(gv, wv) || !floatsBitsEqual(gw, ww) || (gv == nil) != (wv == nil) {
+				fail("Values " + string(m))
+			}
+		}
+		for _, k := range keys {
+			got := r.GroupBy(k, metrics[:2], f)
+			if got == nil || !groupsBitsEqual(got, ref.baselineGroupBy(k, metrics[:2], f)) {
+				fail(fmt.Sprintf("GroupBy key %d", k))
+			}
+		}
+	}
+}
+
+// TestShardDifferentialEquivalence is the property-style suite: the
+// one-shard *Store (indexed and not) and, for seeded random split
+// points, an N-shard ShardSet must each answer every query API
+// bit-identically to the naive row reference over the same rows in the
 // same order — serial and parallel, any worker count, selective and
-// broad filters, indexed or not. This is the invariant that lets the
-// serve layer treat the two backings as interchangeable.
+// broad filters, indexed or not. *Store and *ShardSet run the same
+// kernels, so comparing one with the other would prove nothing; the
+// row baseline shares no code with them. This is the invariant that
+// lets the serve layer treat the two backings as interchangeable.
 func TestShardDifferentialEquivalence(t *testing.T) {
 	const rows = 5000
+	ref := equivStore(rows) // unindexed: the baseline scans
 	st := equivStore(rows)
-	st.BuildIndex() // the reference; indexing never changes results
-	rng := rand.New(rand.NewSource(1))
 	metrics := []Metric{MetricCPUIdle, MetricMemUsed, MetricFlops, MetricRead}
-	keys := []GroupKey{ByUser, ByApp, ByScience, ByCluster, ByStatus}
+	checkAgainstBaseline(t, "one-shard store, unindexed", st, ref, metrics)
+	st.BuildIndex() // indexing never changes results
+	checkAgainstBaseline(t, "one-shard store, indexed", st, ref, metrics)
 
+	rng := rand.New(rand.NewSource(1))
 	trials := 25
 	if testing.Short() {
 		trials = 6
@@ -99,80 +171,15 @@ func TestShardDifferentialEquivalence(t *testing.T) {
 		if trial%2 == 1 {
 			ss.BuildIndex()
 		}
-
-		for fi, f := range equivFilters {
-			fail := func(what string) {
-				t.Fatalf("trial %d (cuts %v, indexed %v), filter %d %+v: %s diverges from monolithic",
-					trial, cuts, ss.HasIndex(), fi, f, what)
-			}
-			wantSel := st.Select(f)
-			gotSel := ss.Select(f)
-			if len(gotSel) != len(wantSel) {
-				fail("Select length")
-			}
-			for i := range gotSel {
-				if gotSel[i] != wantSel[i] {
-					fail("Select")
-				}
-			}
-			wantRecs := st.Records(f)
-			gotRecs := ss.Records(f)
-			if len(gotRecs) != len(wantRecs) {
-				fail("Records length")
-			}
-			for i := range gotRecs {
-				// equivStore plants NaN metric values, so struct equality
-				// would reject identical records; formatted comparison
-				// treats NaN == NaN while still seeing every field.
-				if fmt.Sprintf("%+v", gotRecs[i]) != fmt.Sprintf("%+v", wantRecs[i]) {
-					fail("Records")
-				}
-			}
-			if math.Float64bits(ss.TotalNodeHours(f)) != math.Float64bits(st.TotalNodeHours(f)) {
-				fail("TotalNodeHours")
-			}
-			for _, m := range metrics {
-				// Serial compares against serial and chunked against
-				// chunked: the two monolithic kernels accumulate in
-				// different orders by design (fixed 4096-row chunks vs one
-				// running sum), and the shard set replicates each exactly.
-				want := st.Aggregate(m, f)
-				if got := ss.Aggregate(m, f); !aggBitsEqual(got, want) {
-					fail("Aggregate " + string(m))
-				}
-				wantPar := st.AggregateParallel(m, f, 4)
-				for _, w := range []int{1, 3, 5} {
-					if got := ss.AggregateParallel(m, f, w); !aggBitsEqual(got, wantPar) {
-						fail("AggregateParallel " + string(m))
-					}
-				}
-				got, err := ss.AggregateParallelCtx(context.Background(), m, f, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !aggBitsEqual(got, wantPar) {
-					fail("AggregateParallelCtx " + string(m))
-				}
-				wv, ww := st.Values(m, f)
-				gv, gw := ss.Values(m, f)
-				if !floatsBitsEqual(gv, wv) || !floatsBitsEqual(gw, ww) {
-					fail("Values " + string(m))
-				}
-			}
-			for _, k := range keys {
-				want := st.GroupBy(k, metrics[:2], f)
-				if got := ss.GroupBy(k, metrics[:2], f); !groupsBitsEqual(got, want) {
-					fail("GroupBy")
-				}
-			}
-		}
+		label := fmt.Sprintf("trial %d (cuts %v, indexed %v)", trial, cuts, ss.HasIndex())
+		checkAgainstBaseline(t, label, ss, ref, metrics)
 	}
 }
 
 // TestShardDifferentialDayParts pins the production split — partition
-// by end day, exactly what WriteShardDir writes — against the same
-// store reordered by day, including parallel paths under every worker
-// count a small machine would see.
+// by end day, exactly what WriteShardDir writes — and the same store
+// reordered by day, against the row baseline, including parallel paths
+// under every worker count a small machine would see.
 func TestShardDifferentialDayParts(t *testing.T) {
 	st := multiDayStore(4000)
 	st.BuildIndex()
@@ -181,14 +188,21 @@ func TestShardDifferentialDayParts(t *testing.T) {
 	ss.BuildIndex()
 	for _, f := range equivFilters {
 		for _, m := range []Metric{MetricCPUIdle, MetricMemUsed, MetricFlops} {
-			want := st.AggregateParallel(m, f, 2)
+			want := st.baselineAggregateParallel(m, f, 2)
 			for w := 1; w <= 6; w++ {
-				if got := ss.AggregateParallel(m, f, w); !aggBitsEqual(got, want) {
+				if got := aggParallel(ss, m, f, w); !aggBitsEqual(got, want) {
 					t.Fatalf("day split, %s, %d workers, %+v: parallel diverges", m, w, f)
 				}
+				if got := aggParallel(st, m, f, w); !aggBitsEqual(got, want) {
+					t.Fatalf("monolithic, %s, %d workers, %+v: parallel diverges", m, w, f)
+				}
 			}
-			if got := ss.Aggregate(m, f); !aggBitsEqual(got, st.Aggregate(m, f)) {
+			wantSerial := st.baselineAggregate(m, f)
+			if got := ss.Aggregate(m, f); !aggBitsEqual(got, wantSerial) {
 				t.Fatalf("day split, %s, %+v: serial diverges", m, f)
+			}
+			if got := st.Aggregate(m, f); !aggBitsEqual(got, wantSerial) {
+				t.Fatalf("monolithic, %s, %+v: serial diverges", m, f)
 			}
 		}
 	}

@@ -337,27 +337,27 @@ func TestShardPruneByTimeWindow(t *testing.T) {
 	}
 	mid := ss.ShardAt(1).Info()
 	f := Filter{Cluster: "ranger", EndAfter: mid.MinEnd, EndBefore: mid.MaxEnd + 1}
-	_, pruned := ss.selectShards(f)
+	_, pruned := selectParts(ss.parts, f)
 	if want := ss.NumShards() - 1; pruned != want {
 		t.Errorf("one-day window pruned %d of %d shards, want %d", pruned, ss.NumShards(), want)
 	}
 	// Pruning never changes the answer.
 	for _, m := range []Metric{MetricCPUIdle, MetricMemUsed} {
-		if got, want := ss.Aggregate(m, f), st.Aggregate(m, f); !aggBitsEqual(got, want) {
-			t.Errorf("%s: pruned aggregate diverges from monolithic", m)
+		if got, want := ss.Aggregate(m, f), st.baselineAggregate(m, f); !aggBitsEqual(got, want) {
+			t.Errorf("%s: pruned aggregate diverges from the row baseline", m)
 		}
 	}
-	if got, want := len(ss.Select(f)), len(st.Select(f)); got != want {
-		t.Errorf("pruned select has %d rows, monolithic %d", got, want)
+	if got, want := len(ss.Select(f)), len(st.baselineSelect(f)); got != want {
+		t.Errorf("pruned select has %d rows, row baseline %d", got, want)
 	}
 	// An impossible window prunes everything and still answers exactly.
 	none := Filter{EndAfter: (ss.ShardAt(ss.NumShards() - 1).Info().MaxEnd) + 1}
-	_, pruned = ss.selectShards(none)
+	_, pruned = selectParts(ss.parts, none)
 	if pruned != ss.NumShards() {
 		t.Errorf("empty window pruned %d of %d shards", pruned, ss.NumShards())
 	}
-	if got, want := ss.Aggregate(MetricCPUIdle, none), st.Aggregate(MetricCPUIdle, none); !aggBitsEqual(got, want) {
-		t.Error("all-pruned aggregate diverges from monolithic empty aggregate")
+	if got, want := ss.Aggregate(MetricCPUIdle, none), st.baselineAggregate(MetricCPUIdle, none); !aggBitsEqual(got, want) {
+		t.Error("all-pruned aggregate diverges from the row baseline empty aggregate")
 	}
 }
 
@@ -373,7 +373,7 @@ func TestShardSetEmptyAndSingle(t *testing.T) {
 	if g := empty.GroupBy(ByApp, []Metric{MetricCPUIdle}, Filter{}); len(g) != 0 {
 		t.Errorf("empty set grouped %d buckets", len(g))
 	}
-	emptyAgg := New().Aggregate(MetricCPUIdle, Filter{})
+	emptyAgg := New().baselineAggregate(MetricCPUIdle, Filter{})
 	if got := empty.Aggregate(MetricCPUIdle, Filter{}); !aggBitsEqual(got, emptyAgg) {
 		t.Error("empty shard set aggregate differs from empty store aggregate")
 	}
@@ -383,7 +383,7 @@ func TestShardSetEmptyAndSingle(t *testing.T) {
 	one := NewShardSet([]*Columns{st.Columns()})
 	for _, f := range equivFilters {
 		for _, m := range []Metric{MetricCPUIdle, MetricFlops} {
-			if got, want := one.Aggregate(m, f), st.Aggregate(m, f); !aggBitsEqual(got, want) {
+			if got, want := one.Aggregate(m, f), st.baselineAggregate(m, f); !aggBitsEqual(got, want) {
 				t.Fatalf("single-shard aggregate diverges (%s, %+v)", m, f)
 			}
 		}

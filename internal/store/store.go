@@ -177,9 +177,6 @@ func (s *Store) col(m Metric) []float64 {
 	return s.c.Metrics[pos]
 }
 
-// nodeHours returns the §4.1 weight for row i.
-func (s *Store) nodeHours(i int) float64 { return s.c.weight[i] }
-
 // Save writes the store as JSON lines.
 func (s *Store) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
