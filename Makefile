@@ -1,7 +1,7 @@
 # Convenience targets for the SUPReMM reproduction.
 GO ?= go
 
-.PHONY: all build test test-race vet lint lint-fast fuzz-smoke test-faults test-chaos test-serve test-store test-shards test-scrub test-bench bench bench-ingest bench-serve bench-store figures dashboard clean
+.PHONY: all build test test-race vet lint lint-fast fuzz-smoke test-faults test-chaos test-serve test-store test-shards test-scrub test-bench bench bench-e2e bench-compare bench-ingest bench-serve bench-store figures dashboard clean
 
 all: build vet lint test test-race test-chaos test-shards test-scrub test-bench
 
@@ -119,18 +119,30 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
+# The end-to-end benchmark of BENCHMARK.json: every workload, end-to-end
+# and per-layer metrics (bench/README.md). The microbenchmark targets
+# below only print; the recorded trajectory is bench/results/*.json.
+bench-e2e:
+	$(GO) run -C bench .
+
+# Before/after table from two recorded results:
+#   make bench-compare A=results/0011-baseline.json B=results/mine.json
+# (paths relative to bench/; record one with `go run -C bench . record`).
+bench-compare:
+	$(GO) run -C bench . compare $(A) $(B)
+
 # Ingest hot-path benchmarks only (parse + raw ETL), recorded for the
 # before/after table in EXPERIMENTS.md.
 bench-ingest:
 	$(GO) test -run '^$$' -bench 'BenchmarkParseFile|BenchmarkParseStream|BenchmarkIngestRaw' -benchmem \
-		./internal/taccstats ./internal/ingest | tee BENCH_ingest.txt
+		./internal/taccstats ./internal/ingest
 
 # Query-daemon aggregation benchmarks: store scan vs indexed/sharded,
 # HTTP cold vs cached; recorded in EXPERIMENTS.md. The indexed-vs-scan
 # ratio backs the >=5x acceptance criterion.
 bench-serve:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeAggregate|BenchmarkStoreSelect' -benchmem \
-		./internal/serve ./internal/store | tee BENCH_serve.txt
+		./internal/serve ./internal/store
 
 # Columnar store benchmarks: aggregation kernels vs the row path, the
 # binary codec, the jsonl-vs-binary snapshot load, the incremental
@@ -140,7 +152,7 @@ bench-serve:
 # incremental/full reload ratio the >=5x reload acceptance criteria.
 bench-store:
 	$(GO) test -run '^$$' -bench 'BenchmarkAggregateColumnar|BenchmarkColumnsCodec|BenchmarkLoadRealm|BenchmarkIncrementalReload|BenchmarkShardPrune' -benchmem \
-		./internal/store ./internal/serve | tee BENCH_store.txt
+		./internal/store ./internal/serve
 
 # Render every paper figure as text plus vector/HTML artifacts.
 figures:

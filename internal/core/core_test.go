@@ -143,7 +143,7 @@ func TestFleetProfileIsUnity(t *testing.T) {
 	// A profile over ALL jobs must sit at 1.0 on every axis by
 	// construction (the "perfect octagon").
 	r, _ := realms(t)
-	p := r.profileFor("fleet", r.JobFilter(), store.KeyMetrics())
+	p := r.profileFor("fleet", store.ByCluster, r.JobFilter(), store.KeyMetrics())
 	for m, v := range p.Normalized {
 		if math.Abs(v-1) > 1e-9 {
 			t.Errorf("fleet %s = %v, want 1.0", m, v)

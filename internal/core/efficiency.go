@@ -51,9 +51,15 @@ func (r *Realm) FleetEfficiency() float64 {
 // WorstUsers returns the most idle users above a node-hour floor — the
 // circled users of Figs 4-5 (87% and 89% idle on the two machines).
 func (r *Realm) WorstUsers(n int, minNodeHours float64) []UserEfficiency {
-	all := r.EfficiencyReport()
+	return WorstOf(r.EfficiencyReport(), n, minNodeHours)
+}
+
+// WorstOf is WorstUsers over an EfficiencyReport the caller already
+// holds, so a response showing the scatter, its total and its worst
+// users pays for one group-by, not three.
+func WorstOf(report []UserEfficiency, n int, minNodeHours float64) []UserEfficiency {
 	var big []UserEfficiency
-	for _, u := range all {
+	for _, u := range report {
 		if u.NodeHours >= minNodeHours {
 			big = append(big, u)
 		}
@@ -72,8 +78,13 @@ func (r *Realm) WorstUsers(n int, minNodeHours float64) []UserEfficiency {
 
 // WastedNodeHoursTotal sums wasted node-hours over all users.
 func (r *Realm) WastedNodeHoursTotal() float64 {
+	return WastedTotal(r.EfficiencyReport())
+}
+
+// WastedTotal sums the wasted node-hours of an EfficiencyReport.
+func WastedTotal(report []UserEfficiency) float64 {
 	var total float64
-	for _, u := range r.EfficiencyReport() {
+	for _, u := range report {
 		total += u.WastedNodeHours
 	}
 	return total

@@ -2,6 +2,8 @@ package core
 
 import (
 	"sort"
+
+	"supremm/internal/store"
 )
 
 // ScienceUsagePoint is one (time bucket, science) cell of the funding-
@@ -30,25 +32,37 @@ func (r *Realm) UsageByScienceOverTime(bucketDays int) []ScienceUsagePoint {
 		nh   float64
 		jobs int
 	}
-	buckets := make(map[int64]map[string]*cell)
-	totals := make(map[int64]float64)
-	for _, rec := range r.Store.Records(r.JobFilter()) {
-		b := rec.End / bucketSec * bucketSec
-		m := buckets[b]
-		if m == nil {
-			m = make(map[string]*cell)
-			buckets[b] = m
-		}
-		c := m[rec.Science]
-		if c == nil {
-			c = &cell{}
-			m[rec.Science] = c
-		}
-		nh := rec.NodeHours()
-		c.nh += nh
-		c.jobs++
-		totals[b] += nh
+	type bucket struct {
+		cells map[string]*cell
+		total float64
 	}
+	buckets := make(map[int64]*bucket)
+	r.Store.Scan(r.JobFilter()).Walk(func(c *store.Columns, rows store.Rows) {
+		nodeHours := c.NodeHours()
+		// Consecutive rows mostly share a bucket (a day shard never
+		// straddles one), so it is looked up once per run of rows.
+		var cur *bucket
+		var curStart int64
+		for j, n := 0, rows.Len(); j < n; j++ {
+			i := rows.At(j)
+			if b := c.End[i] / bucketSec * bucketSec; cur == nil || b != curStart {
+				if cur = buckets[b]; cur == nil {
+					cur = &bucket{cells: make(map[string]*cell)}
+					buckets[b] = cur
+				}
+				curStart = b
+			}
+			sci := c.Science.Values[c.Science.Codes[i]]
+			cl := cur.cells[sci]
+			if cl == nil {
+				cl = &cell{}
+				cur.cells[sci] = cl
+			}
+			cl.nh += nodeHours[i]
+			cl.jobs++
+			cur.total += nodeHours[i]
+		}
+	})
 	starts := make([]int64, 0, len(buckets))
 	for b := range buckets {
 		starts = append(starts, b)
@@ -57,10 +71,10 @@ func (r *Realm) UsageByScienceOverTime(bucketDays int) []ScienceUsagePoint {
 	var out []ScienceUsagePoint
 	for _, b := range starts {
 		var rows []ScienceUsagePoint
-		for sci, c := range buckets[b] {
+		for sci, c := range buckets[b].cells {
 			p := ScienceUsagePoint{BucketStart: b, Science: sci, NodeHours: c.nh, Jobs: c.jobs}
-			if totals[b] > 0 {
-				p.Share = c.nh / totals[b]
+			if total := buckets[b].total; total > 0 {
+				p.Share = c.nh / total
 			}
 			rows = append(rows, p)
 		}

@@ -33,23 +33,31 @@ func (p Profile) MaxAxis() float64 {
 	return max
 }
 
-// profileFor computes the profile of one filtered sub-population against
-// the realm's fleet means.
-func (r *Realm) profileFor(key string, f store.Filter, metrics []store.Metric) Profile {
+// profileFor computes the profile of one sub-population against the
+// realm's fleet means. f must pin the by column to a single value, so
+// the group-by yields that one group (none when nothing matches): one
+// selection and one pass give every metric's weighted mean, each the
+// sum Aggregate(m, f) would form over the same rows in the same order.
+func (r *Realm) profileFor(key string, by store.GroupKey, f store.Filter, metrics []store.Metric) Profile {
 	p := Profile{
 		Key:        key,
 		Cluster:    r.Cluster,
 		Normalized: make(map[store.Metric]float64, len(metrics)),
 		Raw:        make(map[store.Metric]float64, len(metrics)),
 	}
+	groups := r.Store.GroupBy(by, metrics, f)
+	if len(groups) > 0 {
+		p.N, p.NodeHours = groups[0].N, groups[0].NodeHours
+	}
 	for _, m := range metrics {
-		agg := r.Store.Aggregate(m, f)
-		p.N = agg.N
-		p.NodeHours = agg.NodeHours
-		p.Raw[m] = agg.Mean
+		mean := math.NaN()
+		if len(groups) > 0 {
+			mean = groups[0].Mean[m]
+		}
+		p.Raw[m] = mean
 		fleet := r.FleetMean(m)
 		if fleet != 0 && !math.IsNaN(fleet) {
-			p.Normalized[m] = agg.Mean / fleet
+			p.Normalized[m] = mean / fleet
 		} else {
 			p.Normalized[m] = math.NaN()
 		}
@@ -62,7 +70,7 @@ func (r *Realm) profileFor(key string, f store.Filter, metrics []store.Metric) P
 func (r *Realm) UserProfile(user string) Profile {
 	f := r.JobFilter()
 	f.User = user
-	return r.profileFor(user, f, store.KeyMetrics())
+	return r.profileFor(user, store.ByUser, f, store.KeyMetrics())
 }
 
 // TopUserProfiles returns profiles of the n heaviest users by
@@ -83,7 +91,7 @@ func (r *Realm) TopUserProfiles(n int) []Profile {
 func (r *Realm) AppProfile(app string) Profile {
 	f := r.JobFilter()
 	f.App = app
-	return r.profileFor(app, f, store.KeyMetrics())
+	return r.profileFor(app, store.ByApp, f, store.KeyMetrics())
 }
 
 // AppProfiles profiles a list of applications (e.g. the three MD codes

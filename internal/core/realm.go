@@ -8,6 +8,8 @@
 package core
 
 import (
+	"sync"
+
 	"supremm/internal/store"
 )
 
@@ -26,6 +28,15 @@ type Realm struct {
 	// agnostic because the two answer bit-identically (store.Reader).
 	Store  store.Reader
 	Series []store.SystemSample
+
+	// fleet memoizes FleetMean, one slot per metric in store.MetricPos
+	// order. A realm wraps one immutable snapshot and a reload builds a
+	// new realm, so the memo lives and dies with its generation: there
+	// is nothing to invalidate (DESIGN.md §10).
+	fleet [store.NumMetrics]struct {
+		once sync.Once
+		mean float64
+	}
 }
 
 // NewRealm assembles a realm.
@@ -51,13 +62,24 @@ func (r *Realm) JobFilter() store.Filter {
 // FleetMean returns the node-hour-weighted fleet mean of a metric — the
 // normalization denominator for every radar profile ("normalized by the
 // average value of each metric over all of the usage").
+//
+// The mean is a property of the loaded data, not of the request, so it
+// is computed once per realm: the first caller of a metric runs the
+// serial aggregate, concurrent first callers of the same metric wait on
+// that one scan, and other metrics' slots are not blocked by it.
 func (r *Realm) FleetMean(m store.Metric) float64 {
-	return r.Store.Aggregate(m, r.JobFilter()).Mean
+	pos := store.MetricPos(m)
+	if pos < 0 {
+		return r.Store.Aggregate(m, r.JobFilter()).Mean
+	}
+	slot := &r.fleet[pos]
+	slot.once.Do(func() { slot.mean = r.Store.Aggregate(m, r.JobFilter()).Mean })
+	return slot.mean
 }
 
 // JobCount returns how many jobs pass the base filter.
 func (r *Realm) JobCount() int {
-	return len(r.Store.Select(r.JobFilter()))
+	return r.Store.Scan(r.JobFilter()).Len()
 }
 
 // TotalNodeHours returns the consumed node-hours in the realm.

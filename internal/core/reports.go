@@ -42,15 +42,20 @@ type CPUHours struct {
 
 // CPUHoursReport reproduces Fig 7b from the job records.
 func (r *Realm) CPUHoursReport() CPUHours {
-	f := r.JobFilter()
 	var out CPUHours
-	for _, rec := range r.Store.Records(f) {
-		coreHours := rec.NodeHours() * float64(r.CoresPerNode)
-		out.TotalCoreHours += coreHours
-		out.UserCoreHours += coreHours * rec.CPUUserFrac
-		out.SysCoreHours += coreHours * rec.CPUSysFrac
-		out.IdleCoreHours += coreHours * rec.CPUIdleFrac
-	}
+	cores := float64(r.CoresPerNode)
+	r.Store.Scan(r.JobFilter()).Walk(func(c *store.Columns, rows store.Rows) {
+		nodeHours := c.NodeHours()
+		user, sys, idle := c.Metric(store.MetricCPUUser), c.Metric(store.MetricCPUSys), c.Metric(store.MetricCPUIdle)
+		for j, n := 0, rows.Len(); j < n; j++ {
+			i := rows.At(j)
+			coreHours := nodeHours[i] * cores
+			out.TotalCoreHours += coreHours
+			out.UserCoreHours += coreHours * user[i]
+			out.SysCoreHours += coreHours * sys[i]
+			out.IdleCoreHours += coreHours * idle[i]
+		}
+	})
 	return out
 }
 
@@ -196,7 +201,7 @@ func (r *Realm) MemoryReport() MemorySummary {
 	if r.MemPerNodeGB > 0 {
 		out.MeanFraction = d.Mean / r.MemPerNodeGB
 	}
-	out.JobMaxMeanGB = r.Store.Aggregate(store.MetricMemUsedMax, r.JobFilter()).Mean
+	out.JobMaxMeanGB = r.FleetMean(store.MetricMemUsedMax)
 	return out
 }
 

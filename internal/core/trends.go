@@ -113,39 +113,44 @@ type ShareRow struct {
 // Characterize computes the workload characterization over the realm's
 // analyzed jobs.
 func (r *Realm) Characterize() Characterization {
-	recs := r.Store.Records(r.JobFilter())
-	out := Characterization{Jobs: len(recs)}
+	sel := r.Store.Scan(r.JobFilter())
+	out := Characterization{Jobs: sel.Len()}
 	buckets := []SizeBucket{
 		{Label: "1 node", MinNodes: 1, MaxNodes: 1},
 		{Label: "2-15", MinNodes: 2, MaxNodes: 15},
 		{Label: "16-63", MinNodes: 16, MaxNodes: 63},
 		{Label: "64+", MinNodes: 64, MaxNodes: 0},
 	}
-	var runtimes []float64
+	runtimes := make([]float64, 0, sel.Len())
 	var wRuntime, wSum float64
-	for _, rec := range recs {
-		nh := rec.NodeHours()
-		out.TotalNodeHours += nh
-		rt := float64(rec.WallclockSec()) / 60
-		runtimes = append(runtimes, rt)
-		wRuntime += nh * rt
-		wSum += nh
-		for i := range buckets {
-			b := &buckets[i]
-			if rec.Nodes >= b.MinNodes && (b.MaxNodes == 0 || rec.Nodes <= b.MaxNodes) {
-				b.Jobs++
-				b.NodeHours += nh
-				break
+	sel.Walk(func(c *store.Columns, rows store.Rows) {
+		nodeHours := c.NodeHours()
+		for j, n := 0, rows.Len(); j < n; j++ {
+			i := rows.At(j)
+			nh := nodeHours[i]
+			out.TotalNodeHours += nh
+			rt := float64(c.End[i]-c.Start[i]) / 60
+			runtimes = append(runtimes, rt)
+			wRuntime += nh * rt
+			wSum += nh
+			nodes := int(c.Nodes[i])
+			for k := range buckets {
+				b := &buckets[k]
+				if nodes >= b.MinNodes && (b.MaxNodes == 0 || nodes <= b.MaxNodes) {
+					b.Jobs++
+					b.NodeHours += nh
+					break
+				}
 			}
 		}
-	}
+	})
 	if out.TotalNodeHours > 0 {
 		for i := range buckets {
 			buckets[i].NodeHoursShare = buckets[i].NodeHours / out.TotalNodeHours
 		}
 	}
 	out.SizeBuckets = buckets
-	out.Runtime = stats.Summarize(runtimes)
+	out.Runtime = stats.SummarizeOwned(runtimes)
 	if wSum > 0 {
 		out.WeightedMeanRuntimeMin = wRuntime / wSum
 	} else {

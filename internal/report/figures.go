@@ -49,7 +49,7 @@ func Fig4(w io.Writer, r *core.Realm) error {
 	xs := make([]float64, len(report))
 	ys := make([]float64, len(report))
 	markIdx := -1
-	worst := r.WorstUsers(1, 50)
+	worst := core.WorstOf(report, 1, 50)
 	for i, u := range report {
 		xs[i] = u.NodeHours
 		ys[i] = u.WastedNodeHours

@@ -313,7 +313,7 @@ func SVGFigures(r *core.Realm, open func(name string) (io.WriteCloser, error)) e
 		xs := make([]float64, len(eff))
 		ys := make([]float64, len(eff))
 		mark := -1
-		worst := r.WorstUsers(1, 50)
+		worst := core.WorstOf(eff, 1, 50)
 		for i, u := range eff {
 			xs[i], ys[i] = u.NodeHours, u.WastedNodeHours
 			if len(worst) > 0 && u.User == worst[0].User {

@@ -627,16 +627,13 @@ func (s *Server) appProfiles(_ context.Context, snap *Snapshot, p Params) (any, 
 }
 
 func (s *Server) efficiency(_ context.Context, snap *Snapshot, p Params) (any, error) {
-	users := snap.Realm.EfficiencyReport()
-	if len(users) > p.Limit {
-		users = users[:p.Limit]
-	}
+	report := snap.Realm.EfficiencyReport()
 	return efficiencyDTO{
 		Cluster:         snap.Realm.Cluster,
 		FleetEfficiency: F(snap.Realm.FleetEfficiency()),
-		WastedTotal:     F(snap.Realm.WastedNodeHoursTotal()),
-		Users:           newUserEffDTOs(users),
-		Worst:           newUserEffDTOs(snap.Realm.WorstUsers(p.N, p.MinNodeHours)),
+		WastedTotal:     F(core.WastedTotal(report)),
+		Users:           newUserEffDTOs(report[:min(len(report), p.Limit)]),
+		Worst:           newUserEffDTOs(core.WorstOf(report, p.N, p.MinNodeHours)),
 	}, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 
 	"supremm/internal/cluster"
 	"supremm/internal/core"
@@ -62,26 +63,28 @@ var snapshotFiles = []string{store.ManifestFile, "jobs.supremm", "jobs.jsonl", "
 // batch landed" — including a new day's shard appearing or an existing
 // day's shard being rewritten.
 func DirFingerprint(dir string) string {
-	fp := ""
+	var fp strings.Builder
 	stamp := func(path string) {
+		fp.WriteString(filepath.Base(path))
+		fp.WriteByte(':')
 		if st, err := os.Stat(path); err == nil {
-			fp += strconv.FormatInt(st.Size(), 10) + "," + strconv.FormatInt(st.ModTime().UnixNano(), 10)
+			fp.WriteString(strconv.FormatInt(st.Size(), 10))
+			fp.WriteByte(',')
+			fp.WriteString(strconv.FormatInt(st.ModTime().UnixNano(), 10))
 		} else {
-			fp += "absent"
+			fp.WriteString("absent")
 		}
-		fp += ";"
+		fp.WriteByte(';')
 	}
 	for _, name := range snapshotFiles {
-		fp += name + ":"
 		stamp(filepath.Join(dir, name))
 	}
 	shardFiles, _ := filepath.Glob(filepath.Join(dir, "shard-*.supremm"))
 	sort.Strings(shardFiles)
 	for _, p := range shardFiles {
-		fp += filepath.Base(p) + ":"
 		stamp(p)
 	}
-	return fp
+	return fp.String()
 }
 
 // LoadRealm loads the job store (+ optional series.jsonl) from a data

@@ -288,21 +288,27 @@ type Describe struct {
 
 // Summarize computes a Describe for xs.
 func Summarize(xs []float64) Describe {
+	return SummarizeOwned(append([]float64(nil), xs...))
+}
+
+// SummarizeOwned is Summarize for a caller that is done with xs: it
+// sorts xs in place for the quantiles instead of sorting a copy. Mean
+// and StdDev are taken first, over the caller's order, so the result
+// is bit-identical to Summarize.
+func SummarizeOwned(xs []float64) Describe {
 	d := Describe{N: len(xs)}
 	if len(xs) == 0 {
 		nan := math.NaN()
 		d.Mean, d.StdDev, d.Min, d.Q25, d.Median, d.Q75, d.Max = nan, nan, nan, nan, nan, nan, nan
 		return d
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
 	d.Mean = Mean(xs)
 	d.StdDev = StdDev(xs)
-	d.Min = sorted[0]
-	d.Max = sorted[len(sorted)-1]
-	d.Q25 = quantileSorted(sorted, 0.25)
-	d.Median = quantileSorted(sorted, 0.5)
-	d.Q75 = quantileSorted(sorted, 0.75)
+	sort.Float64s(xs)
+	d.Min = xs[0]
+	d.Max = xs[len(xs)-1]
+	d.Q25 = quantileSorted(xs, 0.25)
+	d.Median = quantileSorted(xs, 0.5)
+	d.Q75 = quantileSorted(xs, 0.75)
 	return d
 }

@@ -42,9 +42,9 @@ type Columns struct {
 // NumMetrics is the number of numeric metric columns (AllMetrics).
 const NumMetrics = 12
 
-// metricPos maps a metric name to its position in Columns.Metrics and
+// MetricPos maps a metric name to its position in Columns.Metrics and
 // in the binary snapshot's column order. Returns -1 for unknown names.
-func metricPos(m Metric) int {
+func MetricPos(m Metric) int {
 	switch m {
 	case MetricCPUIdle:
 		return 0
@@ -74,6 +74,19 @@ func metricPos(m Metric) int {
 		return -1
 	}
 }
+
+// Metric returns the metric's column, nil for an unknown name.
+func (c *Columns) Metric(m Metric) []float64 {
+	pos := MetricPos(m)
+	if pos < 0 {
+		return nil
+	}
+	return c.Metrics[pos]
+}
+
+// NodeHours returns the derived §4.1 node-hour weight column, one value
+// per row, bit-identical to JobRecord.NodeHours. Read-only.
+func (c *Columns) NodeHours() []float64 { return c.weight }
 
 // DictColumn is one dictionary-encoded string column: Values holds each
 // distinct string once, in first-appearance order; Codes holds one

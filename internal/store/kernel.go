@@ -129,6 +129,49 @@ func selectValues(parts []*Store, m Metric, f Filter) (vals, weights []float64) 
 	return vals, weights
 }
 
+// Selection is a filter's result left in place: which rows of which
+// partition passed, nothing copied out of the columns. Whole-realm
+// analyses read the columns they need through Walk instead of
+// materializing a JobRecord per row.
+type Selection struct {
+	parts []*Store
+	sel   []shardSel
+}
+
+// Rows is one partition's selected row ids, ascending.
+type Rows struct{ rs rowSet }
+
+// Len returns how many rows of the partition are selected.
+func (r Rows) Len() int { return r.rs.len() }
+
+// At returns the j'th selected row id, an index into the partition's
+// columns.
+func (r Rows) At(j int) int { return r.rs.row(j) }
+
+// scanParts evaluates the filter into a Selection.
+func scanParts(parts []*Store, f Filter) Selection {
+	sel, _ := selectParts(parts, f)
+	return Selection{parts: parts, sel: sel}
+}
+
+// Len returns the number of selected rows across all partitions.
+func (s Selection) Len() int { return selTotal(s.sel) }
+
+// Walk is the ordered row walk: fn runs once per partition holding a
+// selected row, in partition order, with that partition's columns and
+// its ascending selected row ids. A caller that consumes each call's
+// rows front to back, with accumulators kept across calls, therefore
+// sees exactly the global row order of Records — the guarantee that
+// keeps a column-reading analysis bit-identical to the row loop it
+// replaces, for any shard split.
+func (s Selection) Walk(fn func(c *Columns, rows Rows)) {
+	for i, st := range s.parts {
+		if s.sel[i].len() > 0 {
+			fn(&st.c, Rows{s.sel[i].rowSet})
+		}
+	}
+}
+
 // totalNodeHours sums weights over the filtered rows.
 func totalNodeHours(parts []*Store, f Filter) float64 {
 	sel, _ := selectParts(parts, f)

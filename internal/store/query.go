@@ -272,5 +272,9 @@ func (s *Store) Values(m Metric, f Filter) (vals, weights []float64) {
 	return selectValues([]*Store{s}, m, f)
 }
 
+// Scan evaluates the filter and leaves the selection in place for an
+// ordered, copy-free walk over the columns (see Selection.Walk).
+func (s *Store) Scan(f Filter) Selection { return scanParts([]*Store{s}, f) }
+
 // TotalNodeHours sums weights over the filtered rows.
 func (s *Store) TotalNodeHours(f Filter) float64 { return totalNodeHours([]*Store{s}, f) }

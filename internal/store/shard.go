@@ -19,6 +19,7 @@ type Reader interface {
 	Record(i int) JobRecord
 	Records(f Filter) []JobRecord
 	Select(f Filter) []int
+	Scan(f Filter) Selection
 	Aggregate(m Metric, f Filter) Agg
 	AggregateParallelCtx(ctx context.Context, m Metric, f Filter, workers int) (Agg, error)
 	GroupBy(k GroupKey, metrics []Metric, f Filter) []Group
@@ -156,6 +157,9 @@ func (ss *ShardSet) Select(f Filter) []int { return selectRows(ss.parts, f) }
 
 // Records materializes the records passing the filter, global order.
 func (ss *ShardSet) Records(f Filter) []JobRecord { return selectRecords(ss.parts, f) }
+
+// Scan leaves the filter's selection in place for an ordered walk.
+func (ss *ShardSet) Scan(f Filter) Selection { return scanParts(ss.parts, f) }
 
 // Values extracts metric m and node-hour weights over the filtered
 // rows, global order.

@@ -5,7 +5,7 @@ import "testing"
 // BenchmarkShardPrune measures what whole-shard time pruning buys: a
 // one-day window query against a ~116-day sharded history touches one
 // shard's rows, while the monolithic store must scan (or index-probe)
-// the full corpus. bench-store greps this name into BENCH_store.txt.
+// the full corpus. `make bench-store` runs it by name.
 func BenchmarkShardPrune(b *testing.B) {
 	st := multiDayStore(100_000)
 	st.BuildIndex()

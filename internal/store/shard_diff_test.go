@@ -113,6 +113,28 @@ func checkAgainstBaseline(t *testing.T, label string, r Reader, ref *Store, metr
 		if math.Float64bits(r.TotalNodeHours(f)) != math.Float64bits(ref.baselineTotalNodeHours(f)) {
 			fail("TotalNodeHours")
 		}
+		// The row walk visits exactly the baseline's rows, in its order,
+		// reading the same values in place.
+		scan, k := r.Scan(f), 0
+		if scan.Len() != len(wantRecs) {
+			fail("Scan length")
+		}
+		scan.Walk(func(c *Columns, rows Rows) {
+			if rows.Len() == 0 {
+				fail("Walk visited a partition with no selected row")
+			}
+			for j := 0; j < rows.Len(); j++ {
+				i, want := rows.At(j), wantRecs[k]
+				if c.JobID[i] != want.JobID || math.Float64bits(c.NodeHours()[i]) != math.Float64bits(want.NodeHours()) ||
+					math.Float64bits(c.Metric(metrics[0])[i]) != math.Float64bits(want.Value(metrics[0])) {
+					fail(fmt.Sprintf("Walk row %d", k))
+				}
+				k++
+			}
+		})
+		if k != len(wantRecs) {
+			fail("Walk row count")
+		}
 		for _, m := range metrics {
 			// Serial compares against serial and chunked against
 			// chunked: the two kernels accumulate in different orders by

@@ -87,7 +87,7 @@ func KeyMetrics() []Metric {
 }
 
 // AllMetrics returns every numeric column, in the fixed order the
-// columnar layout and binary snapshot use (metricPos).
+// columnar layout and binary snapshot use (MetricPos).
 func AllMetrics() []Metric {
 	return []Metric{
 		MetricCPUIdle, MetricCPUUser, MetricCPUSys, MetricMemUsed,
@@ -169,13 +169,7 @@ func (s *Store) Record(i int) JobRecord { return s.c.record(i) }
 
 // col returns the metric column, or nil for an unknown metric name
 // (matching the old map-lookup behavior).
-func (s *Store) col(m Metric) []float64 {
-	pos := metricPos(m)
-	if pos < 0 {
-		return nil
-	}
-	return s.c.Metrics[pos]
-}
+func (s *Store) col(m Metric) []float64 { return s.c.Metric(m) }
 
 // Save writes the store as JSON lines.
 func (s *Store) Save(w io.Writer) error {
