@@ -1,7 +1,7 @@
 # Convenience targets for the SUPReMM reproduction.
 GO ?= go
 
-.PHONY: all build test test-race vet lint lint-fast fuzz-smoke test-faults test-chaos test-serve test-store test-shards test-scrub test-bench bench bench-e2e bench-compare bench-ingest bench-serve bench-store figures dashboard clean
+.PHONY: all build test test-race vet fmt-check lint lint-fast fuzz-smoke test-faults test-chaos test-serve test-store test-shards test-scrub test-bench bench bench-e2e bench-compare bench-ingest bench-serve bench-store figures dashboard clean
 
 all: build vet lint test test-race test-chaos test-shards test-scrub test-bench
 
@@ -18,8 +18,14 @@ vet:
 # close-on-every-path) and the stale-allow sweep. The summary line
 # prints the wall-clock the suite took; CI records it per push. See
 # DESIGN.md "Static analysis" and "Flow-sensitive analysis".
-lint:
+lint: fmt-check
 	$(GO) run ./cmd/supremmlint ./...
+
+# gofmt drift fails the build. The analyzers' testdata is exempt: some
+# of it is deliberately odd (lockcheck's b.go).
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '/testdata/'); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 # Fast pre-push loop: lint only the packages whose .go files changed
 # since the origin/main merge base (committed or not). Falls back to
@@ -145,13 +151,15 @@ bench-serve:
 		./internal/serve ./internal/store
 
 # Columnar store benchmarks: aggregation kernels vs the row path, the
-# binary codec, the jsonl-vs-binary snapshot load, the incremental
-# shard reload vs a full load, and the whole-shard time-prune win;
-# recorded in EXPERIMENTS.md. The binary/jsonl load ratio backs the
-# >=5x load, the columnar/row broad-scan ratio the >=2x, and the
-# incremental/full reload ratio the >=5x reload acceptance criteria.
+# binary codec, the write path at 200k rows over 120 days (in-memory
+# encode, streamed SaveBinary, a one-day WriteShardDir append), the
+# jsonl-vs-binary snapshot load, the incremental shard reload vs a full
+# load, and the whole-shard time-prune win; recorded in EXPERIMENTS.md.
+# The binary/jsonl load ratio backs the >=5x load, the columnar/row
+# broad-scan ratio the >=2x, and the incremental/full reload ratio the
+# >=5x reload acceptance criteria.
 bench-store:
-	$(GO) test -run '^$$' -bench 'BenchmarkAggregateColumnar|BenchmarkColumnsCodec|BenchmarkLoadRealm|BenchmarkIncrementalReload|BenchmarkShardPrune' -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkAggregateColumnar|BenchmarkColumnsCodec|BenchmarkEncodeColumns|BenchmarkSaveBinary|BenchmarkWriteShardDirAppend|BenchmarkLoadRealm|BenchmarkIncrementalReload|BenchmarkShardPrune' -benchmem \
 		./internal/store ./internal/serve
 
 # Render every paper figure as text plus vector/HTML artifacts.

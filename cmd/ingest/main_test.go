@@ -193,9 +193,9 @@ func TestIngestCleansHealingLeftovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	leftovers := []string{
-		store.ShardFileName(12345),                          // stale day from a dead generation
-		store.QuarantinedShardFile(12345),                   // quarantined evidence
-		store.QuarantineFile,                                // its custody log
+		store.ShardFileName(12345),                         // stale day from a dead generation
+		store.QuarantinedShardFile(12345),                  // quarantined evidence
+		store.QuarantineFile,                               // its custody log
 		".jobs.jsonl.tmp1234567", ".shard-3.supremm.tmp88", // killed-writer debris
 	}
 	for _, name := range leftovers {

@@ -112,11 +112,11 @@ func newProfileDTOs(ps []core.Profile) []profileDTO {
 
 // efficiencyDTO is the /efficiency response (the Fig 4 scatter).
 type efficiencyDTO struct {
-	Cluster         string        `json:"cluster"`
-	FleetEfficiency F             `json:"fleet_efficiency"`
-	WastedTotal     F             `json:"wasted_node_hours_total"`
-	Users           []userEffDTO  `json:"users"`
-	Worst           []userEffDTO  `json:"worst,omitempty"`
+	Cluster         string       `json:"cluster"`
+	FleetEfficiency F            `json:"fleet_efficiency"`
+	WastedTotal     F            `json:"wasted_node_hours_total"`
+	Users           []userEffDTO `json:"users"`
+	Worst           []userEffDTO `json:"worst,omitempty"`
 }
 
 type userEffDTO struct {

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"supremm/internal/ingest"
 	"supremm/internal/leakcheck"
@@ -403,5 +404,153 @@ func TestDirFingerprintPinned(t *testing.T) {
 	}
 	if !strings.Contains(got, "quality.json:absent;") {
 		t.Errorf("fingerprint does not mark the missing quality.json: %q", got[:200])
+	}
+}
+
+// countingOpen wraps osOpen, counting the bytes read from series.jsonl.
+type countingOpen struct{ seriesBytes atomic.Int64 }
+
+func (c *countingOpen) open(path string) (io.ReadCloser, error) {
+	rc, err := osOpen(path)
+	if err != nil || filepath.Base(path) != "series.jsonl" {
+		return rc, err
+	}
+	return &countingReader{ReadCloser: rc, n: &c.seriesBytes}, nil
+}
+
+type countingReader struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (r *countingReader) Read(p []byte) (int, error) {
+	n, err := r.ReadCloser.Read(p)
+	r.n.Add(int64(n))
+	return n, err
+}
+
+// replaceSeries rewrites series.jsonl, then stamps a non-zero mtime on it.
+func replaceSeries(t *testing.T, dir string, series []store.SystemSample, mtime time.Time) {
+	t.Helper()
+	path := filepath.Join(dir, "series.jsonl")
+	writeSeriesFile(t, path, series)
+	if !mtime.IsZero() {
+		if err := os.Chtimes(path, mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestReloadAdoptsUnchangedSeries: a reload whose series.jsonl kept its
+// fingerprint stamp (size + mtime, what the poller trusts) opens the
+// file but reads none of it and shares the previous generation's
+// samples; any change of the stamp decodes afresh; removal yields an
+// empty series; and a load with no previous generation always decodes.
+func TestReloadAdoptsUnchangedSeries(t *testing.T) {
+	const days, perDay = 6, 20
+	dir := t.TempDir()
+	writeShardDataDir(t, dir, dayStore(days, perDay), fixtureSeries(40), nil)
+	var co countingOpen
+	srv, err := New(Config{DataDir: dir, Open: co.open})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := srv.Snapshot()
+	fileSize := co.seriesBytes.Swap(0)
+	if fileSize == 0 || len(first.Realm.Series) != 40 {
+		t.Fatalf("first load read %d series bytes into %d samples; it has no generation to adopt from", fileSize, len(first.Realm.Series))
+	}
+	_, trendsFirst := get(t, srv, "/api/v1/trends")
+
+	// A day of jobs lands; series.jsonl is untouched.
+	grown := dayStore(days+1, perDay)
+	grown.ReorderByEndDay()
+	if err := store.WriteShardDir(dir, grown); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := srv.Reload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Shards != days+1 || snap.ShardsReused != days {
+		t.Fatalf("append reload: %d shards, %d reused", snap.Shards, snap.ShardsReused)
+	}
+	if n := co.seriesBytes.Load(); n != 0 {
+		t.Errorf("reload with series.jsonl untouched read %d bytes of it, want 0", n)
+	}
+	if &snap.Realm.Series[0] != &first.Realm.Series[0] || len(snap.Realm.Series) != 40 {
+		t.Error("reload with series.jsonl untouched did not adopt the previous generation's samples")
+	}
+	if _, got := get(t, srv, "/api/v1/trends"); !bytes.Equal(got, trendsFirst) {
+		t.Errorf("trends moved across an adopting reload:\n%s\nwant\n%s", got, trendsFirst)
+	}
+
+	// Same size, later mtime: the stamp moved, so the content is read.
+	sameSize := fixtureSeries(40)
+	sameSize[0].TotalTFlops, sameSize[39].TotalTFlops = 9, 9 // one digit each, like the originals
+	prev := snap
+	replaceSeries(t, dir, sameSize, time.Now().Add(time.Hour))
+	if snap, err = srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if n := co.seriesBytes.Swap(0); n != fileSize {
+		t.Errorf("same-size rewrite: read %d series bytes, want the whole file (%d)", n, fileSize)
+	}
+	if &snap.Realm.Series[0] == &prev.Realm.Series[0] || snap.Realm.Series[0].TotalTFlops != 9 {
+		t.Error("same-size rewrite with a later mtime was not decoded afresh")
+	}
+	_, trendsSameSize := get(t, srv, "/api/v1/trends")
+	if bytes.Equal(trendsSameSize, trendsFirst) {
+		t.Error("trends did not follow the rewritten series")
+	}
+
+	// Different size.
+	replaceSeries(t, dir, fixtureSeries(25), time.Time{})
+	if snap, err = srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Realm.Series) != 25 || co.seriesBytes.Swap(0) == 0 {
+		t.Errorf("different-size rewrite: %d samples, want 25 decoded afresh", len(snap.Realm.Series))
+	}
+	if _, got := get(t, srv, "/api/v1/trends"); bytes.Equal(got, trendsSameSize) {
+		t.Error("trends did not follow the shortened series")
+	}
+
+	// A forced reload with nothing changed adopts again.
+	prev = snap
+	if snap, err = srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if co.seriesBytes.Load() != 0 || &snap.Realm.Series[0] != &prev.Realm.Series[0] {
+		t.Error("no-op reload decoded series.jsonl again")
+	}
+
+	// Removed: an empty series, never the adopted one.
+	if err := os.Remove(filepath.Join(dir, "series.jsonl")); err != nil {
+		t.Fatal(err)
+	}
+	if snap, err = srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Realm.Series) != 0 {
+		t.Errorf("%d series samples served without a series.jsonl", len(snap.Realm.Series))
+	}
+
+	// ...and back: the previous generation has no stamp to match.
+	replaceSeries(t, dir, fixtureSeries(25), time.Time{})
+	if snap, err = srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Realm.Series) != 25 || co.seriesBytes.Swap(0) == 0 {
+		t.Errorf("restored series.jsonl: %d samples, want 25 decoded afresh", len(snap.Realm.Series))
+	}
+
+	// The exported loader has no previous generation: it always decodes.
+	realm, _, err := LoadRealmSource(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(realm.Series) != 25 || &realm.Series[0] == &snap.Realm.Series[0] {
+		t.Error("LoadRealmSource shared samples with a served generation")
 	}
 }

@@ -87,6 +87,14 @@ func DirFingerprint(dir string) string {
 	return fp.String()
 }
 
+// fileStamp extracts one file's "size,mtime-ns" (or "absent") from a
+// DirFingerprint; "" when fp does not list the file.
+func fileStamp(fp, name string) string {
+	_, rest, _ := strings.Cut(fp, name+":")
+	stamp, _, _ := strings.Cut(rest, ";")
+	return stamp
+}
+
 // LoadRealm loads the job store (+ optional series.jsonl) from a data
 // directory and assembles the realm, inferring the cluster shape from
 // the records the way cmd/xdmod always has. The returned realm's store
@@ -167,15 +175,20 @@ const (
 // LoadRealmSource is LoadRealm plus the job-store source label
 // (SourceShards, SourceBinary or SourceJSONL).
 func LoadRealmSource(dir string) (*core.Realm, string, error) {
-	return loadRealmSource(dir, osOpen, nil, nil)
+	return loadRealmSource(dir, osOpen, nil, "", nil)
 }
 
 // loadRealmSource is LoadRealmSource with the file opener, the
-// previous generation's shard set, and the self-heal context injected
-// — the daemon's snapshot loads route through Config.Open, incremental
-// shard reuse, and (when enabled) quarantine/repair here.
-func loadRealmSource(dir string, open func(path string) (io.ReadCloser, error), prev *store.ShardSet, heal *healLoad) (*core.Realm, string, error) {
-	st, source, err := loadStore(dir, open, prev, heal)
+// previous generation (with fp, the directory fingerprint taken just
+// before this load), and the self-heal context injected — the daemon's
+// snapshot loads route through Config.Open, incremental reuse of what
+// did not change, and (when enabled) quarantine/repair here.
+func loadRealmSource(dir string, open func(path string) (io.ReadCloser, error), prev *Snapshot, fp string, heal *healLoad) (*core.Realm, string, error) {
+	var prevShards *store.ShardSet
+	if prev != nil {
+		prevShards, _ = prev.Realm.Store.(*store.ShardSet)
+	}
+	st, source, err := loadStore(dir, open, prevShards, heal)
 	if err != nil {
 		return nil, "", err
 	}
@@ -187,7 +200,13 @@ func loadRealmSource(dir string, open func(path string) (io.ReadCloser, error), 
 	switch {
 	case err == nil:
 		defer sf.Close()
-		if series, err = store.LoadSeries(sf); err != nil {
+		if prev != nil && len(prev.Realm.Series) > 0 && fileStamp(fp, "series.jsonl") == fileStamp(prev.Fingerprint, "series.jsonl") {
+			// Same size and mtime as the file the previous generation
+			// decoded (the witness the poller already trusts): adopt its
+			// samples. The caller's post-load fingerprint check catches
+			// a rewrite racing this load.
+			series = prev.Realm.Series
+		} else if series, err = store.LoadSeries(sf); err != nil {
 			return nil, "", err
 		}
 	case !errors.Is(err, fs.ErrNotExist):
@@ -235,20 +254,15 @@ func LoadQuality(dir string) (*ingest.DataQuality, error) {
 // transiently (half-written JSON); the retry/backoff idiom from
 // internal/ingest applies — retryMax extra attempts with the injected
 // backoff between them.
-// prev, when non-nil, enables incremental shard reuse: shards whose
-// manifest entry (and on-disk size) are unchanged from the previous
-// snapshot's set are adopted by pointer instead of re-decoded, making
+// prev, when non-nil, enables incremental reuse: shards whose manifest
+// entry (and on-disk size) are unchanged from the previous snapshot's
+// set are adopted by pointer instead of re-decoded, and so is the
+// decoded series when series.jsonl kept its fingerprint stamp, making
 // a one-day append reload O(1 day) instead of O(history).
 // heal is the optional self-heal context: non-nil routes the shard
 // load through quarantine/repair and fills the snapshot's coverage
 // accounting from what survived; nil is the strict all-or-nothing load.
 func loadSnapshot(dir string, gen uint64, retryMax int, backoff func(attempt int), open func(path string) (io.ReadCloser, error), prev *Snapshot, heal *healLoad) (*Snapshot, error) {
-	var prevShards *store.ShardSet
-	if prev != nil {
-		if ss, ok := prev.Realm.Store.(*store.ShardSet); ok {
-			prevShards = ss
-		}
-	}
 	var lastErr error
 	for attempt := 0; attempt <= retryMax; attempt++ {
 		if attempt > 0 && backoff != nil {
@@ -258,7 +272,7 @@ func loadSnapshot(dir string, gen uint64, retryMax int, backoff func(attempt int
 			heal.outcome = healOutcome{} // a retry is a fresh heal attempt
 		}
 		fp := DirFingerprint(dir)
-		realm, source, err := loadRealmSource(dir, open, prevShards, heal)
+		realm, source, err := loadRealmSource(dir, open, prev, fp, heal)
 		if err != nil {
 			lastErr = err
 			continue

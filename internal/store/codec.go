@@ -58,91 +58,134 @@ const (
 // EncodeColumns serializes the columnar layout into the binary snapshot
 // format. The output is a pure function of the serialized fields
 // (dictionaries in first-appearance order, codes, numeric columns), so
-// encoding the decode of an encode reproduces the bytes exactly.
+// encoding the decode of an encode reproduces the bytes exactly. The
+// result is allocated once, at its exact size.
 func EncodeColumns(c *Columns) []byte {
+	total, _ := encodedLen(c)
+	bw := blockWriter{buf: make([]byte, 0, total)}
+	bw.columns(c)
+	return bw.buf
+}
+
+// encodedLen returns the exact byte length of c's snapshot and of its
+// largest single piece (the file header, or one block with its header):
+// what EncodeColumns and SaveBinary allocate, once, never to regrow.
+func encodedLen(c *Columns) (total, largestPiece int) {
 	n := c.Len()
-	buf := make([]byte, 0, codecHeaderLen+numBlocks*blockHeaderLen+n*(8*4+4*7)+dictBytes(c))
-	buf = append(buf, codecMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, codecVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // flags, reserved
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(n))
-
-	buf = appendBlock(buf, blockJobID, encodeInt64s(c.JobID))
-	buf = appendBlock(buf, blockCluster, encodeDict(&c.Cluster))
-	buf = appendBlock(buf, blockUser, encodeDict(&c.User))
-	buf = appendBlock(buf, blockApp, encodeDict(&c.App))
-	buf = appendBlock(buf, blockScience, encodeDict(&c.Science))
-	buf = appendBlock(buf, blockStatus, encodeDict(&c.Status))
-	buf = appendBlock(buf, blockNodes, encodeInt32s(c.Nodes))
-	buf = appendBlock(buf, blockSubmit, encodeInt64s(c.Submit))
-	buf = appendBlock(buf, blockStart, encodeInt64s(c.Start))
-	buf = appendBlock(buf, blockEnd, encodeInt64s(c.End))
-	buf = appendBlock(buf, blockSamples, encodeInt32s(c.Samples))
-	for k := 0; k < NumMetrics; k++ {
-		buf = appendBlock(buf, uint32(blockMetric0+k), encodeFloat64s(c.Metrics[k]))
-	}
-	return buf
-}
-
-// dictBytes estimates the dictionary payload size for the encode
-// buffer's capacity hint.
-func dictBytes(c *Columns) int {
-	total := 0
+	total = codecHeaderLen + numBlocks*blockHeaderLen + (4+NumMetrics)*8*n + 2*4*n
+	largest := 8 * n
 	for _, d := range []*DictColumn{&c.Cluster, &c.User, &c.App, &c.Science, &c.Status} {
-		total += 4
-		for _, v := range d.Values {
-			total += 4 + len(v)
-		}
+		size := d.encodedLen()
+		total, largest = total+size, max(largest, size)
 	}
-	return total
+	return total, max(codecHeaderLen, blockHeaderLen+largest)
 }
 
-func appendBlock(buf []byte, id uint32, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, id)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
-}
-
-func encodeInt64s(col []int64) []byte {
-	out := make([]byte, 0, len(col)*8)
-	for _, v := range col {
-		out = binary.LittleEndian.AppendUint64(out, uint64(v))
-	}
-	return out
-}
-
-func encodeInt32s(col []int32) []byte {
-	out := make([]byte, 0, len(col)*4)
-	for _, v := range col {
-		out = binary.LittleEndian.AppendUint32(out, uint32(v))
-	}
-	return out
-}
-
-func encodeFloat64s(col []float64) []byte {
-	out := make([]byte, 0, len(col)*8)
-	for _, v := range col {
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
-	}
-	return out
-}
-
-func encodeDict(d *DictColumn) []byte {
-	size := 4
+// encodedLen is the dictionary block's payload size: the value count,
+// each value length-prefixed, one code per row.
+func (d *DictColumn) encodedLen() int {
+	size := 4 + 4*len(d.Codes)
 	for _, v := range d.Values {
 		size += 4 + len(v)
 	}
-	out := make([]byte, 0, size+len(d.Codes)*4)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(d.Values)))
-	for _, v := range d.Values {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(v)))
-		out = append(out, v...)
+	return size
+}
+
+// blockWriter is the one snapshot encoder. Each block is encoded in
+// place at the tail of buf and its length and CRC32 back-filled over
+// the bytes just written, so no column is staged in a temporary slice
+// and buf never outgrows the capacity encodedLen gave it. With w nil
+// the pieces accumulate (EncodeColumns); with w set each is written out
+// as it is finished and buf reused for the next (SaveBinary).
+type blockWriter struct {
+	buf []byte
+	w   io.Writer
+	err error // first error from w; nothing is written after it
+}
+
+// columns emits the file header and the 23 blocks in canonical order.
+func (bw *blockWriter) columns(c *Columns) {
+	bw.buf = append(bw.buf, codecMagic...)
+	bw.buf = binary.LittleEndian.AppendUint32(bw.buf, codecVersion)
+	bw.buf = binary.LittleEndian.AppendUint32(bw.buf, 0) // flags, reserved
+	bw.buf = binary.LittleEndian.AppendUint64(bw.buf, uint64(c.Len()))
+	bw.flush()
+
+	bw.int64s(blockJobID, c.JobID)
+	bw.dict(blockCluster, &c.Cluster)
+	bw.dict(blockUser, &c.User)
+	bw.dict(blockApp, &c.App)
+	bw.dict(blockScience, &c.Science)
+	bw.dict(blockStatus, &c.Status)
+	bw.int32s(blockNodes, c.Nodes)
+	bw.int64s(blockSubmit, c.Submit)
+	bw.int64s(blockStart, c.Start)
+	bw.int64s(blockEnd, c.End)
+	bw.int32s(blockSamples, c.Samples)
+	for k := 0; k < NumMetrics; k++ {
+		bw.float64s(uint32(blockMetric0+k), c.Metrics[k])
 	}
-	for _, c := range d.Codes {
-		out = binary.LittleEndian.AppendUint32(out, c)
+}
+
+// block appends one block: fill encodes the size payload bytes in place.
+func (bw *blockWriter) block(id uint32, size int, fill func(payload []byte)) {
+	start := len(bw.buf)
+	bw.buf = bw.buf[:start+blockHeaderLen+size]
+	hdr, payload := bw.buf[start:start+blockHeaderLen], bw.buf[start+blockHeaderLen:]
+	fill(payload)
+	binary.LittleEndian.PutUint32(hdr, id)
+	binary.LittleEndian.PutUint64(hdr[4:], uint64(size))
+	binary.LittleEndian.PutUint32(hdr[12:], crc32.ChecksumIEEE(payload))
+	bw.flush()
+}
+
+// flush hands a finished piece to the streaming writer, if there is one.
+func (bw *blockWriter) flush() {
+	if bw.w == nil {
+		return
 	}
-	return out
+	if bw.err == nil {
+		_, bw.err = bw.w.Write(bw.buf)
+	}
+	bw.buf = bw.buf[:0]
+}
+
+func (bw *blockWriter) int64s(id uint32, col []int64) {
+	bw.block(id, len(col)*8, func(p []byte) {
+		for i, v := range col {
+			binary.LittleEndian.PutUint64(p[i*8:], uint64(v))
+		}
+	})
+}
+
+func (bw *blockWriter) int32s(id uint32, col []int32) {
+	bw.block(id, len(col)*4, func(p []byte) {
+		for i, v := range col {
+			binary.LittleEndian.PutUint32(p[i*4:], uint32(v))
+		}
+	})
+}
+
+func (bw *blockWriter) float64s(id uint32, col []float64) {
+	bw.block(id, len(col)*8, func(p []byte) {
+		for i, v := range col {
+			binary.LittleEndian.PutUint64(p[i*8:], math.Float64bits(v))
+		}
+	})
+}
+
+func (bw *blockWriter) dict(id uint32, d *DictColumn) {
+	bw.block(id, d.encodedLen(), func(p []byte) {
+		binary.LittleEndian.PutUint32(p, uint32(len(d.Values)))
+		p = p[4:]
+		for _, v := range d.Values {
+			binary.LittleEndian.PutUint32(p, uint32(len(v)))
+			p = p[4+copy(p[4:], v):]
+		}
+		for i, c := range d.Codes {
+			binary.LittleEndian.PutUint32(p[i*4:], c)
+		}
+	})
 }
 
 // decoder walks the snapshot bytes with strict bounds checking; every
@@ -431,10 +474,14 @@ func decodeBody(d *decoder, c *Columns, rows int) error {
 	return nil
 }
 
-// SaveBinary writes the store as a binary snapshot (jobs.supremm).
+// SaveBinary writes the store as a binary snapshot (jobs.supremm): the
+// bytes of EncodeColumns, streamed piece by piece through one buffer
+// the size of the largest block instead of a second copy of the store.
 func (s *Store) SaveBinary(w io.Writer) error {
-	_, err := w.Write(EncodeColumns(&s.c))
-	return err
+	_, largest := encodedLen(&s.c)
+	bw := blockWriter{buf: make([]byte, 0, largest), w: w}
+	bw.columns(&s.c)
+	return bw.err
 }
 
 // LoadBinary reads a binary snapshot into a store.

@@ -3,9 +3,16 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -241,6 +248,144 @@ func fixBlockCRC(b []byte, off int) {
 	length := binary.LittleEndian.Uint64(b[off+4:])
 	payload := b[off+blockHeaderLen : off+blockHeaderLen+int(length)]
 	binary.LittleEndian.PutUint32(b[off+12:], crc32.ChecksumIEEE(payload))
+}
+
+// TestEncodeColumnsExactSize: encodedLen is the one size formula — the
+// encoder allocates its output once, at exactly the size it fills.
+func TestEncodeColumnsExactSize(t *testing.T) {
+	for _, n := range []int{0, 1, 10_000} {
+		c := codecStore(n).Columns()
+		data := EncodeColumns(c)
+		total, largest := encodedLen(c)
+		if len(data) != total || cap(data) != total {
+			t.Errorf("n=%d: len %d cap %d, encodedLen says %d", n, len(data), cap(data), total)
+		}
+		if largest > total || largest < codecHeaderLen {
+			t.Errorf("n=%d: largest piece %d outside [%d,%d]", n, largest, codecHeaderLen, total)
+		}
+	}
+}
+
+// saveBinaryBytes is SaveBinary into memory.
+func saveBinaryBytes(t *testing.T, st *Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := st.SaveBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSaveBinaryMatchesEncodeColumns: the streaming and the in-memory
+// use of the block writer produce the same bytes, and both reproduce
+// every decodable snapshot of the committed fuzz corpus (and of the
+// in-code seeds) exactly — the format did not move.
+func TestSaveBinaryMatchesEncodeColumns(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 5000} {
+		st := codecStore(n)
+		if !bytes.Equal(saveBinaryBytes(t, st), EncodeColumns(st.Columns())) {
+			t.Errorf("n=%d: SaveBinary and EncodeColumns differ", n)
+		}
+	}
+	seeds := fuzzSeedSnapshots()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzColumnsDecode", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(lines) != 2 || !strings.HasPrefix(lines[1], "[]byte(") {
+			t.Fatalf("%s: not a one-value []byte corpus file", path)
+		}
+		seed, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		seeds = append(seeds, []byte(seed))
+	}
+	decoded := 0
+	for i, seed := range seeds {
+		c, err := DecodeColumns(seed)
+		if err != nil {
+			continue
+		}
+		decoded++
+		if !bytes.Equal(EncodeColumns(c), seed) {
+			t.Errorf("seed %d: EncodeColumns does not reproduce the accepted snapshot", i)
+		}
+		if !bytes.Equal(saveBinaryBytes(t, FromColumns(c)), seed) {
+			t.Errorf("seed %d: SaveBinary does not reproduce the accepted snapshot", i)
+		}
+	}
+	if decoded < 4 {
+		t.Fatalf("only %d of %d seeds decoded; the corpus should hold valid snapshots", decoded, len(seeds))
+	}
+}
+
+// failAfter accepts writes until the failAt-th (0-based), which fails.
+type failAfter struct {
+	failAt, calls int
+	got           []byte
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	w.calls++
+	if w.calls-1 == w.failAt {
+		return 0, errDiskFull
+	}
+	w.got = append(w.got, p...)
+	return len(p), nil
+}
+
+// TestSaveBinaryStopsAtFirstWriteError fails the writer at every piece
+// boundary in turn (file header, then each of the 23 blocks): SaveBinary
+// must return that error, must not write again after it, and what it
+// wrote before must be a prefix of the snapshot.
+func TestSaveBinaryStopsAtFirstWriteError(t *testing.T) {
+	st := codecStore(300)
+	want := EncodeColumns(st.Columns())
+	for failAt := 0; failAt <= numBlocks; failAt++ {
+		w := &failAfter{failAt: failAt}
+		if err := st.SaveBinary(w); !errors.Is(err, errDiskFull) {
+			t.Fatalf("fail at piece %d: got error %v", failAt, err)
+		}
+		if w.calls != failAt+1 {
+			t.Errorf("fail at piece %d: %d writes, want %d (nothing after the error)", failAt, w.calls, failAt+1)
+		}
+		if !bytes.HasPrefix(want, w.got) {
+			t.Errorf("fail at piece %d: the %d bytes written are not a snapshot prefix", failAt, len(w.got))
+		}
+	}
+	w := &failAfter{failAt: numBlocks + 1}
+	if err := st.SaveBinary(w); err != nil || !bytes.Equal(w.got, want) {
+		t.Errorf("unfailed writer: err %v, %d bytes, want %d", err, len(w.got), len(want))
+	}
+}
+
+// TestSaveBinaryAllocationCeiling: streaming a 100k-row store allocates
+// one buffer the size of its largest block, not a second copy of the
+// file (the pre-streaming SaveBinary allocated more than twice the
+// file).
+func TestSaveBinaryAllocationCeiling(t *testing.T) {
+	st := floorStore(100_000)
+	total, largest := encodedLen(st.Columns())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := st.SaveBinary(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("snapshot %d B, largest block %d B, SaveBinary allocated %d B", total, largest, alloc)
+	if alloc >= 2*uint64(largest) {
+		t.Errorf("SaveBinary allocated %d B, want < 2x its largest block (%d B)", alloc, largest)
+	}
 }
 
 // BenchmarkColumnsCodec measures raw encode/decode throughput on the

@@ -182,6 +182,60 @@ func (c *Columns) appendRecord(r JobRecord) {
 	}
 }
 
+// gather returns a new Columns holding c's rows at the given row ids,
+// in that order, exactly as appending those rows one by one would have
+// built it — the one row-subset primitive behind the day partition,
+// ReorderByEndDay, SortByJobID and RepairShard.
+func (c *Columns) gather(rows []int) *Columns {
+	out := &Columns{}
+	if len(rows) == 0 {
+		return out
+	}
+	out.JobID, out.Submit = gatherCol(c.JobID, rows), gatherCol(c.Submit, rows)
+	out.Start, out.End = gatherCol(c.Start, rows), gatherCol(c.End, rows)
+	out.Nodes, out.Samples = gatherCol(c.Nodes, rows), gatherCol(c.Samples, rows)
+	out.Cluster, out.User, out.App = c.Cluster.gather(rows), c.User.gather(rows), c.App.gather(rows)
+	out.Science, out.Status = c.Science.gather(rows), c.Status.gather(rows)
+	for k := range c.Metrics {
+		out.Metrics[k] = gatherCol(c.Metrics[k], rows)
+	}
+	out.weight = gatherCol(c.weight, rows)
+	out.minSamples = out.Samples[0]
+	out.minEnd, out.maxEnd = out.End[0], out.End[0]
+	for k, end := range out.End {
+		out.minSamples = min(out.minSamples, out.Samples[k])
+		out.minEnd, out.maxEnd = min(out.minEnd, end), max(out.maxEnd, end)
+	}
+	return out
+}
+
+func gatherCol[T any](col []T, rows []int) []T {
+	out := make([]T, len(rows))
+	for k, i := range rows {
+		out[k] = col[i]
+	}
+	return out
+}
+
+// gather rebuilds the dictionary in first-appearance order through a
+// code → local-code table, so no string is hashed per row.
+func (d *DictColumn) gather(rows []int) DictColumn {
+	out := DictColumn{Codes: make([]uint32, len(rows)), index: make(map[string]uint32)}
+	local := make([]uint32, len(d.Values)) // local code + 1; 0 = not seen yet
+	for k, i := range rows {
+		code := d.Codes[i]
+		if local[code] == 0 {
+			out.index[d.Values[code]] = uint32(len(out.Values))
+			out.Values = append(out.Values, d.Values[code])
+			out.counts = append(out.counts, 0)
+			local[code] = uint32(len(out.Values))
+		}
+		out.Codes[k] = local[code] - 1
+		out.counts[out.Codes[k]]++
+	}
+	return out
+}
+
 // Len returns the row count.
 func (c *Columns) Len() int { return len(c.JobID) }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -8,7 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 )
 
 // Shard manifest format ("MANIFEST.supremm", DESIGN.md §14).
@@ -216,39 +217,36 @@ func DecodeManifest(data []byte) ([]ShardInfo, error) {
 // invariant that keeps the jsonl, binary and sharded load paths
 // answering byte-identically. Drops any index (like Add).
 func (s *Store) ReorderByEndDay() {
-	recs := make([]JobRecord, s.Len())
-	for i := range recs {
-		recs[i] = s.Record(i)
+	_, dayRows := s.c.rowsByEndDay()
+	*s = Store{c: *s.c.gather(slices.Concat(dayRows...))}
+}
+
+// rowsByEndDay buckets the row ids by job-end epoch day: days
+// ascending, and within each day the rows in their existing order.
+func (c *Columns) rowsByEndDay() (days []int64, dayRows [][]int) {
+	byDay := make(map[int64][]int)
+	for i, end := range c.End {
+		d := EpochDay(end)
+		byDay[d] = append(byDay[d], i)
 	}
-	sort.SliceStable(recs, func(a, b int) bool {
-		return EpochDay(recs[a].End) < EpochDay(recs[b].End)
-	})
-	*s = Store{}
-	for _, r := range recs {
-		s.Add(r)
+	for d := range byDay {
+		days = append(days, d)
 	}
+	slices.Sort(days)
+	dayRows = make([][]int, len(days))
+	for k, d := range days {
+		dayRows[k] = byDay[d]
+	}
+	return days, dayRows
 }
 
 // partitionByEndDay splits the store into per-epoch-day columnar
 // partitions, days ascending, preserving row order within each day.
 func (s *Store) partitionByEndDay() ([]int64, []*Columns) {
-	byDay := make(map[int64]*Columns)
-	var days []int64
-	for i, n := 0, s.Len(); i < n; i++ {
-		r := s.Record(i)
-		d := EpochDay(r.End)
-		c := byDay[d]
-		if c == nil {
-			c = &Columns{}
-			byDay[d] = c
-			days = append(days, d)
-		}
-		c.appendRecord(r)
-	}
-	sort.Slice(days, func(a, b int) bool { return days[a] < days[b] })
+	days, dayRows := s.c.rowsByEndDay()
 	cols := make([]*Columns, len(days))
-	for i, d := range days {
-		cols[i] = byDay[d]
+	for k, rows := range dayRows {
+		cols[k] = s.c.gather(rows)
 	}
 	return days, cols
 }
@@ -263,9 +261,10 @@ func (s *Store) partitionByEndDay() ([]int64, []*Columns) {
 // files, the QUARANTINE.supremm log) and orphaned temp files from a
 // killed writer or scrubber — a fresh batch supersedes whatever
 // healing state the previous generation accumulated. Shard content is
-// a pure function of the rows, so rewriting an unchanged day produces
-// byte-identical files (same size, same hash) and the incremental
-// loader reuses the in-memory shard.
+// a pure function of the rows, so an unchanged day encodes to the bytes
+// already on disk and its file is left alone: an append costs one shard
+// and the manifest, not the history. The witness is the file's content,
+// never its stat: a same-size bit-rotted or torn shard is rewritten.
 func WriteShardDir(dir string, s *Store) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -284,8 +283,10 @@ func WriteShardDir(dir string, s *Store) error {
 			Size:   int64(len(payload)),
 			Hash:   crc32.ChecksumIEEE(payload),
 		}
-		if err := AtomicWriteBytes(dir, name, payload); err != nil {
-			return err
+		if !fileHolds(filepath.Join(dir, name), payload) {
+			if err := AtomicWriteBytes(dir, name, payload); err != nil {
+				return err
+			}
 		}
 		keep[name] = true
 	}
@@ -293,6 +294,13 @@ func WriteShardDir(dir string, s *Store) error {
 		return err
 	}
 	return cleanShardDir(dir, keep)
+}
+
+// fileHolds reports whether the file at path holds exactly want; a
+// file that cannot be read does not, so the caller writes it.
+func fileHolds(path string, want []byte) bool {
+	got, err := os.ReadFile(path)
+	return err == nil && bytes.Equal(got, want)
 }
 
 // cleanShardDir removes files superseded by a fresh batch: shard files

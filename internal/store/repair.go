@@ -75,12 +75,13 @@ func LoadBackingStore(dir string, open Opener) (*Store, string, error) {
 // simply missing the day — is an error and the directory is left
 // untouched.
 func RepairShard(dir string, e ShardInfo, backing *Store) error {
-	c := &Columns{}
-	for i, n := 0, backing.Len(); i < n; i++ {
-		if r := backing.Record(i); EpochDay(r.End) == e.ID {
-			c.appendRecord(r)
+	var rows []int
+	for i, end := range backing.c.End {
+		if EpochDay(end) == e.ID {
+			rows = append(rows, i)
 		}
 	}
+	c := backing.c.gather(rows)
 	name := ShardFileName(e.ID)
 	if c.Len() != e.Rows {
 		return fmt.Errorf("store: repair %s: backing holds %d rows for day %d, manifest says %d",

@@ -206,12 +206,5 @@ func (s *Store) SortByJobID() {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool { return s.c.JobID[idx[a]] < s.c.JobID[idx[b]] })
-	recs := make([]JobRecord, s.Len())
-	for pos, i := range idx {
-		recs[pos] = s.Record(i)
-	}
-	*s = Store{}
-	for _, r := range recs {
-		s.Add(r)
-	}
+	*s = Store{c: *s.c.gather(idx)}
 }
