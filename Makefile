@@ -1,7 +1,7 @@
 # Convenience targets for the SUPReMM reproduction.
 GO ?= go
 
-.PHONY: all build test test-race vet fmt-check lint lint-fast fuzz-smoke test-faults test-chaos test-serve test-store test-shards test-scrub test-bench bench bench-e2e bench-compare bench-ingest bench-serve bench-store figures dashboard clean
+.PHONY: all build test test-race vet fmt-check lint lint-fast fuzz-smoke test-faults test-chaos test-serve test-store test-shards test-scrub test-bench bench bench-e2e bench-compare bench-gate bench-ingest bench-serve bench-store figures dashboard clean
 
 all: build vet lint test test-race test-chaos test-shards test-scrub test-bench
 
@@ -85,7 +85,7 @@ test-serve:
 # Columnar store suite under the race detector: row-vs-columnar
 # bit-equivalence, the binary codec round-trip/rejection matrix, the
 # fuzz seed replay, and the columnar speedup floor (DESIGN.md §11), at
-# one, two and four cores (the chunked kernel and the shard loader fan
+# one, two and four cores (the aggregate kernel and the shard loader fan
 # out over GOMAXPROCS).
 test-store:
 	$(GO) test -race -cpu 1,2,4 ./internal/store
@@ -137,10 +137,20 @@ bench-e2e:
 bench-compare:
 	$(GO) run -C bench . compare $(A) $(B)
 
+# Regression gate over the committed trajectory: each PR commits its
+# `go run -C bench . record -out ../BENCH_<pr>.json` at the repository
+# root; this compares the two newest and fails on a "worse" row or a
+# larger share of failed operations. It times nothing, so CI can run it.
+bench-gate:
+	@set -- $$(ls BENCH_*.json 2>/dev/null | sort | tail -n 2); \
+	if [ $$# -lt 2 ]; then echo "bench-gate: need two BENCH_*.json records, found $$#"; exit 1; fi; \
+	echo "bench-gate: $$1 -> $$2"; \
+	$(GO) run -C bench . compare ../$$1 ../$$2
+
 # Ingest hot-path benchmarks only (parse + raw ETL), recorded for the
 # before/after table in EXPERIMENTS.md.
 bench-ingest:
-	$(GO) test -run '^$$' -bench 'BenchmarkParseFile|BenchmarkParseStream|BenchmarkIngestRaw' -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkParse|BenchmarkIngestRaw' -benchmem \
 		./internal/taccstats ./internal/ingest
 
 # Query-daemon aggregation benchmarks: store scan vs indexed/sharded,

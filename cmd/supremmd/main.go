@@ -69,7 +69,7 @@ type options struct {
 
 func main() {
 	var opts options
-	flag.StringVar(&opts.data, "data", "data", "ingested data directory (jobs.supremm/jobs.jsonl, series.jsonl, quality.json)")
+	flag.StringVar(&opts.data, "data", "data", "ingested data directory (MANIFEST.supremm + shard-<day>.supremm, else jobs.supremm, else jobs.jsonl; plus series.jsonl, quality.json)")
 	flag.StringVar(&opts.addr, "addr", "127.0.0.1:8090", "listen address")
 	flag.DurationVar(&opts.poll, "poll", 10*time.Second, "data-directory poll interval for hot reload (0 disables)")
 	flag.IntVar(&opts.cache, "cache", 0, "query-cache entries (0 = default 1024, negative disables)")

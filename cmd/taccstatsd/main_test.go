@@ -10,29 +10,41 @@ import (
 	"supremm/internal/taccstats"
 )
 
+// parseRaw parses the raw file at path, keeping a materialized copy of
+// every record.
+func parseRaw(t *testing.T, path string) (*taccstats.File, []taccstats.Record, error) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var recs []taccstats.Record
+	parsed, err := taccstats.ParseStream(f, func(rec *taccstats.Record) error {
+		recs = append(recs, rec.Materialize())
+		return nil
+	})
+	return parsed, recs, err
+}
+
 func TestDaemonWritesParseableOutput(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "node.raw")
 	if err := run("ranger", "wrf", 777, 6, out, 9, 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	parsed, err := taccstats.ParseFile(f)
+	parsed, recs, err := parseRaw(t, out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// begin + 6 samples + end.
-	if len(parsed.Records) != 8 {
-		t.Errorf("records = %d, want 8", len(parsed.Records))
+	if len(recs) != 8 {
+		t.Fatalf("records = %d, want 8", len(recs))
 	}
-	if parsed.Records[0].Mark != "begin" || parsed.Records[0].JobID != 777 {
-		t.Errorf("begin mark: %+v", parsed.Records[0])
+	if recs[0].Mark != "begin" || recs[0].JobID != 777 {
+		t.Errorf("begin mark: %+v", recs[0])
 	}
-	if parsed.Records[7].Mark != "end" {
-		t.Errorf("end mark: %+v", parsed.Records[7])
+	if recs[7].Mark != "end" {
+		t.Errorf("end mark: %+v", recs[7])
 	}
 	if parsed.Arch != "amd64_opteron" {
 		t.Errorf("arch = %q", parsed.Arch)
@@ -44,12 +56,7 @@ func TestDaemonLonestar(t *testing.T) {
 	if err := run("lonestar4", "gromacs", 1, 2, out, 1, 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	parsed, err := taccstats.ParseFile(f)
+	parsed, _, err := parseRaw(t, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,14 +93,8 @@ func TestDaemonTruncateAt(t *testing.T) {
 	if st.Size() != limit {
 		t.Fatalf("crashed file is %d bytes, want exactly %d", st.Size(), limit)
 	}
-	f, err := os.Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	parsed, perr := taccstats.ParseFile(f)
-	if perr == nil && len(parsed.Records) >= 8 {
-		t.Fatalf("crash-truncated file parsed as complete (%d records)", len(parsed.Records))
+	if _, recs, perr := parseRaw(t, out); perr == nil && len(recs) >= 8 {
+		t.Fatalf("crash-truncated file parsed as complete (%d records)", len(recs))
 	}
 }
 

@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		data     = flag.String("data", "data", "data directory (jobs.jsonl, series.jsonl)")
+		data     = flag.String("data", "data", "data directory (MANIFEST.supremm + shards, else jobs.supremm, else jobs.jsonl; plus series.jsonl)")
 		reportFl = flag.String("report", "system", "report: users|apps|efficiency|persistence|system|failures|trends|workload|forecast|waits|quality")
 		queryFl  = flag.String("query", "", "custom report, e.g. 'group=app metrics=cpu_idle,cpu_flops limit=10'")
 		suiteFl  = flag.String("suite", "", "render a full stakeholder suite: user|developer|support|admin|manager|funding")

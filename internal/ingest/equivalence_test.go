@@ -17,7 +17,7 @@ import (
 
 // ---------------------------------------------------------------------
 // Legacy reference implementation: the pre-streaming ingest path that
-// materializes every file via ParseFile and reduces intervals through
+// materializes every record of every file and reduces intervals through
 // nested map lookups. Kept here verbatim as the oracle the streaming
 // and parallel paths must match bit for bit.
 // ---------------------------------------------------------------------
@@ -118,13 +118,17 @@ func legacyIngestRaw(dir string, acct []sched.AcctRecord) (*RawResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			f, err := taccstats.ParseFile(fh)
+			var recs []taccstats.Record
+			f, err := taccstats.ParseStream(fh, func(rec *taccstats.Record) error {
+				recs = append(recs, rec.Materialize())
+				return nil
+			})
 			fh.Close()
 			if err != nil {
 				return nil, err
 			}
-			for i := range f.Records {
-				cur := &legacySample{rec: &f.Records[i], schemas: f.Schemas}
+			for i := range recs {
+				cur := &legacySample{rec: &recs[i], schemas: f.Schemas}
 				if prev != nil {
 					dt := float64(cur.rec.Time - prev.rec.Time)
 					if dt > 0 {

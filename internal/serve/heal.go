@@ -208,15 +208,15 @@ func healShardLoad(dir string, entries []store.ShardInfo, prev *store.ShardSet, 
 // degraded or repaired — in the same tick. The scrubber cursor is
 // rebuilt whenever the served generation changes, so it always walks
 // the shard set actually being served (and never re-finds days already
-// quarantined out of it).
+// quarantined out of it). The caller holds reloadMu, which orders the
+// renames against every load. A generation loaded from a monolithic
+// file has no shard files to scrub.
 func (s *Server) scrubTick() {
 	snap := s.snap.Load()
-	ss, ok := snap.Realm.Store.(*store.ShardSet)
-	if !ok {
+	if snap.Source != SourceShards {
 		return
 	}
-	s.scrubMu.Lock()
-	defer s.scrubMu.Unlock()
+	ss := snap.Realm.Store.(*store.ShardSet)
 	if s.scrubber == nil || s.scrubGen != snap.Gen {
 		entries := make([]store.ShardInfo, ss.NumShards())
 		for i := range entries {

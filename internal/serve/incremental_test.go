@@ -307,18 +307,24 @@ func TestIncrementalReloadOpensOneShard(t *testing.T) {
 // needs no invalidation: it hangs off the realm, and a reload builds a
 // new realm. The same query before and after an appended day must
 // report each generation's own denominators, equal bit for bit to a
-// naive weighted mean over that generation's rows.
+// naive weighted mean over that generation's rows — running sums per
+// end day, added in day order (the rows are day-ordered).
 func TestReloadServesNewGenerationFleetMeans(t *testing.T) {
 	const target = "/api/v1/query?group=app&metrics=cpu_idle,mem_used,cpu_flops"
 	naive := func(st *store.Store) map[string]float64 {
 		out := map[string]float64{}
 		for _, m := range []store.Metric{store.MetricCPUIdle, store.MetricMemUsed, store.MetricFlops} {
-			var sw, swx float64
+			var sw, swx, daySW, daySWX float64
+			var day int64
 			for _, rec := range st.Records(store.Filter{Cluster: "ranger", MinSamples: 1}) {
-				sw += rec.NodeHours()
-				swx += rec.NodeHours() * rec.Value(m)
+				if d := store.EpochDay(rec.End); d != day {
+					sw, swx = sw+daySW, swx+daySWX
+					day, daySW, daySWX = d, 0, 0
+				}
+				daySW += rec.NodeHours()
+				daySWX += rec.NodeHours() * rec.Value(m)
 			}
-			out[string(m)] = swx / sw
+			out[string(m)] = (swx + daySWX) / (sw + daySW)
 		}
 		return out
 	}

@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"supremm/internal/faultinject"
 	"supremm/internal/leakcheck"
+	"supremm/internal/store"
 )
 
 // raceTargets mix cached data endpoints, the uncached health/metrics
@@ -153,5 +155,67 @@ func TestConcurrentMaybeReload(t *testing.T) {
 	}
 	if gen := srv.Snapshot().Gen; gen != 2 {
 		t.Errorf("generation %d after one change, want 2", gen)
+	}
+}
+
+// TestScrubSerializedWithForcedReload races the two writers of the data
+// directory over a silently bit-rotted shard: pollers, whose scrub tick
+// quarantines what it finds, and forced Reloads, whose healing load
+// quarantines and repairs what it cannot read. Both rename files and
+// rewrite the custody log, so both run under reloadMu; however they
+// interleave, the day is quarantined once, repaired once, and the
+// daemon ends on full coverage with the shard byte-identical.
+func TestScrubSerializedWithForcedReload(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	writeShardDataDir(t, dir, dayStore(3, 40), fixtureSeries(30), healQuality)
+	victim := store.ShardFileName(1)
+	pristine, err := os.ReadFile(filepath.Join(dir, victim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{DataDir: dir, SelfHeal: true, ScrubBudgetBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos := faultinject.NewServeChaos(20261001, dir, map[string][]byte{victim: pristine})
+	if err := chaos.RotFile(victim, 3); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			if _, err := srv.MaybeReload(); err != nil {
+				t.Error("poll:", err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if _, err := srv.Reload(); err != nil {
+				t.Error("forced reload:", err)
+			}
+		}()
+	}
+	wg.Wait()
+
+	if cov := srv.Snapshot().Coverage; cov.Degraded || cov.Ratio != 1 {
+		t.Errorf("coverage after the race = %+v, want full (repaired)", cov)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, victim)); err != nil || string(got) != string(pristine) {
+		t.Errorf("shard after the race differs from pristine (err %v)", err)
+	}
+	events, err := store.LoadQuarantineLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 2 || events[0].Day != 1 || events[0].Action != store.ActionQuarantine ||
+		events[1].Day != 1 || events[1].Action != store.ActionRepair {
+		t.Errorf("quarantine log = %+v, want one quarantine then one repair of day 1", events)
+	}
+	if q, r := srv.met.quarantines.Load(), srv.met.repairs.Load(); q != 1 || r != 1 {
+		t.Errorf("metrics quarantines=%d repairs=%d, want 1 and 1", q, r)
 	}
 }

@@ -124,15 +124,16 @@ type Server struct {
 	retryAfter   int
 	open         func(path string) (io.ReadCloser, error)
 
-	// Self-heal state (nil/zero unless Config.SelfHeal): the scrubber
-	// cursor over the served generation's shards and its budget.
+	// reloadMu serializes everything that moves files in the data
+	// directory or swaps the snapshot — the scrub tick and every load;
+	// queries never take it.
+	reloadMu sync.Mutex
+	// Self-heal state (nil/zero unless Config.SelfHeal), guarded by
+	// reloadMu: the scrubber cursor over the served generation's shards
+	// and its budget.
 	scrubBudget int64
-	scrubMu     sync.Mutex
 	scrubber    *store.Scrubber
 	scrubGen    uint64
-
-	// reloadMu serializes snapshot loads; queries never take it.
-	reloadMu sync.Mutex
 }
 
 // New loads the initial snapshot from cfg.DataDir and assembles the
@@ -255,19 +256,21 @@ func (s *Server) reloadLocked() (*Snapshot, error) {
 // ticker (fsnotify-free hot reload). When the breaker is open the
 // attempt is skipped (no load, no error) until the cooldown elapses
 // and a half-open probe is due; the daemon keeps serving the last-good
-// snapshot throughout. The fingerprint compare, the breaker tick and
-// the load run under one acquisition of reloadMu: concurrent pollers
-// that all saw the same change queue behind the first, then find the
-// fingerprint current and return — one generation per directory change.
+// snapshot throughout. The scrub tick, the fingerprint compare, the
+// breaker tick and the load run under one acquisition of reloadMu:
+// concurrent pollers that all saw the same change queue behind the
+// first, then find the fingerprint current and return — one generation
+// per directory change — and a forced Reload can never run between a
+// quarantine and the poll step meant to see it.
 func (s *Server) MaybeReload() (bool, error) {
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
 	if s.cfg.SelfHeal {
 		// The scrub tick runs before the fingerprint check: a quarantine
 		// it performs renames a shard file, which changes the fingerprint
 		// and flows into a (degraded or repaired) reload this same tick.
 		s.scrubTick()
 	}
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
 	if DirFingerprint(s.cfg.DataDir) == s.snap.Load().Fingerprint {
 		return false, nil
 	}

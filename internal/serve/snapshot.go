@@ -33,13 +33,15 @@ type Snapshot struct {
 	Fingerprint string
 	// Source records which jobs backing served the load: "shards"
 	// (MANIFEST.supremm + shard files), "binary" (jobs.supremm) or
-	// "jsonl" (jobs.jsonl). Informational only — the three paths
-	// produce bit-identical responses (see TestGoldenLoadPaths).
+	// "jsonl" (jobs.jsonl). Whatever the file, the realm's store is the
+	// same day-partitioned shard set, so the three paths produce
+	// bit-identical responses (see TestGoldenLoadPaths); Source decides
+	// only what has files to scrub, repair and adopt.
 	Source string
-	// Shards and ShardsReused describe a sharded load: how many
-	// partitions back the realm and how many were adopted pointer-wise
-	// from the previous generation instead of decoded (both zero for
-	// monolithic sources).
+	// Shards and ShardsReused describe a load from shard files: how many
+	// back the realm and how many were adopted pointer-wise from the
+	// previous generation instead of decoded (both zero for monolithic
+	// sources, whose day partitions exist only in memory).
 	Shards       int
 	ShardsReused int
 	// Coverage is the snapshot's honesty accounting (DESIGN.md §15):
@@ -107,12 +109,15 @@ func LoadRealm(dir string) (*core.Realm, error) {
 // loadStore reads the job store, preferring the time-partitioned shard
 // form (MANIFEST.supremm + shard-<day>.supremm, loaded incrementally
 // against prev's shards), then the monolithic columnar binary
-// (jobs.supremm), then JSON lines (jobs.jsonl). A preferred form that
+// (jobs.supremm), then JSON lines (jobs.jsonl). A monolithic file is
+// partitioned by job-end day in memory: a sum is the day-ordered sum of
+// per-day sums (DESIGN.md §11), so every backing must hand the kernels
+// the same split to answer with the same bits. A preferred form that
 // exists but fails to load is an error, not a fallback: the files are
 // written by the same ingest batch, so a damaged manifest or shard
 // alongside readable fallbacks means the directory is torn and the
 // load should retry, not silently serve another file.
-func loadStore(dir string, open func(path string) (io.ReadCloser, error), prev *store.ShardSet, heal *healLoad) (store.Reader, string, error) {
+func loadStore(dir string, open func(path string) (io.ReadCloser, error), prev *store.ShardSet, heal *healLoad) (*store.ShardSet, string, error) {
 	mf, err := open(filepath.Join(dir, store.ManifestFile))
 	if err == nil {
 		defer mf.Close()
@@ -148,7 +153,7 @@ func loadStore(dir string, open func(path string) (io.ReadCloser, error), prev *
 		if err != nil {
 			return nil, "", fmt.Errorf("serve: jobs.supremm: %w", err)
 		}
-		return st, SourceBinary, nil
+		return st.DayShards(), SourceBinary, nil
 	}
 	if !errors.Is(err, fs.ErrNotExist) {
 		return nil, "", err
@@ -162,7 +167,7 @@ func loadStore(dir string, open func(path string) (io.ReadCloser, error), prev *
 	if err != nil {
 		return nil, "", err
 	}
-	return st, SourceJSONL, nil
+	return st.DayShards(), SourceJSONL, nil
 }
 
 // Snapshot source labels.
@@ -185,8 +190,8 @@ func LoadRealmSource(dir string) (*core.Realm, string, error) {
 // did not change, and (when enabled) quarantine/repair here.
 func loadRealmSource(dir string, open func(path string) (io.ReadCloser, error), prev *Snapshot, fp string, heal *healLoad) (*core.Realm, string, error) {
 	var prevShards *store.ShardSet
-	if prev != nil {
-		prevShards, _ = prev.Realm.Store.(*store.ShardSet)
+	if prev != nil && prev.Source == SourceShards {
+		prevShards = prev.Realm.Store.(*store.ShardSet)
 	}
 	st, source, err := loadStore(dir, open, prevShards, heal)
 	if err != nil {
@@ -301,15 +306,14 @@ func loadSnapshot(dir string, gen uint64, retryMax int, backoff func(attempt int
 		// day's rows.
 		realm.Store.BuildIndex()
 		snap := &Snapshot{Gen: gen, Realm: realm, Quality: quality, Fingerprint: fp, Source: source, heal: heal}
-		if ss, ok := realm.Store.(*store.ShardSet); ok {
-			stats := ss.LoadStats()
+		snap.Coverage = fullCoverage(realm.Store.Len())
+		if source == SourceShards {
+			ss := realm.Store.(*store.ShardSet)
 			snap.Shards = ss.NumShards()
-			snap.ShardsReused = stats.Reused
-		}
-		if heal != nil && source == SourceShards {
-			snap.Coverage = coverageFrom(heal.entries, heal.outcome.faults)
-		} else {
-			snap.Coverage = fullCoverage(realm.Store.Len())
+			snap.ShardsReused = ss.LoadStats().Reused
+			if heal != nil {
+				snap.Coverage = coverageFrom(heal.entries, heal.outcome.faults)
+			}
 		}
 		return snap, nil
 	}

@@ -3,12 +3,11 @@ package store
 import (
 	"context"
 	"math"
-	"runtime"
 	"sort"
 	"testing"
 )
 
-// ---- the pre-columnar row path, kept verbatim as the reference ----
+// ---- the pre-columnar row path, kept as the reference ----
 //
 // baseline* reimplement the row-oriented execution engine the columnar
 // kernels replaced: string-compare filtering, a materialized []int row
@@ -18,6 +17,34 @@ import (
 // checked against: the equivalence tests require the kernels to be
 // bit-identical to this path; the speedup floor tests require them to
 // beat it.
+//
+// The summing references take the split: cuts are the global row
+// positions where the second and every later partition starts. Each
+// partition's rows add into a running sum of their own and the
+// partition sums add in order — the one definition of a sum (DESIGN.md
+// §11). Without cuts that is the plain running sum over all the rows,
+// which is what a *Store must answer.
+
+// segments splits an ascending row list at the cuts.
+func segments(idx []int, cuts []int) [][]int {
+	var out [][]int
+	for _, c := range cuts {
+		n := sort.SearchInts(idx, c)
+		out, idx = append(out, idx[:n]), idx[n:]
+	}
+	return append(out, idx)
+}
+
+// cutsOf returns the cuts of the split into the given partitions.
+func cutsOf(parts []*Columns) []int {
+	var cuts []int
+	at := 0
+	for _, c := range parts[:max(len(parts)-1, 0)] {
+		at += c.Len()
+		cuts = append(cuts, at)
+	}
+	return cuts
+}
 
 func (s *Store) baselineMatch(i int, f Filter) bool {
 	switch {
@@ -69,24 +96,31 @@ func (s *Store) baselineNodeHours(i int) float64 {
 	return float64(int(s.c.Nodes[i])) * float64(s.c.End[i]-s.c.Start[i]) / 3600
 }
 
-// baselineAggregate is the old sequential Aggregate.
-func (s *Store) baselineAggregate(m Metric, f Filter) Agg {
+// baselineAggregate is the old sequential Aggregate, one running sum
+// per partition.
+func (s *Store) baselineAggregate(m Metric, f Filter, cuts ...int) Agg {
 	col := s.col(m)
 	agg := Agg{Min: math.Inf(1), Max: math.Inf(-1)}
 	var sw, swx, plain float64
 	idx := s.baselineSelect(f)
-	for _, i := range idx {
-		w := s.baselineNodeHours(i)
-		v := col[i]
-		sw += w
-		swx += w * v
-		plain += v
-		if v < agg.Min {
-			agg.Min = v
+	for _, seg := range segments(idx, cuts) {
+		var psw, pswx, pplain float64
+		for _, i := range seg {
+			w := s.baselineNodeHours(i)
+			v := col[i]
+			psw += w
+			pswx += w * v
+			pplain += v
+			if v < agg.Min {
+				agg.Min = v
+			}
+			if v > agg.Max {
+				agg.Max = v
+			}
 		}
-		if v > agg.Max {
-			agg.Max = v
-		}
+		sw += psw
+		swx += pswx
+		plain += pplain
 	}
 	agg.N = len(idx)
 	agg.NodeHours = sw
@@ -102,83 +136,13 @@ func (s *Store) baselineAggregate(m Metric, f Filter) Agg {
 	}
 	agg.Mean = swx / sw
 	var ss float64
-	for _, i := range idx {
-		d := col[i] - agg.Mean
-		ss += s.baselineNodeHours(i) * d * d
-	}
-	agg.StdDev = math.Sqrt(ss / sw)
-	return agg
-}
-
-// baselineAggregateParallel is the old chunk-merged parallel kernel over
-// a materialized []int selection.
-func (s *Store) baselineAggregateParallel(m Metric, f Filter, workers int) Agg {
-	idx := s.baselineSelect(f)
-	col := s.col(m)
-	agg := Agg{N: len(idx)}
-	if agg.N == 0 {
-		nan := math.NaN()
-		return Agg{Mean: nan, StdDev: nan, Min: nan, Max: nan, UnweightedMean: nan}
-	}
-	chunks := (len(idx) + aggChunk - 1) / aggChunk
-	partials := make([]aggPartial, chunks)
-	runChunks(nil, chunks, workers, func(c int) {
-		lo, hi := c*aggChunk, (c+1)*aggChunk
-		if hi > len(idx) {
-			hi = len(idx)
+	for _, seg := range segments(idx, cuts) {
+		var pss float64
+		for _, i := range seg {
+			d := col[i] - agg.Mean
+			pss += s.baselineNodeHours(i) * d * d
 		}
-		p := aggPartial{min: col[idx[lo]], max: col[idx[lo]]}
-		for _, i := range idx[lo:hi] {
-			w := s.baselineNodeHours(i)
-			v := col[i]
-			p.sw += w
-			p.swx += w * v
-			p.plain += v
-			if v < p.min {
-				p.min = v
-			}
-			if v > p.max {
-				p.max = v
-			}
-		}
-		partials[c] = p
-	})
-	var sw, swx, plain float64
-	agg.Min, agg.Max = partials[0].min, partials[0].max
-	for _, p := range partials {
-		sw += p.sw
-		swx += p.swx
-		plain += p.plain
-		if p.min < agg.Min {
-			agg.Min = p.min
-		}
-		if p.max > agg.Max {
-			agg.Max = p.max
-		}
-	}
-	agg.NodeHours = sw
-	agg.UnweightedMean = plain / float64(agg.N)
-	if sw == 0 {
-		agg.Mean, agg.StdDev = math.NaN(), math.NaN()
-		return agg
-	}
-	agg.Mean = swx / sw
-	mean := agg.Mean
-	runChunks(nil, chunks, workers, func(c int) {
-		lo, hi := c*aggChunk, (c+1)*aggChunk
-		if hi > len(idx) {
-			hi = len(idx)
-		}
-		var ss float64
-		for _, i := range idx[lo:hi] {
-			d := col[i] - mean
-			ss += s.baselineNodeHours(i) * d * d
-		}
-		partials[c].ss = ss
-	})
-	var ss float64
-	for _, p := range partials {
-		ss += p.ss
+		ss += pss
 	}
 	agg.StdDev = math.Sqrt(ss / sw)
 	return agg
@@ -204,48 +168,68 @@ func (s *Store) baselineValues(m Metric, f Filter) (vals, weights []float64) {
 	return vals, weights
 }
 
-func (s *Store) baselineTotalNodeHours(f Filter) float64 {
+func (s *Store) baselineTotalNodeHours(f Filter, cuts ...int) float64 {
 	var sw float64
-	for _, i := range s.baselineSelect(f) {
-		sw += s.baselineNodeHours(i)
+	for _, seg := range segments(s.baselineSelect(f), cuts) {
+		var psw float64
+		for _, i := range seg {
+			psw += s.baselineNodeHours(i)
+		}
+		sw += psw
 	}
 	return sw
 }
 
 // baselineGroupBy is the old string-keyed group-by over materialized
-// records; an out-of-range key groups everything under "".
-func (s *Store) baselineGroupBy(k GroupKey, metrics []Metric, f Filter) []Group {
+// records, one map of running sums per partition merged key by key in
+// partition order; an out-of-range key groups everything under "".
+func (s *Store) baselineGroupBy(k GroupKey, metrics []Metric, f Filter, cuts ...int) []Group {
 	type acc struct {
 		n   int
 		sw  float64
 		swx []float64
 	}
 	accs := map[string]*acc{}
-	for _, i := range s.baselineSelect(f) {
-		r := s.Record(i)
-		key := ""
-		switch k {
-		case ByUser:
-			key = r.User
-		case ByApp:
-			key = r.App
-		case ByScience:
-			key = r.Science
-		case ByCluster:
-			key = r.Cluster
-		case ByStatus:
-			key = r.Status
+	for _, seg := range segments(s.baselineSelect(f), cuts) {
+		part := map[string]*acc{}
+		for _, i := range seg {
+			r := s.Record(i)
+			key := ""
+			switch k {
+			case ByUser:
+				key = r.User
+			case ByApp:
+				key = r.App
+			case ByScience:
+				key = r.Science
+			case ByCluster:
+				key = r.Cluster
+			case ByStatus:
+				key = r.Status
+			}
+			a := part[key]
+			if a == nil {
+				a = &acc{swx: make([]float64, len(metrics))}
+				part[key] = a
+			}
+			w := s.baselineNodeHours(i)
+			a.n++
+			a.sw += w
+			for mj, m := range metrics {
+				a.swx[mj] += w * r.Value(m)
+			}
 		}
-		a := accs[key]
-		if a == nil {
-			a = &acc{swx: make([]float64, len(metrics))}
-			accs[key] = a
-		}
-		w := s.baselineNodeHours(i)
-		a.n++
-		a.sw += w
-		for mj, m := range metrics {
-			a.swx[mj] += w * r.Value(m)
+		for key, p := range part {
+			a := accs[key]
+			if a == nil {
+				a = &acc{swx: make([]float64, len(metrics))}
+				accs[key] = a
+			}
+			a.n += p.n
+			a.sw += p.sw
+			for mj := range metrics {
+				a.swx[mj] += p.swx[mj]
+			}
 		}
 	}
 	out := []Group{}
@@ -279,8 +263,9 @@ func aggParallel(r Reader, m Metric, f Filter, workers int) Agg {
 
 // equivStore builds a store exercising the tricky aggregation inputs:
 // NaN metric values, zero-sample jobs, zero-node-hour jobs (end ==
-// start), negative values, enough rows to span multiple 4096-row
-// chunks, and enough distinct strings to stress the dictionaries.
+// start), negative values and negative zeros, enough rows to cross
+// parallelMinRows, and enough distinct strings to stress the
+// dictionaries.
 func equivStore(n int) *Store {
 	st := New()
 	apps := []string{"namd", "amber", "gromacs", "wrf", "hpl", "charmm", "vasp"}
@@ -334,10 +319,12 @@ var equivFilters = []Filter{
 	{Cluster: "ranger", User: "uc", App: "namd", Science: "Chemistry", Status: "completed", MinSamples: 1, EndAfter: 1, EndBefore: 1 << 40}, // every predicate at once
 }
 
-// TestColumnarAggregateEquivalence proves the columnar kernels are
-// bit-identical to the retired row path — sequential and chunk-merged,
-// indexed and unindexed, for every worker count, including NaN metric
-// values, zero-sample jobs and zero-node-hour jobs.
+// TestColumnarAggregateEquivalence proves the columnar kernel is
+// bit-identical to the retired row path on a *Store — through both
+// entry points, indexed and unindexed, for every worker count,
+// including NaN metric values, zero-sample jobs and zero-node-hour
+// jobs. The reference takes no cuts here: a store's sum is the plain
+// running sum it has always been.
 func TestColumnarAggregateEquivalence(t *testing.T) {
 	for _, indexed := range []bool{false, true} {
 		st := equivStore(10_000)
@@ -351,10 +338,9 @@ func TestColumnarAggregateEquivalence(t *testing.T) {
 					t.Errorf("indexed=%v filter#%d %s: Aggregate %+v != baseline %+v", indexed, fi, m, got, want)
 				}
 				for _, workers := range []int{1, 2, 3, 8} {
-					wantP := st.baselineAggregateParallel(m, f, workers)
-					if got := aggParallel(st, m, f, workers); !aggBitsEqual(got, wantP) {
+					if got := aggParallel(st, m, f, workers); !aggBitsEqual(got, want) {
 						t.Errorf("indexed=%v filter#%d %s workers=%d: AggregateParallelCtx %+v != baseline %+v",
-							indexed, fi, m, workers, got, wantP)
+							indexed, fi, m, workers, got, want)
 					}
 				}
 			}
@@ -389,16 +375,17 @@ func TestColumnarSelectEquivalence(t *testing.T) {
 }
 
 // TestAggregateParallelWorkerInvariance re-pins the daemon's core
-// determinism property on the columnar kernels: any worker count, same
-// bits.
+// determinism property: any worker count, same bits — on a split large
+// enough that the partitions really fan out.
 func TestAggregateParallelWorkerInvariance(t *testing.T) {
 	st := equivStore(20_000)
-	st.BuildIndex()
+	ss := NewShardSet(splitParts(st, []int{1, 900, 4100, 9000, 9001, 15_000, 19_990}))
+	ss.BuildIndex()
 	for _, f := range equivFilters {
-		want := aggParallel(st, MetricFlops, f, 1)
-		for workers := 2; workers <= 9; workers++ {
-			if got := aggParallel(st, MetricFlops, f, workers); !aggBitsEqual(got, want) {
-				t.Fatalf("workers=%d: %+v != workers=1 %+v (filter %+v)", workers, got, want, f)
+		want := ss.Aggregate(MetricFlops, f)
+		for _, workers := range []int{1, 2, 3, 7, 16} {
+			if got := aggParallel(ss, MetricFlops, f, workers); !aggBitsEqual(got, want) {
+				t.Fatalf("workers=%d: %+v != Aggregate %+v (filter %+v)", workers, got, want, f)
 			}
 		}
 	}
@@ -417,18 +404,17 @@ func TestColumnarSpeedupFloor(t *testing.T) {
 	st := floorStore(100_000)
 	st.BuildIndex()
 	broad := Filter{Cluster: "ranger", MinSamples: 1}
-	workers := runtime.GOMAXPROCS(0)
-	if got, want := aggParallel(st, MetricFlops, broad, workers), st.baselineAggregateParallel(MetricFlops, broad, workers); !aggBitsEqual(got, want) {
+	if got, want := st.Aggregate(MetricFlops, broad), st.baselineAggregate(MetricFlops, broad); !aggBitsEqual(got, want) {
 		t.Fatalf("columnar %+v != baseline %+v", got, want)
 	}
 	base := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = st.baselineAggregateParallel(MetricFlops, broad, workers)
+			_ = st.baselineAggregate(MetricFlops, broad)
 		}
 	})
 	columnar := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, _ = st.AggregateParallelCtx(context.Background(), MetricFlops, broad, workers)
+			_ = st.Aggregate(MetricFlops, broad)
 		}
 	})
 	ratio := float64(base.NsPerOp()) / float64(columnar.NsPerOp())
@@ -471,38 +457,31 @@ func floorStore(n int) *Store {
 
 // BenchmarkAggregateColumnar is the committed columnar-kernel benchmark
 // (make bench-store): the broad vacuous-filter sweep and the selective
-// posting-list path through the chunked aggregate, against the retired
-// row-path baseline, plus the serial aggregate, group-by and values
-// kernels on the same two filters — the monolithic *Store figures the
-// one-partition case of the shared kernels is held to.
+// posting-list path through the aggregate, against the retired row-path
+// baseline, plus the group-by and values kernels on the same two
+// filters — the monolithic *Store figures, i.e. the one-partition case
+// of the kernels.
 func BenchmarkAggregateColumnar(b *testing.B) {
 	st := floorStore(100_000)
 	st.BuildIndex()
 	broad := Filter{Cluster: "ranger", MinSamples: 1}
 	selective := Filter{Cluster: "ranger", User: "u042", MinSamples: 1}
-	workers := runtime.GOMAXPROCS(0)
 	b.Run("broad-columnar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _ = st.AggregateParallelCtx(context.Background(), MetricFlops, broad, workers)
+			_ = st.Aggregate(MetricFlops, broad)
 		}
 	})
 	b.Run("broad-rowpath", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = st.baselineAggregateParallel(MetricFlops, broad, workers)
+			_ = st.baselineAggregate(MetricFlops, broad)
 		}
 	})
 	b.Run("selective-columnar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _ = st.AggregateParallelCtx(context.Background(), MetricFlops, selective, workers)
-		}
-	})
-	b.Run("broad-serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = st.Aggregate(MetricFlops, broad)
+			_ = st.Aggregate(MetricFlops, selective)
 		}
 	})
 	b.Run("broad-groupby-user", func(b *testing.B) {
@@ -532,7 +511,7 @@ func BenchmarkAggregateColumnar(b *testing.B) {
 	b.Run("selective-rowpath", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = st.baselineAggregateParallel(MetricFlops, selective, workers)
+			_ = st.baselineAggregate(MetricFlops, selective)
 		}
 	})
 }

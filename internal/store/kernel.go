@@ -11,11 +11,15 @@ import (
 // The query engine (DESIGN.md §11, §14.3): one kernel per Reader method,
 // written over an ordered list of partitions. The logical row space is
 // the concatenation of the partitions in list order, rows in their
-// original order within each; every kernel visits the selected rows in
-// that global order with accumulators carried across partition
-// boundaries, so the answer depends on the row sequence alone — never
-// on where it is cut. A *ShardSet passes its day shards; a *Store
-// passes itself as the one-partition list.
+// original order within each. The row-returning kernels (Select,
+// Records, Values, Scan) depend on that sequence alone. The summing
+// kernels (Aggregate, GroupBy, TotalNodeHours) have one definition of a
+// sum: each partition folds its selected rows serially, in row order,
+// into a partial of its own, and the partials are added in partition
+// order — so a sum depends on the rows and on where they are cut, and
+// on nothing else (not the worker count, not the index, not the filter
+// shape). A *ShardSet passes its day shards; a *Store passes itself as
+// the one-partition list, whose sum is the plain running sum.
 
 // shardSel is one partition's selection with its place in the global
 // selected sequence: end counts the selected rows of this and every
@@ -50,24 +54,6 @@ func selectParts(parts []*Store, f Filter) (sel []shardSel, pruned int) {
 		sel[i].end = end
 	}
 	return sel, pruned
-}
-
-// walkRange visits selected positions [lo,hi) of the global sequence:
-// fn runs once per covered partition, in order, with that partition's
-// selection and the [a,b) positions of it to consume. A 4096-row chunk
-// may span a partition boundary; its accumulator simply carries over.
-func walkRange(parts []*Store, sel []shardSel, lo, hi int, fn func(st *Store, rs rowSet, a, b int)) {
-	si := sort.Search(len(sel), func(k int) bool { return sel[k].end > lo })
-	for pos := lo; pos < hi && si < len(sel); si++ {
-		n := sel[si].len()
-		if n == 0 {
-			continue
-		}
-		base := sel[si].end - n
-		b := min(sel[si].end, hi) - base
-		fn(parts[si], sel[si].rowSet, pos-base, b)
-		pos = base + b
-	}
 }
 
 // selectRows returns the global row indices passing the filter,
@@ -178,43 +164,50 @@ func totalNodeHours(parts []*Store, f Filter) float64 {
 	return sumWeights(parts, sel)
 }
 
-// sumWeights adds the selection's node-hour weights into one running
-// sum in global row order.
+// sumWeights adds the selection's node-hour weights: a running sum per
+// partition in row order, the partition sums added in partition order.
 func sumWeights(parts []*Store, sel []shardSel) float64 {
-	var sw float64
+	var total float64
 	for i, st := range parts {
 		rs := sel[i].rowSet
+		var sw float64
 		if rs.all {
 			for _, w := range st.c.weight[:rs.n] {
 				sw += w
 			}
-			continue
+		} else {
+			for _, r := range rs.idx {
+				sw += st.c.weight[r]
+			}
 		}
-		for _, r := range rs.idx {
-			sw += st.c.weight[r]
-		}
+		total += sw
 	}
-	return sw
+	return total
 }
 
-// aggPartial is one accumulator's running sums: a 4096-row chunk's in
-// the chunked kernel, the whole selection's in the serial one.
+// aggPartial is one partition's sums over its selected rows, and the
+// merged total they add up to.
 type aggPartial struct {
 	sw, swx, plain float64
 	min, max       float64
 	ss             float64 // second pass only
 }
 
-// sumRun folds selected positions [a,b) of one partition into p, in
-// ascending order. The two arms — the contiguous sweep of an all-rows
-// selection and the index-indirect sweep — perform the same operations
-// on the same rows in the same order, so they are bit-identical
-// whenever they see the same selection; the contiguous arm just reads
-// two sequential streams with no row-id indirection.
-func sumRun(p *aggPartial, col, weight []float64, rs rowSet, a, b int) {
+// newPartial is the empty partial. The ±Inf seed, rather than the first
+// selected value, is what keeps a NaN metric value out of min and max
+// wherever it sits: no comparison with NaN ever holds.
+func newPartial() aggPartial { return aggPartial{min: math.Inf(1), max: math.Inf(-1)} }
+
+// sumRun folds one partition's selected rows into p, in ascending
+// order. The two arms — the contiguous sweep of an all-rows selection
+// and the index-indirect sweep — perform the same operations on the
+// same rows in the same order, so they are bit-identical whenever they
+// see the same selection; the contiguous arm just reads two sequential
+// streams with no row-id indirection.
+func sumRun(p *aggPartial, col, weight []float64, rs rowSet) {
 	sw, swx, plain, lo, hi := p.sw, p.swx, p.plain, p.min, p.max
 	if rs.all {
-		for i := a; i < b; i++ {
+		for i := 0; i < rs.n; i++ {
 			w := weight[i]
 			v := col[i]
 			sw += w
@@ -228,7 +221,7 @@ func sumRun(p *aggPartial, col, weight []float64, rs rowSet, a, b int) {
 			}
 		}
 	} else {
-		for _, i := range rs.idx[a:b] {
+		for _, i := range rs.idx {
 			w := weight[i]
 			v := col[i]
 			sw += w
@@ -245,36 +238,22 @@ func sumRun(p *aggPartial, col, weight []float64, rs rowSet, a, b int) {
 	p.sw, p.swx, p.plain, p.min, p.max = sw, swx, plain, lo, hi
 }
 
-// devRun is the second pass over the same positions: it returns ss
-// plus the weighted squared deviations from mean, added in row order.
-func devRun(ss, mean float64, col, weight []float64, rs rowSet, a, b int) float64 {
+// devRun is the second pass over the same rows: the partition's
+// weighted squared deviations from mean, added in row order.
+func devRun(mean float64, col, weight []float64, rs rowSet) float64 {
+	var ss float64
 	if rs.all {
-		for i := a; i < b; i++ {
+		for i := 0; i < rs.n; i++ {
 			d := col[i] - mean
 			ss += weight[i] * d * d
 		}
 		return ss
 	}
-	for _, i := range rs.idx[a:b] {
+	for _, i := range rs.idx {
 		d := col[i] - mean
 		ss += weight[i] * d * d
 	}
 	return ss
-}
-
-// aggFromSums turns the first pass's sums over n > 0 selected rows into
-// an Agg, leaving StdDev for the second pass. Zero total weight has no
-// weighted mean: Mean and StdDev stay NaN and no second pass runs.
-func aggFromSums(n int, p aggPartial) Agg {
-	agg := Agg{
-		N: n, NodeHours: p.sw, Min: p.min, Max: p.max,
-		UnweightedMean: p.plain / float64(n),
-		Mean:           math.NaN(), StdDev: math.NaN(),
-	}
-	if p.sw != 0 {
-		agg.Mean = p.swx / p.sw
-	}
-	return agg
 }
 
 // emptyAgg is the aggregate of an empty selection.
@@ -283,60 +262,25 @@ func emptyAgg() Agg {
 	return Agg{Mean: nan, StdDev: nan, Min: nan, Max: nan, UnweightedMean: nan}
 }
 
-// sumSel folds the whole selection into p, in global row order.
-func sumSel(p *aggPartial, parts []*Store, sel []shardSel, m Metric) {
-	for i, st := range parts {
-		if n := sel[i].len(); n > 0 {
-			sumRun(p, st.col(m), st.c.weight, sel[i].rowSet, 0, n)
-		}
-	}
-}
+// parallelMinRows is the selection size below which the aggregate runs
+// on the calling goroutine whatever workers says: starting goroutines
+// costs more than summing a few thousand rows.
+const parallelMinRows = 4096
 
-// aggregateSerial computes the node-hour-weighted aggregate of metric m
-// over the filtered rows with one running accumulator, strictly in
-// global row order.
-func aggregateSerial(parts []*Store, m Metric, f Filter) Agg {
-	sel, _ := selectParts(parts, f)
-	if selTotal(sel) == 0 {
-		return emptyAgg()
-	}
-	p := aggPartial{min: math.Inf(1), max: math.Inf(-1)}
-	sumSel(&p, parts, sel, m)
-	agg := aggFromSums(selTotal(sel), p)
-	if p.sw == 0 {
-		return agg
-	}
-	var ss float64
-	for i, st := range parts {
-		if n := sel[i].len(); n > 0 {
-			ss = devRun(ss, agg.Mean, st.col(m), st.c.weight, sel[i].rowSet, 0, n)
-		}
-	}
-	agg.StdDev = math.Sqrt(ss / p.sw)
-	return agg
-}
-
-// aggChunk is the fixed accumulation granularity of the chunked
-// aggregation path. Partials are computed per chunk and merged in chunk
-// order, so the result is bit-identical for any worker count — the
-// property the daemon's golden responses rely on.
-const aggChunk = 4096
-
-// aggregateChunked computes the same aggregate as aggregateSerial,
-// accumulating in fixed-size chunks fanned out over up to workers
-// goroutines: chunk c covers selected positions [c*4096, (c+1)*4096)
-// of the global sequence, seeds min/max from its first selected value
-// and merges in chunk order, so the result depends on neither the
-// worker count nor the partitioning (only the last-ulp rounding differs
-// from the serial kernel). workers <= 1 still uses the chunked
-// accumulation, single-threaded.
+// aggregateParts is the aggregate kernel, the only one: the
+// node-hour-weighted aggregate of metric m over the filtered rows. Each
+// partition sums its selected rows into its own partial (sumRun), the
+// partials merge in partition order, and the second pass does the same
+// for the squared deviations from the merged mean. Partitions fan out
+// over up to workers goroutines when the selection is large; every
+// partition writes only its own slot and the merge is serial, so the
+// bits do not depend on workers.
 //
-// Cancellation is cooperative: the chunk scheduler checks ctx between
-// chunks and abandons the aggregation once the deadline passes or the
-// caller gives up, returning ctx's error instead of a half-summed Agg.
-// The check never reorders or splits chunk accumulation, it only
-// decides whether the next chunk runs. A nil ctx never cancels.
-func aggregateChunked(ctx context.Context, parts []*Store, m Metric, f Filter, workers int) (Agg, error) {
+// Cancellation is cooperative: ctx is checked between partitions, so a
+// fired ctx stops the work within one partition per worker and the call
+// returns ctx's error, never a half-summed Agg. A nil ctx never
+// cancels.
+func aggregateParts(ctx context.Context, parts []*Store, m Metric, f Filter, workers int) (Agg, error) {
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
@@ -346,22 +290,25 @@ func aggregateChunked(ctx context.Context, parts []*Store, m Metric, f Filter, w
 	if n == 0 {
 		return emptyAgg(), nil
 	}
-	chunks := (n + aggChunk - 1) / aggChunk
-	partials := make([]aggPartial, chunks)
-	runChunks(done, chunks, workers, func(c int) {
-		var p aggPartial
-		first := true
-		walkRange(parts, sel, c*aggChunk, min((c+1)*aggChunk, n), func(st *Store, rs rowSet, a, b int) {
-			col := st.col(m)
-			if first {
-				p.min, p.max = col[rs.row(a)], col[rs.row(a)]
-				first = false
-			}
-			sumRun(&p, col, st.c.weight, rs, a, b)
-		})
-		partials[c] = p
+	if n < parallelMinRows {
+		workers = 1
+	}
+	// A time window selects a run of adjacent day partitions; only the
+	// run is visited (n > 0: some partition holds a selected row).
+	for sel[0].len() == 0 {
+		parts, sel = parts[1:], sel[1:]
+	}
+	for sel[len(sel)-1].len() == 0 {
+		parts, sel = parts[:len(parts)-1], sel[:len(sel)-1]
+	}
+	partials := make([]aggPartial, len(parts))
+	runChunks(done, len(parts), workers, func(i int) {
+		partials[i] = newPartial()
+		if sel[i].len() > 0 {
+			sumRun(&partials[i], parts[i].col(m), parts[i].c.weight, sel[i].rowSet)
+		}
 	})
-	total := aggPartial{min: partials[0].min, max: partials[0].max}
+	total := newPartial()
 	for _, p := range partials {
 		total.sw += p.sw
 		total.swx += p.swx
@@ -373,15 +320,20 @@ func aggregateChunked(ctx context.Context, parts []*Store, m Metric, f Filter, w
 			total.max = p.max
 		}
 	}
-	agg := aggFromSums(n, total)
+	// Zero total weight has no weighted mean: Mean and StdDev stay NaN
+	// and no second pass runs.
+	agg := Agg{
+		N: n, NodeHours: total.sw, Min: total.min, Max: total.max,
+		UnweightedMean: total.plain / float64(n),
+		Mean:           math.NaN(), StdDev: math.NaN(),
+	}
 	if total.sw != 0 {
-		mean := agg.Mean
-		runChunks(done, chunks, workers, func(c int) {
-			var ss float64
-			walkRange(parts, sel, c*aggChunk, min((c+1)*aggChunk, n), func(st *Store, rs rowSet, a, b int) {
-				ss = devRun(ss, mean, st.col(m), st.c.weight, rs, a, b)
-			})
-			partials[c].ss = ss
+		mean := total.swx / total.sw
+		agg.Mean = mean
+		runChunks(done, len(parts), workers, func(i int) {
+			if sel[i].len() > 0 {
+				partials[i].ss = devRun(mean, parts[i].col(m), parts[i].c.weight, sel[i].rowSet)
+			}
 		})
 		var ss float64
 		for _, p := range partials {
@@ -389,7 +341,7 @@ func aggregateChunked(ctx context.Context, parts []*Store, m Metric, f Filter, w
 		}
 		agg.StdDev = math.Sqrt(ss / total.sw)
 	}
-	// A fired ctx may have skipped chunks: the partials are meaningless.
+	// A fired ctx may have skipped partitions: the partials are meaningless.
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return Agg{}, err
@@ -398,43 +350,43 @@ func aggregateChunked(ctx context.Context, parts []*Store, m Metric, f Filter, w
 	return agg, nil
 }
 
-// groupAcc is one group-by key's running sums.
-type groupAcc struct {
-	key string
-	n   int
-	sw  float64
-	swx []float64 // parallel to metrics
+// groupSums holds group-by sums for a run of slots — one partition's
+// dictionary codes, or the merged keys: n[s] rows, and at
+// sums[s*stride:(s+1)*stride] their weight sum followed by one
+// weighted sum per metric.
+type groupSums struct {
+	stride int
+	n      []int
+	sums   []float64
 }
 
+func (g groupSums) at(s int) []float64 { return g.sums[s*g.stride : (s+1)*g.stride] }
+
 // groupRows computes node-hour-weighted means of the metrics per group
-// over the filtered rows, sorted by descending node-hours. Accumulation
-// runs in global row order into one slot per distinct key, so every
-// key's running sums see their rows in that order. No row pays a string
-// lookup: the first partition's dictionary codes are the slot numbers
-// (so a one-partition store runs the direct code-indexed loop; sending
-// it through a table too measured 15% slower on a 100k-row group-by),
-// and each later partition — its dictionary is independent — routes its
-// codes through a code→slot table resolved from the key strings before
-// its row loop.
+// over the filtered rows, sorted by descending node-hours. It is the
+// aggregate's definition per key: every partition folds its selected
+// rows, in row order, into sums indexed directly by its own dictionary
+// codes (groupRun — no row pays a string lookup), then the codes that
+// took a row merge into their keys' totals, in partition order, at one
+// map lookup per (partition, key).
 func groupRows(parts []*Store, k GroupKey, metrics []Metric, f Filter) []Group {
 	sel, _ := selectParts(parts, f)
 	if len(parts) > 0 && parts[0].keyColumn(k) == nil {
 		return groupAll(parts, sel, metrics)
 	}
-	nm := len(metrics)
-	var accs []groupAcc
-	var slotOf map[string]int32 // key → slot, built when a second partition needs it
-	slot := func(key string) int32 {
-		s, ok := slotOf[key]
-		if !ok {
-			s = int32(len(accs))
-			slotOf[key] = s
-			accs = append(accs, groupAcc{key: key, swx: make([]float64, nm)})
+	stride := 1 + len(metrics)
+	codes := 0 // the largest dictionary among the partitions holding a selected row
+	for pi, st := range parts {
+		if sel[pi].len() > 0 {
+			codes = max(codes, len(st.keyColumn(k).Values))
 		}
-		return s
 	}
-	var table []int32 // this partition's dictionary code → slot+1; 0 = unresolved
-	cols := make([][]float64, nm)
+	// local is all zero between partitions: merging a code clears it.
+	local := groupSums{stride, make([]int, codes), make([]float64, codes*stride)}
+	total := groupSums{stride, make([]int, 0, codes), make([]float64, 0, codes*stride)}
+	keys := make([]string, 0, codes)
+	slotOf := make(map[string]int, codes)
+	cols := make([][]float64, len(metrics))
 	for pi, st := range parts {
 		rs := sel[pi].rowSet
 		if rs.len() == 0 {
@@ -444,53 +396,46 @@ func groupRows(parts []*Store, k GroupKey, metrics []Metric, f Filter) []Group {
 		for j, m := range metrics {
 			cols[j] = st.col(m)
 		}
-		if accs == nil {
-			accs = make([]groupAcc, len(kc.Values))
-			sums := make([]float64, len(kc.Values)*nm)
-			for s, key := range kc.Values {
-				accs[s] = groupAcc{key: key, swx: sums[s*nm : (s+1)*nm]}
+		groupRun(local, kc.Codes, rs, st.c.weight, cols)
+		merge := func(code uint32) {
+			n := local.n[code]
+			if n == 0 {
+				return // a value no selected row carries, or one already merged
 			}
-			groupRun(accs, nil, kc.Codes, rs, st.c.weight, cols)
-			continue
-		}
-		if slotOf == nil {
-			slotOf = make(map[string]int32, len(accs))
-			for s := range accs {
-				slotOf[accs[s].key] = int32(s)
+			l := local.at(int(code))
+			key := kc.Values[code]
+			if s, ok := slotOf[key]; ok {
+				total.n[s] += n
+				t := total.at(s)
+				for j, x := range l {
+					t[j] += x
+				}
+			} else {
+				// A key's first partial is its total so far.
+				slotOf[key] = len(keys)
+				keys = append(keys, key)
+				total.n = append(total.n, n)
+				total.sums = append(total.sums, l...)
 			}
+			local.n[code] = 0
+			clear(l)
 		}
-		// Resolve every code the selection holds before the row loop, which
-		// then has no call and no growing slice in it: all of them when
-		// every row is selected, else on first sight over the row ids.
-		table = append(table[:0], make([]int32, len(kc.Values))...)
+		// Visit the touched codes without sweeping the whole dictionary
+		// for a handful of rows: by code when every row is selected, else
+		// through the row ids (a code merges on first sight).
 		if rs.all {
-			for code, key := range kc.Values {
-				table[code] = slot(key) + 1
+			for code := range kc.Values {
+				merge(uint32(code))
 			}
 		} else {
 			for _, r := range rs.idx {
-				if code := kc.Codes[r]; table[code] == 0 {
-					table[code] = slot(kc.Values[code]) + 1
-				}
+				merge(kc.Codes[r])
 			}
 		}
-		groupRun(accs, table, kc.Codes, rs, st.c.weight, cols)
 	}
-	out := make([]Group, 0, len(accs))
-	for s := range accs {
-		a := &accs[s]
-		if a.n == 0 {
-			continue // a dictionary value none of the selected rows carries
-		}
-		g := Group{Key: a.key, N: a.n, NodeHours: a.sw, Mean: make(map[Metric]float64, nm)}
-		for mj, m := range metrics {
-			if a.sw > 0 {
-				g.Mean[m] = a.swx[mj] / a.sw
-			} else {
-				g.Mean[m] = math.NaN()
-			}
-		}
-		out = append(out, g)
+	out := make([]Group, len(keys))
+	for s, key := range keys {
+		out[s] = newGroup(key, total.n[s], total.at(s)[0], total.at(s)[1:], metrics)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].NodeHours != out[j].NodeHours {
@@ -501,44 +446,53 @@ func groupRows(parts []*Store, k GroupKey, metrics []Metric, f Filter) []Group {
 	return out
 }
 
-// groupRun folds one partition's selected rows into their keys' slots,
-// in ascending row order. A nil table means the codes are the slots;
-// otherwise table holds slot+1 for every code the selection carries.
-func groupRun(accs []groupAcc, table []int32, codes []uint32, rs rowSet, weight []float64, cols [][]float64) {
+// newGroup turns one key's merged sums into its Group.
+func newGroup(key string, n int, sw float64, swx []float64, metrics []Metric) Group {
+	g := Group{Key: key, N: n, NodeHours: sw, Mean: make(map[Metric]float64, len(metrics))}
+	for j, m := range metrics {
+		if sw > 0 {
+			g.Mean[m] = swx[j] / sw
+		} else {
+			g.Mean[m] = math.NaN()
+		}
+	}
+	return g
+}
+
+// groupRun folds one partition's selected rows into the sums of their
+// dictionary codes, in ascending row order.
+func groupRun(g groupSums, codes []uint32, rs rowSet, weight []float64, cols [][]float64) {
 	for j, n := 0, rs.len(); j < n; j++ {
 		i := rs.row(j)
-		s := codes[i]
-		if table != nil {
-			s = uint32(table[s] - 1)
-		}
-		a := &accs[s]
+		c := int(codes[i])
+		a := g.at(c)
 		w := weight[i]
-		a.n++
-		a.sw += w
+		g.n[c]++
+		a[0] += w
 		for mj, col := range cols {
-			a.swx[mj] += w * col[i]
+			a[1+mj] += w * col[i]
 		}
 	}
 }
 
 // groupAll handles an out-of-range GroupKey: every selected row lands
-// in the "" bucket, whose sums per metric are the serial aggregate's
-// first pass.
+// in the "" bucket, whose sums per metric are the aggregate's first
+// pass.
 func groupAll(parts []*Store, sel []shardSel, metrics []Metric) []Group {
 	if selTotal(sel) == 0 {
 		return []Group{}
 	}
-	g := Group{Key: "", N: selTotal(sel), NodeHours: sumWeights(parts, sel), Mean: make(map[Metric]float64, len(metrics))}
-	for _, m := range metrics {
-		var p aggPartial
-		sumSel(&p, parts, sel, m)
-		if p.sw > 0 {
-			g.Mean[m] = p.swx / p.sw
-		} else {
-			g.Mean[m] = math.NaN()
+	swx := make([]float64, len(metrics))
+	for j, m := range metrics {
+		for i, st := range parts {
+			if sel[i].len() > 0 {
+				p := newPartial()
+				sumRun(&p, st.col(m), st.c.weight, sel[i].rowSet)
+				swx[j] += p.swx
+			}
 		}
 	}
-	return []Group{g}
+	return []Group{newGroup("", selTotal(sel), sumWeights(parts, sel), swx, metrics)}
 }
 
 // runChunks executes fn(c) for every chunk index, on up to workers

@@ -251,6 +251,21 @@ func (s *Store) partitionByEndDay() ([]int64, []*Columns) {
 	return days, cols
 }
 
+// DayShards returns the store's rows as the in-memory form of the shard
+// set WriteShardDir writes: one shard per job-end day, days ascending,
+// rows in their existing order within each day. A sum depends on where
+// the rows are cut (kernel.go), so a loader that read a monolithic file
+// serves it through here to answer with the bits of one that read the
+// shard files.
+func (s *Store) DayShards() *ShardSet {
+	days, cols := s.partitionByEndDay()
+	ss := NewShardSet(cols)
+	for i, sh := range ss.shards {
+		sh.info.ID = days[i]
+	}
+	return ss
+}
+
 // WriteShardDir writes the store's time-partitioned form into dir: one
 // shard-<epochday>.supremm per job-end day plus MANIFEST.supremm. Each
 // file lands atomically (temp + fsync + rename + directory fsync, see

@@ -248,16 +248,18 @@ func (s *Store) Select(f Filter) []int { return selectRows([]*Store{s}, f) }
 func (s *Store) Records(f Filter) []JobRecord { return selectRecords([]*Store{s}, f) }
 
 // Aggregate computes the node-hour-weighted aggregate of metric m over
-// rows passing the filter, accumulating strictly in ascending row
-// order.
-func (s *Store) Aggregate(m Metric, f Filter) Agg { return aggregateSerial([]*Store{s}, m, f) }
+// rows passing the filter: one running sum in ascending row order (a
+// store is one partition of aggregateParts).
+func (s *Store) Aggregate(m Metric, f Filter) Agg {
+	agg, _ := aggregateParts(nil, []*Store{s}, m, f, 1) // a nil ctx never fails
+	return agg
+}
 
-// AggregateParallelCtx computes the same aggregate in fixed 4096-row
-// chunks on up to workers goroutines, bit-identical for any worker
-// count, abandoning the work with ctx's error once ctx fires (see
-// aggregateChunked).
+// AggregateParallelCtx is Aggregate under a context: the same bits, or
+// ctx's error once ctx fires. A store is one partition, so workers has
+// nothing to fan out over.
 func (s *Store) AggregateParallelCtx(ctx context.Context, m Metric, f Filter, workers int) (Agg, error) {
-	return aggregateChunked(ctx, []*Store{s}, m, f, workers)
+	return aggregateParts(ctx, []*Store{s}, m, f, workers)
 }
 
 // GroupBy computes node-hour-weighted means of the metrics per group,

@@ -8,12 +8,21 @@ import (
 
 // Reader is the query surface shared by the monolithic *Store and the
 // time-partitioned *ShardSet. Everything above the store layer (core,
-// serve, anomaly) consumes this interface, so the daemon can swap a
-// sharded backing in without the analyses noticing: for any shard
-// split, every method answers bit-identically to the monolithic store
-// holding the same rows in the same global order — both run the one
+// serve, anomaly) consumes this interface. Both types run the one
 // kernel family of kernel.go, which TestShardDifferentialEquivalence
 // checks against a naive row reference.
+//
+// The row-returning methods (Len, Record, Records, Select, Scan,
+// Values) depend only on the rows and their global order. The summing
+// methods (Aggregate, AggregateParallelCtx, GroupBy, TotalNodeHours)
+// have one definition: a serial sum per partition, the partition sums
+// added in partition order. A *Store is one partition; a *ShardSet has
+// one per shard, so its sums follow its split in the last ulps (N, Min
+// and Max never move) — which is why everything that serves queries
+// holds the same split, the job-end day (Store.DayShards), whatever
+// file the rows came from. The two aggregate entry points return the
+// same bits; the Ctx one adds cancellation and a worker count that
+// only schedules.
 type Reader interface {
 	Len() int
 	Record(i int) JobRecord
@@ -171,13 +180,17 @@ func (ss *ShardSet) Values(m Metric, f Filter) (vals, weights []float64) {
 func (ss *ShardSet) TotalNodeHours(f Filter) float64 { return totalNodeHours(ss.parts, f) }
 
 // Aggregate computes the node-hour-weighted aggregate of metric m over
-// the filtered rows, strictly in global row order.
-func (ss *ShardSet) Aggregate(m Metric, f Filter) Agg { return aggregateSerial(ss.parts, m, f) }
+// the filtered rows: per-shard serial sums merged in shard order.
+func (ss *ShardSet) Aggregate(m Metric, f Filter) Agg {
+	agg, _ := aggregateParts(nil, ss.parts, m, f, 1) // a nil ctx never fails
+	return agg
+}
 
-// AggregateParallelCtx is the chunked, cancellable aggregate over the
-// global selected sequence (see aggregateChunked).
+// AggregateParallelCtx is Aggregate with the shards fanned out over up
+// to workers goroutines, under a context: the same bits for any worker
+// count, or ctx's error once ctx fires (see aggregateParts).
 func (ss *ShardSet) AggregateParallelCtx(ctx context.Context, m Metric, f Filter, workers int) (Agg, error) {
-	return aggregateChunked(ctx, ss.parts, m, f, workers)
+	return aggregateParts(ctx, ss.parts, m, f, workers)
 }
 
 // GroupBy computes node-hour-weighted means per group over the

@@ -2,10 +2,12 @@ package store
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 )
 
@@ -76,10 +78,11 @@ func floatsBitsEqual(a, b []float64) bool {
 
 // checkAgainstBaseline asserts that r answers every Reader query method
 // bit-identically to the naive row reference computed over ref, which
-// holds the same rows in the same global order: Select, Records,
-// TotalNodeHours, serial and chunked aggregates (workers 1–6), Values
-// and GroupBy over all five keys plus an out-of-range one.
-func checkAgainstBaseline(t *testing.T, label string, r Reader, ref *Store, metrics []Metric) {
+// holds the same rows in the same global order, cut where r is cut:
+// Select, Records, Scan/Walk and Values (which no cut can move),
+// TotalNodeHours, Aggregate through both entry points and GroupBy over
+// all five keys plus an out-of-range one (whose sums follow the cuts).
+func checkAgainstBaseline(t *testing.T, label string, r Reader, ref *Store, cuts []int, metrics []Metric) {
 	t.Helper()
 	keys := []GroupKey{ByUser, ByApp, ByScience, ByCluster, ByStatus, GroupKey(99)}
 	for fi, f := range equivFilters {
@@ -110,7 +113,7 @@ func checkAgainstBaseline(t *testing.T, label string, r Reader, ref *Store, metr
 				fail("Records")
 			}
 		}
-		if math.Float64bits(r.TotalNodeHours(f)) != math.Float64bits(ref.baselineTotalNodeHours(f)) {
+		if math.Float64bits(r.TotalNodeHours(f)) != math.Float64bits(ref.baselineTotalNodeHours(f, cuts...)) {
 			fail("TotalNodeHours")
 		}
 		// The row walk visits exactly the baseline's rows, in its order,
@@ -136,15 +139,14 @@ func checkAgainstBaseline(t *testing.T, label string, r Reader, ref *Store, metr
 			fail("Walk row count")
 		}
 		for _, m := range metrics {
-			// Serial compares against serial and chunked against
-			// chunked: the two kernels accumulate in different orders by
-			// design (fixed 4096-row chunks vs one running sum).
-			if got := r.Aggregate(m, f); !aggBitsEqual(got, ref.baselineAggregate(m, f)) {
+			want := ref.baselineAggregate(m, f, cuts...)
+			if got := r.Aggregate(m, f); !aggBitsEqual(got, want) {
 				fail("Aggregate " + string(m))
 			}
-			wantPar := ref.baselineAggregateParallel(m, f, 4)
-			for w := 1; w <= 6; w++ {
-				if got := aggParallel(r, m, f, w); !aggBitsEqual(got, wantPar) {
+			// One kernel behind both entry points: the worker count only
+			// decides who sums which partition.
+			for _, w := range []int{1, 2, 7} {
+				if got := aggParallel(r, m, f, w); !aggBitsEqual(got, want) {
 					fail(fmt.Sprintf("AggregateParallelCtx %s workers=%d", m, w))
 				}
 			}
@@ -156,7 +158,7 @@ func checkAgainstBaseline(t *testing.T, label string, r Reader, ref *Store, metr
 		}
 		for _, k := range keys {
 			got := r.GroupBy(k, metrics[:2], f)
-			if got == nil || !groupsBitsEqual(got, ref.baselineGroupBy(k, metrics[:2], f)) {
+			if got == nil || !groupsBitsEqual(got, ref.baselineGroupBy(k, metrics[:2], f, cuts...)) {
 				fail(fmt.Sprintf("GroupBy key %d", k))
 			}
 		}
@@ -167,19 +169,20 @@ func checkAgainstBaseline(t *testing.T, label string, r Reader, ref *Store, metr
 // one-shard *Store (indexed and not) and, for seeded random split
 // points, an N-shard ShardSet must each answer every query API
 // bit-identically to the naive row reference over the same rows in the
-// same order — serial and parallel, any worker count, selective and
-// broad filters, indexed or not. *Store and *ShardSet run the same
+// same order, cut at the same places — selective and broad filters,
+// indexed or not, any worker count. *Store and *ShardSet run the same
 // kernels, so comparing one with the other would prove nothing; the
-// row baseline shares no code with them. This is the invariant that
-// lets the serve layer treat the two backings as interchangeable.
+// row baseline shares no code with them. The *Store rows take no cuts:
+// its answers are the plain running sums they were before sums had a
+// split to depend on.
 func TestShardDifferentialEquivalence(t *testing.T) {
 	const rows = 5000
 	ref := equivStore(rows) // unindexed: the baseline scans
 	st := equivStore(rows)
 	metrics := []Metric{MetricCPUIdle, MetricMemUsed, MetricFlops, MetricRead}
-	checkAgainstBaseline(t, "one-shard store, unindexed", st, ref, metrics)
+	checkAgainstBaseline(t, "one-shard store, unindexed", st, ref, nil, metrics)
 	st.BuildIndex() // indexing never changes results
-	checkAgainstBaseline(t, "one-shard store, indexed", st, ref, metrics)
+	checkAgainstBaseline(t, "one-shard store, indexed", st, ref, nil, metrics)
 
 	rng := rand.New(rand.NewSource(1))
 	trials := 25
@@ -194,51 +197,133 @@ func TestShardDifferentialEquivalence(t *testing.T) {
 			ss.BuildIndex()
 		}
 		label := fmt.Sprintf("trial %d (cuts %v, indexed %v)", trial, cuts, ss.HasIndex())
-		checkAgainstBaseline(t, label, ss, ref, metrics)
+		checkAgainstBaseline(t, label, ss, ref, cuts, metrics)
 	}
 }
 
 // TestShardDifferentialDayParts pins the production split — partition
-// by end day, exactly what WriteShardDir writes — and the same store
-// reordered by day, against the row baseline, including parallel paths
-// under every worker count a small machine would see.
+// by end day, exactly what WriteShardDir writes and what the daemon
+// holds whatever file it loaded — against the row baseline cut at the
+// day boundaries, and the same rows as one store against the uncut one.
 func TestShardDifferentialDayParts(t *testing.T) {
+	ref := multiDayStore(4000)
 	st := multiDayStore(4000)
 	st.BuildIndex()
 	_, cols := st.partitionByEndDay()
+	if len(cols) < 3 {
+		t.Fatalf("fixture spans %d days, want >= 3", len(cols))
+	}
 	ss := NewShardSet(cols)
 	ss.BuildIndex()
+	metrics := []Metric{MetricCPUIdle, MetricMemUsed, MetricFlops}
+	checkAgainstBaseline(t, "day split", ss, ref, cutsOf(cols), metrics)
+	checkAgainstBaseline(t, "monolithic", st, ref, nil, metrics)
+}
+
+// TestSplitMovesOnlyLastUlps bounds what a split can change: the
+// selection is the same, so N, Min and Max are exact, and every sum is
+// the same additions regrouped, so it moves by rounding only — within
+// 1e-12 relative on a multi-day corpus.
+func TestSplitMovesOnlyLastUlps(t *testing.T) {
+	st := multiDayStore(20_000)
+	_, cols := st.partitionByEndDay()
+	ss := NewShardSet(cols)
+	near := func(a, b float64) bool {
+		return a == b || math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
+	}
+	metrics := []Metric{MetricCPUIdle, MetricMemUsed, MetricFlops}
+	moved := 0
 	for _, f := range equivFilters {
-		for _, m := range []Metric{MetricCPUIdle, MetricMemUsed, MetricFlops} {
-			want := st.baselineAggregateParallel(m, f, 2)
-			for w := 1; w <= 6; w++ {
-				if got := aggParallel(ss, m, f, w); !aggBitsEqual(got, want) {
-					t.Fatalf("day split, %s, %d workers, %+v: parallel diverges", m, w, f)
-				}
-				if got := aggParallel(st, m, f, w); !aggBitsEqual(got, want) {
-					t.Fatalf("monolithic, %s, %d workers, %+v: parallel diverges", m, w, f)
-				}
+		if a, b := st.TotalNodeHours(f), ss.TotalNodeHours(f); !near(a, b) {
+			t.Errorf("%+v: TotalNodeHours %v vs %v", f, a, b)
+		}
+		for _, m := range metrics {
+			a, b := st.Aggregate(m, f), ss.Aggregate(m, f)
+			if a.N != b.N || math.Float64bits(a.Min) != math.Float64bits(b.Min) || math.Float64bits(a.Max) != math.Float64bits(b.Max) {
+				t.Errorf("%s %+v: N/Min/Max moved: %+v vs %+v", m, f, a, b)
 			}
-			wantSerial := st.baselineAggregate(m, f)
-			if got := ss.Aggregate(m, f); !aggBitsEqual(got, wantSerial) {
-				t.Fatalf("day split, %s, %+v: serial diverges", m, f)
+			if a.N == 0 {
+				continue
 			}
-			if got := st.Aggregate(m, f); !aggBitsEqual(got, wantSerial) {
-				t.Fatalf("monolithic, %s, %+v: serial diverges", m, f)
+			if !near(a.NodeHours, b.NodeHours) || !near(a.Mean, b.Mean) || !near(a.StdDev, b.StdDev) || !near(a.UnweightedMean, b.UnweightedMean) {
+				t.Errorf("%s %+v: sums moved by more than 1e-12: %+v vs %+v", m, f, a, b)
+			}
+			if !aggBitsEqual(a, b) {
+				moved++
+			}
+		}
+		mono := map[string]Group{}
+		for _, g := range st.GroupBy(ByUser, metrics, f) {
+			mono[g.Key] = g
+		}
+		split := ss.GroupBy(ByUser, metrics, f)
+		if len(split) != len(mono) {
+			t.Fatalf("%+v: %d groups vs %d", f, len(split), len(mono))
+		}
+		for _, g := range split {
+			w := mono[g.Key]
+			if g.N != w.N || !near(g.NodeHours, w.NodeHours) {
+				t.Errorf("%+v user %s: %+v vs %+v", f, g.Key, g, w)
+			}
+			for _, m := range metrics {
+				if !near(g.Mean[m], w.Mean[m]) {
+					t.Errorf("%+v user %s %s: %v vs %v", f, g.Key, m, g.Mean[m], w.Mean[m])
+				}
 			}
 		}
 	}
+	if moved == 0 {
+		t.Error("no aggregate moved at all: the fixture does not exercise the split")
+	}
 }
 
-// TestShardAggregateCtxCancel mirrors the monolithic contract: a
-// cancelled context aborts the cross-shard aggregation with an error.
+// TestShardAggregateCtxCancel: a cancelled context aborts the
+// cross-shard aggregation with ctx's error and the zero Agg — before
+// the run, or in the middle of it, where the scheduler stops within one
+// shard per worker.
 func TestShardAggregateCtxCancel(t *testing.T) {
 	st := equivStore(3000)
 	_, cols := st.partitionByEndDay()
 	ss := NewShardSet(cols)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ss.AggregateParallelCtx(ctx, MetricCPUIdle, Filter{}, 4); err == nil {
-		t.Error("cancelled context did not abort cross-shard aggregation")
+	if got, err := ss.AggregateParallelCtx(ctx, MetricCPUIdle, Filter{}, 4); !errors.Is(err, context.Canceled) || got != (Agg{}) {
+		t.Errorf("cancelled context: %+v, %v; want the zero Agg and context.Canceled", got, err)
+	}
+
+	// Mid-run, at the scheduler: once done fires during the tenth shard,
+	// every worker finishes at most the shard it holds.
+	for _, workers := range []int{1, 2, 4} {
+		done := make(chan struct{})
+		var calls atomic.Int64
+		runChunks(done, 1000, workers, func(int) {
+			if calls.Add(1) == 10 {
+				close(done)
+			}
+		})
+		if n := calls.Load(); n < 10 || n > 10+int64(workers) {
+			t.Errorf("workers=%d: %d shards ran after a cancel during the 10th", workers, n)
+		}
+	}
+
+	// Mid-run, end to end: a cancel racing the kernel yields the whole
+	// answer or ctx's error, never a half-summed Agg.
+	many := make([]*Columns, 400)
+	for i := range many {
+		many[i] = cols[i%len(cols)]
+	}
+	wide := NewShardSet(many)
+	want := wide.Aggregate(MetricCPUIdle, Filter{})
+	for i := 0; i < 60; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		go cancel()
+		got, err := wide.AggregateParallelCtx(ctx, MetricCPUIdle, Filter{}, 1+i%4)
+		cancel()
+		switch {
+		case err == nil && aggBitsEqual(got, want):
+		case errors.Is(err, context.Canceled) && got == (Agg{}):
+		default:
+			t.Fatalf("racing cancel: %+v, %v", got, err)
+		}
 	}
 }

@@ -41,7 +41,7 @@ func (g *gzipFile) Close() error {
 }
 
 // GzipReader wraps a raw-file reader for parsing compressed files:
-// ParseFile(GzipReader(f)).
+// ParseStream(GzipReader(f), fn).
 func GzipReader(r io.Reader) (io.ReadCloser, error) {
 	return gzip.NewReader(r)
 }

@@ -42,7 +42,7 @@ func TestGzipRotateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer zr.Close()
-	f, err := ParseFile(zr)
+	f, err := parseFile(zr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,10 +126,10 @@ func (w *Writer) printString(s string) error {
 }
 
 // Record is one parsed sample: a timestamp, an optional job mark, and
-// the counter values. Records built by ParseFile carry the nested Data
-// view; records delivered by ParseStream instead store their values in a
-// flat array described by the per-file Layout (see Flat/Layout) and have
-// a nil Data map.
+// the counter values. Records delivered by ParseStream store their
+// values in a flat array described by the per-file Layout (see
+// Flat/Layout) and have a nil Data map; Materialize builds the nested
+// Data view.
 type Record struct {
 	Time int64
 	// Mark is "", "begin", "end" or "rotate".
@@ -182,28 +182,13 @@ func (r *Record) Materialize() Record {
 	return out
 }
 
-// File is a fully parsed raw file.
+// File is a raw file's header and schemas, as ParseStream returns them
+// once every record has been delivered.
 type File struct {
 	Hostname string
 	Arch     string
 	Version  string
 	Schemas  map[string]procfs.Schema
-	Records  []Record
-}
-
-// ParseFile reads a complete raw file, materializing every record. It is
-// a compatibility wrapper over the streaming fast path (ParseStream).
-func ParseFile(r io.Reader) (*File, error) {
-	var recs []Record
-	f, err := ParseStream(r, func(rec *Record) error {
-		recs = append(recs, rec.Materialize())
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	f.Records = recs
-	return f, nil
 }
 
 // parseSchemaLine parses "!name key[,E][,U=unit] ..." by walking the

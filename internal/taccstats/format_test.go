@@ -2,12 +2,34 @@ package taccstats
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
 	"supremm/internal/cluster"
 	"supremm/internal/procfs"
 )
+
+// parsedFile is a raw file with every record materialized: the shape
+// the tests read records from.
+type parsedFile struct {
+	*File
+	Records []Record
+}
+
+// parseFile reads a complete raw file through ParseStream, keeping a
+// materialized copy of every record.
+func parseFile(r io.Reader) (*parsedFile, error) {
+	var recs []Record
+	f, err := ParseStream(r, func(rec *Record) error {
+		recs = append(recs, rec.Materialize())
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &parsedFile{File: f, Records: recs}, nil
+}
 
 func rangerSnap() *procfs.Snapshot {
 	cfg := cluster.RangerConfig()
@@ -42,7 +64,7 @@ func TestWriteAndParseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := ParseFile(&buf)
+	f, err := parseFile(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +132,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 		{"short data line", header + "100\ncpu 0\n"},
 	}
 	for _, c := range bad {
-		if _, err := ParseFile(strings.NewReader(c.content)); err == nil {
+		if _, err := parseFile(strings.NewReader(c.content)); err == nil {
 			t.Errorf("%s: expected parse error", c.name)
 		}
 	}
@@ -118,7 +140,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 
 func TestParseToleratesUnknownHeadersAndBlanks(t *testing.T) {
 	content := "$tacc_stats 2.0\n$hostname h\n$future stuff\n\n!cpu user,E\n100\ncpu 0 7\n\n"
-	f, err := ParseFile(strings.NewReader(content))
+	f, err := parseFile(strings.NewReader(content))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +154,7 @@ func TestParseToleratesUnknownHeadersAndBlanks(t *testing.T) {
 
 func TestRotateMark(t *testing.T) {
 	content := "$tacc_stats 2.0\n!cpu user,E\n100 rotate\ncpu 0 1\n"
-	f, err := ParseFile(strings.NewReader(content))
+	f, err := parseFile(strings.NewReader(content))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +165,7 @@ func TestRotateMark(t *testing.T) {
 
 func TestRecordGetMisses(t *testing.T) {
 	content := "$tacc_stats 2.0\n!cpu user,E\n100\ncpu 0 1\n"
-	f, err := ParseFile(strings.NewReader(content))
+	f, err := parseFile(strings.NewReader(content))
 	if err != nil {
 		t.Fatal(err)
 	}

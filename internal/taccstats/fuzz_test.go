@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"supremm/internal/faultinject"
+	"supremm/internal/procfs"
 )
 
 var updateCorpus = flag.Bool("update-corpus", false,
@@ -141,25 +142,39 @@ func TestSeedCorpusCommitted(t *testing.T) {
 	}
 }
 
-// FuzzParseFile throws mutated raw files at both parser entry points:
-// neither may panic, both must agree on accept/reject, and on accepted
-// inputs the streamed records (materialized) must equal the ParseFile
-// records exactly.
+// FuzzParseFile throws mutated raw files at the parser: it may not
+// panic, two passes must agree on accept/reject and on every
+// materialized record, and on accepted inputs each streamed record's
+// layout-resolved reads must equal its materialized copy's.
 func FuzzParseFile(f *testing.F) {
 	for _, seed := range fuzzSeedCorpus(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pf, errFile := ParseFile(bytes.NewReader(data))
+		pf, errFile := parseFile(bytes.NewReader(data))
 
 		var streamed []Record
 		sf, errStream := ParseStream(bytes.NewReader(data), func(rec *Record) error {
-			streamed = append(streamed, rec.Materialize())
+			m := rec.Materialize()
+			for typ, devs := range m.Data {
+				schemas := map[string]procfs.Schema{typ: rec.Layout().byName[typ].schema}
+				for dev := range devs {
+					for _, k := range schemas[typ] {
+						got, gok := rec.Get(nil, typ, dev, k.Name)
+						want, wok := m.Get(schemas, typ, dev, k.Name)
+						if got != want || gok != wok {
+							t.Fatalf("record %d %s/%s/%s: streamed %d (%v), materialized %d (%v)",
+								len(streamed), typ, dev, k.Name, got, gok, want, wok)
+						}
+					}
+				}
+			}
+			streamed = append(streamed, m)
 			return nil
 		})
 
 		if (errFile == nil) != (errStream == nil) {
-			t.Fatalf("ParseFile err=%v, ParseStream err=%v", errFile, errStream)
+			t.Fatalf("first pass err=%v, second pass err=%v", errFile, errStream)
 		}
 		if errFile != nil {
 			return
@@ -170,13 +185,8 @@ func FuzzParseFile(f *testing.F) {
 		if !reflect.DeepEqual(pf.Schemas, sf.Schemas) {
 			t.Fatalf("schemas differ")
 		}
-		if len(pf.Records) != len(streamed) {
-			t.Fatalf("record counts differ: %d vs %d", len(pf.Records), len(streamed))
-		}
-		for i := range streamed {
-			if !reflect.DeepEqual(pf.Records[i], streamed[i]) {
-				t.Fatalf("record %d differs:\n file   %+v\n stream %+v", i, pf.Records[i], streamed[i])
-			}
+		if !reflect.DeepEqual(pf.Records, streamed) {
+			t.Fatalf("two passes materialized different records:\n first  %+v\n second %+v", pf.Records, streamed)
 		}
 	})
 }

@@ -60,7 +60,7 @@ func TestMonitorJobLifecycle(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ParseFile(bytes.NewReader(files.buffers[0].Bytes()))
+	f, err := parseFile(bytes.NewReader(files.buffers[0].Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestPMCReprogramOnlyAtJobBegin(t *testing.T) {
 	}
 	m.Close()
 
-	f, err := ParseFile(bytes.NewReader(files.buffers[0].Bytes()))
+	f, err := parseFile(bytes.NewReader(files.buffers[0].Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestDailyRotation(t *testing.T) {
 	}
 	// Each file is independently parseable (self-describing headers).
 	for day, buf := range files.buffers {
-		f, err := ParseFile(bytes.NewReader(buf.Bytes()))
+		f, err := parseFile(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("day %d: %v", day, err)
 		}

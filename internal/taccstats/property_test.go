@@ -60,7 +60,7 @@ func TestFormatPropertyRoundTrip(t *testing.T) {
 		if err := w.WriteRecord(snap, fmt.Sprintf("begin %d", jobID)); err != nil {
 			return false
 		}
-		parsed, err := ParseFile(&buf)
+		parsed, err := parseFile(&buf)
 		if err != nil {
 			return false
 		}
@@ -94,7 +94,7 @@ func TestParsePropertyNeverPanics(t *testing.T) {
 				ok = false
 			}
 		}()
-		_, _ = ParseFile(bytes.NewReader(data))
+		_, _ = parseFile(bytes.NewReader(data))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -114,7 +114,7 @@ func TestParsePropertyStructuredGarbage(t *testing.T) {
 		}()
 		data := []byte(base)
 		data[int(pos)%len(data)] = b
-		_, _ = ParseFile(bytes.NewReader(data))
+		_, _ = parseFile(bytes.NewReader(data))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

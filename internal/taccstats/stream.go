@@ -157,8 +157,7 @@ func schemasEqual(a, b procfs.Schema) bool {
 // values in a flat array described by its Layout and is reused between
 // calls: it, its Flat array and its Layout-resolved reads are only valid
 // until fn returns — callers that retain data must copy it (or call
-// Materialize). The returned File carries the header fields and schemas
-// but no Records.
+// Materialize). The returned File carries the header fields and schemas.
 //
 // This is the zero-allocation fast path: data lines are tokenized in
 // place from the scanner's byte buffer, values are parsed without any
