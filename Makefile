@@ -1,9 +1,9 @@
 # Convenience targets for the SUPReMM reproduction.
 GO ?= go
 
-.PHONY: all build test test-race vet fmt-check lint lint-fast fuzz-smoke test-faults test-chaos test-serve test-store test-shards test-scrub test-bench bench bench-e2e bench-compare bench-gate bench-ingest bench-serve bench-store figures dashboard clean
+.PHONY: all build test test-race vet fmt-check lint lint-fast fuzz-smoke test-serve test-store test-bench bench bench-e2e bench-compare bench-gate bench-ingest bench-serve bench-store figures dashboard clean
 
-all: build vet lint test test-race test-chaos test-shards test-scrub test-bench
+all: build vet lint test test-race test-serve test-store test-bench
 
 build:
 	$(GO) build ./...
@@ -59,54 +59,24 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReloadCorrupt -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzQuarantineRecord -fuzztime 10s ./internal/store
 
-# Fault-injection differential suite under the race detector: corrupted
-# hosts quarantine, untouched jobs stay bit-identical, sequential and
-# parallel ingest agree on the quality report (DESIGN.md section 9).
-test-faults:
-	$(GO) test -race -run 'Degrad|Fault|Flaky|Inject|Polic|Quarantine|Retr|Skew|Quality|Truncate' \
-		./internal/faultinject ./internal/ingest ./cmd/ingest ./cmd/taccstatsd
-
-# Serve-layer chaos/overload suite under the race detector: the seeded
-# chaos soak (torn snapshots, reload storms, slow reads, slow clients),
-# admission/breaker/drain behavior, deadline and panic middleware, and
-# the atomic-output + goroutine-leak guards (DESIGN.md §13).
-test-chaos:
-	$(GO) test -race -run 'Chaos|Admission|Breaker|Shed|Drain|Deadline|Panic|Healthz|Atomic|AggregateParallelCtx' \
-		./internal/serve ./cmd/supremmd ./cmd/ingest ./internal/store
-
 # Query-daemon suite: race-detector HTTP tests (concurrent queries vs
-# hot reload), the simulate→ingest→supremmd golden harness, the fuzz
-# seed corpus replay, and the indexed-vs-scan speedup floor. Run at one,
-# two and four cores: the reload path's check-then-act race
+# hot reload), the simulate→ingest→supremmd golden harness, the chaos
+# soak and the overload/breaker/drain suite (DESIGN.md §13), the
+# shard-fault, incremental-reload and self-heal suites (§14, §15), the
+# fuzz seed corpus replay, and the speedup floors. Run at one, two and
+# four cores: the reload path's check-then-act race
 # (TestConcurrentMaybeReload) never showed at GOMAXPROCS=1.
 test-serve:
 	$(GO) test -race -cpu 1,2,4 ./internal/serve ./cmd/supremmd
 
 # Columnar store suite under the race detector: row-vs-columnar
-# bit-equivalence, the binary codec round-trip/rejection matrix, the
-# fuzz seed replay, and the columnar speedup floor (DESIGN.md §11), at
-# one, two and four cores (the aggregate kernel and the shard loader fan
-# out over GOMAXPROCS).
+# bit-equivalence, the binary and manifest codec round-trip/rejection
+# matrices, the shard differential suite, scrub/quarantine/repair, the
+# fuzz seed replay, and the columnar speedup floors (DESIGN.md §11, §14,
+# §15), at one, two and four cores (the aggregate kernel and the shard
+# loader fan out over GOMAXPROCS).
 test-store:
 	$(GO) test -race -cpu 1,2,4 ./internal/store
-
-# Shard-store suite under the race detector: the manifest codec reject
-# matrix, the property-style shard/monolith differential equivalence,
-# torn-shard and stale-manifest fault injection at the serve layer, the
-# incremental-reload pointer-sharing + mid-reload bit-identity test,
-# and the golden two-day incremental run (ISSUE 9, DESIGN.md §14).
-test-shards:
-	$(GO) test -race -run 'Shard|Manifest|Incremental|EpochDay|ServeChaos|IngestCommandEndToEnd' \
-		./internal/store ./internal/serve ./internal/faultinject ./cmd/ingest
-
-# Self-healing shard suite under the race detector: scrubber budget and
-# sweep accounting, quarantine log round-trip/reject matrix, repair
-# byte-identity against the manifest, degraded-vs-healthy differential
-# serving, the coverage floor, ingest leftover cleanup, and the
-# self-heal chaos acceptance proof (ISSUE 10, DESIGN.md §15).
-test-scrub:
-	$(GO) test -race -run 'Scrub|Quarantine|Repair|Degraded|Heal|Coverage|VerifyShard|CleansHealing|BitRot|Rot' \
-		./internal/store ./internal/serve ./internal/faultinject ./cmd/ingest
 
 # The benchmark (BENCHMARK.json) is its own module, supremm/bench, which
 # the root `go build ./...` never sees: vet it and run its self-tests
@@ -161,15 +131,15 @@ bench-serve:
 		./internal/serve ./internal/store
 
 # Columnar store benchmarks: aggregation kernels vs the row path, the
-# binary codec, the write path at 200k rows over 120 days (in-memory
-# encode, streamed SaveBinary, a one-day WriteShardDir append), the
-# jsonl-vs-binary snapshot load, the incremental shard reload vs a full
-# load, and the whole-shard time-prune win; recorded in EXPERIMENTS.md.
-# The binary/jsonl load ratio backs the >=5x load, the columnar/row
-# broad-scan ratio the >=2x, and the incremental/full reload ratio the
-# >=5x reload acceptance criteria.
+# binary codec (encode, decode, and the same rows decoded from JSON
+# lines), the write path at 200k rows over 120 days (in-memory encode,
+# streamed SaveBinary, a one-day WriteShardDir append), the incremental
+# shard reload vs a full load, and the whole-shard time-prune win;
+# recorded in EXPERIMENTS.md. The decode / decode-jsonl ratio backs the
+# >=5x decode, the columnar/row broad-scan ratio the >=2x, and the
+# incremental/full reload ratio the >=5x reload acceptance criteria.
 bench-store:
-	$(GO) test -run '^$$' -bench 'BenchmarkAggregateColumnar|BenchmarkColumnsCodec|BenchmarkEncodeColumns|BenchmarkSaveBinary|BenchmarkWriteShardDirAppend|BenchmarkLoadRealm|BenchmarkIncrementalReload|BenchmarkShardPrune' -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkAggregateColumnar|BenchmarkColumnsCodec|BenchmarkEncodeColumns|BenchmarkSaveBinary|BenchmarkWriteShardDirAppend|BenchmarkIncrementalReload|BenchmarkShardPrune' -benchmem \
 		./internal/store ./internal/serve
 
 # Render every paper figure as text plus vector/HTML artifacts.

@@ -100,12 +100,6 @@ func writeHeapProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-// run keeps the sequential entry point for tests; the CLI goes through
-// runWorkers.
-func run(rawDir, acctPath, out string) error {
-	return runWorkers(rawDir, acctPath, out, 1, ingest.Options{Policy: ingest.Lenient})
-}
-
 func runWorkers(rawDir, acctPath, out string, workers int, opts ingest.Options) error {
 	af, err := os.Open(acctPath)
 	if err != nil {
@@ -131,40 +125,40 @@ func runWorkers(rawDir, acctPath, out string, workers int, opts ingest.Options) 
 	}
 	// Group rows by job-end day before writing anything: the monolithic
 	// files (jobs.jsonl, jobs.supremm) then hold exactly the
-	// concatenation of the day shards, so whichever backing supremmd
-	// loads — shards, binary or jsonl — every response is byte-identical.
+	// concatenation of the day shards, so a lost shard can be rebuilt
+	// from either to the manifest's exact bytes.
 	res.Store.ReorderByEndDay()
-	// Every output lands atomically (temp + fsync + rename in the same
-	// directory): supremmd polls this directory and must never catch a
-	// half-written batch. A reader sees either the previous files or the
-	// new ones, per file.
-	if err := writeFileAtomic(out, "jobs.jsonl", func(f *os.File) error {
+	// Every output lands atomically (store.AtomicWriteFile: temp + fsync
+	// + rename + directory fsync): supremmd polls this directory and must
+	// never catch a half-written file. A reader sees either the previous
+	// file or the new one, per file.
+	if err := store.AtomicWriteFile(out, "jobs.jsonl", func(f *os.File) error {
 		return res.Store.Save(f)
 	}); err != nil {
 		return err
 	}
-	// The columnar binary snapshot rides alongside jobs.jsonl: supremmd
-	// prefers it (faster load, CRC-checked), and the JSON stays the
-	// inspectable/interoperable form.
-	if err := writeFileAtomic(out, "jobs.supremm", func(f *os.File) error {
+	// The columnar binary snapshot rides alongside jobs.jsonl: shard
+	// repair prefers it (faster decode, CRC-checked), and the JSON stays
+	// the inspectable/interoperable form.
+	if err := store.AtomicWriteFile(out, "jobs.supremm", func(f *os.File) error {
 		return res.Store.SaveBinary(f)
 	}); err != nil {
 		return err
 	}
-	if err := writeFileAtomic(out, "series.jsonl", func(f *os.File) error {
+	if err := store.AtomicWriteFile(out, "series.jsonl", func(f *os.File) error {
 		return store.SaveSeries(f, res.Series)
 	}); err != nil {
 		return err
 	}
-	if err := writeFileAtomic(out, "quality.json", func(f *os.File) error {
+	if err := store.AtomicWriteFile(out, "quality.json", func(f *os.File) error {
 		return ingest.WriteQuality(f, &res.Quality)
 	}); err != nil {
 		return err
 	}
-	// The time-partitioned form: one immutable shard per job-end day
-	// plus the CRC-checked manifest, written shards-first so the
-	// manifest never names a shard that has not landed. supremmd
-	// prefers this backing and reloads a day's append incrementally.
+	// The form supremmd and xdmod load: one immutable shard per job-end
+	// day plus the CRC-checked manifest, written shards-first so the
+	// manifest never names a shard that has not landed; a day's append
+	// reloads incrementally.
 	if err := store.WriteShardDir(out, res.Store); err != nil {
 		return err
 	}

@@ -13,6 +13,27 @@ import (
 	"supremm/internal/store"
 )
 
+// run is the CLI at one worker under the default (lenient) policy.
+func run(rawDir, acctPath, out string) error {
+	return runWorkers(rawDir, acctPath, out, 1, ingest.Options{Policy: ingest.Lenient})
+}
+
+// assertNoTempFiles fails if any ".<name>.tmp*" work file is left in
+// dir — leaked temps would accumulate on the ingest host and confuse
+// directory fingerprinting.
+func assertNoTempFiles(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp") {
+			t.Errorf("leaked temp file %s", e.Name())
+		}
+	}
+}
+
 func TestIngestCommandEndToEnd(t *testing.T) {
 	work := t.TempDir()
 	rawDir := filepath.Join(work, "raw")
@@ -53,16 +74,11 @@ func TestIngestCommandEndToEnd(t *testing.T) {
 	if st.Len() != res.Store.Len() {
 		t.Errorf("ingested %d jobs, sim had %d", st.Len(), res.Store.Len())
 	}
-	// The binary snapshot must carry exactly the same records as the
-	// JSON-lines file it rides alongside.
-	bfr, err := os.Open(filepath.Join(out, "jobs.supremm"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bfr.Close()
-	bst, err := store.LoadBinary(bfr)
-	if err != nil {
-		t.Fatal(err)
+	// The binary snapshot — what shard repair reads first — must carry
+	// exactly the same records as the JSON-lines file it rides alongside.
+	bst, from, err := store.LoadBackingStore(out, nil)
+	if err != nil || from != "jobs.supremm" {
+		t.Fatalf("repair backing loaded from %q (err %v), want jobs.supremm", from, err)
 	}
 	if bst.Len() != st.Len() {
 		t.Errorf("binary snapshot has %d jobs, jsonl has %d", bst.Len(), st.Len())

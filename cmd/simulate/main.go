@@ -1,7 +1,8 @@
 // Command simulate runs one cluster simulation and writes its artefacts
 // to disk: raw TACC_Stats files (optional), the accounting log, the
-// rationalized event log, Lariat summaries, the job-record store and the
-// system series. These are the inputs of cmd/ingest and cmd/xdmod.
+// rationalized event log, Lariat summaries, the job-record store (day
+// shards + MANIFEST.supremm, and jobs.jsonl) and the system series.
+// These are the inputs of cmd/ingest, cmd/xdmod and cmd/supremmd.
 //
 //	simulate -cluster ranger -nodes 64 -days 14 -out ./data -raw
 package main
@@ -99,29 +100,27 @@ func run(clusterName string, nodes, days int, seed int64, out string, raw bool, 
 		return err
 	}
 
-	if err := writeFile(filepath.Join(out, "accounting.log"), func(f *os.File) error {
-		return sched.WriteAcct(f, res.Acct)
-	}); err != nil {
-		return err
+	// The job store lands in the form every reader reads — day shards
+	// under a manifest (supremmd, xdmod) — beside jobs.jsonl, the
+	// inspectable copy and the shards' repair backing. Rows are grouped by
+	// job-end day first so the two hold the same rows in the same order,
+	// and every file lands atomically: a daemon may be polling out.
+	res.Store.ReorderByEndDay()
+	for _, f := range []struct {
+		name  string
+		write func(*os.File) error
+	}{
+		{"accounting.log", func(f *os.File) error { return sched.WriteAcct(f, res.Acct) }},
+		{"events.log", func(f *os.File) error { return eventlog.WriteEvents(f, res.Events) }},
+		{"lariat.jsonl", func(f *os.File) error { return lariat.Write(f, res.Lariat) }},
+		{"jobs.jsonl", func(f *os.File) error { return res.Store.Save(f) }},
+		{"series.jsonl", func(f *os.File) error { return store.SaveSeries(f, res.Series) }},
+	} {
+		if err := store.AtomicWriteFile(out, f.name, f.write); err != nil {
+			return fmt.Errorf("write %s: %w", f.name, err)
+		}
 	}
-	if err := writeFile(filepath.Join(out, "events.log"), func(f *os.File) error {
-		return eventlog.WriteEvents(f, res.Events)
-	}); err != nil {
-		return err
-	}
-	if err := writeFile(filepath.Join(out, "lariat.jsonl"), func(f *os.File) error {
-		return lariat.Write(f, res.Lariat)
-	}); err != nil {
-		return err
-	}
-	if err := writeFile(filepath.Join(out, "jobs.jsonl"), func(f *os.File) error {
-		return res.Store.Save(f)
-	}); err != nil {
-		return err
-	}
-	if err := writeFile(filepath.Join(out, "series.jsonl"), func(f *os.File) error {
-		return store.SaveSeries(f, res.Series)
-	}); err != nil {
+	if err := store.WriteShardDir(out, res.Store); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s: %d jobs, %d samples, %d events, %d acct records\n",
@@ -131,16 +130,4 @@ func run(clusterName string, nodes, days int, seed int64, out string, raw bool, 
 			float64(res.MonitorBytes)/1e6, res.MonitorSamples)
 	}
 	return nil
-}
-
-func writeFile(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		_ = f.Close() // write error wins
-		return fmt.Errorf("write %s: %w", path, err)
-	}
-	return f.Close()
 }

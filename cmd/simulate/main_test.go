@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"supremm/internal/report"
 	"supremm/internal/sched"
+	"supremm/internal/serve"
 	"supremm/internal/store"
 )
 
@@ -14,7 +18,7 @@ func TestRunWritesAllArtefacts(t *testing.T) {
 	if err := run("ranger", 8, 1, 3, out, false, "", ""); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"accounting.log", "events.log", "lariat.jsonl", "jobs.jsonl", "series.jsonl"} {
+	for _, name := range []string{"accounting.log", "events.log", "lariat.jsonl", "jobs.jsonl", "series.jsonl", store.ManifestFile} {
 		if _, err := os.Stat(filepath.Join(out, name)); err != nil {
 			t.Errorf("missing artefact %s: %v", name, err)
 		}
@@ -43,6 +47,65 @@ func TestRunWritesAllArtefacts(t *testing.T) {
 	}
 	if st.Len() == 0 {
 		t.Error("empty store")
+	}
+}
+
+// TestRunOutputIsADataDirectory: what simulate leaves behind (no -raw,
+// no ingest) is the directory every reader reads. It loads through the
+// loader xdmod and supremmd share and renders a report; every file
+// landed through the atomic writer; and jobs.jsonl holds the shards'
+// rows in the shards' order, so a self-healing daemon rebuilds a lost
+// shard from it to the manifest's exact bytes.
+func TestRunOutputIsADataDirectory(t *testing.T) {
+	out := t.TempDir()
+	if err := run("ranger", 8, 2, 3, out, false, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	realm, err := serve.LoadRealm(out)
+	if err != nil {
+		t.Fatalf("simulate output does not load: %v", err)
+	}
+	if realm.Cluster != "ranger" || realm.Store.Len() == 0 || len(realm.Series) == 0 {
+		t.Fatalf("loaded cluster %q, %d jobs, %d samples", realm.Cluster, realm.Store.Len(), len(realm.Series))
+	}
+	var buf bytes.Buffer
+	if err := report.Fig7(&buf, realm); err != nil || buf.Len() == 0 {
+		t.Errorf("system report over simulate output: %d bytes, err %v", buf.Len(), err)
+	}
+	entries, err := os.ReadDir(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp") {
+			t.Errorf("leaked temp file %s", e.Name())
+		}
+	}
+
+	ss, err := store.LoadShardSet(out, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ss.NumShards() < 2 {
+		t.Fatalf("two simulated days produced %d shards, want >= 2", ss.NumShards())
+	}
+	victim := filepath.Join(out, store.ShardFileName(ss.ShardAt(1).ID()))
+	pristine, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(victim); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := serve.New(serve.Config{DataDir: out, SelfHeal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cov := srv.Snapshot().Coverage; cov.Degraded || cov.RowsServed != realm.Store.Len() {
+		t.Errorf("coverage after repair = %+v, want all %d rows", cov, realm.Store.Len())
+	}
+	if repaired, err := os.ReadFile(victim); err != nil || !bytes.Equal(repaired, pristine) {
+		t.Errorf("shard rebuilt from jobs.jsonl differs from the one simulate wrote (err %v)", err)
 	}
 }
 

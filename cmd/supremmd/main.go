@@ -69,7 +69,7 @@ type options struct {
 
 func main() {
 	var opts options
-	flag.StringVar(&opts.data, "data", "data", "ingested data directory (MANIFEST.supremm + shard-<day>.supremm, else jobs.supremm, else jobs.jsonl; plus series.jsonl, quality.json)")
+	flag.StringVar(&opts.data, "data", "data", "ingested data directory, as cmd/ingest writes it (MANIFEST.supremm + the shard-<day>.supremm files it names; plus series.jsonl, quality.json)")
 	flag.StringVar(&opts.addr, "addr", "127.0.0.1:8090", "listen address")
 	flag.DurationVar(&opts.poll, "poll", 10*time.Second, "data-directory poll interval for hot reload (0 disables)")
 	flag.IntVar(&opts.cache, "cache", 0, "query-cache entries (0 = default 1024, negative disables)")
@@ -121,8 +121,8 @@ func run(ctx context.Context, opts options) error {
 		return err
 	}
 	snap := srv.Snapshot()
-	fmt.Fprintf(os.Stderr, "supremmd: serving %s (%d jobs, cluster %s, generation %d, %s source, %d shards) on %s\n",
-		opts.data, snap.Realm.Store.Len(), snap.Realm.Cluster, snap.Gen, snap.Source, snap.Shards, opts.addr)
+	fmt.Fprintf(os.Stderr, "supremmd: serving %s (%d jobs, cluster %s, generation %d, %d shards) on %s\n",
+		opts.data, snap.Realm.Store.Len(), snap.Realm.Cluster, snap.Gen, snap.Shards, opts.addr)
 	if cov := snap.Coverage; cov.Degraded {
 		fmt.Fprintf(os.Stderr, "supremmd: DEGRADED generation %d: serving %d of %d rows (coverage %.4f), %d shard(s) quarantined — see %s/QUARANTINE.supremm\n",
 			snap.Gen, cov.RowsServed, cov.RowsTotal, cov.Ratio, cov.MissingShards, opts.data)

@@ -14,7 +14,8 @@ import (
 	"supremm/internal/store"
 )
 
-// writeData materializes a minimal data directory for the daemon.
+// writeData materializes a minimal data directory for the daemon: the
+// day shards under their manifest, and a series.
 func writeData(t *testing.T, dir string, jobs int) {
 	t.Helper()
 	st := store.New()
@@ -34,25 +35,13 @@ func writeData(t *testing.T, dir string, jobs int) {
 		r.CPUIdleFrac = 0.2
 		st.Add(r)
 	}
-	jf, err := os.Create(filepath.Join(dir, "jobs.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Save(jf); err != nil {
-		t.Fatal(err)
-	}
-	if err := jf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sf, err := os.Create(filepath.Join(dir, "series.jsonl"))
-	if err != nil {
+	if err := store.WriteShardDir(dir, st); err != nil {
 		t.Fatal(err)
 	}
 	samples := []store.SystemSample{{Time: 600, ActiveNodes: 4, BusyNodes: 2}}
-	if err := store.SaveSeries(sf, samples); err != nil {
-		t.Fatal(err)
-	}
-	if err := sf.Close(); err != nil {
+	if err := store.AtomicWriteFile(dir, "series.jsonl", func(f *os.File) error {
+		return store.SaveSeries(f, samples)
+	}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 // Command xdmod is the query/report CLI over an ingested store — the
-// analyst-facing face of the reproduction. It loads jobs.jsonl and
-// series.jsonl produced by cmd/simulate or cmd/ingest and renders the
+// analyst-facing face of the reproduction. It loads the data directory
+// cmd/ingest or cmd/simulate wrote (MANIFEST.supremm, its day shards
+// and series.jsonl — the loader supremmd uses) and renders the
 // stakeholder reports of §4.3.
 //
 //	xdmod -data ./data -report users          # Fig 2-style profiles
@@ -29,7 +30,7 @@ import (
 
 func main() {
 	var (
-		data     = flag.String("data", "data", "data directory (MANIFEST.supremm + shards, else jobs.supremm, else jobs.jsonl; plus series.jsonl)")
+		data     = flag.String("data", "data", "data directory from cmd/ingest or cmd/simulate (MANIFEST.supremm + its shards; plus series.jsonl)")
 		reportFl = flag.String("report", "system", "report: users|apps|efficiency|persistence|system|failures|trends|workload|forecast|waits|quality")
 		queryFl  = flag.String("query", "", "custom report, e.g. 'group=app metrics=cpu_idle,cpu_flops limit=10'")
 		suiteFl  = flag.String("suite", "", "render a full stakeholder suite: user|developer|support|admin|manager|funding")

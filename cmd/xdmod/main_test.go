@@ -11,7 +11,8 @@ import (
 	"supremm/internal/store"
 )
 
-// writeData materializes a small simulated dataset in dir.
+// writeData materializes a small simulated dataset in dir, in the form
+// cmd/simulate leaves it: day shards under a manifest, and the series.
 func writeData(t *testing.T, dir string) {
 	t.Helper()
 	cc := cluster.RangerConfig().Scaled(12)
@@ -23,20 +24,12 @@ func writeData(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jf, err := os.Create(dir + "/jobs.jsonl")
-	if err != nil {
+	if err := store.WriteShardDir(dir, res.Store); err != nil {
 		t.Fatal(err)
 	}
-	defer jf.Close()
-	if err := res.Store.Save(jf); err != nil {
-		t.Fatal(err)
-	}
-	sf, err := os.Create(dir + "/series.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sf.Close()
-	if err := store.SaveSeries(sf, res.Series); err != nil {
+	if err := store.AtomicWriteFile(dir, "series.jsonl", func(f *os.File) error {
+		return store.SaveSeries(f, res.Series)
+	}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -17,11 +17,12 @@ import (
 // (internal/serve) must survive, as opposed to the archive-corruption
 // kinds the ingest faces. DESIGN.md §13 is the taxonomy.
 const (
-	// KindTornSnapshot overwrites jobs.supremm with a prefix of its
-	// bytes, in place and without a rename — the footprint of a legacy
-	// non-atomic writer (or a half-copied restore) caught mid-rewrite.
-	// The daemon's reload must fail the decode, keep serving the
-	// last-good generation, and trip the reload breaker.
+	// KindTornSnapshot overwrites MANIFEST.supremm — the root every
+	// snapshot load starts from — with a prefix of its bytes, in place
+	// and without a rename: the footprint of a non-atomic writer (or a
+	// half-copied restore) caught mid-rewrite. The daemon's reload must
+	// fail the decode, keep serving the last-good generation, and trip
+	// the reload breaker.
 	KindTornSnapshot Kind = "torn-snapshot"
 	// KindSlowRead delays snapshot-file reads (an overloaded shared
 	// filesystem); queries must keep answering from the current
@@ -127,7 +128,7 @@ type ServeChaos struct {
 }
 
 // NewServeChaos captures dir's current files as the known-good state.
-// good maps file name (e.g. "jobs.supremm") to its healthy content.
+// good maps file name (e.g. "MANIFEST.supremm") to its healthy content.
 func NewServeChaos(seed int64, dir string, good map[string][]byte) *ServeChaos {
 	g := make(map[string][]byte, len(good))
 	for name, b := range good {
@@ -141,19 +142,23 @@ func NewServeChaos(seed int64, dir string, good map[string][]byte) *ServeChaos {
 	}
 }
 
-// TearSnapshot tears jobs.supremm in place, returning the fraction
-// kept. The torn prefix always destroys the decode: the columnar codec
-// authenticates its trailer, so any proper prefix fails.
+// manifestFile is store.ManifestFile; this package does not import the
+// store it injects faults under.
+const manifestFile = "MANIFEST.supremm"
+
+// TearSnapshot tears the manifest in place, returning the fraction
+// kept. The torn prefix always destroys the decode: the manifest ends
+// in a CRC over everything before it, so any proper prefix fails.
 func (c *ServeChaos) TearSnapshot() (float64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	data, ok := c.good["jobs.supremm"]
+	data, ok := c.good[manifestFile]
 	if !ok {
-		return 0, fmt.Errorf("faultinject: no known-good jobs.supremm")
+		return 0, fmt.Errorf("faultinject: no known-good %s", manifestFile)
 	}
 	frac := 0.05 + 0.9*c.rng.Float64()
 	c.counts[KindTornSnapshot]++
-	return frac, TornWrite(filepath.Join(c.dir, "jobs.supremm"), data, frac)
+	return frac, TornWrite(filepath.Join(c.dir, manifestFile), data, frac)
 }
 
 // shardNames returns the known-good shard file names, sorted, so the

@@ -91,8 +91,8 @@ func TestServeChaosTearHeal(t *testing.T) {
 	mkdir := func() (string, map[string][]byte) {
 		dir := t.TempDir()
 		good := map[string][]byte{
-			"jobs.supremm": bytes.Repeat([]byte("SNAPSHOT"), 64),
-			"jobs.jsonl":   []byte("{\"job\":1}\n"),
+			manifestFile: bytes.Repeat([]byte("MANIFEST"), 64),
+			"jobs.jsonl": []byte("{\"job\":1}\n"),
 		}
 		for name, b := range good {
 			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
@@ -117,12 +117,12 @@ func TestServeChaosTearHeal(t *testing.T) {
 	if f1 != f2 {
 		t.Errorf("same seed tore different fractions: %v vs %v", f1, f2)
 	}
-	torn, err := os.ReadFile(filepath.Join(dir1, "jobs.supremm"))
+	torn, err := os.ReadFile(filepath.Join(dir1, manifestFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(torn) >= len(good["jobs.supremm"]) {
-		t.Fatal("tear left a whole snapshot")
+	if len(torn) >= len(good[manifestFile]) {
+		t.Fatal("tear left a whole manifest")
 	}
 
 	if err := c1.Storm(2); err != nil {

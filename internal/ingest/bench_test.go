@@ -94,7 +94,7 @@ func writeBenchRecords(f *os.File, snap *procfs.Snapshot, samples int) error {
 	return nil
 }
 
-// BenchmarkIngestRaw measures the sequential raw ETL end to end:
+// BenchmarkIngestRaw measures the raw ETL end to end at one worker:
 // 4 hosts, one day file each, 144 samples (10-minute cadence).
 func BenchmarkIngestRaw(b *testing.B) {
 	dir := b.TempDir()
@@ -114,10 +114,10 @@ func BenchmarkIngestRaw(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*recs), "ns/record")
 }
 
-// BenchmarkIngestRawParallel is the same tree through the worker pool.
-// On a single-CPU box this cannot beat the sequential path — the pool
-// only adds coordination — so EXPERIMENTS.md records the measured
-// break-even rather than this benchmark asserting one.
+// BenchmarkIngestRawParallel is the same tree at four workers. On a
+// single-CPU box more workers cannot beat one — they only add
+// coordination — so EXPERIMENTS.md records the measured break-even
+// rather than this benchmark asserting one.
 func BenchmarkIngestRawParallel(b *testing.B) {
 	dir := b.TempDir()
 	acct := benchTree(b, dir, 4, 144)
@@ -134,10 +134,10 @@ func BenchmarkIngestRawParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestRawLarge compares the two paths on a 24-host, 2-day
-// tree (13824 records) — enough per-host work that worker-pool overhead
-// amortizes on multi-core machines. The serial/parallel pair under one
-// tree makes the crossover directly readable from bench-ingest output.
+// BenchmarkIngestRawLarge compares one worker with eight on a 24-host,
+// 2-day tree (13824 records) — enough per-host work that worker-pool
+// overhead amortizes on multi-core machines. The pair under one tree
+// makes the crossover directly readable from bench-ingest output.
 func BenchmarkIngestRawLarge(b *testing.B) {
 	dir := b.TempDir()
 	const hosts, samples = 24, 288

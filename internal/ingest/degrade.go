@@ -8,7 +8,6 @@ import (
 	"os"
 	"path"
 
-	"supremm/internal/sched"
 	"supremm/internal/taccstats"
 )
 
@@ -20,14 +19,14 @@ import (
 const DefaultMaxIntervalSec = 86400
 
 // Options parameterizes IngestRawOpts. The zero value is the strict
-// policy, sequential, reading the local filesystem, one-day
+// policy, one worker, reading the local filesystem, one-day
 // plausibility bound, no retries.
 type Options struct {
 	// Policy selects abort-on-fault (Strict) or quarantine-and-account
 	// (Lenient).
 	Policy Policy
-	// Workers > 1 ingests hosts concurrently; <= 1 is sequential. The
-	// results are identical either way.
+	// Workers is the pool size: how many hosts are reduced at once (<= 1
+	// means one). It never changes a byte of the result.
 	Workers int
 	// FS overrides the archive filesystem; nil reads os.DirFS(dir).
 	// Tests inject flaky filesystems here.
@@ -284,44 +283,4 @@ func cpuMovedBackwards(p *metricPlan, prev, cur []uint64) bool {
 		}
 	}
 	return false
-}
-
-// IngestRawOpts parses every raw TACC_Stats file under dir (layout:
-// dir/<hostname>/<day>.raw) and joins the counter deltas with the
-// accounting records to produce per-job summaries and the cluster-wide
-// series. This is the paper's Netezza/MySQL ingest stage.
-//
-// Files stream through the schema-compiled fast path: records are
-// reduced to Intervals as they are parsed, so peak memory per host is
-// two flat records rather than a materialized file. opts selects the
-// strict (abort on the first fault) or lenient degraded-mode policy.
-// Sequential (Workers <= 1) and parallel runs produce byte-identical
-// results, including every quarantine decision.
-func IngestRawOpts(dir string, acct []sched.AcctRecord, opts Options) (*RawResult, error) {
-	if opts.Workers > 1 {
-		return ingestParallel(dir, acct, opts)
-	}
-	o := opts.resolve(dir)
-	windowsByHost, identities := indexAccounting(acct)
-
-	hostDirs, err := fs.ReadDir(o.fsys, ".")
-	if err != nil {
-		return nil, fmt.Errorf("ingest: read raw dir: %w", err)
-	}
-	acc := NewAccumulator()
-	buckets := make(map[int64]*sysBucket)
-	unattributed := 0
-	var quality DataQuality
-
-	for _, hd := range sortedDirs(hostDirs) {
-		host := hd.Name()
-		windows := windowsByHost[host]
-		err := streamHost(o, host, &quality, func(prevTime, curTime int64, iv Interval) {
-			unattributed += foldInterval(acc, buckets, windows, identities, prevTime, curTime, iv)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return finalize(acc, identities, buckets, unattributed, &quality)
 }

@@ -109,8 +109,8 @@ func requireSameResult(t *testing.T, label string, a, b *RawResult) {
 // TestDifferentialDegradation is the headline invariant: corrupting N%
 // of hosts must leave every untouched job's record byte-identical to
 // the clean run, the DataQuality totals must equal the injector's
-// manifest, and the parallel path must agree with the sequential path
-// on every quarantine decision.
+// manifest, and four workers must agree with one on every quarantine
+// decision.
 func TestDifferentialDegradation(t *testing.T) {
 	clean := t.TempDir()
 	hosts, acct := writeDegradeArchive(t, clean, 20)
@@ -144,15 +144,15 @@ func TestDifferentialDegradation(t *testing.T) {
 			// Lenient ingest never errors on injector output.
 			seq, err := IngestRawOpts(dirty, acct, lenient)
 			if err != nil {
-				t.Fatalf("lenient sequential ingest errored: %v", err)
+				t.Fatalf("lenient one-worker ingest errored: %v", err)
 			}
 			par, err := IngestRawOpts(dirty, acct, Options{
 				Policy: Lenient, MaxIntervalSec: degradeMaxInterval, Workers: 4,
 			})
 			if err != nil {
-				t.Fatalf("lenient parallel ingest errored: %v", err)
+				t.Fatalf("lenient four-worker ingest errored: %v", err)
 			}
-			requireSameResult(t, "seq vs par", seq, par)
+			requireSameResult(t, "1 vs 4 workers", seq, par)
 
 			// Quality totals equal the injector's manifest exactly.
 			got := faultinject.Expected{

@@ -97,6 +97,34 @@ func legacyComputeInterval(prev, cur *legacySample, dt float64) Interval {
 	return iv
 }
 
+// legacyFold attributes one interval to the job occupying the host at
+// its midpoint and folds it straight into the shared accumulator and
+// system buckets, host after host — the order the production merge must
+// reproduce. Returns 1 if the interval matched no job window (it still
+// counts in the system series: idle nodes are part of the cluster view).
+func legacyFold(acc *Accumulator, buckets map[int64]*sysBucket,
+	windows []jobWindow, identities map[int64]store.JobRecord,
+	prevTime, curTime int64, iv Interval) int {
+
+	jobID := findJob(windows, prevTime+int64(iv.DtSec/2))
+	if jobID != 0 {
+		if !acc.Started(jobID) {
+			acc.StartJob(identities[jobID])
+		}
+		_ = acc.AddInterval(jobID, iv) // only fails for an unknown job, started above
+	}
+	b := buckets[curTime]
+	if b == nil {
+		b = &sysBucket{}
+		buckets[curTime] = b
+	}
+	b.fold(iv, jobID != 0)
+	if jobID == 0 {
+		return 1
+	}
+	return 0
+}
+
 func legacyIngestRaw(dir string, acct []sched.AcctRecord) (*RawResult, error) {
 	windowsByHost, identities := indexAccounting(acct)
 	hostDirs, err := os.ReadDir(dir)
@@ -133,7 +161,7 @@ func legacyIngestRaw(dir string, acct []sched.AcctRecord) (*RawResult, error) {
 					dt := float64(cur.rec.Time - prev.rec.Time)
 					if dt > 0 {
 						iv := legacyComputeInterval(prev, cur, dt)
-						unattributed += foldInterval(acc, buckets, windowsByHost[host], identities,
+						unattributed += legacyFold(acc, buckets, windowsByHost[host], identities,
 							prev.rec.Time, cur.rec.Time, iv)
 					}
 				}
@@ -290,9 +318,8 @@ func requireIdenticalResults(t *testing.T, label string, want, got *RawResult) {
 }
 
 // TestIngestRawStreamingEquivalence runs the same simulated multi-host
-// tree through the legacy materializing path, the streaming sequential
-// path, and the parallel path at 1 and 4 workers, and requires
-// bit-identical RawResults from all four.
+// tree through the legacy materializing path and through IngestRawOpts
+// at pool sizes 1, 2 and 7, and requires bit-identical RawResults.
 func TestIngestRawStreamingEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	acct := writeEquivalenceTree(t, dir)
@@ -304,19 +331,12 @@ func TestIngestRawStreamingEquivalence(t *testing.T) {
 	if legacy.Unattributed == 0 {
 		t.Fatal("fixture must produce unattributed intervals")
 	}
-
-	streaming, err := IngestRaw(dir, acct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalResults(t, "streaming", legacy, streaming)
-
-	for _, workers := range []int{1, 4} {
-		par, err := IngestRawParallel(dir, acct, workers)
+	for _, workers := range []int{1, 2, 7} {
+		got, err := IngestRawParallel(dir, acct, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		requireIdenticalResults(t, fmt.Sprintf("parallel workers=%d", workers), legacy, par)
+		requireIdenticalResults(t, fmt.Sprintf("workers=%d", workers), legacy, got)
 	}
 }
 

@@ -61,14 +61,22 @@ type attributedInterval struct {
 	iv    Interval
 }
 
-// ingestParallel is the Workers > 1 arm of IngestRawOpts: hosts are
-// parsed and delta-reduced concurrently by a per-host worker pool, then
-// merged in sorted host order so the result is byte-identical to the
-// sequential path (float summation order is fixed by the merge order,
-// not by goroutine scheduling; quarantine decisions are per-host and
-// deterministic).
-func ingestParallel(dir string, acct []sched.AcctRecord, opts Options) (*RawResult, error) {
-	workers := opts.Workers
+// IngestRawOpts parses every raw TACC_Stats file under dir (layout:
+// dir/<hostname>/<day>.raw) and joins the counter deltas with the
+// accounting records to produce per-job summaries and the cluster-wide
+// series. This is the paper's Netezza/MySQL ingest stage.
+//
+// Files stream through the schema-compiled fast path: records are
+// reduced to Intervals as they are parsed, so the parser holds two flat
+// records per host rather than a materialized file (a host's reduced
+// intervals wait in its result slot for the merge). opts selects the
+// strict (abort on the first fault) or lenient degraded-mode policy.
+// Hosts are reduced by a pool of opts.Workers goroutines (a pool of one
+// when Workers <= 1) and merged in sorted host order, so the result —
+// every float sum, every quarantine decision — is the same bytes at any
+// pool size: summation order is fixed by the merge, not by scheduling,
+// and a host's quarantine decisions depend only on its own files.
+func IngestRawOpts(dir string, acct []sched.AcctRecord, opts Options) (*RawResult, error) {
 	o := opts.resolve(dir)
 	windowsByHost, identities := indexAccounting(acct)
 
@@ -84,7 +92,7 @@ func ingestParallel(dir string, acct []sched.AcctRecord, opts Options) (*RawResu
 	jobs := make(chan int, len(hosts))
 	results := make([]*hostResult, len(hosts))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < max(opts.Workers, 1); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -135,7 +143,7 @@ func ingestParallel(dir string, acct []sched.AcctRecord, opts Options) (*RawResu
 // processHost streams one host's files into attributed intervals and
 // per-time buckets through the schema-compiled fast path. It never
 // touches shared state; its quarantine decisions depend only on the
-// host's own files, so they match the sequential path exactly.
+// host's own files, so they do not depend on the pool size.
 func processHost(o rawOptions, host string, windows []jobWindow) *hostResult {
 	res := &hostResult{host: host}
 	err := streamHost(o, host, &res.quality, func(prevTime, curTime int64, iv Interval) {

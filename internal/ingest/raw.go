@@ -122,38 +122,6 @@ func eventDelta(prev, cur uint64) float64 {
 	return float64(cur)
 }
 
-// foldInterval attributes one interval to a job and folds it into the
-// system buckets. Returns 1 if the interval matched no job window (still
-// folded into the system series, since idle nodes are part of the
-// cluster view).
-func foldInterval(acc *Accumulator, buckets map[int64]*sysBucket,
-	windows []jobWindow, identities map[int64]store.JobRecord,
-	prevTime, curTime int64, iv Interval) int {
-
-	// Attribute to the occupying job at the interval midpoint.
-	mid := prevTime + int64(iv.DtSec/2)
-	jobID := findJob(windows, mid)
-	unattributed := 0
-	if jobID != 0 {
-		if !acc.Started(jobID) {
-			acc.StartJob(identities[jobID])
-		}
-		// Errors can only be "unknown job", excluded by the check above.
-		_ = acc.AddInterval(jobID, iv)
-	} else {
-		unattributed = 1
-	}
-
-	// System bucket keyed by sample time.
-	b := buckets[curTime]
-	if b == nil {
-		b = &sysBucket{}
-		buckets[curTime] = b
-	}
-	b.fold(iv, jobID != 0)
-	return unattributed
-}
-
 // sysBucket accumulates one sampling instant across hosts.
 type sysBucket struct {
 	hosts, busy            int

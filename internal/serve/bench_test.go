@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -118,86 +116,6 @@ func BenchmarkServeAggregate(b *testing.B) {
 			serveOnce(b, srv)
 		}
 	})
-}
-
-// BenchmarkLoadRealm compares the two snapshot load paths on a
-// 100k-job realm: JSON-lines decode vs the columnar binary format.
-// bench-store greps this name; the binary/jsonl ratio here backs the
-// ≥5x load-speedup acceptance criterion enforced by
-// TestLoadRealmSpeedupFloor.
-func BenchmarkLoadRealm(b *testing.B) {
-	st := benchStore(benchJobs)
-	dir := b.TempDir()
-	writeDataDir(b, dir, st, fixtureSeries(8), nil)
-	jsonlDir := b.TempDir()
-	writeDataDir(b, jsonlDir, st, fixtureSeries(8), nil)
-	if err := os.Remove(filepath.Join(jsonlDir, "jobs.supremm")); err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("jsonl", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			realm, source, err := LoadRealmSource(jsonlDir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if source != SourceJSONL || realm.Store.Len() != benchJobs {
-				b.Fatalf("source %q, %d jobs", source, realm.Store.Len())
-			}
-		}
-	})
-	b.Run("binary", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			realm, source, err := LoadRealmSource(dir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if source != SourceBinary || realm.Store.Len() != benchJobs {
-				b.Fatalf("source %q, %d jobs", source, realm.Store.Len())
-			}
-		}
-	})
-}
-
-// TestLoadRealmSpeedupFloor is the executable form of the load-path
-// acceptance criterion: on a 100k-job realm, loading the columnar
-// binary snapshot must be at least 5x faster than decoding the same
-// store from JSON lines. The measured ratio is far higher; 5x keeps
-// scheduler noise from flaking it.
-func TestLoadRealmSpeedupFloor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("100k-row load comparison in -short mode")
-	}
-	st := benchStore(benchJobs)
-	dir := t.TempDir()
-	writeDataDir(t, dir, st, fixtureSeries(8), nil)
-	jsonlDir := t.TempDir()
-	writeDataDir(t, jsonlDir, st, fixtureSeries(8), nil)
-	if err := os.Remove(filepath.Join(jsonlDir, "jobs.supremm")); err != nil {
-		t.Fatal(err)
-	}
-
-	jsonl := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := LoadRealmSource(jsonlDir); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	bin := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := LoadRealmSource(dir); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	ratio := float64(jsonl.NsPerOp()) / float64(bin.NsPerOp())
-	t.Logf("jsonl %v/op, binary %v/op, speedup %.1fx", jsonl.NsPerOp(), bin.NsPerOp(), ratio)
-	if ratio < 5 {
-		t.Errorf("binary load only %.1fx faster than jsonl, want >= 5x", ratio)
-	}
 }
 
 // TestIndexedSpeedupFloor is the executable form of the acceptance

@@ -5,8 +5,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,7 +34,7 @@ var chaosTargets = []string{
 }
 
 // TestChaosSoak is the serve-layer chaos harness (DESIGN.md §13): a
-// seeded fault driver tears the snapshot, storms the data directory,
+// seeded fault driver tears the manifest, storms the data directory,
 // and slows snapshot reads while concurrent clients hammer the data
 // endpoints through a tight admission valve. Invariants asserted:
 //
@@ -49,22 +48,14 @@ var chaosTargets = []string{
 //     generation, baseline bodies) after heal;
 //  5. goroutines return to baseline (leakcheck).
 //
-// Run under -race via `make test-chaos`.
+// Run under -race via `make test-serve`.
 func TestChaosSoak(t *testing.T) {
 	leakcheck.Check(t)
 	dir := t.TempDir()
 	st, series := fixtureStore(120), fixtureSeries(30)
 	writeDataDir(t, dir, st, series, &ingest.DataQuality{FilesScanned: 12, FilesQuarantined: 1})
 
-	good := make(map[string][]byte)
-	for _, name := range []string{"jobs.supremm", "jobs.jsonl", "series.jsonl", "quality.json"} {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		good[name] = b
-	}
-	chaos := faultinject.NewServeChaos(20260809, dir, good)
+	chaos := faultinject.NewServeChaos(20260809, dir, readGoodFiles(t, dir))
 
 	// Fault-free baseline bodies from a pristine server over the same
 	// corpus.
@@ -78,7 +69,7 @@ func TestChaosSoak(t *testing.T) {
 		baseline[target] = body
 	}
 
-	// The chaos server: tight valve, slow reads of jobs.supremm, a gate
+	// The chaos server: tight valve, slow reads of the job store, a gate
 	// the saturation phase uses to pin handlers inside their slots, and
 	// an independent concurrency meter.
 	const (
@@ -103,7 +94,7 @@ func TestChaosSoak(t *testing.T) {
 		return func() { cur.Add(-1) }
 	}}
 	slowOpen := faultinject.SlowOpener(osOpen,
-		func(path string) bool { return filepath.Base(path) == "jobs.supremm" },
+		func(path string) bool { return strings.HasSuffix(path, ".supremm") }, // manifest + shards
 		func() { time.Sleep(20 * time.Microsecond) })
 	srv, err := New(Config{
 		DataDir:             dir,
@@ -204,7 +195,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}
 
-	// --- Phase 3: torn snapshot. Polls fail until the breaker opens;
+	// --- Phase 3: torn manifest. Polls fail until the breaker opens;
 	// the served snapshot must not change.
 	genBeforeTear := srv.Snapshot().Gen
 	if _, err := chaos.TearSnapshot(); err != nil {
@@ -213,7 +204,7 @@ func TestChaosSoak(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for srv.brk.currentState() != breakerOpen {
 		if time.Now().After(deadline) {
-			t.Fatal("breaker never opened under torn snapshot")
+			t.Fatal("breaker never opened under the torn manifest")
 		}
 		_, _ = srv.MaybeReload() // failures feed the breaker
 		time.Sleep(time.Millisecond)

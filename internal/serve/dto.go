@@ -249,7 +249,6 @@ type healthDTO struct {
 	Jobs       int    `json:"jobs"`
 	Series     int    `json:"series_samples"`
 	Indexed    bool   `json:"indexed"`
-	Source     string `json:"source"`
 	Shards     int    `json:"shards"`
 }
 

@@ -89,30 +89,15 @@ func simGoldenRaw(t testing.TB, root string) (string, []sched.AcctRecord) {
 	return rawDir, acct
 }
 
-// writeGoldenDataDir ingests the raw archives and writes the full data
-// directory in the cmd/ingest discipline: rows regrouped by job-end
-// day first, so the monolithic files hold exactly the concatenation of
-// the day shards, then jsonl + binary + series + quality + the shard
-// set with its manifest.
+// writeGoldenDataDir ingests the raw archives and lands the data
+// directory the way cmd/ingest does (writeDataDir).
 func writeGoldenDataDir(t testing.TB, rawDir string, acct []sched.AcctRecord, dataDir string) {
 	t.Helper()
 	ing, err := ingest.IngestRawOpts(rawDir, acct, ingest.Options{Policy: ingest.Lenient, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(dataDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	ing.Store.ReorderByEndDay()
-	writeStoreFile(t, filepath.Join(dataDir, "jobs.jsonl"), ing.Store)
-	writeBinaryFile(t, filepath.Join(dataDir, "jobs.supremm"), ing.Store)
-	writeSeriesFile(t, filepath.Join(dataDir, "series.jsonl"), ing.Series)
-	if err := ingest.SaveQuality(filepath.Join(dataDir, "quality.json"), &ing.Quality); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.WriteShardDir(dataDir, ing.Store); err != nil {
-		t.Fatal(err)
-	}
+	writeDataDir(t, dataDir, ing.Store, ing.Series, &ing.Quality)
 }
 
 // buildGoldenData runs the full pipeline in-process: simulate a small
@@ -125,34 +110,6 @@ func buildGoldenData(t testing.TB, root string) string {
 	dataDir := filepath.Join(root, "data")
 	writeGoldenDataDir(t, rawDir, acct, dataDir)
 	return dataDir
-}
-
-func writeStoreFile(t testing.TB, path string, st *store.Store) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func writeBinaryFile(t testing.TB, path string, st *store.Store) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveBinary(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func writeSeriesFile(t testing.TB, path string, series []store.SystemSample) {
@@ -192,8 +149,7 @@ func fetchAll(t testing.TB, srv *Server) map[string][]byte {
 
 // stripHealth re-marshals a health body with the named keys removed,
 // for comparisons across servers that legitimately differ in them
-// (load source, shard count, generation) while every data-bearing
-// field must still match.
+// (generation) while every data-bearing field must still match.
 func stripHealth(t testing.TB, body []byte, drop ...string) []byte {
 	t.Helper()
 	var m map[string]any
@@ -213,17 +169,13 @@ func stripHealth(t testing.TB, body []byte, drop ...string) []byte {
 // TestGoldenEndToEnd pins the full pipeline: simulate → raw archives →
 // ingest → supremmd responses, compared byte-for-byte against the
 // committed golden files, and re-run from scratch to prove the chain
-// is bit-stable. The daemon must be answering from the sharded form —
-// the preferred load source is part of the pinned behavior.
+// is bit-stable.
 func TestGoldenEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end pipeline in -short mode")
 	}
 	dataDir := buildGoldenData(t, t.TempDir())
 	srv := newTestServer(t, dataDir)
-	if src := srv.Snapshot().Source; src != SourceShards {
-		t.Fatalf("golden pipeline loaded from %q, want %q", src, SourceShards)
-	}
 	got := fetchAll(t, srv)
 
 	if *update {
@@ -259,73 +211,6 @@ func TestGoldenEndToEnd(t *testing.T) {
 	for _, target := range goldenTargets {
 		if !bytes.Equal(got[target], again[target]) {
 			t.Errorf("%s: two pipeline runs disagree — the chain is not deterministic", target)
-		}
-	}
-}
-
-// TestGoldenLoadPaths proves the three load paths are observationally
-// identical: a daemon that loaded the shard set answers every pinned
-// endpoint with exactly the bytes of one that loaded jobs.supremm, and
-// of one that loaded jobs.jsonl. The backing is a pure encoding choice
-// — no data response may depend on which files backed the store. Only
-// /health may differ, and only in the fields that name the backing.
-func TestGoldenLoadPaths(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end pipeline in -short mode")
-	}
-	shardDir := buildGoldenData(t, t.TempDir())
-
-	// binDir drops the manifest and shards, forcing the monolithic
-	// binary; jsonlDir additionally drops the binary, forcing jsonl.
-	copyInto := func(names []string) string {
-		dir := filepath.Join(t.TempDir(), "data")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range names {
-			b, err := os.ReadFile(filepath.Join(shardDir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return dir
-	}
-	binDir := copyInto([]string{"jobs.supremm", "jobs.jsonl", "series.jsonl", "quality.json"})
-	jsonlDir := copyInto([]string{"jobs.jsonl", "series.jsonl", "quality.json"})
-
-	servers := []struct {
-		name   string
-		srv    *Server
-		source string
-	}{
-		{"shards", newTestServer(t, shardDir), SourceShards},
-		{"binary", newTestServer(t, binDir), SourceBinary},
-		{"jsonl", newTestServer(t, jsonlDir), SourceJSONL},
-	}
-	bodies := make([]map[string][]byte, len(servers))
-	for i, s := range servers {
-		if got := s.srv.Snapshot().Source; got != s.source {
-			t.Fatalf("%s directory loaded from %q, want %q", s.name, got, s.source)
-		}
-		bodies[i] = fetchAll(t, s.srv)
-	}
-
-	for _, target := range goldenTargets {
-		for i := 1; i < len(servers); i++ {
-			got, want := bodies[i][target], bodies[0][target]
-			if target == "/api/v1/health" {
-				// The health endpoint names its backing; everything else
-				// in it must still agree across sources.
-				got = stripHealth(t, got, "source", "shards")
-				want = stripHealth(t, want, "source", "shards")
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s: %s-loaded response differs from shards-loaded\n%s:\n%s\nshards:\n%s",
-					target, servers[i].name, servers[i].name, clip(got), clip(want))
-			}
 		}
 	}
 }
@@ -420,9 +305,6 @@ func TestGoldenIncrementalReload(t *testing.T) {
 	writeGoldenDataDir(t, partialRaw, acct, dataDir)
 	srv := newTestServer(t, dataDir)
 	snapA := srv.Snapshot()
-	if snapA.Source != SourceShards {
-		t.Fatalf("partial corpus loaded from %q, want %q", snapA.Source, SourceShards)
-	}
 	if snapA.Shards < 2 {
 		t.Fatalf("partial corpus produced %d shards; need >= 2 for a reuse check", snapA.Shards)
 	}

@@ -52,8 +52,7 @@ func dayDate(day int64) string {
 
 // Coverage is a snapshot's honesty accounting: how many of the rows
 // the manifest promised are actually being served, and which days are
-// missing. A monolithic or fully-healthy sharded load has Ratio 1 and
-// no missing days.
+// missing. A fully-healthy load has Ratio 1 and no missing days.
 type Coverage struct {
 	RowsServed int     `json:"rows_served"`
 	RowsTotal  int     `json:"rows_total"`
@@ -118,9 +117,8 @@ func collapseDays(days []int64) []DayRange {
 }
 
 // healLoad threads the self-heal policy and its outcome through one
-// snapshot load attempt. loadStore fills entries and outcome when the
-// load takes the shard path; nil healLoad means strict (legacy)
-// loading.
+// snapshot load attempt. loadStore fills entries and outcome; nil
+// healLoad means strict loading.
 type healLoad struct {
 	now     int64 // caller's clock reading for quarantine records; 0 = clock-free
 	entries []store.ShardInfo
@@ -209,14 +207,10 @@ func healShardLoad(dir string, entries []store.ShardInfo, prev *store.ShardSet, 
 // rebuilt whenever the served generation changes, so it always walks
 // the shard set actually being served (and never re-finds days already
 // quarantined out of it). The caller holds reloadMu, which orders the
-// renames against every load. A generation loaded from a monolithic
-// file has no shard files to scrub.
+// renames against every load.
 func (s *Server) scrubTick() {
 	snap := s.snap.Load()
-	if snap.Source != SourceShards {
-		return
-	}
-	ss := snap.Realm.Store.(*store.ShardSet)
+	ss := snap.shards
 	if s.scrubber == nil || s.scrubGen != snap.Gen {
 		entries := make([]store.ShardInfo, ss.NumShards())
 		for i := range entries {

@@ -88,7 +88,7 @@ func TestHealDegradedServing(t *testing.T) {
 	const perDay = 40
 	full := dayStore(3, perDay)
 	dir := t.TempDir()
-	writeShardDataDir(t, dir, full, fixtureSeries(30), healQuality)
+	writeDataDir(t, dir, full, fixtureSeries(30), healQuality)
 	corruptFile(t, filepath.Join(dir, store.ShardFileName(1)))
 	for _, backing := range []string{"jobs.supremm", "jobs.jsonl"} {
 		if err := os.Remove(filepath.Join(dir, backing)); err != nil {
@@ -98,7 +98,7 @@ func TestHealDegradedServing(t *testing.T) {
 
 	// The healthy-shards-only baseline: the same corpus minus day 1.
 	dirP := t.TempDir()
-	writeShardDataDir(t, dirP, withoutDay(full, 1), fixtureSeries(30), healQuality)
+	writeDataDir(t, dirP, withoutDay(full, 1), fixtureSeries(30), healQuality)
 	baseline := newTestServer(t, dirP)
 
 	srv, err := New(Config{DataDir: dir, SelfHeal: true, ScrubBudgetBytes: -1})
@@ -195,7 +195,7 @@ func coverageEqual(a, b Coverage) bool {
 // quarantine log records the full custody chain.
 func TestHealRepairFromBacking(t *testing.T) {
 	dir := t.TempDir()
-	writeShardDataDir(t, dir, dayStore(3, 40), fixtureSeries(30), healQuality)
+	writeDataDir(t, dir, dayStore(3, 40), fixtureSeries(30), healQuality)
 	shardPath := filepath.Join(dir, store.ShardFileName(1))
 	pristine, err := os.ReadFile(shardPath)
 	if err != nil {
@@ -259,7 +259,7 @@ func TestHealRepairFromBacking(t *testing.T) {
 // readyz reports down, and the ops endpoints keep answering.
 func TestHealMinCoverageFloor(t *testing.T) {
 	dir := t.TempDir()
-	writeShardDataDir(t, dir, dayStore(3, 40), fixtureSeries(30), healQuality)
+	writeDataDir(t, dir, dayStore(3, 40), fixtureSeries(30), healQuality)
 	corruptFile(t, filepath.Join(dir, store.ShardFileName(1)))
 	for _, backing := range []string{"jobs.supremm", "jobs.jsonl"} {
 		if err := os.Remove(filepath.Join(dir, backing)); err != nil {
@@ -311,7 +311,7 @@ func TestHealMinCoverageFloor(t *testing.T) {
 // full-coverage generation.
 func TestHealScrubCatchesSilentRot(t *testing.T) {
 	dir := t.TempDir()
-	writeShardDataDir(t, dir, dayStore(3, 40), fixtureSeries(30), healQuality)
+	writeDataDir(t, dir, dayStore(3, 40), fixtureSeries(30), healQuality)
 	victim := store.ShardFileName(2)
 	good := make(map[string][]byte)
 	for _, name := range []string{victim, "jobs.supremm", "jobs.jsonl"} {
@@ -383,7 +383,7 @@ func TestHealScrubCatchesSilentRot(t *testing.T) {
 }
 
 // TestChaosSelfHeal is the self-heal acceptance proof (DESIGN.md §15),
-// run under -race via make test-scrub: 16 clients hammer the valve
+// run under -race via make test-serve: 16 clients hammer the valve
 // while the data directory goes healthy -> silently rotted (backing
 // removed, so unrepairable) -> healed backing. Invariants:
 //
@@ -403,7 +403,7 @@ func TestChaosSelfHeal(t *testing.T) {
 	const perDay = 40
 	full := dayStore(3, perDay)
 	dir := t.TempDir()
-	writeShardDataDir(t, dir, full, fixtureSeries(30), healQuality)
+	writeDataDir(t, dir, full, fixtureSeries(30), healQuality)
 	victim := store.ShardFileName(1)
 	good := make(map[string][]byte)
 	for _, name := range []string{victim, "jobs.supremm", "jobs.jsonl"} {
@@ -419,7 +419,7 @@ func TestChaosSelfHeal(t *testing.T) {
 	// healthy-shards-only corpus (day 1 missing).
 	fullSrv := newTestServer(t, dir)
 	dirP := t.TempDir()
-	writeShardDataDir(t, dirP, withoutDay(full, 1), fixtureSeries(30), healQuality)
+	writeDataDir(t, dirP, withoutDay(full, 1), fixtureSeries(30), healQuality)
 	partSrv := newTestServer(t, dirP)
 	fullBody := make(map[string][]byte, len(chaosTargets))
 	partBody := make(map[string][]byte, len(chaosTargets))

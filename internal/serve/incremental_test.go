@@ -55,18 +55,6 @@ func dayStore(days, perDay int) *store.Store {
 	return st
 }
 
-// writeShardDataDir writes the full sharded data directory: day shards
-// plus manifest (the preferred load source) alongside the monolithic
-// files, exactly the set cmd/ingest lands.
-func writeShardDataDir(t testing.TB, dir string, st *store.Store, series []store.SystemSample, q *ingest.DataQuality) {
-	t.Helper()
-	st.ReorderByEndDay()
-	writeDataDir(t, dir, st, series, q)
-	if err := store.WriteShardDir(dir, st); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestIncrementalReloadSharing is the incremental-reload invariant
 // suite: append one day's shard under a query storm and assert that
 // (a) unchanged shards are shared by pointer across generations — the
@@ -80,22 +68,19 @@ func TestIncrementalReloadSharing(t *testing.T) {
 	quality := &ingest.DataQuality{FilesScanned: 9}
 
 	dir := t.TempDir()
-	writeShardDataDir(t, dir, dayStore(3, perDay), fixtureSeries(30), quality)
+	writeDataDir(t, dir, dayStore(3, perDay), fixtureSeries(30), quality)
 	srv := newTestServer(t, dir)
 	snapA := srv.Snapshot()
-	if snapA.Source != SourceShards {
-		t.Fatalf("loaded from %q, want %q", snapA.Source, SourceShards)
-	}
 	if snapA.Shards != 3 || snapA.ShardsReused != 0 {
 		t.Fatalf("initial snapshot: %d shards (%d reused), want 3 (0)", snapA.Shards, snapA.ShardsReused)
 	}
-	ssA := snapA.Realm.Store.(*store.ShardSet)
+	ssA := snapA.shards
 
 	// The two legitimate generations' bodies: gen A from the live
 	// server before the append, gen B from an independent server over
 	// the appended corpus.
 	dirB := t.TempDir()
-	writeShardDataDir(t, dirB, dayStore(4, perDay), fixtureSeries(30), quality)
+	writeDataDir(t, dirB, dayStore(4, perDay), fixtureSeries(30), quality)
 	srvB := newTestServer(t, dirB)
 	bodyA := make(map[string][]byte, len(chaosTargets))
 	bodyB := make(map[string][]byte, len(chaosTargets))
@@ -142,7 +127,7 @@ func TestIncrementalReloadSharing(t *testing.T) {
 	}
 
 	// Day 4 lands; the poll picks it up.
-	writeShardDataDir(t, dir, dayStore(4, perDay), fixtureSeries(30), quality)
+	writeDataDir(t, dir, dayStore(4, perDay), fixtureSeries(30), quality)
 	reloaded, err := srv.MaybeReload()
 	stop.Store(true)
 	wg.Wait()
@@ -161,7 +146,7 @@ func TestIncrementalReloadSharing(t *testing.T) {
 	if snapB.Shards != 4 || snapB.ShardsReused != 3 {
 		t.Fatalf("incremental snapshot: %d shards (%d reused), want 4 (3)", snapB.Shards, snapB.ShardsReused)
 	}
-	ssB := snapB.Realm.Store.(*store.ShardSet)
+	ssB := snapB.shards
 	for i := 0; i < ssA.NumShards(); i++ {
 		old, now := ssA.ShardAt(i), ssB.ShardAt(i)
 		if old.ID() != now.ID() {
@@ -195,13 +180,13 @@ func TestIncrementalReloadSharing(t *testing.T) {
 func BenchmarkIncrementalReload(b *testing.B) {
 	const days, perDay = 90, 150
 	dir := b.TempDir()
-	writeShardDataDir(b, dir, dayStore(days, perDay), fixtureSeries(8), nil)
+	writeDataDir(b, dir, dayStore(days, perDay), fixtureSeries(8), nil)
 	base, err := loadSnapshot(dir, 1, 0, nil, osOpen, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	// One new day lands; history shards are rewritten byte-identically.
-	writeShardDataDir(b, dir, dayStore(days+1, perDay), fixtureSeries(8), nil)
+	writeDataDir(b, dir, dayStore(days+1, perDay), fixtureSeries(8), nil)
 
 	b.Run("full-load", func(b *testing.B) {
 		b.ReportAllocs()
@@ -235,12 +220,12 @@ func TestIncrementalReloadSpeedupFloor(t *testing.T) {
 	}
 	const days, perDay = 90, 150
 	dir := t.TempDir()
-	writeShardDataDir(t, dir, dayStore(days, perDay), fixtureSeries(8), nil)
+	writeDataDir(t, dir, dayStore(days, perDay), fixtureSeries(8), nil)
 	base, err := loadSnapshot(dir, 1, 0, nil, osOpen, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeShardDataDir(t, dir, dayStore(days+1, perDay), fixtureSeries(8), nil)
+	writeDataDir(t, dir, dayStore(days+1, perDay), fixtureSeries(8), nil)
 
 	// Each side is the minimum ns/op of five interleaved rounds, each
 	// starting from a collected heap: noise on a shared box only ever
@@ -277,12 +262,12 @@ func TestIncrementalReloadSpeedupFloor(t *testing.T) {
 func TestIncrementalReloadOpensOneShard(t *testing.T) {
 	const days, perDay = 90, 20
 	dir := t.TempDir()
-	writeShardDataDir(t, dir, dayStore(days, perDay), fixtureSeries(8), nil)
+	writeDataDir(t, dir, dayStore(days, perDay), fixtureSeries(8), nil)
 	base, err := loadSnapshot(dir, 1, 0, nil, osOpen, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	writeShardDataDir(t, dir, dayStore(days+1, perDay), fixtureSeries(8), nil)
+	writeDataDir(t, dir, dayStore(days+1, perDay), fixtureSeries(8), nil)
 
 	var opened []string
 	open := func(path string) (io.ReadCloser, error) {
@@ -356,13 +341,13 @@ func TestReloadServesNewGenerationFleetMeans(t *testing.T) {
 
 	dir := t.TempDir()
 	old := dayStore(3, 40)
-	writeShardDataDir(t, dir, old, fixtureSeries(30), nil)
+	writeDataDir(t, dir, old, fixtureSeries(30), nil)
 	srv := newTestServer(t, dir)
 	check("generation 1", fleetMeans(srv), naive(old))
 	check("generation 1, memoized", fleetMeans(srv), naive(old))
 
 	grown := dayStore(5, 40)
-	writeShardDataDir(t, dir, grown, fixtureSeries(30), nil)
+	writeDataDir(t, dir, grown, fixtureSeries(30), nil)
 	if _, err := srv.Reload(); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +363,7 @@ func TestReloadServesNewGenerationFleetMeans(t *testing.T) {
 // shard count) produced, byte for byte, on a 100-shard directory.
 func TestDirFingerprintPinned(t *testing.T) {
 	dir := t.TempDir()
-	writeShardDataDir(t, dir, dayStore(100, 2), fixtureSeries(4), nil) // no quality.json: one "absent"
+	writeDataDir(t, dir, dayStore(100, 2), fixtureSeries(4), nil) // no quality.json: one "absent"
 	concat := func() string {
 		fp := ""
 		stamp := func(path string) {
@@ -455,7 +440,7 @@ func replaceSeries(t *testing.T, dir string, series []store.SystemSample, mtime 
 func TestReloadAdoptsUnchangedSeries(t *testing.T) {
 	const days, perDay = 6, 20
 	dir := t.TempDir()
-	writeShardDataDir(t, dir, dayStore(days, perDay), fixtureSeries(40), nil)
+	writeDataDir(t, dir, dayStore(days, perDay), fixtureSeries(40), nil)
 	var co countingOpen
 	srv, err := New(Config{DataDir: dir, Open: co.open})
 	if err != nil {
@@ -552,11 +537,11 @@ func TestReloadAdoptsUnchangedSeries(t *testing.T) {
 	}
 
 	// The exported loader has no previous generation: it always decodes.
-	realm, _, err := LoadRealmSource(dir)
+	realm, err := LoadRealm(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(realm.Series) != 25 || &realm.Series[0] == &snap.Realm.Series[0] {
-		t.Error("LoadRealmSource shared samples with a served generation")
+		t.Error("LoadRealm shared samples with a served generation")
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"supremm/internal/leakcheck"
+	"supremm/internal/store"
 )
 
 // TestShedWhenSaturated holds the single admission slot with a blocked
@@ -163,7 +165,7 @@ func TestHealthzReadyzProbes(t *testing.T) {
 	dir := t.TempDir()
 	st, series := fixtureStore(30), fixtureSeries(6)
 	writeDataDir(t, dir, st, series, nil)
-	good, err := os.ReadFile(filepath.Join(dir, "jobs.supremm"))
+	good, err := os.ReadFile(filepath.Join(dir, store.ManifestFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,13 +179,15 @@ func TestHealthzReadyzProbes(t *testing.T) {
 		}
 	}
 
-	// Tear the snapshot and fail reloads until the breaker opens.
-	if err := os.WriteFile(filepath.Join(dir, "jobs.supremm"), good[:len(good)/3], 0o644); err != nil {
+	_, lastGood := get(t, srv, "/api/v1/workload")
+
+	// Tear the manifest and fail reloads until the breaker opens.
+	if err := os.WriteFile(filepath.Join(dir, store.ManifestFile), good[:len(good)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
 		if _, err := srv.Reload(); err == nil {
-			t.Fatal("reload of a torn snapshot succeeded")
+			t.Fatal("reload over a torn manifest succeeded")
 		}
 	}
 	rec := httptest.NewRecorder()
@@ -208,12 +212,12 @@ func TestHealthzReadyzProbes(t *testing.T) {
 	if status, _ := get(t, srv, "/healthz"); status != http.StatusOK {
 		t.Errorf("healthz with open breaker: %d", status)
 	}
-	if status, _ := get(t, srv, "/api/v1/workload"); status != http.StatusOK {
-		t.Errorf("query with open breaker: %d", status)
+	if status, body := get(t, srv, "/api/v1/workload"); status != http.StatusOK || !bytes.Equal(body, lastGood) {
+		t.Errorf("query with open breaker: status %d, body identical to last-good: %v", status, bytes.Equal(body, lastGood))
 	}
 
 	// Heal and force a reload: readyz recovers.
-	if err := os.WriteFile(filepath.Join(dir, "jobs.supremm"), good, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, store.ManifestFile), good, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := srv.Reload(); err != nil {
@@ -233,7 +237,7 @@ func TestMaybeReloadBreakerSkips(t *testing.T) {
 	dir := t.TempDir()
 	st, series := fixtureStore(25), fixtureSeries(4)
 	writeDataDir(t, dir, st, series, nil)
-	good, err := os.ReadFile(filepath.Join(dir, "jobs.supremm"))
+	good, err := os.ReadFile(filepath.Join(dir, store.ManifestFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +247,7 @@ func TestMaybeReloadBreakerSkips(t *testing.T) {
 	}
 	gen := srv.Snapshot().Gen
 
-	if err := os.WriteFile(filepath.Join(dir, "jobs.supremm"), good[:len(good)-7], 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, store.ManifestFile), good[:len(good)-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Three polls fail (breaker closed -> open at the third).
@@ -267,7 +271,7 @@ func TestMaybeReloadBreakerSkips(t *testing.T) {
 	}
 
 	// Heal; the next allowed probe closes the breaker and advances.
-	if err := os.WriteFile(filepath.Join(dir, "jobs.supremm"), good, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, store.ManifestFile), good, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -168,7 +168,7 @@ func TestConcurrentMaybeReload(t *testing.T) {
 func TestScrubSerializedWithForcedReload(t *testing.T) {
 	leakcheck.Check(t)
 	dir := t.TempDir()
-	writeShardDataDir(t, dir, dayStore(3, 40), fixtureSeries(30), healQuality)
+	writeDataDir(t, dir, dayStore(3, 40), fixtureSeries(30), healQuality)
 	victim := store.ShardFileName(1)
 	pristine, err := os.ReadFile(filepath.Join(dir, victim))
 	if err != nil {

@@ -28,10 +28,10 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// DataDir is the ingested data directory: the job store in its
-	// preferred form (MANIFEST.supremm + shard-<day>.supremm files, else
-	// jobs.supremm, else jobs.jsonl — see loadStore), plus optional
-	// series.jsonl and quality.json.
+	// DataDir is the ingested data directory, as cmd/ingest writes it:
+	// MANIFEST.supremm and the shard-<day>.supremm files it names (the
+	// job store — see loadStore), optional series.jsonl and quality.json,
+	// and jobs.supremm / jobs.jsonl, which only shard repair reads.
 	DataDir string
 	// Workers bounds the aggregation fan-out; 0 means GOMAXPROCS. The
 	// worker count never changes results (store.AggregateParallelCtx).
@@ -72,9 +72,9 @@ type Config struct {
 	BreakerBackoffPolls int
 	// Open, when non-nil, replaces os.Open for snapshot data files —
 	// the seam the chaos harness uses to inject slow or failing reads.
-	// Reads of the manifest, every shard file, jobs.supremm, jobs.jsonl
-	// and series.jsonl go through it, as do the scrubber's and the
-	// repair's; quality.json does not.
+	// Reads of the manifest, every shard file and series.jsonl go
+	// through it, as do the scrubber's and the repair's (jobs.supremm,
+	// jobs.jsonl); quality.json does not.
 	Open func(path string) (io.ReadCloser, error)
 	// Hooks are chaos/test instrumentation; see Hooks.
 	Hooks Hooks
@@ -478,7 +478,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) int {
 		Jobs:       snap.Realm.Store.Len(),
 		Series:     len(snap.Realm.Series),
 		Indexed:    snap.Realm.Store.HasIndex(),
-		Source:     snap.Source,
 		Shards:     snap.Shards,
 	})
 	if err != nil {

@@ -61,46 +61,30 @@ func fixtureSeries(n int) []store.SystemSample {
 	return out
 }
 
-// writeDataDir materializes a data directory for the daemon to load.
+// writeDataDir lands a data directory as cmd/ingest does: rows grouped
+// by job-end day, then jobs.jsonl, jobs.supremm, series.jsonl, the
+// quality report (when there is one) and the day shards under their
+// manifest, each file atomically. st is reordered in place.
 func writeDataDir(t testing.TB, dir string, st *store.Store, series []store.SystemSample, q *ingest.DataQuality) {
 	t.Helper()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	jf, err := os.Create(filepath.Join(dir, "jobs.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Save(jf); err != nil {
-		t.Fatal(err)
-	}
-	if err := jf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	bf, err := os.Create(filepath.Join(dir, "jobs.supremm"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SaveBinary(bf); err != nil {
-		t.Fatal(err)
-	}
-	if err := bf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sf, err := os.Create(filepath.Join(dir, "series.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.SaveSeries(sf, series); err != nil {
-		t.Fatal(err)
-	}
-	if err := sf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if q != nil {
-		if err := ingest.SaveQuality(filepath.Join(dir, "quality.json"), q); err != nil {
+	st.ReorderByEndDay()
+	write := func(name string, fn func(*os.File) error) {
+		t.Helper()
+		if err := store.AtomicWriteFile(dir, name, fn); err != nil {
 			t.Fatal(err)
 		}
+	}
+	write("jobs.jsonl", func(f *os.File) error { return st.Save(f) })
+	write("jobs.supremm", func(f *os.File) error { return st.SaveBinary(f) })
+	write("series.jsonl", func(f *os.File) error { return store.SaveSeries(f, series) })
+	if q != nil {
+		write("quality.json", func(f *os.File) error { return ingest.WriteQuality(f, q) })
+	}
+	if err := store.WriteShardDir(dir, st); err != nil {
+		t.Fatal(err)
 	}
 }
 

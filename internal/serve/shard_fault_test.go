@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,6 +15,7 @@ import (
 	"supremm/internal/faultinject"
 	"supremm/internal/ingest"
 	"supremm/internal/leakcheck"
+	"supremm/internal/store"
 )
 
 // readGoodFiles captures every data file in dir — monolithic files,
@@ -41,19 +44,17 @@ func readGoodFiles(t *testing.T, dir string) map[string][]byte {
 // over it, and a server with a hair-trigger breaker (threshold 1,
 // backoff 1 poll) so each test drives exactly the transition it is
 // about: one bad poll opens the breaker, the next allowed poll probes.
-func newShardFaultServer(t *testing.T) (*Server, *faultinject.ServeChaos, map[string][]byte) {
+func newShardFaultServer(t *testing.T, selfHeal bool) (*Server, *faultinject.ServeChaos, map[string][]byte) {
 	t.Helper()
 	dir := t.TempDir()
-	writeShardDataDir(t, dir, dayStore(3, 40), fixtureSeries(30),
+	writeDataDir(t, dir, dayStore(3, 40), fixtureSeries(30),
 		&ingest.DataQuality{FilesScanned: 6})
 	good := readGoodFiles(t, dir)
 	chaos := faultinject.NewServeChaos(20260810, dir, good)
-	srv, err := New(Config{DataDir: dir, BreakerThreshold: 1, BreakerBackoffPolls: 1})
+	srv, err := New(Config{DataDir: dir, BreakerThreshold: 1, BreakerBackoffPolls: 1,
+		SelfHeal: selfHeal, ScrubBudgetBytes: -1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if src := srv.Snapshot().Source; src != SourceShards {
-		t.Fatalf("loaded from %q, want %q", src, SourceShards)
 	}
 	return srv, chaos, good
 }
@@ -78,7 +79,8 @@ func driveFault(t *testing.T, srv *Server, chaos *faultinject.ServeChaos, inject
 	if status, _ := get(t, srv, "/readyz"); status != http.StatusOK {
 		t.Fatalf("readyz before fault: status %d", status)
 	}
-	genBefore := srv.Snapshot().Gen
+	snapBefore := srv.Snapshot()
+	genBefore := snapBefore.Gen
 
 	if err := inject(); err != nil {
 		t.Fatal(err)
@@ -104,9 +106,11 @@ func driveFault(t *testing.T, srv *Server, chaos *faultinject.ServeChaos, inject
 		t.Error("readyz 503 without Retry-After")
 	}
 
-	// The last-good generation keeps answering, bit-identically.
-	if g := srv.Snapshot().Gen; g != genBefore {
-		t.Fatalf("served generation moved %d -> %d under fault", genBefore, g)
+	// The last-good generation — the very snapshot, with its shards and
+	// its coverage — keeps answering, bit-identically.
+	if snap := srv.Snapshot(); snap != snapBefore {
+		t.Fatalf("served snapshot replaced under fault (generation %d -> %d, %d -> %d shards)",
+			genBefore, snap.Gen, snapBefore.Shards, snap.Shards)
 	}
 	for _, target := range chaosTargets {
 		status, body := get(t, srv, target)
@@ -156,7 +160,7 @@ func driveFault(t *testing.T, srv *Server, chaos *faultinject.ServeChaos, inject
 // generation's memory.
 func TestShardTornReloadBreaker(t *testing.T) {
 	leakcheck.Check(t)
-	srv, chaos, _ := newShardFaultServer(t)
+	srv, chaos, _ := newShardFaultServer(t, false)
 	driveFault(t, srv, chaos, func() error {
 		name, frac, err := chaos.TearShard()
 		if err == nil {
@@ -171,12 +175,12 @@ func TestShardTornReloadBreaker(t *testing.T) {
 
 // TestShardStaleManifestReadyz deletes one shard the manifest still
 // lists — a manifest landing without its shard. The reload must fail on
-// the missing file (not fall back to the monolithic forms sitting right
-// there: the directory is torn, and serving a different file would mask
-// it), and /readyz must reflect the open breaker.
+// the missing file (the monolithic files sitting right there are repair
+// backing, never a load source), and /readyz must reflect the open
+// breaker.
 func TestShardStaleManifestReadyz(t *testing.T) {
 	leakcheck.Check(t)
-	srv, chaos, _ := newShardFaultServer(t)
+	srv, chaos, _ := newShardFaultServer(t, false)
 	driveFault(t, srv, chaos, func() error {
 		name, err := chaos.StaleManifest()
 		if err == nil {
@@ -186,5 +190,58 @@ func TestShardStaleManifestReadyz(t *testing.T) {
 	})
 	if n := chaos.Counts()[faultinject.KindStaleManifest]; n != 1 {
 		t.Errorf("stale-manifest count %d, want 1", n)
+	}
+}
+
+// TestManifestRemovedKeepsLastGood deletes MANIFEST.supremm under a
+// running daemon, strict and self-healing. The manifest is the root of
+// the directory, so the poll must fail, feed the breaker and leave the
+// last-good generation serving with its shards and its coverage; the
+// monolithic files beside it are repair backing, not a second way in.
+// (While they were, this poll succeeded: the daemon silently swapped to
+// a generation read from jobs.supremm, with nothing to scrub.)
+func TestManifestRemovedKeepsLastGood(t *testing.T) {
+	leakcheck.Check(t)
+	for _, selfHeal := range []bool{false, true} {
+		srv, chaos, _ := newShardFaultServer(t, selfHeal)
+		driveFault(t, srv, chaos, func() error {
+			return os.Remove(filepath.Join(srv.cfg.DataDir, store.ManifestFile))
+		})
+		if n := srv.met.reloadErrors.Load(); n == 0 {
+			t.Errorf("self-heal %v: no reload error counted for the missing manifest", selfHeal)
+		}
+	}
+}
+
+// TestLoadNeedsManifest: a directory holding only the monolithic files
+// is not a data directory. The daemon (either policy) and the CLI loader
+// refuse it with an error that names the missing file and what writes
+// it.
+func TestLoadNeedsManifest(t *testing.T) {
+	dir := t.TempDir()
+	writeDataDir(t, dir, dayStore(2, 10), fixtureSeries(4), nil)
+	if err := os.Remove(filepath.Join(dir, store.ManifestFile)); err != nil {
+		t.Fatal(err)
+	}
+	for day := int64(0); day < 2; day++ {
+		if err := os.Remove(filepath.Join(dir, store.ShardFileName(day))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loads := map[string]func() error{
+		"New":           func() error { _, err := New(Config{DataDir: dir}); return err },
+		"New self-heal": func() error { _, err := New(Config{DataDir: dir, SelfHeal: true}); return err },
+		"LoadRealm":     func() error { _, err := LoadRealm(dir); return err },
+	}
+	for name, load := range loads {
+		err := load()
+		if err == nil {
+			t.Errorf("%s loaded a directory that holds only jobs.supremm and jobs.jsonl", name)
+			continue
+		}
+		if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), store.ManifestFile) ||
+			!strings.Contains(err.Error(), "cmd/ingest") {
+			t.Errorf("%s: error %q, want fs.ErrNotExist naming %s and cmd/ingest", name, err, store.ManifestFile)
+		}
 	}
 }

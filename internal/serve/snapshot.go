@@ -31,31 +31,28 @@ type Snapshot struct {
 	Realm       *core.Realm
 	Quality     *ingest.DataQuality
 	Fingerprint string
-	// Source records which jobs backing served the load: "shards"
-	// (MANIFEST.supremm + shard files), "binary" (jobs.supremm) or
-	// "jsonl" (jobs.jsonl). Whatever the file, the realm's store is the
-	// same day-partitioned shard set, so the three paths produce
-	// bit-identical responses (see TestGoldenLoadPaths); Source decides
-	// only what has files to scrub, repair and adopt.
-	Source string
-	// Shards and ShardsReused describe a load from shard files: how many
+	// Shards and ShardsReused describe the load: how many shard files
 	// back the realm and how many were adopted pointer-wise from the
-	// previous generation instead of decoded (both zero for monolithic
-	// sources, whose day partitions exist only in memory).
+	// previous generation instead of decoded.
 	Shards       int
 	ShardsReused int
 	// Coverage is the snapshot's honesty accounting (DESIGN.md §15):
 	// rows served versus rows the manifest promised, with the missing
-	// day ranges. Ratio 1 for monolithic and fully-healthy loads.
+	// day ranges. Ratio 1 for a fully-healthy load.
 	Coverage Coverage
+	// shards is Realm.Store under its concrete type: what the next load
+	// adopts unchanged days from and what the scrubber walks.
+	shards *store.ShardSet
 	// heal records what the healing load did (quarantines, repairs) for
 	// the server's metrics; nil for strict loads.
 	heal *healLoad
 }
 
 // snapshotFiles are the fixed-name data-directory members whose change
-// forces a reload, in fingerprint order. The manifest is listed first:
-// the sharded form is the preferred load source.
+// forces a reload, in fingerprint order: the manifest every load starts
+// from, the monolithic files shard repair rebuilds from (a backing that
+// comes back must trigger the reload that repairs), the series and the
+// quality report.
 var snapshotFiles = []string{store.ManifestFile, "jobs.supremm", "jobs.jsonl", "series.jsonl", "quality.json"}
 
 // DirFingerprint summarizes the load-relevant files of a data directory
@@ -102,103 +99,60 @@ func fileStamp(fp, name string) string {
 // the records the way cmd/xdmod always has. The returned realm's store
 // is unindexed; callers wanting indexed queries call BuildIndex.
 func LoadRealm(dir string) (*core.Realm, error) {
-	realm, _, err := LoadRealmSource(dir)
+	realm, _, err := loadRealm(dir, osOpen, nil, "", nil)
 	return realm, err
 }
 
-// loadStore reads the job store, preferring the time-partitioned shard
-// form (MANIFEST.supremm + shard-<day>.supremm, loaded incrementally
-// against prev's shards), then the monolithic columnar binary
-// (jobs.supremm), then JSON lines (jobs.jsonl). A monolithic file is
-// partitioned by job-end day in memory: a sum is the day-ordered sum of
-// per-day sums (DESIGN.md §11), so every backing must hand the kernels
-// the same split to answer with the same bits. A preferred form that
-// exists but fails to load is an error, not a fallback: the files are
-// written by the same ingest batch, so a damaged manifest or shard
-// alongside readable fallbacks means the directory is torn and the
-// load should retry, not silently serve another file.
-func loadStore(dir string, open func(path string) (io.ReadCloser, error), prev *store.ShardSet, heal *healLoad) (*store.ShardSet, string, error) {
+// loadStore reads the job store. The manifest is the root of a data
+// directory: it names every day shard with its size and hash, and the
+// shards are loaded against it — incrementally against prev's, strictly
+// or (heal != nil) with per-shard quarantine and repair. Nothing else in
+// the directory is a load source: jobs.supremm and jobs.jsonl are repair
+// backing (store.LoadBackingStore), so a directory without a manifest is
+// not a data directory, whatever else it holds.
+func loadStore(dir string, open func(path string) (io.ReadCloser, error), prev *store.ShardSet, heal *healLoad) (*store.ShardSet, error) {
 	mf, err := open(filepath.Join(dir, store.ManifestFile))
-	if err == nil {
-		defer mf.Close()
-		mdata, err := io.ReadAll(mf)
-		if err != nil {
-			return nil, "", err
-		}
-		entries, err := store.DecodeManifest(mdata)
-		if err != nil {
-			return nil, "", fmt.Errorf("serve: %s: %w", store.ManifestFile, err)
-		}
-		var ss *store.ShardSet
-		if heal != nil {
-			// Self-heal path: per-shard fault isolation with quarantine and
-			// repair instead of all-or-nothing (see heal.go).
-			heal.entries = entries
-			ss, err = healShardLoad(dir, entries, prev, store.Opener(open), heal)
-		} else {
-			ss, err = store.LoadShards(dir, entries, prev, store.Opener(open))
-		}
-		if err != nil {
-			return nil, "", err
-		}
-		return ss, SourceShards, nil
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("serve: no %s (cmd/ingest writes it): %w", store.ManifestFile, err)
 	}
-	if !errors.Is(err, fs.ErrNotExist) {
-		return nil, "", err
-	}
-	bf, err := open(filepath.Join(dir, "jobs.supremm"))
-	if err == nil {
-		defer bf.Close()
-		st, err := store.LoadBinary(bf)
-		if err != nil {
-			return nil, "", fmt.Errorf("serve: jobs.supremm: %w", err)
-		}
-		return st.DayShards(), SourceBinary, nil
-	}
-	if !errors.Is(err, fs.ErrNotExist) {
-		return nil, "", err
-	}
-	jf, err := open(filepath.Join(dir, "jobs.jsonl"))
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	defer jf.Close()
-	st, err := store.Load(jf)
+	defer mf.Close()
+	mdata, err := io.ReadAll(mf)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	return st.DayShards(), SourceJSONL, nil
+	entries, err := store.DecodeManifest(mdata)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %s: %w", store.ManifestFile, err)
+	}
+	if heal == nil {
+		return store.LoadShards(dir, entries, prev, store.Opener(open))
+	}
+	// Self-heal path: per-shard fault isolation with quarantine and
+	// repair instead of all-or-nothing (see heal.go).
+	heal.entries = entries
+	return healShardLoad(dir, entries, prev, store.Opener(open), heal)
 }
 
-// Snapshot source labels.
-const (
-	SourceShards = "shards"
-	SourceBinary = "binary"
-	SourceJSONL  = "jsonl"
-)
-
-// LoadRealmSource is LoadRealm plus the job-store source label
-// (SourceShards, SourceBinary or SourceJSONL).
-func LoadRealmSource(dir string) (*core.Realm, string, error) {
-	return loadRealmSource(dir, osOpen, nil, "", nil)
-}
-
-// loadRealmSource is LoadRealmSource with the file opener, the
-// previous generation (with fp, the directory fingerprint taken just
-// before this load), and the self-heal context injected — the daemon's
-// snapshot loads route through Config.Open, incremental reuse of what
-// did not change, and (when enabled) quarantine/repair here.
-func loadRealmSource(dir string, open func(path string) (io.ReadCloser, error), prev *Snapshot, fp string, heal *healLoad) (*core.Realm, string, error) {
+// loadRealm is LoadRealm with the file opener, the previous generation
+// (with fp, the directory fingerprint taken just before this load), and
+// the self-heal context injected — the daemon's snapshot loads route
+// through Config.Open, incremental reuse of what did not change, and
+// (when enabled) quarantine/repair here. The shard set is returned
+// beside the realm that wraps it.
+func loadRealm(dir string, open func(path string) (io.ReadCloser, error), prev *Snapshot, fp string, heal *healLoad) (*core.Realm, *store.ShardSet, error) {
 	var prevShards *store.ShardSet
-	if prev != nil && prev.Source == SourceShards {
-		prevShards = prev.Realm.Store.(*store.ShardSet)
+	if prev != nil {
+		prevShards = prev.shards
 	}
-	st, source, err := loadStore(dir, open, prevShards, heal)
+	st, err := loadStore(dir, open, prevShards, heal)
 	if err != nil {
-		return nil, "", err
+		return nil, nil, err
 	}
 	// Only a missing series.jsonl means "no series"; any other open error
-	// fails the attempt like the jobs files do, so an unreadable file
+	// fails the attempt like the shard files do, so an unreadable file
 	// cannot publish a generation with an empty time series.
 	var series []store.SystemSample
 	sf, err := open(filepath.Join(dir, "series.jsonl"))
@@ -212,16 +166,17 @@ func loadRealmSource(dir string, open func(path string) (io.ReadCloser, error), 
 			// a rewrite racing this load.
 			series = prev.Realm.Series
 		} else if series, err = store.LoadSeries(sf); err != nil {
-			return nil, "", err
+			return nil, nil, err
 		}
 	case !errors.Is(err, fs.ErrNotExist):
-		return nil, "", err
+		return nil, nil, err
 	}
-	// Infer the cluster shape from the records; the active-node peak in
+	// Infer the cluster shape from the first row; the active-node peak in
 	// the series keeps the peak-TF scale honest for scaled runs.
 	name := "unknown"
 	if st.Len() > 0 {
-		name = st.Record(0).Cluster
+		c := &st.ShardAt(0).Columns().Cluster
+		name = c.Values[c.Codes[0]]
 	}
 	cc := cluster.RangerConfig()
 	if name == "lonestar4" {
@@ -240,7 +195,7 @@ func loadRealmSource(dir string, open func(path string) (io.ReadCloser, error), 
 		}
 	}
 	cc = cc.Scaled(nodes)
-	return core.NewRealm(name, cc.CoresPerNode(), cc.MemPerNodeGB, cc.PeakTFlops(), st, series), source, nil
+	return core.NewRealm(name, cc.CoresPerNode(), cc.MemPerNodeGB, cc.PeakTFlops(), st, series), st, nil
 }
 
 // LoadQuality reads the directory's ingest quality report; a missing
@@ -277,7 +232,7 @@ func loadSnapshot(dir string, gen uint64, retryMax int, backoff func(attempt int
 			heal.outcome = healOutcome{} // a retry is a fresh heal attempt
 		}
 		fp := DirFingerprint(dir)
-		realm, source, err := loadRealmSource(dir, open, prev, fp, heal)
+		realm, shards, err := loadRealm(dir, open, prev, fp, heal)
 		if err != nil {
 			lastErr = err
 			continue
@@ -304,16 +259,14 @@ func loadSnapshot(dir string, gen uint64, retryMax int, backoff func(attempt int
 		// Indexing skips shards adopted from prev (they already carry
 		// their postings), so an incremental reload indexes only the new
 		// day's rows.
-		realm.Store.BuildIndex()
-		snap := &Snapshot{Gen: gen, Realm: realm, Quality: quality, Fingerprint: fp, Source: source, heal: heal}
-		snap.Coverage = fullCoverage(realm.Store.Len())
-		if source == SourceShards {
-			ss := realm.Store.(*store.ShardSet)
-			snap.Shards = ss.NumShards()
-			snap.ShardsReused = ss.LoadStats().Reused
-			if heal != nil {
-				snap.Coverage = coverageFrom(heal.entries, heal.outcome.faults)
-			}
+		shards.BuildIndex()
+		snap := &Snapshot{
+			Gen: gen, Realm: realm, Quality: quality, Fingerprint: fp,
+			Shards: shards.NumShards(), ShardsReused: shards.LoadStats().Reused,
+			Coverage: fullCoverage(shards.Len()), shards: shards, heal: heal,
+		}
+		if heal != nil {
+			snap.Coverage = coverageFrom(heal.entries, heal.outcome.faults)
 		}
 		return snap, nil
 	}

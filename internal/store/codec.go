@@ -483,16 +483,3 @@ func (s *Store) SaveBinary(w io.Writer) error {
 	bw.columns(&s.c)
 	return bw.err
 }
-
-// LoadBinary reads a binary snapshot into a store.
-func LoadBinary(r io.Reader) (*Store, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("store: load binary: %w", err)
-	}
-	c, err := DecodeColumns(data)
-	if err != nil {
-		return nil, err
-	}
-	return FromColumns(c), nil
-}

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // codecStore builds a store with awkward codec inputs: NaN/Inf metric
@@ -135,17 +136,18 @@ func TestCodecDerivedState(t *testing.T) {
 	}
 }
 
-// TestSaveLoadBinary covers the io.Reader/Writer wrappers.
+// TestSaveLoadBinary round-trips the streamed writer through the decoder.
 func TestSaveLoadBinary(t *testing.T) {
 	st := codecStore(257)
 	var buf bytes.Buffer
 	if err := st.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := LoadBinary(&buf)
+	c, err := DecodeColumns(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
+	st2 := FromColumns(c)
 	if st2.Len() != st.Len() {
 		t.Fatalf("%d rows, want %d", st2.Len(), st.Len())
 	}
@@ -409,4 +411,85 @@ func BenchmarkColumnsCodec(b *testing.B) {
 			}
 		}
 	})
+	// The same rows as JSON lines, the other repair backing: the ratio to
+	// "decode" is what TestColumnarDecodeSpeedupFloor holds at >= 5x.
+	var jsonl bytes.Buffer
+	if err := st.Save(&jsonl); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("decode-jsonl", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(jsonl.Len()))
+		for i := 0; i < b.N; i++ {
+			if _, err := Load(bytes.NewReader(jsonl.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestColumnarDecodeSpeedupFloor is why shard repair reads jobs.supremm
+// before jobs.jsonl: over the same 100k rows, read + DecodeColumns of
+// the columnar file must be at least 5x faster than Load of the JSON
+// lines. Each side is the minimum of interleaved loads, each from a
+// collected heap — noise on a shared box only ever slows a load down,
+// and the columnar side, the one a slow load could fail, is cheap
+// enough to take three per round. The measured ratio is 30-50x.
+func TestColumnarDecodeSpeedupFloor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100k-row decode comparison in -short mode")
+	}
+	st := floorStore(100_000)
+	dir := t.TempDir()
+	if err := AtomicWriteFile(dir, "jobs.supremm", func(f *os.File) error { return st.SaveBinary(f) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := AtomicWriteFile(dir, "jobs.jsonl", func(f *os.File) error { return st.Save(f) }); err != nil {
+		t.Fatal(err)
+	}
+	timed := func(load func() (*Store, error)) time.Duration {
+		t.Helper()
+		runtime.GC()
+		start := time.Now()
+		got, err := load()
+		took := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() != st.Len() {
+			t.Fatalf("loaded %d rows, want %d", got.Len(), st.Len())
+		}
+		return took
+	}
+	columnar := func() (*Store, error) {
+		data, err := os.ReadFile(filepath.Join(dir, "jobs.supremm"))
+		if err != nil {
+			return nil, err
+		}
+		c, err := DecodeColumns(data)
+		if err != nil {
+			return nil, err
+		}
+		return FromColumns(c), nil
+	}
+	jsonLines := func() (*Store, error) {
+		f, err := os.Open(filepath.Join(dir, "jobs.jsonl"))
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return Load(f)
+	}
+	jsonl, bin := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for round := 0; round < 2; round++ {
+		jsonl = min(jsonl, timed(jsonLines))
+		for k := 0; k < 3; k++ {
+			bin = min(bin, timed(columnar))
+		}
+	}
+	ratio := float64(jsonl) / float64(bin)
+	t.Logf("jsonl %v, columnar %v, speedup %.1fx", jsonl, bin, ratio)
+	if ratio < 5 {
+		t.Errorf("columnar file only %.1fx faster to decode than JSON lines, want >= 5x", ratio)
+	}
 }

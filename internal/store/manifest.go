@@ -214,8 +214,9 @@ func DecodeManifest(data []byte) ([]ShardInfo, error) {
 // by job-end epoch day, days ascending, preserving the existing order
 // within each day. This makes the monolithic row order identical to
 // the concatenation of the day shards WriteShardDir produces — the
-// invariant that keeps the jsonl, binary and sharded load paths
-// answering byte-identically. Drops any index (like Add).
+// invariant that lets RepairShard rebuild a lost day from jobs.supremm
+// or jobs.jsonl to the manifest's exact bytes. Drops any index (like
+// Add).
 func (s *Store) ReorderByEndDay() {
 	_, dayRows := s.c.rowsByEndDay()
 	*s = Store{c: *s.c.gather(slices.Concat(dayRows...))}
@@ -249,21 +250,6 @@ func (s *Store) partitionByEndDay() ([]int64, []*Columns) {
 		cols[k] = s.c.gather(rows)
 	}
 	return days, cols
-}
-
-// DayShards returns the store's rows as the in-memory form of the shard
-// set WriteShardDir writes: one shard per job-end day, days ascending,
-// rows in their existing order within each day. A sum depends on where
-// the rows are cut (kernel.go), so a loader that read a monolithic file
-// serves it through here to answer with the bits of one that read the
-// shard files.
-func (s *Store) DayShards() *ShardSet {
-	days, cols := s.partitionByEndDay()
-	ss := NewShardSet(cols)
-	for i, sh := range ss.shards {
-		sh.info.ID = days[i]
-	}
-	return ss
 }
 
 // WriteShardDir writes the store's time-partitioned form into dir: one

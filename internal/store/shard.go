@@ -18,11 +18,10 @@ import (
 // have one definition: a serial sum per partition, the partition sums
 // added in partition order. A *Store is one partition; a *ShardSet has
 // one per shard, so its sums follow its split in the last ulps (N, Min
-// and Max never move) — which is why everything that serves queries
-// holds the same split, the job-end day (Store.DayShards), whatever
-// file the rows came from. The two aggregate entry points return the
-// same bits; the Ctx one adds cancellation and a worker count that
-// only schedules.
+// and Max never move) — and everything that serves queries holds the
+// same split, the job-end day shards of the manifest. The two aggregate
+// entry points return the same bits; the Ctx one adds cancellation and a
+// worker count that only schedules.
 type Reader interface {
 	Len() int
 	Record(i int) JobRecord
