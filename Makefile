@@ -1,7 +1,7 @@
 # Convenience targets for the SUPReMM reproduction.
 GO ?= go
 
-.PHONY: all build test test-race vet fmt-check lint lint-fast fuzz-smoke test-serve test-store test-bench bench bench-e2e bench-compare bench-gate bench-ingest bench-serve bench-store figures dashboard clean
+.PHONY: all build test test-race vet fmt-check lint lint-fast fuzz-smoke test-serve test-store test-bench bench bench-e2e bench-compare bench-gate bench-ingest bench-serve bench-store figures dashboard pipeline clean
 
 all: build vet lint test test-race test-serve test-store test-bench
 
@@ -63,7 +63,8 @@ fuzz-smoke:
 # hot reload), the simulate→ingest→supremmd golden harness, the chaos
 # soak and the overload/breaker/drain suite (DESIGN.md §13), the
 # shard-fault, incremental-reload and self-heal suites (§14, §15), the
-# fuzz seed corpus replay, and the speedup floors. Run at one, two and
+# reload-sequence model (TestReloadModel and its racing variant, §13.2),
+# the fuzz seed corpus replay, and the speedup floors. Run at one, two and
 # four cores: the reload path's check-then-act race
 # (TestConcurrentMaybeReload) never showed at GOMAXPROCS=1.
 test-serve:

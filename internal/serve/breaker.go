@@ -156,10 +156,3 @@ func (b *breaker) dto() breakerDTO {
 		CooldownPolls:       b.cooldown,
 	}
 }
-
-// currentState returns the state alone (readyz's gate).
-func (b *breaker) currentState() breakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}

@@ -2,6 +2,13 @@ package serve
 
 import "testing"
 
+// currentState returns the breaker's state alone.
+func (b *breaker) currentState() breakerState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
+}
+
 // TestBreakerLifecycle walks the full state machine: closed under the
 // threshold, open at it, cooldown ticks to a half-open probe, a failed
 // probe doubles the backoff, a successful probe closes and resets.

@@ -202,7 +202,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.brk.currentState() != breakerOpen {
+	for srv.dir.brk.currentState() != breakerOpen {
 		if time.Now().After(deadline) {
 			t.Fatal("breaker never opened under the torn manifest")
 		}
@@ -212,11 +212,11 @@ func TestChaosSoak(t *testing.T) {
 	if g := srv.Snapshot().Gen; g != genBeforeTear {
 		t.Fatalf("served generation moved %d -> %d during torn phase", genBeforeTear, g)
 	}
-	skippedBefore := srv.brk.dto().ReloadsSkipped
+	skippedBefore := srv.dir.brk.dto().ReloadsSkipped
 	for i := 0; i < 2; i++ {
 		_, _ = srv.MaybeReload()
 	}
-	if skipped := srv.brk.dto().ReloadsSkipped; skipped <= skippedBefore {
+	if skipped := srv.dir.brk.dto().ReloadsSkipped; skipped <= skippedBefore {
 		t.Errorf("open breaker skipped no polls (%d -> %d)", skippedBefore, skipped)
 	}
 
@@ -226,10 +226,10 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(10 * time.Second)
-	for srv.Snapshot().Gen == genBeforeTear || srv.brk.currentState() != breakerClosed {
+	for srv.Snapshot().Gen == genBeforeTear || srv.dir.brk.currentState() != breakerClosed {
 		if time.Now().After(deadline) {
 			t.Fatalf("daemon never converged after heal (gen %d, breaker %v)",
-				srv.Snapshot().Gen, srv.brk.currentState())
+				srv.Snapshot().Gen, srv.dir.brk.currentState())
 		}
 		_, _ = srv.MaybeReload()
 		time.Sleep(time.Millisecond)
@@ -249,7 +249,7 @@ func TestChaosSoak(t *testing.T) {
 	if n := srv.met.shed.Load(); n == 0 {
 		t.Error("soak shed nothing despite the saturation phase")
 	}
-	if opens := srv.brk.dto().Opens; opens < 1 {
+	if opens := srv.dir.brk.dto().Opens; opens < 1 {
 		t.Errorf("breaker opened %d times, want >= 1", opens)
 	}
 	if g := srv.Snapshot().Gen; g <= startGen {

@@ -595,7 +595,7 @@ func TestChaosSelfHeal(t *testing.T) {
 	if code, body, _ := readyz(t, srv); code != http.StatusOK || body.Status != "ready" {
 		t.Errorf("final readyz = %d %+v, want 200 ready", code, body)
 	}
-	if opens := srv.brk.dto().Opens; opens != 0 {
+	if opens := srv.dir.brk.dto().Opens; opens != 0 {
 		t.Errorf("breaker opened %d times; self-heal must not trip it", opens)
 	}
 	if g := srv.Snapshot().Gen; g <= startGen {

@@ -55,6 +55,12 @@ func dayStore(days, perDay int) *store.Store {
 	return st
 }
 
+// loadOnce is one strict attempt of the reload sequence outside any
+// server: the directory through open, against prev.
+func loadOnce(dir string, open func(string) (io.ReadCloser, error), prev *Snapshot) (*Snapshot, error) {
+	return (&reloader{dir: dir, open: open}).attempt(&trip{}, prev)
+}
+
 // TestIncrementalReloadSharing is the incremental-reload invariant
 // suite: append one day's shard under a query storm and assert that
 // (a) unchanged shards are shared by pointer across generations — the
@@ -181,7 +187,7 @@ func BenchmarkIncrementalReload(b *testing.B) {
 	const days, perDay = 90, 150
 	dir := b.TempDir()
 	writeDataDir(b, dir, dayStore(days, perDay), fixtureSeries(8), nil)
-	base, err := loadSnapshot(dir, 1, 0, nil, osOpen, nil, nil)
+	base, err := loadOnce(dir, osOpen, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -191,7 +197,7 @@ func BenchmarkIncrementalReload(b *testing.B) {
 	b.Run("full-load", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := loadSnapshot(dir, 2, 0, nil, osOpen, nil, nil); err != nil {
+			if _, err := loadOnce(dir, osOpen, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -199,7 +205,7 @@ func BenchmarkIncrementalReload(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			snap, err := loadSnapshot(dir, 2, 0, nil, osOpen, base, nil)
+			snap, err := loadOnce(dir, osOpen, base)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -221,7 +227,7 @@ func TestIncrementalReloadSpeedupFloor(t *testing.T) {
 	const days, perDay = 90, 150
 	dir := t.TempDir()
 	writeDataDir(t, dir, dayStore(days, perDay), fixtureSeries(8), nil)
-	base, err := loadSnapshot(dir, 1, 0, nil, osOpen, nil, nil)
+	base, err := loadOnce(dir, osOpen, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +241,7 @@ func TestIncrementalReloadSpeedupFloor(t *testing.T) {
 	load := func(prev *Snapshot) int64 {
 		return testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := loadSnapshot(dir, 2, 0, nil, osOpen, prev, nil); err != nil {
+				if _, err := loadOnce(dir, osOpen, prev); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -263,7 +269,7 @@ func TestIncrementalReloadOpensOneShard(t *testing.T) {
 	const days, perDay = 90, 20
 	dir := t.TempDir()
 	writeDataDir(t, dir, dayStore(days, perDay), fixtureSeries(8), nil)
-	base, err := loadSnapshot(dir, 1, 0, nil, osOpen, nil, nil)
+	base, err := loadOnce(dir, osOpen, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +280,7 @@ func TestIncrementalReloadOpensOneShard(t *testing.T) {
 		opened = append(opened, filepath.Base(path))
 		return osOpen(path)
 	}
-	snap, err := loadSnapshot(dir, 2, 0, nil, open, base, nil)
+	snap, err := loadOnce(dir, open, base)
 	if err != nil {
 		t.Fatal(err)
 	}

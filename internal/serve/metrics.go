@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -21,7 +19,8 @@ var latencyBucketsMicros = []int64{
 // owners at render time. All counters are atomics so handlers never
 // serialize on a metrics lock.
 type Metrics struct {
-	mu       sync.Mutex
+	// requests has one counter per route, registered in New before the
+	// server is reachable (Server.instrument); after that it is only read.
 	requests map[string]*atomic.Int64
 
 	status2xx atomic.Int64
@@ -67,23 +66,10 @@ func newMetrics() *Metrics {
 	}
 }
 
-// endpoint returns the request counter for a route, creating it on
-// first use.
-func (m *Metrics) endpoint(path string) *atomic.Int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.requests[path]
-	if !ok {
-		c = &atomic.Int64{}
-		m.requests[path] = c
-	}
-	return c
-}
-
-// observe records one finished request.
-func (m *Metrics) observe(path string, status int, elapsed time.Duration) {
+// observe records one finished request against its route's counter.
+func (m *Metrics) observe(route *atomic.Int64, status int, elapsed time.Duration) {
 	m.requestsTotal.Add(1)
-	m.endpoint(path).Add(1)
+	route.Add(1)
 	switch {
 	case status >= 500:
 		m.status5xx.Add(1)
@@ -184,16 +170,11 @@ func (m *Metrics) snapshotDTO(gen uint64, jobs int, cache *Cache, adm *admission
 	if total := hits + misses; total > 0 {
 		dto.CacheHitRatio = F(float64(hits) / float64(total))
 	}
-	m.mu.Lock()
-	paths := make([]string, 0, len(m.requests))
-	for p := range m.requests {
-		paths = append(paths, p)
+	for p, c := range m.requests {
+		if n := c.Load(); n > 0 { // a route nobody has asked for is not listed
+			dto.Requests[p] = n
+		}
 	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		dto.Requests[p] = m.requests[p].Load()
-	}
-	m.mu.Unlock()
 	dto.Latency.Observed = m.latencyObserved.Load()
 	dto.Latency.TotalMicros = m.latencyTotalUS.Load()
 	if dto.Latency.Observed > 0 {

@@ -256,14 +256,14 @@ func TestMaybeReloadBreakerSkips(t *testing.T) {
 			t.Fatalf("poll %d succeeded on a torn directory", i)
 		}
 	}
-	if st := srv.brk.currentState(); st != breakerOpen {
+	if st := srv.dir.brk.currentState(); st != breakerOpen {
 		t.Fatalf("breaker %v after threshold polls, want open", st)
 	}
 	// Next poll is skipped: no error, no reload, cooldown burns.
 	if reloaded, err := srv.MaybeReload(); reloaded || err != nil {
 		t.Fatalf("skipped poll: reloaded=%v err=%v", reloaded, err)
 	}
-	if skipped := srv.brk.dto().ReloadsSkipped; skipped == 0 {
+	if skipped := srv.dir.brk.dto().ReloadsSkipped; skipped == 0 {
 		t.Error("no skipped polls recorded while open")
 	}
 	if g := srv.Snapshot().Gen; g != gen {
@@ -283,7 +283,7 @@ func TestMaybeReloadBreakerSkips(t *testing.T) {
 			t.Fatalf("probe after heal failed: %v", err)
 		}
 	}
-	if st := srv.brk.currentState(); st != breakerClosed {
+	if st := srv.dir.brk.currentState(); st != breakerClosed {
 		t.Errorf("breaker %v after recovery, want closed", st)
 	}
 	if n := srv.met.reloadErrors.Load(); n != 3 {

@@ -120,8 +120,8 @@ func TestConcurrentQueriesDuringReload(t *testing.T) {
 }
 
 // TestConcurrentMaybeReload drives the polling entry point from many
-// goroutines at once; reloadMu must serialize the loads so exactly one
-// generation bump happens per directory change.
+// goroutines at once; the reloader's mutex must serialize the trips so
+// exactly one generation bump happens per directory change.
 func TestConcurrentMaybeReload(t *testing.T) {
 	leakcheck.Check(t)
 	dir := t.TempDir()
@@ -162,9 +162,9 @@ func TestConcurrentMaybeReload(t *testing.T) {
 // directory over a silently bit-rotted shard: pollers, whose scrub tick
 // quarantines what it finds, and forced Reloads, whose healing load
 // quarantines and repairs what it cannot read. Both rename files and
-// rewrite the custody log, so both run under reloadMu; however they
-// interleave, the day is quarantined once, repaired once, and the
-// daemon ends on full coverage with the shard byte-identical.
+// rewrite the custody log, so both run under the reloader's mutex;
+// however they interleave, the day is quarantined once, repaired once,
+// and the daemon ends on full coverage with the shard byte-identical.
 func TestScrubSerializedWithForcedReload(t *testing.T) {
 	leakcheck.Check(t)
 	dir := t.TempDir()

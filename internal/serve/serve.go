@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,8 +29,9 @@ import (
 type Config struct {
 	// DataDir is the ingested data directory, as cmd/ingest writes it:
 	// MANIFEST.supremm and the shard-<day>.supremm files it names (the
-	// job store — see loadStore), optional series.jsonl and quality.json,
-	// and jobs.supremm / jobs.jsonl, which only shard repair reads.
+	// job store — see reloader.read), optional series.jsonl and
+	// quality.json, and jobs.supremm / jobs.jsonl, which only shard
+	// repair reads.
 	DataDir string
 	// Workers bounds the aggregation fan-out; 0 means GOMAXPROCS. The
 	// worker count never changes results (store.AggregateParallelCtx).
@@ -41,7 +41,7 @@ type Config struct {
 	CacheSize int
 	// RetryMax and Backoff carry the ingest retry idiom into snapshot
 	// loads: a load racing an ingest rewrite is retried rather than
-	// failed (see loadSnapshot).
+	// failed (see reloader.load).
 	RetryMax int
 	Backoff  func(attempt int)
 	// Now supplies the clock for latency metrics. The serve core never
@@ -72,18 +72,23 @@ type Config struct {
 	BreakerBackoffPolls int
 	// Open, when non-nil, replaces os.Open for snapshot data files —
 	// the seam the chaos harness uses to inject slow or failing reads.
-	// Reads of the manifest, every shard file and series.jsonl go
-	// through it, as do the scrubber's and the repair's (jobs.supremm,
-	// jobs.jsonl); quality.json does not.
+	// Every read of the reload sequence goes through it (manifest, shard
+	// files in the load and the scrub step, series.jsonl, the repair
+	// backing) except quality.json's. A shard that cannot be read
+	// through it is damage; any other failed read fails the attempt.
 	Open func(path string) (io.ReadCloser, error)
 	// Hooks are chaos/test instrumentation; see Hooks.
 	Hooks Hooks
 
-	// SelfHeal enables the self-healing shard pipeline (DESIGN.md §15):
-	// background scrubbing, quarantine + repair of damaged shards, and
-	// degraded-mode serving with coverage accounting instead of failing
-	// reloads wholesale. Off (the zero value) preserves the strict
-	// all-or-nothing reload policy.
+	// SelfHeal selects what a reload does about a shard that fails its
+	// manifest entry (DESIGN.md §13.2, §15). Off (the zero value) is the
+	// strict policy: the load fails. On, a damaged shard is moved aside,
+	// rebuilt from the repair backing if that reproduces the manifest's
+	// exact bytes and served as missing (with coverage accounting) if
+	// not, and every poll scrubs for rot the fingerprint cannot see.
+	// Under either policy a well-formed shard of its day that the
+	// manifest does not describe is a write in progress, never damage:
+	// the load fails and nothing is moved.
 	SelfHeal bool
 	// ScrubBudgetBytes bounds the shard bytes the scrubber re-reads per
 	// poll tick; 0 means the default (4 MiB), negative scrubs the whole
@@ -116,24 +121,13 @@ type Server struct {
 	// catch-all pattern).
 	routeMethods map[string]string
 	snap         atomic.Pointer[Snapshot]
-	lastGen      atomic.Uint64
 	cache        *Cache
 	met          *Metrics
 	adm          *admission // nil = admission disabled
-	brk          *breaker
 	retryAfter   int
-	open         func(path string) (io.ReadCloser, error)
-
-	// reloadMu serializes everything that moves files in the data
-	// directory or swaps the snapshot — the scrub tick and every load;
-	// queries never take it.
-	reloadMu sync.Mutex
-	// Self-heal state (nil/zero unless Config.SelfHeal), guarded by
-	// reloadMu: the scrubber cursor over the served generation's shards
-	// and its budget.
-	scrubBudget int64
-	scrubber    *store.Scrubber
-	scrubGen    uint64
+	// dir owns the data directory, the breaker and every write of snap
+	// (reload.go).
+	dir *reloader
 }
 
 // New loads the initial snapshot from cfg.DataDir and assembles the
@@ -166,43 +160,23 @@ func New(cfg Config) (*Server, error) {
 	if s.retryAfter <= 0 {
 		s.retryAfter = defaultRetryAfter
 	}
-	s.brk = newBreaker(cfg.BreakerThreshold, cfg.BreakerBackoffPolls)
-	s.open = cfg.Open
-	if s.open == nil {
-		s.open = osOpen
+	s.dir = &reloader{
+		dir: cfg.DataDir, open: cfg.Open, retryMax: cfg.RetryMax, backoff: cfg.Backoff,
+		selfHeal: cfg.SelfHeal, scrubBudget: cfg.ScrubBudgetBytes, clock: cfg.Now,
+		snap: &s.snap, cache: s.cache, met: s.met,
+		brk: newBreaker(cfg.BreakerThreshold, cfg.BreakerBackoffPolls),
 	}
-	if cfg.SelfHeal {
-		s.scrubBudget = cfg.ScrubBudgetBytes
-		if s.scrubBudget == 0 {
-			s.scrubBudget = defaultScrubBudget
-		}
+	if s.dir.open == nil {
+		s.dir.open = osOpen
 	}
-	snap, err := loadSnapshot(cfg.DataDir, s.lastGen.Add(1), cfg.RetryMax, cfg.Backoff, s.open, nil, s.newHealLoad())
-	if err != nil {
-		return nil, err
+	if s.dir.scrubBudget == 0 {
+		s.dir.scrubBudget = defaultScrubBudget
 	}
-	s.noteHeal(snap)
-	s.snap.Store(snap)
+	if t := s.dir.force(); t.err != nil { // the first trip: generation 1
+		return nil, t.err
+	}
 	s.routes()
 	return s, nil
-}
-
-// newHealLoad builds the per-load heal context, nil when self-healing
-// is off (strict legacy loading).
-func (s *Server) newHealLoad() *healLoad {
-	if !s.cfg.SelfHeal {
-		return nil
-	}
-	return &healLoad{now: s.nowUnix()}
-}
-
-// noteHeal folds a completed healing load's outcome into the metrics.
-func (s *Server) noteHeal(snap *Snapshot) {
-	if snap.heal == nil {
-		return
-	}
-	s.met.quarantines.Add(int64(snap.heal.outcome.quarantines))
-	s.met.repairs.Add(int64(snap.heal.outcome.repairs))
 }
 
 // BeginDrain puts the daemon into shed-aware shutdown: every queued
@@ -223,64 +197,24 @@ func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 // load leaves the served snapshot untouched — the daemon keeps
 // answering from the last-good generation — and feeds the reload
 // circuit breaker; a success closes the breaker whatever its state.
-// Reload is the forced path (POST /api/v1/reload and the half-open
-// probe): it always attempts the load, even while the breaker is open.
+// Reload is the forced path (POST /api/v1/reload): it always attempts
+// the load, even while the breaker is open, and runs no scrub step.
 func (s *Server) Reload() (*Snapshot, error) {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	return s.reloadLocked()
+	t := s.dir.force()
+	return t.snap, t.err
 }
 
-// reloadLocked is Reload's body; the caller holds reloadMu.
-func (s *Server) reloadLocked() (*Snapshot, error) {
-	// The current snapshot seeds incremental shard reuse: unchanged
-	// shards are shared by pointer with the generation still serving.
-	snap, err := loadSnapshot(s.cfg.DataDir, s.lastGen.Add(1), s.cfg.RetryMax, s.cfg.Backoff, s.open, s.snap.Load(), s.newHealLoad())
-	if err != nil {
-		s.met.reloadErrors.Add(1)
-		s.brk.onFailure()
-		return nil, err
-	}
-	s.noteHeal(snap)
-	s.brk.onSuccess()
-	old := s.snap.Swap(snap)
-	s.met.reloads.Add(1)
-	if old != nil {
-		s.cache.PurgeGeneration(old.Gen)
-	}
-	return snap, nil
-}
-
-// MaybeReload reloads only if the data directory's fingerprint differs
-// from the loaded snapshot's — the poll step cmd/supremmd drives on a
-// ticker (fsnotify-free hot reload). When the breaker is open the
-// attempt is skipped (no load, no error) until the cooldown elapses
-// and a half-open probe is due; the daemon keeps serving the last-good
-// snapshot throughout. The scrub tick, the fingerprint compare, the
-// breaker tick and the load run under one acquisition of reloadMu:
-// concurrent pollers that all saw the same change queue behind the
-// first, then find the fingerprint current and return — one generation
-// per directory change — and a forced Reload can never run between a
-// quarantine and the poll step meant to see it.
+// MaybeReload is the poll step cmd/supremmd drives on a ticker
+// (fsnotify-free hot reload): under self-heal one scrub step, then a
+// reload only if the data directory's fingerprint differs from the
+// served snapshot's. While the breaker is open the load is skipped (no
+// load, no error) until a probe is due; the last-good snapshot serves
+// throughout. The step runs under the mutex a forced Reload takes:
+// pollers that all saw one change queue behind the first, then find
+// the fingerprint current — one generation per directory change.
 func (s *Server) MaybeReload() (bool, error) {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	if s.cfg.SelfHeal {
-		// The scrub tick runs before the fingerprint check: a quarantine
-		// it performs renames a shard file, which changes the fingerprint
-		// and flows into a (degraded or repaired) reload this same tick.
-		s.scrubTick()
-	}
-	if DirFingerprint(s.cfg.DataDir) == s.snap.Load().Fingerprint {
-		return false, nil
-	}
-	if !s.brk.tick() {
-		return false, nil
-	}
-	if _, err := s.reloadLocked(); err != nil {
-		return false, err
-	}
-	return true, nil
+	t := s.dir.poll()
+	return t.snap != nil, t.err
 }
 
 // ServeHTTP implements http.Handler.
@@ -326,6 +260,8 @@ func (s *Server) routes() {
 // instrument wraps a handler with panic recovery, request counting and
 // the latency histogram. Handlers return the status code they wrote.
 func (s *Server) instrument(path string, fn func(http.ResponseWriter, *http.Request) int) http.HandlerFunc {
+	route := &atomic.Int64{}
+	s.met.requests[path] = route
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := s.now()
 		status := s.recoverWrap(fn, w, r)
@@ -333,7 +269,7 @@ func (s *Server) instrument(path string, fn func(http.ResponseWriter, *http.Requ
 		if !start.IsZero() {
 			elapsed = s.now().Sub(start)
 		}
-		s.met.observe(path, status, elapsed)
+		s.met.observe(route, status, elapsed)
 	}
 }
 
@@ -381,7 +317,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, path string
 	}
 	key := cacheKey(snap.Gen, path, q.Encode())
 	if e, ok := s.cache.Get(key); ok {
-		return s.writeBody(w, http.StatusOK, e.contentType, e.body)
+		return s.writeBody(w, snap, http.StatusOK, e.contentType, e.body)
 	}
 	body, err := render(r.Context(), snap, p)
 	if err != nil {
@@ -402,7 +338,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, path string
 		return s.writeError(w, http.StatusInternalServerError, err)
 	}
 	s.cache.Put(key, cacheEntry{body: body, contentType: contentType})
-	return s.writeBody(w, http.StatusOK, contentType, body)
+	return s.writeBody(w, snap, http.StatusOK, contentType, body)
 }
 
 // badRequestError marks handler failures caused by the request itself.
@@ -422,13 +358,13 @@ func marshalBody(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-func (s *Server) writeBody(w http.ResponseWriter, status int, contentType string, body []byte) int {
+// writeBody sends one response with the coverage ratio of snap, the
+// snapshot its body was computed from, so a client can always tell
+// whether its answer came from a degraded store — cached or sent across
+// a swap. An error has no snapshot of its own and names the served one.
+func (s *Server) writeBody(w http.ResponseWriter, snap *Snapshot, status int, contentType string, body []byte) int {
 	w.Header().Set("Content-Type", contentType)
-	// Every response carries the served snapshot's coverage ratio, so a
-	// client can always tell whether its answer came from a degraded
-	// store — even a cached or error response.
-	w.Header().Set("X-Supremm-Coverage",
-		strconv.FormatFloat(s.snap.Load().Coverage.Ratio, 'g', 6, 64))
+	w.Header().Set("X-Supremm-Coverage", strconv.FormatFloat(snap.Coverage.Ratio, 'g', 6, 64))
 	w.WriteHeader(status)
 	if _, err := w.Write(body); err != nil {
 		// The client went away mid-response; nothing can be sent to it,
@@ -443,7 +379,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) int {
 	if merr != nil {
 		body = []byte(`{"error":"internal error"}` + "\n")
 	}
-	return s.writeBody(w, status, "application/json", body)
+	return s.writeBody(w, s.snap.Load(), status, "application/json", body)
 }
 
 // writeBelowCoverage refuses a data query because the degraded
@@ -461,7 +397,7 @@ func (s *Server) writeBelowCoverage(w http.ResponseWriter, snap *Snapshot) int {
 	if err != nil {
 		return s.writeError(w, http.StatusInternalServerError, err)
 	}
-	return s.writeBody(w, http.StatusServiceUnavailable, "application/json", body)
+	return s.writeBody(w, snap, http.StatusServiceUnavailable, "application/json", body)
 }
 
 // ---- endpoint handlers ----
@@ -483,16 +419,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return s.writeError(w, http.StatusInternalServerError, err)
 	}
-	return s.writeBody(w, http.StatusOK, "application/json", body)
+	return s.writeBody(w, snap, http.StatusOK, "application/json", body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	snap := s.snap.Load()
-	body, err := marshalBody(s.met.snapshotDTO(snap.Gen, snap.Realm.Store.Len(), s.cache, s.adm, s.brk, snap.Coverage))
+	body, err := marshalBody(s.met.snapshotDTO(snap.Gen, snap.Realm.Store.Len(), s.cache, s.adm, s.dir.brk, snap.Coverage))
 	if err != nil {
 		return s.writeError(w, http.StatusInternalServerError, err)
 	}
-	return s.writeBody(w, http.StatusOK, "application/json", body)
+	return s.writeBody(w, snap, http.StatusOK, "application/json", body)
 }
 
 // handleHealthz is the liveness probe: it answers 200 whenever the
@@ -510,7 +446,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return s.writeError(w, http.StatusInternalServerError, err)
 	}
-	return s.writeBody(w, http.StatusOK, "application/json", body)
+	return s.writeBody(w, snap, http.StatusOK, "application/json", body)
 }
 
 // handleReadyz is the readiness probe, now three-state:
@@ -526,7 +462,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 //   - "ready" (200): full coverage, breaker closed.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) int {
 	snap := s.snap.Load()
-	brk := s.brk.dto()
+	brk := s.dir.brk.dto()
 	status := "ready"
 	switch {
 	case brk.State == breakerOpen.String():
@@ -549,9 +485,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) int {
 	}
 	if status == "down" {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter))
-		return s.writeBody(w, http.StatusServiceUnavailable, "application/json", body)
+		return s.writeBody(w, snap, http.StatusServiceUnavailable, "application/json", body)
 	}
-	return s.writeBody(w, http.StatusOK, "application/json", body)
+	return s.writeBody(w, snap, http.StatusOK, "application/json", body)
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) int {
@@ -567,7 +503,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return s.writeError(w, http.StatusInternalServerError, err)
 	}
-	return s.writeBody(w, http.StatusOK, "application/json", body)
+	return s.writeBody(w, snap, http.StatusOK, "application/json", body)
 }
 
 // realmFilter applies the realm's cluster default, mirroring

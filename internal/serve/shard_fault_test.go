@@ -92,7 +92,7 @@ func driveFault(t *testing.T, srv *Server, chaos *faultinject.ServeChaos, inject
 	if reloaded {
 		t.Fatal("failed reload reported a swapped snapshot")
 	}
-	if st := srv.brk.currentState(); st != breakerOpen {
+	if st := srv.dir.brk.currentState(); st != breakerOpen {
 		t.Fatalf("breaker %v after failed poll, want open (threshold 1)", st)
 	}
 
@@ -129,10 +129,10 @@ func driveFault(t *testing.T, srv *Server, chaos *faultinject.ServeChaos, inject
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for srv.Snapshot().Gen == genBefore || srv.brk.currentState() != breakerClosed {
+	for srv.Snapshot().Gen == genBefore || srv.dir.brk.currentState() != breakerClosed {
 		if time.Now().After(deadline) {
 			t.Fatalf("daemon never converged after heal (gen %d, breaker %v)",
-				srv.Snapshot().Gen, srv.brk.currentState())
+				srv.Snapshot().Gen, srv.dir.brk.currentState())
 		}
 		_, _ = srv.MaybeReload()
 		time.Sleep(time.Millisecond)

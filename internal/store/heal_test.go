@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -75,6 +76,13 @@ func rotShard(t *testing.T, dir string, e ShardInfo, good []byte, rng *rand.Rand
 	}
 }
 
+// verifyShard is the scrubber's check of one shard: length and CRC
+// against the manifest entry, no decode.
+func verifyShard(dir string, e ShardInfo) error {
+	_, err := readShard(dir, e, defaultOpener)
+	return err
+}
+
 // TestVerifyShardDetectsRandomRot is the detection property: a single
 // byte flipped anywhere in a shard must fail verification (CRC32
 // detects all single-byte errors), and pristine shards must pass.
@@ -84,14 +92,14 @@ func TestVerifyShardDetectsRandomRot(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		victim := entries[rng.Intn(len(entries))]
 		rotShard(t, dir, victim, good[ShardFileName(victim.ID)], rng)
-		if err := VerifyShard(dir, victim, nil); err == nil {
+		if err := verifyShard(dir, victim); err == nil {
 			t.Fatalf("trial %d: rotted shard %d passed verification", trial, victim.ID)
 		}
 		for _, e := range entries {
 			if e.ID == victim.ID {
 				continue
 			}
-			if err := VerifyShard(dir, e, nil); err != nil {
+			if err := verifyShard(dir, e); err != nil {
 				t.Fatalf("trial %d: pristine shard %d failed verification: %v", trial, e.ID, err)
 			}
 		}
@@ -99,6 +107,80 @@ func TestVerifyShardDetectsRandomRot(t *testing.T) {
 		name := ShardFileName(victim.ID)
 		if err := os.WriteFile(filepath.Join(dir, name), good[name], 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestReadShardTellsAheadFromDamage pins the one classification of a
+// file that fails its manifest entry, for the loader and the scrubber
+// alike: bytes that decode as a shard of the entry's own day are a
+// writer ahead of its manifest (ErrShardAhead); anything else — torn,
+// rotted, another day's shard, missing — is damage.
+func TestReadShardTellsAheadFromDamage(t *testing.T) {
+	dir, st, entries, good := healFixture(t, 2000)
+	victim, other := entries[1], entries[2]
+	name := ShardFileName(victim.ID)
+
+	// The day rewritten with one late job: what an append lands before
+	// its manifest.
+	late := st.Record(0)
+	for i := 0; i < st.Len(); i++ {
+		if r := st.Record(i); EpochDay(r.End) == victim.ID {
+			late = r
+			break
+		}
+	}
+	late.JobID += 1 << 30
+	grown := New()
+	for i := 0; i < st.Len(); i++ {
+		grown.Add(st.Record(i))
+	}
+	grown.Add(late)
+	days, cols := grown.partitionByEndDay()
+	var ahead []byte
+	for i, d := range days {
+		if d == victim.ID {
+			ahead = EncodeColumns(cols[i])
+		}
+	}
+
+	rotted := append([]byte(nil), good[name]...)
+	rotted[len(rotted)/2] ^= 0x40
+	cases := []struct {
+		what  string
+		data  []byte // nil: no file
+		ahead bool
+	}{
+		{"a late-rows rewrite of the day", ahead, true},
+		{"a torn file", good[name][:len(good[name])/3], false},
+		{"a rotted file", rotted, false},
+		{"another day's shard", good[ShardFileName(other.ID)], false},
+		{"an empty file", []byte{}, false},
+		{"no file", nil, false},
+	}
+	for _, tc := range cases {
+		path := filepath.Join(dir, name)
+		if tc.data == nil {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := verifyShard(dir, victim)
+		if err == nil {
+			t.Fatalf("%s passed verification", tc.what)
+		}
+		if got := errors.Is(err, ErrShardAhead); got != tc.ahead {
+			t.Errorf("%s: ahead = %v, want %v (%v)", tc.what, got, tc.ahead, err)
+		}
+		// The loader and the scrubber classify alike.
+		_, faults := LoadShardsDegraded(dir, entries, nil, nil)
+		findings, _ := NewScrubber(dir, entries, nil).Tick(-1)
+		for who, fs := range map[string][]ShardFault{"loader": faults, "scrubber": findings} {
+			if len(fs) != 1 || fs[0].Info.ID != victim.ID || errors.Is(fs[0].Err, ErrShardAhead) != tc.ahead {
+				t.Errorf("%s: %s reports %+v, want day %d with ahead = %v", tc.what, who, fs, victim.ID, tc.ahead)
+			}
 		}
 	}
 }
@@ -111,8 +193,8 @@ func TestScrubberFindsRotInOneSweep(t *testing.T) {
 
 	sc := NewScrubber(dir, entries, nil)
 	findings, sweeps := sc.Tick(-1) // negative budget: whole set in one tick
-	if sweeps != 1 || sc.Sweeps() != 1 {
-		t.Fatalf("full-sweep tick counted %d sweeps (total %d), want 1", sweeps, sc.Sweeps())
+	if sweeps != 1 {
+		t.Fatalf("full-sweep tick counted %d sweeps, want 1", sweeps)
 	}
 	if sc.Verified() != int64(len(entries)) {
 		t.Fatalf("verified %d shards, want %d", sc.Verified(), len(entries))
@@ -145,9 +227,6 @@ func TestScrubberBudget(t *testing.T) {
 		if sc.Verified() != int64(tick+1) {
 			t.Fatalf("tick %d: verified %d, want %d", tick, sc.Verified(), tick+1)
 		}
-	}
-	if sc.Sweeps() != 1 {
-		t.Fatalf("after %d one-byte ticks: %d sweeps, want 1", len(entries), sc.Sweeps())
 	}
 }
 
@@ -210,8 +289,8 @@ func TestQuarantineShardLifecycle(t *testing.T) {
 	dir, _, entries, good := healFixture(t, 2500)
 	e := entries[1]
 	name := ShardFileName(e.ID)
-	if err := QuarantineShard(dir, e, "test damage", 1700000000); err != nil {
-		t.Fatal(err)
+	if moved, err := QuarantineShard(dir, e, "test damage", 1700000000); err != nil || !moved {
+		t.Fatalf("quarantine: moved %v, err %v", moved, err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 		t.Fatalf("shard file still present after quarantine: %v", err)
@@ -223,15 +302,8 @@ func TestQuarantineShardLifecycle(t *testing.T) {
 	if !bytes.Equal(aside, good[name]) {
 		t.Fatal("quarantine altered the shard bytes (evidence destroyed)")
 	}
-	if !IsQuarantined(dir, e.ID) {
+	if !isQuarantined(dir, e.ID) {
 		t.Fatal("IsQuarantined = false after quarantine")
-	}
-	days, err := QuarantinedDays(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(days) != 1 || days[0] != e.ID {
-		t.Fatalf("QuarantinedDays = %v, want [%d]", days, e.ID)
 	}
 	events, err := LoadQuarantineLog(dir)
 	if err != nil {
@@ -244,6 +316,20 @@ func TestQuarantineShardLifecycle(t *testing.T) {
 		At: 1700000000, Size: e.Size, Hash: e.Hash}
 	if events[0] != want {
 		t.Fatalf("logged %+v, want %+v", events[0], want)
+	}
+	// A day already aside is left there: nothing moves, nothing is logged,
+	// even when a damaged file has appeared under the shard's name since.
+	if err := os.WriteFile(filepath.Join(dir, name), good[name][:10], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if moved, err := QuarantineShard(dir, e, "found again", 1700000001); err != nil || moved {
+		t.Fatalf("second quarantine of the same day: moved %v, err %v", moved, err)
+	}
+	if aside, err = os.ReadFile(filepath.Join(dir, QuarantinedShardFile(e.ID))); err != nil || !bytes.Equal(aside, good[name]) {
+		t.Fatalf("second quarantine replaced the evidence (err %v)", err)
+	}
+	if events, err = LoadQuarantineLog(dir); err != nil || len(events) != 1 {
+		t.Fatalf("second quarantine logged: %d events (err %v), want 1", len(events), err)
 	}
 }
 
@@ -258,8 +344,8 @@ func TestRepairRestoresBytesExactly(t *testing.T) {
 		victim := entries[rng.Intn(len(entries))]
 		name := ShardFileName(victim.ID)
 		rotShard(t, dir, victim, good[name], rng)
-		if err := QuarantineShard(dir, victim, "trial rot", int64(trial)); err != nil {
-			t.Fatal(err)
+		if moved, err := QuarantineShard(dir, victim, "trial rot", int64(trial)); err != nil || !moved {
+			t.Fatalf("quarantine: moved %v, err %v", moved, err)
 		}
 		if trial%2 == 1 {
 			// Odd trials repair from the jsonl fallback.
@@ -291,7 +377,7 @@ func TestRepairRestoresBytesExactly(t *testing.T) {
 		if crc32.ChecksumIEEE(repaired) != victim.Hash {
 			t.Fatalf("trial %d: repaired hash does not match manifest", trial)
 		}
-		if IsQuarantined(dir, victim.ID) {
+		if isQuarantined(dir, victim.ID) {
 			t.Fatalf("trial %d: quarantined copy survived repair", trial)
 		}
 		if trial%2 == 1 {
@@ -307,8 +393,8 @@ func TestRepairRefusesWrongBacking(t *testing.T) {
 	dir, _, entries, good := healFixture(t, 2500)
 	victim := entries[0]
 	name := ShardFileName(victim.ID)
-	if err := QuarantineShard(dir, victim, "rot", 0); err != nil {
-		t.Fatal(err)
+	if moved, err := QuarantineShard(dir, victim, "rot", 0); err != nil || !moved {
+		t.Fatalf("quarantine: moved %v, err %v", moved, err)
 	}
 	// A backing missing the victim day cannot repair: row count check.
 	partial := New()
@@ -327,7 +413,7 @@ func TestRepairRefusesWrongBacking(t *testing.T) {
 	if _, statErr := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(statErr) {
 		t.Fatal("failed repair landed a shard file anyway")
 	}
-	if !IsQuarantined(dir, victim.ID) {
+	if !isQuarantined(dir, victim.ID) {
 		t.Fatal("failed repair removed the quarantined copy")
 	}
 	// The true backing still repairs.
@@ -358,8 +444,8 @@ func TestDegradedAggregatesMatchBaseline(t *testing.T) {
 	metrics := []Metric{MetricCPUUser, MetricMemUsed, MetricFlops}
 	for trial := 0; trial < len(entries); trial++ {
 		victim := entries[trial]
-		if err := QuarantineShard(dir, victim, "trial", int64(trial)); err != nil {
-			t.Fatal(err)
+		if moved, err := QuarantineShard(dir, victim, "trial", int64(trial)); err != nil || !moved {
+			t.Fatalf("quarantine: moved %v, err %v", moved, err)
 		}
 		degraded, faults := LoadShardsDegraded(dir, entries, nil, nil)
 		if len(faults) != 1 || faults[0].Info.ID != victim.ID {

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -340,7 +341,9 @@ type Opener func(path string) (io.ReadCloser, error)
 func defaultOpener(path string) (io.ReadCloser, error) { return os.Open(path) }
 
 // LoadShardSet reads dir's manifest and loads (or, against prev,
-// reuses) every shard it lists.
+// reuses) every shard it lists, all or nothing — right for a directory
+// that is supposed to be one consistent batch: the first fault of the
+// fault-isolating loader, in manifest order, fails the load.
 func LoadShardSet(dir string, prev *ShardSet) (*ShardSet, error) {
 	data, err := readAllClose(defaultOpener, filepath.Join(dir, ManifestFile))
 	if err != nil {
@@ -350,27 +353,27 @@ func LoadShardSet(dir string, prev *ShardSet) (*ShardSet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: %w", ManifestFile, err)
 	}
-	return LoadShards(dir, entries, prev, nil)
-}
-
-// LoadShards is the all-or-nothing load — the right default for a data
-// directory that is supposed to be one consistent batch: it runs the
-// fault-isolating loader and fails with the first fault, in manifest
-// order.
-func LoadShards(dir string, entries []ShardInfo, prev *ShardSet, open Opener) (*ShardSet, error) {
-	set, faults := LoadShardsDegraded(dir, entries, prev, open)
+	set, faults := LoadShardsDegraded(dir, entries, prev, nil)
 	if len(faults) > 0 {
 		return nil, faults[0].Err
 	}
 	return set, nil
 }
 
-// ShardFault is one manifest entry that could not be served: the entry
-// and the load or verification error that disqualified it.
+// ShardFault is one manifest entry that could not be served, or failed
+// the scrubber's re-verification: the entry and the error that
+// disqualified it, ErrShardAhead inside it unless it is damage.
 type ShardFault struct {
 	Info ShardInfo
 	Err  error
 }
+
+// ErrShardAhead marks a shard file that fails its manifest entry yet is
+// a well-formed shard of the entry's day: a writer landed it ahead of
+// its manifest (shards first, manifest last), or an operator restored
+// the wrong batch's file. It is not damage — nothing may be moved aside
+// or rebuilt on its account — but a load that meets it fails.
+var ErrShardAhead = errors.New("a well-formed shard of that day, ahead of a manifest that has not landed")
 
 // LoadShardsDegraded assembles a shard set from already-decoded
 // manifest entries with per-shard fault isolation (DESIGN.md §15): a
@@ -434,21 +437,40 @@ func LoadShardsDegraded(dir string, entries []ShardInfo, prev *ShardSet, open Op
 	}), faults
 }
 
-// loadShard reads and verifies one shard file against its manifest
-// entry: byte length, content CRC, decoded row count and time range
-// must all agree, so a stale manifest or a torn/substituted shard file
-// fails the load instead of serving mixed generations.
-func loadShard(dir string, e ShardInfo, open Opener) (*Shard, error) {
+// readShard reads day e.ID's shard file and holds it to the manifest
+// entry: byte length and content CRC32. It is the one place a file that
+// fails its entry is classified, for loader and scrubber alike, by
+// content, never stat: bytes that decode as a shard of that day (every
+// block CRC passes, every job end inside the day) are ErrShardAhead; a
+// missing, unreadable, torn, truncated or rotted file is damage.
+func readShard(dir string, e ShardInfo, open Opener) ([]byte, error) {
 	name := ShardFileName(e.ID)
 	data, err := readAllClose(open, filepath.Join(dir, name))
 	if err != nil {
 		return nil, fmt.Errorf("store: shard %s: %w", name, err)
 	}
 	if int64(len(data)) != e.Size {
-		return nil, fmt.Errorf("store: shard %s is %d bytes, manifest says %d", name, len(data), e.Size)
+		err = fmt.Errorf("store: shard %s is %d bytes, manifest says %d", name, len(data), e.Size)
+	} else if got := crc32.ChecksumIEEE(data); got != e.Hash {
+		err = fmt.Errorf("store: shard %s content hash %08x does not match manifest %08x", name, got, e.Hash)
+	} else {
+		return data, nil
 	}
-	if got := crc32.ChecksumIEEE(data); got != e.Hash {
-		return nil, fmt.Errorf("store: shard %s content hash %08x does not match manifest %08x", name, got, e.Hash)
+	if c, derr := DecodeColumns(data); derr == nil && c.Len() > 0 && EpochDay(c.minEnd) == e.ID && EpochDay(c.maxEnd) == e.ID {
+		err = fmt.Errorf("%w: %w", err, ErrShardAhead)
+	}
+	return nil, err
+}
+
+// loadShard reads, verifies and decodes one shard file against its
+// manifest entry: beyond readShard's length and CRC, the decoded row
+// count and time range must agree, so a stale manifest or a substituted
+// shard file fails the load instead of serving mixed generations.
+func loadShard(dir string, e ShardInfo, open Opener) (*Shard, error) {
+	name := ShardFileName(e.ID)
+	data, err := readShard(dir, e, open)
+	if err != nil {
+		return nil, err
 	}
 	c, err := DecodeColumns(data)
 	if err != nil {

@@ -8,8 +8,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 )
 
 // Shard quarantine (DESIGN.md §15).
@@ -173,48 +171,35 @@ func AppendQuarantineEvent(dir string, ev QuarantineEvent) error {
 	return AtomicWriteBytes(dir, QuarantineFile, EncodeQuarantineLog(append(events, ev)))
 }
 
-// QuarantineShard moves day e.ID's shard aside and records why. If the
-// shard file is already gone (lost, or a previous quarantine crashed
-// between rename and log append) the move is skipped and only the
-// record is written, so quarantine is idempotent per failure. now is
-// the caller's clock reading (unix seconds; 0 when clock-free).
-func QuarantineShard(dir string, e ShardInfo, reason string, now int64) error {
+// QuarantineShard is the one function that takes a shard out of
+// service: it moves day e.ID's file aside and appends the custody
+// record saying why, reporting whether it did. A day whose aside copy
+// already exists is left as it is (false, nil), so a day that stays
+// unrepaired is recorded once, not on every load that finds it missing.
+// A shard file that is simply gone (lost) has nothing to move and only
+// the record is written. now is the caller's clock reading (unix
+// seconds; 0 when clock-free).
+func QuarantineShard(dir string, e ShardInfo, reason string, now int64) (recorded bool, err error) {
+	if isQuarantined(dir, e.ID) {
+		return false, nil
+	}
 	src := filepath.Join(dir, ShardFileName(e.ID))
 	dst := filepath.Join(dir, QuarantinedShardFile(e.ID))
 	if err := os.Rename(src, dst); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
+		return false, err
 	}
 	if err := FsyncDir(dir); err != nil {
-		return err
+		return false, err
 	}
-	return AppendQuarantineEvent(dir, QuarantineEvent{
+	err = AppendQuarantineEvent(dir, QuarantineEvent{
 		Day: e.ID, Action: ActionQuarantine, Reason: reason, At: now,
 		Size: e.Size, Hash: e.Hash,
 	})
+	return err == nil, err
 }
 
-// IsQuarantined reports whether day's shard has been moved aside.
-func IsQuarantined(dir string, day int64) bool {
+// isQuarantined reports whether day's shard has been moved aside.
+func isQuarantined(dir string, day int64) bool {
 	_, err := os.Stat(filepath.Join(dir, QuarantinedShardFile(day)))
 	return err == nil
-}
-
-// QuarantinedDays lists the epoch days with a *.quarantined file in
-// dir, ascending.
-func QuarantinedDays(dir string) ([]int64, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "shard-*.supremm"+QuarantineSuffix))
-	if err != nil {
-		return nil, err
-	}
-	days := make([]int64, 0, len(paths))
-	for _, p := range paths {
-		name := strings.TrimSuffix(filepath.Base(p), QuarantineSuffix)
-		var day int64
-		if _, err := fmt.Sscanf(name, "shard-%d.supremm", &day); err != nil {
-			continue // a stray file shaped like a quarantined shard; not ours
-		}
-		days = append(days, day)
-	}
-	sort.Slice(days, func(a, b int) bool { return days[a] < days[b] })
-	return days, nil
 }

@@ -1,11 +1,5 @@
 package store
 
-import (
-	"fmt"
-	"hash/crc32"
-	"path/filepath"
-)
-
 // Background shard scrubbing (DESIGN.md §15).
 //
 // A loaded shard is verified once, at load time — but disks rot after
@@ -15,16 +9,11 @@ import (
 // changes (which bit rot does not do). The scrubber closes that hole:
 // it re-reads shard bytes from disk on a byte budget per poll tick,
 // round-robin across the shard set, and reports any shard whose bytes
-// no longer hash to the manifest entry. The budget bounds the extra
-// I/O per tick (one slow disk must not starve the poll loop); a full
-// pass over the set is a "sweep", counted so operators can see rot
-// detection latency (set size / budget ticks) in /metrics.
-
-// ScrubFinding is one shard that failed re-verification.
-type ScrubFinding struct {
-	Info ShardInfo
-	Err  error
-}
+// no longer hash to the manifest entry (readShard: length and CRC, no
+// decode — the manifest hash is authoritative for the bytes). The
+// budget bounds the extra I/O per tick (one slow disk must not starve
+// the poll loop); a full pass over the set is a "sweep", counted so
+// operators can see rot detection latency (set size / budget ticks).
 
 // Scrubber incrementally re-verifies a fixed shard set against its
 // manifest entries. It is a cursor over one snapshot generation's
@@ -38,7 +27,6 @@ type Scrubber struct {
 	open    Opener
 
 	pos      int
-	sweeps   int64
 	verified int64
 }
 
@@ -57,7 +45,7 @@ func NewScrubber(dir string, entries []ShardInfo, open Opener) *Scrubber {
 // comes first; a negative budget verifies the entire set. It returns
 // the shards that failed verification and how many full sweeps
 // completed during this tick.
-func (sc *Scrubber) Tick(budgetBytes int64) (findings []ScrubFinding, sweeps int) {
+func (sc *Scrubber) Tick(budgetBytes int64) (findings []ShardFault, sweeps int) {
 	n := len(sc.entries)
 	if n == 0 {
 		return nil, 0
@@ -65,15 +53,14 @@ func (sc *Scrubber) Tick(budgetBytes int64) (findings []ScrubFinding, sweeps int
 	var read int64
 	for checked := 0; checked < n; checked++ {
 		e := sc.entries[sc.pos]
-		if err := VerifyShard(sc.dir, e, sc.open); err != nil {
-			findings = append(findings, ScrubFinding{Info: e, Err: err})
+		if _, err := readShard(sc.dir, e, sc.open); err != nil {
+			findings = append(findings, ShardFault{Info: e, Err: err})
 		}
 		sc.verified++
 		read += e.Size
 		sc.pos++
 		if sc.pos == n {
 			sc.pos = 0
-			sc.sweeps++
 			sweeps++
 		}
 		if budgetBytes >= 0 && read >= budgetBytes {
@@ -83,30 +70,5 @@ func (sc *Scrubber) Tick(budgetBytes int64) (findings []ScrubFinding, sweeps int
 	return findings, sweeps
 }
 
-// Sweeps returns the full verification passes this scrubber completed.
-func (sc *Scrubber) Sweeps() int64 { return sc.sweeps }
-
 // Verified returns the total shard verifications performed.
 func (sc *Scrubber) Verified() int64 { return sc.verified }
-
-// VerifyShard re-reads day e.ID's shard file and checks it against the
-// manifest entry: byte length and content CRC must both agree. It does
-// not decode — the manifest hash is authoritative for the bytes, and
-// decode validity is (re-)established at load time.
-func VerifyShard(dir string, e ShardInfo, open Opener) error {
-	if open == nil {
-		open = defaultOpener
-	}
-	name := ShardFileName(e.ID)
-	data, err := readAllClose(open, filepath.Join(dir, name))
-	if err != nil {
-		return fmt.Errorf("store: scrub %s: %w", name, err)
-	}
-	if int64(len(data)) != e.Size {
-		return fmt.Errorf("store: scrub %s: %d bytes on disk, manifest says %d", name, len(data), e.Size)
-	}
-	if got := crc32.ChecksumIEEE(data); got != e.Hash {
-		return fmt.Errorf("store: scrub %s: content hash %08x does not match manifest %08x", name, got, e.Hash)
-	}
-	return nil
-}

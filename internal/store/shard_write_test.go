@@ -139,7 +139,7 @@ func TestWriteShardDirRewritesDamagedShards(t *testing.T) {
 			want = append(want, name)
 		}
 		requireRewritten(t, d.name, before, dirIdentity(t, dir), want...)
-		if err := VerifyShard(dir, victim, nil); err != nil {
+		if err := verifyShard(dir, victim); err != nil {
 			t.Errorf("%s: shard does not verify after WriteShardDir: %v", d.name, err)
 		}
 		if info, err := os.Lstat(path); err != nil || !info.Mode().IsRegular() {
