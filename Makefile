@@ -50,13 +50,16 @@ lint-fast:
 
 # Quick fuzz regression pass: replays the committed seed corpora plus a
 # short budget of new inputs against the raw-format parsers, the
-# columnar binary snapshot decoder, and the daemon's corrupt-snapshot
-# reload path (served generation must never change on a failed decode).
+# columnar binary snapshot decoder, the daemon's corrupt-snapshot
+# reload path (served generation must never change on a failed decode)
+# and its request path (malformed input is always a 4xx, never a panic
+# or 5xx).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseFile -fuzztime 10s ./internal/taccstats
 	$(GO) test -run '^$$' -fuzz FuzzColumnsDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzManifestDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzReloadCorrupt -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzQueryParams -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzQuarantineRecord -fuzztime 10s ./internal/store
 
 # Query-daemon suite: race-detector HTTP tests (concurrent queries vs

@@ -184,46 +184,54 @@ type FailureProfile struct {
 }
 
 // FailureProfiles computes completion/failure rates grouped by app or
-// user (§4.3.1 "job completion failure profiles").
+// user (§4.3.1 "job completion failure profiles"); any other dimension
+// the store knows groups by it, a key that is none by cluster. It reads
+// two dictionary columns and materializes no row: per partition the
+// jobs are counted by (key code, status code), then merged by key.
 func FailureProfiles(st store.Reader, by store.GroupKey, f store.Filter) []FailureProfile {
-	acc := make(map[string]*FailureProfile)
-	var order []string
-	for _, rec := range st.Records(f) {
-		var key string
-		switch by {
-		case store.ByApp:
-			key = rec.App
-		case store.ByUser:
-			key = rec.User
-		default:
-			key = rec.Cluster
+	index := make(map[string]int) // key -> position in out
+	out := []FailureProfile{}
+	st.Scan(f).Walk(func(c *store.Columns, rows store.Rows) {
+		keys, statuses := c.KeyColumn(by), c.Status.Values
+		if keys == nil {
+			keys = &c.Cluster
 		}
-		p := acc[key]
-		if p == nil {
-			p = &FailureProfile{Key: key}
-			acc[key] = p
-			order = append(order, key)
+		counts := make([]int, len(keys.Values)*len(statuses))
+		for j, n := 0, rows.Len(); j < n; j++ {
+			i := rows.At(j)
+			counts[int(keys.Codes[i])*len(statuses)+int(c.Status.Codes[i])]++
 		}
-		p.Jobs++
-		switch rec.Status {
-		case "COMPLETED":
-			p.Completed++
-		case "FAILED":
-			p.Failed++
-		case "TIMEOUT":
-			p.Timeout++
-		case "NODE_FAIL":
-			p.NodeFail++
+		for at, n := range counts {
+			if n == 0 {
+				continue
+			}
+			key := keys.Values[at/len(statuses)]
+			i, ok := index[key]
+			if !ok {
+				i = len(out)
+				index[key] = i
+				out = append(out, FailureProfile{Key: key})
+			}
+			p := &out[i]
+			p.Jobs += n
+			switch statuses[at%len(statuses)] {
+			case "COMPLETED":
+				p.Completed += n
+			case "FAILED":
+				p.Failed += n
+			case "TIMEOUT":
+				p.Timeout += n
+			case "NODE_FAIL":
+				p.NodeFail += n
+			}
 		}
+	})
+	for i := range out {
+		p := &out[i]
+		p.FailurePct = float64(p.Jobs-p.Completed) / float64(p.Jobs) * 100
 	}
-	out := make([]FailureProfile, 0, len(order))
-	for _, key := range order {
-		p := acc[key]
-		if p.Jobs > 0 {
-			p.FailurePct = float64(p.Jobs-p.Completed) / float64(p.Jobs) * 100
-		}
-		out = append(out, *p)
-	}
+	// Keys are distinct, so the order is total: the result does not depend
+	// on the order they were met in.
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Jobs != out[j].Jobs {
 			return out[i].Jobs > out[j].Jobs

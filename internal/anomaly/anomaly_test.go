@@ -1,7 +1,10 @@
 package anomaly
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -182,5 +185,96 @@ func TestFailureProfiles(t *testing.T) {
 	byUser := FailureProfiles(st, store.ByUser, store.Filter{})
 	if len(byUser) != 1 || byUser[0].Key != "u" {
 		t.Errorf("by user: %+v", byUser)
+	}
+}
+
+// failureProfilesRows is FailureProfiles as it was first written, one
+// materialized JobRecord per row: the oracle the columnar walk is held to.
+func failureProfilesRows(st store.Reader, by store.GroupKey, f store.Filter) []FailureProfile {
+	acc := make(map[string]*FailureProfile)
+	var order []string
+	for _, rec := range st.Records(f) {
+		var key string
+		switch by {
+		case store.ByApp:
+			key = rec.App
+		case store.ByUser:
+			key = rec.User
+		default:
+			key = rec.Cluster
+		}
+		p := acc[key]
+		if p == nil {
+			p = &FailureProfile{Key: key}
+			acc[key] = p
+			order = append(order, key)
+		}
+		p.Jobs++
+		switch rec.Status {
+		case "COMPLETED":
+			p.Completed++
+		case "FAILED":
+			p.Failed++
+		case "TIMEOUT":
+			p.Timeout++
+		case "NODE_FAIL":
+			p.NodeFail++
+		}
+	}
+	out := make([]FailureProfile, 0, len(order))
+	for _, key := range order {
+		p := acc[key]
+		if p.Jobs > 0 {
+			p.FailurePct = float64(p.Jobs-p.Completed) / float64(p.Jobs) * 100
+		}
+		out = append(out, *p)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Jobs != out[j].Jobs {
+			return out[i].Jobs > out[j].Jobs
+		}
+		return out[i].Key < out[j].Key
+	})
+	return out
+}
+
+// TestFailureProfilesMatchRowOracle holds the dictionary-code walk to the
+// row loop it replaced, bit for bit, on one partition and on a job-end
+// day split, for every arm of the row loop's key switch, filtered and
+// not.
+func TestFailureProfilesMatchRowOracle(t *testing.T) {
+	mono := store.New()
+	statuses := []string{"COMPLETED", "COMPLETED", "FAILED", "TIMEOUT", "NODE_FAIL", "CANCELLED", "COMPLETED"}
+	apps := []string{"namd", "amber", "wrf", "hpl", "gromacs"}
+	for i := 0; i < 900; i++ {
+		end := int64(i)*700 + 3600
+		mono.Add(store.JobRecord{
+			JobID: int64(i + 1), Cluster: []string{"ranger", "lonestar4"}[i%11%2],
+			User: fmt.Sprintf("u%02d", i*7%23), App: apps[i*3%len(apps)],
+			Science: "Physics", Nodes: 1 + i%4, Start: end - 3600, End: end,
+			Status: statuses[i*5%len(statuses)], Samples: i % 5,
+		})
+	}
+	mono.ReorderByEndDay()
+	dir := t.TempDir()
+	if err := store.WriteShardDir(dir, mono); err != nil {
+		t.Fatal(err)
+	}
+	split, err := store.LoadShardSet(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if split.NumShards() < 5 {
+		t.Fatalf("fixture: %d day shards, want several", split.NumShards())
+	}
+	for _, st := range []store.Reader{mono, split} {
+		for _, by := range []store.GroupKey{store.ByApp, store.ByUser, store.ByCluster} {
+			for _, f := range []store.Filter{{}, {MinSamples: 2}, {App: "wrf", EndAfter: 90000}, {User: "nobody"}} {
+				got, want := FailureProfiles(st, by, f), failureProfilesRows(st, by, f)
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%T by %s filter %+v:\n got %+v\nwant %+v", st, by.Name(), f, got, want)
+				}
+			}
+		}
 	}
 }

@@ -45,16 +45,16 @@ func ParseQuery(s string) (Query, error) {
 		}
 		switch key {
 		case "group":
-			g, err := parseGroupKey(value)
-			if err != nil {
-				return Query{}, err
+			g, ok := store.ParseGroupKey(value)
+			if !ok {
+				return Query{}, fmt.Errorf("query: unknown group %q", value)
 			}
 			q.GroupBy = g
 		case "metrics":
 			q.Metrics = q.Metrics[:0]
 			for _, m := range strings.Split(value, ",") {
 				metric := store.Metric(m)
-				if !validMetric(metric) {
+				if store.MetricPos(metric) < 0 {
 					return Query{}, fmt.Errorf("query: unknown metric %q", m)
 				}
 				q.Metrics = append(q.Metrics, metric)
@@ -93,32 +93,6 @@ func ParseQuery(s string) (Query, error) {
 		}
 	}
 	return q, nil
-}
-
-func parseGroupKey(s string) (store.GroupKey, error) {
-	switch s {
-	case "user":
-		return store.ByUser, nil
-	case "app":
-		return store.ByApp, nil
-	case "science":
-		return store.ByScience, nil
-	case "cluster":
-		return store.ByCluster, nil
-	case "status":
-		return store.ByStatus, nil
-	default:
-		return 0, fmt.Errorf("query: unknown group %q", s)
-	}
-}
-
-func validMetric(m store.Metric) bool {
-	for _, known := range store.AllMetrics() {
-		if m == known {
-			return true
-		}
-	}
-	return false
 }
 
 // QueryResult is one rendered custom report.

@@ -2,9 +2,7 @@ package serve
 
 import (
 	"container/list"
-	"strconv"
 	"sync"
-	"sync/atomic"
 )
 
 // cacheEntry is one rendered response.
@@ -13,18 +11,17 @@ type cacheEntry struct {
 	contentType string
 }
 
-// Cache is the query-result cache: an LRU over fully rendered response
-// bodies, keyed by (store generation, path, canonical query). The
-// generation prefix is the invalidation mechanism — after a hot reload
-// every lookup misses because the key changed, and PurgeGeneration
-// reclaims the dead entries eagerly rather than waiting for LRU aging.
-type Cache struct {
+// responseCache is the query-result cache of one snapshot: an LRU over
+// fully rendered response bodies, keyed by (path, canonical query). It
+// is a field of the Snapshot whose answers it holds — born empty with
+// the generation and unreachable with it, like core.Realm's fleet-mean
+// memo — so a reload invalidates nothing: the next generation's requests
+// simply never see this one's entries.
+type responseCache struct {
 	mu      sync.Mutex
 	max     int
 	ll      *list.List               // front = most recent
 	entries map[string]*list.Element // key -> element holding *cacheItem
-
-	hits, misses atomic.Int64
 }
 
 type cacheItem struct {
@@ -35,37 +32,34 @@ type cacheItem struct {
 // newCache builds a cache holding up to max entries; max <= 0 disables
 // caching entirely (every Get misses, Put is a no-op) so benchmarks can
 // measure the cold path.
-func newCache(max int) *Cache {
-	return &Cache{max: max, ll: list.New(), entries: make(map[string]*list.Element)}
+func newCache(max int) *responseCache {
+	return &responseCache{max: max, ll: list.New(), entries: make(map[string]*list.Element)}
 }
 
 // cacheKey builds the canonical lookup key. The query string must
 // already be in canonical (sorted, url.Values.Encode) form.
-func cacheKey(gen uint64, path, canonicalQuery string) string {
-	return "g" + strconv.FormatUint(gen, 10) + "|" + path + "?" + canonicalQuery
+func cacheKey(path, canonicalQuery string) string {
+	return path + "?" + canonicalQuery
 }
 
 // Get returns the cached response for key, if present.
-func (c *Cache) Get(key string) (cacheEntry, bool) {
+func (c *responseCache) Get(key string) (cacheEntry, bool) {
 	if c.max <= 0 {
-		c.misses.Add(1)
 		return cacheEntry{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses.Add(1)
 		return cacheEntry{}, false
 	}
 	c.ll.MoveToFront(el)
-	c.hits.Add(1)
 	return el.Value.(*cacheItem).cacheEntry, true
 }
 
 // Put stores a rendered response, evicting the least recently used
 // entry when full.
-func (c *Cache) Put(key string, e cacheEntry) {
+func (c *responseCache) Put(key string, e cacheEntry) {
 	if c.max <= 0 {
 		return
 	}
@@ -84,28 +78,9 @@ func (c *Cache) Put(key string, e cacheEntry) {
 	}
 }
 
-// PurgeGeneration drops every entry belonging to the given store
-// generation (called after a reload swaps it out).
-func (c *Cache) PurgeGeneration(gen uint64) {
-	prefix := "g" + strconv.FormatUint(gen, 10) + "|"
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key, el := range c.entries {
-		if len(key) >= len(prefix) && key[:len(prefix)] == prefix {
-			c.ll.Remove(el)
-			delete(c.entries, key)
-		}
-	}
-}
-
 // Len returns the current entry count.
-func (c *Cache) Len() int {
+func (c *responseCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Stats returns cumulative hit/miss counts.
-func (c *Cache) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
 }

@@ -8,42 +8,23 @@ import (
 func TestCacheLRUEviction(t *testing.T) {
 	c := newCache(3)
 	for i := 0; i < 3; i++ {
-		c.Put(cacheKey(1, fmt.Sprintf("/p%d", i), ""), cacheEntry{body: []byte{byte(i)}})
+		c.Put(cacheKey(fmt.Sprintf("/p%d", i), ""), cacheEntry{body: []byte{byte(i)}})
 	}
 	// Touch p0 so p1 becomes the eviction victim.
-	if _, ok := c.Get(cacheKey(1, "/p0", "")); !ok {
+	if _, ok := c.Get(cacheKey("/p0", "")); !ok {
 		t.Fatal("p0 missing before eviction")
 	}
-	c.Put(cacheKey(1, "/p3", ""), cacheEntry{body: []byte{3}})
-	if _, ok := c.Get(cacheKey(1, "/p1", "")); ok {
+	c.Put(cacheKey("/p3", ""), cacheEntry{body: []byte{3}})
+	if _, ok := c.Get(cacheKey("/p1", "")); ok {
 		t.Fatal("LRU victim p1 survived eviction")
 	}
 	for _, p := range []string{"/p0", "/p2", "/p3"} {
-		if _, ok := c.Get(cacheKey(1, p, "")); !ok {
+		if _, ok := c.Get(cacheKey(p, "")); !ok {
 			t.Fatalf("%s evicted unexpectedly", p)
 		}
 	}
 	if c.Len() != 3 {
 		t.Fatalf("cache len %d, want 3", c.Len())
-	}
-}
-
-func TestCachePurgeGeneration(t *testing.T) {
-	c := newCache(10)
-	c.Put(cacheKey(1, "/a", "x=1"), cacheEntry{body: []byte("old")})
-	c.Put(cacheKey(2, "/a", "x=1"), cacheEntry{body: []byte("new")})
-	c.PurgeGeneration(1)
-	if _, ok := c.Get(cacheKey(1, "/a", "x=1")); ok {
-		t.Fatal("generation-1 entry survived purge")
-	}
-	if e, ok := c.Get(cacheKey(2, "/a", "x=1")); !ok || string(e.body) != "new" {
-		t.Fatal("generation-2 entry lost by purge")
-	}
-	// g1 prefix must not purge g11 (prefix includes the separator).
-	c.Put(cacheKey(11, "/b", ""), cacheEntry{body: []byte("g11")})
-	c.PurgeGeneration(1)
-	if _, ok := c.Get(cacheKey(11, "/b", "")); !ok {
-		t.Fatal("purging generation 1 removed generation 11")
 	}
 }
 
@@ -53,7 +34,15 @@ func TestCacheDisabled(t *testing.T) {
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("disabled cache returned a hit")
 	}
-	hits, misses := c.Stats()
+	// Through the server a disabled cache counts every data request a miss.
+	dir := t.TempDir()
+	writeDataDir(t, dir, fixtureStore(10), fixtureSeries(2), nil)
+	srv, err := New(Config{DataDir: dir, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	get(t, srv, "/api/v1/trends")
+	hits, misses := srv.met.cacheHits.Load(), srv.met.cacheMisses.Load()
 	if hits != 0 || misses != 1 {
 		t.Fatalf("disabled cache stats hits=%d misses=%d", hits, misses)
 	}

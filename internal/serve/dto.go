@@ -73,7 +73,7 @@ type queryDTO struct {
 
 func newQueryDTO(res core.QueryResult) queryDTO {
 	out := queryDTO{
-		GroupBy:    groupKeyName(res.Query.GroupBy),
+		GroupBy:    res.Query.GroupBy.Name(),
 		Normalized: res.Query.Normalize,
 		FleetMeans: fmap(res.FleetMeans),
 		Groups:     make([]groupDTO, 0, len(res.Groups)),
@@ -250,21 +250,4 @@ type healthDTO struct {
 	Series     int    `json:"series_samples"`
 	Indexed    bool   `json:"indexed"`
 	Shards     int    `json:"shards"`
-}
-
-func groupKeyName(k store.GroupKey) string {
-	switch k {
-	case store.ByUser:
-		return "user"
-	case store.ByApp:
-		return "app"
-	case store.ByScience:
-		return "science"
-	case store.ByCluster:
-		return "cluster"
-	case store.ByStatus:
-		return "status"
-	default:
-		return "unknown"
-	}
 }

@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // latencyBucketsMicros are the upper bounds (µs) of the request-latency
 // histogram, expvar-style cumulative-free buckets plus an implicit
@@ -14,13 +11,14 @@ var latencyBucketsMicros = []int64{
 }
 
 // Metrics is the daemon's instrumentation: per-endpoint request counts,
-// status-class counters, a latency histogram, and reload accounting.
-// Cache hit/miss and store generation are reported alongside from their
-// owners at render time. All counters are atomics so handlers never
-// serialize on a metrics lock.
+// status-class counters, a latency histogram, cache hit/miss counts and
+// reload accounting. All counters are atomics so handlers never
+// serialize on a metrics lock. Each side has one writer: fold here for
+// requests, reloader.fold for the rest.
 type Metrics struct {
-	// requests has one counter per route, registered in New before the
-	// server is reachable (Server.instrument); after that it is only read.
+	// requests has one counter per route label, made in New from the
+	// endpoint table before the server is reachable; after that the map is
+	// only read.
 	requests map[string]*atomic.Int64
 
 	status2xx atomic.Int64
@@ -34,6 +32,10 @@ type Metrics struct {
 	reloads       atomic.Int64
 	reloadErrors  atomic.Int64
 	requestsTotal atomic.Int64
+	// cacheHits and cacheMisses are daemon-wide and cumulative: they
+	// outlive the per-generation caches they count.
+	cacheHits   atomic.Int64
+	cacheMisses atomic.Int64
 	// writeFailures counts responses whose body write failed (client
 	// gone mid-response).
 	writeFailures atomic.Int64
@@ -42,7 +44,7 @@ type Metrics struct {
 	// requests (queue full or draining), cancelled counts clients that
 	// gave up while queued or mid-render, deadlineTimeouts counts
 	// requests cancelled by the per-request deadline, panics counts
-	// handler panics the recovery middleware absorbed.
+	// handler panics the request sequence absorbed.
 	shed             atomic.Int64
 	cancelled        atomic.Int64
 	deadlineTimeouts atomic.Int64
@@ -66,22 +68,45 @@ func newMetrics() *Metrics {
 	}
 }
 
-// observe records one finished request against its route's counter.
-func (m *Metrics) observe(route *atomic.Int64, status int, elapsed time.Duration) {
+// fold is the one place a finished request is counted.
+func (m *Metrics) fold(r request) {
 	m.requestsTotal.Add(1)
-	route.Add(1)
+	m.requests[r.route].Add(1)
 	switch {
-	case status >= 500:
+	case r.status >= 500:
 		m.status5xx.Add(1)
-	case status >= 400:
+	case r.status >= 400:
 		m.status4xx.Add(1)
 	default:
 		m.status2xx.Add(1)
 	}
-	if elapsed <= 0 {
+	switch r.verdict {
+	case admitShed:
+		m.shed.Add(1)
+	case admitCancelled:
+		m.cancelled.Add(1)
+	}
+	switch r.ended {
+	case endedCancelled:
+		m.cancelled.Add(1)
+	case endedDeadline:
+		m.deadlineTimeouts.Add(1)
+	case endedPanic:
+		m.panics.Add(1)
+	}
+	switch r.cache {
+	case cacheHit:
+		m.cacheHits.Add(1)
+	case cacheMiss:
+		m.cacheMisses.Add(1)
+	}
+	if r.writeFailed {
+		m.writeFailures.Add(1)
+	}
+	if r.elapsed <= 0 {
 		return // no clock injected (deterministic tests)
 	}
-	us := elapsed.Microseconds()
+	us := r.elapsed.Microseconds()
 	m.latencyTotalUS.Add(us)
 	m.latencyObserved.Add(1)
 	for i, hi := range latencyBucketsMicros {
@@ -136,13 +161,14 @@ type latencyBucket struct {
 	Count    int64 `json:"count"`
 }
 
-// snapshotDTO renders the current counter values, folding in the
-// admission valve's gauges and the breaker's state.
-func (m *Metrics) snapshotDTO(gen uint64, jobs int, cache *Cache, adm *admission, brk *breaker, cov Coverage) metricsDTO {
-	hits, misses := cache.Stats()
+// snapshotDTO renders the current counter values beside the served
+// snapshot's facts (its cache's entry count among them), the admission
+// valve's gauges and the breaker's state.
+func (m *Metrics) snapshotDTO(snap *Snapshot, adm *admission, brk *breaker) metricsDTO {
+	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
 	dto := metricsDTO{
-		StoreGeneration: gen,
-		Jobs:            jobs,
+		StoreGeneration: snap.Gen,
+		Jobs:            snap.Realm.Store.Len(),
 		RequestsTotal:   m.requestsTotal.Load(),
 		Requests:        make(map[string]int64),
 		Status2xx:       m.status2xx.Load(),
@@ -150,7 +176,7 @@ func (m *Metrics) snapshotDTO(gen uint64, jobs int, cache *Cache, adm *admission
 		Status5xx:       m.status5xx.Load(),
 		CacheHits:       hits,
 		CacheMisses:     misses,
-		CacheEntries:    cache.Len(),
+		CacheEntries:    snap.cache.Len(),
 		Reloads:         m.reloads.Load(),
 		ReloadErrors:    m.reloadErrors.Load(),
 		WriteFailures:   m.writeFailures.Load(),
@@ -162,8 +188,8 @@ func (m *Metrics) snapshotDTO(gen uint64, jobs int, cache *Cache, adm *admission
 		ShardsScrubbed:  m.shardsScrubbed.Load(),
 		Quarantines:     m.quarantines.Load(),
 		Repairs:         m.repairs.Load(),
-		CoverageRatio:   F(cov.Ratio),
-		Degraded:        cov.Degraded,
+		CoverageRatio:   F(snap.Coverage.Ratio),
+		Degraded:        snap.Coverage.Degraded,
 		Admission:       adm.dto(),
 		Breaker:         brk.dto(),
 	}

@@ -64,20 +64,23 @@ func decodeParams(q url.Values, allowed ...string) (Params, error) {
 		var err error
 		switch key {
 		case "metric":
-			if !validMetric(store.Metric(value)) {
+			if store.MetricPos(store.Metric(value)) < 0 {
 				return Params{}, fmt.Errorf("unknown metric %q", value)
 			}
 			p.Metric = store.Metric(value)
 		case "metrics":
 			p.Metrics = p.Metrics[:0]
 			for _, m := range strings.Split(value, ",") {
-				if !validMetric(store.Metric(m)) {
+				if store.MetricPos(store.Metric(m)) < 0 {
 					return Params{}, fmt.Errorf("unknown metric %q", m)
 				}
 				p.Metrics = append(p.Metrics, store.Metric(m))
 			}
 		case "group":
-			p.Group, err = parseGroupKey(value)
+			var ok bool
+			if p.Group, ok = store.ParseGroupKey(value); !ok {
+				err = fmt.Errorf("unknown group %q", value)
+			}
 		case "cluster":
 			p.Filter.Cluster = value
 		case "user":
@@ -136,32 +139,6 @@ func parseInt64(key, value string) (int64, error) {
 		return 0, fmt.Errorf("bad %s %q (want non-negative unix seconds)", key, value)
 	}
 	return n, nil
-}
-
-func parseGroupKey(s string) (store.GroupKey, error) {
-	switch s {
-	case "user":
-		return store.ByUser, nil
-	case "app":
-		return store.ByApp, nil
-	case "science":
-		return store.ByScience, nil
-	case "cluster":
-		return store.ByCluster, nil
-	case "status":
-		return store.ByStatus, nil
-	default:
-		return 0, fmt.Errorf("unknown group %q", s)
-	}
-}
-
-func validMetric(m store.Metric) bool {
-	for _, known := range store.AllMetrics() {
-		if m == known {
-			return true
-		}
-	}
-	return false
 }
 
 // filterKeys are the parameter names shared by every endpoint that

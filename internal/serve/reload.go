@@ -96,9 +96,9 @@ type reloader struct {
 	// Where a trip is published. snap is also the sequence's memory: the
 	// last published generation is what the next load adopts from, what
 	// the scrubber walks and whose number the next one follows.
-	snap  *atomic.Pointer[Snapshot]
-	cache *Cache
-	met   *Metrics
+	snap      *atomic.Pointer[Snapshot]
+	cacheSize int // entries each generation's response cache may hold
+	met       *Metrics
 
 	mu       sync.Mutex
 	brk      *breaker
@@ -163,7 +163,6 @@ func (r *reloader) fold(t *trip) {
 		r.scrubber = nil // the cursor follows the served generation
 		if old := r.snap.Swap(t.snap); old != nil {
 			r.met.reloads.Add(1)
-			r.cache.PurgeGeneration(old.Gen)
 		}
 	}
 }
@@ -257,6 +256,7 @@ func (r *reloader) attempt(t *trip, prev *Snapshot) (*Snapshot, error) {
 	if prev != nil {
 		snap.Gen = prev.Gen + 1
 	}
+	snap.cache = newCache(r.cacheSize)
 	// Shards adopted from prev carry their postings already, so an
 	// append indexes one day's rows.
 	snap.shards.BuildIndex()

@@ -202,12 +202,13 @@ func TestHealAccountingSurvivesRetry(t *testing.T) {
 	}
 }
 
-// TestCoverageHeaderFollowsBody: X-Supremm-Coverage promises that a
-// client can tell whether its answer came from a degraded store, so it
-// must carry the ratio of the snapshot the body was rendered from — not
-// of whichever snapshot is served by the time the body is written. The
-// render below forces a degraded -> healthy reload before it returns.
-func TestCoverageHeaderFollowsBody(t *testing.T) {
+// straddlingRequest runs one data request whose render forces a
+// degraded -> healthy reload before it returns, so its body ("80 rows",
+// the degraded snapshot's) is stored and written with generation 2
+// already served. It returns the server, the snapshot the body was
+// rendered from, the row it went through and what the client got.
+func straddlingRequest(t *testing.T) (*Server, *Snapshot, *endpoint, *httptest.ResponseRecorder) {
+	t.Helper()
 	dir := t.TempDir()
 	writeDataDir(t, dir, dayStore(3, 40), fixtureSeries(30), healQuality)
 	backing, err := os.ReadFile(filepath.Join(dir, "jobs.supremm"))
@@ -229,27 +230,68 @@ func TestCoverageHeaderFollowsBody(t *testing.T) {
 		t.Fatalf("fixture: start-up coverage %+v, want degraded", degraded.Coverage)
 	}
 
-	render := func(_ context.Context, snap *Snapshot, _ Params) ([]byte, error) {
-		body := []byte(strconv.Itoa(snap.Realm.Store.Len()) + " rows\n")
-		if err := store.AtomicWriteBytes(dir, "jobs.supremm", backing); err != nil {
-			return nil, err
-		}
-		if _, err := srv.Reload(); err != nil { // repairs day 1 from the restored backing
-			return nil, err
-		}
-		return body, nil
-	}
+	rows := &endpoint{method: "GET", path: "/api/v1/trends", data: true,
+		fn: func(_ *Server, _ context.Context, snap *Snapshot, _ Params) (int, any, error) {
+			body := []byte(strconv.Itoa(snap.Realm.Store.Len()) + " rows\n")
+			if err := store.AtomicWriteBytes(dir, "jobs.supremm", backing); err != nil {
+				return http.StatusInternalServerError, nil, err
+			}
+			if _, err := srv.Reload(); err != nil { // repairs day 1 from the restored backing
+				return http.StatusInternalServerError, nil, err
+			}
+			return http.StatusOK, body, nil
+		}}
 	rec := httptest.NewRecorder()
-	srv.serveCached(rec, httptest.NewRequest(http.MethodGet, "/rows", nil), "/rows", nil, "text/plain", render)
+	srv.serve(rec, httptest.NewRequest(http.MethodGet, rows.path, nil), rows)
 
-	if now := srv.Snapshot().Coverage; now.Degraded || now.Ratio != 1 {
-		t.Fatalf("fixture: coverage after the render's reload = %+v, want full", now)
+	if now := srv.Snapshot(); now.Gen != 2 || now.Coverage.Degraded || now.Coverage.Ratio != 1 {
+		t.Fatalf("fixture: generation %d with coverage %+v after the render's reload, want 2 at full coverage", now.Gen, now.Coverage)
 	}
 	if got, want := rec.Body.String(), "80 rows\n"; got != want {
 		t.Fatalf("body %q, want %q (the degraded snapshot's)", got, want)
 	}
+	return srv, degraded, rows, rec
+}
+
+// TestCoverageHeaderFollowsBody: X-Supremm-Coverage promises that a
+// client can tell whether its answer came from a degraded store, so it
+// must carry the ratio of the snapshot the body was rendered from — not
+// of whichever snapshot is served by the time the body is written.
+func TestCoverageHeaderFollowsBody(t *testing.T) {
+	_, degraded, _, rec := straddlingRequest(t)
 	want := strconv.FormatFloat(degraded.Coverage.Ratio, 'g', 6, 64)
 	if got := rec.Header().Get("X-Supremm-Coverage"); got != want {
 		t.Errorf("X-Supremm-Coverage = %q on a body rendered from the degraded snapshot, want %q", got, want)
+	}
+}
+
+// TestNoDeadGenerationCacheEntries: a body rendered across a swap is
+// cached with the generation it was computed on and nowhere else. The
+// served generation's cache holds only what a request on it can hit,
+// /metrics counts only that, and the next request for the same URL is
+// computed afresh.
+func TestNoDeadGenerationCacheEntries(t *testing.T) {
+	srv, degraded, rows, _ := straddlingRequest(t)
+	if n := degraded.cache.Len(); n != 1 {
+		t.Errorf("the rendering generation's cache holds %d entries, want the late body", n)
+	}
+	if n := srv.Snapshot().cache.Len(); n != 0 {
+		t.Errorf("the served generation's cache holds %d entries computed on the previous one", n)
+	}
+	var m metricsDTO
+	_, body := get(t, srv, "/metrics")
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.StoreGeneration != 2 || m.CacheEntries != 0 {
+		t.Errorf("/metrics: generation %d with cache_entries %d, want generation 2 with none", m.StoreGeneration, m.CacheEntries)
+	}
+	status, next := get(t, srv, rows.path)
+	if status != http.StatusOK || bytes.Contains(next, []byte("80 rows")) {
+		t.Errorf("generation 2 answered %s with %d %q, a body rendered on generation 1", rows.path, status, next)
+	}
+	if m.CacheMisses != 1 || srv.met.cacheMisses.Load() != 2 || srv.met.cacheHits.Load() != 0 {
+		t.Errorf("cache misses %d then %d, hits %d: want 1, 2 and 0 (neither request could hit)",
+			m.CacheMisses, srv.met.cacheMisses.Load(), srv.met.cacheHits.Load())
 	}
 }

@@ -1,21 +1,20 @@
 // Package serve is the query-serving layer of the reproduction: the
 // XDMoD-style HTTP JSON API (cmd/supremmd) over an ingested data
 // directory. It holds the warehouse in immutable, atomically swapped
-// snapshots (indexed store + realm + quality report), caches rendered
-// responses keyed by store generation, and instruments itself with an
-// expvar-style /metrics endpoint. See DESIGN.md §10.
+// snapshots (indexed store + realm + quality report, and the cache of
+// the responses rendered from them), answers every request through one
+// sequence over one endpoint table (request.go), and instruments itself
+// with an expvar-style /metrics endpoint. See DESIGN.md §10.
 package serve
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -36,8 +35,9 @@ type Config struct {
 	// Workers bounds the aggregation fan-out; 0 means GOMAXPROCS. The
 	// worker count never changes results (store.AggregateParallelCtx).
 	Workers int
-	// CacheSize caps the query-result cache entries; 0 means the
-	// default (1024), negative disables caching.
+	// CacheSize caps the query-result cache entries of one generation
+	// (each starts with an empty cache); 0 means the default (1024),
+	// negative disables caching.
 	CacheSize int
 	// RetryMax and Backoff carry the ingest retry idiom into snapshot
 	// loads: a load racing an ingest rewrite is retried rather than
@@ -113,25 +113,20 @@ const (
 // snapshot. Safe for concurrent use; Reload may run concurrently with
 // requests.
 type Server struct {
-	cfg     Config
-	workers int
-	mux     *http.ServeMux
-	// routeMethods maps exact route paths to their method, so the
-	// catch-all can answer 405 (the mux's own 405 is shadowed by the
-	// catch-all pattern).
-	routeMethods map[string]string
-	snap         atomic.Pointer[Snapshot]
-	cache        *Cache
-	met          *Metrics
-	adm          *admission // nil = admission disabled
-	retryAfter   int
+	cfg        Config
+	workers    int
+	mux        *http.ServeMux
+	snap       atomic.Pointer[Snapshot]
+	met        *Metrics
+	adm        *admission // nil = admission disabled
+	retryAfter int
 	// dir owns the data directory, the breaker and every write of snap
 	// (reload.go).
 	dir *reloader
 }
 
-// New loads the initial snapshot from cfg.DataDir and assembles the
-// routing table.
+// New loads the initial snapshot from cfg.DataDir and puts the endpoint
+// table behind the mux.
 func New(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, workers: cfg.Workers, met: newMetrics()}
 	if s.workers <= 0 {
@@ -144,7 +139,6 @@ func New(cfg Config) (*Server, error) {
 	if size < 0 {
 		size = 0 // disabled
 	}
-	s.cache = newCache(size)
 	limit := cfg.MaxInFlight
 	if limit == 0 {
 		limit = defaultMaxInFlight
@@ -163,7 +157,7 @@ func New(cfg Config) (*Server, error) {
 	s.dir = &reloader{
 		dir: cfg.DataDir, open: cfg.Open, retryMax: cfg.RetryMax, backoff: cfg.Backoff,
 		selfHeal: cfg.SelfHeal, scrubBudget: cfg.ScrubBudgetBytes, clock: cfg.Now,
-		snap: &s.snap, cache: s.cache, met: s.met,
+		snap: &s.snap, cacheSize: size, met: s.met,
 		brk: newBreaker(cfg.BreakerThreshold, cfg.BreakerBackoffPolls),
 	}
 	if s.dir.open == nil {
@@ -175,7 +169,16 @@ func New(cfg Config) (*Server, error) {
 	if t := s.dir.force(); t.err != nil { // the first trip: generation 1
 		return nil, t.err
 	}
-	s.routes()
+	// Dispatch is the mux's (path cleaning and redirects with it); every
+	// answer, the 404 and 405 included, is the one sequence's (request.go).
+	s.mux = http.NewServeMux()
+	s.met.requests[otherRoute] = &atomic.Int64{}
+	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, nil) })
+	for i := range endpoints {
+		ep := &endpoints[i]
+		s.met.requests[ep.path] = &atomic.Int64{}
+		s.mux.HandleFunc(ep.path, func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, ep) })
+	}
 	return s, nil
 }
 
@@ -192,8 +195,8 @@ func (s *Server) BeginDrain() { s.adm.beginDrain() }
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
 // Reload loads a fresh snapshot from the data directory and swaps it
-// in. Concurrent queries keep using the old snapshot until the swap;
-// the old generation's cache entries are purged afterwards. A failed
+// in. Concurrent queries keep using the old snapshot, and its response
+// cache, until the swap; the new one starts with an empty cache. A failed
 // load leaves the served snapshot untouched — the daemon keeps
 // answering from the last-good generation — and feeds the reload
 // circuit breaker; a success closes the breaker whatever its state.
@@ -220,194 +223,51 @@ func (s *Server) MaybeReload() (bool, error) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// route registers a handler under method+path and records the pair for
-// the catch-all's 405 handling.
-func (s *Server) route(method, path string, h http.HandlerFunc) {
-	s.routeMethods[path] = method
-	s.mux.HandleFunc(method+" "+path, h)
+// endpoint is one row of the routing table: everything the request
+// sequence (request.go) needs to know about a route.
+type endpoint struct {
+	method string
+	path   string
+	// data puts the row behind admission, the per-request deadline, the
+	// chaos hook, the coverage floor and the response cache. The other
+	// rows are the ops endpoints, which always answer.
+	data bool
+	// keys are the query parameters the row accepts; any other, or one
+	// repeated, is a 400. An anyQuery row never looks at its query string:
+	// probes and scrapers append what they like.
+	keys     []string
+	anyQuery bool
+	// fn computes the row's answer on snap: a value, sent as indented
+	// JSON, or []byte, plain text sent as it is. With an error the status
+	// says whose fault it was, the request's (400) or ours (500); a
+	// context error is the sequence's to name.
+	fn func(s *Server, ctx context.Context, snap *Snapshot, p Params) (status int, v any, err error)
 }
 
-func (s *Server) routes() {
-	s.mux = http.NewServeMux()
-	s.routeMethods = make(map[string]string)
-	// Ops endpoints bypass admission: they must answer while the daemon
-	// sheds query load (panic recovery still applies via instrument).
-	s.route("GET", "/api/v1/health", s.instrument("/api/v1/health", s.handleHealth))
-	s.route("GET", "/healthz", s.instrument("/healthz", s.handleHealthz))
-	s.route("GET", "/readyz", s.instrument("/readyz", s.handleReadyz))
-	s.route("GET", "/metrics", s.instrument("/metrics", s.handleMetrics))
-	s.route("POST", "/api/v1/reload", s.instrument("/api/v1/reload", s.handleReload))
-	s.data("/api/v1/aggregate", append([]string{"metric"}, filterKeys...), s.aggregate)
-	s.data("/api/v1/distribution", append([]string{"metric", "bins"}, filterKeys...), s.distribution)
-	s.data("/api/v1/query", append([]string{"group", "metrics", "limit", "normalize"}, filterKeys...), s.query)
-	s.data("/api/v1/profiles/users", []string{"n"}, s.userProfiles)
-	s.data("/api/v1/profiles/apps", []string{"apps"}, s.appProfiles)
-	s.data("/api/v1/efficiency", []string{"limit", "n", "min_nodehours"}, s.efficiency)
-	s.data("/api/v1/trends", nil, s.trends)
-	s.data("/api/v1/workload", nil, s.workload)
-	s.data("/api/v1/quality", nil, s.quality)
-	s.text("/api/v1/report", []string{"suite"}, s.reportSuite)
-	s.mux.HandleFunc("/", s.instrument("other", func(w http.ResponseWriter, r *http.Request) int {
-		if method, ok := s.routeMethods[r.URL.Path]; ok && method != r.Method {
-			w.Header().Set("Allow", method)
-			return s.writeError(w, http.StatusMethodNotAllowed,
-				fmt.Errorf("%s requires %s", r.URL.Path, method))
-		}
-		return s.writeError(w, http.StatusNotFound, fmt.Errorf("no such endpoint %q", r.URL.Path))
-	}))
+func filtered(keys ...string) []string { return append(keys, filterKeys...) }
+
+var endpoints = []endpoint{
+	{method: "GET", path: "/api/v1/health", fn: (*Server).health},
+	{method: "GET", path: "/healthz", anyQuery: true, fn: (*Server).healthz},
+	{method: "GET", path: "/readyz", anyQuery: true, fn: (*Server).readyz},
+	{method: "GET", path: "/metrics", anyQuery: true, fn: (*Server).metrics},
+	{method: "POST", path: "/api/v1/reload", anyQuery: true, fn: (*Server).reload},
+	{method: "GET", path: "/api/v1/aggregate", data: true, keys: filtered("metric"), fn: (*Server).aggregate},
+	{method: "GET", path: "/api/v1/distribution", data: true, keys: filtered("metric", "bins"), fn: (*Server).distribution},
+	{method: "GET", path: "/api/v1/query", data: true, keys: filtered("group", "metrics", "limit", "normalize"), fn: (*Server).query},
+	{method: "GET", path: "/api/v1/profiles/users", data: true, keys: []string{"n"}, fn: (*Server).userProfiles},
+	{method: "GET", path: "/api/v1/profiles/apps", data: true, keys: []string{"apps"}, fn: (*Server).appProfiles},
+	{method: "GET", path: "/api/v1/efficiency", data: true, keys: []string{"limit", "n", "min_nodehours"}, fn: (*Server).efficiency},
+	{method: "GET", path: "/api/v1/trends", data: true, fn: (*Server).trends},
+	{method: "GET", path: "/api/v1/workload", data: true, fn: (*Server).workload},
+	{method: "GET", path: "/api/v1/quality", data: true, fn: (*Server).quality},
+	{method: "GET", path: "/api/v1/report", data: true, keys: []string{"suite"}, fn: (*Server).reportSuite},
 }
 
-// instrument wraps a handler with panic recovery, request counting and
-// the latency histogram. Handlers return the status code they wrote.
-func (s *Server) instrument(path string, fn func(http.ResponseWriter, *http.Request) int) http.HandlerFunc {
-	route := &atomic.Int64{}
-	s.met.requests[path] = route
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := s.now()
-		status := s.recoverWrap(fn, w, r)
-		var elapsed time.Duration
-		if !start.IsZero() {
-			elapsed = s.now().Sub(start)
-		}
-		s.met.observe(route, status, elapsed)
-	}
-}
+// ---- endpoint functions ----
 
-func (s *Server) now() time.Time {
-	if s.cfg.Now == nil {
-		return time.Time{}
-	}
-	return s.cfg.Now()
-}
-
-// data registers a cached JSON GET endpoint behind the admission
-// guard: admit (or shed), decode params, consult the generation-keyed
-// cache, compute under the request deadline, render, store.
-func (s *Server) data(path string, keys []string, fn func(context.Context, *Snapshot, Params) (any, error)) {
-	s.route("GET", path, s.instrument(path, s.guard(func(w http.ResponseWriter, r *http.Request) int {
-		return s.serveCached(w, r, path, keys, "application/json", func(ctx context.Context, snap *Snapshot, p Params) ([]byte, error) {
-			v, err := fn(ctx, snap, p)
-			if err != nil {
-				return nil, err
-			}
-			return marshalBody(v)
-		})
-	})))
-}
-
-// text registers a cached plain-text GET endpoint (the report suites),
-// guarded like data.
-func (s *Server) text(path string, keys []string, fn func(context.Context, *Snapshot, Params) ([]byte, error)) {
-	s.route("GET", path, s.instrument(path, s.guard(func(w http.ResponseWriter, r *http.Request) int {
-		return s.serveCached(w, r, path, keys, "text/plain; charset=utf-8", fn)
-	})))
-}
-
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, path string, keys []string,
-	contentType string, render func(context.Context, *Snapshot, Params) ([]byte, error)) int {
-
-	q := r.URL.Query()
-	p, err := decodeParams(q, keys...)
-	if err != nil {
-		return s.writeError(w, http.StatusBadRequest, err)
-	}
-	snap := s.snap.Load()
-	if s.cfg.MinCoverage > 0 && snap.Coverage.Degraded && snap.Coverage.Ratio < s.cfg.MinCoverage {
-		return s.writeBelowCoverage(w, snap)
-	}
-	key := cacheKey(snap.Gen, path, q.Encode())
-	if e, ok := s.cache.Get(key); ok {
-		return s.writeBody(w, snap, http.StatusOK, e.contentType, e.body)
-	}
-	body, err := render(r.Context(), snap, p)
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			// The per-request deadline fired mid-computation: the
-			// aggregation was cancelled, nothing is cached, and the
-			// client is told to back off.
-			s.met.deadlineTimeouts.Add(1)
-			return s.writeOverloaded(w, "request deadline exceeded")
-		case errors.Is(err, context.Canceled):
-			s.met.cancelled.Add(1)
-			return s.writeOverloaded(w, "request cancelled")
-		}
-		if _, ok := err.(*badRequestError); ok {
-			return s.writeError(w, http.StatusBadRequest, err)
-		}
-		return s.writeError(w, http.StatusInternalServerError, err)
-	}
-	s.cache.Put(key, cacheEntry{body: body, contentType: contentType})
-	return s.writeBody(w, snap, http.StatusOK, contentType, body)
-}
-
-// badRequestError marks handler failures caused by the request itself.
-type badRequestError struct{ msg string }
-
-func (e *badRequestError) Error() string { return e.msg }
-
-func badRequest(format string, args ...any) error {
-	return &badRequestError{msg: fmt.Sprintf(format, args...)}
-}
-
-func marshalBody(v any) ([]byte, error) {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// writeBody sends one response with the coverage ratio of snap, the
-// snapshot its body was computed from, so a client can always tell
-// whether its answer came from a degraded store — cached or sent across
-// a swap. An error has no snapshot of its own and names the served one.
-func (s *Server) writeBody(w http.ResponseWriter, snap *Snapshot, status int, contentType string, body []byte) int {
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("X-Supremm-Coverage", strconv.FormatFloat(snap.Coverage.Ratio, 'g', 6, 64))
-	w.WriteHeader(status)
-	if _, err := w.Write(body); err != nil {
-		// The client went away mid-response; nothing can be sent to it,
-		// so the failure is only counted.
-		s.met.writeFailures.Add(1)
-	}
-	return status
-}
-
-func (s *Server) writeError(w http.ResponseWriter, status int, err error) int {
-	body, merr := marshalBody(map[string]string{"error": err.Error()})
-	if merr != nil {
-		body = []byte(`{"error":"internal error"}` + "\n")
-	}
-	return s.writeBody(w, s.snap.Load(), status, "application/json", body)
-}
-
-// writeBelowCoverage refuses a data query because the degraded
-// snapshot covers less of the manifest than Config.MinCoverage allows:
-// 503 with Retry-After (a repair may restore coverage on any poll
-// tick) and a body naming exactly which day ranges are missing, so the
-// caller knows what a partial answer would have silently dropped.
-func (s *Server) writeBelowCoverage(w http.ResponseWriter, snap *Snapshot) int {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter))
-	body, err := marshalBody(map[string]any{
-		"error": fmt.Sprintf("degraded coverage %.6g is below the serving floor %.6g",
-			snap.Coverage.Ratio, s.cfg.MinCoverage),
-		"coverage": snap.Coverage,
-	})
-	if err != nil {
-		return s.writeError(w, http.StatusInternalServerError, err)
-	}
-	return s.writeBody(w, snap, http.StatusServiceUnavailable, "application/json", body)
-}
-
-// ---- endpoint handlers ----
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) int {
-	if _, err := decodeParams(r.URL.Query()); err != nil {
-		return s.writeError(w, http.StatusBadRequest, err)
-	}
-	snap := s.snap.Load()
-	body, err := marshalBody(healthDTO{
+func (s *Server) health(_ context.Context, snap *Snapshot, _ Params) (int, any, error) {
+	return http.StatusOK, healthDTO{
 		Status:     "ok",
 		Generation: snap.Gen,
 		Cluster:    snap.Realm.Cluster,
@@ -415,41 +275,27 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) int {
 		Series:     len(snap.Realm.Series),
 		Indexed:    snap.Realm.Store.HasIndex(),
 		Shards:     snap.Shards,
-	})
-	if err != nil {
-		return s.writeError(w, http.StatusInternalServerError, err)
-	}
-	return s.writeBody(w, snap, http.StatusOK, "application/json", body)
+	}, nil
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
-	snap := s.snap.Load()
-	body, err := marshalBody(s.met.snapshotDTO(snap.Gen, snap.Realm.Store.Len(), s.cache, s.adm, s.dir.brk, snap.Coverage))
-	if err != nil {
-		return s.writeError(w, http.StatusInternalServerError, err)
-	}
-	return s.writeBody(w, snap, http.StatusOK, "application/json", body)
+func (s *Server) metrics(_ context.Context, snap *Snapshot, _ Params) (int, any, error) {
+	return http.StatusOK, s.met.snapshotDTO(snap, s.adm, s.dir.brk), nil
 }
 
-// handleHealthz is the liveness probe: it answers 200 whenever the
-// process can serve HTTP at all, regardless of data-directory health —
-// restarting the daemon does not fix a corrupt directory, so liveness
-// must not couple to it.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
-	snap := s.snap.Load()
-	body, err := marshalBody(map[string]any{
+// healthz is the liveness probe: it answers 200 whenever the process can
+// serve HTTP at all, regardless of data-directory health — restarting
+// the daemon does not fix a corrupt directory, so liveness must not
+// couple to it.
+func (s *Server) healthz(_ context.Context, snap *Snapshot, _ Params) (int, any, error) {
+	return http.StatusOK, map[string]any{
 		"status":     "live",
 		"generation": snap.Gen,
 		"jobs":       snap.Realm.Store.Len(),
 		"coverage":   snap.Coverage,
-	})
-	if err != nil {
-		return s.writeError(w, http.StatusInternalServerError, err)
-	}
-	return s.writeBody(w, snap, http.StatusOK, "application/json", body)
+	}, nil
 }
 
-// handleReadyz is the readiness probe, now three-state:
+// readyz is the readiness probe, three-state:
 //
 //   - "down" (503 + Retry-After): the reload breaker is open — the
 //     daemon still serves the last-good generation, but balancers
@@ -460,50 +306,35 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 //     missing): serving, but from a partial shard set — balancers may
 //     keep routing here, operators should look at the quarantine;
 //   - "ready" (200): full coverage, breaker closed.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) int {
-	snap := s.snap.Load()
+func (s *Server) readyz(_ context.Context, snap *Snapshot, _ Params) (int, any, error) {
 	brk := s.dir.brk.dto()
-	status := "ready"
+	code, status := http.StatusOK, "ready"
 	switch {
-	case brk.State == breakerOpen.String():
-		status = "down"
-	case s.cfg.MinCoverage > 0 && snap.Coverage.Degraded && snap.Coverage.Ratio < s.cfg.MinCoverage:
-		status = "down"
+	case brk.State == breakerOpen.String() || s.belowFloor(snap):
+		code, status = http.StatusServiceUnavailable, "down"
 	case snap.Coverage.Degraded:
 		status = "degraded"
 	}
-	body, err := marshalBody(map[string]any{
+	return code, map[string]any{
 		"ready":                status != "down",
 		"status":               status,
 		"breaker":              brk.State,
 		"consecutive_failures": brk.ConsecutiveFailures,
 		"generation":           snap.Gen,
 		"coverage":             snap.Coverage,
-	})
-	if err != nil {
-		return s.writeError(w, http.StatusInternalServerError, err)
-	}
-	if status == "down" {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter))
-		return s.writeBody(w, snap, http.StatusServiceUnavailable, "application/json", body)
-	}
-	return s.writeBody(w, snap, http.StatusOK, "application/json", body)
+	}, nil
 }
 
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) int {
+func (s *Server) reload(context.Context, *Snapshot, Params) (int, any, error) {
 	snap, err := s.Reload()
 	if err != nil {
-		return s.writeError(w, http.StatusInternalServerError, err)
+		return http.StatusInternalServerError, nil, err
 	}
-	body, err := marshalBody(map[string]any{
+	return http.StatusOK, map[string]any{
 		"generation": snap.Gen,
 		"jobs":       snap.Realm.Store.Len(),
 		"cluster":    snap.Realm.Cluster,
-	})
-	if err != nil {
-		return s.writeError(w, http.StatusInternalServerError, err)
-	}
-	return s.writeBody(w, snap, http.StatusOK, "application/json", body)
+	}, nil
 }
 
 // realmFilter applies the realm's cluster default, mirroring
@@ -516,21 +347,21 @@ func realmFilter(snap *Snapshot, f store.Filter) store.Filter {
 	return f
 }
 
-func (s *Server) aggregate(ctx context.Context, snap *Snapshot, p Params) (any, error) {
+func (s *Server) aggregate(ctx context.Context, snap *Snapshot, p Params) (int, any, error) {
 	if p.Metric == "" {
-		return nil, badRequest("parameter metric is required")
+		return http.StatusBadRequest, nil, errors.New("parameter metric is required")
 	}
 	f := realmFilter(snap, p.Filter)
 	agg, err := snap.Realm.Store.AggregateParallelCtx(ctx, p.Metric, f, s.workers)
 	if err != nil {
-		return nil, err
+		return http.StatusInternalServerError, nil, err
 	}
-	return newAggDTO(p.Metric, agg), nil
+	return http.StatusOK, newAggDTO(p.Metric, agg), nil
 }
 
-func (s *Server) distribution(ctx context.Context, snap *Snapshot, p Params) (any, error) {
+func (s *Server) distribution(ctx context.Context, snap *Snapshot, p Params) (int, any, error) {
 	if p.Metric == "" {
-		return nil, badRequest("parameter metric is required")
+		return http.StatusBadRequest, nil, errors.New("parameter metric is required")
 	}
 	f := realmFilter(snap, p.Filter)
 	vals, _ := snap.Realm.Store.Values(p.Metric, f)
@@ -538,10 +369,10 @@ func (s *Server) distribution(ctx context.Context, snap *Snapshot, p Params) (an
 	if len(vals) > 0 {
 		lo, hi = stats.MinMax(vals)
 	}
-	return newDistributionDTO(p.Metric, stats.NewHistogram(vals, lo, hi, p.Bins)), nil
+	return http.StatusOK, newDistributionDTO(p.Metric, stats.NewHistogram(vals, lo, hi, p.Bins)), nil
 }
 
-func (s *Server) query(_ context.Context, snap *Snapshot, p Params) (any, error) {
+func (s *Server) query(_ context.Context, snap *Snapshot, p Params) (int, any, error) {
 	q := core.Query{
 		GroupBy:   p.Group,
 		Metrics:   p.Metrics,
@@ -549,24 +380,24 @@ func (s *Server) query(_ context.Context, snap *Snapshot, p Params) (any, error)
 		Limit:     p.Limit,
 		Normalize: p.Normalize,
 	}
-	return newQueryDTO(snap.Realm.RunQuery(q)), nil
+	return http.StatusOK, newQueryDTO(snap.Realm.RunQuery(q)), nil
 }
 
-func (s *Server) userProfiles(_ context.Context, snap *Snapshot, p Params) (any, error) {
-	return newProfileDTOs(snap.Realm.TopUserProfiles(p.N)), nil
+func (s *Server) userProfiles(_ context.Context, snap *Snapshot, p Params) (int, any, error) {
+	return http.StatusOK, newProfileDTOs(snap.Realm.TopUserProfiles(p.N)), nil
 }
 
-func (s *Server) appProfiles(_ context.Context, snap *Snapshot, p Params) (any, error) {
+func (s *Server) appProfiles(_ context.Context, snap *Snapshot, p Params) (int, any, error) {
 	apps := p.Apps
 	if len(apps) == 0 {
 		apps = []string{"namd", "amber", "gromacs"} // the Fig 3 MD codes
 	}
-	return newProfileDTOs(snap.Realm.AppProfiles(apps)), nil
+	return http.StatusOK, newProfileDTOs(snap.Realm.AppProfiles(apps)), nil
 }
 
-func (s *Server) efficiency(_ context.Context, snap *Snapshot, p Params) (any, error) {
+func (s *Server) efficiency(_ context.Context, snap *Snapshot, p Params) (int, any, error) {
 	report := snap.Realm.EfficiencyReport()
-	return efficiencyDTO{
+	return http.StatusOK, efficiencyDTO{
 		Cluster:         snap.Realm.Cluster,
 		FleetEfficiency: F(snap.Realm.FleetEfficiency()),
 		WastedTotal:     F(core.WastedTotal(report)),
@@ -575,7 +406,7 @@ func (s *Server) efficiency(_ context.Context, snap *Snapshot, p Params) (any, e
 	}, nil
 }
 
-func (s *Server) trends(_ context.Context, snap *Snapshot, _ Params) (any, error) {
+func (s *Server) trends(_ context.Context, snap *Snapshot, _ Params) (int, any, error) {
 	out := []trendDTO{}
 	for _, t := range snap.Realm.TrendReport() {
 		out = append(out, trendDTO{
@@ -584,18 +415,18 @@ func (s *Server) trends(_ context.Context, snap *Snapshot, _ Params) (any, error
 			Significant: t.Significant, R2: F(t.R2), N: t.N,
 		})
 	}
-	return out, nil
+	return http.StatusOK, out, nil
 }
 
-func (s *Server) workload(_ context.Context, snap *Snapshot, _ Params) (any, error) {
-	return newWorkloadDTO(snap.Realm.Cluster, snap.Realm.Characterize()), nil
+func (s *Server) workload(_ context.Context, snap *Snapshot, _ Params) (int, any, error) {
+	return http.StatusOK, newWorkloadDTO(snap.Realm.Cluster, snap.Realm.Characterize()), nil
 }
 
-func (s *Server) quality(_ context.Context, snap *Snapshot, _ Params) (any, error) {
+func (s *Server) quality(_ context.Context, snap *Snapshot, _ Params) (int, any, error) {
 	if snap.Quality == nil {
-		return map[string]any{"available": false}, nil
+		return http.StatusOK, map[string]any{"available": false}, nil
 	}
-	return map[string]any{
+	return http.StatusOK, map[string]any{
 		"available":    true,
 		"quality":      snap.Quality,
 		"completeness": F(snap.Quality.Completeness()),
@@ -603,9 +434,9 @@ func (s *Server) quality(_ context.Context, snap *Snapshot, _ Params) (any, erro
 	}, nil
 }
 
-func (s *Server) reportSuite(_ context.Context, snap *Snapshot, p Params) ([]byte, error) {
+func (s *Server) reportSuite(_ context.Context, snap *Snapshot, p Params) (int, any, error) {
 	if p.Suite == "" {
-		return nil, badRequest("parameter suite is required")
+		return http.StatusBadRequest, nil, errors.New("parameter suite is required")
 	}
 	valid := false
 	for _, who := range report.Stakeholders() {
@@ -615,11 +446,11 @@ func (s *Server) reportSuite(_ context.Context, snap *Snapshot, p Params) ([]byt
 		}
 	}
 	if !valid {
-		return nil, badRequest("unknown suite %q", p.Suite)
+		return http.StatusBadRequest, nil, fmt.Errorf("unknown suite %q", p.Suite)
 	}
 	var buf bytes.Buffer
 	if err := report.SuiteWithQuality(&buf, report.Stakeholder(p.Suite), snap.Quality, snap.Realm); err != nil {
-		return nil, err
+		return http.StatusInternalServerError, nil, err
 	}
-	return buf.Bytes(), nil
+	return http.StatusOK, buf.Bytes(), nil
 }

@@ -193,9 +193,9 @@ func TestCacheHitsAndGenerationInvalidation(t *testing.T) {
 
 	target := "/api/v1/aggregate?metric=cpu_idle"
 	_, first := get(t, srv, target)
-	hits0, _ := srv.cache.Stats()
+	hits0 := srv.met.cacheHits.Load()
 	_, second := get(t, srv, target)
-	hits1, _ := srv.cache.Stats()
+	hits1 := srv.met.cacheHits.Load()
 	if hits1 != hits0+1 {
 		t.Fatalf("second request did not hit the cache: hits %d -> %d", hits0, hits1)
 	}
@@ -206,9 +206,9 @@ func TestCacheHitsAndGenerationInvalidation(t *testing.T) {
 	// Same filter expressed in a different parameter order must hit the
 	// same cache entry (canonical key).
 	_, _ = get(t, srv, "/api/v1/aggregate?user=u01&metric=cpu_idle")
-	hitsA, _ := srv.cache.Stats()
+	hitsA := srv.met.cacheHits.Load()
 	_, _ = get(t, srv, "/api/v1/aggregate?metric=cpu_idle&user=u01")
-	hitsB, _ := srv.cache.Stats()
+	hitsB := srv.met.cacheHits.Load()
 	if hitsB != hitsA+1 {
 		t.Fatal("parameter order changed the cache key")
 	}
@@ -234,6 +234,30 @@ func TestCacheHitsAndGenerationInvalidation(t *testing.T) {
 	}
 	if before.N == after.N {
 		t.Fatalf("post-reload response still reflects the old store (n=%d)", after.N)
+	}
+}
+
+// TestCachedHitAllocations pins what one cached GET costs in
+// allocations through the whole of ServeHTTP — mux, sequence, cache,
+// headers — with no clock injected, at the figure of the commit before
+// the request path became one sequence. The recorder is reused so only
+// the server's own allocations are counted.
+func TestCachedHitAllocations(t *testing.T) {
+	dir := t.TempDir()
+	writeDataDir(t, dir, fixtureStore(100), fixtureSeries(10), nil)
+	srv := newTestServer(t, dir)
+	const target = "/api/v1/aggregate?metric=cpu_idle"
+	get(t, srv, target)
+	req, rec := httptest.NewRequest(http.MethodGet, target, nil), httptest.NewRecorder()
+	allocs := testing.AllocsPerRun(200, func() {
+		rec.Body.Reset()
+		srv.ServeHTTP(rec, req)
+	})
+	if hits := srv.met.cacheHits.Load(); hits < 200 {
+		t.Fatalf("fixture: %d cache hits over 200 runs", hits)
+	}
+	if allocs > 18 {
+		t.Errorf("a cached hit allocates %v times, want <= 18", allocs)
 	}
 }
 

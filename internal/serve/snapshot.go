@@ -49,6 +49,9 @@ type Snapshot struct {
 	// decoded; the next load adopts the samples while the file still
 	// carries it.
 	seriesStamp string
+	// cache holds the responses rendered from this snapshot, and only
+	// those: what a request finds here was computed on these rows.
+	cache *responseCache
 }
 
 // snapshotFiles are the fixed-name data-directory members whose change

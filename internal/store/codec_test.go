@@ -390,6 +390,36 @@ func TestSaveBinaryAllocationCeiling(t *testing.T) {
 	}
 }
 
+// TestLoadShardSetAllocationCeiling: a full load reads each shard into
+// one buffer of the file's own size and decodes it once, so it allocates
+// at most three times the shard bytes (read through io.ReadAll's
+// grow-and-copy it took more than five times).
+func TestLoadShardSetAllocationCeiling(t *testing.T) {
+	st := floorStore(100_000)
+	st.ReorderByEndDay()
+	dir := t.TempDir()
+	if err := WriteShardDir(dir, st); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	set, err := LoadShardSet(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	var shardBytes uint64
+	for i := 0; i < set.NumShards(); i++ {
+		shardBytes += uint64(set.ShardAt(i).Info().Size)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d shards, %d B on disk, LoadShardSet allocated %d B (%.2fx)",
+		set.NumShards(), shardBytes, alloc, float64(alloc)/float64(shardBytes))
+	if alloc > 3*shardBytes {
+		t.Errorf("LoadShardSet allocated %d B, want <= 3x the shard bytes (%d B)", alloc, shardBytes)
+	}
+}
+
 // BenchmarkColumnsCodec measures raw encode/decode throughput on the
 // 100k-job floor corpus (make bench-store).
 func BenchmarkColumnsCodec(b *testing.B) {

@@ -371,14 +371,14 @@ func (g groupSums) at(s int) []float64 { return g.sums[s*g.stride : (s+1)*g.stri
 // map lookup per (partition, key).
 func groupRows(parts []*Store, k GroupKey, metrics []Metric, f Filter) []Group {
 	sel, _ := selectParts(parts, f)
-	if len(parts) > 0 && parts[0].keyColumn(k) == nil {
+	if len(parts) > 0 && parts[0].c.KeyColumn(k) == nil {
 		return groupAll(parts, sel, metrics)
 	}
 	stride := 1 + len(metrics)
 	codes := 0 // the largest dictionary among the partitions holding a selected row
 	for pi, st := range parts {
 		if sel[pi].len() > 0 {
-			codes = max(codes, len(st.keyColumn(k).Values))
+			codes = max(codes, len(st.c.KeyColumn(k).Values))
 		}
 	}
 	// local is all zero between partitions: merging a code clears it.
@@ -392,7 +392,7 @@ func groupRows(parts []*Store, k GroupKey, metrics []Metric, f Filter) []Group {
 		if rs.len() == 0 {
 			continue
 		}
-		kc := st.keyColumn(k)
+		kc := st.c.KeyColumn(k)
 		for j, m := range metrics {
 			cols[j] = st.col(m)
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -486,13 +487,24 @@ func loadShard(dir string, e ShardInfo, open Opener) (*Shard, error) {
 	return &Shard{info: e, st: FromColumns(c)}, nil
 }
 
-// readAllClose opens, fully reads and closes one file.
+// readAllClose opens, fully reads and closes one file. A reader that can
+// stat itself (an *os.File) is read into one buffer of the file's own
+// size plus room to meet EOF in — the file's, never a manifest's claim,
+// and only a first guess: a file that grew is still read to its end. One
+// the open seam wrapped grows from nothing.
 func readAllClose(open Opener, path string) ([]byte, error) {
 	rc, err := open(path)
 	if err != nil {
 		return nil, err
 	}
-	data, rerr := io.ReadAll(rc)
+	size := 0
+	if f, ok := rc.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if st, err := f.Stat(); err == nil && st.Mode().IsRegular() {
+			size = int(st.Size())
+		}
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, rerr := buf.ReadFrom(rc)
 	cerr := rc.Close()
 	if rerr != nil {
 		return nil, rerr
@@ -500,5 +512,5 @@ func readAllClose(open Opener, path string) ([]byte, error) {
 	if cerr != nil {
 		return nil, cerr
 	}
-	return data, nil
+	return buf.Bytes(), nil
 }

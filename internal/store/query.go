@@ -208,19 +208,43 @@ const (
 	ByStatus
 )
 
-// keyColumn returns the dictionary column behind a grouping dimension.
-func (s *Store) keyColumn(k GroupKey) *DictColumn {
+// groupKeyNames is the query vocabulary's name for each dimension.
+var groupKeyNames = [...]string{ByUser: "user", ByApp: "app", ByScience: "science", ByCluster: "cluster", ByStatus: "status"}
+
+// ParseGroupKey maps a dimension's name to its key; ok is false for a
+// name that is not one.
+func ParseGroupKey(name string) (k GroupKey, ok bool) {
+	for i, n := range groupKeyNames {
+		if n == name {
+			return GroupKey(i), true
+		}
+	}
+	return 0, false
+}
+
+// Name is ParseGroupKey's inverse; a key that is no dimension is
+// "unknown".
+func (k GroupKey) Name() string {
+	if k < 0 || int(k) >= len(groupKeyNames) {
+		return "unknown"
+	}
+	return groupKeyNames[k]
+}
+
+// KeyColumn returns the dictionary column behind a grouping dimension,
+// nil for a key that is no dimension.
+func (c *Columns) KeyColumn(k GroupKey) *DictColumn {
 	switch k {
 	case ByUser:
-		return &s.c.User
+		return &c.User
 	case ByApp:
-		return &s.c.App
+		return &c.App
 	case ByScience:
-		return &s.c.Science
+		return &c.Science
 	case ByCluster:
-		return &s.c.Cluster
+		return &c.Cluster
 	case ByStatus:
-		return &s.c.Status
+		return &c.Status
 	default:
 		return nil
 	}
