@@ -69,9 +69,11 @@ fuzz-smoke:
 # reload-sequence model (TestReloadModel and its racing variant, §13.2),
 # the fuzz seed corpus replay, and the speedup floors. Run at one, two and
 # four cores: the reload path's check-then-act race
-# (TestConcurrentMaybeReload) never showed at GOMAXPROCS=1.
+# (TestConcurrentMaybeReload) never showed at GOMAXPROCS=1. The explicit
+# timeout: one pass at three core counts is already 4½ of go's default
+# 10 minutes.
 test-serve:
-	$(GO) test -race -cpu 1,2,4 ./internal/serve ./cmd/supremmd
+	$(GO) test -race -cpu 1,2,4 -timeout 30m ./internal/serve ./cmd/supremmd
 
 # Columnar store suite under the race detector: row-vs-columnar
 # bit-equivalence, the binary and manifest codec round-trip/rejection
@@ -80,7 +82,7 @@ test-serve:
 # §15), at one, two and four cores (the aggregate kernel and the shard
 # loader fan out over GOMAXPROCS).
 test-store:
-	$(GO) test -race -cpu 1,2,4 ./internal/store
+	$(GO) test -race -cpu 1,2,4 -timeout 30m ./internal/store
 
 # The benchmark (BENCHMARK.json) is its own module, supremm/bench, which
 # the root `go build ./...` never sees: vet it and run its self-tests
@@ -134,14 +136,16 @@ bench-serve:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeAggregate|BenchmarkStoreSelect' -benchmem \
 		./internal/serve ./internal/store
 
-# Columnar store benchmarks: aggregation kernels vs the row path, the
-# binary codec (encode, decode, and the same rows decoded from JSON
-# lines), the write path at 200k rows over 120 days (in-memory encode,
-# streamed SaveBinary, a one-day WriteShardDir append), the incremental
-# shard reload vs a full load, and the whole-shard time-prune win;
-# recorded in EXPERIMENTS.md. The decode / decode-jsonl ratio backs the
-# >=5x decode, the columnar/row broad-scan ratio the >=2x, and the
-# incremental/full reload ratio the >=5x reload acceptance criteria.
+# Columnar store benchmarks: the aggregation, group-by and values
+# kernels on a one-shard set next to the tests' naive row reference (the
+# product has no row path), the binary codec (encode, decode, and the
+# same rows decoded from JSON lines), the write path at 200k rows over
+# 120 days (in-memory encode, streamed SaveBinary, a one-day
+# WriteShardDir append), the incremental shard reload vs a full load,
+# and the whole-shard time-prune win; recorded in EXPERIMENTS.md. The
+# decode / decode-jsonl ratio backs the >=5x decode, the kernel /
+# row-reference broad-scan ratio the >=2x, and the incremental/full
+# reload ratio the >=5x reload acceptance criteria.
 bench-store:
 	$(GO) test -run '^$$' -bench 'BenchmarkAggregateColumnar|BenchmarkColumnsCodec|BenchmarkEncodeColumns|BenchmarkSaveBinary|BenchmarkWriteShardDirAppend|BenchmarkIncrementalReload|BenchmarkShardPrune' -benchmem \
 		./internal/store ./internal/serve

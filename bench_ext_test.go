@@ -207,7 +207,7 @@ func BenchmarkAppKernels(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		verdicts = appkernels.NewAuditor().AuditAll(res.Store, ks)
+		verdicts = appkernels.NewAuditor().AuditAll(res.Store.AsSet(), ks)
 	}
 	degraded := 0
 	runs := 0

@@ -48,7 +48,7 @@ func load(b *testing.B) *fixture {
 				panic(err)
 			}
 			return core.NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB,
-				cc.PeakTFlops(), res.Store, res.Series), res
+				cc.PeakTFlops(), res.Store.AsSet(), res.Series), res
 		}
 		var rres *sim.Result
 		fix.ranger, rres = build(cluster.RangerConfig().Scaled(128))
@@ -473,7 +473,7 @@ func BenchmarkStoreColumnarVsRows(b *testing.B) {
 	b.Run("rows", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var sw, swx float64
-			for _, rec := range st.Records(filter) {
+			for _, rec := range st.Scan(filter).Records() {
 				w := rec.NodeHours()
 				sw += w
 				swx += w * rec.CPUIdleFrac

@@ -123,10 +123,11 @@ func runWorkers(rawDir, acctPath, out string, workers int, opts ingest.Options) 
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
-	// Group rows by job-end day before writing anything: the monolithic
-	// files (jobs.jsonl, jobs.supremm) then hold exactly the
-	// concatenation of the day shards, so a lost shard can be rebuilt
-	// from either to the manifest's exact bytes.
+	// Group rows by job-end day before writing anything, so the exports
+	// (jobs.jsonl, jobs.supremm) list the rows in the order the day
+	// shards concatenate to and queries answer in. Shard repair does not
+	// need it: it keeps each day's rows in whatever order it finds them,
+	// as WriteShardDir does.
 	res.Store.ReorderByEndDay()
 	// Every output lands atomically (store.AtomicWriteFile: temp + fsync
 	// + rename + directory fsync): supremmd polls this directory and must

@@ -126,9 +126,9 @@ func TestIngestCommandEndToEnd(t *testing.T) {
 	if ss.Len() != st.Len() {
 		t.Errorf("shard set has %d jobs, jsonl has %d", ss.Len(), st.Len())
 	}
-	for i := 0; i < st.Len(); i++ {
-		if ss.Record(i) != st.Record(i) {
-			t.Fatalf("row %d: shard %+v != jsonl %+v", i, ss.Record(i), st.Record(i))
+	for i, got := range ss.Scan(store.Filter{}).Records() {
+		if got != st.Record(i) {
+			t.Fatalf("row %d: shard %+v != jsonl %+v", i, got, st.Record(i))
 		}
 	}
 	// All outputs went through the atomic temp+rename path; none of

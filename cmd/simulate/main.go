@@ -103,8 +103,9 @@ func run(clusterName string, nodes, days int, seed int64, out string, raw bool, 
 	// The job store lands in the form every reader reads — day shards
 	// under a manifest (supremmd, xdmod) — beside jobs.jsonl, the
 	// inspectable copy and the shards' repair backing. Rows are grouped by
-	// job-end day first so the two hold the same rows in the same order,
-	// and every file lands atomically: a daemon may be polling out.
+	// job-end day first so the copy reads in the order queries answer in
+	// (repair only needs each day's rows in the same relative order), and
+	// every file lands atomically: a daemon may be polling out.
 	res.Store.ReorderByEndDay()
 	for _, f := range []struct {
 		name  string

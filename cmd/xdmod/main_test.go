@@ -91,7 +91,7 @@ func writeQuality(t *testing.T, dir string) {
 		FilesScanned: 20, FilesQuarantined: 1,
 		Quarantined: []ingest.QuarantinedFile{{Host: "h1", File: "1.raw", Reason: "parse: garbled"}},
 	}
-	if err := ingest.SaveQuality(filepath.Join(dir, "quality.json"), q); err != nil {
+	if err := store.AtomicWriteFile(dir, "quality.json", func(f *os.File) error { return ingest.WriteQuality(f, q) }); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -25,7 +25,7 @@ func buildRealm(cc cluster.Config, seed int64) *core.Realm {
 		log.Fatal(err)
 	}
 	return core.NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB,
-		cc.PeakTFlops(), res.Store, res.Series)
+		cc.PeakTFlops(), res.Store.AsSet(), res.Series)
 }
 
 func main() {

@@ -36,11 +36,11 @@ func main() {
 		log.Fatal(err)
 	}
 	realm := core.NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB,
-		cc.PeakTFlops(), res.Store, res.Series)
+		cc.PeakTFlops(), res.Store.AsSet(), res.Series)
 
 	// 1. Application-kernel audit: is the system performing as usual?
 	fmt.Println("=== application kernel audit ===")
-	for _, v := range appkernels.NewAuditor().AuditAll(res.Store, kernels) {
+	for _, v := range appkernels.NewAuditor().AuditAll(realm.Store, kernels) {
 		state := "OK"
 		if v.Degraded {
 			state = "DEGRADED"

@@ -35,7 +35,7 @@ func main() {
 
 	// 3. Build the analytics realm (the XDMoD view of the data).
 	realm := core.NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB,
-		cc.PeakTFlops(), res.Store, res.Series)
+		cc.PeakTFlops(), res.Store.AsSet(), res.Series)
 
 	// 4. Ask it questions.
 	fmt.Printf("jobs analyzed (longer than one sampling interval): %d\n", realm.JobCount())

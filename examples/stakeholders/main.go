@@ -24,7 +24,7 @@ func buildRealm(cc cluster.Config) *core.Realm {
 		log.Fatal(err)
 	}
 	return core.NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB,
-		cc.PeakTFlops(), res.Store, res.Series)
+		cc.PeakTFlops(), res.Store.AsSet(), res.Series)
 }
 
 func main() {

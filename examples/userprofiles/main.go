@@ -26,7 +26,7 @@ func main() {
 		log.Fatal(err)
 	}
 	realm := core.NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB,
-		cc.PeakTFlops(), res.Store, res.Series)
+		cc.PeakTFlops(), res.Store.AsSet(), res.Series)
 
 	// Fig 2: the five heaviest users, normalized to the fleet mean.
 	fmt.Println("=== the five heaviest users (Fig 2) ===")
@@ -60,7 +60,7 @@ func main() {
 	byJob := lariat.ByJob(res.Lariat)
 	fmt.Println("\n=== Lariat records for that user's jobs ===")
 	shown := 0
-	for _, rec := range realm.Store.Records(store.Filter{User: worst[0].User, MinSamples: 1}) {
+	for _, rec := range realm.Store.Scan(store.Filter{User: worst[0].User, MinSamples: 1}).Records() {
 		lr, ok := byJob[rec.JobID]
 		if !ok {
 			continue

@@ -166,17 +166,6 @@ func FuncHasDirective(fn *ast.FuncDecl, directive string) bool {
 	return false
 }
 
-// EnclosingFunc returns the function declaration in f whose body spans
-// pos, or nil.
-func EnclosingFunc(f *ast.File, pos token.Pos) *ast.FuncDecl {
-	for _, d := range f.Decls {
-		if fn, ok := d.(*ast.FuncDecl); ok && fn.Pos() <= pos && pos <= fn.End() {
-			return fn
-		}
-	}
-	return nil
-}
-
 // ExprKey canonicalizes a lock/resource path expression — identifier
 // chains with field selections, possibly parenthesized or dereferenced
 // — into a key stable across mentions of the same path in one

@@ -57,7 +57,7 @@ func robustZ(x, median, iqr float64) float64 {
 func (d *Detector) Detect(st store.Reader, f store.Filter, metrics []store.Metric) []Anomaly {
 	// Partition rows by app.
 	byApp := make(map[string][]store.JobRecord)
-	for _, rec := range st.Records(f) {
+	for _, rec := range st.Scan(f).Records() {
 		byApp[rec.App] = append(byApp[rec.App], rec)
 	}
 	var out []Anomaly

@@ -46,7 +46,7 @@ func TestDetectFlagsOutliers(t *testing.T) {
 	st := population(100)
 	addOutlier(st, 900, 0.9, 30) // very idle, huge memory peak
 	d := NewDetector()
-	found := d.Detect(st, store.Filter{}, []store.Metric{store.MetricCPUIdle, store.MetricMemUsedMax})
+	found := d.Detect(st.AsSet(), store.Filter{}, []store.Metric{store.MetricCPUIdle, store.MetricMemUsedMax})
 	if len(found) == 0 {
 		t.Fatal("outlier not detected")
 	}
@@ -68,7 +68,7 @@ func TestDetectFlagsOutliers(t *testing.T) {
 func TestDetectSkipsSmallPopulations(t *testing.T) {
 	st := population(5) // below MinPopulation
 	addOutlier(st, 900, 0.9, 30)
-	found := NewDetector().Detect(st, store.Filter{}, []store.Metric{store.MetricCPUIdle})
+	found := NewDetector().Detect(st.AsSet(), store.Filter{}, []store.Metric{store.MetricCPUIdle})
 	if len(found) != 0 {
 		t.Errorf("small population should not be scored, got %d anomalies", len(found))
 	}
@@ -89,7 +89,7 @@ func TestDetectPerAppPopulations(t *testing.T) {
 			ReadMB: 30, IBTxMB: 2, IBRxMB: 2, LnetTxMB: 50,
 		})
 	}
-	found := NewDetector().Detect(st, store.Filter{}, []store.Metric{store.MetricScratchWrite})
+	found := NewDetector().Detect(st.AsSet(), store.Filter{}, []store.Metric{store.MetricScratchWrite})
 	if len(found) != 0 {
 		t.Errorf("per-app scoring broken: %d false positives", len(found))
 	}
@@ -167,7 +167,8 @@ func TestFailureProfiles(t *testing.T) {
 	add(3, "namd", "FAILED")
 	add(4, "namd", "TIMEOUT")
 	add(5, "amber", "NODE_FAIL")
-	profiles := FailureProfiles(st, store.ByApp, store.Filter{})
+	ss := st.AsSet()
+	profiles := FailureProfiles(ss, store.ByApp, store.Filter{})
 	if len(profiles) != 2 {
 		t.Fatalf("profiles = %d", len(profiles))
 	}
@@ -182,7 +183,7 @@ func TestFailureProfiles(t *testing.T) {
 	if amber.NodeFail != 1 || amber.FailurePct != 100 {
 		t.Errorf("amber profile: %+v", amber)
 	}
-	byUser := FailureProfiles(st, store.ByUser, store.Filter{})
+	byUser := FailureProfiles(ss, store.ByUser, store.Filter{})
 	if len(byUser) != 1 || byUser[0].Key != "u" {
 		t.Errorf("by user: %+v", byUser)
 	}
@@ -193,7 +194,7 @@ func TestFailureProfiles(t *testing.T) {
 func failureProfilesRows(st store.Reader, by store.GroupKey, f store.Filter) []FailureProfile {
 	acc := make(map[string]*FailureProfile)
 	var order []string
-	for _, rec := range st.Records(f) {
+	for _, rec := range st.Scan(f).Records() {
 		var key string
 		switch by {
 		case store.ByApp:
@@ -267,7 +268,7 @@ func TestFailureProfilesMatchRowOracle(t *testing.T) {
 	if split.NumShards() < 5 {
 		t.Fatalf("fixture: %d day shards, want several", split.NumShards())
 	}
-	for _, st := range []store.Reader{mono, split} {
+	for _, st := range []store.Reader{mono.AsSet(), split} {
 		for _, by := range []store.GroupKey{store.ByApp, store.ByUser, store.ByCluster} {
 			for _, f := range []store.Filter{{}, {MinSamples: 2}, {App: "wrf", EndAfter: 90000}, {User: "nobody"}} {
 				got, want := FailureProfiles(st, by, f), failureProfilesRows(st, by, f)

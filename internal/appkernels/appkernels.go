@@ -101,8 +101,8 @@ type RunPoint struct {
 
 // Series extracts a kernel's run history from the job store, ordered by
 // end time.
-func Series(st *store.Store, kernelName string) []RunPoint {
-	recs := st.Records(store.Filter{User: KernelUser, App: kernelName, MinSamples: 1})
+func Series(st store.Reader, kernelName string) []RunPoint {
+	recs := st.Scan(store.Filter{User: KernelUser, App: kernelName, MinSamples: 1}).Records()
 	out := make([]RunPoint, 0, len(recs))
 	for _, r := range recs {
 		out = append(out, RunPoint{
@@ -174,7 +174,7 @@ func (a *Auditor) Audit(kernelName string, runs []RunPoint) (Verdict, error) {
 }
 
 // AuditAll audits every kernel present in the store.
-func (a *Auditor) AuditAll(st *store.Store, kernels []Kernel) []Verdict {
+func (a *Auditor) AuditAll(st store.Reader, kernels []Kernel) []Verdict {
 	var out []Verdict
 	for _, k := range kernels {
 		runs := Series(st, k.Name)

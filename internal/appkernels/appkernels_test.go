@@ -83,8 +83,9 @@ func TestKernelsThroughSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ss := res.Store.AsSet()
 	for _, k := range ks {
-		runs := Series(res.Store, k.Name)
+		runs := Series(ss, k.Name)
 		// 14 days at 12h cadence = ~28 submissions; nearly all should
 		// run (kernels are small and the queue drains them).
 		if len(runs) < 15 {
@@ -170,7 +171,8 @@ func TestAuditAll(t *testing.T) {
 		})
 	}
 	ks := []Kernel{{Name: "ak.compute", App: workload.DefaultApps()[0], Nodes: 4, RuntimeMin: 60, PeriodMin: 720}}
-	verdicts := NewAuditor().AuditAll(st, ks)
+	ss := st.AsSet()
+	verdicts := NewAuditor().AuditAll(ss, ks)
 	if len(verdicts) != 1 {
 		t.Fatalf("verdicts = %d", len(verdicts))
 	}
@@ -179,7 +181,7 @@ func TestAuditAll(t *testing.T) {
 	}
 	// Kernels with no runs are skipped without error.
 	ks = append(ks, Kernel{Name: "ak.ghost", App: workload.DefaultApps()[0]})
-	if got := NewAuditor().AuditAll(st, ks); len(got) != 1 {
+	if got := NewAuditor().AuditAll(ss, ks); len(got) != 1 {
 		t.Errorf("ghost kernel should be skipped, got %d verdicts", len(got))
 	}
 }
@@ -193,7 +195,7 @@ func TestSeriesOrdering(t *testing.T) {
 			Samples: 2, FlopsGF: 1,
 		})
 	}
-	runs := Series(st, "ak.x")
+	runs := Series(st.AsSet(), "ak.x")
 	if len(runs) != 3 || runs[0].End != 100 || runs[2].End != 300 {
 		t.Errorf("series not ordered: %+v", runs)
 	}

@@ -88,9 +88,6 @@ type Config struct {
 // CoresPerNode returns sockets*cores.
 func (c Config) CoresPerNode() int { return c.SocketsPerNode * c.CoresPerSocket }
 
-// TotalCores returns the whole-cluster core count.
-func (c Config) TotalCores() int { return c.Nodes * c.CoresPerNode() }
-
 // PeakNodeGFlops returns the per-node peak SSE floating-point rate in
 // GFLOP/s implied by the clock, core count and issue width.
 func (c Config) PeakNodeGFlops() float64 {

@@ -15,10 +15,10 @@ import (
 // The row-loop implementations Characterize, CPUHoursReport and
 // UsageByScienceOverTime had before they moved onto the store's ordered
 // row walk, kept verbatim as oracles: they materialize every JobRecord
-// through Records and add the fields up in record order.
+// through Scan's Records and add the fields up in record order.
 
 func characterizeRows(r *Realm) Characterization {
-	recs := r.Store.Records(r.JobFilter())
+	recs := r.Store.Scan(r.JobFilter()).Records()
 	out := Characterization{Jobs: len(recs)}
 	buckets := []SizeBucket{
 		{Label: "1 node", MinNodes: 1, MaxNodes: 1},
@@ -63,7 +63,7 @@ func characterizeRows(r *Realm) Characterization {
 
 func cpuHoursRows(r *Realm) CPUHours {
 	var out CPUHours
-	for _, rec := range r.Store.Records(r.JobFilter()) {
+	for _, rec := range r.Store.Scan(r.JobFilter()).Records() {
 		coreHours := rec.NodeHours() * float64(r.CoresPerNode)
 		out.TotalCoreHours += coreHours
 		out.UserCoreHours += coreHours * rec.CPUUserFrac
@@ -84,7 +84,7 @@ func usageByScienceRows(r *Realm, bucketDays int) []ScienceUsagePoint {
 	}
 	buckets := make(map[int64]map[string]*cell)
 	totals := make(map[int64]float64)
-	for _, rec := range r.Store.Records(r.JobFilter()) {
+	for _, rec := range r.Store.Scan(r.JobFilter()).Records() {
 		b := rec.End / bucketSec * bucketSec
 		m := buckets[b]
 		if m == nil {
@@ -199,7 +199,7 @@ func bitsEqual(a, b reflect.Value) bool {
 func mixedRecords(t *testing.T) []store.JobRecord {
 	t.Helper()
 	ranger, _ := realms(t)
-	recs := ranger.Store.Records(store.Filter{})
+	recs := ranger.Store.Scan(store.Filter{}).Records()
 	for i := range recs {
 		if i%7 == 3 {
 			recs[i].Cluster = "elsewhere"
@@ -211,7 +211,7 @@ func mixedRecords(t *testing.T) []store.JobRecord {
 	return recs
 }
 
-// storeOf builds a monolithic store; shardsOf cuts the same rows into
+// storeOf builds an in-memory store; shardsOf cuts the same rows into
 // n contiguous partitions of uneven size.
 func storeOf(recs []store.JobRecord) *store.Store {
 	st := store.New()
@@ -233,13 +233,13 @@ func shardsOf(recs []store.JobRecord, n int) *store.ShardSet {
 
 // TestColumnarAnalysesMatchRowOracles holds the three whole-realm
 // analyses to their row-loop predecessors, and the one-pass profiles to
-// their aggregate-per-metric predecessor, bit for bit, on a monolithic
-// store and on a shard set, indexed and not, over a selection that is
+// their aggregate-per-metric predecessor, bit for bit, on one shard
+// and on five, indexed and not, over a selection that is
 // every row, a scattered subset, and empty.
 func TestColumnarAnalysesMatchRowOracles(t *testing.T) {
 	ranger, _ := realms(t)
 	fixtures := map[string][]store.JobRecord{
-		"all-rows":  ranger.Store.Records(store.Filter{}),
+		"all-rows":  ranger.Store.Scan(store.Filter{}).Records(),
 		"scattered": mixedRecords(t),
 		"empty":     nil,
 	}
@@ -249,7 +249,7 @@ func TestColumnarAnalysesMatchRowOracles(t *testing.T) {
 			probe = recs[len(recs)/2]
 		}
 		backings := map[string]func() store.Reader{
-			"store":    func() store.Reader { return storeOf(recs) },
+			"1-shard":  func() store.Reader { return storeOf(recs).AsSet() },
 			"5-shards": func() store.Reader { return shardsOf(recs, 5) },
 		}
 		for backing, build := range backings {
@@ -281,7 +281,7 @@ func TestColumnarAnalysesMatchRowOracles(t *testing.T) {
 					f.App = app
 					check("AppProfile "+app, r.AppProfile(app), profileByAggregates(r, app, f, store.KeyMetrics()))
 				}
-				if got, want := r.JobCount(), len(st.Records(r.JobFilter())); got != want {
+				if got, want := r.JobCount(), len(st.Scan(r.JobFilter()).Records()); got != want {
 					t.Errorf("%s: JobCount = %d, want %d", label, got, want)
 				}
 			}
@@ -313,7 +313,7 @@ func TestColumnarAnalysesAllocationCeiling(t *testing.T) {
 			CPUIdleFrac: 0.1, CPUUserFrac: 0.8, CPUSysFrac: 0.1,
 		})
 	}
-	r := NewRealm("ranger", 16, 32, 579, st, nil)
+	r := NewRealm("ranger", 16, 32, 579, st.AsSet(), nil)
 	if r.JobCount() != rows {
 		t.Fatalf("JobCount = %d, want %d", r.JobCount(), rows)
 	}

@@ -27,7 +27,7 @@ func realms(t *testing.T) (*Realm, *Realm) {
 			if err != nil {
 				panic(err)
 			}
-			return NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB, cc.PeakTFlops(), res.Store, res.Series)
+			return NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB, cc.PeakTFlops(), res.Store.AsSet(), res.Series)
 		}
 		rangerRealm = build(cluster.RangerConfig().Scaled(128))
 		ls4Realm = build(cluster.Lonestar4Config().Scaled(128))

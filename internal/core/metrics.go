@@ -20,11 +20,10 @@ type MetricPair struct {
 // correlated to cpu idle, or net ib rx is positively correlated to
 // net ib tx").
 func (r *Realm) CorrelationMatrix(metrics []store.Metric) map[MetricPair]float64 {
-	f := r.JobFilter()
+	sel := r.Store.Scan(r.JobFilter())
 	cols := make(map[store.Metric][]float64, len(metrics))
 	for _, m := range metrics {
-		vals, _ := r.Store.Values(m, f)
-		cols[m] = vals
+		cols[m] = sel.Values(m)
 	}
 	out := make(map[MetricPair]float64)
 	for i, a := range metrics {
@@ -40,11 +39,10 @@ func (r *Realm) CorrelationMatrix(metrics []store.Metric) map[MetricPair]float64
 // to cross-check that the §4.2 redundancy conclusions are not artifacts
 // of outliers.
 func (r *Realm) CorrelationMatrixRank(metrics []store.Metric) map[MetricPair]float64 {
-	f := r.JobFilter()
+	sel := r.Store.Scan(r.JobFilter())
 	cols := make(map[store.Metric][]float64, len(metrics))
 	for _, m := range metrics {
-		vals, _ := r.Store.Values(m, f)
-		cols[m] = vals
+		cols[m] = sel.Values(m)
 	}
 	out := make(map[MetricPair]float64)
 	for i, a := range metrics {

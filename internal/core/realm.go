@@ -23,9 +23,9 @@ type Realm struct {
 	MemPerNodeGB float64
 	PeakTFlops   float64
 
-	// Store is the query surface — a monolithic *store.Store or a
-	// time-partitioned *store.ShardSet; every analysis is backing-
-	// agnostic because the two answer bit-identically (store.Reader).
+	// Store is the query surface: a *store.ShardSet, loaded from a
+	// manifest's day shards or taken from an in-memory store with
+	// AsSet. It stays the interface the frozen benchmark names.
 	Store  store.Reader
 	Series []store.SystemSample
 
@@ -84,5 +84,5 @@ func (r *Realm) JobCount() int {
 
 // TotalNodeHours returns the consumed node-hours in the realm.
 func (r *Realm) TotalNodeHours() float64 {
-	return r.Store.TotalNodeHours(r.JobFilter())
+	return r.Store.Scan(r.JobFilter()).NodeHours()
 }

@@ -142,13 +142,12 @@ func (r *Realm) FlopsDistribution(points int) (*stats.KDE, []stats.CurvePoint) {
 // MemoryDistribution reproduces Fig 12: kernel densities of the
 // job-level mem_used (black curve) and mem_used_max (red curve).
 func (r *Realm) MemoryDistribution(points int) (used, max []stats.CurvePoint) {
-	f := r.JobFilter()
-	uVals, _ := r.Store.Values(store.MetricMemUsed, f)
-	mVals, _ := r.Store.Values(store.MetricMemUsedMax, f)
-	if len(uVals) == 0 {
+	sel := r.Store.Scan(r.JobFilter())
+	if sel.Len() == 0 {
 		return nil, nil
 	}
-	return stats.NewKDE(uVals).SupportCurve(points), stats.NewKDE(mVals).SupportCurve(points)
+	return stats.NewKDE(sel.Values(store.MetricMemUsed)).SupportCurve(points),
+		stats.NewKDE(sel.Values(store.MetricMemUsedMax)).SupportCurve(points)
 }
 
 // FlopsSummary describes the delivered-FLOPS headline of Fig 9/10: the

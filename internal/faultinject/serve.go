@@ -193,31 +193,12 @@ func (c *ServeChaos) TearShard() (string, float64, error) {
 	return name, frac, TornWrite(filepath.Join(c.dir, name), c.good[name], frac)
 }
 
-// Rot flips bytes in one shard file (seeded pick, seeded positions,
-// seeded masks) without changing its size, then restores the file's
-// mtime so the directory fingerprint cannot see the damage. Returns
-// the victim file name and how many bytes were flipped (at least one,
-// each xored with a non-zero mask, so the content — and its CRC32,
-// which detects all single-byte errors — always differs from the
-// known-good bytes).
-func (c *ServeChaos) Rot() (string, int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := c.shardNames()
-	if len(names) == 0 {
-		return "", 0, fmt.Errorf("faultinject: no known-good shard files")
-	}
-	name := names[c.rng.Intn(len(names))]
-	flips := 1 + c.rng.Intn(4)
-	if err := c.rotLocked(name, flips); err != nil {
-		return "", 0, err
-	}
-	return name, flips, nil
-}
-
-// RotFile is Rot with the victim chosen by the caller — chaos tests
-// that need a specific day damaged use this; positions and masks stay
-// seeded.
+// RotFile flips bytes in the named shard file (seeded positions, seeded
+// masks) without changing its size, then restores the file's mtime so
+// the directory fingerprint cannot see the damage. At least one byte is
+// flipped, each xored with a non-zero mask, so the content — and its
+// CRC32, which detects all single-byte errors — always differs from the
+// known-good bytes.
 func (c *ServeChaos) RotFile(name string, flips int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -416,11 +416,11 @@ func TestIngestQualityRoundTrip(t *testing.T) {
 		RetriesPerformed: 4, JobsNoData: 1,
 		Quarantined: []QuarantinedFile{{Host: "h1", File: "2.raw", Reason: "parse: line 9: boom"}},
 	}
-	path := filepath.Join(t.TempDir(), "quality.json")
-	if err := SaveQuality(path, q); err != nil {
+	dir := t.TempDir()
+	if err := store.AtomicWriteFile(dir, "quality.json", func(f *os.File) error { return WriteQuality(f, q) }); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadQuality(path)
+	got, err := LoadQuality(filepath.Join(dir, "quality.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,21 +110,7 @@ func WriteQuality(w io.Writer, q *DataQuality) error {
 	return nil
 }
 
-// SaveQuality writes the report as JSON, the hand-off format between
-// cmd/ingest and the reporting stage.
-func SaveQuality(path string, q *DataQuality) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteQuality(f, q); err != nil {
-		_ = f.Close() // encode error wins
-		return err
-	}
-	return f.Close()
-}
-
-// LoadQuality reads a report written by SaveQuality.
+// LoadQuality reads a report written by WriteQuality.
 func LoadQuality(path string) (*DataQuality, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -11,7 +11,6 @@
 package leakcheck
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -47,21 +46,4 @@ func Check(t testing.TB) {
 		t.Errorf("leakcheck: %d goroutines at exit, %d at start; stacks:\n%s",
 			n, base, buf)
 	})
-}
-
-// Within runs fn and fails the test if it does not return inside d —
-// the guard the drain test uses so a stuck shutdown fails fast with a
-// message instead of hitting the package test timeout.
-func Within(t testing.TB, d time.Duration, what string, fn func() error) {
-	t.Helper()
-	done := make(chan error, 1)
-	go func() { done <- fn() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-	case <-time.After(d):
-		t.Fatal(fmt.Sprintf("%s: not done within %v", what, d))
-	}
 }

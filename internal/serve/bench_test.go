@@ -50,21 +50,22 @@ var selectiveFilter = store.Filter{Cluster: "ranger", User: "u042", MinSamples: 
 // ratio here backs the ≥5x acceptance criterion.
 func BenchmarkServeAggregate(b *testing.B) {
 	st := benchStore(benchJobs)
+	ss := st.AsSet()
 	workers := runtime.GOMAXPROCS(0)
 
 	b.Run("store-scan", func(b *testing.B) {
 		// Sequential full-table scan: the pre-index baseline.
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = st.Aggregate(store.MetricFlops, selectiveFilter)
+			_ = ss.Aggregate(store.MetricFlops, selectiveFilter)
 		}
 	})
 
-	st.BuildIndex()
+	ss.BuildIndex()
 	b.Run("store-indexed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _ = st.AggregateParallelCtx(context.Background(), store.MetricFlops, selectiveFilter, workers)
+			_, _ = ss.AggregateParallelCtx(context.Background(), store.MetricFlops, selectiveFilter, workers)
 		}
 	})
 
@@ -74,7 +75,7 @@ func BenchmarkServeAggregate(b *testing.B) {
 		broad := store.Filter{Cluster: "ranger", MinSamples: 1}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _ = st.AggregateParallelCtx(context.Background(), store.MetricFlops, broad, workers)
+			_, _ = ss.AggregateParallelCtx(context.Background(), store.MetricFlops, broad, workers)
 		}
 	})
 
@@ -127,16 +128,16 @@ func TestIndexedSpeedupFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100k-row timing comparison in -short mode")
 	}
-	st := benchStore(benchJobs)
+	ss := benchStore(benchJobs).AsSet()
 	scan := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = st.Aggregate(store.MetricFlops, selectiveFilter)
+			_ = ss.Aggregate(store.MetricFlops, selectiveFilter)
 		}
 	})
-	st.BuildIndex()
+	ss.BuildIndex()
 	indexed := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_, _ = st.AggregateParallelCtx(context.Background(), store.MetricFlops, selectiveFilter, runtime.GOMAXPROCS(0))
+			_, _ = ss.AggregateParallelCtx(context.Background(), store.MetricFlops, selectiveFilter, runtime.GOMAXPROCS(0))
 		}
 	})
 	ratio := float64(scan.NsPerOp()) / float64(indexed.NsPerOp())

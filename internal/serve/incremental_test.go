@@ -304,10 +304,11 @@ func TestReloadServesNewGenerationFleetMeans(t *testing.T) {
 	const target = "/api/v1/query?group=app&metrics=cpu_idle,mem_used,cpu_flops"
 	naive := func(st *store.Store) map[string]float64 {
 		out := map[string]float64{}
+		recs := st.AsSet().Scan(store.Filter{Cluster: "ranger", MinSamples: 1}).Records()
 		for _, m := range []store.Metric{store.MetricCPUIdle, store.MetricMemUsed, store.MetricFlops} {
 			var sw, swx, daySW, daySWX float64
 			var day int64
-			for _, rec := range st.Records(store.Filter{Cluster: "ranger", MinSamples: 1}) {
+			for _, rec := range recs {
 				if d := store.EpochDay(rec.End); d != day {
 					sw, swx = sw+daySW, swx+daySWX
 					day, daySW, daySWX = d, 0, 0

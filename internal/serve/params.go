@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 	"strconv"
 	"strings"
@@ -112,7 +113,9 @@ func decodeParams(q url.Values, allowed ...string) (Params, error) {
 			p.Apps = strings.Split(value, ",")
 		case "min_nodehours":
 			p.MinNodeHours, err = strconv.ParseFloat(value, 64)
-			if err != nil || p.MinNodeHours < 0 {
+			// A finite number >= 0: NaN fails every comparison, so it
+			// would pass a "< 0" test and then match no user at all.
+			if err != nil || !(p.MinNodeHours >= 0 && p.MinNodeHours <= math.MaxFloat64) {
 				err = fmt.Errorf("bad min_nodehours %q", value)
 			}
 		case "suite":

@@ -76,6 +76,9 @@ func TestDecodeParamsRejects(t *testing.T) {
 		"n=1001",
 		"min_nodehours=-1",
 		"min_nodehours=lots",
+		"min_nodehours=NaN",
+		"min_nodehours=-Inf",
+		"min_nodehours=Inf",
 		"metric=cpu_idle&metric=cpu_idle", // repeated
 	}
 	for _, raw := range cases {

@@ -364,7 +364,7 @@ func (s *Server) distribution(ctx context.Context, snap *Snapshot, p Params) (in
 		return http.StatusBadRequest, nil, errors.New("parameter metric is required")
 	}
 	f := realmFilter(snap, p.Filter)
-	vals, _ := snap.Realm.Store.Values(p.Metric, f)
+	vals := snap.Realm.Store.Scan(f).Values(p.Metric)
 	lo, hi := 0.0, 0.0
 	if len(vals) > 0 {
 		lo, hi = stats.MinMax(vals)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -158,6 +159,7 @@ func TestClientErrors(t *testing.T) {
 		"/api/v1/distribution?metric=cpu_idle&bins=100000",
 		"/api/v1/profiles/users?n=abc",
 		"/api/v1/efficiency?min_nodehours=-3",
+		"/api/v1/efficiency?min_nodehours=NaN",
 		"/api/v1/report",                // missing suite
 		"/api/v1/report?suite=nobody",   // unknown suite
 		"/api/v1/health?unexpected=1",   // health takes no params
@@ -411,5 +413,50 @@ func TestReloadFailsOnUnreadableSeries(t *testing.T) {
 	}
 	if len(snap.Realm.Series) != 0 {
 		t.Errorf("%d series samples without series.jsonl", len(snap.Realm.Series))
+	}
+}
+
+// TestDistributionIgnoresNaN: a NaN metric value on the first selected
+// row (the shard codec carries NaN; JSON lines cannot, so the directory
+// holds shards only) used to seed both bounds — lo and hi null, every
+// row in bin 0. It is no bound, sits in no bin and is not counted.
+func TestDistributionIgnoresNaN(t *testing.T) {
+	src, st := fixtureStore(60), store.New()
+	for i := 0; i < src.Len(); i++ {
+		r := src.Record(i)
+		if i == 0 {
+			r.MemUsedGB = math.NaN()
+		}
+		st.Add(r)
+	}
+	dir := t.TempDir()
+	if err := store.WriteShardDir(dir, st); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AtomicWriteFile(dir, "series.jsonl", func(f *os.File) error { return store.SaveSeries(f, fixtureSeries(5)) }); err != nil {
+		t.Fatal(err)
+	}
+	status, body := get(t, newTestServer(t, dir), "/api/v1/distribution?metric=mem_used&bins=4")
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, body)
+	}
+	var d struct {
+		N      int      `json:"n"`
+		Lo     *float64 `json:"lo"`
+		Hi     *float64 `json:"hi"`
+		Counts []int    `json:"counts"`
+	}
+	if err := json.Unmarshal(body, &d); err != nil {
+		t.Fatal(err)
+	}
+	if d.Lo == nil || d.Hi == nil || *d.Lo != 0 || *d.Hi != 12 {
+		t.Errorf("lo, hi want 0, 12 (mem_used is i%%13 on every other row): %s", body)
+	}
+	total := 0
+	for _, c := range d.Counts {
+		total += c
+	}
+	if d.N != 59 || total != 59 || len(d.Counts) != 4 || d.Counts[0] == 59 {
+		t.Errorf("n %d, counts %v; want the 59 numbers spread over 4 bins: %s", d.N, d.Counts, body)
 	}
 }

@@ -184,7 +184,7 @@ func TestRawPipelineLonestar4(t *testing.T) {
 		t.Fatalf("raw %d vs fast %d records", raw.Store.Len(), res.Store.Len())
 	}
 	// FLOPS came from the intel_pmc block.
-	agg := raw.Store.Aggregate(store.MetricFlops, store.Filter{MinSamples: 6})
+	agg := raw.Store.AsSet().Aggregate(store.MetricFlops, store.Filter{MinSamples: 6})
 	if !(agg.Mean > 0) {
 		t.Errorf("LS4 raw flops = %v, Intel PMC path broken", agg.Mean)
 	}

@@ -201,7 +201,7 @@ func TestEfficiencyNearPaperTargets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Store.Aggregate(store.MetricCPUIdle, store.Filter{MinSamples: 1}).Mean
+		return res.Store.AsSet().Aggregate(store.MetricCPUIdle, store.Filter{MinSamples: 1}).Mean
 	}
 	ranger := runIdle(cluster.RangerConfig().Scaled(48), 21)
 	ls4 := runIdle(cluster.Lonestar4Config().Scaled(48), 21)
@@ -291,7 +291,7 @@ func TestStampedePresetThroughEngine(t *testing.T) {
 		t.Fatal("no stampede jobs")
 	}
 	// Sandy Bridge reports through the Intel PMC path: flops exist.
-	agg := res.Store.Aggregate(store.MetricFlops, store.Filter{MinSamples: 1})
+	agg := res.Store.AsSet().Aggregate(store.MetricFlops, store.Filter{MinSamples: 1})
 	if !(agg.Mean > 0) {
 		t.Errorf("stampede flops = %v", agg.Mean)
 	}

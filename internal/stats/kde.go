@@ -130,14 +130,18 @@ type Histogram struct {
 
 // NewHistogram bins xs into bins equal-width buckets across [lo, hi).
 // Values outside the range are clamped into the end bins so totals are
-// preserved.
+// preserved; a NaN belongs to no bin and is not counted, so N is always
+// the sum of Counts. An empty or NaN range has no bins.
 func NewHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
+	if bins <= 0 || !(lo < hi) {
 		return &Histogram{Lo: lo, Hi: hi}
 	}
 	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
 	width := (hi - lo) / float64(bins)
 	for _, x := range xs {
+		if math.IsNaN(x) {
+			continue // int(NaN) is platform-defined
+		}
 		i := int((x - lo) / width)
 		if i < 0 {
 			i = 0

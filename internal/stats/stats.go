@@ -107,9 +107,6 @@ func WeightedVariance(xs, ws []float64) float64 {
 	return ss / sw
 }
 
-// WeightedStdDev returns the weighted population standard deviation.
-func WeightedStdDev(xs, ws []float64) float64 { return math.Sqrt(WeightedVariance(xs, ws)) }
-
 // CoefficientOfVariation returns stddev/mean, the paper's dispersion
 // measure used to order the predictability of metrics (§4.3.4).
 func CoefficientOfVariation(xs []float64) float64 {
@@ -120,19 +117,21 @@ func CoefficientOfVariation(xs []float64) float64 {
 	return StdDev(xs) / m
 }
 
-// MinMax returns the smallest and largest values of xs.
+// MinMax returns the smallest and largest numbers in xs, ignoring NaN
+// wherever it sits (the ±Inf seeds never compare with one); NaN, NaN
+// when xs holds no number.
 func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, x := range xs {
 		if x < lo {
 			lo = x
 		}
 		if x > hi {
 			hi = x
 		}
+	}
+	if lo > hi {
+		return math.NaN(), math.NaN()
 	}
 	return lo, hi
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -264,6 +265,41 @@ func TestMinMaxSum(t *testing.T) {
 	lo, hi = MinMax(nil)
 	if !math.IsNaN(lo) || !math.IsNaN(hi) {
 		t.Errorf("empty MinMax should be NaN")
+	}
+}
+
+// TestMinMaxHistogramIgnoreNaN: a NaN is never an extremum, never hides
+// one, and is neither binned nor counted, wherever it sits — the first
+// value seeded both bounds once, and int(NaN) is whatever the platform
+// makes of it.
+func TestMinMaxHistogramIgnoreNaN(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name   string
+		xs     []float64
+		lo, hi float64
+		counts []int // two bins over [lo, hi)
+	}{
+		{"no NaN", []float64{1, 3, 2}, 1, 3, []int{1, 2}},
+		{"NaN first", []float64{nan, 1, 3, 2}, 1, 3, []int{1, 2}},
+		{"NaN in the middle", []float64{1, nan, 3, nan, 2}, 1, 3, []int{1, 2}},
+		{"NaN last", []float64{1, 3, 2, nan}, 1, 3, []int{1, 2}},
+		{"only NaN", []float64{nan, nan}, nan, nan, nil},
+	}
+	same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+	for _, c := range cases {
+		lo, hi := MinMax(c.xs)
+		if !same(lo, c.lo) || !same(hi, c.hi) {
+			t.Errorf("%s: MinMax = %v, %v; want %v, %v", c.name, lo, hi, c.lo, c.hi)
+		}
+		h := NewHistogram(c.xs, lo, hi, 2)
+		total := 0
+		for _, n := range h.Counts {
+			total += n
+		}
+		if !reflect.DeepEqual(h.Counts, c.counts) || h.N != total {
+			t.Errorf("%s: histogram counts %v n %d; want %v and n = their sum", c.name, h.Counts, h.N, c.counts)
+		}
 	}
 }
 

@@ -34,8 +34,9 @@ func aggCtxFixture(n int) *Store {
 func TestAggregateParallelCtx(t *testing.T) {
 	st := aggCtxFixture(10000)
 	want := st.baselineAggregate(MetricCPUIdle, Filter{})
+	ss := st.AsSet()
 
-	got, err := st.AggregateParallelCtx(context.Background(), MetricCPUIdle, Filter{}, 4)
+	got, err := ss.AggregateParallelCtx(context.Background(), MetricCPUIdle, Filter{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +46,12 @@ func TestAggregateParallelCtx(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := st.AggregateParallelCtx(ctx, MetricCPUIdle, Filter{}, 4); !errors.Is(err, context.Canceled) {
+	if _, err := ss.AggregateParallelCtx(ctx, MetricCPUIdle, Filter{}, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled aggregate err = %v, want context.Canceled", err)
 	}
 
 	// A nil context degrades to the uncancellable path.
-	got, err = st.AggregateParallelCtx(nil, MetricCPUIdle, Filter{}, 4)
+	got, err = ss.AggregateParallelCtx(nil, MetricCPUIdle, Filter{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +85,8 @@ func TestAggregateMinMaxIgnoresNaN(t *testing.T) {
 			st.Add(r)
 		}
 		readers := map[string]Reader{
-			"store":       st,
-			"split store": NewShardSet(splitParts(st, []int{100, 4096, 4100, 9000})),
+			"one shard":   st.AsSet(),
+			"many shards": NewShardSet(splitParts(st, []int{100, 4096, 4100, 9000})),
 		}
 		for name, r := range readers {
 			for entry, agg := range map[string]Agg{

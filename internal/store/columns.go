@@ -5,10 +5,11 @@ import "math"
 // Columns is the struct-of-arrays execution layout of the warehouse:
 // one contiguous slice per JobRecord field, with the low-cardinality
 // string fields dictionary-encoded (a shared value table plus a uint32
-// code per row). The row-oriented JobRecord API (Add, Record, Records)
-// remains the compatibility surface; every scan, filter and aggregation
-// kernel runs over these slices, and the binary snapshot format
-// (codec.go) is a direct serialization of this struct.
+// code per row). Rows go in and come out as JobRecords — Store.Add
+// appends one, Store.Record and Selection.Records materialize them for
+// export — and nothing in between touches a JobRecord: every scan,
+// filter and aggregation kernel runs over these slices, and the binary
+// snapshot format (codec.go) is a direct serialization of this struct.
 type Columns struct {
 	JobID   []int64
 	Cluster DictColumn

@@ -13,17 +13,17 @@ import (
 // kernels replaced: string-compare filtering, a materialized []int row
 // list, node-hours recomputed per row from three columns, group-by
 // through a string-keyed map over materialized records. It is the one
-// naive reference every Reader method of both *Store and *ShardSet is
-// checked against: the equivalence tests require the kernels to be
-// bit-identical to this path; the speedup floor tests require them to
-// beat it.
+// naive reference every Reader method of a *ShardSet and every
+// Selection consumer is checked against: the equivalence tests require
+// the kernels to be bit-identical to this path; the speedup floor tests
+// require them to beat it.
 //
 // The summing references take the split: cuts are the global row
 // positions where the second and every later partition starts. Each
 // partition's rows add into a running sum of their own and the
 // partition sums add in order — the one definition of a sum (DESIGN.md
 // §11). Without cuts that is the plain running sum over all the rows,
-// which is what a *Store must answer.
+// which is what a one-shard set (AsSet) must answer.
 
 // segments splits an ascending row list at the cuts.
 func segments(idx []int, cuts []int) [][]int {
@@ -261,6 +261,18 @@ func aggParallel(r Reader, m Metric, f Filter, workers int) Agg {
 	return agg
 }
 
+// selWeights reads the node-hour weight of every selected row, in
+// global order, through the ordered row walk.
+func selWeights(sel Selection) []float64 {
+	var out []float64
+	sel.Walk(func(c *Columns, rows Rows) {
+		for j := 0; j < rows.Len(); j++ {
+			out = append(out, c.NodeHours()[rows.At(j)])
+		}
+	})
+	return out
+}
+
 // equivStore builds a store exercising the tricky aggregation inputs:
 // NaN metric values, zero-sample jobs, zero-node-hour jobs (end ==
 // start), negative values and negative zeros, enough rows to cross
@@ -320,25 +332,27 @@ var equivFilters = []Filter{
 }
 
 // TestColumnarAggregateEquivalence proves the columnar kernel is
-// bit-identical to the retired row path on a *Store — through both
-// entry points, indexed and unindexed, for every worker count,
+// bit-identical to the retired row path on a one-shard set — through
+// both entry points, indexed and unindexed, for every worker count,
 // including NaN metric values, zero-sample jobs and zero-node-hour
-// jobs. The reference takes no cuts here: a store's sum is the plain
-// running sum it has always been.
+// jobs. The reference takes no cuts here: one shard's sum is the plain
+// running sum.
 func TestColumnarAggregateEquivalence(t *testing.T) {
 	for _, indexed := range []bool{false, true} {
 		st := equivStore(10_000)
+		ss := st.AsSet()
 		if indexed {
 			st.BuildIndex()
+			ss.BuildIndex()
 		}
 		for _, m := range []Metric{MetricFlops, MetricMemUsed, MetricRead, MetricCPUIdle} {
 			for fi, f := range equivFilters {
 				want := st.baselineAggregate(m, f)
-				if got := st.Aggregate(m, f); !aggBitsEqual(got, want) {
+				if got := ss.Aggregate(m, f); !aggBitsEqual(got, want) {
 					t.Errorf("indexed=%v filter#%d %s: Aggregate %+v != baseline %+v", indexed, fi, m, got, want)
 				}
 				for _, workers := range []int{1, 2, 3, 8} {
-					if got := aggParallel(st, m, f, workers); !aggBitsEqual(got, want) {
+					if got := aggParallel(ss, m, f, workers); !aggBitsEqual(got, want) {
 						t.Errorf("indexed=%v filter#%d %s workers=%d: AggregateParallelCtx %+v != baseline %+v",
 							indexed, fi, m, workers, got, want)
 					}
@@ -354,12 +368,14 @@ func TestColumnarAggregateEquivalence(t *testing.T) {
 func TestColumnarSelectEquivalence(t *testing.T) {
 	for _, indexed := range []bool{false, true} {
 		st := equivStore(5_000)
+		ss := st.AsSet()
 		if indexed {
 			st.BuildIndex()
+			ss.BuildIndex()
 		}
 		for fi, f := range equivFilters {
 			want := st.baselineSelect(f)
-			got := st.Select(f)
+			got := ss.Select(f)
 			if len(got) != len(want) {
 				t.Errorf("indexed=%v filter#%d Select: %d rows != baseline %d", indexed, fi, len(got), len(want))
 				continue
@@ -403,8 +419,10 @@ func TestColumnarSpeedupFloor(t *testing.T) {
 	}
 	st := floorStore(100_000)
 	st.BuildIndex()
+	ss := st.AsSet()
+	ss.BuildIndex()
 	broad := Filter{Cluster: "ranger", MinSamples: 1}
-	if got, want := st.Aggregate(MetricFlops, broad), st.baselineAggregate(MetricFlops, broad); !aggBitsEqual(got, want) {
+	if got, want := ss.Aggregate(MetricFlops, broad), st.baselineAggregate(MetricFlops, broad); !aggBitsEqual(got, want) {
 		t.Fatalf("columnar %+v != baseline %+v", got, want)
 	}
 	base := testing.Benchmark(func(b *testing.B) {
@@ -414,7 +432,7 @@ func TestColumnarSpeedupFloor(t *testing.T) {
 	})
 	columnar := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = st.Aggregate(MetricFlops, broad)
+			_ = ss.Aggregate(MetricFlops, broad)
 		}
 	})
 	ratio := float64(base.NsPerOp()) / float64(columnar.NsPerOp())
@@ -459,17 +477,19 @@ func floorStore(n int) *Store {
 // (make bench-store): the broad vacuous-filter sweep and the selective
 // posting-list path through the aggregate, against the retired row-path
 // baseline, plus the group-by and values kernels on the same two
-// filters — the monolithic *Store figures, i.e. the one-partition case
-// of the kernels.
+// filters — the one-shard figures, i.e. the one-partition case of the
+// kernels.
 func BenchmarkAggregateColumnar(b *testing.B) {
 	st := floorStore(100_000)
 	st.BuildIndex()
+	ss := st.AsSet()
+	ss.BuildIndex()
 	broad := Filter{Cluster: "ranger", MinSamples: 1}
 	selective := Filter{Cluster: "ranger", User: "u042", MinSamples: 1}
 	b.Run("broad-columnar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = st.Aggregate(MetricFlops, broad)
+			_ = ss.Aggregate(MetricFlops, broad)
 		}
 	})
 	b.Run("broad-rowpath", func(b *testing.B) {
@@ -481,31 +501,31 @@ func BenchmarkAggregateColumnar(b *testing.B) {
 	b.Run("selective-columnar", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = st.Aggregate(MetricFlops, selective)
+			_ = ss.Aggregate(MetricFlops, selective)
 		}
 	})
 	b.Run("broad-groupby-user", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = st.GroupBy(ByUser, []Metric{MetricFlops, MetricCPUIdle}, broad)
+			_ = ss.GroupBy(ByUser, []Metric{MetricFlops, MetricCPUIdle}, broad)
 		}
 	})
 	b.Run("selective-groupby-app", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = st.GroupBy(ByApp, []Metric{MetricFlops, MetricCPUIdle}, selective)
+			_ = ss.GroupBy(ByApp, []Metric{MetricFlops, MetricCPUIdle}, selective)
 		}
 	})
 	b.Run("broad-values", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _ = st.Values(MetricFlops, broad)
+			_ = ss.Scan(broad).Values(MetricFlops)
 		}
 	})
 	b.Run("selective-values", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, _ = st.Values(MetricFlops, selective)
+			_ = ss.Scan(selective).Values(MetricFlops)
 		}
 	})
 	b.Run("selective-rowpath", func(b *testing.B) {

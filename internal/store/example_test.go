@@ -6,7 +6,7 @@ import (
 	"supremm/internal/store"
 )
 
-func ExampleStore_Aggregate() {
+func ExampleShardSet_Aggregate() {
 	st := store.New()
 	st.Add(store.JobRecord{
 		JobID: 1, Cluster: "ranger", User: "alice", App: "namd",
@@ -18,7 +18,7 @@ func ExampleStore_Aggregate() {
 		Nodes: 2, Start: 0, End: 3600 * 10, // 20 node-hours
 		Status: "COMPLETED", Samples: 60, CPUIdleFrac: 0.90,
 	})
-	agg := st.Aggregate(store.MetricCPUIdle, store.Filter{Cluster: "ranger", MinSamples: 1})
+	agg := st.AsSet().Aggregate(store.MetricCPUIdle, store.Filter{Cluster: "ranger", MinSamples: 1})
 	fmt.Printf("jobs: %d\n", agg.N)
 	fmt.Printf("node-hour-weighted idle: %.2f\n", agg.Mean)
 	fmt.Printf("unweighted idle: %.2f\n", agg.UnweightedMean)
@@ -28,7 +28,7 @@ func ExampleStore_Aggregate() {
 	// unweighted idle: 0.48
 }
 
-func ExampleStore_GroupBy() {
+func ExampleShardSet_GroupBy() {
 	st := store.New()
 	for i, user := range []string{"alice", "alice", "bob"} {
 		st.Add(store.JobRecord{
@@ -37,7 +37,7 @@ func ExampleStore_GroupBy() {
 			FlopsGF: float64(i + 1),
 		})
 	}
-	groups := st.GroupBy(store.ByUser, []store.Metric{store.MetricFlops}, store.Filter{})
+	groups := st.AsSet().GroupBy(store.ByUser, []store.Metric{store.MetricFlops}, store.Filter{})
 	for _, g := range groups {
 		fmt.Printf("%s: %d jobs, %.1f GF/s\n", g.Key, g.N, g.Mean[store.MetricFlops])
 	}

@@ -63,7 +63,7 @@ func FuzzColumnsDecode(f *testing.F) {
 		// The decoded store must be queryable without panics: the code
 		// arrays were validated against the dictionaries.
 		st := FromColumns(c)
-		_ = st.Aggregate(MetricFlops, Filter{})
+		_ = NewShardSet([]*Columns{c}).Aggregate(MetricFlops, Filter{})
 		if st.Len() > 0 {
 			_ = st.Record(0)
 			_ = st.Record(st.Len() - 1)

@@ -389,6 +389,46 @@ func TestRepairRestoresBytesExactly(t *testing.T) {
 	}
 }
 
+// TestRepairNeedsNoGlobalOrder: shard bytes and their repair depend on
+// each day's rows in their relative order, not on the backing being
+// grouped by day — WriteShardDir and RepairShard both pick a day's rows
+// out in the order they find them. (ReorderByEndDay is for the exports'
+// row order.)
+func TestRepairNeedsNoGlobalOrder(t *testing.T) {
+	ungrouped := floorStore(2500)
+	days, _ := ungrouped.c.rowsByEndDay()
+	interleaved := false
+	for i := 1; i < ungrouped.Len(); i++ {
+		if EpochDay(ungrouped.c.End[i]) < EpochDay(ungrouped.c.End[i-1]) {
+			interleaved = true
+		}
+	}
+	if !interleaved || len(days) < 3 {
+		t.Fatalf("fixture: %d days, interleaved %v; want several days out of order", len(days), interleaved)
+	}
+	dir, _, entries, good := healFixture(t, 2500) // written from the grouped store
+	plain := t.TempDir()
+	if err := WriteShardDir(plain, ungrouped); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		name := ShardFileName(e.ID)
+		got, err := os.ReadFile(filepath.Join(plain, name))
+		if err != nil || !bytes.Equal(got, good[name]) {
+			t.Fatalf("%s written from the ungrouped store differs from the grouped one (err %v)", name, err)
+		}
+		if moved, err := QuarantineShard(dir, e, "drill", 0); err != nil || !moved {
+			t.Fatalf("quarantine %s: moved %v, err %v", name, moved, err)
+		}
+		if err := RepairShard(dir, e, ungrouped); err != nil {
+			t.Fatalf("repair %s from the ungrouped backing: %v", name, err)
+		}
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, good[name]) {
+			t.Fatalf("%s repaired from the ungrouped backing differs from the pristine bytes (err %v)", name, err)
+		}
+	}
+}
+
 func TestRepairRefusesWrongBacking(t *testing.T) {
 	dir, _, entries, good := healFixture(t, 2500)
 	victim := entries[0]

@@ -3,8 +3,8 @@ package store
 // Index is the read-optimized secondary-index layer over a Store: one
 // posting list of ascending row ids per distinct cluster, user and app
 // value, accelerating the selective filters the query daemon serves.
-// Lists are ascending, so an indexed Select returns exactly the row set
-// (and order) a full scan would.
+// Lists are ascending, so an indexed selection is exactly the row set
+// (and order) a full scan would give.
 type Index struct {
 	cluster postings
 	user    postings

@@ -34,7 +34,7 @@ func testStore(n int) *Store {
 }
 
 func TestSelectIndexedMatchesScan(t *testing.T) {
-	s := testStore(5000)
+	s := testStore(5000).AsSet()
 	s.BuildIndex()
 	scan := testStore(5000) // unindexed twin: the baseline scans every row
 	filters := []Filter{
@@ -67,17 +67,16 @@ func TestIndexInvalidatedByAdd(t *testing.T) {
 	if s.HasIndex() {
 		t.Fatal("Add must drop the index: stale postings would hide the new row")
 	}
-	got := s.Select(Filter{User: "newuser"})
-	if len(got) != 1 {
-		t.Fatalf("new row not visible after Add: got %d rows", len(got))
+	if got := s.selectSet(Filter{User: "newuser"}).len(); got != 1 {
+		t.Fatalf("new row not visible after Add: got %d rows", got)
 	}
 }
 
 // TestAggregateParallelMatchesSequential holds the two aggregate entry
-// points to each other on an indexed store: one kernel behind both, so
-// the same bits for any worker count.
+// points to each other on an indexed one-shard set: one kernel behind
+// both, so the same bits for any worker count.
 func TestAggregateParallelMatchesSequential(t *testing.T) {
-	s := testStore(20000)
+	s := testStore(20000).AsSet()
 	s.BuildIndex()
 	filters := []Filter{{}, {Cluster: "ranger"}, {User: "u042"}, {User: "nobody"}}
 	for _, f := range filters {
@@ -93,7 +92,7 @@ func TestAggregateParallelMatchesSequential(t *testing.T) {
 }
 
 func BenchmarkStoreSelect(b *testing.B) {
-	s := testStore(100_000)
+	s := testStore(100_000).AsSet()
 	f := Filter{User: "u042"}
 	b.Run("scan", func(b *testing.B) { // no index yet: Select scans
 		for i := 0; i < b.N; i++ {

@@ -9,17 +9,19 @@ import (
 )
 
 // The query engine (DESIGN.md §11, §14.3): one kernel per Reader method,
-// written over an ordered list of partitions. The logical row space is
-// the concatenation of the partitions in list order, rows in their
-// original order within each. The row-returning kernels (Select,
-// Records, Values, Scan) depend on that sequence alone. The summing
-// kernels (Aggregate, GroupBy, TotalNodeHours) have one definition of a
-// sum: each partition folds its selected rows serially, in row order,
-// into a partial of its own, and the partials are added in partition
-// order — so a sum depends on the rows and on where they are cut, and
-// on nothing else (not the worker count, not the index, not the filter
-// shape). A *ShardSet passes its day shards; a *Store passes itself as
-// the one-partition list, whose sum is the plain running sum.
+// written over an ordered list of partitions — a *ShardSet's day shards;
+// a finished *Store is queried as the one-shard set AsSet gives. The
+// logical row space is the concatenation of the partitions in list
+// order, rows in their original order within each. A filter becomes
+// rows once, in selectParts; a Selection keeps that result, and what it
+// hands out (Values, Records, Walk) depends on the row sequence alone.
+// The summing kernels (Aggregate, GroupBy, Selection.NodeHours) have
+// one definition of a sum: each partition folds its selected rows
+// serially, in row order, into a partial of its own, and the partials
+// are added in partition order — so a sum depends on the rows and on
+// where they are cut, and on nothing else (not the worker count, not
+// the index, not the filter shape). One partition's sum is the plain
+// running sum.
 
 // shardSel is one partition's selection with its place in the global
 // selected sequence: end counts the selected rows of this and every
@@ -75,50 +77,11 @@ func selectRows(parts []*Store, f Filter) []int {
 	return out
 }
 
-// selectRecords materializes the records passing the filter.
-func selectRecords(parts []*Store, f Filter) []JobRecord {
-	sel, _ := selectParts(parts, f)
-	out := make([]JobRecord, 0, selTotal(sel))
-	for i, st := range parts {
-		rs := sel[i].rowSet
-		for j, n := 0, rs.len(); j < n; j++ {
-			out = append(out, st.Record(rs.row(j)))
-		}
-	}
-	return out
-}
-
-// selectValues extracts metric m for the filtered rows, paired with
-// node-hour weights (for weighted statistics and KDE inputs). An
-// all-rows partition is two contiguous copies.
-func selectValues(parts []*Store, m Metric, f Filter) (vals, weights []float64) {
-	sel, _ := selectParts(parts, f)
-	if selTotal(sel) == 0 {
-		return nil, nil
-	}
-	vals = make([]float64, selTotal(sel))
-	weights = make([]float64, selTotal(sel))
-	for i, st := range parts {
-		rs := sel[i].rowSet
-		col, weight := st.col(m), st.c.weight
-		v, w := vals[sel[i].end-rs.len():sel[i].end], weights[sel[i].end-rs.len():sel[i].end]
-		if rs.all {
-			copy(v, col[:rs.n])
-			copy(w, weight[:rs.n])
-			continue
-		}
-		for j, r := range rs.idx {
-			v[j] = col[r]
-			w[j] = weight[r]
-		}
-	}
-	return vals, weights
-}
-
-// Selection is a filter's result left in place: which rows of which
-// partition passed, nothing copied out of the columns. Whole-realm
-// analyses read the columns they need through Walk instead of
-// materializing a JobRecord per row.
+// Selection is what a filter turns into: which rows of which partition
+// passed, left in place with nothing copied out of the columns. One
+// Scan answers any number of questions about the same job population —
+// Len, NodeHours, one Values slice per metric, Records, or a Walk over
+// the columns themselves.
 type Selection struct {
 	parts []*Store
 	sel   []shardSel
@@ -133,12 +96,6 @@ func (r Rows) Len() int { return r.rs.len() }
 // At returns the j'th selected row id, an index into the partition's
 // columns.
 func (r Rows) At(j int) int { return r.rs.row(j) }
-
-// scanParts evaluates the filter into a Selection.
-func scanParts(parts []*Store, f Filter) Selection {
-	sel, _ := selectParts(parts, f)
-	return Selection{parts: parts, sel: sel}
-}
 
 // Len returns the number of selected rows across all partitions.
 func (s Selection) Len() int { return selTotal(s.sel) }
@@ -158,10 +115,44 @@ func (s Selection) Walk(fn func(c *Columns, rows Rows)) {
 	}
 }
 
-// totalNodeHours sums weights over the filtered rows.
-func totalNodeHours(parts []*Store, f Filter) float64 {
-	sel, _ := selectParts(parts, f)
-	return sumWeights(parts, sel)
+// Values extracts metric m for the selected rows, in global row order;
+// nil for an empty selection. An all-rows partition is one contiguous
+// copy.
+func (s Selection) Values(m Metric) []float64 {
+	if s.Len() == 0 {
+		return nil
+	}
+	vals := make([]float64, s.Len())
+	for i, st := range s.parts {
+		rs := s.sel[i].rowSet
+		col := st.col(m)
+		v := vals[s.sel[i].end-rs.len() : s.sel[i].end]
+		if rs.all {
+			copy(v, col[:rs.n])
+			continue
+		}
+		for j, r := range rs.idx {
+			v[j] = col[r]
+		}
+	}
+	return vals
+}
+
+// NodeHours sums the §4.1 node-hour weights of the selected rows.
+func (s Selection) NodeHours() float64 { return sumWeights(s.parts, s.sel) }
+
+// Records materializes the selected rows, in global row order — the one
+// exported place a selection becomes JobRecords (export, CLI tools,
+// tests); analyses read the columns through Walk or Values instead.
+func (s Selection) Records() []JobRecord {
+	out := make([]JobRecord, 0, s.Len())
+	for i, st := range s.parts {
+		rs := s.sel[i].rowSet
+		for j, n := 0, rs.len(); j < n; j++ {
+			out = append(out, st.Record(rs.row(j)))
+		}
+	}
+	return out
 }
 
 // sumWeights adds the selection's node-hour weights: a running sum per

@@ -214,11 +214,12 @@ func DecodeManifest(data []byte) ([]ShardInfo, error) {
 
 // ReorderByEndDay stably reorders the store's rows so they are grouped
 // by job-end epoch day, days ascending, preserving the existing order
-// within each day. This makes the monolithic row order identical to
-// the concatenation of the day shards WriteShardDir produces — the
-// invariant that lets RepairShard rebuild a lost day from jobs.supremm
-// or jobs.jsonl to the manifest's exact bytes. Drops any index (like
-// Add).
+// within each day. It is for the exports: jobs.jsonl and jobs.supremm
+// then list the rows in the order the day shards concatenate to, the
+// order every query answers in. Nothing else depends on it —
+// WriteShardDir and RepairShard each pick a day's rows out in their
+// existing order, so shards and their repair come out byte-identical
+// from a grouped or an ungrouped store. Drops any index (like Add).
 func (s *Store) ReorderByEndDay() {
 	_, dayRows := s.c.rowsByEndDay()
 	*s = Store{c: *s.c.gather(slices.Concat(dayRows...))}

@@ -1,7 +1,5 @@
 package store
 
-import "context"
-
 // Filter restricts a query to matching rows. Zero values mean "any".
 type Filter struct {
 	Cluster string
@@ -258,49 +256,3 @@ type Group struct {
 	// Mean holds the node-hour-weighted mean of each requested metric.
 	Mean map[Metric]float64
 }
-
-// The Reader methods of a *Store: the kernels of kernel.go over the
-// one-partition list holding s. A store is a shard set with one shard.
-
-// Select returns the row indices passing the filter, ascending. With
-// an index built (BuildIndex) and an equality predicate on an indexed
-// column, the candidates come from the narrowest posting list instead
-// of a full scan; the result is identical either way.
-func (s *Store) Select(f Filter) []int { return selectRows([]*Store{s}, f) }
-
-// Records returns materialized records passing the filter.
-func (s *Store) Records(f Filter) []JobRecord { return selectRecords([]*Store{s}, f) }
-
-// Aggregate computes the node-hour-weighted aggregate of metric m over
-// rows passing the filter: one running sum in ascending row order (a
-// store is one partition of aggregateParts).
-func (s *Store) Aggregate(m Metric, f Filter) Agg {
-	agg, _ := aggregateParts(nil, []*Store{s}, m, f, 1) // a nil ctx never fails
-	return agg
-}
-
-// AggregateParallelCtx is Aggregate under a context: the same bits, or
-// ctx's error once ctx fires. A store is one partition, so workers has
-// nothing to fan out over.
-func (s *Store) AggregateParallelCtx(ctx context.Context, m Metric, f Filter, workers int) (Agg, error) {
-	return aggregateParts(ctx, []*Store{s}, m, f, workers)
-}
-
-// GroupBy computes node-hour-weighted means of the metrics per group,
-// over rows passing the filter, sorted by descending node-hours.
-func (s *Store) GroupBy(k GroupKey, metrics []Metric, f Filter) []Group {
-	return groupRows([]*Store{s}, k, metrics, f)
-}
-
-// Values extracts metric m for rows passing the filter, paired with
-// node-hour weights (for weighted statistics and KDE inputs).
-func (s *Store) Values(m Metric, f Filter) (vals, weights []float64) {
-	return selectValues([]*Store{s}, m, f)
-}
-
-// Scan evaluates the filter and leaves the selection in place for an
-// ordered, copy-free walk over the columns (see Selection.Walk).
-func (s *Store) Scan(f Filter) Selection { return scanParts([]*Store{s}, f) }
-
-// TotalNodeHours sums weights over the filtered rows.
-func (s *Store) TotalNodeHours(f Filter) float64 { return totalNodeHours([]*Store{s}, f) }

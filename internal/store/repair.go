@@ -14,11 +14,12 @@ import (
 // cmd/ingest writes every batch in four redundant forms — day shards,
 // the monolithic columnar binary (jobs.supremm), the monolithic JSON
 // lines (jobs.jsonl), and the manifest describing the shards — and all
-// of them hold exactly the same rows in exactly the same global order
-// (ReorderByEndDay is the invariant). That redundancy is the repair
-// path: a quarantined shard can be rebuilt by partitioning a surviving
-// monolithic backing by end day and re-encoding the lost day. Shard
-// bytes are a pure function of the rows, so a correct rebuild is
+// of them hold exactly the same rows, each day's in the same order
+// (WriteShardDir and RepairShard both keep the within-day order; the
+// global order of a backing does not matter). That redundancy is the
+// repair path: a quarantined shard can be rebuilt by partitioning a
+// surviving monolithic backing by end day and re-encoding the lost day.
+// Shard bytes are a pure function of the rows, so a correct rebuild is
 // byte-identical to the original — and the manifest entry's size and
 // hash let us PROVE it before the rebuilt shard is trusted. A backing
 // that was itself damaged (decode failure, or rows that re-encode to

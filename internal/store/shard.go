@@ -6,41 +6,39 @@ import (
 	"sort"
 )
 
-// Reader is the query surface shared by the monolithic *Store and the
-// time-partitioned *ShardSet. Everything above the store layer (core,
-// serve, anomaly) consumes this interface. Both types run the one
-// kernel family of kernel.go, which TestShardDifferentialEquivalence
+// Reader is the query surface: everything above the store layer (core,
+// serve, anomaly) consumes this interface, and *ShardSet is its one
+// implementation — the daemon and xdmod load one from a manifest, and
+// whatever builds a *Store in memory queries it through AsSet. The
+// kernels are kernel.go's, which TestShardDifferentialEquivalence
 // checks against a naive row reference.
 //
-// The row-returning methods (Len, Record, Records, Select, Scan,
-// Values) depend only on the rows and their global order. The summing
-// methods (Aggregate, AggregateParallelCtx, GroupBy, TotalNodeHours)
-// have one definition: a serial sum per partition, the partition sums
-// added in partition order. A *Store is one partition; a *ShardSet has
-// one per shard, so its sums follow its split in the last ulps (N, Min
-// and Max never move) — and everything that serves queries holds the
-// same split, the job-end day shards of the manifest. The two aggregate
+// Scan turns a filter into a Selection, which is then consumed as often
+// as the question needs (Len, NodeHours, Values, Records, Walk): those
+// depend only on the rows and their global order. The summing methods
+// (Aggregate, AggregateParallelCtx, GroupBy, Selection.NodeHours) have
+// one definition: a serial sum per shard, the shard sums added in shard
+// order, so sums follow the split in the last ulps (N, Min and Max
+// never move) — and everything that serves queries holds the same
+// split, the job-end day shards of the manifest. The two aggregate
 // entry points return the same bits; the Ctx one adds cancellation and a
 // worker count that only schedules.
 type Reader interface {
 	Len() int
-	Record(i int) JobRecord
-	Records(f Filter) []JobRecord
-	Select(f Filter) []int
 	Scan(f Filter) Selection
+	// Select and Values are Scan spelled for one consumer each. They
+	// stay on the interface only because the frozen benchmark
+	// (bench/layers.go) times them by these names.
+	Select(f Filter) []int
+	Values(m Metric, f Filter) []float64
 	Aggregate(m Metric, f Filter) Agg
 	AggregateParallelCtx(ctx context.Context, m Metric, f Filter, workers int) (Agg, error)
 	GroupBy(k GroupKey, metrics []Metric, f Filter) []Group
-	Values(m Metric, f Filter) (vals, weights []float64)
-	TotalNodeHours(f Filter) float64
 	BuildIndex()
 	HasIndex() bool
 }
 
-var (
-	_ Reader = (*Store)(nil)
-	_ Reader = (*ShardSet)(nil)
-)
+var _ Reader = (*ShardSet)(nil)
 
 // Shard is one immutable time partition: a day's worth of job records
 // in the columnar layout, plus the manifest entry describing the file
@@ -64,18 +62,16 @@ func (sh *Shard) Info() ShardInfo { return sh.info }
 // pointer-shared (not copied) across generations.
 func (sh *Shard) Columns() *Columns { return &sh.st.c }
 
-// ShardSet is the sharded counterpart of Store: an ordered list of
-// day-partitioned shards presenting one logical row space. The global
-// row order is the concatenation of the shards in ascending shard-ID
-// order, rows in their original order within each shard — exactly the
-// order cmd/ingest's ReorderByEndDay gives the monolithic outputs, so
-// the sharded and monolithic load paths answer byte-identically.
+// ShardSet is what queries run on: an ordered list of day-partitioned
+// shards presenting one logical row space. The global row order is the
+// concatenation of the shards in ascending shard-ID order, rows in
+// their original order within each shard.
 type ShardSet struct {
 	shards []*Shard
 	// parts[i] is shards[i]'s rows: the partition list the kernels walk.
 	parts []*Store
-	// starts[i] is the global row offset of shard i; starts[len] = Len().
-	starts []int
+	// rows is the total row count across shards.
+	rows int
 	// built marks that BuildIndex ran over the set (per-shard indexes
 	// may predate it on shards reused from an earlier generation).
 	built bool
@@ -92,8 +88,8 @@ type ShardLoadStats struct {
 
 // NewShardSet wraps in-memory columnar partitions as a shard set, in
 // the given order. Each part must have derived state populated
-// (appendRecord or recomputeDerived do this). Intended for tests; disk
-// sets come from LoadShardSet.
+// (appendRecord or recomputeDerived do this). Disk sets come from
+// LoadShardSet.
 func NewShardSet(parts []*Columns) *ShardSet {
 	shards := make([]*Shard, len(parts))
 	for i, c := range parts {
@@ -105,11 +101,24 @@ func NewShardSet(parts []*Columns) *ShardSet {
 	return newShardSet(shards, ShardLoadStats{Loaded: len(parts)})
 }
 
+// AsSet wraps a finished store as a one-shard set, the way an in-memory
+// store is queried: one partition, so every sum is the plain running sum
+// over its rows. The set shares the store's row data — fixed at the
+// length it had — and none of its mutable derived state: dictionary
+// lookup maps, per-value counts, weights and bounds are rebuilt, so a
+// later Add on the builder can never change an answer of the set (nor
+// make a predicate look vacuous to it).
+func (s *Store) AsSet() *ShardSet {
+	c := s.c
+	c.recomputeDerived()
+	return NewShardSet([]*Columns{&c})
+}
+
 func newShardSet(shards []*Shard, stats ShardLoadStats) *ShardSet {
-	ss := &ShardSet{shards: shards, parts: make([]*Store, len(shards)), starts: make([]int, len(shards)+1), stats: stats}
+	ss := &ShardSet{shards: shards, parts: make([]*Store, len(shards)), stats: stats}
 	for i, sh := range shards {
 		ss.parts[i] = sh.st
-		ss.starts[i+1] = ss.starts[i] + sh.st.Len()
+		ss.rows += sh.st.Len()
 	}
 	return ss
 }
@@ -134,13 +143,7 @@ func (ss *ShardSet) shardByID(id int64) *Shard {
 }
 
 // Len returns the total row count across shards.
-func (ss *ShardSet) Len() int { return ss.starts[len(ss.shards)] }
-
-// Record materializes global row i.
-func (ss *ShardSet) Record(i int) JobRecord {
-	si := sort.Search(len(ss.shards), func(k int) bool { return ss.starts[k+1] > i })
-	return ss.shards[si].st.Record(i - ss.starts[si])
-}
+func (ss *ShardSet) Len() int { return ss.rows }
 
 // BuildIndex builds each shard's posting lists, in parallel. Shards
 // adopted from a previous generation already carry an index and are
@@ -160,23 +163,19 @@ func (ss *ShardSet) BuildIndex() {
 // HasIndex reports whether BuildIndex ran over the set.
 func (ss *ShardSet) HasIndex() bool { return ss.built }
 
-// Select returns the global row indices passing the filter, ascending.
-func (ss *ShardSet) Select(f Filter) []int { return selectRows(ss.parts, f) }
-
-// Records materializes the records passing the filter, global order.
-func (ss *ShardSet) Records(f Filter) []JobRecord { return selectRecords(ss.parts, f) }
-
-// Scan leaves the filter's selection in place for an ordered walk.
-func (ss *ShardSet) Scan(f Filter) Selection { return scanParts(ss.parts, f) }
-
-// Values extracts metric m and node-hour weights over the filtered
-// rows, global order.
-func (ss *ShardSet) Values(m Metric, f Filter) (vals, weights []float64) {
-	return selectValues(ss.parts, m, f)
+// Scan evaluates the filter, once, into a Selection.
+func (ss *ShardSet) Scan(f Filter) Selection {
+	sel, _ := selectParts(ss.parts, f)
+	return Selection{parts: ss.parts, sel: sel}
 }
 
-// TotalNodeHours sums weights over the filtered rows.
-func (ss *ShardSet) TotalNodeHours(f Filter) float64 { return totalNodeHours(ss.parts, f) }
+// Select returns the global row indices passing the filter, ascending.
+// Nothing in the product calls it; the frozen benchmark times it.
+func (ss *ShardSet) Select(f Filter) []int { return selectRows(ss.parts, f) }
+
+// Values is Scan(f).Values(m), kept under this name for the frozen
+// benchmark; product code holds the Selection.
+func (ss *ShardSet) Values(m Metric, f Filter) []float64 { return ss.Scan(f).Values(m) }
 
 // Aggregate computes the node-hour-weighted aggregate of metric m over
 // the filtered rows: per-shard serial sums merged in shard order.

@@ -77,11 +77,12 @@ func floatsBitsEqual(a, b []float64) bool {
 }
 
 // checkAgainstBaseline asserts that r answers every Reader query method
-// bit-identically to the naive row reference computed over ref, which
-// holds the same rows in the same global order, cut where r is cut:
-// Select, Records, Scan/Walk and Values (which no cut can move),
-// TotalNodeHours, Aggregate through both entry points and GroupBy over
-// all five keys plus an out-of-range one (whose sums follow the cuts).
+// and every Selection consumer bit-identically to the naive row
+// reference computed over ref, which holds the same rows in the same
+// global order, cut where r is cut: Select, Scan's Records, Walk and
+// Values (which no cut can move), its NodeHours, Aggregate through both
+// entry points and GroupBy over all five keys plus an out-of-range one
+// (whose sums follow the cuts).
 func checkAgainstBaseline(t *testing.T, label string, r Reader, ref *Store, cuts []int, metrics []Metric) {
 	t.Helper()
 	keys := []GroupKey{ByUser, ByApp, ByScience, ByCluster, ByStatus, GroupKey(99)}
@@ -101,7 +102,8 @@ func checkAgainstBaseline(t *testing.T, label string, r Reader, ref *Store, cuts
 			}
 		}
 		wantRecs := ref.baselineRecords(f)
-		gotRecs := r.Records(f)
+		scan := r.Scan(f)
+		gotRecs := scan.Records()
 		if len(gotRecs) != len(wantRecs) || gotRecs == nil {
 			fail("Records length")
 		}
@@ -113,12 +115,12 @@ func checkAgainstBaseline(t *testing.T, label string, r Reader, ref *Store, cuts
 				fail("Records")
 			}
 		}
-		if math.Float64bits(r.TotalNodeHours(f)) != math.Float64bits(ref.baselineTotalNodeHours(f, cuts...)) {
-			fail("TotalNodeHours")
+		if math.Float64bits(scan.NodeHours()) != math.Float64bits(ref.baselineTotalNodeHours(f, cuts...)) {
+			fail("NodeHours")
 		}
 		// The row walk visits exactly the baseline's rows, in its order,
 		// reading the same values in place.
-		scan, k := r.Scan(f), 0
+		k := 0
 		if scan.Len() != len(wantRecs) {
 			fail("Scan length")
 		}
@@ -138,6 +140,7 @@ func checkAgainstBaseline(t *testing.T, label string, r Reader, ref *Store, cuts
 		if k != len(wantRecs) {
 			fail("Walk row count")
 		}
+		gw := selWeights(scan)
 		for _, m := range metrics {
 			want := ref.baselineAggregate(m, f, cuts...)
 			if got := r.Aggregate(m, f); !aggBitsEqual(got, want) {
@@ -151,9 +154,12 @@ func checkAgainstBaseline(t *testing.T, label string, r Reader, ref *Store, cuts
 				}
 			}
 			wv, ww := ref.baselineValues(m, f)
-			gv, gw := r.Values(m, f)
+			gv := scan.Values(m)
 			if !floatsBitsEqual(gv, wv) || !floatsBitsEqual(gw, ww) || (gv == nil) != (wv == nil) {
 				fail("Values " + string(m))
+			}
+			if rv := r.Values(m, f); !floatsBitsEqual(rv, wv) || (rv == nil) != (wv == nil) {
+				fail("Reader.Values " + string(m))
 			}
 		}
 		for _, k := range keys {
@@ -165,24 +171,25 @@ func checkAgainstBaseline(t *testing.T, label string, r Reader, ref *Store, cuts
 	}
 }
 
-// TestShardDifferentialEquivalence is the property-style suite: the
-// one-shard *Store (indexed and not) and, for seeded random split
-// points, an N-shard ShardSet must each answer every query API
-// bit-identically to the naive row reference over the same rows in the
-// same order, cut at the same places — selective and broad filters,
-// indexed or not, any worker count. *Store and *ShardSet run the same
-// kernels, so comparing one with the other would prove nothing; the
-// row baseline shares no code with them. The *Store rows take no cuts:
-// its answers are the plain running sums they were before sums had a
-// split to depend on.
+// TestShardDifferentialEquivalence is the property-style suite: one
+// shard vs many. The one-shard set a store gives (indexed and not) and,
+// for seeded random split points, an N-shard ShardSet must each answer
+// every query API bit-identically to the naive row reference over the
+// same rows in the same order, cut at the same places — selective and
+// broad filters, indexed or not, any worker count. Every set runs the
+// same kernels, so comparing one with another would prove nothing; the
+// row baseline shares no code with them. The one-shard rows take no
+// cuts: their answers are the plain running sums they were before sums
+// had a split to depend on.
 func TestShardDifferentialEquivalence(t *testing.T) {
 	const rows = 5000
 	ref := equivStore(rows) // unindexed: the baseline scans
 	st := equivStore(rows)
 	metrics := []Metric{MetricCPUIdle, MetricMemUsed, MetricFlops, MetricRead}
-	checkAgainstBaseline(t, "one-shard store, unindexed", st, ref, nil, metrics)
-	st.BuildIndex() // indexing never changes results
-	checkAgainstBaseline(t, "one-shard store, indexed", st, ref, nil, metrics)
+	one := st.AsSet()
+	checkAgainstBaseline(t, "one shard, unindexed", one, ref, nil, metrics)
+	one.BuildIndex() // indexing never changes results
+	checkAgainstBaseline(t, "one shard, indexed", one, ref, nil, metrics)
 
 	rng := rand.New(rand.NewSource(1))
 	trials := 25
@@ -204,7 +211,7 @@ func TestShardDifferentialEquivalence(t *testing.T) {
 // TestShardDifferentialDayParts pins the production split — partition
 // by end day, exactly what WriteShardDir writes and what the daemon
 // holds whatever file it loaded — against the row baseline cut at the
-// day boundaries, and the same rows as one store against the uncut one.
+// day boundaries, and the same rows as one shard against the uncut one.
 func TestShardDifferentialDayParts(t *testing.T) {
 	ref := multiDayStore(4000)
 	st := multiDayStore(4000)
@@ -217,7 +224,9 @@ func TestShardDifferentialDayParts(t *testing.T) {
 	ss.BuildIndex()
 	metrics := []Metric{MetricCPUIdle, MetricMemUsed, MetricFlops}
 	checkAgainstBaseline(t, "day split", ss, ref, cutsOf(cols), metrics)
-	checkAgainstBaseline(t, "monolithic", st, ref, nil, metrics)
+	one := st.AsSet()
+	one.BuildIndex()
+	checkAgainstBaseline(t, "one shard", one, ref, nil, metrics)
 }
 
 // TestSplitMovesOnlyLastUlps bounds what a split can change: the
@@ -227,18 +236,18 @@ func TestShardDifferentialDayParts(t *testing.T) {
 func TestSplitMovesOnlyLastUlps(t *testing.T) {
 	st := multiDayStore(20_000)
 	_, cols := st.partitionByEndDay()
-	ss := NewShardSet(cols)
+	one, ss := st.AsSet(), NewShardSet(cols)
 	near := func(a, b float64) bool {
 		return a == b || math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b))
 	}
 	metrics := []Metric{MetricCPUIdle, MetricMemUsed, MetricFlops}
 	moved := 0
 	for _, f := range equivFilters {
-		if a, b := st.TotalNodeHours(f), ss.TotalNodeHours(f); !near(a, b) {
-			t.Errorf("%+v: TotalNodeHours %v vs %v", f, a, b)
+		if a, b := one.Scan(f).NodeHours(), ss.Scan(f).NodeHours(); !near(a, b) {
+			t.Errorf("%+v: NodeHours %v vs %v", f, a, b)
 		}
 		for _, m := range metrics {
-			a, b := st.Aggregate(m, f), ss.Aggregate(m, f)
+			a, b := one.Aggregate(m, f), ss.Aggregate(m, f)
 			if a.N != b.N || math.Float64bits(a.Min) != math.Float64bits(b.Min) || math.Float64bits(a.Max) != math.Float64bits(b.Max) {
 				t.Errorf("%s %+v: N/Min/Max moved: %+v vs %+v", m, f, a, b)
 			}
@@ -253,7 +262,7 @@ func TestSplitMovesOnlyLastUlps(t *testing.T) {
 			}
 		}
 		mono := map[string]Group{}
-		for _, g := range st.GroupBy(ByUser, metrics, f) {
+		for _, g := range one.GroupBy(ByUser, metrics, f) {
 			mono[g.Key] = g
 		}
 		split := ss.GroupBy(ByUser, metrics, f)

@@ -145,9 +145,9 @@ func TestWriteShardDirRoundTrip(t *testing.T) {
 	if ss.Len() != st.Len() {
 		t.Fatalf("shard set has %d rows, store has %d", ss.Len(), st.Len())
 	}
-	for i := 0; i < st.Len(); i++ {
-		if ss.Record(i) != st.Record(i) {
-			t.Fatalf("row %d: shard %+v != store %+v", i, ss.Record(i), st.Record(i))
+	for i, got := range ss.Scan(Filter{}).Records() {
+		if got != st.Record(i) {
+			t.Fatalf("row %d: shard %+v != store %+v", i, got, st.Record(i))
 		}
 	}
 	if stats := ss.LoadStats(); stats.Loaded != ss.NumShards() || stats.Reused != 0 {
@@ -274,8 +274,8 @@ func TestLoadShardSetReuse(t *testing.T) {
 	if ss3.Len() != st2.Len() {
 		t.Fatalf("after append shard set has %d rows, store has %d", ss3.Len(), st2.Len())
 	}
-	for i := 0; i < st2.Len(); i++ {
-		if ss3.Record(i) != st2.Record(i) {
+	for i, got := range ss3.Scan(Filter{}).Records() {
+		if got != st2.Record(i) {
 			t.Fatalf("row %d diverges after incremental reload", i)
 		}
 	}

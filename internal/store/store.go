@@ -131,12 +131,15 @@ func (r *JobRecord) Value(m Metric) float64 {
 // Store holds job records in the struct-of-arrays Columns layout:
 // identity columns as contiguous slices (strings dictionary-encoded)
 // plus one float64 column per metric, which keeps aggregation scans
-// cache-friendly (see BenchmarkAggregateColumnar).
+// cache-friendly (see BenchmarkAggregateColumnar). A Store is what gets
+// built and written (Add, Save, SaveBinary, WriteShardDir) and what one
+// partition of a ShardSet is made of; it is queried through a ShardSet
+// — AsSet for a store built in memory.
 type Store struct {
 	c Columns
 
 	// idx holds the secondary indexes built by BuildIndex; nil means
-	// every Select is a scan. Mutation invalidates it (see Add).
+	// every selection is a scan. Mutation invalidates it (see Add).
 	idx *Index
 }
 
@@ -146,8 +149,8 @@ func New() *Store { return &Store{} }
 // Len returns the number of records.
 func (s *Store) Len() int { return s.c.Len() }
 
-// Columns exposes the struct-of-arrays layout for columnar kernels and
-// the binary codec. Callers must treat it as read-only; mutate through
+// Columns exposes the struct-of-arrays layout for the binary codec and
+// for NewShardSet. Callers must treat it as read-only; mutate through
 // Add.
 func (s *Store) Columns() *Columns { return &s.c }
 

@@ -95,39 +95,40 @@ func TestFilter(t *testing.T) {
 	failed := rec(5, "bob", "namd", 1, 1, 0.1, 5)
 	failed.Status = "FAILED"
 	s.Add(failed)
+	ss := s.AsSet()
 
-	if got := len(s.Select(Filter{})); got != 5 {
+	if got := len(ss.Select(Filter{})); got != 5 {
 		t.Errorf("no filter: %d rows", got)
 	}
-	if got := len(s.Select(Filter{User: "alice"})); got != 3 {
+	if got := len(ss.Select(Filter{User: "alice"})); got != 3 {
 		t.Errorf("user filter: %d rows", got)
 	}
-	if got := len(s.Select(Filter{App: "amber"})); got != 2 {
+	if got := len(ss.Select(Filter{App: "amber"})); got != 2 {
 		t.Errorf("app filter: %d rows", got)
 	}
-	if got := len(s.Select(Filter{MinSamples: 1})); got != 4 {
+	if got := len(ss.Select(Filter{MinSamples: 1})); got != 4 {
 		t.Errorf("min samples: %d rows", got)
 	}
-	if got := len(s.Select(Filter{Status: "FAILED"})); got != 1 {
+	if got := len(ss.Select(Filter{Status: "FAILED"})); got != 1 {
 		t.Errorf("status filter: %d rows", got)
 	}
-	if got := len(s.Select(Filter{User: "alice", App: "namd", MinSamples: 1})); got != 1 {
+	if got := len(ss.Select(Filter{User: "alice", App: "namd", MinSamples: 1})); got != 1 {
 		t.Errorf("combined filter: %d rows", got)
 	}
-	if got := len(s.Select(Filter{Cluster: "lonestar4"})); got != 0 {
+	if got := len(ss.Select(Filter{Cluster: "lonestar4"})); got != 0 {
 		t.Errorf("cluster filter: %d rows", got)
 	}
-	if got := len(s.Select(Filter{Science: "Physics"})); got != 5 {
+	if got := len(ss.Select(Filter{Science: "Physics"})); got != 5 {
 		t.Errorf("science filter: %d rows", got)
 	}
 	// Time window on End: first record ends at 2000+7200.
-	if got := len(s.Select(Filter{EndAfter: 9000})); got != 2 {
+	if got := len(ss.Select(Filter{EndAfter: 9000})); got != 2 {
 		t.Errorf("EndAfter: %d rows", got)
 	}
-	if got := len(s.Select(Filter{EndBefore: 9000})); got != 3 {
+	if got := len(ss.Select(Filter{EndBefore: 9000})); got != 3 {
 		t.Errorf("EndBefore: %d rows", got)
 	}
-	recs := s.Records(Filter{User: "bob"})
+	recs := ss.Scan(Filter{User: "bob"}).Records()
 	if len(recs) != 2 || recs[0].User != "bob" {
 		t.Errorf("Records: %+v", recs)
 	}
@@ -138,7 +139,8 @@ func TestAggregateWeighted(t *testing.T) {
 	// Job 1: 8 node-hours at idle 0.1; job 2: 2 node-hours at idle 0.5.
 	s.Add(rec(1, "a", "x", 4, 2, 0.1, 5))
 	s.Add(rec(2, "b", "y", 2, 1, 0.5, 5))
-	agg := s.Aggregate(MetricCPUIdle, Filter{})
+	ss := s.AsSet()
+	agg := ss.Aggregate(MetricCPUIdle, Filter{})
 	want := (8*0.1 + 2*0.5) / 10
 	if math.Abs(agg.Mean-want) > 1e-12 {
 		t.Errorf("weighted mean = %v, want %v", agg.Mean, want)
@@ -159,7 +161,7 @@ func TestAggregateWeighted(t *testing.T) {
 		t.Errorf("weighted sd = %v, want %v", agg.StdDev, wantSD)
 	}
 	// Empty aggregate is NaN, not a panic.
-	empty := s.Aggregate(MetricCPUIdle, Filter{User: "nobody"})
+	empty := ss.Aggregate(MetricCPUIdle, Filter{User: "nobody"})
 	if empty.N != 0 || !math.IsNaN(empty.Mean) {
 		t.Errorf("empty agg: %+v", empty)
 	}
@@ -170,7 +172,8 @@ func TestGroupBy(t *testing.T) {
 	s.Add(rec(1, "alice", "namd", 4, 2, 0.1, 5))  // 8 nh
 	s.Add(rec(2, "alice", "amber", 2, 1, 0.3, 2)) // 2 nh
 	s.Add(rec(3, "bob", "namd", 1, 4, 0.2, 3))    // 4 nh
-	groups := s.GroupBy(ByUser, []Metric{MetricCPUIdle}, Filter{})
+	ss := s.AsSet()
+	groups := ss.GroupBy(ByUser, []Metric{MetricCPUIdle}, Filter{})
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d", len(groups))
 	}
@@ -185,19 +188,19 @@ func TestGroupBy(t *testing.T) {
 	if groups[0].N != 2 || groups[1].N != 1 {
 		t.Errorf("group Ns: %d, %d", groups[0].N, groups[1].N)
 	}
-	byApp := s.GroupBy(ByApp, []Metric{MetricFlops}, Filter{})
+	byApp := ss.GroupBy(ByApp, []Metric{MetricFlops}, Filter{})
 	if len(byApp) != 2 || byApp[0].Key != "namd" {
 		t.Errorf("by app: %+v", byApp)
 	}
-	byScience := s.GroupBy(ByScience, nil, Filter{})
+	byScience := ss.GroupBy(ByScience, nil, Filter{})
 	if len(byScience) != 1 || byScience[0].Key != "Physics" {
 		t.Errorf("by science: %+v", byScience)
 	}
-	byCluster := s.GroupBy(ByCluster, nil, Filter{})
+	byCluster := ss.GroupBy(ByCluster, nil, Filter{})
 	if len(byCluster) != 1 || byCluster[0].Key != "ranger" {
 		t.Errorf("by cluster: %+v", byCluster)
 	}
-	byStatus := s.GroupBy(ByStatus, nil, Filter{})
+	byStatus := ss.GroupBy(ByStatus, nil, Filter{})
 	if len(byStatus) != 1 || byStatus[0].Key != "COMPLETED" {
 		t.Errorf("by status: %+v", byStatus)
 	}
@@ -207,17 +210,19 @@ func TestValuesAndTotalNodeHours(t *testing.T) {
 	s := New()
 	s.Add(rec(1, "a", "x", 4, 2, 0.1, 5))
 	s.Add(rec(2, "b", "y", 2, 1, 0.5, 7))
-	vals, weights := s.Values(MetricFlops, Filter{})
+	ss := s.AsSet()
+	sel := ss.Scan(Filter{})
+	vals, weights := sel.Values(MetricFlops), selWeights(sel)
 	if len(vals) != 2 || vals[0] != 5 || vals[1] != 7 {
 		t.Errorf("vals = %v", vals)
 	}
 	if weights[0] != 8 || weights[1] != 2 {
 		t.Errorf("weights = %v", weights)
 	}
-	if got := s.TotalNodeHours(Filter{}); got != 10 {
+	if got := sel.NodeHours(); got != 10 {
 		t.Errorf("total nh = %v", got)
 	}
-	if got := s.TotalNodeHours(Filter{User: "a"}); got != 8 {
+	if got := ss.Scan(Filter{User: "a"}).NodeHours(); got != 8 {
 		t.Errorf("filtered nh = %v", got)
 	}
 }
