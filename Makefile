@@ -147,7 +147,7 @@ bench-serve:
 # row-reference broad-scan ratio the >=2x, and the incremental/full
 # reload ratio the >=5x reload acceptance criteria.
 bench-store:
-	$(GO) test -run '^$$' -bench 'BenchmarkAggregateColumnar|BenchmarkColumnsCodec|BenchmarkEncodeColumns|BenchmarkSaveBinary|BenchmarkWriteShardDirAppend|BenchmarkIncrementalReload|BenchmarkShardPrune' -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkAggregateColumnar|BenchmarkColumnsCodec|BenchmarkEncodeColumns|BenchmarkSaveBinary|BenchmarkWriteShardDirAppend|BenchmarkIncrementalReload|BenchmarkShardPrune|BenchmarkShardMemo' -benchmem \
 		./internal/store ./internal/serve
 
 # Render every paper figure as text plus vector/HTML artifacts.

@@ -72,8 +72,8 @@ func ParseQuery(s string) (Query, error) {
 			q.Filter.Status = value
 		case "minsamples":
 			n, err := strconv.Atoi(value)
-			if err != nil || n < 0 {
-				return Query{}, fmt.Errorf("query: bad minsamples %q", value)
+			if err != nil || n < 0 || n > store.MaxMinSamples {
+				return Query{}, fmt.Errorf("query: bad minsamples %q (want integer in [0, %d])", value, store.MaxMinSamples)
 			}
 			q.Filter.MinSamples = n
 		case "limit":

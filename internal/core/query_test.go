@@ -67,6 +67,8 @@ func TestParseQueryErrors(t *testing.T) {
 		"metrics=cpu_idle,nope",
 		"minsamples=x",
 		"minsamples=-1",
+		"minsamples=1073741825",
+		"minsamples=4294967297", // once truncated to minsamples=1
 		"limit=0",
 		"limit=x",
 		"normalize=maybe",

@@ -552,3 +552,106 @@ func TestReloadAdoptsUnchangedSeries(t *testing.T) {
 		t.Error("LoadRealm shared samples with a served generation")
 	}
 }
+
+// TestAppendWalksOnePartition: the day shards a reload adopts by pointer
+// keep what they remember, so after a one-day append a whole-history
+// answer walks the one new partition and merges 120 remembered
+// partials — /metrics says so, per kernel call — and the answer is the
+// naive reference's over the rows the directory now holds. A memo that
+// outlived its rows (a grown day's shard adopted with its old sums)
+// fails the body comparison; a memo lost on adoption fails the counts.
+func TestAppendWalksOnePartition(t *testing.T) {
+	const days = 120
+	b := batch{}
+	for d := int64(1); d <= days; d++ {
+		b[d] = 3 + int(d%4)
+	}
+	dir := t.TempDir()
+	land := func() {
+		t.Helper()
+		writeDataDir(t, dir, b.store(), nil, nil)
+	}
+	land()
+	srv := newTestServer(t, dir)
+	use := func() store.PartitionUse {
+		t.Helper()
+		var m metricsDTO
+		_, body := get(t, srv, "/metrics")
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		return store.PartitionUse{Remembered: m.PartsRemembered, Walked: m.PartsWalked, Pruned: m.PartsPruned}
+	}
+	// ask puts modelTargets to the daemon, holds the bodies to the naive
+	// reference over b, and returns what each request's kernel calls did.
+	ask := func(step string) []store.PartitionUse {
+		t.Helper()
+		want := naiveBodies(t, b)
+		out := make([]store.PartitionUse, len(modelTargets))
+		for i, target := range modelTargets {
+			before := use()
+			status, body := get(t, srv, target)
+			if status != http.StatusOK || !bytes.Equal(body, want[i]) {
+				t.Errorf("%s: %s answered %d\n got %s\nwant %s", step, target, status, body, want[i])
+			}
+			after := use()
+			out[i] = store.PartitionUse{Remembered: after.Remembered - before.Remembered, Walked: after.Walked - before.Walked, Pruned: after.Pruned - before.Pruned}
+		}
+		return out
+	}
+	reload := func(step string, reused int) {
+		t.Helper()
+		land()
+		if _, err := srv.Reload(); err != nil {
+			t.Fatal(err)
+		}
+		if snap := srv.Snapshot(); snap.Shards != len(b) || snap.ShardsReused != reused {
+			t.Fatalf("%s: %d shards, %d adopted; want %d and %d", step, snap.Shards, snap.ShardsReused, len(b), reused)
+		}
+		if got := use(); got != (store.PartitionUse{}) {
+			t.Errorf("%s: a generation nothing has queried reports %+v", step, got)
+		}
+	}
+
+	// Generation 1: every first touch is a walk. The whole-realm
+	// aggregate is one kernel call; the group-by request is three (the
+	// group-by and a fleet mean per metric, one of them the aggregate
+	// just asked for).
+	cold := ask("generation 1")
+	if want := (store.PartitionUse{Walked: days}); cold[0] != want {
+		t.Errorf("generation 1, %s: %+v, want %+v", modelTargets[0], cold[0], want)
+	}
+	if want := (store.PartitionUse{Walked: 2 * days, Remembered: days}); cold[2] != want {
+		t.Errorf("generation 1, %s: %+v, want %+v", modelTargets[2], cold[2], want)
+	}
+
+	// One day lands: 120 shards adopted with their memos, one decoded.
+	b[days+1] = 5
+	reload("append", days)
+	got := ask("after the append")
+	if want := (store.PartitionUse{Walked: 1, Remembered: days}); got[0] != want {
+		t.Errorf("after the append, %s: %+v, want %+v: one partition walked", modelTargets[0], got[0], want)
+	}
+	// The user filter survives compilation everywhere: every partition
+	// is walked, as before this PR.
+	if got[1].Remembered != 0 || got[1].Walked+got[1].Pruned != days+1 {
+		t.Errorf("after the append, %s: %+v, want nothing remembered", modelTargets[1], got[1])
+	}
+	// Group-by: the new day walked. Fleet means: cpu_idle all remembered
+	// (the aggregate above filled the new day's slot), cpu_flops one walk.
+	if want := (store.PartitionUse{Walked: 2, Remembered: 3*days + 1}); got[2] != want {
+		t.Errorf("after the append, %s: %+v, want %+v: one partition walked per kernel call with something new to learn", modelTargets[2], got[2], want)
+	}
+
+	// The newest day grows: its shard is rewritten, a new object with
+	// nothing remembered, and the other 120 are adopted.
+	b[days+1] += 4
+	reload("grown day", days)
+	got = ask("after the day grew")
+	if want := (store.PartitionUse{Walked: 1, Remembered: days}); got[0] != want {
+		t.Errorf("after the day grew, %s: %+v, want %+v", modelTargets[0], got[0], want)
+	}
+	if want := (store.PartitionUse{Walked: 2, Remembered: 3*days + 1}); got[2] != want {
+		t.Errorf("after the day grew, %s: %+v, want %+v", modelTargets[2], got[2], want)
+	}
+}

@@ -118,7 +118,9 @@ func (m *Metrics) fold(r request) {
 	m.latencyCounts[len(latencyBucketsMicros)].Add(1)
 }
 
-// metricsDTO is the /metrics response body.
+// metricsDTO is the /metrics response body. The partitions_* keys are
+// the served generation's store.PartitionUse: how its kernel calls got
+// each day shard's share of their answers.
 type metricsDTO struct {
 	StoreGeneration uint64           `json:"store_generation"`
 	Jobs            int              `json:"jobs"`
@@ -131,6 +133,9 @@ type metricsDTO struct {
 	CacheMisses     int64            `json:"cache_misses"`
 	CacheHitRatio   F                `json:"cache_hit_ratio"`
 	CacheEntries    int              `json:"cache_entries"`
+	PartsRemembered int64            `json:"partitions_remembered"`
+	PartsWalked     int64            `json:"partitions_walked"`
+	PartsPruned     int64            `json:"partitions_pruned"`
 	Reloads         int64            `json:"reloads"`
 	ReloadErrors    int64            `json:"reload_errors"`
 	WriteFailures   int64            `json:"write_failures"`
@@ -166,6 +171,7 @@ type latencyBucket struct {
 // valve's gauges and the breaker's state.
 func (m *Metrics) snapshotDTO(snap *Snapshot, adm *admission, brk *breaker) metricsDTO {
 	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
+	parts := snap.shards.PartitionUse()
 	dto := metricsDTO{
 		StoreGeneration: snap.Gen,
 		Jobs:            snap.Realm.Store.Len(),
@@ -177,6 +183,9 @@ func (m *Metrics) snapshotDTO(snap *Snapshot, adm *admission, brk *breaker) metr
 		CacheHits:       hits,
 		CacheMisses:     misses,
 		CacheEntries:    snap.cache.Len(),
+		PartsRemembered: parts.Remembered,
+		PartsWalked:     parts.Walked,
+		PartsPruned:     parts.Pruned,
 		Reloads:         m.reloads.Load(),
 		ReloadErrors:    m.reloadErrors.Load(),
 		WriteFailures:   m.writeFailures.Load(),

@@ -93,7 +93,7 @@ func decodeParams(q url.Values, allowed ...string) (Params, error) {
 		case "status":
 			p.Filter.Status = value
 		case "minsamples":
-			p.Filter.MinSamples, err = parseInt(key, value, 0, 1<<30)
+			p.Filter.MinSamples, err = parseInt(key, value, 0, store.MaxMinSamples)
 		case "endafter":
 			p.Filter.EndAfter, err = parseInt64(key, value)
 		case "endbefore":

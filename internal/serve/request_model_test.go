@@ -329,6 +329,8 @@ func runRequestModel(t *testing.T, fixture string, seed int64, steps int) *reque
 		t.Fatal(err)
 	}
 	m := &requestModel{byRoute: map[string]int64{}, gen: 1, bound: cfg.CacheSize}
+	var lastGen uint64
+	var lastMisses, lastParts int64 // at the previous /metrics read
 
 	var schedule []string
 	fail := func(format string, args ...any) {
@@ -526,6 +528,18 @@ func runRequestModel(t *testing.T, fixture string, seed int64, steps int) *reque
 		if !reflect.DeepEqual(have, want) {
 			fail("/metrics disagrees with the model:\n have %+v\n want %+v", have, want)
 		}
+		// The partition counters are the served generation's kernel
+		// calls: each call sorts every shard exactly one way, and only a
+		// cache miss reaches a kernel.
+		parts := got.PartsRemembered + got.PartsWalked + got.PartsPruned
+		if shards := int64(srv.Snapshot().Shards); parts%shards != 0 {
+			fail("partitions remembered %d + walked %d + pruned %d is no multiple of the %d shards served",
+				got.PartsRemembered, got.PartsWalked, got.PartsPruned, shards)
+		}
+		if got.StoreGeneration == lastGen && got.CacheMisses == lastMisses && parts != lastParts {
+			fail("partition counters moved from %d to %d on generation %d without a cache miss", lastParts, parts, lastGen)
+		}
+		lastGen, lastMisses, lastParts = got.StoreGeneration, got.CacheMisses, parts
 		if hi := hook.insideHi.Load(); hi > int64(cfg.MaxInFlight) {
 			fail("%d requests inside the hook's window at once, the valve admits %d", hi, cfg.MaxInFlight)
 		}

@@ -69,20 +69,6 @@ func (s *Store) baselineMatch(i int, f Filter) bool {
 }
 
 func (s *Store) baselineSelect(f Filter) []int {
-	if s.idx != nil {
-		if best, ok := s.idx.narrowest(f); ok {
-			idx := make([]int, 0, len(best))
-			for _, i := range best {
-				if s.baselineMatch(int(i), f) {
-					idx = append(idx, int(i))
-				}
-			}
-			if len(idx) == 0 {
-				return nil
-			}
-			return idx
-		}
-	}
 	var idx []int
 	for i := 0; i < s.Len(); i++ {
 		if s.baselineMatch(i, f) {
@@ -90,6 +76,17 @@ func (s *Store) baselineSelect(f Filter) []int {
 		}
 	}
 	return idx
+}
+
+// prunedParts counts the partitions a selection answers without
+// touching a row.
+func prunedParts(ss *ShardSet, f Filter) (n int) {
+	for _, s := range ss.selectParts(f) {
+		if s.use == partPruned {
+			n++
+		}
+	}
+	return n
 }
 
 func (s *Store) baselineNodeHours(i int) float64 {

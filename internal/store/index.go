@@ -1,34 +1,37 @@
 package store
 
 // Index is the read-optimized secondary-index layer over a Store: one
-// posting list of ascending row ids per distinct cluster, user and app
-// value, accelerating the selective filters the query daemon serves.
-// Lists are ascending, so an indexed selection is exactly the row set
-// (and order) a full scan would give.
+// posting list of ascending row ids per cluster, user and app value
+// that narrows — a value some row carries and some row does not —
+// accelerating the selective filters the query daemon serves. Lists are
+// ascending, so an indexed selection is exactly the row set (and order)
+// a full scan would give.
 type Index struct {
 	cluster postings
 	user    postings
 	app     postings
 }
 
-// postings maps a column value to the ascending row ids holding it.
-type postings map[string][]int32
+// postings holds, by dictionary code, the ascending row ids carrying
+// the value; nil for a value every row carries, which narrows nothing
+// (compile drops such a predicate before narrowest could ask for it).
+type postings [][]int32
 
-// buildPostings inverts a dictionary column: the per-code row lists are
-// sized exactly from the dictionary counts, then keyed by value.
+// buildPostings inverts a dictionary column, the lists sized exactly
+// from the dictionary counts.
 func buildPostings(d *DictColumn) postings {
-	lists := make([][]int32, len(d.Values))
+	lists := make(postings, len(d.Values))
 	for code, n := range d.counts {
-		lists[code] = make([]int32, 0, n)
+		if n < len(d.Codes) {
+			lists[code] = make([]int32, 0, n)
+		}
 	}
 	for i, code := range d.Codes {
-		lists[code] = append(lists[code], int32(i))
+		if lists[code] != nil {
+			lists[code] = append(lists[code], int32(i))
+		}
 	}
-	p := make(postings, len(d.Values))
-	for code, v := range d.Values {
-		p[v] = lists[code]
-	}
-	return p
+	return lists
 }
 
 // BuildIndex (re)builds the secondary indexes over the current rows.
@@ -48,23 +51,22 @@ func (s *Store) BuildIndex() {
 // HasIndex reports whether the store currently carries an index.
 func (s *Store) HasIndex() bool { return s.idx != nil }
 
-// narrowest returns the shortest posting list among the filter's
-// equality predicates on indexed columns, or ok=false when the filter
-// constrains none of them (a scan is then the only option).
-func (ix *Index) narrowest(f Filter) ([]int32, bool) {
+// narrowest returns the shortest posting list among the compiled
+// filter's surviving equality predicates on indexed columns, or
+// ok=false when none survives (a scan is then the only option).
+func (ix *Index) narrowest(cf *compiledFilter) ([]int32, bool) {
 	var best []int32
 	found := false
-	consider := func(p postings, val string) {
-		if val == "" {
+	consider := func(p postings, code int64) {
+		if code < 0 {
 			return
 		}
-		list := p[val] // nil for unknown values: empty result
-		if !found || len(list) < len(best) {
+		if list := p[code]; !found || len(list) < len(best) {
 			best, found = list, true
 		}
 	}
-	consider(ix.cluster, f.Cluster)
-	consider(ix.user, f.User)
-	consider(ix.app, f.App)
+	consider(ix.cluster, cf.cluster)
+	consider(ix.user, cf.user)
+	consider(ix.app, cf.app)
 	return best, found
 }

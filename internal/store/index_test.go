@@ -67,7 +67,7 @@ func TestIndexInvalidatedByAdd(t *testing.T) {
 	if s.HasIndex() {
 		t.Fatal("Add must drop the index: stale postings would hide the new row")
 	}
-	if got := s.selectSet(Filter{User: "newuser"}).len(); got != 1 {
+	if got := s.AsSet().Scan(Filter{User: "newuser"}).Len(); got != 1 {
 		t.Fatalf("new row not visible after Add: got %d rows", got)
 	}
 }
@@ -105,4 +105,53 @@ func BenchmarkStoreSelect(b *testing.B) {
 			s.Select(f)
 		}
 	})
+}
+
+// TestIndexSkipsValueEveryRowCarries: a posting list that holds every
+// row narrows nothing, so none is built for it and a predicate on such a
+// value leaves the filter to the others — which must never turn "every
+// row has it" into "no row has it". One shard holds a single cluster (a
+// realm's data directory), the other two.
+func TestIndexSkipsValueEveryRowCarries(t *testing.T) {
+	one, two := New(), testStore(600)
+	for i := 0; i < two.Len(); i++ {
+		r := two.Record(i)
+		r.Cluster = "ranger"
+		one.Add(r)
+	}
+	for name, st := range map[string]*Store{"one cluster": one, "two clusters": two} {
+		filters := []Filter{
+			{Cluster: "ranger"}, {Cluster: "lonestar4"}, {Cluster: "nonesuch"},
+			{Cluster: "ranger", User: "u042"}, {Cluster: "ranger", App: "app07", MinSamples: 1},
+			{Cluster: "ranger", Status: "completed"}, // status: every row, unindexed column
+			{Cluster: "ranger", EndAfter: 200_000},   // the window cuts: what an edge day shard sees
+			{Cluster: "ranger", MinSamples: 2},
+		}
+		scanned, indexed := st.AsSet(), st.AsSet()
+		indexed.BuildIndex()
+		for _, f := range filters {
+			want := st.baselineSelect(f)
+			if got := scanned.Select(f); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, unindexed, %+v: %d rows, row baseline %d", name, f, len(got), len(want))
+			}
+			if got := indexed.Select(f); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, indexed, %+v: %d rows, row baseline %d", name, f, len(got), len(want))
+			}
+		}
+		part := indexed.ShardAt(0).st
+		for code, v := range part.c.Cluster.Values {
+			every := part.c.Cluster.counts[code] == part.Len()
+			if list := part.idx.cluster[code]; every != (list == nil) {
+				t.Errorf("%s: cluster %q carried by every row = %v, posting list kept = %v", name, v, every, list != nil)
+			} else if !every && len(list) != part.c.Cluster.counts[code] {
+				t.Errorf("%s: cluster %q has %d rows and a list of %d", name, v, part.c.Cluster.counts[code], len(list))
+			}
+		}
+	}
+	// With its one cluster's list gone, a window-cut broad filter scans
+	// the shard's columns instead of chasing every row id through it.
+	cf := one.AsSet().ShardAt(0).st.compile(Filter{Cluster: "ranger", EndAfter: 200_000})
+	if cf.cluster >= 0 || cf.endAfter == 0 || cf.whole != popNone {
+		t.Errorf("compiled %+v: the vacuous cluster predicate survived, or the window did not", cf)
+	}
 }

@@ -9,26 +9,41 @@ import (
 )
 
 // The query engine (DESIGN.md §11, §14.3): one kernel per Reader method,
-// written over an ordered list of partitions — a *ShardSet's day shards;
-// a finished *Store is queried as the one-shard set AsSet gives. The
-// logical row space is the concatenation of the partitions in list
-// order, rows in their original order within each. A filter becomes
-// rows once, in selectParts; a Selection keeps that result, and what it
-// hands out (Values, Records, Walk) depends on the row sequence alone.
-// The summing kernels (Aggregate, GroupBy, Selection.NodeHours) have
-// one definition of a sum: each partition folds its selected rows
-// serially, in row order, into a partial of its own, and the partials
-// are added in partition order — so a sum depends on the rows and on
-// where they are cut, and on nothing else (not the worker count, not
-// the index, not the filter shape). One partition's sum is the plain
-// running sum.
+// written over a *ShardSet's ordered day shards; a finished *Store is
+// queried as the one-shard set AsSet gives. The logical row space is the
+// concatenation of the shards in list order, rows in their original
+// order within each. A filter becomes rows once, in selectParts; a
+// Selection keeps that result, and what it hands out (Values, Records,
+// Walk) depends on the row sequence alone. The summing kernels
+// (Aggregate, GroupBy, Selection.NodeHours) have one definition of a
+// sum: each partition folds its selected rows serially, in row order,
+// into a partial of its own, and the partials are added in partition
+// order — so a sum depends on the rows and on where they are cut, and
+// on nothing else (not the worker count, not the index, not the filter
+// shape, not whether the shard remembered its partial or folded it just
+// now: memo.go). One partition's sum is the plain running sum.
+
+// partUse says how one kernel call got a partition's share of its
+// answer, the three ways ShardSet.PartitionUse counts.
+type partUse uint8
+
+const (
+	partPruned     partUse = iota // no row can match: bounds or dictionaries said so
+	partWalked                    // a filter was evaluated or a fold run over its rows
+	partRemembered                // a whole population, every slot asked already filled
+	numPartUses
+)
 
 // shardSel is one partition's selection with its place in the global
 // selected sequence: end counts the selected rows of this and every
 // earlier partition, so the partition's rows sit at [end-len(), end).
+// memo is non-nil when the rows are one of the shard's whole
+// populations: its sums are then the memo's to give.
 type shardSel struct {
 	rowSet
-	end int
+	end  int
+	memo *popMemo
+	use  partUse
 }
 
 // selTotal is the number of rows selected across all partitions.
@@ -39,40 +54,63 @@ func selTotal(sel []shardSel) int {
 	return sel[len(sel)-1].end
 }
 
-// selectParts evaluates the filter per partition, time-pruning whole
-// partitions first; per-partition compilation then prunes dictionary
-// misses (compile's impossible flag) without scanning. pruned counts
-// the partitions answered without touching any row data.
-func selectParts(parts []*Store, f Filter) (sel []shardSel, pruned int) {
-	sel = make([]shardSel, len(parts))
+// selectParts evaluates the filter per partition: whole partitions are
+// time-pruned first; per-partition compilation then prunes dictionary
+// misses, hands a whole population to the shard's memo, and walks
+// what is left.
+func (ss *ShardSet) selectParts(f Filter) []shardSel {
+	sel := make([]shardSel, len(ss.shards))
 	end := 0
-	for i, st := range parts {
-		if st.canMatch(f) {
-			sel[i].rowSet = st.selectSet(f)
-		} else {
-			pruned++
+	for i, sh := range ss.shards {
+		if sh.st.canMatch(f) {
+			sel[i] = sh.selectSet(f)
 		}
 		end += sel[i].len()
 		sel[i].end = end
 	}
-	return sel, pruned
+	return sel
+}
+
+// selectSet is one partition's selection; its end is the caller's to set.
+func (sh *Shard) selectSet(f Filter) (s shardSel) {
+	cf := sh.st.compile(f)
+	switch {
+	case cf.impossible:
+	case cf.whole == popNone:
+		s.rowSet, s.use = sh.st.walkSet(&cf), partWalked
+	default:
+		s.wholeRows(sh, &cf)
+	}
+	return s
+}
+
+// tally adds one kernel call's partition uses to the set's counters.
+func (ss *ShardSet) tally(sel []shardSel) {
+	var n [numPartUses]int64
+	for i := range sel {
+		n[sel[i].use]++
+	}
+	for use := range n {
+		ss.uses[use].Add(n[use])
+	}
 }
 
 // selectRows returns the global row indices passing the filter,
 // ascending; nil when none do.
-func selectRows(parts []*Store, f Filter) []int {
-	sel, _ := selectParts(parts, f)
+func (ss *ShardSet) selectRows(f Filter) []int {
+	sel := ss.selectParts(f)
+	ss.tally(sel)
 	if selTotal(sel) == 0 {
 		return nil
 	}
 	out := make([]int, 0, selTotal(sel))
 	base := 0
-	for i, st := range parts {
+	for i, sh := range ss.shards {
 		rs := sel[i].rowSet
 		for j, n := 0, rs.len(); j < n; j++ {
 			out = append(out, base+rs.row(j))
 		}
-		base += st.Len()
+		base += sh.st.Len()
 	}
 	return out
 }
@@ -83,7 +121,7 @@ func selectRows(parts []*Store, f Filter) []int {
 // Len, NodeHours, one Values slice per metric, Records, or a Walk over
 // the columns themselves.
 type Selection struct {
-	parts []*Store
+	parts []*Shard
 	sel   []shardSel
 }
 
@@ -108,9 +146,9 @@ func (s Selection) Len() int { return selTotal(s.sel) }
 // keeps a column-reading analysis bit-identical to the row loop it
 // replaces, for any shard split.
 func (s Selection) Walk(fn func(c *Columns, rows Rows)) {
-	for i, st := range s.parts {
+	for i, sh := range s.parts {
 		if s.sel[i].len() > 0 {
-			fn(&st.c, Rows{s.sel[i].rowSet})
+			fn(&sh.st.c, Rows{s.sel[i].rowSet})
 		}
 	}
 }
@@ -123,9 +161,9 @@ func (s Selection) Values(m Metric) []float64 {
 		return nil
 	}
 	vals := make([]float64, s.Len())
-	for i, st := range s.parts {
+	for i, sh := range s.parts {
 		rs := s.sel[i].rowSet
-		col := st.col(m)
+		col := sh.st.col(m)
 		v := vals[s.sel[i].end-rs.len() : s.sel[i].end]
 		if rs.all {
 			copy(v, col[:rs.n])
@@ -146,34 +184,43 @@ func (s Selection) NodeHours() float64 { return sumWeights(s.parts, s.sel) }
 // tests); analyses read the columns through Walk or Values instead.
 func (s Selection) Records() []JobRecord {
 	out := make([]JobRecord, 0, s.Len())
-	for i, st := range s.parts {
+	for i, sh := range s.parts {
 		rs := s.sel[i].rowSet
 		for j, n := 0, rs.len(); j < n; j++ {
-			out = append(out, st.Record(rs.row(j)))
+			out = append(out, sh.st.Record(rs.row(j)))
 		}
 	}
 	return out
 }
 
 // sumWeights adds the selection's node-hour weights: a running sum per
-// partition in row order, the partition sums added in partition order.
-func sumWeights(parts []*Store, sel []shardSel) float64 {
+// partition in row order (remembered for a whole population), the
+// partition sums added in partition order.
+func sumWeights(parts []*Shard, sel []shardSel) float64 {
 	var total float64
-	for i, st := range parts {
-		rs := sel[i].rowSet
-		var sw float64
-		if rs.all {
-			for _, w := range st.c.weight[:rs.n] {
-				sw += w
-			}
+	for i, sh := range parts {
+		if sel[i].memo != nil {
+			total += sel[i].weightSum(sh.st)
 		} else {
-			for _, r := range rs.idx {
-				sw += st.c.weight[r]
-			}
+			total += weightRun(sh.st.c.weight, sel[i].rowSet)
 		}
-		total += sw
 	}
 	return total
+}
+
+// weightRun is one partition's running sum of its selected rows' weights.
+func weightRun(weight []float64, rs rowSet) float64 {
+	var sw float64
+	if rs.all {
+		for _, w := range weight[:rs.n] {
+			sw += w
+		}
+	} else {
+		for _, r := range rs.idx {
+			sw += weight[r]
+		}
+	}
+	return sw
 }
 
 // aggPartial is one partition's sums over its selected rows, and the
@@ -258,12 +305,14 @@ func emptyAgg() Agg {
 // costs more than summing a few thousand rows.
 const parallelMinRows = 4096
 
-// aggregateParts is the aggregate kernel, the only one: the
+// aggregate is the aggregate kernel, the only one: the
 // node-hour-weighted aggregate of metric m over the filtered rows. Each
-// partition sums its selected rows into its own partial (sumRun), the
-// partials merge in partition order, and the second pass does the same
-// for the squared deviations from the merged mean. Partitions fan out
-// over up to workers goroutines when the selection is large; every
+// partition sums its selected rows into its own partial (sumRun — once
+// per shard for a whole population, which the shard then remembers),
+// the partials merge in partition order, and the second pass does the
+// same for the squared deviations from the merged mean, over the rows
+// every time: its terms depend on the request's mean. Partitions fan
+// out over up to workers goroutines when the selection is large; every
 // partition writes only its own slot and the merge is serial, so the
 // bits do not depend on workers.
 //
@@ -271,12 +320,13 @@ const parallelMinRows = 4096
 // fired ctx stops the work within one partition per worker and the call
 // returns ctx's error, never a half-summed Agg. A nil ctx never
 // cancels.
-func aggregateParts(ctx context.Context, parts []*Store, m Metric, f Filter, workers int) (Agg, error) {
+func (ss *ShardSet) aggregate(ctx context.Context, m Metric, f Filter, workers int) (Agg, error) {
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	sel, _ := selectParts(parts, f)
+	parts, sel := ss.shards, ss.selectParts(f)
+	defer ss.tally(sel)
 	n := selTotal(sel)
 	if n == 0 {
 		return emptyAgg(), nil
@@ -294,9 +344,14 @@ func aggregateParts(ctx context.Context, parts []*Store, m Metric, f Filter, wor
 	}
 	partials := make([]aggPartial, len(parts))
 	runChunks(done, len(parts), workers, func(i int) {
+		st, s := parts[i].st, &sel[i]
+		if s.memo != nil {
+			partials[i] = s.partial(st, m)
+			return
+		}
 		partials[i] = newPartial()
-		if sel[i].len() > 0 {
-			sumRun(&partials[i], parts[i].col(m), parts[i].c.weight, sel[i].rowSet)
+		if s.len() > 0 {
+			sumRun(&partials[i], st.col(m), st.c.weight, s.rowSet)
 		}
 	})
 	total := newPartial()
@@ -323,14 +378,14 @@ func aggregateParts(ctx context.Context, parts []*Store, m Metric, f Filter, wor
 		agg.Mean = mean
 		runChunks(done, len(parts), workers, func(i int) {
 			if sel[i].len() > 0 {
-				partials[i].ss = devRun(mean, parts[i].col(m), parts[i].c.weight, sel[i].rowSet)
+				partials[i].ss = devRun(mean, parts[i].st.col(m), parts[i].st.c.weight, sel[i].rowSet)
 			}
 		})
-		var ss float64
+		var dev float64
 		for _, p := range partials {
-			ss += p.ss
+			dev += p.ss
 		}
-		agg.StdDev = math.Sqrt(ss / total.sw)
+		agg.StdDev = math.Sqrt(dev / total.sw)
 	}
 	// A fired ctx may have skipped partitions: the partials are meaningless.
 	if ctx != nil {
@@ -351,77 +406,115 @@ type groupSums struct {
 	sums   []float64
 }
 
+func newGroupSums(stride, slots int) groupSums {
+	return groupSums{stride, make([]int, slots), make([]float64, slots*stride)}
+}
+
 func (g groupSums) at(s int) []float64 { return g.sums[s*g.stride : (s+1)*g.stride] }
+
+// column copies out position j of the first n slots.
+func (g groupSums) column(j, n int) []float64 {
+	out := make([]float64, n)
+	for s, src := 0, g.sums[j:]; s < n; s++ {
+		out[s] = src[s*g.stride]
+	}
+	return out
+}
 
 // groupRows computes node-hour-weighted means of the metrics per group
 // over the filtered rows, sorted by descending node-hours. It is the
 // aggregate's definition per key: every partition folds its selected
 // rows, in row order, into sums indexed directly by its own dictionary
-// codes (groupRun — no row pays a string lookup), then the codes that
-// took a row merge into their keys' totals, in partition order, at one
-// map lookup per (partition, key).
-func groupRows(parts []*Store, k GroupKey, metrics []Metric, f Filter) []Group {
-	sel, _ := selectParts(parts, f)
-	if len(parts) > 0 && parts[0].c.KeyColumn(k) == nil {
+// codes (groupRun — no row pays a string lookup; once per shard for a
+// whole population, which the shard then remembers), then the codes
+// that took a row merge into their keys' totals, in partition order, at
+// one map lookup per (partition, key).
+func (ss *ShardSet) groupRows(k GroupKey, metrics []Metric, f Filter) []Group {
+	parts, sel := ss.shards, ss.selectParts(f)
+	defer ss.tally(sel)
+	if len(parts) > 0 && parts[0].st.c.KeyColumn(k) == nil {
 		return groupAll(parts, sel, metrics)
 	}
 	stride := 1 + len(metrics)
 	codes := 0 // the largest dictionary among the partitions holding a selected row
-	for pi, st := range parts {
+	for pi, sh := range parts {
 		if sel[pi].len() > 0 {
-			codes = max(codes, len(st.c.KeyColumn(k).Values))
+			codes = max(codes, len(sh.st.c.KeyColumn(k).Values))
 		}
 	}
-	// local is all zero between partitions: merging a code clears it.
-	local := groupSums{stride, make([]int, codes), make([]float64, codes*stride)}
 	total := groupSums{stride, make([]int, 0, codes), make([]float64, 0, codes*stride)}
 	keys := make([]string, 0, codes)
 	slotOf := make(map[string]int, codes)
-	cols := make([][]float64, len(metrics))
-	for pi, st := range parts {
-		rs := sel[pi].rowSet
-		if rs.len() == 0 {
+	// add merges one code's partition sums l into its key's total.
+	add := func(key string, n int, l []float64) {
+		if s, ok := slotOf[key]; ok {
+			total.n[s] += n
+			t := total.at(s)
+			for j, x := range l {
+				t[j] += x
+			}
+		} else {
+			// A key's first partial is its total so far.
+			slotOf[key] = len(keys)
+			keys = append(keys, key)
+			total.n = append(total.n, n)
+			total.sums = append(total.sums, l...)
+		}
+	}
+	// local is all zero between partitions: merging a code clears it.
+	local := newGroupSums(stride, codes)
+	cols := make([][]float64, 2*len(metrics))
+	cols, swx := cols[:len(metrics)], cols[len(metrics):] // metric columns to fold; remembered sums by code
+	gathered := make([]float64, stride)                   // one code's remembered sums
+	for pi, sh := range parts {
+		s := &sel[pi]
+		if s.len() == 0 {
 			continue
 		}
+		st := sh.st
 		kc := st.c.KeyColumn(k)
+		// merge adds one code's sums in local to its key's total and
+		// clears them.
+		merge := func(code uint32) {
+			if n := local.n[code]; n != 0 {
+				l := local.at(int(code))
+				add(kc.Values[code], n, l)
+				local.n[code] = 0
+				clear(l)
+			}
+		}
+		if s.memo != nil {
+			ns, sw, folded := s.groupSlots(st, k, metrics, local, cols, swx)
+			if folded {
+				// First touch: what was just folded and remembered is
+				// still in local. A whole population touches most of
+				// the dictionary, so sweep it.
+				for code := range kc.Values {
+					merge(uint32(code))
+				}
+				continue
+			}
+			for code, n := range ns {
+				if n == 0 {
+					continue // a value no row of the population carries
+				}
+				gathered[0] = sw[code]
+				for j, sums := range swx {
+					gathered[1+j] = sums[code]
+				}
+				add(kc.Values[code], n, gathered)
+			}
+			continue
+		}
 		for j, m := range metrics {
 			cols[j] = st.col(m)
 		}
-		groupRun(local, kc.Codes, rs, st.c.weight, cols)
-		merge := func(code uint32) {
-			n := local.n[code]
-			if n == 0 {
-				return // a value no selected row carries, or one already merged
-			}
-			l := local.at(int(code))
-			key := kc.Values[code]
-			if s, ok := slotOf[key]; ok {
-				total.n[s] += n
-				t := total.at(s)
-				for j, x := range l {
-					t[j] += x
-				}
-			} else {
-				// A key's first partial is its total so far.
-				slotOf[key] = len(keys)
-				keys = append(keys, key)
-				total.n = append(total.n, n)
-				total.sums = append(total.sums, l...)
-			}
-			local.n[code] = 0
-			clear(l)
-		}
-		// Visit the touched codes without sweeping the whole dictionary
-		// for a handful of rows: by code when every row is selected, else
-		// through the row ids (a code merges on first sight).
-		if rs.all {
-			for code := range kc.Values {
-				merge(uint32(code))
-			}
-		} else {
-			for _, r := range rs.idx {
-				merge(kc.Codes[r])
-			}
+		groupRun(local, kc.Codes, s.rowSet, st.c.weight, cols)
+		// Visit the touched codes through the row ids, not by sweeping
+		// the whole dictionary for a handful of rows: a code merges on
+		// first sight.
+		for _, r := range s.idx {
+			merge(kc.Codes[r])
 		}
 	}
 	out := make([]Group, len(keys))
@@ -469,16 +562,21 @@ func groupRun(g groupSums, codes []uint32, rs rowSet, weight []float64, cols [][
 // groupAll handles an out-of-range GroupKey: every selected row lands
 // in the "" bucket, whose sums per metric are the aggregate's first
 // pass.
-func groupAll(parts []*Store, sel []shardSel, metrics []Metric) []Group {
+func groupAll(parts []*Shard, sel []shardSel, metrics []Metric) []Group {
 	if selTotal(sel) == 0 {
 		return []Group{}
 	}
 	swx := make([]float64, len(metrics))
 	for j, m := range metrics {
-		for i, st := range parts {
-			if sel[i].len() > 0 {
+		for i, sh := range parts {
+			s := &sel[i]
+			switch {
+			case s.len() == 0:
+			case s.memo != nil:
+				swx[j] += s.partial(sh.st, m).swx
+			default:
 				p := newPartial()
-				sumRun(&p, st.col(m), st.c.weight, sel[i].rowSet)
+				sumRun(&p, sh.st.col(m), sh.st.c.weight, s.rowSet)
 				swx[j] += p.swx
 			}
 		}

@@ -1,5 +1,7 @@
 package store
 
+import "math"
+
 // Filter restricts a query to matching rows. Zero values mean "any".
 type Filter struct {
 	Cluster string
@@ -15,47 +17,71 @@ type Filter struct {
 	EndBefore int64
 }
 
-// compiledFilter is a Filter resolved against the store's dictionaries:
-// string predicates become uint32 code comparisons, so the scan loop
-// never touches string data. impossible marks a filter naming a string
-// value absent from its dictionary (no row can match); allRows marks a
-// filter every row provably passes (each predicate vacuous), which lets
-// the kernels skip materializing a row-index list entirely.
+// MaxMinSamples is the largest MinSamples the query parsers accept
+// (serve.decodeParams, core.ParseQuery): a job holds far fewer monitor
+// intervals than this, and the sample count is a 32-bit column.
+const MaxMinSamples = 1 << 30
+
+// population names a whole-partition selection: what is left of a filter
+// once compile has dropped every predicate the partition's rows all
+// pass. Product traffic selects two — every row, and the paper's §4.1
+// population (decodeParams, ParseQuery and Realm.JobFilter all default
+// to MinSamples 1) — and those are what a shard remembers (memo.go).
+type population int8
+
+const (
+	popNone    population = iota - 1 // a predicate survives: rows are walked
+	popAll                           // every row
+	popSampled                       // rows with Samples >= 1
+	numPops    = iota - 1
+)
+
+// compiledFilter is a Filter resolved against one partition: string
+// predicates become uint32 code comparisons, so the scan loop never
+// touches string data, and a predicate every row provably passes (a
+// value all rows carry, a threshold at or below the partition's
+// minimum, a window bound outside its end range) is dropped — it costs
+// no comparison per row and narrows no posting list. impossible marks a
+// filter no row can match. whole names the population selected when
+// nothing but MinSamples <= 1 survives; the kernels then take the rows
+// and their sums from the shard's memo instead of walking.
 type compiledFilter struct {
 	cluster, user, app, science, status int64 // dict code, or -1 for "any"
-	minSamples                          int32
-	endAfter, endBefore                 int64
+	minSamples                          int32 // 0 for "any"
+	endAfter, endBefore                 int64 // 0 for unbounded
 	impossible                          bool
-	allRows                             bool
+	whole                               population
 }
 
-// compileDict resolves one string predicate: -1 for "any", the code
-// when present, impossible when the value is unknown. vacuous reports
-// whether the predicate passes every row.
-func compileDict(d *DictColumn, val string, n int) (code int64, impossible, vacuous bool) {
+// compileDict resolves one string predicate: -1 for "any" — no value
+// asked for, or one every row carries — the code when the value narrows,
+// impossible when no row holds it.
+func compileDict(d *DictColumn, val string, n int) (code int64, impossible bool) {
 	if val == "" {
-		return -1, false, true
+		return -1, false
 	}
 	c, ok := d.code(val)
 	if !ok {
-		return 0, true, false
+		return -1, true
 	}
-	return int64(c), false, d.counts[c] == n
+	if d.counts[c] == n {
+		return -1, false
+	}
+	return int64(c), false
 }
 
 // compile resolves f against the store's dictionaries and bounds.
 func (s *Store) compile(f Filter) compiledFilter {
 	n := s.Len()
-	cf := compiledFilter{
-		minSamples: int32(f.MinSamples),
-		endAfter:   f.EndAfter,
-		endBefore:  f.EndBefore,
+	if n == 0 {
+		return compiledFilter{impossible: true, whole: popNone}
 	}
-	vacuous := true
+	cf := compiledFilter{whole: popNone}
+	narrowed := false // some dictionary predicate survives
 	resolve := func(d *DictColumn, val string) int64 {
-		code, imp, vac := compileDict(d, val, n)
+		code, imp := compileDict(d, val, n)
 		cf.impossible = cf.impossible || imp
-		vacuous = vacuous && vac
+		narrowed = narrowed || code >= 0
 		return code
 	}
 	cf.cluster = resolve(&s.c.Cluster, f.Cluster)
@@ -63,16 +89,27 @@ func (s *Store) compile(f Filter) compiledFilter {
 	cf.app = resolve(&s.c.App, f.App)
 	cf.science = resolve(&s.c.Science, f.Science)
 	cf.status = resolve(&s.c.Status, f.Status)
-	if f.MinSamples > 0 && (n == 0 || int32(f.MinSamples) > s.c.minSamples) {
-		vacuous = false
+	switch {
+	case f.MinSamples > math.MaxInt32:
+		cf.impossible = true // Samples is an int32 column: no row reaches it
+	case f.MinSamples > max(0, int(s.c.minSamples)):
+		cf.minSamples = int32(f.MinSamples)
 	}
-	if f.EndAfter != 0 && (n == 0 || f.EndAfter > s.c.minEnd) {
-		vacuous = false
+	if f.EndAfter > s.c.minEnd {
+		cf.endAfter = f.EndAfter
 	}
-	if f.EndBefore != 0 && (n == 0 || f.EndBefore <= s.c.maxEnd) {
-		vacuous = false
+	if f.EndBefore != 0 && f.EndBefore <= s.c.maxEnd {
+		cf.endBefore = f.EndBefore
 	}
-	cf.allRows = vacuous && !cf.impossible && n > 0
+	if cf.impossible || narrowed || cf.endAfter != 0 || cf.endBefore != 0 {
+		return cf
+	}
+	switch cf.minSamples {
+	case 0:
+		cf.whole = popAll
+	case 1:
+		cf.whole = popSampled
+	}
 	return cf
 }
 
@@ -101,10 +138,11 @@ func (s *Store) matchCompiled(i int, cf *compiledFilter) bool {
 }
 
 // rowSet is the internal result of a selection: either an implicit
-// "all n rows" (no materialized index — the broad-scan fast path) or an
-// explicit ascending row-id list. Both enumerate rows in the same
-// ascending order, so kernels consuming either form accumulate in
-// identical order and produce bit-identical aggregates.
+// "all n rows" (no materialized index) or an explicit ascending row-id
+// list. Both enumerate rows in the same ascending order, so kernels
+// consuming either form accumulate in identical order and produce
+// bit-identical aggregates. A kernel only reads a list: a remembered
+// one is shared by every call that selects the population.
 type rowSet struct {
 	all bool
 	n   int     // row count when all
@@ -126,30 +164,23 @@ func (rs rowSet) row(j int) int {
 	return int(rs.idx[j])
 }
 
-// selectSet evaluates the filter into a rowSet: a provably vacuous
-// filter yields the implicit all-rows set with no allocation; an
-// indexed store narrows through the shortest posting list; otherwise a
-// compiled columnar scan materializes the ascending row list.
-func (s *Store) selectSet(f Filter) rowSet {
-	cf := s.compile(f)
-	if cf.impossible {
-		return rowSet{}
-	}
-	if cf.allRows {
-		return rowSet{all: true, n: s.Len()}
-	}
+// walkSet evaluates a compiled filter that cuts the partition into its
+// ascending row list: an indexed store narrows through the shortest
+// posting list of a surviving predicate, otherwise a compiled columnar
+// scan.
+func (s *Store) walkSet(cf *compiledFilter) rowSet {
 	if s.idx != nil {
-		if best, ok := s.idx.narrowest(f); ok {
+		if best, ok := s.idx.narrowest(cf); ok {
 			idx := make([]int32, 0, len(best))
 			for _, i := range best {
-				if s.matchCompiled(int(i), &cf) {
+				if s.matchCompiled(int(i), cf) {
 					idx = append(idx, i)
 				}
 			}
 			return rowSet{idx: idx}
 		}
 	}
-	return rowSet{idx: s.scanCompiled(&cf)}
+	return rowSet{idx: s.scanCompiled(cf)}
 }
 
 // canMatch prunes a whole partition against the filter's end-time
@@ -171,10 +202,13 @@ func (s *Store) canMatch(f Filter) bool {
 	return true
 }
 
-// scanCompiled is the full-scan arm over the compiled filter.
+// scanCompiled is the full-scan arm over the compiled filter. The list
+// is made once at the partition's row count: a scan is what a broad
+// filter gets, and growing it by appends cost a dozen copies a shard.
 func (s *Store) scanCompiled(cf *compiledFilter) []int32 {
-	var idx []int32
-	for i, n := 0, s.Len(); i < n; i++ {
+	n := s.Len()
+	idx := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
 		if s.matchCompiled(i, cf) {
 			idx = append(idx, int32(i))
 		}
@@ -205,6 +239,9 @@ const (
 	ByCluster
 	ByStatus
 )
+
+// numGroupKeys is the number of grouping dimensions.
+const numGroupKeys = len(groupKeyNames)
 
 // groupKeyNames is the query vocabulary's name for each dimension.
 var groupKeyNames = [...]string{ByUser: "user", ByApp: "app", ByScience: "science", ByCluster: "cluster", ByStatus: "status"}

@@ -36,7 +36,7 @@ func TestSelectionConsumers(t *testing.T) {
 			if indexed {
 				ss.BuildIndex()
 			}
-			if _, pruned := selectParts(ss.parts, filters["time-pruned"]); cuts != nil && pruned == 0 {
+			if cuts != nil && prunedParts(ss, filters["time-pruned"]) == 0 {
 				t.Fatalf("cuts %v: the time window prunes no shard; the fixture does not exercise pruning", cuts)
 			}
 			for name, f := range filters {
@@ -51,8 +51,7 @@ func TestSelectionConsumers(t *testing.T) {
 					t.Fatalf("%s: Records has %d rows (nil %v), want %d", label, len(gotRecs), gotRecs == nil, len(wantRecs))
 				}
 				for i := range gotRecs {
-					// NaN metric values: compare formatted, as checkAgainstBaseline does.
-					if fmt.Sprintf("%+v", gotRecs[i]) != fmt.Sprintf("%+v", wantRecs[i]) {
+					if !sameRecord(gotRecs[i], wantRecs[i]) {
 						t.Fatalf("%s: Records[%d] = %+v, want %+v", label, i, gotRecs[i], wantRecs[i])
 					}
 				}
@@ -161,5 +160,40 @@ func TestAsSetIsolatedFromBuilder(t *testing.T) {
 	check("a row that moves every bound the builder keeps")
 	if st.Len() != 103 || ss.Len() != 100 {
 		t.Errorf("builder has %d rows, set %d; want 103 and 100", st.Len(), ss.Len())
+	}
+}
+
+// TestMinSamplesBeyondInt32: Samples is an int32 column, so a threshold
+// above math.MaxInt32 matches no row. Compiled through an int32
+// conversion it wrapped instead: 1<<31 and 1<<32 became "any" and
+// 1<<32+1 became minsamples=1 (core.ParseQuery lets all three through).
+func TestMinSamplesBeyondInt32(t *testing.T) {
+	st := equivStore(500)
+	sampled := len(st.baselineSelect(Filter{MinSamples: 1}))
+	for _, indexed := range []bool{false, true} {
+		ss := NewShardSet(splitParts(st, []int{200}))
+		if indexed {
+			ss.BuildIndex()
+		}
+		for _, tc := range []struct {
+			min, want int
+		}{
+			{0, 500}, {1, sampled}, {math.MaxInt32, 0},
+			{1 << 31, 0}, {1 << 32, 0}, {1<<32 + 1, 0}, {math.MaxInt64, 0},
+			{-1, 500}, {-1 << 32, 500}, {-1<<32 + 1, 500}, // a negative threshold is "any", wrapped or not
+		} {
+			for _, f := range []Filter{{MinSamples: tc.min}, {Cluster: "ranger", MinSamples: tc.min}} {
+				want := tc.want
+				if f.Cluster != "" {
+					want = len(st.baselineSelect(f)) // the row loop compares ints
+				}
+				if got := ss.Scan(f).Len(); got != want {
+					t.Errorf("indexed=%v %+v selects %d rows, want %d", indexed, f, got, want)
+				}
+				if got := ss.Aggregate(MetricCPUIdle, f).N; got != want {
+					t.Errorf("indexed=%v %+v aggregates %d rows, want %d", indexed, f, got, want)
+				}
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sort"
+	"sync/atomic"
 )
 
 // Reader is the query surface: everything above the store layer (core,
@@ -45,10 +46,25 @@ var _ Reader = (*ShardSet)(nil)
 // it came from. Once loaded (or adopted from a previous generation) a
 // shard is never mutated — incremental reload shares shard pointers
 // across snapshot generations, so any write after publication would be
-// a data race with the generation still serving.
+// a data race with the generation still serving. The one thing that
+// grows after publication is memo, every slot of it written once under
+// its own sync.Once: what the shard remembers about its whole
+// populations (memo.go). st is reachable from nowhere else, so nothing
+// can Add to rows a memo describes.
 type Shard struct {
 	info ShardInfo
 	st   *Store
+	memo [numPops]atomic.Pointer[popMemo]
+}
+
+// pop returns the shard's memo of one population, made on first use:
+// most shards are only ever asked for one of the two.
+func (sh *Shard) pop(p population) *popMemo {
+	slot := &sh.memo[p]
+	if slot.Load() == nil {
+		slot.CompareAndSwap(nil, new(popMemo))
+	}
+	return slot.Load()
 }
 
 // ID returns the shard's epoch-day partition key.
@@ -67,15 +83,38 @@ func (sh *Shard) Columns() *Columns { return &sh.st.c }
 // concatenation of the shards in ascending shard-ID order, rows in
 // their original order within each shard.
 type ShardSet struct {
+	// shards is the partition list the kernels walk.
 	shards []*Shard
-	// parts[i] is shards[i]'s rows: the partition list the kernels walk.
-	parts []*Store
 	// rows is the total row count across shards.
 	rows int
 	// built marks that BuildIndex ran over the set (per-shard indexes
 	// may predate it on shards reused from an earlier generation).
 	built bool
 	stats ShardLoadStats
+	// uses counts, by partUse, the partitions this set's kernel calls
+	// pruned, walked and remembered.
+	uses [numPartUses]atomic.Int64
+}
+
+// PartitionUse counts how the kernel calls on one set — one served
+// generation — got each partition's share of their answers.
+// Remembered: the filter selected one of the shard's whole populations
+// and everything the call needed of it was already in the shard's memo.
+// Walked: the call evaluated a filter or folded sums over the
+// partition's rows, a memo slot's first fill included (an aggregate's
+// deviation pass, which always reads the rows, is not what is counted).
+// Pruned: bounds or dictionaries proved no row could match.
+type PartitionUse struct {
+	Remembered, Walked, Pruned int64
+}
+
+// PartitionUse returns the set's counters.
+func (ss *ShardSet) PartitionUse() PartitionUse {
+	return PartitionUse{
+		Remembered: ss.uses[partRemembered].Load(),
+		Walked:     ss.uses[partWalked].Load(),
+		Pruned:     ss.uses[partPruned].Load(),
+	}
 }
 
 // ShardLoadStats counts how a set was assembled: Loaded shards were
@@ -115,9 +154,8 @@ func (s *Store) AsSet() *ShardSet {
 }
 
 func newShardSet(shards []*Shard, stats ShardLoadStats) *ShardSet {
-	ss := &ShardSet{shards: shards, parts: make([]*Store, len(shards)), stats: stats}
-	for i, sh := range shards {
-		ss.parts[i] = sh.st
+	ss := &ShardSet{shards: shards, stats: stats}
+	for _, sh := range shards {
 		ss.rows += sh.st.Len()
 	}
 	return ss
@@ -165,13 +203,14 @@ func (ss *ShardSet) HasIndex() bool { return ss.built }
 
 // Scan evaluates the filter, once, into a Selection.
 func (ss *ShardSet) Scan(f Filter) Selection {
-	sel, _ := selectParts(ss.parts, f)
-	return Selection{parts: ss.parts, sel: sel}
+	sel := ss.selectParts(f)
+	ss.tally(sel)
+	return Selection{parts: ss.shards, sel: sel}
 }
 
 // Select returns the global row indices passing the filter, ascending.
 // Nothing in the product calls it; the frozen benchmark times it.
-func (ss *ShardSet) Select(f Filter) []int { return selectRows(ss.parts, f) }
+func (ss *ShardSet) Select(f Filter) []int { return ss.selectRows(f) }
 
 // Values is Scan(f).Values(m), kept under this name for the frozen
 // benchmark; product code holds the Selection.
@@ -180,19 +219,19 @@ func (ss *ShardSet) Values(m Metric, f Filter) []float64 { return ss.Scan(f).Val
 // Aggregate computes the node-hour-weighted aggregate of metric m over
 // the filtered rows: per-shard serial sums merged in shard order.
 func (ss *ShardSet) Aggregate(m Metric, f Filter) Agg {
-	agg, _ := aggregateParts(nil, ss.parts, m, f, 1) // a nil ctx never fails
+	agg, _ := ss.aggregate(nil, m, f, 1) // a nil ctx never fails
 	return agg
 }
 
 // AggregateParallelCtx is Aggregate with the shards fanned out over up
 // to workers goroutines, under a context: the same bits for any worker
-// count, or ctx's error once ctx fires (see aggregateParts).
+// count, or ctx's error once ctx fires (see aggregate).
 func (ss *ShardSet) AggregateParallelCtx(ctx context.Context, m Metric, f Filter, workers int) (Agg, error) {
-	return aggregateParts(ctx, ss.parts, m, f, workers)
+	return ss.aggregate(ctx, m, f, workers)
 }
 
 // GroupBy computes node-hour-weighted means per group over the
 // filtered rows, sorted by descending node-hours.
 func (ss *ShardSet) GroupBy(k GroupKey, metrics []Metric, f Filter) []Group {
-	return groupRows(ss.parts, k, metrics, f)
+	return ss.groupRows(k, metrics, f)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -76,6 +77,25 @@ func floatsBitsEqual(a, b []float64) bool {
 	return true
 }
 
+// sameRecord is ==, except that a NaN metric value (the fixtures plant
+// them) equals itself: metrics compare by their bits.
+func sameRecord(a, b JobRecord) bool {
+	for _, m := range AllMetrics() {
+		if math.Float64bits(a.Value(m)) != math.Float64bits(b.Value(m)) {
+			return false
+		}
+	}
+	return a.JobID == b.JobID && a.Cluster == b.Cluster && a.User == b.User && a.App == b.App &&
+		a.Science == b.Science && a.Nodes == b.Nodes && a.Submit == b.Submit && a.Start == b.Start &&
+		a.End == b.End && a.Status == b.Status && a.Samples == b.Samples
+}
+
+func init() {
+	if n := reflect.TypeOf(JobRecord{}).NumField(); n != 11+NumMetrics {
+		panic(fmt.Sprintf("JobRecord has %d fields: teach sameRecord the new one", n))
+	}
+}
+
 // checkAgainstBaseline asserts that r answers every Reader query method
 // and every Selection consumer bit-identically to the naive row
 // reference computed over ref, which holds the same rows in the same
@@ -85,11 +105,38 @@ func floatsBitsEqual(a, b []float64) bool {
 // (whose sums follow the cuts).
 func checkAgainstBaseline(t *testing.T, label string, r Reader, ref *Store, cuts []int, metrics []Metric) {
 	t.Helper()
+	checkFilters(t, label, r, ref, cuts, metrics, equivFilters, false)
+}
+
+// checkFilters is checkAgainstBaseline over a given filter list.
+// groupFirst asks each filter's group-bys before its selection and
+// aggregates, so that on a set nothing has queried yet a different
+// kernel is the one whose call fills the shards' memo.
+func checkFilters(t *testing.T, label string, r Reader, ref *Store, cuts []int, metrics []Metric, filters []Filter, groupFirst bool) {
+	t.Helper()
 	keys := []GroupKey{ByUser, ByApp, ByScience, ByCluster, ByStatus, GroupKey(99)}
-	for fi, f := range equivFilters {
+	for fi, f := range filters {
 		fail := func(what string) {
 			t.Helper()
 			t.Fatalf("%s, filter %d %+v: %s diverges from the row baseline", label, fi, f, what)
+		}
+		groups := func() {
+			for _, k := range keys {
+				got := r.GroupBy(k, metrics[:2], f)
+				if got == nil || !groupsBitsEqual(got, ref.baselineGroupBy(k, metrics[:2], f, cuts...)) {
+					fail(fmt.Sprintf("GroupBy key %d", k))
+				}
+			}
+			// One metric, and the same one twice: a request is assembled
+			// from per-metric slots.
+			for _, ms := range [][]Metric{metrics[2:3], {metrics[0], metrics[0]}} {
+				if got := r.GroupBy(ByUser, ms, f); !groupsBitsEqual(got, ref.baselineGroupBy(ByUser, ms, f, cuts...)) {
+					fail(fmt.Sprintf("GroupBy user %v", ms))
+				}
+			}
+		}
+		if groupFirst {
+			groups()
 		}
 		wantSel := ref.baselineSelect(f)
 		gotSel := r.Select(f)
@@ -108,10 +155,7 @@ func checkAgainstBaseline(t *testing.T, label string, r Reader, ref *Store, cuts
 			fail("Records length")
 		}
 		for i := range gotRecs {
-			// equivStore plants NaN metric values, so struct equality
-			// would reject identical records; formatted comparison
-			// treats NaN == NaN while still seeing every field.
-			if fmt.Sprintf("%+v", gotRecs[i]) != fmt.Sprintf("%+v", wantRecs[i]) {
+			if !sameRecord(gotRecs[i], wantRecs[i]) {
 				fail("Records")
 			}
 		}
@@ -162,13 +206,37 @@ func checkAgainstBaseline(t *testing.T, label string, r Reader, ref *Store, cuts
 				fail("Reader.Values " + string(m))
 			}
 		}
-		for _, k := range keys {
-			got := r.GroupBy(k, metrics[:2], f)
-			if got == nil || !groupsBitsEqual(got, ref.baselineGroupBy(k, metrics[:2], f, cuts...)) {
-				fail(fmt.Sprintf("GroupBy key %d", k))
-			}
+		if !groupFirst {
+			groups()
 		}
 	}
+}
+
+// checkColdWarmFresh asks every query three times — of a set nothing
+// has queried (each shard's memo fills as the queries arrive), of the
+// same set again (every whole population now remembered), and of a
+// second fresh set over the same columns with the filters in reverse and
+// the group-bys first (the memo fills in another order, from other
+// kernels) — and holds all three to the row baseline: what a shard
+// remembers is what a walk computes, whoever computed it first.
+func checkColdWarmFresh(t *testing.T, label string, mk func() *ShardSet, ref *Store, cuts []int, metrics []Metric, filters []Filter) {
+	t.Helper()
+	ss := mk()
+	checkFilters(t, label+", cold", ss, ref, cuts, metrics, filters, false)
+	cold := ss.PartitionUse()
+	checkFilters(t, label+", warm", ss, ref, cuts, metrics, filters, false)
+	// The same calls again sort every partition the same way, except
+	// that a population's first touch counted as a walk.
+	both := ss.PartitionUse()
+	if both.Pruned != 2*cold.Pruned || both.Remembered+both.Walked != 2*(cold.Remembered+cold.Walked) ||
+		both.Remembered-cold.Remembered < cold.Remembered {
+		t.Errorf("%s: partition use after the cold pass %+v, after the warm pass too %+v", label, cold, both)
+	}
+	rev := make([]Filter, len(filters))
+	for i, f := range filters {
+		rev[len(rev)-1-i] = f
+	}
+	checkFilters(t, label+", fresh", mk(), ref, cuts, metrics, rev, true)
 }
 
 // TestShardDifferentialEquivalence is the property-style suite: one
@@ -199,12 +267,121 @@ func TestShardDifferentialEquivalence(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		ncuts := trial % 7 // 0 cuts = single shard through 6 cuts = 7 shards
 		cuts := randomCuts(rng, rows, ncuts)
-		ss := NewShardSet(splitParts(st, cuts))
-		if trial%2 == 1 {
-			ss.BuildIndex()
+		mk := func() *ShardSet {
+			ss := NewShardSet(splitParts(st, cuts))
+			if trial%2 == 1 {
+				ss.BuildIndex()
+			}
+			return ss
 		}
-		label := fmt.Sprintf("trial %d (cuts %v, indexed %v)", trial, cuts, ss.HasIndex())
-		checkAgainstBaseline(t, label, ss, ref, cuts, metrics)
+		label := fmt.Sprintf("trial %d (cuts %v, indexed %v)", trial, cuts, trial%2 == 1)
+		checkColdWarmFresh(t, label, mk, ref, cuts, metrics, equivFilters)
+	}
+
+	// equivStore alternates two clusters, so its shards rarely hold a
+	// whole population of the shape the daemon serves. wholeStore's do.
+	wref, wst := wholeStore(), wholeStore()
+	for trial := 0; trial < (trials+1)/2; trial++ {
+		cuts := wholeCuts(rng, trial%5)
+		mk := func() *ShardSet {
+			ss := NewShardSet(splitParts(wst, cuts))
+			if trial%2 == 1 {
+				ss.BuildIndex()
+			}
+			return ss
+		}
+		label := fmt.Sprintf("whole-population trial %d (cuts %v, indexed %v)", trial, cuts, trial%2 == 1)
+		checkColdWarmFresh(t, label, mk, wref, cuts, metrics, wholeFilters(t, mk()))
+	}
+}
+
+// wholeStore is the fixture for what a shard remembers: one cluster, as
+// a realm's data directory has, job ends strictly ascending so a window
+// can be set exactly on a shard's bounds, and three runs of rows that
+// wholeCuts makes shards of — rows [0, 400) all sampled (MinSamples 1
+// is vacuous there: the all-rows population), rows [400, 520) with no
+// sample at all (an empty sampled population) and the mixed rest, with
+// NaN and ±Inf metric values, zero weights and negative values.
+func wholeStore() *Store {
+	st := New()
+	apps := []string{"namd", "amber", "wrf"}
+	for i := 0; i < 6000; i++ {
+		r := JobRecord{
+			JobID: int64(1 + i), Cluster: "ranger", User: fmt.Sprintf("u%02d", i%11),
+			App: apps[i%3], Science: []string{"Chemistry", "Physics"}[i%2], Nodes: i % 33,
+			Submit: int64(40 * i), Start: int64(40*i + 5), End: int64(40*i+5) + int64(30*(i%4)),
+			Status: []string{"completed", "failed"}[i%9/8], Samples: i % 5,
+		}
+		switch {
+		case i < 400:
+			r.Samples = 1 + i%4
+		case i < 520:
+			r.Samples = 0
+		}
+		// Ends ascend strictly: 40 a row against at most 90 of jitter
+		// would not, so the jitter goes to Start instead.
+		r.Start, r.End = r.Start-int64(30*(i%4)), int64(40*i+5)
+		r.CPUIdleFrac = float64(i%100) / 100
+		r.MemUsedGB = float64(i % 31)
+		r.FlopsGF = 0.3 * float64(i%13)
+		r.ReadMB = -1.5 * float64(i%9)
+		if i%97 == 0 {
+			r.FlopsGF = math.NaN()
+		}
+		if i%89 == 0 {
+			r.MemUsedGB = math.Inf(1)
+		}
+		if i%83 == 0 {
+			r.CPUIdleFrac = math.NaN()
+		}
+		st.Add(r)
+	}
+	return st
+}
+
+// wholeCuts cuts wholeStore into its all-sampled shard, its unsampled
+// shard, a zero-row shard (the repeated cut) and n+1 seeded shards of
+// the mixed rest.
+func wholeCuts(rng *rand.Rand, n int) []int {
+	cuts := []int{400, 520, 520}
+	for _, c := range randomCuts(rng, 6000-520, n) {
+		cuts = append(cuts, 520+c)
+	}
+	return cuts
+}
+
+// wholeFilters are the filters product traffic sends, against a set cut
+// by wholeCuts: the realm's base filter and its parts, and windows whose
+// bounds sit exactly on a shard's first and last job end — covering it
+// (the shard is whole), and one second inside (it is cut).
+func wholeFilters(t *testing.T, ss *ShardSet) []Filter {
+	t.Helper()
+	n := ss.NumShards()
+	sampled, unsampled, empty, mixed, last := ss.ShardAt(0).Info(), ss.ShardAt(1).Info(), ss.ShardAt(2).Info(), ss.ShardAt(3).Info(), ss.ShardAt(n-1).Info()
+	if c := ss.ShardAt(0).Columns(); c.minSamples < 1 || ss.ShardAt(1).Columns().minSamples != 0 || empty.Rows != 0 || mixed.Rows == 0 {
+		t.Fatalf("fixture: shards 0-3 are not the all-sampled, unsampled, zero-row and mixed ones (%+v %+v %+v %+v)", sampled, unsampled, empty, mixed)
+	}
+	base := Filter{Cluster: "ranger", MinSamples: 1}
+	window := func(after, before int64) Filter {
+		f := base
+		f.EndAfter, f.EndBefore = after, before
+		return f
+	}
+	return []Filter{
+		base, {MinSamples: 1}, {Cluster: "ranger"}, {},
+		{MinSamples: 2},                          // another threshold: walked
+		{Cluster: "ranger", MinSamples: 1 << 31}, // beyond the column's type: nothing
+		{User: "u03", MinSamples: 1},             // a surviving predicate: walked
+		{Status: "completed", MinSamples: 1},     // vacuous in some shards only
+		{Cluster: "nonesuch", MinSamples: 1},
+		window(sampled.MinEnd, last.MaxEnd+1),                         // every shard whole
+		window(mixed.MinEnd, mixed.MaxEnd+1),                          // exactly one shard, whole
+		window(mixed.MinEnd+1, mixed.MaxEnd),                          // the same shard, its first and last row cut
+		window(mixed.MinEnd, mixed.MaxEnd),                            // whole at the front, cut at the back
+		window(unsampled.MinEnd, mixed.MaxEnd+1),                      // the empty population, the zero-row shard, one more
+		window(sampled.MinEnd+1, unsampled.MaxEnd+1),                  // the all-sampled shard cut
+		{EndAfter: unsampled.MinEnd, EndBefore: unsampled.MaxEnd + 1}, // all rows of the unsampled shard
+		window(last.MaxEnd+1, 0),                                      // after everything
 	}
 }
 

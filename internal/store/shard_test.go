@@ -337,7 +337,7 @@ func TestShardPruneByTimeWindow(t *testing.T) {
 	}
 	mid := ss.ShardAt(1).Info()
 	f := Filter{Cluster: "ranger", EndAfter: mid.MinEnd, EndBefore: mid.MaxEnd + 1}
-	_, pruned := selectParts(ss.parts, f)
+	pruned := prunedParts(ss, f)
 	if want := ss.NumShards() - 1; pruned != want {
 		t.Errorf("one-day window pruned %d of %d shards, want %d", pruned, ss.NumShards(), want)
 	}
@@ -352,7 +352,7 @@ func TestShardPruneByTimeWindow(t *testing.T) {
 	}
 	// An impossible window prunes everything and still answers exactly.
 	none := Filter{EndAfter: (ss.ShardAt(ss.NumShards() - 1).Info().MaxEnd) + 1}
-	_, pruned = selectParts(ss.parts, none)
+	pruned = prunedParts(ss, none)
 	if pruned != ss.NumShards() {
 		t.Errorf("empty window pruned %d of %d shards", pruned, ss.NumShards())
 	}
