@@ -79,8 +79,8 @@ test-serve:
 # bit-equivalence, the binary and manifest codec round-trip/rejection
 # matrices, the shard differential suite, scrub/quarantine/repair, the
 # fuzz seed replay, and the columnar speedup floors (DESIGN.md §11, §14,
-# §15), at one, two and four cores (the aggregate kernel and the shard
-# loader fan out over GOMAXPROCS).
+# §15), at one, two and four cores (the shard loader fans out over
+# GOMAXPROCS, and concurrent first touches of a shard's memo race).
 test-store:
 	$(GO) test -race -cpu 1,2,4 -timeout 30m ./internal/store
 

@@ -47,7 +47,6 @@ type options struct {
 	poll    time.Duration
 	drain   time.Duration
 	cache   int
-	workers int
 	retries int
 
 	maxInFlight      int           // 0 = serve default (64), negative disables
@@ -73,7 +72,6 @@ func main() {
 	flag.StringVar(&opts.addr, "addr", "127.0.0.1:8090", "listen address")
 	flag.DurationVar(&opts.poll, "poll", 10*time.Second, "data-directory poll interval for hot reload (0 disables)")
 	flag.IntVar(&opts.cache, "cache", 0, "query-cache entries (0 = default 1024, negative disables)")
-	flag.IntVar(&opts.workers, "workers", 0, "aggregation workers (0 = GOMAXPROCS)")
 	flag.IntVar(&opts.retries, "retries", 2, "retries per snapshot load racing an ingest rewrite")
 	flag.DurationVar(&opts.drain, "drain", 10*time.Second, "shutdown drain budget for in-flight requests")
 	flag.IntVar(&opts.maxInFlight, "max-inflight", 0, "max concurrently executing data queries (0 = default 64, negative disables admission control)")
@@ -99,7 +97,6 @@ func main() {
 func run(ctx context.Context, opts options) error {
 	srv, err := serve.New(serve.Config{
 		DataDir:   opts.data,
-		Workers:   opts.workers,
 		CacheSize: opts.cache,
 		RetryMax:  opts.retries,
 		Backoff: func(attempt int) {

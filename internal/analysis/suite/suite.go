@@ -58,15 +58,16 @@ func Analyzers() []Scoped {
 		{
 			// The declared hot paths: the streaming parser, the
 			// schema-compiled interval reduction (PR 1's alloc budget),
-			// and the columnar store — its binary codec and aggregation
-			// kernels are the daemon's load and query inner loops.
+			// and the columnar store — its binary codec, aggregation
+			// kernels and shard memo are the daemon's load and query
+			// inner loops.
 			Analyzer: hotalloc.Analyzer,
 			PkgMatch: pkgIn("supremm/internal/taccstats", "supremm/internal/ingest",
 				"supremm/internal/store"),
 			FileMatch: func(base string) bool {
 				switch base {
 				case "stream.go", "format.go", "plan.go", "raw.go", "accumulator.go",
-					"columns.go", "codec.go", "query.go", "index.go", "kernel.go":
+					"columns.go", "codec.go", "query.go", "index.go", "kernel.go", "memo.go", "shard.go":
 					return true
 				}
 				return false

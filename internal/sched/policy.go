@@ -40,18 +40,25 @@ func (p Policy) String() string {
 	}
 }
 
-// currentLoad sums the running jobs' expected per-node IO and network
-// rates (profile expectations — the scheduler does not see live
+// mixLoad is the running mix: its busy nodes and their expected IO and
+// network rates (profile expectations — the scheduler does not see live
 // counters, matching how a production policy would be bootstrapped from
 // historical profiles, §4.3.4).
-func (s *Scheduler) currentLoad() (ioMBps, netMBps float64) {
-	for _, rj := range s.running {
+type mixLoad struct{ busy, ioMBps, netMBps float64 }
+
+// runningLoad sums the running jobs in job-ID order: a float sum in map
+// order would differ between runs in its last bits, and flip ties
+// between candidates' scores.
+func (s *Scheduler) runningLoad() mixLoad {
+	var l mixLoad
+	for _, rj := range s.RunningByID() {
 		p := rj.Job.App.Profile
 		n := float64(len(rj.Nodes))
-		ioMBps += (p.ScratchWriteMBps + p.WorkWriteMBps + p.ReadMBps) * n
-		netMBps += p.IBTxMBps * n
+		l.busy += n
+		l.ioMBps += (p.ScratchWriteMBps + p.WorkWriteMBps + p.ReadMBps) * n
+		l.netMBps += p.IBTxMBps * n
 	}
-	return ioMBps, netMBps
+	return l
 }
 
 // jobLoad returns a job's expected total IO and network demand.
@@ -61,24 +68,19 @@ func jobLoad(j *workload.Job) (ioMBps, netMBps float64) {
 	return (p.ScratchWriteMBps + p.WorkWriteMBps + p.ReadMBps) * n, p.IBTxMBps * n
 }
 
-// complementScore ranks a candidate against the current load: lower is
+// complementScore ranks a candidate against the running mix: lower is
 // better. Loads are normalized per busy node so the score is
 // scale-free; a candidate that adds IO pressure while IO is already hot
 // scores badly, one that fills a cold dimension scores well.
-func (s *Scheduler) complementScore(j *workload.Job) float64 {
-	busy := 0.0
-	for _, rj := range s.running {
-		busy += float64(len(rj.Nodes))
-	}
-	if busy == 0 {
+func (l mixLoad) complementScore(j *workload.Job) float64 {
+	if l.busy == 0 {
 		return 0
 	}
-	curIO, curNet := s.currentLoad()
 	jIO, jNet := jobLoad(j)
 	// Reference scales: typical per-node rates in the archetype mix.
 	const refIO, refNet = 4.0, 20.0 // MB/s per node
-	normCurIO := curIO / busy / refIO
-	normCurNet := curNet / busy / refNet
+	normCurIO := l.ioMBps / l.busy / refIO
+	normCurNet := l.netMBps / l.busy / refNet
 	normJIO := jIO / float64(j.Nodes) / refIO
 	normJNet := jNet / float64(j.Nodes) / refNet
 	return normCurIO*normJIO + normCurNet*normJNet

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"supremm/internal/workload"
@@ -139,5 +140,37 @@ func TestEASYStillWorksWithPolicyField(t *testing.T) {
 	started, _ := s.Step(2)
 	if len(started) != 1 || started[0].Job.ID != 3 {
 		t.Fatalf("EASY regression: %+v", started)
+	}
+}
+
+// TestComplementaryPolicyDeterministic: the complementary policy scores
+// candidates by sums over the running jobs, and those sums must not
+// depend on map order — one seeded workload scheduled twenty times gives
+// one accounting log.
+func TestComplementaryPolicyDeterministic(t *testing.T) {
+	run := func() []AcctRecord {
+		c := testCluster(t, 32)
+		gen := workload.DefaultGenConfig(c.Config, 7)
+		gen.HorizonMin = 30 * 24 * 60
+		jobs := workload.NewGenerator(gen).Generate()
+		s := New(c, 0)
+		s.Policy = PolicyComplementary
+		next := 0
+		for now := 0.0; now < gen.HorizonMin+7*24*60; now += 10 {
+			for ; next < len(jobs) && jobs[next].SubmitMin <= now; next++ {
+				s.Submit(jobs[next])
+			}
+			s.Step(now)
+		}
+		return s.Accounting()
+	}
+	want := run()
+	if len(want) < 100 {
+		t.Fatalf("only %d jobs finished: the workload does not exercise backfill", len(want))
+	}
+	for i := 1; i < 20; i++ {
+		if got := run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: the accounting differs from run 0's", i)
+		}
 	}
 }

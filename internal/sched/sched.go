@@ -62,8 +62,16 @@ func (s *Scheduler) Submit(j *workload.Job) { s.queue = append(s.queue, j) }
 // QueueLength reports the number of queued (not yet started) jobs.
 func (s *Scheduler) QueueLength() int { return len(s.queue) }
 
-// Running returns the currently running allocations (unordered map).
-func (s *Scheduler) Running() map[int64]*RunningJob { return s.running }
+// RunningByID returns the running allocations in job-ID order, the
+// order anything summed or scanned over them must take.
+func (s *Scheduler) RunningByID() []*RunningJob {
+	out := make([]*RunningJob, 0, len(s.running))
+	for _, rj := range s.running {
+		out = append(out, rj)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Job.ID < out[j].Job.ID })
+	return out
+}
 
 // Accounting returns all records emitted so far.
 func (s *Scheduler) Accounting() []AcctRecord { return s.acct }
@@ -156,6 +164,10 @@ func (s *Scheduler) startJobs(nowMin float64) []*RunningJob {
 		if len(scan) > s.MaxBackfillScan {
 			scan = scan[:s.MaxBackfillScan]
 		}
+		var load mixLoad
+		if s.Policy == PolicyComplementary {
+			load = s.runningLoad() // nothing starts until the scan ends
+		}
 		bestIdx := -1
 		bestScore := 0.0
 		for i, j := range scan {
@@ -171,7 +183,7 @@ func (s *Scheduler) startJobs(nowMin float64) []*RunningJob {
 				bestIdx = i
 				break
 			}
-			if score := s.complementScore(j); bestIdx < 0 || score < bestScore {
+			if score := load.complementScore(j); bestIdx < 0 || score < bestScore {
 				bestIdx, bestScore = i, score
 			}
 		}
@@ -197,10 +209,11 @@ func (s *Scheduler) shadow(head *workload.Job, nowMin float64, idleNow int) (sha
 		nodes int
 	}
 	rels := make([]rel, 0, len(s.running))
-	for _, rj := range s.running {
+	for _, rj := range s.RunningByID() {
 		rels = append(rels, rel{rj.EndMin, len(rj.Nodes)})
 	}
-	sort.Slice(rels, func(i, j int) bool { return rels[i].end < rels[j].end })
+	// Jobs ending together release their nodes in job-ID order.
+	sort.SliceStable(rels, func(i, j int) bool { return rels[i].end < rels[j].end })
 	avail := idleNow
 	for _, r := range rels {
 		if avail >= head.Nodes {

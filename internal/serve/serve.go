@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -32,9 +31,6 @@ type Config struct {
 	// quality.json, and jobs.supremm / jobs.jsonl, which only shard
 	// repair reads.
 	DataDir string
-	// Workers bounds the aggregation fan-out; 0 means GOMAXPROCS. The
-	// worker count never changes results (store.AggregateParallelCtx).
-	Workers int
 	// CacheSize caps the query-result cache entries of one generation
 	// (each starts with an empty cache); 0 means the default (1024),
 	// negative disables caching.
@@ -114,7 +110,6 @@ const (
 // requests.
 type Server struct {
 	cfg        Config
-	workers    int
 	mux        *http.ServeMux
 	snap       atomic.Pointer[Snapshot]
 	met        *Metrics
@@ -128,10 +123,7 @@ type Server struct {
 // New loads the initial snapshot from cfg.DataDir and puts the endpoint
 // table behind the mux.
 func New(cfg Config) (*Server, error) {
-	s := &Server{cfg: cfg, workers: cfg.Workers, met: newMetrics()}
-	if s.workers <= 0 {
-		s.workers = runtime.GOMAXPROCS(0)
-	}
+	s := &Server{cfg: cfg, met: newMetrics()}
 	size := cfg.CacheSize
 	if size == 0 {
 		size = defaultCacheSize
@@ -352,7 +344,7 @@ func (s *Server) aggregate(ctx context.Context, snap *Snapshot, p Params) (int, 
 		return http.StatusBadRequest, nil, errors.New("parameter metric is required")
 	}
 	f := realmFilter(snap, p.Filter)
-	agg, err := snap.Realm.Store.AggregateParallelCtx(ctx, p.Metric, f, s.workers)
+	agg, err := snap.Realm.Store.AggregateParallelCtx(ctx, p.Metric, f, 1)
 	if err != nil {
 		return http.StatusInternalServerError, nil, err
 	}

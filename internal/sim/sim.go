@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"supremm/internal/cluster"
 	"supremm/internal/eventlog"
@@ -230,7 +229,7 @@ func (e *engine) step(now float64) error {
 	// Evolve all running jobs by one step and record their usage.
 	dtMin := e.cfg.StepMin
 	sampleUnix := e.cfg.EpochUnix + int64((now+dtMin)*60)
-	running := e.sortedRunning()
+	running := e.sched.RunningByID()
 	sys := store.SystemSample{
 		Time:        sampleUnix,
 		ActiveNodes: e.clu.ActiveNodes(),
@@ -278,18 +277,6 @@ func (e *engine) step(now float64) error {
 		e.sampleMonitors(now+dtMin, running)
 	}
 	return nil
-}
-
-// sortedRunning returns running allocations in job-ID order for
-// determinism.
-func (e *engine) sortedRunning() []*sched.RunningJob {
-	m := e.sched.Running()
-	out := make([]*sched.RunningJob, 0, len(m))
-	for _, rj := range m {
-		out = append(out, rj)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Job.ID < out[j].Job.ID })
-	return out
 }
 
 // submitDue feeds the scheduler every job whose submit time has come.
@@ -358,7 +345,7 @@ func (e *engine) finalize(rj *sched.RunningJob, endMin float64, status workload.
 
 // finish drains still-running jobs at the horizon.
 func (e *engine) finish(endMin float64) {
-	running := e.sortedRunning()
+	running := e.sched.RunningByID()
 	for _, rj := range running {
 		e.sched.KillJob(rj.Job.ID, endMin, rj.Job.Status)
 		if err := e.finalize(rj, endMin, rj.Job.Status); err != nil {

@@ -272,9 +272,8 @@ func selWeights(sel Selection) []float64 {
 
 // equivStore builds a store exercising the tricky aggregation inputs:
 // NaN metric values, zero-sample jobs, zero-node-hour jobs (end ==
-// start), negative values and negative zeros, enough rows to cross
-// parallelMinRows, and enough distinct strings to stress the
-// dictionaries.
+// start), negative values and negative zeros, and enough distinct
+// strings to stress the dictionaries.
 func equivStore(n int) *Store {
 	st := New()
 	apps := []string{"namd", "amber", "gromacs", "wrf", "hpl", "charmm", "vasp"}
@@ -388,8 +387,8 @@ func TestColumnarSelectEquivalence(t *testing.T) {
 }
 
 // TestAggregateParallelWorkerInvariance re-pins the daemon's core
-// determinism property: any worker count, same bits — on a split large
-// enough that the partitions really fan out.
+// determinism property: AggregateParallelCtx ignores its worker count,
+// so no value of it moves a bit.
 func TestAggregateParallelWorkerInvariance(t *testing.T) {
 	st := equivStore(20_000)
 	ss := NewShardSet(splitParts(st, []int{1, 900, 4100, 9000, 9001, 15_000, 19_990}))

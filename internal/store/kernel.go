@@ -4,8 +4,6 @@ import (
 	"context"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // The query engine (DESIGN.md §11, §14.3): one kernel per Reader method,
@@ -19,9 +17,9 @@ import (
 // sum: each partition folds its selected rows serially, in row order,
 // into a partial of its own, and the partials are added in partition
 // order — so a sum depends on the rows and on where they are cut, and
-// on nothing else (not the worker count, not the index, not the filter
-// shape, not whether the shard remembered its partial or folded it just
-// now: memo.go). One partition's sum is the plain running sum.
+// on nothing else (not the index, not the filter shape, not whether the
+// shard remembered its partial or folded it just now: memo.go). One
+// partition's sum is the plain running sum.
 
 // partUse says how one kernel call got a partition's share of its
 // answer, the three ways ShardSet.PartitionUse counts.
@@ -37,11 +35,12 @@ const (
 // shardSel is one partition's selection with its place in the global
 // selected sequence: end counts the selected rows of this and every
 // earlier partition, so the partition's rows sit at [end-len(), end).
-// memo is non-nil when the rows are one of the shard's whole
-// populations: its sums are then the memo's to give.
+// Its sums come only through the seam in memo.go; memo is non-nil when
+// the rows are one of the shard's whole populations.
 type shardSel struct {
 	rowSet
 	end  int
+	st   *Store
 	memo *popMemo
 	use  partUse
 }
@@ -65,6 +64,7 @@ func (ss *ShardSet) selectParts(f Filter) []shardSel {
 		if sh.st.canMatch(f) {
 			sel[i] = sh.selectSet(f)
 		}
+		sel[i].st = sh.st
 		end += sel[i].len()
 		sel[i].end = end
 	}
@@ -105,12 +105,11 @@ func (ss *ShardSet) selectRows(f Filter) []int {
 	}
 	out := make([]int, 0, selTotal(sel))
 	base := 0
-	for i, sh := range ss.shards {
-		rs := sel[i].rowSet
-		for j, n := 0, rs.len(); j < n; j++ {
-			out = append(out, base+rs.row(j))
+	for _, s := range sel {
+		for j, n := 0, s.len(); j < n; j++ {
+			out = append(out, base+s.row(j))
 		}
-		base += sh.st.Len()
+		base += s.st.Len()
 	}
 	return out
 }
@@ -120,10 +119,7 @@ func (ss *ShardSet) selectRows(f Filter) []int {
 // Scan answers any number of questions about the same job population —
 // Len, NodeHours, one Values slice per metric, Records, or a Walk over
 // the columns themselves.
-type Selection struct {
-	parts []*Shard
-	sel   []shardSel
-}
+type Selection struct{ sel []shardSel }
 
 // Rows is one partition's selected row ids, ascending.
 type Rows struct{ rs rowSet }
@@ -146,9 +142,9 @@ func (s Selection) Len() int { return selTotal(s.sel) }
 // keeps a column-reading analysis bit-identical to the row loop it
 // replaces, for any shard split.
 func (s Selection) Walk(fn func(c *Columns, rows Rows)) {
-	for i, sh := range s.parts {
-		if s.sel[i].len() > 0 {
-			fn(&sh.st.c, Rows{s.sel[i].rowSet})
+	for _, p := range s.sel {
+		if p.len() > 0 {
+			fn(&p.st.c, Rows{p.rowSet})
 		}
 	}
 }
@@ -161,15 +157,14 @@ func (s Selection) Values(m Metric) []float64 {
 		return nil
 	}
 	vals := make([]float64, s.Len())
-	for i, sh := range s.parts {
-		rs := s.sel[i].rowSet
-		col := sh.st.col(m)
-		v := vals[s.sel[i].end-rs.len() : s.sel[i].end]
-		if rs.all {
-			copy(v, col[:rs.n])
+	for _, p := range s.sel {
+		col := p.st.col(m)
+		v := vals[p.end-p.len() : p.end]
+		if p.all {
+			copy(v, col[:p.n])
 			continue
 		}
-		for j, r := range rs.idx {
+		for j, r := range p.idx {
 			v[j] = col[r]
 		}
 	}
@@ -177,33 +172,27 @@ func (s Selection) Values(m Metric) []float64 {
 }
 
 // NodeHours sums the §4.1 node-hour weights of the selected rows.
-func (s Selection) NodeHours() float64 { return sumWeights(s.parts, s.sel) }
+func (s Selection) NodeHours() float64 { return sumWeights(s.sel) }
 
 // Records materializes the selected rows, in global row order — the one
 // exported place a selection becomes JobRecords (export, CLI tools,
 // tests); analyses read the columns through Walk or Values instead.
 func (s Selection) Records() []JobRecord {
 	out := make([]JobRecord, 0, s.Len())
-	for i, sh := range s.parts {
-		rs := s.sel[i].rowSet
-		for j, n := 0, rs.len(); j < n; j++ {
-			out = append(out, sh.st.Record(rs.row(j)))
+	for _, p := range s.sel {
+		for j, n := 0, p.len(); j < n; j++ {
+			out = append(out, p.st.Record(p.row(j)))
 		}
 	}
 	return out
 }
 
 // sumWeights adds the selection's node-hour weights: a running sum per
-// partition in row order (remembered for a whole population), the
-// partition sums added in partition order.
-func sumWeights(parts []*Shard, sel []shardSel) float64 {
+// partition in row order, the partition sums added in partition order.
+func sumWeights(sel []shardSel) float64 {
 	var total float64
-	for i, sh := range parts {
-		if sel[i].memo != nil {
-			total += sel[i].weightSum(sh.st)
-		} else {
-			total += weightRun(sh.st.c.weight, sel[i].rowSet)
-		}
+	for i := range sel {
+		total += sel[i].nodeHours()
 	}
 	return total
 }
@@ -300,62 +289,40 @@ func emptyAgg() Agg {
 	return Agg{Mean: nan, StdDev: nan, Min: nan, Max: nan, UnweightedMean: nan}
 }
 
-// parallelMinRows is the selection size below which the aggregate runs
-// on the calling goroutine whatever workers says: starting goroutines
-// costs more than summing a few thousand rows.
-const parallelMinRows = 4096
-
 // aggregate is the aggregate kernel, the only one: the
 // node-hour-weighted aggregate of metric m over the filtered rows. Each
-// partition sums its selected rows into its own partial (sumRun — once
-// per shard for a whole population, which the shard then remembers),
-// the partials merge in partition order, and the second pass does the
-// same for the squared deviations from the merged mean, over the rows
-// every time: its terms depend on the request's mean. Partitions fan
-// out over up to workers goroutines when the selection is large; every
-// partition writes only its own slot and the merge is serial, so the
-// bits do not depend on workers.
+// partition's partial (sumRun over its selected rows — once per shard
+// for a whole population, which the shard then remembers) merges in
+// partition order, and the second pass does the same for the squared
+// deviations from the merged mean, over the rows every time: its terms
+// depend on the request's mean. It runs on the calling goroutine: the
+// daemon's requests already keep every core busy, and a fan-out over
+// the partitions measured no faster (DESIGN.md §11).
 //
 // Cancellation is cooperative: ctx is checked between partitions, so a
-// fired ctx stops the work within one partition per worker and the call
-// returns ctx's error, never a half-summed Agg. A nil ctx never
-// cancels.
-func (ss *ShardSet) aggregate(ctx context.Context, m Metric, f Filter, workers int) (Agg, error) {
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	parts, sel := ss.shards, ss.selectParts(f)
+// fired ctx stops the work within one partition and the call returns
+// ctx's error, never a half-summed Agg. A nil ctx never cancels.
+func (ss *ShardSet) aggregate(ctx context.Context, m Metric, f Filter) (Agg, error) {
+	sel := ss.selectParts(f)
 	defer ss.tally(sel)
 	n := selTotal(sel)
 	if n == 0 {
 		return emptyAgg(), nil
 	}
-	if n < parallelMinRows {
-		workers = 1
-	}
 	// A time window selects a run of adjacent day partitions; only the
 	// run is visited (n > 0: some partition holds a selected row).
 	for sel[0].len() == 0 {
-		parts, sel = parts[1:], sel[1:]
+		sel = sel[1:]
 	}
 	for sel[len(sel)-1].len() == 0 {
-		parts, sel = parts[:len(parts)-1], sel[:len(sel)-1]
+		sel = sel[:len(sel)-1]
 	}
-	partials := make([]aggPartial, len(parts))
-	runChunks(done, len(parts), workers, func(i int) {
-		st, s := parts[i].st, &sel[i]
-		if s.memo != nil {
-			partials[i] = s.partial(st, m)
-			return
-		}
-		partials[i] = newPartial()
-		if s.len() > 0 {
-			sumRun(&partials[i], st.col(m), st.c.weight, s.rowSet)
-		}
-	})
 	total := newPartial()
-	for _, p := range partials {
+	for i := range sel {
+		if cancelled(ctx) {
+			return Agg{}, ctx.Err()
+		}
+		p := sel[i].partial(m)
 		total.sw += p.sw
 		total.swx += p.swx
 		total.plain += p.plain
@@ -376,24 +343,29 @@ func (ss *ShardSet) aggregate(ctx context.Context, m Metric, f Filter, workers i
 	if total.sw != 0 {
 		mean := total.swx / total.sw
 		agg.Mean = mean
-		runChunks(done, len(parts), workers, func(i int) {
-			if sel[i].len() > 0 {
-				partials[i].ss = devRun(mean, parts[i].st.col(m), parts[i].st.c.weight, sel[i].rowSet)
-			}
-		})
 		var dev float64
-		for _, p := range partials {
-			dev += p.ss
+		for _, s := range sel {
+			if cancelled(ctx) {
+				return Agg{}, ctx.Err()
+			}
+			dev += devRun(mean, s.st.col(m), s.st.c.weight, s.rowSet)
 		}
 		agg.StdDev = math.Sqrt(dev / total.sw)
 	}
-	// A fired ctx may have skipped partitions: the partials are meaningless.
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return Agg{}, err
-		}
-	}
 	return agg, nil
+}
+
+// cancelled reports whether ctx has fired; a nil ctx never does.
+func cancelled(ctx context.Context) bool {
+	if ctx == nil {
+		return false
+	}
+	select {
+	case <-ctx.Done():
+		return true
+	default:
+		return false
+	}
 }
 
 // groupSums holds group-by sums for a run of slots — one partition's
@@ -430,91 +402,49 @@ func (g groupSums) column(j, n int) []float64 {
 // that took a row merge into their keys' totals, in partition order, at
 // one map lookup per (partition, key).
 func (ss *ShardSet) groupRows(k GroupKey, metrics []Metric, f Filter) []Group {
-	parts, sel := ss.shards, ss.selectParts(f)
+	sel := ss.selectParts(f)
 	defer ss.tally(sel)
-	if len(parts) > 0 && parts[0].st.c.KeyColumn(k) == nil {
-		return groupAll(parts, sel, metrics)
+	if len(sel) > 0 && sel[0].st.c.KeyColumn(k) == nil {
+		return groupAll(sel, metrics)
 	}
 	stride := 1 + len(metrics)
 	codes := 0 // the largest dictionary among the partitions holding a selected row
-	for pi, sh := range parts {
-		if sel[pi].len() > 0 {
-			codes = max(codes, len(sh.st.c.KeyColumn(k).Values))
+	for _, s := range sel {
+		if s.len() > 0 {
+			codes = max(codes, len(s.st.c.KeyColumn(k).Values))
 		}
 	}
 	total := groupSums{stride, make([]int, 0, codes), make([]float64, 0, codes*stride)}
 	keys := make([]string, 0, codes)
 	slotOf := make(map[string]int, codes)
-	// add merges one code's partition sums l into its key's total.
-	add := func(key string, n int, l []float64) {
-		if s, ok := slotOf[key]; ok {
-			total.n[s] += n
-			t := total.at(s)
-			for j, x := range l {
-				t[j] += x
-			}
-		} else {
-			// A key's first partial is its total so far.
-			slotOf[key] = len(keys)
-			keys = append(keys, key)
-			total.n = append(total.n, n)
-			total.sums = append(total.sums, l...)
-		}
-	}
-	// local is all zero between partitions: merging a code clears it.
-	local := newGroupSums(stride, codes)
-	cols := make([][]float64, 2*len(metrics))
-	cols, swx := cols[:len(metrics)], cols[len(metrics):] // metric columns to fold; remembered sums by code
-	gathered := make([]float64, stride)                   // one code's remembered sums
-	for pi, sh := range parts {
-		s := &sel[pi]
+	sc := newGroupScratch(len(metrics), codes)
+	l := make([]float64, stride) // one code's partition sums
+	for i := range sel {
+		s := &sel[i]
 		if s.len() == 0 {
 			continue
 		}
-		st := sh.st
-		kc := st.c.KeyColumn(k)
-		// merge adds one code's sums in local to its key's total and
-		// clears them.
-		merge := func(code uint32) {
-			if n := local.n[code]; n != 0 {
-				l := local.at(int(code))
-				add(kc.Values[code], n, l)
-				local.n[code] = 0
-				clear(l)
+		part := s.groups(k, metrics, &sc)
+		values := s.st.c.KeyColumn(k).Values
+		for _, code := range part.codes {
+			at := int(code) * part.stride
+			for j, col := range part.sums {
+				l[j] = col[at]
 			}
-		}
-		if s.memo != nil {
-			ns, sw, folded := s.groupSlots(st, k, metrics, local, cols, swx)
-			if folded {
-				// First touch: what was just folded and remembered is
-				// still in local. A whole population touches most of
-				// the dictionary, so sweep it.
-				for code := range kc.Values {
-					merge(uint32(code))
+			n, key := part.n[code], values[code]
+			if ks, ok := slotOf[key]; ok {
+				total.n[ks] += n
+				t := total.at(ks)
+				for j, x := range l {
+					t[j] += x
 				}
-				continue
+			} else {
+				// A key's first partial is its total so far.
+				slotOf[key] = len(keys)
+				keys = append(keys, key)
+				total.n = append(total.n, n)
+				total.sums = append(total.sums, l...)
 			}
-			for code, n := range ns {
-				if n == 0 {
-					continue // a value no row of the population carries
-				}
-				gathered[0] = sw[code]
-				for j, sums := range swx {
-					gathered[1+j] = sums[code]
-				}
-				add(kc.Values[code], n, gathered)
-			}
-			continue
-		}
-		for j, m := range metrics {
-			cols[j] = st.col(m)
-		}
-		groupRun(local, kc.Codes, s.rowSet, st.c.weight, cols)
-		// Visit the touched codes through the row ids, not by sweeping
-		// the whole dictionary for a handful of rows: a code merges on
-		// first sight.
-		for _, r := range s.idx {
-			merge(kc.Codes[r])
 		}
 	}
 	out := make([]Group, len(keys))
@@ -562,79 +492,17 @@ func groupRun(g groupSums, codes []uint32, rs rowSet, weight []float64, cols [][
 // groupAll handles an out-of-range GroupKey: every selected row lands
 // in the "" bucket, whose sums per metric are the aggregate's first
 // pass.
-func groupAll(parts []*Shard, sel []shardSel, metrics []Metric) []Group {
+func groupAll(sel []shardSel, metrics []Metric) []Group {
 	if selTotal(sel) == 0 {
 		return []Group{}
 	}
 	swx := make([]float64, len(metrics))
 	for j, m := range metrics {
-		for i, sh := range parts {
-			s := &sel[i]
-			switch {
-			case s.len() == 0:
-			case s.memo != nil:
-				swx[j] += s.partial(sh.st, m).swx
-			default:
-				p := newPartial()
-				sumRun(&p, sh.st.col(m), sh.st.c.weight, s.rowSet)
-				swx[j] += p.swx
+		for i := range sel {
+			if sel[i].len() > 0 {
+				swx[j] += sel[i].partial(m).swx
 			}
 		}
 	}
-	return []Group{newGroup("", selTotal(sel), sumWeights(parts, sel), swx, metrics)}
-}
-
-// runChunks executes fn(c) for every chunk index, on up to workers
-// goroutines. Chunk assignment is work-stealing (atomic counter) but
-// since each chunk writes only its own slot, the outcome is
-// deterministic regardless of scheduling. A non-nil done channel is
-// polled between chunks: once it fires, no further chunks start
-// (chunks already running finish), so a cancelled aggregation stops
-// within one chunk's worth of work per worker.
-func runChunks(done <-chan struct{}, chunks, workers int, fn func(c int)) {
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		for c := 0; c < chunks; c++ {
-			if chunkCancelled(done) {
-				return
-			}
-			fn(c)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if chunkCancelled(done) {
-					return
-				}
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				fn(c)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// chunkCancelled reports whether done has fired; a nil done never
-// cancels and costs only a nil check.
-func chunkCancelled(done <-chan struct{}) bool {
-	if done == nil {
-		return false
-	}
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
+	return []Group{newGroup("", selTotal(sel), sumWeights(sel), swx, metrics)}
 }

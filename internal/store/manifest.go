@@ -417,7 +417,7 @@ func LoadShardsDegraded(dir string, entries []ShardInfo, prev *ShardSet, open Op
 		work = append(work, i)
 	}
 	errs := make([]error, len(work))
-	runChunks(nil, len(work), runtime.GOMAXPROCS(0), func(c int) {
+	runChunks(len(work), runtime.GOMAXPROCS(0), func(c int) {
 		i := work[c]
 		shards[i], errs[c] = loadShard(dir, entries[i], open)
 	})

@@ -190,3 +190,73 @@ func TestMemoLiveSize(t *testing.T) {
 		t.Errorf("the memo keeps %.2f MB alive, want <= 6 MB", live)
 	}
 }
+
+// TestMemoFillPanicRetries: a memo fill that panics leaves its slot
+// empty, for the next caller to fill, instead of remembering whatever
+// the fill had got to. Each case cuts one column of one shard short, so
+// that the first fill of one kind of slot index-panics; restores it; and
+// asks again, twice (the first retry may fill the slot, the second
+// reads it): both must answer what a fresh set answers, bit for bit.
+func TestMemoFillPanicRetries(t *testing.T) {
+	cols := historyParts(t, 3000, 4)
+	metrics := []Metric{MetricCPUIdle}
+	cases := []struct {
+		name string
+		cut  func(c *Columns) (restore func())
+		warm func(ss *ShardSet) // fills what the case does not cut
+		ask  func(ss *ShardSet) any
+	}{
+		{"sampled rows", func(c *Columns) func() { return cutShort(&c.Samples) }, nil,
+			func(ss *ShardSet) any {
+				sel := ss.Scan(Filter{MinSamples: 1})
+				return []any{sel.Len(), sel.Values(MetricFlops)}
+			}},
+		{"node-hour total", func(c *Columns) func() { return cutShort(&c.weight) }, nil,
+			func(ss *ShardSet) any { return ss.Scan(Filter{}).NodeHours() }},
+		{"aggregate partial", func(c *Columns) func() { return cutShort(&c.Metrics[MetricPos(MetricCPUIdle)]) }, nil,
+			func(ss *ShardSet) any { return ss.Aggregate(MetricCPUIdle, Filter{}) }},
+		{"group base", func(c *Columns) func() { return cutShort(&c.App.Codes) }, nil,
+			func(ss *ShardSet) any { return ss.GroupBy(ByApp, metrics, Filter{}) }},
+		{"group metric sums", func(c *Columns) func() { return cutShort(&c.Metrics[MetricPos(MetricFlops)]) },
+			func(ss *ShardSet) { ss.GroupBy(ByApp, metrics, Filter{}) },
+			func(ss *ShardSet) any { return ss.GroupBy(ByApp, []Metric{MetricFlops}, Filter{}) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ss := NewShardSet(cols)
+			if tc.warm != nil {
+				tc.warm(ss)
+			}
+			restore := tc.cut(&ss.ShardAt(1).st.c)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("the cut column did not make the fill panic")
+					}
+				}()
+				tc.ask(ss)
+			}()
+			restore()
+			want := fmt.Sprint(tc.ask(NewShardSet(cols)))
+			for retry := 1; retry <= 2; retry++ {
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Fatalf("retry %d after the panicked fill: %v", retry, p)
+						}
+					}()
+					if got := fmt.Sprint(tc.ask(ss)); got != want {
+						t.Errorf("retry %d after a panicked fill:\n got %.200s\nwant %.200s", retry, got, want)
+					}
+				}()
+			}
+		})
+	}
+}
+
+// cutShort shortens a column to one row and returns what restores it.
+func cutShort[T any](col *[]T) (restore func()) {
+	saved := *col
+	*col = saved[:1:1]
+	return func() { *col = saved }
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -22,8 +23,7 @@ import (
 // order, so sums follow the split in the last ulps (N, Min and Max
 // never move) — and everything that serves queries holds the same
 // split, the job-end day shards of the manifest. The two aggregate
-// entry points return the same bits; the Ctx one adds cancellation and a
-// worker count that only schedules.
+// entry points return the same bits; the Ctx one adds cancellation.
 type Reader interface {
 	Len() int
 	Scan(f Filter) Selection
@@ -47,9 +47,9 @@ var _ Reader = (*ShardSet)(nil)
 // shard is never mutated — incremental reload shares shard pointers
 // across snapshot generations, so any write after publication would be
 // a data race with the generation still serving. The one thing that
-// grows after publication is memo, every slot of it written once under
-// its own sync.Once: what the shard remembers about its whole
-// populations (memo.go). st is reachable from nowhere else, so nothing
+// grows after publication is memo, every slot of it filled once under
+// its own lock: what the shard remembers about its whole populations
+// (memo.go). st is reachable from nowhere else, so nothing
 // can Add to rows a memo describes.
 type Shard struct {
 	info ShardInfo
@@ -190,7 +190,7 @@ func (ss *ShardSet) Len() int { return ss.rows }
 // Must not run concurrently with queries against this set (the serve
 // layer indexes before publishing a snapshot).
 func (ss *ShardSet) BuildIndex() {
-	runChunks(nil, len(ss.shards), runtime.GOMAXPROCS(0), func(i int) {
+	runChunks(len(ss.shards), runtime.GOMAXPROCS(0), func(i int) {
 		if !ss.shards[i].st.HasIndex() {
 			ss.shards[i].st.BuildIndex()
 		}
@@ -205,7 +205,7 @@ func (ss *ShardSet) HasIndex() bool { return ss.built }
 func (ss *ShardSet) Scan(f Filter) Selection {
 	sel := ss.selectParts(f)
 	ss.tally(sel)
-	return Selection{parts: ss.shards, sel: sel}
+	return Selection{sel}
 }
 
 // Select returns the global row indices passing the filter, ascending.
@@ -219,19 +219,44 @@ func (ss *ShardSet) Values(m Metric, f Filter) []float64 { return ss.Scan(f).Val
 // Aggregate computes the node-hour-weighted aggregate of metric m over
 // the filtered rows: per-shard serial sums merged in shard order.
 func (ss *ShardSet) Aggregate(m Metric, f Filter) Agg {
-	agg, _ := ss.aggregate(nil, m, f, 1) // a nil ctx never fails
+	agg, _ := ss.aggregate(nil, m, f) // a nil ctx never fails
 	return agg
 }
 
-// AggregateParallelCtx is Aggregate with the shards fanned out over up
-// to workers goroutines, under a context: the same bits for any worker
-// count, or ctx's error once ctx fires (see aggregate).
-func (ss *ShardSet) AggregateParallelCtx(ctx context.Context, m Metric, f Filter, workers int) (Agg, error) {
-	return ss.aggregate(ctx, m, f, workers)
+// AggregateParallelCtx is Aggregate under a context: the same bits, or
+// ctx's error once ctx fires (see aggregate). workers is ignored; the
+// name and signature stay because the frozen benchmark calls them.
+func (ss *ShardSet) AggregateParallelCtx(ctx context.Context, m Metric, f Filter, _ int) (Agg, error) {
+	return ss.aggregate(ctx, m, f)
 }
 
 // GroupBy computes node-hour-weighted means per group over the
 // filtered rows, sorted by descending node-hours.
 func (ss *ShardSet) GroupBy(k GroupKey, metrics []Metric, f Filter) []Group {
 	return ss.groupRows(k, metrics, f)
+}
+
+// runChunks executes fn(c) for every chunk index, on up to workers
+// goroutines. Chunk assignment is work-stealing (atomic counter) but
+// since each chunk writes only its own slot, the outcome is
+// deterministic regardless of scheduling.
+func runChunks(chunks, workers int, fn func(c int)) {
+	if workers = min(workers, chunks); workers <= 1 {
+		for c := 0; c < chunks; c++ {
+			fn(c)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
+				fn(c)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"sync/atomic"
 	"testing"
 )
 
@@ -127,9 +126,12 @@ func checkFilters(t *testing.T, label string, r Reader, ref *Store, cuts []int, 
 					fail(fmt.Sprintf("GroupBy key %d", k))
 				}
 			}
-			// One metric, and the same one twice: a request is assembled
-			// from per-metric slots.
-			for _, ms := range [][]Metric{metrics[2:3], {metrics[0], metrics[0]}} {
+			// A metric whose slot is empty beside one already filled,
+			// under a key whose base is filled (the mixed first touch, on
+			// a cold set); one metric; the same one twice: a request is
+			// assembled from per-metric slots.
+			last := metrics[len(metrics)-1]
+			for _, ms := range [][]Metric{{last, metrics[0]}, metrics[2:3], {metrics[0], metrics[0]}} {
 				if got := r.GroupBy(ByUser, ms, f); !groupsBitsEqual(got, ref.baselineGroupBy(ByUser, ms, f, cuts...)) {
 					fail(fmt.Sprintf("GroupBy user %v", ms))
 				}
@@ -190,8 +192,7 @@ func checkFilters(t *testing.T, label string, r Reader, ref *Store, cuts []int, 
 			if got := r.Aggregate(m, f); !aggBitsEqual(got, want) {
 				fail("Aggregate " + string(m))
 			}
-			// One kernel behind both entry points: the worker count only
-			// decides who sums which partition.
+			// One kernel behind both entry points, whatever workers says.
 			for _, w := range []int{1, 2, 7} {
 				if got := aggParallel(r, m, f, w); !aggBitsEqual(got, want) {
 					fail(fmt.Sprintf("AggregateParallelCtx %s workers=%d", m, w))
@@ -465,8 +466,8 @@ func TestSplitMovesOnlyLastUlps(t *testing.T) {
 
 // TestShardAggregateCtxCancel: a cancelled context aborts the
 // cross-shard aggregation with ctx's error and the zero Agg — before
-// the run, or in the middle of it, where the scheduler stops within one
-// shard per worker.
+// the run, or in the middle of it, where the kernel stops within one
+// shard.
 func TestShardAggregateCtxCancel(t *testing.T) {
 	st := equivStore(3000)
 	_, cols := st.partitionByEndDay()
@@ -477,27 +478,25 @@ func TestShardAggregateCtxCancel(t *testing.T) {
 		t.Errorf("cancelled context: %+v, %v; want the zero Agg and context.Canceled", got, err)
 	}
 
-	// Mid-run, at the scheduler: once done fires during the tenth shard,
-	// every worker finishes at most the shard it holds.
-	for _, workers := range []int{1, 2, 4} {
-		done := make(chan struct{})
-		var calls atomic.Int64
-		runChunks(done, 1000, workers, func(int) {
-			if calls.Add(1) == 10 {
-				close(done)
-			}
-		})
-		if n := calls.Load(); n < 10 || n > 10+int64(workers) {
-			t.Errorf("workers=%d: %d shards ran after a cancel during the 10th", workers, n)
-		}
-	}
-
-	// Mid-run, end to end: a cancel racing the kernel yields the whole
-	// answer or ctx's error, never a half-summed Agg.
+	// Mid-run, at the kernel: a ctx that fires while the tenth shard is
+	// summed lets no further shard start. On a set nothing has queried,
+	// every shard the call summed is one it walked (a first touch).
 	many := make([]*Columns, 400)
 	for i := range many {
 		many[i] = cols[i%len(cols)]
 	}
+	cold := NewShardSet(many)
+	fires := &firesAt{Context: context.Background(), at: 11, closed: make(chan struct{})}
+	close(fires.closed)
+	if got, err := cold.AggregateParallelCtx(fires, MetricCPUIdle, Filter{}, 4); !errors.Is(err, context.Canceled) || got != (Agg{}) {
+		t.Errorf("ctx fired mid-run: %+v, %v; want the zero Agg and context.Canceled", got, err)
+	}
+	if walked := cold.PartitionUse().Walked; walked != 10 {
+		t.Errorf("%d shards were summed after a cancel during the 10th, want 10", walked)
+	}
+
+	// Mid-run, end to end: a cancel racing the kernel yields the whole
+	// answer or ctx's error, never a half-summed Agg.
 	wide := NewShardSet(many)
 	want := wide.Aggregate(MetricCPUIdle, Filter{})
 	for i := 0; i < 60; i++ {
@@ -512,4 +511,25 @@ func TestShardAggregateCtxCancel(t *testing.T) {
 			t.Fatalf("racing cancel: %+v, %v", got, err)
 		}
 	}
+}
+
+// firesAt is a context that fires at its at'th poll of Done.
+type firesAt struct {
+	context.Context
+	polls, at int
+	closed    chan struct{}
+}
+
+func (c *firesAt) Done() <-chan struct{} {
+	if c.polls++; c.polls >= c.at {
+		return c.closed
+	}
+	return nil
+}
+
+func (c *firesAt) Err() error {
+	if c.polls >= c.at {
+		return context.Canceled
+	}
+	return nil
 }
