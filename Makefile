@@ -129,9 +129,10 @@ bench-ingest:
 	$(GO) test -run '^$$' -bench 'BenchmarkParse|BenchmarkIngestRaw' -benchmem \
 		./internal/taccstats ./internal/ingest
 
-# Query-daemon aggregation benchmarks: store scan vs indexed/sharded,
-# HTTP cold vs cached; recorded in EXPERIMENTS.md. The indexed-vs-scan
-# ratio backs the >=5x acceptance criterion.
+# Query-daemon aggregation benchmarks: a selective and a broad store
+# aggregate, HTTP cold vs cached, and a shard's posting-list walk vs its
+# columnar scan of one compiled filter; recorded in EXPERIMENTS.md. The
+# walk/scan ratio is what TestIndexedSpeedupFloor holds at >=5x.
 bench-serve:
 	$(GO) test -run '^$$' -bench 'BenchmarkServeAggregate|BenchmarkStoreSelect' -benchmem \
 		./internal/serve ./internal/store
@@ -143,9 +144,10 @@ bench-serve:
 # 120 days (in-memory encode, streamed SaveBinary, a one-day
 # WriteShardDir append), the incremental shard reload vs a full load,
 # and the whole-shard time-prune win; recorded in EXPERIMENTS.md. The
-# decode / decode-jsonl ratio backs the >=5x decode, the kernel /
-# row-reference broad-scan ratio the >=2x, and the incremental/full
-# reload ratio the >=5x reload acceptance criteria.
+# decode / decode-jsonl ratio backs the >=5x decode and the kernel /
+# row-reference broad-scan ratio the >=2x acceptance criteria; the
+# incremental reload is pinned by bytes read, not by this ratio
+# (TestIncrementalReloadOpensOneShard).
 bench-store:
 	$(GO) test -run '^$$' -bench 'BenchmarkAggregateColumnar|BenchmarkColumnsCodec|BenchmarkEncodeColumns|BenchmarkSaveBinary|BenchmarkWriteShardDirAppend|BenchmarkIncrementalReload|BenchmarkShardPrune|BenchmarkShardMemo' -benchmem \
 		./internal/store ./internal/serve

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,6 +15,7 @@ import (
 	"testing"
 
 	"supremm/internal/cluster"
+	"supremm/internal/reference"
 	"supremm/internal/sched"
 	"supremm/internal/serve"
 	"supremm/internal/sim"
@@ -110,8 +110,8 @@ func askJobs(t *testing.T, srv *serve.Server) (got jobAnswers) {
 }
 
 // naiveJobs answers the same questions from the rows of dir's
-// jobs.jsonl with per-row loops: one serial sum per job-end day, the
-// day sums added in day order (DESIGN.md §11) — no store kernel.
+// jobs.jsonl through the naive reference (internal/reference), cut into
+// job-end days as the shards are — no store kernel.
 func naiveJobs(t *testing.T, dir string) (want jobAnswers) {
 	t.Helper()
 	f, err := os.Open(filepath.Join(dir, "jobs.jsonl"))
@@ -123,90 +123,28 @@ func naiveJobs(t *testing.T, dir string) (want jobAnswers) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byDay := map[int64][]store.JobRecord{}
-	for i := 0; i < st.Len(); i++ {
-		// The analysis population: the realm's cluster, jobs longer than
-		// one sampling interval.
-		if r := st.Record(i); r.Cluster == st.Record(0).Cluster && r.Samples >= 1 {
-			byDay[store.EpochDay(r.End)] = append(byDay[store.EpochDay(r.End)], r)
-		}
+	rows := make([]store.JobRecord, st.Len())
+	for i := range rows {
+		rows[i] = st.Record(i)
 	}
-	var days []int64
-	for d := range byDay {
-		days = append(days, d)
-	}
-	sort.Slice(days, func(i, j int) bool { return days[i] < days[j] })
+	parts := reference.ByEndDay(rows)
+	// The analysis population: the realm's cluster, jobs longer than one
+	// sampling interval.
+	pop := store.Filter{Cluster: rows[0].Cluster, MinSamples: 1}
 
 	want.Query.FleetMeans = map[string]float64{}
 	for i, m := range sweepMetrics {
-		a := aggAnswer{Min: math.Inf(1), Max: math.Inf(-1)}
-		var sw, swx, plain float64
-		for _, d := range days {
-			var dsw, dswx, dplain float64
-			for _, r := range byDay[d] {
-				w, v := r.NodeHours(), r.Value(m)
-				dsw, dswx, dplain = dsw+w, dswx+w*v, dplain+v
-				a.Min, a.Max = min(a.Min, v), max(a.Max, v)
-				a.N++
-			}
-			sw, swx, plain = sw+dsw, swx+dswx, plain+dplain
-		}
-		a.NodeHours, a.Mean, a.UnweightedMean = sw, swx/sw, plain/float64(a.N)
-		var ss float64
-		for _, d := range days {
-			var dss float64
-			for _, r := range byDay[d] {
-				dev := r.Value(m) - a.Mean
-				dss += r.NodeHours() * dev * dev
-			}
-			ss += dss
-		}
-		a.StdDev = math.Sqrt(ss / sw)
-		want.Agg[i] = a
+		a := parts.Aggregate(m, pop)
+		want.Agg[i] = aggAnswer{a.N, a.NodeHours, a.Mean, a.StdDev, a.Min, a.Max, a.UnweightedMean}
 		want.Query.FleetMeans[string(m)] = a.Mean
 	}
-
-	type sums struct {
-		n   int
-		sw  float64
-		swx [2]float64
-	}
-	total := map[string]*sums{}
-	for _, d := range days {
-		day := map[string]*sums{}
-		for _, r := range byDay[d] {
-			s := day[r.User]
-			if s == nil {
-				s = &sums{}
-				day[r.User] = s
-			}
-			s.n++
-			s.sw += r.NodeHours()
-			for k, m := range sweepMetrics {
-				s.swx[k] += r.NodeHours() * r.Value(m)
-			}
+	for _, g := range parts.GroupBy(store.ByUser, sweepMetrics[:], pop) {
+		mean := map[string]float64{}
+		for m, v := range g.Mean {
+			mean[string(m)] = v
 		}
-		for user, s := range day {
-			if tot := total[user]; tot != nil {
-				tot.n, tot.sw = tot.n+s.n, tot.sw+s.sw
-				tot.swx[0], tot.swx[1] = tot.swx[0]+s.swx[0], tot.swx[1]+s.swx[1]
-			} else {
-				total[user] = s
-			}
-		}
+		want.Query.Groups = append(want.Query.Groups, groupAnswer{g.Key, g.N, g.NodeHours, mean})
 	}
-	for user, s := range total {
-		want.Query.Groups = append(want.Query.Groups, groupAnswer{user, s.n, s.sw, map[string]float64{
-			string(sweepMetrics[0]): s.swx[0] / s.sw, string(sweepMetrics[1]): s.swx[1] / s.sw,
-		}})
-	}
-	sort.Slice(want.Query.Groups, func(i, j int) bool {
-		a, b := want.Query.Groups[i], want.Query.Groups[j]
-		if a.NodeHours != b.NodeHours {
-			return a.NodeHours > b.NodeHours
-		}
-		return a.Key < b.Key
-	})
 	return want
 }
 

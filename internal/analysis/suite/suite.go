@@ -82,8 +82,9 @@ func Analyzers() []Scoped {
 			// would silently truncate API replies, so internal/serve must
 			// check every write (failures feed its write_failures metric).
 			// internal/store joins the scope with the binary codec: a
-			// dropped SaveBinary write error would leave a torn
-			// jobs.supremm that every later daemon start trips over.
+			// dropped write error would leave a torn shard or manifest the
+			// next reload fails on, or a torn jobs.supremm that shard
+			// repair could not rebuild from.
 			Analyzer: errsink.Analyzer,
 			PkgMatch: func(pkgPath string) bool {
 				switch pkgPath {

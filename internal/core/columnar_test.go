@@ -234,8 +234,8 @@ func shardsOf(recs []store.JobRecord, n int) *store.ShardSet {
 // TestColumnarAnalysesMatchRowOracles holds the three whole-realm
 // analyses to their row-loop predecessors, and the one-pass profiles to
 // their aggregate-per-metric predecessor, bit for bit, on one shard
-// and on five, indexed and not, over a selection that is
-// every row, a scattered subset, and empty.
+// and on five, over a selection that is every row, a scattered subset,
+// and empty.
 func TestColumnarAnalysesMatchRowOracles(t *testing.T) {
 	ranger, _ := realms(t)
 	fixtures := map[string][]store.JobRecord{
@@ -253,37 +253,32 @@ func TestColumnarAnalysesMatchRowOracles(t *testing.T) {
 			"5-shards": func() store.Reader { return shardsOf(recs, 5) },
 		}
 		for backing, build := range backings {
-			for _, indexed := range []bool{false, true} {
-				st := build()
-				if indexed {
-					st.BuildIndex()
+			st := build()
+			r := NewRealm(ranger.Cluster, ranger.CoresPerNode, ranger.MemPerNodeGB, ranger.PeakTFlops, st, nil)
+			label := name + "/" + backing
+			check := func(what string, got, want any) {
+				t.Helper()
+				if !bitsEqual(reflect.ValueOf(got), reflect.ValueOf(want)) {
+					t.Errorf("%s: %s diverges from the row oracle\n got %+v\nwant %+v", label, what, got, want)
 				}
-				r := NewRealm(ranger.Cluster, ranger.CoresPerNode, ranger.MemPerNodeGB, ranger.PeakTFlops, st, nil)
-				label := fmt.Sprintf("%s/%s/indexed=%v", name, backing, indexed)
-				check := func(what string, got, want any) {
-					t.Helper()
-					if !bitsEqual(reflect.ValueOf(got), reflect.ValueOf(want)) {
-						t.Errorf("%s: %s diverges from the row oracle\n got %+v\nwant %+v", label, what, got, want)
-					}
-				}
-				check("Characterize", r.Characterize(), characterizeRows(r))
-				check("CPUHoursReport", r.CPUHoursReport(), cpuHoursRows(r))
-				for _, days := range []int{1, 7, 0} {
-					check(fmt.Sprintf("UsageByScienceOverTime(%d)", days), r.UsageByScienceOverTime(days), usageByScienceRows(r, days))
-				}
-				for _, user := range []string{"no-such-user", probe.User} {
-					f := r.JobFilter()
-					f.User = user
-					check("UserProfile "+user, r.UserProfile(user), profileByAggregates(r, user, f, store.KeyMetrics()))
-				}
-				for _, app := range []string{"namd", probe.App} {
-					f := r.JobFilter()
-					f.App = app
-					check("AppProfile "+app, r.AppProfile(app), profileByAggregates(r, app, f, store.KeyMetrics()))
-				}
-				if got, want := r.JobCount(), len(st.Scan(r.JobFilter()).Records()); got != want {
-					t.Errorf("%s: JobCount = %d, want %d", label, got, want)
-				}
+			}
+			check("Characterize", r.Characterize(), characterizeRows(r))
+			check("CPUHoursReport", r.CPUHoursReport(), cpuHoursRows(r))
+			for _, days := range []int{1, 7, 0} {
+				check(fmt.Sprintf("UsageByScienceOverTime(%d)", days), r.UsageByScienceOverTime(days), usageByScienceRows(r, days))
+			}
+			for _, user := range []string{"no-such-user", probe.User} {
+				f := r.JobFilter()
+				f.User = user
+				check("UserProfile "+user, r.UserProfile(user), profileByAggregates(r, user, f, store.KeyMetrics()))
+			}
+			for _, app := range []string{"namd", probe.App} {
+				f := r.JobFilter()
+				f.App = app
+				check("AppProfile "+app, r.AppProfile(app), profileByAggregates(r, app, f, store.KeyMetrics()))
+			}
+			if got, want := r.JobCount(), len(st.Scan(r.JobFilter()).Records()); got != want {
+				t.Errorf("%s: JobCount = %d, want %d", label, got, want)
 			}
 		}
 	}

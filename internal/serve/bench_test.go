@@ -12,8 +12,8 @@ import (
 )
 
 // benchStore builds a 100k-job store with 500 distinct users, so a
-// user filter is selective (~0.2% of rows) — the regime where the
-// posting-list index should beat the scan by a wide margin.
+// user filter is selective (~0.2% of rows): the regime the posting
+// lists serve.
 func benchStore(n int) *store.Store {
 	st := store.New()
 	apps := []string{"namd", "amber", "gromacs", "wrf", "hpl", "charmm"}
@@ -45,33 +45,24 @@ const benchJobs = 100_000
 var selectiveFilter = store.Filter{Cluster: "ranger", User: "u042", MinSamples: 1}
 
 // BenchmarkServeAggregate measures the aggregation path at both layers:
-// the store (scan vs index+shards) and the HTTP surface (cache-off vs
-// cache-on). bench-serve greps these names, and the indexed-vs-scan
-// ratio here backs the ≥5x acceptance criterion.
+// the store (a selective and a broad filter over the one-shard set) and
+// the HTTP surface (cache-off vs cache-on). bench-serve greps these
+// names; the posting-list floor itself is store's TestIndexedSpeedupFloor.
 func BenchmarkServeAggregate(b *testing.B) {
 	st := benchStore(benchJobs)
 	ss := st.AsSet()
 	workers := runtime.GOMAXPROCS(0)
 
-	b.Run("store-scan", func(b *testing.B) {
-		// Sequential full-table scan: the pre-index baseline.
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = ss.Aggregate(store.MetricFlops, selectiveFilter)
-		}
-	})
-
-	ss.BuildIndex()
-	b.Run("store-indexed", func(b *testing.B) {
+	b.Run("store-selective", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_, _ = ss.AggregateParallelCtx(context.Background(), store.MetricFlops, selectiveFilter, workers)
 		}
 	})
 
-	b.Run("store-indexed-broad", func(b *testing.B) {
-		// Unselective filter: every row matches, so the index cannot
-		// prune and the win comes only from sharded accumulation.
+	b.Run("store-broad", func(b *testing.B) {
+		// Unselective filter: every row matches, so the posting lists
+		// cannot narrow anything.
 		broad := store.Filter{Cluster: "ranger", MinSamples: 1}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -92,7 +83,7 @@ func BenchmarkServeAggregate(b *testing.B) {
 	}
 
 	b.Run("http-cold", func(b *testing.B) {
-		// Cache disabled: every request re-runs the indexed aggregate
+		// Cache disabled: every request re-runs the aggregate
 		// and re-marshals the body.
 		srv, err := New(Config{DataDir: dir, CacheSize: -1})
 		if err != nil {
@@ -117,32 +108,4 @@ func BenchmarkServeAggregate(b *testing.B) {
 			serveOnce(b, srv)
 		}
 	})
-}
-
-// TestIndexedSpeedupFloor is the executable form of the acceptance
-// criterion: on a 100k-job store, the indexed aggregate must be at
-// least 5x faster than the scan for a selective filter. Benchmarks
-// don't fail CI; this does. The bar is deliberately below the ~100x
-// typically measured, so scheduler noise can't flake it.
-func TestIndexedSpeedupFloor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("100k-row timing comparison in -short mode")
-	}
-	ss := benchStore(benchJobs).AsSet()
-	scan := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = ss.Aggregate(store.MetricFlops, selectiveFilter)
-		}
-	})
-	ss.BuildIndex()
-	indexed := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, _ = ss.AggregateParallelCtx(context.Background(), store.MetricFlops, selectiveFilter, runtime.GOMAXPROCS(0))
-		}
-	})
-	ratio := float64(scan.NsPerOp()) / float64(indexed.NsPerOp())
-	t.Logf("scan %v/op, indexed %v/op, speedup %.1fx", scan.NsPerOp(), indexed.NsPerOp(), ratio)
-	if ratio < 5 {
-		t.Errorf("indexed aggregate only %.1fx faster than scan, want >= 5x", ratio)
-	}
 }

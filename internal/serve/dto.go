@@ -248,6 +248,5 @@ type healthDTO struct {
 	Cluster    string `json:"cluster"`
 	Jobs       int    `json:"jobs"`
 	Series     int    `json:"series_samples"`
-	Indexed    bool   `json:"indexed"`
 	Shards     int    `json:"shards"`
 }

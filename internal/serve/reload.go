@@ -233,7 +233,7 @@ func (r *reloader) load(t *trip) {
 }
 
 // attempt reads the directory once into the generation after prev:
-// stamp, read, quality, stamp again, index.
+// stamp, read, quality, stamp again.
 func (r *reloader) attempt(t *trip, prev *Snapshot) (*Snapshot, error) {
 	fp, noted := DirFingerprint(r.dir), len(t.heals)
 	snap, err := r.read(t, prev)
@@ -257,9 +257,6 @@ func (r *reloader) attempt(t *trip, prev *Snapshot) (*Snapshot, error) {
 		snap.Gen = prev.Gen + 1
 	}
 	snap.cache = newCache(r.cacheSize)
-	// Shards adopted from prev carry their postings already, so an
-	// append indexes one day's rows.
-	snap.shards.BuildIndex()
 	return snap, nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -22,6 +21,7 @@ import (
 
 	"supremm/internal/core"
 	"supremm/internal/leakcheck"
+	"supremm/internal/reference"
 	"supremm/internal/store"
 )
 
@@ -233,12 +233,21 @@ func modelRow(day int64, j int) store.JobRecord {
 	return r
 }
 
-func (b batch) store() *store.Store {
-	st := store.New()
+// rows are b's rows in day order, each day's in row order.
+func (b batch) rows() []store.JobRecord {
+	var out []store.JobRecord
 	for _, d := range b.days() {
 		for j := 0; j < b[d]; j++ {
-			st.Add(modelRow(d, j))
+			out = append(out, modelRow(d, j))
 		}
+	}
+	return out
+}
+
+func (b batch) store() *store.Store {
+	st := store.New()
+	for _, r := range b.rows() {
+		st.Add(r)
 	}
 	return st
 }
@@ -275,121 +284,10 @@ func (b batch) manifest() []byte {
 	return store.EncodeManifest(entries)
 }
 
-// ---- the naive reference: per-row loops, one serial sum per end day,
-// the day sums added in day order (DESIGN.md §11) ----
-
-func naiveMatch(r *store.JobRecord, f store.Filter) bool {
-	return (f.Cluster == "" || r.Cluster == f.Cluster) && (f.User == "" || r.User == f.User) && r.Samples >= f.MinSamples
-}
-
-func naiveAggregate(b batch, m store.Metric, f store.Filter) store.Agg {
-	nan := math.NaN()
-	agg := store.Agg{Mean: nan, StdDev: nan, Min: math.Inf(1), Max: math.Inf(-1), UnweightedMean: nan}
-	var sw, swx, plain float64
-	for _, d := range b.days() {
-		var dsw, dswx, dplain float64
-		for j := 0; j < b[d]; j++ {
-			r := modelRow(d, j)
-			if !naiveMatch(&r, f) {
-				continue
-			}
-			w, v := r.NodeHours(), r.Value(m)
-			dsw, dswx, dplain = dsw+w, dswx+w*v, dplain+v
-			if v < agg.Min {
-				agg.Min = v
-			}
-			if v > agg.Max {
-				agg.Max = v
-			}
-			agg.N++
-		}
-		sw, swx, plain = sw+dsw, swx+dswx, plain+dplain
-	}
-	if agg.N == 0 {
-		agg.Min, agg.Max = nan, nan
-		return agg
-	}
-	agg.NodeHours, agg.UnweightedMean = sw, plain/float64(agg.N)
-	if sw == 0 {
-		return agg
-	}
-	agg.Mean = swx / sw
-	var ss float64
-	for _, d := range b.days() {
-		var dss float64
-		for j := 0; j < b[d]; j++ {
-			if r := modelRow(d, j); naiveMatch(&r, f) {
-				dev := r.Value(m) - agg.Mean
-				dss += r.NodeHours() * dev * dev
-			}
-		}
-		ss += dss
-	}
-	agg.StdDev = math.Sqrt(ss / sw)
-	return agg
-}
-
-func naiveGroupByUser(b batch, metrics []store.Metric, f store.Filter) []store.Group {
-	type sums struct {
-		n   int
-		sw  float64
-		swx []float64
-	}
-	total := map[string]*sums{}
-	for _, d := range b.days() {
-		day := map[string]*sums{}
-		for j := 0; j < b[d]; j++ {
-			r := modelRow(d, j)
-			if !naiveMatch(&r, f) {
-				continue
-			}
-			s := day[r.User]
-			if s == nil {
-				s = &sums{swx: make([]float64, len(metrics))}
-				day[r.User] = s
-			}
-			w := r.NodeHours()
-			s.n++
-			s.sw += w
-			for k, m := range metrics {
-				s.swx[k] += w * r.Value(m)
-			}
-		}
-		for user, s := range day {
-			t := total[user]
-			if t == nil {
-				total[user] = s
-				continue
-			}
-			t.n, t.sw = t.n+s.n, t.sw+s.sw
-			for k := range metrics {
-				t.swx[k] += s.swx[k]
-			}
-		}
-	}
-	out := make([]store.Group, 0, len(total))
-	for user, s := range total {
-		g := store.Group{Key: user, N: s.n, NodeHours: s.sw, Mean: map[store.Metric]float64{}}
-		for k, m := range metrics {
-			g.Mean[m] = math.NaN()
-			if s.sw > 0 {
-				g.Mean[m] = s.swx[k] / s.sw
-			}
-		}
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].NodeHours != out[j].NodeHours {
-			return out[i].NodeHours > out[j].NodeHours
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}
-
-// modelTargets are the data queries held to the naive reference after
-// every step: a whole-realm aggregate, a filtered one, and a group-by
-// with its fleet means.
+// modelTargets are the data queries held to the naive reference
+// (internal/reference, over the batch's day shards) after every step: a
+// whole-realm aggregate, a filtered one, and a group-by with its fleet
+// means.
 var modelTargets = []string{
 	"/api/v1/aggregate?metric=cpu_idle",
 	"/api/v1/aggregate?metric=mem_used&user=u02",
@@ -400,23 +298,24 @@ var modelTargets = []string{
 // rows of b.
 func naiveBodies(t *testing.T, b batch) [][]byte {
 	t.Helper()
+	parts := reference.ByEndDay(b.rows())
 	base := store.Filter{Cluster: "ranger", MinSamples: 1}
 	byUser := base
 	byUser.User = "u02"
 	metrics := []store.Metric{store.MetricCPUIdle, store.MetricFlops}
 	q := core.QueryResult{
 		Query:      core.Query{GroupBy: store.ByUser, Metrics: metrics, Filter: store.Filter{MinSamples: 1}, Limit: 3},
-		Groups:     naiveGroupByUser(b, metrics, base),
+		Groups:     parts.GroupBy(store.ByUser, metrics, base),
 		FleetMeans: map[store.Metric]float64{},
 	}
 	q.Groups = q.Groups[:min(3, len(q.Groups))]
 	for _, m := range metrics {
-		q.FleetMeans[m] = naiveAggregate(b, m, base).Mean
+		q.FleetMeans[m] = parts.Aggregate(m, base).Mean
 	}
 	var out [][]byte
 	for _, v := range []any{
-		newAggDTO(store.MetricCPUIdle, naiveAggregate(b, store.MetricCPUIdle, base)),
-		newAggDTO(store.MetricMemUsed, naiveAggregate(b, store.MetricMemUsed, byUser)),
+		newAggDTO(store.MetricCPUIdle, parts.Aggregate(store.MetricCPUIdle, base)),
+		newAggDTO(store.MetricMemUsed, parts.Aggregate(store.MetricMemUsed, byUser)),
 		newQueryDTO(q),
 	} {
 		body, err := marshalBody(v)

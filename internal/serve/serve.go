@@ -1,7 +1,7 @@
 // Package serve is the query-serving layer of the reproduction: the
 // XDMoD-style HTTP JSON API (cmd/supremmd) over an ingested data
 // directory. It holds the warehouse in immutable, atomically swapped
-// snapshots (indexed store + realm + quality report, and the cache of
+// snapshots (day shard set + realm + quality report, and the cache of
 // the responses rendered from them), answers every request through one
 // sequence over one endpoint table (request.go), and instruments itself
 // with an expvar-style /metrics endpoint. See DESIGN.md §10.
@@ -265,7 +265,6 @@ func (s *Server) health(_ context.Context, snap *Snapshot, _ Params) (int, any, 
 		Cluster:    snap.Realm.Cluster,
 		Jobs:       snap.Realm.Store.Len(),
 		Series:     len(snap.Realm.Series),
-		Indexed:    snap.Realm.Store.HasIndex(),
 		Shards:     snap.Shards,
 	}, nil
 }

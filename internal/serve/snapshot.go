@@ -21,7 +21,7 @@ import (
 func osOpen(path string) (io.ReadCloser, error) { return os.Open(path) }
 
 // Snapshot is one immutable, fully loaded view of a data directory:
-// the indexed store wrapped in a realm, the ingest quality report, and
+// the shard set wrapped in a realm, the ingest quality report, and
 // the fingerprint of the files it came from. The daemon swaps whole
 // snapshots atomically, so a query either sees the old store or the new
 // one — never a torn mixture. Only the reload sequence (reload.go)
@@ -95,8 +95,7 @@ func DirFingerprint(dir string) string {
 // LoadRealm loads the job store (+ optional series.jsonl) from a data
 // directory — the manifest and the shards it names, strictly — and
 // assembles the realm, inferring the cluster shape from the records the
-// way cmd/xdmod always has. The returned realm's store is unindexed;
-// callers wanting indexed queries call BuildIndex.
+// way cmd/xdmod always has.
 func LoadRealm(dir string) (*core.Realm, error) {
 	snap, err := (&reloader{dir: dir, open: osOpen}).read(&trip{}, nil)
 	if err != nil {

@@ -3,6 +3,7 @@ package store
 import (
 	"context"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -96,7 +97,7 @@ func (s *Store) baselineNodeHours(i int) float64 {
 // baselineAggregate is the old sequential Aggregate, one running sum
 // per partition.
 func (s *Store) baselineAggregate(m Metric, f Filter, cuts ...int) Agg {
-	col := s.col(m)
+	col := s.c.Metric(m)
 	agg := Agg{Min: math.Inf(1), Max: math.Inf(-1)}
 	var sw, swx, plain float64
 	idx := s.baselineSelect(f)
@@ -329,29 +330,21 @@ var equivFilters = []Filter{
 
 // TestColumnarAggregateEquivalence proves the columnar kernel is
 // bit-identical to the retired row path on a one-shard set — through
-// both entry points, indexed and unindexed, for every worker count,
-// including NaN metric values, zero-sample jobs and zero-node-hour
-// jobs. The reference takes no cuts here: one shard's sum is the plain
-// running sum.
+// both entry points, for every worker count, including NaN metric
+// values, zero-sample jobs and zero-node-hour jobs. The reference takes
+// no cuts here: one shard's sum is the plain running sum.
 func TestColumnarAggregateEquivalence(t *testing.T) {
-	for _, indexed := range []bool{false, true} {
-		st := equivStore(10_000)
-		ss := st.AsSet()
-		if indexed {
-			st.BuildIndex()
-			ss.BuildIndex()
-		}
-		for _, m := range []Metric{MetricFlops, MetricMemUsed, MetricRead, MetricCPUIdle} {
-			for fi, f := range equivFilters {
-				want := st.baselineAggregate(m, f)
-				if got := ss.Aggregate(m, f); !aggBitsEqual(got, want) {
-					t.Errorf("indexed=%v filter#%d %s: Aggregate %+v != baseline %+v", indexed, fi, m, got, want)
-				}
-				for _, workers := range []int{1, 2, 3, 8} {
-					if got := aggParallel(ss, m, f, workers); !aggBitsEqual(got, want) {
-						t.Errorf("indexed=%v filter#%d %s workers=%d: AggregateParallelCtx %+v != baseline %+v",
-							indexed, fi, m, workers, got, want)
-					}
+	st := equivStore(10_000)
+	ss := st.AsSet()
+	for _, m := range []Metric{MetricFlops, MetricMemUsed, MetricRead, MetricCPUIdle} {
+		for fi, f := range equivFilters {
+			want := st.baselineAggregate(m, f)
+			if got := ss.Aggregate(m, f); !aggBitsEqual(got, want) {
+				t.Errorf("filter#%d %s: Aggregate %+v != baseline %+v", fi, m, got, want)
+			}
+			for _, workers := range []int{1, 2, 3, 8} {
+				if got := aggParallel(ss, m, f, workers); !aggBitsEqual(got, want) {
+					t.Errorf("filter#%d %s workers=%d: AggregateParallelCtx %+v != baseline %+v", fi, m, workers, got, want)
 				}
 			}
 		}
@@ -359,29 +352,14 @@ func TestColumnarAggregateEquivalence(t *testing.T) {
 }
 
 // TestColumnarSelectEquivalence pins Select (and therefore every
-// kernel's row enumeration), indexed and scanning, to the baseline
-// string-compare scan.
+// kernel's row enumeration, through the posting lists or a scan) to the
+// baseline string-compare scan.
 func TestColumnarSelectEquivalence(t *testing.T) {
-	for _, indexed := range []bool{false, true} {
-		st := equivStore(5_000)
-		ss := st.AsSet()
-		if indexed {
-			st.BuildIndex()
-			ss.BuildIndex()
-		}
-		for fi, f := range equivFilters {
-			want := st.baselineSelect(f)
-			got := ss.Select(f)
-			if len(got) != len(want) {
-				t.Errorf("indexed=%v filter#%d Select: %d rows != baseline %d", indexed, fi, len(got), len(want))
-				continue
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Errorf("indexed=%v filter#%d Select: row[%d]=%d != baseline %d", indexed, fi, j, got[j], want[j])
-					break
-				}
-			}
+	st := equivStore(5_000)
+	ss := st.AsSet()
+	for fi, f := range equivFilters {
+		if got, want := ss.Select(f), st.baselineSelect(f); !reflect.DeepEqual(got, want) {
+			t.Errorf("filter#%d Select: %d rows differ from the baseline's %d", fi, len(got), len(want))
 		}
 	}
 }
@@ -392,7 +370,6 @@ func TestColumnarSelectEquivalence(t *testing.T) {
 func TestAggregateParallelWorkerInvariance(t *testing.T) {
 	st := equivStore(20_000)
 	ss := NewShardSet(splitParts(st, []int{1, 900, 4100, 9000, 9001, 15_000, 19_990}))
-	ss.BuildIndex()
 	for _, f := range equivFilters {
 		want := ss.Aggregate(MetricFlops, f)
 		for _, workers := range []int{1, 2, 3, 7, 16} {
@@ -404,8 +381,8 @@ func TestAggregateParallelWorkerInvariance(t *testing.T) {
 }
 
 // TestColumnarSpeedupFloor is the executable form of the acceptance
-// criterion: the columnar broad-scan kernel (vacuous-filter shape, the
-// store-indexed-broad benchmark) must be at least 2x faster than the
+// criterion: the columnar broad-scan kernel (vacuous-filter shape,
+// serve's store-broad benchmark) must be at least 2x faster than the
 // retired row path on a 100k-job store. The typical measurement is
 // ~4x; the floor is set low enough that scheduler noise cannot flake
 // it.
@@ -414,9 +391,7 @@ func TestColumnarSpeedupFloor(t *testing.T) {
 		t.Skip("100k-row timing comparison in -short mode")
 	}
 	st := floorStore(100_000)
-	st.BuildIndex()
 	ss := st.AsSet()
-	ss.BuildIndex()
 	broad := Filter{Cluster: "ranger", MinSamples: 1}
 	if got, want := ss.Aggregate(MetricFlops, broad), st.baselineAggregate(MetricFlops, broad); !aggBitsEqual(got, want) {
 		t.Fatalf("columnar %+v != baseline %+v", got, want)
@@ -477,9 +452,7 @@ func floorStore(n int) *Store {
 // kernels.
 func BenchmarkAggregateColumnar(b *testing.B) {
 	st := floorStore(100_000)
-	st.BuildIndex()
 	ss := st.AsSet()
-	ss.BuildIndex()
 	broad := Filter{Cluster: "ranger", MinSamples: 1}
 	selective := Filter{Cluster: "ranger", User: "u042", MinSamples: 1}
 	b.Run("broad-columnar", func(b *testing.B) {

@@ -479,7 +479,6 @@ func TestDegradedAggregatesMatchBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full.BuildIndex()
 	rng := rand.New(rand.NewSource(44))
 	metrics := []Metric{MetricCPUUser, MetricMemUsed, MetricFlops}
 	for trial := 0; trial < len(entries); trial++ {
@@ -491,7 +490,6 @@ func TestDegradedAggregatesMatchBaseline(t *testing.T) {
 		if len(faults) != 1 || faults[0].Info.ID != victim.ID {
 			t.Fatalf("trial %d: faults = %+v, want exactly day %d", trial, faults, victim.ID)
 		}
-		degraded.BuildIndex()
 		if degraded.NumShards() != len(entries)-1 {
 			t.Fatalf("trial %d: degraded set has %d shards, want %d", trial, degraded.NumShards(), len(entries)-1)
 		}

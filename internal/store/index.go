@@ -1,11 +1,12 @@
 package store
 
-// Index is the read-optimized secondary-index layer over a Store: one
-// posting list of ascending row ids per cluster, user and app value
-// that narrows — a value some row carries and some row does not —
-// accelerating the selective filters the query daemon serves. Lists are
-// ascending, so an indexed selection is exactly the row set (and order)
-// a full scan would give.
+// Index is a shard's secondary-index layer: one posting list of
+// ascending row ids per cluster, user and app value that narrows — a
+// value some row carries and some row does not — accelerating the
+// selective filters the query daemon serves. newShard builds it with
+// the shard, so every shard has one and none is written after
+// construction. Lists are ascending, so an indexed selection is exactly
+// the row set (and order) a full scan would give.
 type Index struct {
 	cluster postings
 	user    postings
@@ -17,13 +18,31 @@ type Index struct {
 // (compile drops such a predicate before narrowest could ask for it).
 type postings [][]int32
 
-// buildPostings inverts a dictionary column, the lists sized exactly
-// from the dictionary counts.
+// newIndex inverts the indexed dictionary columns.
+func newIndex(c *Columns) Index {
+	return Index{
+		cluster: buildPostings(&c.Cluster),
+		user:    buildPostings(&c.User),
+		app:     buildPostings(&c.App),
+	}
+}
+
+// buildPostings inverts a dictionary column. The lists are carved,
+// sized exactly from the dictionary counts, out of one allocation: a
+// shard holds hundreds of users, most with a handful of rows.
 func buildPostings(d *DictColumn) postings {
 	lists := make(postings, len(d.Values))
+	total := 0
+	for _, n := range d.counts {
+		if n < len(d.Codes) {
+			total += n
+		}
+	}
+	rows, at := make([]int32, total), 0
 	for code, n := range d.counts {
 		if n < len(d.Codes) {
-			lists[code] = make([]int32, 0, n)
+			lists[code] = rows[at : at : at+n]
+			at += n
 		}
 	}
 	for i, code := range d.Codes {
@@ -33,23 +52,6 @@ func buildPostings(d *DictColumn) postings {
 	}
 	return lists
 }
-
-// BuildIndex (re)builds the secondary indexes over the current rows.
-// The store must not be mutated (Add, SortByJobID) or queried from
-// other goroutines while the build runs; once built, any number of
-// readers may query concurrently. Mutation drops the index, so a
-// mutate-then-query sequence falls back to scans rather than serving
-// stale postings.
-func (s *Store) BuildIndex() {
-	s.idx = &Index{
-		cluster: buildPostings(&s.c.Cluster),
-		user:    buildPostings(&s.c.User),
-		app:     buildPostings(&s.c.App),
-	}
-}
-
-// HasIndex reports whether the store currently carries an index.
-func (s *Store) HasIndex() bool { return s.idx != nil }
 
 // narrowest returns the shortest posting list among the compiled
 // filter's surviving equality predicates on indexed columns, or

@@ -40,7 +40,7 @@ const (
 type shardSel struct {
 	rowSet
 	end  int
-	st   *Store
+	c    *Columns
 	memo *popMemo
 	use  partUse
 }
@@ -53,35 +53,34 @@ func selTotal(sel []shardSel) int {
 	return sel[len(sel)-1].end
 }
 
-// selectParts evaluates the filter per partition: whole partitions are
-// time-pruned first; per-partition compilation then prunes dictionary
-// misses, hands a whole population to the shard's memo, and walks
-// what is left.
+// selectParts evaluates the filter per partition: each shard's compile
+// prunes it (window or dictionary miss) or leaves a whole population
+// for its memo or rows to walk.
 func (ss *ShardSet) selectParts(f Filter) []shardSel {
 	sel := make([]shardSel, len(ss.shards))
+	var cf compiledFilter
 	end := 0
 	for i, sh := range ss.shards {
-		if sh.st.canMatch(f) {
-			sel[i] = sh.selectSet(f)
+		s := &sel[i]
+		s.c = sh.c
+		if sh.compile(&f, &cf) {
+			sh.selectSet(&cf, s)
 		}
-		sel[i].st = sh.st
-		end += sel[i].len()
-		sel[i].end = end
+		end += s.len()
+		s.end = end
 	}
 	return sel
 }
 
-// selectSet is one partition's selection; its end is the caller's to set.
-func (sh *Shard) selectSet(f Filter) (s shardSel) {
-	cf := sh.st.compile(f)
-	switch {
-	case cf.impossible:
-	case cf.whole == popNone:
-		s.rowSet, s.use = sh.st.walkSet(&cf), partWalked
-	default:
-		s.wholeRows(sh, &cf)
+// selectSet fills s with what a filter that compiled selects of the
+// shard: one of its whole populations, from its memo, or the rows
+// walked.
+func (sh *Shard) selectSet(cf *compiledFilter, s *shardSel) {
+	if cf.whole == popNone {
+		s.rowSet, s.use = sh.walkSet(cf), partWalked
+		return
 	}
-	return s
+	s.wholeRows(sh, cf)
 }
 
 // tally adds one kernel call's partition uses to the set's counters.
@@ -109,7 +108,7 @@ func (ss *ShardSet) selectRows(f Filter) []int {
 		for j, n := 0, s.len(); j < n; j++ {
 			out = append(out, base+s.row(j))
 		}
-		base += s.st.Len()
+		base += s.c.Len()
 	}
 	return out
 }
@@ -144,7 +143,7 @@ func (s Selection) Len() int { return selTotal(s.sel) }
 func (s Selection) Walk(fn func(c *Columns, rows Rows)) {
 	for _, p := range s.sel {
 		if p.len() > 0 {
-			fn(&p.st.c, Rows{p.rowSet})
+			fn(p.c, Rows{p.rowSet})
 		}
 	}
 }
@@ -158,7 +157,7 @@ func (s Selection) Values(m Metric) []float64 {
 	}
 	vals := make([]float64, s.Len())
 	for _, p := range s.sel {
-		col := p.st.col(m)
+		col := p.c.Metric(m)
 		v := vals[p.end-p.len() : p.end]
 		if p.all {
 			copy(v, col[:p.n])
@@ -181,7 +180,7 @@ func (s Selection) Records() []JobRecord {
 	out := make([]JobRecord, 0, s.Len())
 	for _, p := range s.sel {
 		for j, n := 0, p.len(); j < n; j++ {
-			out = append(out, p.st.Record(p.row(j)))
+			out = append(out, p.c.record(p.row(j)))
 		}
 	}
 	return out
@@ -348,7 +347,7 @@ func (ss *ShardSet) aggregate(ctx context.Context, m Metric, f Filter) (Agg, err
 			if cancelled(ctx) {
 				return Agg{}, ctx.Err()
 			}
-			dev += devRun(mean, s.st.col(m), s.st.c.weight, s.rowSet)
+			dev += devRun(mean, s.c.Metric(m), s.c.weight, s.rowSet)
 		}
 		agg.StdDev = math.Sqrt(dev / total.sw)
 	}
@@ -404,14 +403,14 @@ func (g groupSums) column(j, n int) []float64 {
 func (ss *ShardSet) groupRows(k GroupKey, metrics []Metric, f Filter) []Group {
 	sel := ss.selectParts(f)
 	defer ss.tally(sel)
-	if len(sel) > 0 && sel[0].st.c.KeyColumn(k) == nil {
+	if len(sel) > 0 && sel[0].c.KeyColumn(k) == nil {
 		return groupAll(sel, metrics)
 	}
 	stride := 1 + len(metrics)
 	codes := 0 // the largest dictionary among the partitions holding a selected row
 	for _, s := range sel {
 		if s.len() > 0 {
-			codes = max(codes, len(s.st.c.KeyColumn(k).Values))
+			codes = max(codes, len(s.c.KeyColumn(k).Values))
 		}
 	}
 	total := groupSums{stride, make([]int, 0, codes), make([]float64, 0, codes*stride)}
@@ -425,7 +424,7 @@ func (ss *ShardSet) groupRows(k GroupKey, metrics []Metric, f Filter) []Group {
 			continue
 		}
 		part := s.groups(k, metrics, &sc)
-		values := s.st.c.KeyColumn(k).Values
+		values := s.c.KeyColumn(k).Values
 		for _, code := range part.codes {
 			at := int(code) * part.stride
 			for j, col := range part.sums {

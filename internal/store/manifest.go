@@ -219,7 +219,7 @@ func DecodeManifest(data []byte) ([]ShardInfo, error) {
 // order every query answers in. Nothing else depends on it —
 // WriteShardDir and RepairShard each pick a day's rows out in their
 // existing order, so shards and their repair come out byte-identical
-// from a grouped or an ungrouped store. Drops any index (like Add).
+// from a grouped or an ungrouped store.
 func (s *Store) ReorderByEndDay() {
 	_, dayRows := s.c.rowsByEndDay()
 	*s = Store{c: *s.c.gather(slices.Concat(dayRows...))}
@@ -485,7 +485,7 @@ func loadShard(dir string, e ShardInfo, open Opener) (*Shard, error) {
 		return nil, fmt.Errorf("store: shard %s end range [%d,%d] does not match manifest [%d,%d]",
 			name, c.minEnd, c.maxEnd, e.MinEnd, e.MaxEnd)
 	}
-	return &Shard{info: e, st: FromColumns(c)}, nil
+	return newShard(e, c), nil
 }
 
 // readAllClose opens, fully reads and closes one file. A reader that can

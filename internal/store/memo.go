@@ -88,11 +88,11 @@ type groupBase struct {
 func (s *shardSel) wholeRows(sh *Shard, cf *compiledFilter) {
 	s.memo, s.use = sh.pop(cf.whole), partRemembered
 	if cf.whole == popAll {
-		s.rowSet = rowSet{all: true, n: sh.st.Len()}
+		s.rowSet = rowSet{all: true, n: sh.c.Len()}
 		return
 	}
 	s.rowSet = s.memo.rows.get(func() rowSet {
-		rs := sh.st.walkSet(cf)
+		rs := sh.walkSet(cf)
 		s.use = partWalked
 		return rs
 	})
@@ -101,10 +101,10 @@ func (s *shardSel) wholeRows(sh *Shard, cf *compiledFilter) {
 // nodeHours is the running sum of the selected rows' weights.
 func (s *shardSel) nodeHours() float64 {
 	if s.memo == nil {
-		return weightRun(s.st.c.weight, s.rowSet)
+		return weightRun(s.c.weight, s.rowSet)
 	}
 	return s.memo.nodeHours.get(func() float64 {
-		sw := weightRun(s.st.c.weight, s.rowSet)
+		sw := weightRun(s.c.weight, s.rowSet)
 		s.use = partWalked
 		return sw
 	})
@@ -124,7 +124,7 @@ func (s *shardSel) partial(m Metric) aggPartial {
 
 func (s *shardSel) sum(m Metric) aggPartial {
 	p := newPartial()
-	sumRun(&p, s.st.col(m), s.st.c.weight, s.rowSet)
+	sumRun(&p, s.c.Metric(m), s.c.weight, s.rowSet)
 	return p
 }
 
@@ -165,7 +165,7 @@ func newGroupScratch(metrics, codes int) groupScratch {
 // groupRun over all the request's metrics, taken at most once per
 // call.
 func (s *shardSel) groups(k GroupKey, metrics []Metric, sc *groupScratch) codeSums {
-	kc := s.st.c.KeyColumn(k)
+	kc := s.c.KeyColumn(k)
 	if s.memo == nil {
 		s.fold(kc, metrics, sc)
 		for j := range sc.view {
@@ -204,9 +204,9 @@ func (s *shardSel) fold(kc *DictColumn, metrics []Metric, sc *groupScratch) {
 		clear(sc.sums.at(int(c)))
 	}
 	for j, m := range metrics {
-		sc.cols[j] = s.st.col(m)
+		sc.cols[j] = s.c.Metric(m)
 	}
-	groupRun(sc.sums, kc.Codes, s.rowSet, s.st.c.weight, sc.cols)
+	groupRun(sc.sums, kc.Codes, s.rowSet, s.c.weight, sc.cols)
 	// The codes that took a row: a sweep of the counts when the rows
 	// outnumber the dictionary, else the rows' own codes, sorted and
 	// deduplicated.

@@ -134,7 +134,6 @@ func TestMemoWarmAllocations(t *testing.T) {
 	sets := map[int]*ShardSet{}
 	for _, days := range []int{15, 120} {
 		ss := NewShardSet(historyParts(t, 24_000, days))
-		ss.BuildIndex()
 		ss.Aggregate(MetricCPUIdle, base)
 		ss.GroupBy(ByApp, KeyMetrics(), base)
 		before := ss.PartitionUse()
@@ -174,8 +173,8 @@ func TestMemoLiveSize(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
+	ss := NewShardSet(cols) // the shards and their posting lists, not the memo
 	before := heap()
-	ss := NewShardSet(cols)
 	ss.Scan(base).NodeHours()
 	for _, m := range AllMetrics() {
 		ss.Aggregate(m, base)
@@ -227,7 +226,7 @@ func TestMemoFillPanicRetries(t *testing.T) {
 			if tc.warm != nil {
 				tc.warm(ss)
 			}
-			restore := tc.cut(&ss.ShardAt(1).st.c)
+			restore := tc.cut(ss.ShardAt(1).c)
 			func() {
 				defer func() {
 					if recover() == nil {

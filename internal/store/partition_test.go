@@ -188,18 +188,14 @@ func TestPartitionMatchesRowwiseOracle(t *testing.T) {
 }
 
 // TestReorderMatchesRowwiseOracle: the columnar reorder leaves the store
-// field-for-field as the row-wise reorder left it, index dropped.
+// field-for-field as the row-wise reorder left it.
 func TestReorderMatchesRowwiseOracle(t *testing.T) {
 	for _, gc := range gatherCases {
 		for seed := int64(1); seed <= 3; seed++ {
 			got, want := gc.build(seed), gc.build(seed)
-			got.BuildIndex()
 			got.ReorderByEndDay()
 			want.rowwiseReorderByEndDay()
 			requireSameColumns(t, gc.name, got.Columns(), want.Columns())
-			if got.idx != nil {
-				t.Fatalf("%s: reorder kept a stale index", gc.name)
-			}
 		}
 	}
 }

@@ -41,15 +41,14 @@ const (
 // touches string data, and a predicate every row provably passes (a
 // value all rows carry, a threshold at or below the partition's
 // minimum, a window bound outside its end range) is dropped — it costs
-// no comparison per row and narrows no posting list. impossible marks a
-// filter no row can match. whole names the population selected when
-// nothing but MinSamples <= 1 survives; the kernels then take the rows
-// and their sums from the shard's memo instead of walking.
+// no comparison per row and narrows no posting list. whole names the
+// population selected when nothing but MinSamples <= 1 survives; the
+// kernels then take the rows and their sums from the shard's memo
+// instead of walking.
 type compiledFilter struct {
 	cluster, user, app, science, status int64 // dict code, or -1 for "any"
 	minSamples                          int32 // 0 for "any"
 	endAfter, endBefore                 int64 // 0 for unbounded
-	impossible                          bool
 	whole                               population
 }
 
@@ -70,39 +69,46 @@ func compileDict(d *DictColumn, val string, n int) (code int64, impossible bool)
 	return int64(c), false
 }
 
-// compile resolves f against the store's dictionaries and bounds.
-func (s *Store) compile(f Filter) compiledFilter {
-	n := s.Len()
-	if n == 0 {
-		return compiledFilter{impossible: true, whole: popNone}
+// compile resolves f against the shard's dictionaries and bounds into
+// cf, and reports whether any row can pass it — the one place a filter
+// meets a partition's bounds. No row can when the window misses the
+// end range, a value no row holds is asked for, or the shard is empty.
+// The window comes first: a shard it misses is ruled out at O(1),
+// before any dictionary lookup and before cf is written, so a one-day
+// window over a long history costs one shard.
+func (sh *Shard) compile(f *Filter, cf *compiledFilter) bool {
+	c := sh.c
+	n := c.Len()
+	if n == 0 || (f.EndAfter != 0 && c.maxEnd < f.EndAfter) || (f.EndBefore != 0 && c.minEnd >= f.EndBefore) {
+		return false
 	}
-	cf := compiledFilter{whole: popNone}
-	narrowed := false // some dictionary predicate survives
-	resolve := func(d *DictColumn, val string) int64 {
+	*cf = compiledFilter{whole: popNone}
+	impossible, narrowed := false, false // no row can match; some dictionary predicate survives
+	dict := func(d *DictColumn, val string) int64 {
 		code, imp := compileDict(d, val, n)
-		cf.impossible = cf.impossible || imp
+		impossible = impossible || imp
 		narrowed = narrowed || code >= 0
 		return code
 	}
-	cf.cluster = resolve(&s.c.Cluster, f.Cluster)
-	cf.user = resolve(&s.c.User, f.User)
-	cf.app = resolve(&s.c.App, f.App)
-	cf.science = resolve(&s.c.Science, f.Science)
-	cf.status = resolve(&s.c.Status, f.Status)
+	cf.cluster = dict(&c.Cluster, f.Cluster)
+	cf.user = dict(&c.User, f.User)
+	cf.app = dict(&c.App, f.App)
+	cf.science = dict(&c.Science, f.Science)
+	cf.status = dict(&c.Status, f.Status)
 	switch {
 	case f.MinSamples > math.MaxInt32:
-		cf.impossible = true // Samples is an int32 column: no row reaches it
-	case f.MinSamples > max(0, int(s.c.minSamples)):
+		return false // Samples is an int32 column: no row reaches it
+	case f.MinSamples > max(0, int(c.minSamples)):
 		cf.minSamples = int32(f.MinSamples)
 	}
-	if f.EndAfter > s.c.minEnd {
+	if f.EndAfter > c.minEnd {
 		cf.endAfter = f.EndAfter
 	}
-	if f.EndBefore != 0 && f.EndBefore <= s.c.maxEnd {
+	if f.EndBefore != 0 && f.EndBefore <= c.maxEnd {
 		cf.endBefore = f.EndBefore
 	}
-	if cf.impossible || narrowed || cf.endAfter != 0 || cf.endBefore != 0 {
-		return cf
+	if impossible || narrowed || cf.endAfter != 0 || cf.endBefore != 0 {
+		return !impossible
 	}
 	switch cf.minSamples {
 	case 0:
@@ -110,12 +116,12 @@ func (s *Store) compile(f Filter) compiledFilter {
 	case 1:
 		cf.whole = popSampled
 	}
-	return cf
+	return true
 }
 
 // matchCompiled reports whether row i passes the compiled filter.
-func (s *Store) matchCompiled(i int, cf *compiledFilter) bool {
-	c := &s.c
+func (sh *Shard) matchCompiled(i int, cf *compiledFilter) bool {
+	c := sh.c
 	switch {
 	case cf.cluster >= 0 && int64(c.Cluster.Codes[i]) != cf.cluster:
 		return false
@@ -165,51 +171,29 @@ func (rs rowSet) row(j int) int {
 }
 
 // walkSet evaluates a compiled filter that cuts the partition into its
-// ascending row list: an indexed store narrows through the shortest
-// posting list of a surviving predicate, otherwise a compiled columnar
-// scan.
-func (s *Store) walkSet(cf *compiledFilter) rowSet {
-	if s.idx != nil {
-		if best, ok := s.idx.narrowest(cf); ok {
-			idx := make([]int32, 0, len(best))
-			for _, i := range best {
-				if s.matchCompiled(int(i), cf) {
-					idx = append(idx, i)
-				}
+// ascending row list: through the shortest posting list of a surviving
+// indexed predicate, otherwise a compiled columnar scan.
+func (sh *Shard) walkSet(cf *compiledFilter) rowSet {
+	if best, ok := sh.idx.narrowest(cf); ok {
+		idx := make([]int32, 0, len(best))
+		for _, i := range best {
+			if sh.matchCompiled(int(i), cf) {
+				idx = append(idx, i)
 			}
-			return rowSet{idx: idx}
 		}
+		return rowSet{idx: idx}
 	}
-	return rowSet{idx: s.scanCompiled(cf)}
-}
-
-// canMatch prunes a whole partition against the filter's end-time
-// window using the columns' derived bounds — O(1), no row touched.
-// Pruning only ever skips partitions whose selection is provably empty
-// (matchCompiled rejects End < EndAfter and End >= EndBefore), so it
-// cannot change the selected set, only the work done to compute it.
-func (s *Store) canMatch(f Filter) bool {
-	c := &s.c
-	if c.Len() == 0 {
-		return false
-	}
-	if f.EndAfter != 0 && c.maxEnd < f.EndAfter {
-		return false
-	}
-	if f.EndBefore != 0 && c.minEnd >= f.EndBefore {
-		return false
-	}
-	return true
+	return rowSet{idx: sh.scanCompiled(cf)}
 }
 
 // scanCompiled is the full-scan arm over the compiled filter. The list
 // is made once at the partition's row count: a scan is what a broad
 // filter gets, and growing it by appends cost a dozen copies a shard.
-func (s *Store) scanCompiled(cf *compiledFilter) []int32 {
-	n := s.Len()
+func (sh *Shard) scanCompiled(cf *compiledFilter) []int32 {
+	n := sh.c.Len()
 	idx := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
-		if s.matchCompiled(i, cf) {
+		if sh.matchCompiled(i, cf) {
 			idx = append(idx, int32(i))
 		}
 	}

@@ -10,7 +10,7 @@ import (
 
 // TestSelectionConsumers holds everything a Selection hands out — Len,
 // Values, NodeHours, Records — to the row baseline, bit for bit, on one
-// shard and on two different cuts into several, indexed and not, for
+// shard and on two different cuts into several, for
 // selections that are every row, a scattered subset, empty, and a time
 // window that prunes whole shards. One Scan feeds every consumer, from
 // several goroutines at once: a Selection is read-only.
@@ -28,50 +28,45 @@ func TestSelectionConsumers(t *testing.T) {
 	}
 	metrics := []Metric{MetricCPUIdle, MetricMemUsed, MetricFlops, MetricRead}
 	for _, cuts := range [][]int{nil, {1000, 2500, 4000}, {1, 17, 2048, 4999}} {
-		for _, indexed := range []bool{false, true} {
-			ss := st.AsSet()
-			if cuts != nil {
-				ss = NewShardSet(splitParts(st, cuts))
+		ss := st.AsSet()
+		if cuts != nil {
+			ss = NewShardSet(splitParts(st, cuts))
+		}
+		if cuts != nil && prunedParts(ss, filters["time-pruned"]) == 0 {
+			t.Fatalf("cuts %v: the time window prunes no shard; the fixture does not exercise pruning", cuts)
+		}
+		for name, f := range filters {
+			label := fmt.Sprintf("cuts %v %s", cuts, name)
+			sel := ss.Scan(f)
+			wantRecs := ref.baselineRecords(f)
+			if sel.Len() != len(wantRecs) {
+				t.Fatalf("%s: Len = %d, baseline selects %d", label, sel.Len(), len(wantRecs))
 			}
-			if indexed {
-				ss.BuildIndex()
+			gotRecs := sel.Records()
+			if gotRecs == nil || len(gotRecs) != len(wantRecs) {
+				t.Fatalf("%s: Records has %d rows (nil %v), want %d", label, len(gotRecs), gotRecs == nil, len(wantRecs))
 			}
-			if cuts != nil && prunedParts(ss, filters["time-pruned"]) == 0 {
-				t.Fatalf("cuts %v: the time window prunes no shard; the fixture does not exercise pruning", cuts)
-			}
-			for name, f := range filters {
-				label := fmt.Sprintf("cuts %v indexed=%v %s", cuts, indexed, name)
-				sel := ss.Scan(f)
-				wantRecs := ref.baselineRecords(f)
-				if sel.Len() != len(wantRecs) {
-					t.Fatalf("%s: Len = %d, baseline selects %d", label, sel.Len(), len(wantRecs))
+			for i := range gotRecs {
+				if !sameRecord(gotRecs[i], wantRecs[i]) {
+					t.Fatalf("%s: Records[%d] = %+v, want %+v", label, i, gotRecs[i], wantRecs[i])
 				}
-				gotRecs := sel.Records()
-				if gotRecs == nil || len(gotRecs) != len(wantRecs) {
-					t.Fatalf("%s: Records has %d rows (nil %v), want %d", label, len(gotRecs), gotRecs == nil, len(wantRecs))
-				}
-				for i := range gotRecs {
-					if !sameRecord(gotRecs[i], wantRecs[i]) {
-						t.Fatalf("%s: Records[%d] = %+v, want %+v", label, i, gotRecs[i], wantRecs[i])
+			}
+			if got, want := sel.NodeHours(), ref.baselineTotalNodeHours(f, cuts...); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: NodeHours = %v, want %v", label, got, want)
+			}
+			var wg sync.WaitGroup
+			for _, m := range metrics {
+				wg.Add(1)
+				go func(m Metric) {
+					defer wg.Done()
+					want, _ := ref.baselineValues(m, f)
+					got := sel.Values(m)
+					if !floatsBitsEqual(got, want) || (got == nil) != (want == nil) {
+						t.Errorf("%s: Values(%s) diverges from the row baseline (%d vs %d values)", label, m, len(got), len(want))
 					}
-				}
-				if got, want := sel.NodeHours(), ref.baselineTotalNodeHours(f, cuts...); math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("%s: NodeHours = %v, want %v", label, got, want)
-				}
-				var wg sync.WaitGroup
-				for _, m := range metrics {
-					wg.Add(1)
-					go func(m Metric) {
-						defer wg.Done()
-						want, _ := ref.baselineValues(m, f)
-						got := sel.Values(m)
-						if !floatsBitsEqual(got, want) || (got == nil) != (want == nil) {
-							t.Errorf("%s: Values(%s) diverges from the row baseline (%d vs %d values)", label, m, len(got), len(want))
-						}
-					}(m)
-				}
-				wg.Wait()
+				}(m)
 			}
+			wg.Wait()
 		}
 	}
 
@@ -170,29 +165,24 @@ func TestAsSetIsolatedFromBuilder(t *testing.T) {
 func TestMinSamplesBeyondInt32(t *testing.T) {
 	st := equivStore(500)
 	sampled := len(st.baselineSelect(Filter{MinSamples: 1}))
-	for _, indexed := range []bool{false, true} {
-		ss := NewShardSet(splitParts(st, []int{200}))
-		if indexed {
-			ss.BuildIndex()
-		}
-		for _, tc := range []struct {
-			min, want int
-		}{
-			{0, 500}, {1, sampled}, {math.MaxInt32, 0},
-			{1 << 31, 0}, {1 << 32, 0}, {1<<32 + 1, 0}, {math.MaxInt64, 0},
-			{-1, 500}, {-1 << 32, 500}, {-1<<32 + 1, 500}, // a negative threshold is "any", wrapped or not
-		} {
-			for _, f := range []Filter{{MinSamples: tc.min}, {Cluster: "ranger", MinSamples: tc.min}} {
-				want := tc.want
-				if f.Cluster != "" {
-					want = len(st.baselineSelect(f)) // the row loop compares ints
-				}
-				if got := ss.Scan(f).Len(); got != want {
-					t.Errorf("indexed=%v %+v selects %d rows, want %d", indexed, f, got, want)
-				}
-				if got := ss.Aggregate(MetricCPUIdle, f).N; got != want {
-					t.Errorf("indexed=%v %+v aggregates %d rows, want %d", indexed, f, got, want)
-				}
+	ss := NewShardSet(splitParts(st, []int{200}))
+	for _, tc := range []struct {
+		min, want int
+	}{
+		{0, 500}, {1, sampled}, {math.MaxInt32, 0},
+		{1 << 31, 0}, {1 << 32, 0}, {1<<32 + 1, 0}, {math.MaxInt64, 0},
+		{-1, 500}, {-1 << 32, 500}, {-1<<32 + 1, 500}, // a negative threshold is "any", wrapped or not
+	} {
+		for _, f := range []Filter{{MinSamples: tc.min}, {Cluster: "ranger", MinSamples: tc.min}} {
+			want := tc.want
+			if f.Cluster != "" {
+				want = len(st.baselineSelect(f)) // the row loop compares ints
+			}
+			if got := ss.Scan(f).Len(); got != want {
+				t.Errorf("%+v selects %d rows, want %d", f, got, want)
+			}
+			if got := ss.Aggregate(MetricCPUIdle, f).N; got != want {
+				t.Errorf("%+v aggregates %d rows, want %d", f, got, want)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,26 +34,31 @@ type Reader interface {
 	Aggregate(m Metric, f Filter) Agg
 	AggregateParallelCtx(ctx context.Context, m Metric, f Filter, workers int) (Agg, error)
 	GroupBy(k GroupKey, metrics []Metric, f Filter) []Group
-	BuildIndex()
-	HasIndex() bool
 }
 
 var _ Reader = (*ShardSet)(nil)
 
 // Shard is one immutable time partition: a day's worth of job records
-// in the columnar layout, plus the manifest entry describing the file
-// it came from. Once loaded (or adopted from a previous generation) a
-// shard is never mutated — incremental reload shares shard pointers
-// across snapshot generations, so any write after publication would be
-// a data race with the generation still serving. The one thing that
-// grows after publication is memo, every slot of it filled once under
-// its own lock: what the shard remembers about its whole populations
-// (memo.go). st is reachable from nowhere else, so nothing
-// can Add to rows a memo describes.
+// in the columnar layout, the posting lists over them, and the manifest
+// entry describing the file it came from. It answers every query step
+// over its rows itself (compile, walkSet, the folds of memo.go). newShard
+// builds it complete, and nothing is written to it after that except
+// memo: incremental reload shares shard pointers across snapshot
+// generations, so any other write after publication would race the
+// generation still serving. Every memo slot is filled once under its own
+// lock (memo.go). No Store holds c, so nothing can Add to rows a memo
+// describes.
 type Shard struct {
 	info ShardInfo
-	st   *Store
+	c    *Columns
+	idx  Index
 	memo [numPops]atomic.Pointer[popMemo]
+}
+
+// newShard builds a shard over c, which nothing may change from here on,
+// with its posting lists — the one way a shard comes into being.
+func newShard(info ShardInfo, c *Columns) *Shard {
+	return &Shard{info: info, c: c, idx: newIndex(c)}
 }
 
 // pop returns the shard's memo of one population, made on first use:
@@ -76,7 +80,7 @@ func (sh *Shard) Info() ShardInfo { return sh.info }
 // Columns exposes the shard's columnar layout, read-only — the
 // incremental-reload tests use it to assert that unchanged shards are
 // pointer-shared (not copied) across generations.
-func (sh *Shard) Columns() *Columns { return &sh.st.c }
+func (sh *Shard) Columns() *Columns { return sh.c }
 
 // ShardSet is what queries run on: an ordered list of day-partitioned
 // shards presenting one logical row space. The global row order is the
@@ -86,10 +90,7 @@ type ShardSet struct {
 	// shards is the partition list the kernels walk.
 	shards []*Shard
 	// rows is the total row count across shards.
-	rows int
-	// built marks that BuildIndex ran over the set (per-shard indexes
-	// may predate it on shards reused from an earlier generation).
-	built bool
+	rows  int
 	stats ShardLoadStats
 	// uses counts, by partUse, the partitions this set's kernel calls
 	// pruned, walked and remembered.
@@ -126,16 +127,14 @@ type ShardLoadStats struct {
 }
 
 // NewShardSet wraps in-memory columnar partitions as a shard set, in
-// the given order. Each part must have derived state populated
-// (appendRecord or recomputeDerived do this). Disk sets come from
+// the given order, each part indexed as its shard is built. Each part
+// must have derived state populated (appendRecord or recomputeDerived
+// do this) and must not change afterwards. Disk sets come from
 // LoadShardSet.
 func NewShardSet(parts []*Columns) *ShardSet {
 	shards := make([]*Shard, len(parts))
 	for i, c := range parts {
-		shards[i] = &Shard{
-			info: ShardInfo{ID: int64(i), Rows: c.Len(), MinEnd: c.minEnd, MaxEnd: c.maxEnd},
-			st:   FromColumns(c),
-		}
+		shards[i] = newShard(ShardInfo{ID: int64(i), Rows: c.Len(), MinEnd: c.minEnd, MaxEnd: c.maxEnd}, c)
 	}
 	return newShardSet(shards, ShardLoadStats{Loaded: len(parts)})
 }
@@ -156,7 +155,7 @@ func (s *Store) AsSet() *ShardSet {
 func newShardSet(shards []*Shard, stats ShardLoadStats) *ShardSet {
 	ss := &ShardSet{shards: shards, stats: stats}
 	for _, sh := range shards {
-		ss.rows += sh.st.Len()
+		ss.rows += sh.c.Len()
 	}
 	return ss
 }
@@ -183,23 +182,9 @@ func (ss *ShardSet) shardByID(id int64) *Shard {
 // Len returns the total row count across shards.
 func (ss *ShardSet) Len() int { return ss.rows }
 
-// BuildIndex builds each shard's posting lists, in parallel. Shards
-// adopted from a previous generation already carry an index and are
-// skipped — rebuilding would race the old generation's readers, and the
-// postings are a pure function of the shard's immutable rows anyway.
-// Must not run concurrently with queries against this set (the serve
-// layer indexes before publishing a snapshot).
-func (ss *ShardSet) BuildIndex() {
-	runChunks(len(ss.shards), runtime.GOMAXPROCS(0), func(i int) {
-		if !ss.shards[i].st.HasIndex() {
-			ss.shards[i].st.BuildIndex()
-		}
-	})
-	ss.built = true
-}
-
-// HasIndex reports whether BuildIndex ran over the set.
-func (ss *ShardSet) HasIndex() bool { return ss.built }
+// BuildIndex does nothing: every shard is indexed when it is built. The
+// method stays because the frozen benchmark (bench/layers.go) calls it.
+func (ss *ShardSet) BuildIndex() {}
 
 // Scan evaluates the filter, once, into a Selection.
 func (ss *ShardSet) Scan(f Filter) Selection {

@@ -9,10 +9,8 @@ import "testing"
 func BenchmarkShardPrune(b *testing.B) {
 	st := multiDayStore(100_000)
 	one := st.AsSet()
-	one.BuildIndex()
 	_, cols := st.partitionByEndDay()
 	ss := NewShardSet(cols)
-	ss.BuildIndex()
 	mid := ss.ShardAt(ss.NumShards() / 2).Info()
 	f := Filter{Cluster: "ranger", EndAfter: mid.MinEnd, EndBefore: mid.MaxEnd + 1}
 	if pruned := prunedParts(ss, f); pruned != ss.NumShards()-1 {
@@ -56,14 +54,12 @@ func BenchmarkShardMemo(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				ss := NewShardSet(cols)
-				ss.BuildIndex()
 				b.StartTimer()
 				q.ask(ss)
 			}
 		})
 		b.Run(q.name+"/remembered", func(b *testing.B) {
 			ss := NewShardSet(cols)
-			ss.BuildIndex()
 			q.ask(ss)
 			b.ReportAllocs()
 			b.ResetTimer()

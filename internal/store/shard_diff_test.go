@@ -241,24 +241,20 @@ func checkColdWarmFresh(t *testing.T, label string, mk func() *ShardSet, ref *St
 }
 
 // TestShardDifferentialEquivalence is the property-style suite: one
-// shard vs many. The one-shard set a store gives (indexed and not) and,
-// for seeded random split points, an N-shard ShardSet must each answer
-// every query API bit-identically to the naive row reference over the
-// same rows in the same order, cut at the same places — selective and
-// broad filters, indexed or not, any worker count. Every set runs the
-// same kernels, so comparing one with another would prove nothing; the
-// row baseline shares no code with them. The one-shard rows take no
-// cuts: their answers are the plain running sums they were before sums
-// had a split to depend on.
+// shard vs many. The one-shard set a store gives and, for seeded random
+// split points, an N-shard ShardSet must each answer every query API
+// bit-identically to the naive row reference over the same rows in the
+// same order, cut at the same places — selective and broad filters, any
+// worker count. Every set runs the same kernels, so comparing one with
+// another would prove nothing; the row baseline shares no code with
+// them. The one-shard rows take no cuts: their answers are the plain
+// running sums they were before sums had a split to depend on.
 func TestShardDifferentialEquivalence(t *testing.T) {
 	const rows = 5000
-	ref := equivStore(rows) // unindexed: the baseline scans
+	ref := equivStore(rows) // the baseline scans its rows
 	st := equivStore(rows)
 	metrics := []Metric{MetricCPUIdle, MetricMemUsed, MetricFlops, MetricRead}
-	one := st.AsSet()
-	checkAgainstBaseline(t, "one shard, unindexed", one, ref, nil, metrics)
-	one.BuildIndex() // indexing never changes results
-	checkAgainstBaseline(t, "one shard, indexed", one, ref, nil, metrics)
+	checkColdWarmFresh(t, "one shard", st.AsSet, ref, nil, metrics, equivFilters)
 
 	rng := rand.New(rand.NewSource(1))
 	trials := 25
@@ -268,14 +264,8 @@ func TestShardDifferentialEquivalence(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		ncuts := trial % 7 // 0 cuts = single shard through 6 cuts = 7 shards
 		cuts := randomCuts(rng, rows, ncuts)
-		mk := func() *ShardSet {
-			ss := NewShardSet(splitParts(st, cuts))
-			if trial%2 == 1 {
-				ss.BuildIndex()
-			}
-			return ss
-		}
-		label := fmt.Sprintf("trial %d (cuts %v, indexed %v)", trial, cuts, trial%2 == 1)
+		mk := func() *ShardSet { return NewShardSet(splitParts(st, cuts)) }
+		label := fmt.Sprintf("trial %d (cuts %v)", trial, cuts)
 		checkColdWarmFresh(t, label, mk, ref, cuts, metrics, equivFilters)
 	}
 
@@ -284,14 +274,8 @@ func TestShardDifferentialEquivalence(t *testing.T) {
 	wref, wst := wholeStore(), wholeStore()
 	for trial := 0; trial < (trials+1)/2; trial++ {
 		cuts := wholeCuts(rng, trial%5)
-		mk := func() *ShardSet {
-			ss := NewShardSet(splitParts(wst, cuts))
-			if trial%2 == 1 {
-				ss.BuildIndex()
-			}
-			return ss
-		}
-		label := fmt.Sprintf("whole-population trial %d (cuts %v, indexed %v)", trial, cuts, trial%2 == 1)
+		mk := func() *ShardSet { return NewShardSet(splitParts(wst, cuts)) }
+		label := fmt.Sprintf("whole-population trial %d (cuts %v)", trial, cuts)
 		checkColdWarmFresh(t, label, mk, wref, cuts, metrics, wholeFilters(t, mk()))
 	}
 }
@@ -393,18 +377,13 @@ func wholeFilters(t *testing.T, ss *ShardSet) []Filter {
 func TestShardDifferentialDayParts(t *testing.T) {
 	ref := multiDayStore(4000)
 	st := multiDayStore(4000)
-	st.BuildIndex()
 	_, cols := st.partitionByEndDay()
 	if len(cols) < 3 {
 		t.Fatalf("fixture spans %d days, want >= 3", len(cols))
 	}
-	ss := NewShardSet(cols)
-	ss.BuildIndex()
 	metrics := []Metric{MetricCPUIdle, MetricMemUsed, MetricFlops}
-	checkAgainstBaseline(t, "day split", ss, ref, cutsOf(cols), metrics)
-	one := st.AsSet()
-	one.BuildIndex()
-	checkAgainstBaseline(t, "one shard", one, ref, nil, metrics)
+	checkAgainstBaseline(t, "day split", NewShardSet(cols), ref, cutsOf(cols), metrics)
+	checkAgainstBaseline(t, "one shard", st.AsSet(), ref, nil, metrics)
 }
 
 // TestSplitMovesOnlyLastUlps bounds what a split can change: the

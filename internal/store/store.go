@@ -131,16 +131,12 @@ func (r *JobRecord) Value(m Metric) float64 {
 // Store holds job records in the struct-of-arrays Columns layout:
 // identity columns as contiguous slices (strings dictionary-encoded)
 // plus one float64 column per metric, which keeps aggregation scans
-// cache-friendly (see BenchmarkAggregateColumnar). A Store is what gets
-// built and written (Add, Save, SaveBinary, WriteShardDir) and what one
-// partition of a ShardSet is made of; it is queried through a ShardSet
-// — AsSet for a store built in memory.
+// cache-friendly (see BenchmarkAggregateColumnar). A Store is only built
+// and written (Add, Save, SaveBinary, WriteShardDir); it is queried
+// through a ShardSet, whose shards hold columns of their own — AsSet for
+// a store built in memory.
 type Store struct {
 	c Columns
-
-	// idx holds the secondary indexes built by BuildIndex; nil means
-	// every selection is a scan. Mutation invalidates it (see Add).
-	idx *Index
 }
 
 // New creates an empty store.
@@ -159,20 +155,11 @@ func (s *Store) Columns() *Columns { return &s.c }
 // store takes ownership.
 func FromColumns(c *Columns) *Store { return &Store{c: *c} }
 
-// Add appends one record. Adding drops any index built by BuildIndex:
-// stale postings would silently exclude the new row, whereas a scan is
-// merely slower. Not safe concurrently with queries.
-func (s *Store) Add(r JobRecord) {
-	s.idx = nil
-	s.c.appendRecord(r)
-}
+// Add appends one record. A set AsSet took earlier never sees it.
+func (s *Store) Add(r JobRecord) { s.c.appendRecord(r) }
 
 // Record materializes row i back into a JobRecord.
 func (s *Store) Record(i int) JobRecord { return s.c.record(i) }
-
-// col returns the metric column, or nil for an unknown metric name
-// (matching the old map-lookup behavior).
-func (s *Store) col(m Metric) []float64 { return s.c.Metric(m) }
 
 // Save writes the store as JSON lines.
 func (s *Store) Save(w io.Writer) error {
