@@ -1,14 +1,14 @@
-package anomaly
+package anomaly_test
 
 import (
 	"fmt"
 	"math"
-	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
+	"supremm/internal/anomaly"
 	"supremm/internal/eventlog"
+	"supremm/internal/reference"
 	"supremm/internal/store"
 )
 
@@ -45,7 +45,7 @@ func addOutlier(st *store.Store, id int64, idle, memMax float64) {
 func TestDetectFlagsOutliers(t *testing.T) {
 	st := population(100)
 	addOutlier(st, 900, 0.9, 30) // very idle, huge memory peak
-	d := NewDetector()
+	d := anomaly.NewDetector()
 	found := d.Detect(st.AsSet(), store.Filter{}, []store.Metric{store.MetricCPUIdle, store.MetricMemUsedMax})
 	if len(found) == 0 {
 		t.Fatal("outlier not detected")
@@ -68,7 +68,7 @@ func TestDetectFlagsOutliers(t *testing.T) {
 func TestDetectSkipsSmallPopulations(t *testing.T) {
 	st := population(5) // below MinPopulation
 	addOutlier(st, 900, 0.9, 30)
-	found := NewDetector().Detect(st.AsSet(), store.Filter{}, []store.Metric{store.MetricCPUIdle})
+	found := anomaly.NewDetector().Detect(st.AsSet(), store.Filter{}, []store.Metric{store.MetricCPUIdle})
 	if len(found) != 0 {
 		t.Errorf("small population should not be scored, got %d anomalies", len(found))
 	}
@@ -89,20 +89,20 @@ func TestDetectPerAppPopulations(t *testing.T) {
 			ReadMB: 30, IBTxMB: 2, IBRxMB: 2, LnetTxMB: 50,
 		})
 	}
-	found := NewDetector().Detect(st.AsSet(), store.Filter{}, []store.Metric{store.MetricScratchWrite})
+	found := anomaly.NewDetector().Detect(st.AsSet(), store.Filter{}, []store.Metric{store.MetricScratchWrite})
 	if len(found) != 0 {
 		t.Errorf("per-app scoring broken: %d false positives", len(found))
 	}
 }
 
 func TestRobustZDegenerate(t *testing.T) {
-	if !math.IsNaN(robustZ(1, 1, 0)) {
+	if !math.IsNaN(anomaly.RobustZ(1, 1, 0)) {
 		t.Error("zero IQR should give NaN")
 	}
 }
 
 func TestLinkInfersCauses(t *testing.T) {
-	anomalies := []Anomaly{
+	anomalies := []anomaly.Anomaly{
 		{JobID: 1, User: "a", App: "vasp", Metric: store.MetricMemUsedMax, Score: 6, Value: 30},
 		{JobID: 2, User: "b", App: "enzo", Metric: store.MetricScratchWrite, Score: 5, Value: 80},
 		{JobID: 3, User: "c", App: "namd", Metric: store.MetricCPUIdle, Score: 5, Value: 0.9},
@@ -116,11 +116,11 @@ func TestLinkInfersCauses(t *testing.T) {
 		{Time: 4, Host: "h4", JobID: 99, Severity: eventlog.Info, Component: "sge", Message: "unrelated"},
 		{Time: 5, Host: "h5", JobID: 5, Severity: eventlog.Warning, Component: "sge", Message: "requeue"},
 	}
-	diags := Link(anomalies, events)
+	diags := anomaly.Link(anomalies, events)
 	if len(diags) != 5 {
 		t.Fatalf("diagnoses = %d, want 5", len(diags))
 	}
-	byJob := map[int64]Diagnosis{}
+	byJob := map[int64]anomaly.Diagnosis{}
 	for _, d := range diags {
 		byJob[d.JobID] = d
 	}
@@ -148,7 +148,7 @@ func TestLinkInfersCauses(t *testing.T) {
 }
 
 func TestLinkNoEvents(t *testing.T) {
-	diags := Link([]Anomaly{{JobID: 9, Metric: store.MetricFlops, Score: 5}}, nil)
+	diags := anomaly.Link([]anomaly.Anomaly{{JobID: 9, Metric: store.MetricFlops, Score: 5}}, nil)
 	if len(diags) != 1 || !strings.Contains(diags[0].Cause, "statistical outlier") {
 		t.Errorf("diags = %+v", diags)
 	}
@@ -168,7 +168,7 @@ func TestFailureProfiles(t *testing.T) {
 	add(4, "namd", "TIMEOUT")
 	add(5, "amber", "NODE_FAIL")
 	ss := st.AsSet()
-	profiles := FailureProfiles(ss, store.ByApp, store.Filter{})
+	profiles := anomaly.FailureProfiles(ss, store.ByApp, store.Filter{})
 	if len(profiles) != 2 {
 		t.Fatalf("profiles = %d", len(profiles))
 	}
@@ -183,80 +183,31 @@ func TestFailureProfiles(t *testing.T) {
 	if amber.NodeFail != 1 || amber.FailurePct != 100 {
 		t.Errorf("amber profile: %+v", amber)
 	}
-	byUser := FailureProfiles(ss, store.ByUser, store.Filter{})
+	byUser := anomaly.FailureProfiles(ss, store.ByUser, store.Filter{})
 	if len(byUser) != 1 || byUser[0].Key != "u" {
 		t.Errorf("by user: %+v", byUser)
 	}
 }
 
-// failureProfilesRows is FailureProfiles as it was first written, one
-// materialized JobRecord per row: the oracle the columnar walk is held to.
-func failureProfilesRows(st store.Reader, by store.GroupKey, f store.Filter) []FailureProfile {
-	acc := make(map[string]*FailureProfile)
-	var order []string
-	for _, rec := range st.Scan(f).Records() {
-		var key string
-		switch by {
-		case store.ByApp:
-			key = rec.App
-		case store.ByUser:
-			key = rec.User
-		default:
-			key = rec.Cluster
-		}
-		p := acc[key]
-		if p == nil {
-			p = &FailureProfile{Key: key}
-			acc[key] = p
-			order = append(order, key)
-		}
-		p.Jobs++
-		switch rec.Status {
-		case "COMPLETED":
-			p.Completed++
-		case "FAILED":
-			p.Failed++
-		case "TIMEOUT":
-			p.Timeout++
-		case "NODE_FAIL":
-			p.NodeFail++
-		}
-	}
-	out := make([]FailureProfile, 0, len(order))
-	for _, key := range order {
-		p := acc[key]
-		if p.Jobs > 0 {
-			p.FailurePct = float64(p.Jobs-p.Completed) / float64(p.Jobs) * 100
-		}
-		out = append(out, *p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Jobs != out[j].Jobs {
-			return out[i].Jobs > out[j].Jobs
-		}
-		return out[i].Key < out[j].Key
-	})
-	return out
-}
-
-// TestFailureProfilesMatchRowOracle holds the dictionary-code walk to the
-// row loop it replaced, bit for bit, on one partition and on a job-end
-// day split, for every arm of the row loop's key switch, filtered and
-// not.
+// TestFailureProfilesMatchRowOracle holds the dictionary-code walk to
+// internal/reference, bit for bit, on one partition and on a job-end day
+// split, for every dimension and a key that is none (which counts by
+// cluster), filtered and not.
 func TestFailureProfilesMatchRowOracle(t *testing.T) {
-	mono := store.New()
 	statuses := []string{"COMPLETED", "COMPLETED", "FAILED", "TIMEOUT", "NODE_FAIL", "CANCELLED", "COMPLETED"}
 	apps := []string{"namd", "amber", "wrf", "hpl", "gromacs"}
-	for i := 0; i < 900; i++ {
+	rows := make([]store.JobRecord, 900) // ends ascend: already in day order
+	mono := store.New()
+	for i := range rows {
 		end := int64(i)*700 + 3600
-		mono.Add(store.JobRecord{
+		rows[i] = store.JobRecord{
 			JobID: int64(i + 1), Cluster: []string{"ranger", "lonestar4"}[i%11%2],
 			User: fmt.Sprintf("u%02d", i*7%23), App: apps[i*3%len(apps)],
-			Science: "Physics", Nodes: 1 + i%4, Start: end - 3600, End: end,
+			Science: []string{"Physics", "Chemistry"}[i%13/12], Nodes: 1 + i%4, Start: end - 3600, End: end,
 			Status: statuses[i*5%len(statuses)], Samples: i % 5,
-		})
+		}
+		mono.Add(rows[i])
 	}
-	mono.ReorderByEndDay()
 	dir := t.TempDir()
 	if err := store.WriteShardDir(dir, mono); err != nil {
 		t.Fatal(err)
@@ -268,12 +219,14 @@ func TestFailureProfilesMatchRowOracle(t *testing.T) {
 	if split.NumShards() < 5 {
 		t.Fatalf("fixture: %d day shards, want several", split.NumShards())
 	}
-	for _, st := range []store.Reader{mono.AsSet(), split} {
-		for _, by := range []store.GroupKey{store.ByApp, store.ByUser, store.ByCluster} {
+	for _, set := range []struct {
+		st  store.Reader
+		ref reference.Parts
+	}{{mono.AsSet(), reference.Parts{rows}}, {split, reference.ByEndDay(rows)}} {
+		for _, by := range []store.GroupKey{store.ByApp, store.ByUser, store.ByScience, store.ByCluster, store.ByStatus, store.GroupKey(99)} {
 			for _, f := range []store.Filter{{}, {MinSamples: 2}, {App: "wrf", EndAfter: 90000}, {User: "nobody"}} {
-				got, want := FailureProfiles(st, by, f), failureProfilesRows(st, by, f)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%T by %s filter %+v:\n got %+v\nwant %+v", st, by.Name(), f, got, want)
+				if got, want := anomaly.FailureProfiles(set.st, by, f), set.ref.FailureProfiles(by, f); !reference.Same(got, want) {
+					t.Errorf("%d partitions by %s filter %+v:\n got %+v\nwant %+v", len(set.ref), by.Name(), f, got, want)
 				}
 			}
 		}

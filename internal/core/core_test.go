@@ -204,8 +204,8 @@ func TestEfficiencyReportReproducesFig4(t *testing.T) {
 		wasted += u.WastedNodeHours
 		total += u.NodeHours
 	}
-	if math.Abs(ranger.WastedNodeHoursTotal()-wasted) > 1e-6*wasted {
-		t.Error("WastedNodeHoursTotal inconsistent with report")
+	if math.Abs(WastedTotal(ranger.EfficiencyReport())-wasted) > 1e-6*wasted {
+		t.Error("WastedTotal inconsistent with report")
 	}
 	// Per-user wasted/total must be consistent with the fleet number.
 	if math.Abs(wasted/total-(1-re)) > 0.02 {

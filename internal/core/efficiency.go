@@ -76,11 +76,6 @@ func WorstOf(report []UserEfficiency, n int, minNodeHours float64) []UserEfficie
 	return big[:n]
 }
 
-// WastedNodeHoursTotal sums wasted node-hours over all users.
-func (r *Realm) WastedNodeHoursTotal() float64 {
-	return WastedTotal(r.EfficiencyReport())
-}
-
 // WastedTotal sums the wasted node-hours of an EfficiencyReport.
 func WastedTotal(report []UserEfficiency) float64 {
 	var total float64

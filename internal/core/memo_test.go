@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"supremm/internal/store"
@@ -80,5 +81,42 @@ func TestFleetMeanMemoConcurrent(t *testing.T) {
 		if counter.calls[m] != 1 {
 			t.Errorf("%s aggregated over the whole realm %d times, want exactly once", m, counter.calls[m])
 		}
+	}
+}
+
+// panicsOnce is a Reader whose first Aggregate panics.
+type panicsOnce struct {
+	store.Reader
+	fired atomic.Bool
+}
+
+func (p *panicsOnce) Aggregate(m store.Metric, f store.Filter) store.Agg {
+	if p.fired.CompareAndSwap(false, true) {
+		panic("the first aggregate fails")
+	}
+	return p.Reader.Aggregate(m, f)
+}
+
+// TestFleetMeanPanicRetries: a fleet-mean fill that panics leaves its
+// slot empty, so the next caller computes the mean — instead of every
+// later caller of the generation reading a zero: no normalization in
+// /api/v1/query, a fleet efficiency of 1, null profiles.
+func TestFleetMeanPanicRetries(t *testing.T) {
+	shared, _ := realms(t)
+	r := NewRealm(shared.Cluster, shared.CoresPerNode, shared.MemPerNodeGB, shared.PeakTFlops, &panicsOnce{Reader: shared.Store}, shared.Series)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the first FleetMean did not panic")
+			}
+		}()
+		r.FleetMean(store.MetricCPUIdle)
+	}()
+	want := shared.FleetMean(store.MetricCPUIdle)
+	if got := r.FleetMean(store.MetricCPUIdle); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("FleetMean after a panicked fill = %v, want %v", got, want)
+	}
+	if got, want := r.FleetEfficiency(), shared.FleetEfficiency(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("FleetEfficiency after a panicked fill = %v, want %v", got, want)
 	}
 }

@@ -20,18 +20,7 @@ type MetricPair struct {
 // correlated to cpu idle, or net ib rx is positively correlated to
 // net ib tx").
 func (r *Realm) CorrelationMatrix(metrics []store.Metric) map[MetricPair]float64 {
-	sel := r.Store.Scan(r.JobFilter())
-	cols := make(map[store.Metric][]float64, len(metrics))
-	for _, m := range metrics {
-		cols[m] = sel.Values(m)
-	}
-	out := make(map[MetricPair]float64)
-	for i, a := range metrics {
-		for _, b := range metrics[i+1:] {
-			out[MetricPair{a, b}] = stats.Pearson(cols[a], cols[b])
-		}
-	}
-	return out
+	return r.correlations(metrics, stats.Pearson)
 }
 
 // CorrelationMatrixRank is CorrelationMatrix with Spearman rank
@@ -39,6 +28,11 @@ func (r *Realm) CorrelationMatrix(metrics []store.Metric) map[MetricPair]float64
 // to cross-check that the §4.2 redundancy conclusions are not artifacts
 // of outliers.
 func (r *Realm) CorrelationMatrixRank(metrics []store.Metric) map[MetricPair]float64 {
+	return r.correlations(metrics, stats.Spearman)
+}
+
+// correlations is corr of every metric pair over the realm's jobs.
+func (r *Realm) correlations(metrics []store.Metric, corr func(xs, ys []float64) float64) map[MetricPair]float64 {
 	sel := r.Store.Scan(r.JobFilter())
 	cols := make(map[store.Metric][]float64, len(metrics))
 	for _, m := range metrics {
@@ -47,7 +41,7 @@ func (r *Realm) CorrelationMatrixRank(metrics []store.Metric) map[MetricPair]flo
 	out := make(map[MetricPair]float64)
 	for i, a := range metrics {
 		for _, b := range metrics[i+1:] {
-			out[MetricPair{a, b}] = stats.Spearman(cols[a], cols[b])
+			out[MetricPair{a, b}] = corr(cols[a], cols[b])
 		}
 	}
 	return out

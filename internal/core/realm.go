@@ -9,6 +9,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"supremm/internal/store"
 )
@@ -33,10 +34,16 @@ type Realm struct {
 	// order. A realm wraps one immutable snapshot and a reload builds a
 	// new realm, so the memo lives and dies with its generation: there
 	// is nothing to invalidate (DESIGN.md §10).
-	fleet [store.NumMetrics]struct {
-		once sync.Once
-		mean float64
-	}
+	fleet [store.NumMetrics]fleetSlot
+}
+
+// fleetSlot is one metric's remembered fleet mean. It counts as filled
+// only once its aggregate has returned: an aggregate that panics leaves
+// the slot empty for the next caller to retry, never a zero mean.
+type fleetSlot struct {
+	done atomic.Bool
+	mu   sync.Mutex
+	mean float64
 }
 
 // NewRealm assembles a realm.
@@ -73,8 +80,19 @@ func (r *Realm) FleetMean(m store.Metric) float64 {
 		return r.Store.Aggregate(m, r.JobFilter()).Mean
 	}
 	slot := &r.fleet[pos]
-	slot.once.Do(func() { slot.mean = r.Store.Aggregate(m, r.JobFilter()).Mean })
+	if !slot.done.Load() {
+		r.fillFleet(slot, m)
+	}
 	return slot.mean
+}
+
+func (r *Realm) fillFleet(slot *fleetSlot, m store.Metric) {
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
+	if !slot.done.Load() {
+		slot.mean = r.Store.Aggregate(m, r.JobFilter()).Mean
+		slot.done.Store(true)
+	}
 }
 
 // JobCount returns how many jobs pass the base filter.

@@ -100,14 +100,41 @@ func TestMatchesDayShards(t *testing.T) {
 	metrics := []store.Metric{store.MetricCPUIdle, store.MetricMemUsed}
 	for _, f := range filters {
 		for _, m := range metrics {
-			if got, want := fmt.Sprint(parts.Aggregate(m, f)), fmt.Sprint(ss.Aggregate(m, f)); got != want {
-				t.Errorf("%+v %s: reference %s, engine %s", f, m, got, want)
+			if got, want := parts.Aggregate(m, f), ss.Aggregate(m, f); !reference.Same(got, want) {
+				t.Errorf("%+v %s: reference %+v, engine %+v", f, m, got, want)
 			}
 		}
 		for _, k := range []store.GroupKey{store.ByUser, store.ByApp, store.ByScience, store.ByCluster, store.ByStatus, store.GroupKey(99)} {
-			if got, want := fmt.Sprint(parts.GroupBy(k, metrics, f)), fmt.Sprint(ss.GroupBy(k, metrics, f)); got != want {
-				t.Errorf("%+v group %s: reference %s, engine %s", f, k.Name(), got, want)
+			if got, want := parts.GroupBy(k, metrics, f), ss.GroupBy(k, metrics, f); !reference.Same(got, want) {
+				t.Errorf("%+v group %s: reference %+v, engine %+v", f, k.Name(), got, want)
 			}
+		}
+	}
+}
+
+// TestSame pins what the one comparison calls equal: floats by their
+// bits, nil apart from empty, everything else deeply.
+func TestSame(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	for _, c := range []struct {
+		a, b any
+		want bool
+	}{
+		{nan, nan, true},
+		{0.0, negZero, false},
+		{store.Agg{Mean: nan}, store.Agg{Mean: nan}, true},
+		{store.Agg{N: 1}, store.Agg{N: 2}, false},
+		{[]float64(nil), []float64{}, false},
+		{[]int{1, 2}, []int{1, 2}, true},
+		{map[string]float64{"a": nan}, map[string]float64{"a": nan}, true},
+		{map[string]float64{"a": 1}, map[string]float64{"b": 1}, false},
+		{[]any{1, "x"}, []any{1, "x"}, true},
+		{[]any{1}, []any{int64(1)}, false},
+		{store.JobRecord{User: "a"}, store.JobRecord{User: "b"}, false},
+		{nil, nil, true},
+	} {
+		if got := reference.Same(c.a, c.b); got != c.want {
+			t.Errorf("Same(%#v, %#v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }

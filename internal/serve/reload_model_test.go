@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"supremm/internal/core"
 	"supremm/internal/leakcheck"
 	"supremm/internal/reference"
 	"supremm/internal/store"
@@ -299,30 +298,9 @@ var modelTargets = []string{
 func naiveBodies(t *testing.T, b batch) [][]byte {
 	t.Helper()
 	parts := reference.ByEndDay(b.rows())
-	base := store.Filter{Cluster: "ranger", MinSamples: 1}
-	byUser := base
-	byUser.User = "u02"
-	metrics := []store.Metric{store.MetricCPUIdle, store.MetricFlops}
-	q := core.QueryResult{
-		Query:      core.Query{GroupBy: store.ByUser, Metrics: metrics, Filter: store.Filter{MinSamples: 1}, Limit: 3},
-		Groups:     parts.GroupBy(store.ByUser, metrics, base),
-		FleetMeans: map[store.Metric]float64{},
-	}
-	q.Groups = q.Groups[:min(3, len(q.Groups))]
-	for _, m := range metrics {
-		q.FleetMeans[m] = parts.Aggregate(m, base).Mean
-	}
-	var out [][]byte
-	for _, v := range []any{
-		newAggDTO(store.MetricCPUIdle, parts.Aggregate(store.MetricCPUIdle, base)),
-		newAggDTO(store.MetricMemUsed, parts.Aggregate(store.MetricMemUsed, byUser)),
-		newQueryDTO(q),
-	} {
-		body, err := marshalBody(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, body)
+	out := make([][]byte, len(modelTargets))
+	for i, target := range modelTargets {
+		out[i] = referenceBody(t, parts, target)
 	}
 	return out
 }

@@ -1,4 +1,4 @@
-package store
+package store_test
 
 import (
 	"context"
@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"supremm/internal/reference"
+	"supremm/internal/store"
 )
 
-func aggCtxFixture(n int) *Store {
-	st := New()
-	for i := 0; i < n; i++ {
-		r := JobRecord{
+func aggCtxRows(n int) []store.JobRecord {
+	rows := make([]store.JobRecord, n)
+	for i := range rows {
+		rows[i] = store.JobRecord{
 			JobID:   int64(i + 1),
 			Cluster: "ranger",
 			User:    fmt.Sprintf("u%d", i%5),
@@ -22,41 +25,40 @@ func aggCtxFixture(n int) *Store {
 			Status:  "completed",
 			Samples: 2,
 		}
-		r.CPUIdleFrac = float64(i%10) / 10
-		st.Add(r)
+		rows[i].CPUIdleFrac = float64(i%10) / 10
 	}
-	return st
+	return rows
 }
 
 // TestAggregateParallelCtx: with a live context the result is
-// bit-identical to the row baseline; with a cancelled context the
-// call reports the cancellation instead of a silent partial result.
+// bit-identical to the reference; with a cancelled context the call
+// reports the cancellation instead of a silent partial result.
 func TestAggregateParallelCtx(t *testing.T) {
-	st := aggCtxFixture(10000)
-	want := st.baselineAggregate(MetricCPUIdle, Filter{})
-	ss := st.AsSet()
+	rows := aggCtxRows(10000)
+	want := reference.Parts{rows}.Aggregate(store.MetricCPUIdle, store.Filter{})
+	ss := storeOf(rows).AsSet()
 
-	got, err := ss.AggregateParallelCtx(context.Background(), MetricCPUIdle, Filter{}, 4)
+	got, err := ss.AggregateParallelCtx(context.Background(), store.MetricCPUIdle, store.Filter{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("ctx aggregate %+v != plain %+v", got, want)
+	if !reference.Same(got, want) {
+		t.Fatalf("ctx aggregate %+v != reference %+v", got, want)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ss.AggregateParallelCtx(ctx, MetricCPUIdle, Filter{}, 4); !errors.Is(err, context.Canceled) {
+	if _, err := ss.AggregateParallelCtx(ctx, store.MetricCPUIdle, store.Filter{}, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled aggregate err = %v, want context.Canceled", err)
 	}
 
 	// A nil context degrades to the uncancellable path.
-	got, err = ss.AggregateParallelCtx(nil, MetricCPUIdle, Filter{}, 4)
+	got, err = ss.AggregateParallelCtx(nil, store.MetricCPUIdle, store.Filter{}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("nil-ctx aggregate %+v != plain %+v", got, want)
+	if !reference.Same(got, want) {
+		t.Fatalf("nil-ctx aggregate %+v != reference %+v", got, want)
 	}
 }
 
@@ -67,9 +69,9 @@ func TestAggregateParallelCtx(t *testing.T) {
 func TestAggregateMinMaxIgnoresNaN(t *testing.T) {
 	const n = 3 * 4096
 	for _, nanRow := range []int{0, 4096} {
-		st := New()
-		for i := 0; i < n; i++ {
-			r := JobRecord{
+		rows := make([]store.JobRecord, n)
+		for i := range rows {
+			r := store.JobRecord{
 				JobID: int64(i + 1), Cluster: "ranger", User: "u", App: "namd", Nodes: 1,
 				Start: int64(10 * i), End: int64(10*i + 3600), Status: "completed", Samples: 1,
 			}
@@ -82,16 +84,16 @@ func TestAggregateMinMaxIgnoresNaN(t *testing.T) {
 			case nanRow + 20:
 				r.CPUIdleFrac = 0.9
 			}
-			st.Add(r)
+			rows[i] = r
 		}
-		readers := map[string]Reader{
-			"one shard":   st.AsSet(),
-			"many shards": NewShardSet(splitParts(st, []int{100, 4096, 4100, 9000})),
+		readers := map[string]store.Reader{
+			"one shard":   storeOf(rows).AsSet(),
+			"many shards": setOf(cut(rows, []int{100, 4096, 4100, 9000})),
 		}
 		for name, r := range readers {
-			for entry, agg := range map[string]Agg{
-				"Aggregate":            r.Aggregate(MetricCPUIdle, Filter{}),
-				"AggregateParallelCtx": aggParallel(r, MetricCPUIdle, Filter{}, 4),
+			for entry, agg := range map[string]store.Agg{
+				"Aggregate":            r.Aggregate(store.MetricCPUIdle, store.Filter{}),
+				"AggregateParallelCtx": aggParallel(r, store.MetricCPUIdle, store.Filter{}, 4),
 			} {
 				if agg.N != n || agg.Min != 0.01 || agg.Max != 0.9 {
 					t.Errorf("NaN at row %d, %s, %s: N %d min %v max %v, want %d 0.01 0.9",

@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -110,31 +109,6 @@ func TestCodecByteStable(t *testing.T) {
 	second := EncodeColumns(c)
 	if !bytes.Equal(first, second) {
 		t.Fatalf("re-encode differs: %d vs %d bytes", len(first), len(second))
-	}
-}
-
-// TestCodecDerivedState proves a decoded store answers queries exactly
-// like the store it was encoded from (the derived dictionaries, weight
-// cache and vacuity bounds are rebuilt correctly).
-func TestCodecDerivedState(t *testing.T) {
-	st := equivStore(3000)
-	c, err := DecodeColumns(EncodeColumns(st.Columns()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The original side keeps the derived state Add maintained (AsSet
-	// would rebuild it the decoder's way and compare like with like).
-	orig, decoded := NewShardSet([]*Columns{st.Columns()}), NewShardSet([]*Columns{c})
-	for fi, f := range equivFilters {
-		if got, want := decoded.Aggregate(MetricFlops, f), orig.Aggregate(MetricFlops, f); !aggBitsEqual(got, want) {
-			t.Errorf("filter#%d: decoded store aggregate %+v != original %+v", fi, got, want)
-		}
-		if got, want := decoded.Select(f), orig.Select(f); !reflect.DeepEqual(got, want) {
-			t.Errorf("filter#%d: decoded store selects %d rows, original %d", fi, len(got), len(want))
-		}
-	}
-	if got, want := decoded.Scan(Filter{}).NodeHours(), orig.Scan(Filter{}).NodeHours(); math.Float64bits(got) != math.Float64bits(want) {
-		t.Errorf("NodeHours %v != %v", got, want)
 	}
 }
 

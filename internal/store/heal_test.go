@@ -469,78 +469,6 @@ func TestRepairRefusesWrongBacking(t *testing.T) {
 	}
 }
 
-// TestDegradedAggregatesMatchBaseline is the isolation property:
-// quarantining day N must leave every aggregate over days != N
-// bit-identical to the same query against the full store — degraded
-// serving never perturbs the healthy days.
-func TestDegradedAggregatesMatchBaseline(t *testing.T) {
-	dir, _, entries, _ := healFixture(t, 2500)
-	full, err := LoadShardSet(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(44))
-	metrics := []Metric{MetricCPUUser, MetricMemUsed, MetricFlops}
-	for trial := 0; trial < len(entries); trial++ {
-		victim := entries[trial]
-		if moved, err := QuarantineShard(dir, victim, "trial", int64(trial)); err != nil || !moved {
-			t.Fatalf("quarantine: moved %v, err %v", moved, err)
-		}
-		degraded, faults := LoadShardsDegraded(dir, entries, nil, nil)
-		if len(faults) != 1 || faults[0].Info.ID != victim.ID {
-			t.Fatalf("trial %d: faults = %+v, want exactly day %d", trial, faults, victim.ID)
-		}
-		if degraded.NumShards() != len(entries)-1 {
-			t.Fatalf("trial %d: degraded set has %d shards, want %d", trial, degraded.NumShards(), len(entries)-1)
-		}
-		// Windows that exclude the quarantined day: everything before it
-		// (a bound of 0 means unbounded, so day 0 has no "before"),
-		// everything after it, and a random healthy single day.
-		windows := []Filter{
-			{EndAfter: (victim.ID + 1) * SecondsPerDay},
-		}
-		if victim.ID > 0 {
-			windows = append(windows, Filter{EndBefore: victim.ID * SecondsPerDay})
-		}
-		if healthy := pickOtherDay(rng, entries, victim.ID); healthy >= 0 {
-			windows = append(windows, Filter{
-				EndAfter:  healthy * SecondsPerDay,
-				EndBefore: (healthy + 1) * SecondsPerDay,
-			})
-		}
-		for wi, f := range windows {
-			m := metrics[rng.Intn(len(metrics))]
-			a, b := full.Aggregate(m, f), degraded.Aggregate(m, f)
-			if !aggBitsEqual(b, a) {
-				t.Fatalf("trial %d window %d: degraded aggregate %+v != baseline %+v", trial, wi, b, a)
-			}
-			ga := full.GroupBy(ByUser, metrics, f)
-			gb := degraded.GroupBy(ByUser, metrics, f)
-			if !groupsBitsEqual(ga, gb) {
-				t.Fatalf("trial %d window %d: degraded groupby differs from baseline", trial, wi)
-			}
-		}
-		// Restore: move the quarantined copy back for the next trial.
-		if err := os.Rename(filepath.Join(dir, QuarantinedShardFile(victim.ID)),
-			filepath.Join(dir, ShardFileName(victim.ID))); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func pickOtherDay(rng *rand.Rand, entries []ShardInfo, not int64) int64 {
-	others := make([]int64, 0, len(entries))
-	for _, e := range entries {
-		if e.ID != not {
-			others = append(others, e.ID)
-		}
-	}
-	if len(others) == 0 {
-		return -1
-	}
-	return others[rng.Intn(len(others))]
-}
-
 // TestLoadShardsDegradedReuse pins that fault isolation composes with
 // incremental reuse: against a previous healthy set, a degraded load
 // adopts every healthy shard by pointer and faults only the damaged

@@ -33,43 +33,19 @@ func testStore(n int) *Store {
 	return s
 }
 
-func TestSelectIndexedMatchesScan(t *testing.T) {
-	s := testStore(5000).AsSet()
-	scan := testStore(5000) // the row baseline's twin: it scans every row
-	filters := []Filter{
-		{},
-		{Cluster: "ranger"},
-		{User: "u042"},
-		{App: "app07"},
-		{Cluster: "lonestar4", User: "u011", MinSamples: 2},
-		{Cluster: "ranger", App: "app03", Science: "sci2"},
-		{User: "nobody"},
-		{Cluster: "ranger", EndAfter: 1_000_000, EndBefore: 3_000_000},
-		{Science: "sci4"}, // unindexed column: falls back to scan
-	}
-	for _, f := range filters {
-		if got, want := s.Select(f), scan.baselineSelect(f); !reflect.DeepEqual(got, want) {
-			t.Errorf("filter %+v: indexed select %d rows, scan %d rows", f, len(got), len(want))
+// splitParts cuts st's rows at the given ascending interior positions
+// into columnar partitions.
+func splitParts(st *Store, cuts []int) []*Columns {
+	bounds := append(append([]int{0}, cuts...), st.Len())
+	parts := make([]*Columns, 0, len(bounds)-1)
+	for i := 0; i+1 < len(bounds); i++ {
+		p := New()
+		for r := bounds[i]; r < bounds[i+1]; r++ {
+			p.Add(st.Record(r))
 		}
+		parts = append(parts, p.Columns())
 	}
-}
-
-// TestAggregateParallelMatchesSequential holds the two aggregate entry
-// points to each other on a one-shard set: one kernel behind both, so
-// the same bits for any worker count.
-func TestAggregateParallelMatchesSequential(t *testing.T) {
-	s := testStore(20000).AsSet()
-	filters := []Filter{{}, {Cluster: "ranger"}, {User: "u042"}, {User: "nobody"}}
-	for _, f := range filters {
-		for _, m := range []Metric{MetricCPUIdle, MetricMemUsed, MetricFlops} {
-			want := s.Aggregate(m, f)
-			for _, w := range []int{1, 2, 3, 16} {
-				if got := aggParallel(s, m, f, w); !aggBitsEqual(got, want) {
-					t.Fatalf("%v %s: workers=%d: %+v, sequential %+v", f, m, w, got, want)
-				}
-			}
-		}
-	}
+	return parts
 }
 
 // walkArms are the two arms of walkSet on one shard for the same
@@ -125,8 +101,9 @@ func TestIndexedSpeedupFloor(t *testing.T) {
 // TestIndexSkipsValueEveryRowCarries: a posting list that holds every
 // row narrows nothing, so none is built for it and a predicate on such a
 // value leaves the filter to the others — which must never turn "every
-// row has it" into "no row has it". One shard holds a single cluster (a
-// realm's data directory), the other two.
+// row has it" into "no row has it" (TestSelectIndexedMatchesScan holds
+// the same shards' selections to the reference). One shard holds a
+// single cluster (a realm's data directory), the other two.
 func TestIndexSkipsValueEveryRowCarries(t *testing.T) {
 	one, two := New(), testStore(600)
 	for i := 0; i < two.Len(); i++ {
@@ -135,20 +112,7 @@ func TestIndexSkipsValueEveryRowCarries(t *testing.T) {
 		one.Add(r)
 	}
 	for name, st := range map[string]*Store{"one cluster": one, "two clusters": two} {
-		filters := []Filter{
-			{Cluster: "ranger"}, {Cluster: "lonestar4"}, {Cluster: "nonesuch"},
-			{Cluster: "ranger", User: "u042"}, {Cluster: "ranger", App: "app07", MinSamples: 1},
-			{Cluster: "ranger", Status: "completed"}, // status: every row, unindexed column
-			{Cluster: "ranger", EndAfter: 200_000},   // the window cuts: what an edge day shard sees
-			{Cluster: "ranger", MinSamples: 2},
-		}
-		ss := st.AsSet()
-		for _, f := range filters {
-			if got, want := ss.Select(f), st.baselineSelect(f); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s, %+v: %d rows, row baseline %d", name, f, len(got), len(want))
-			}
-		}
-		part := ss.ShardAt(0)
+		part := st.AsSet().ShardAt(0)
 		for code, v := range part.c.Cluster.Values {
 			every := part.c.Cluster.counts[code] == part.c.Len()
 			if list := part.idx.cluster[code]; every != (list == nil) {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 	"unsafe"
 )
@@ -56,73 +55,6 @@ func historyParts(tb testing.TB, jobs, days int) []*Columns {
 		tb.Fatalf("fixture spans %d day shards, want >= %d", len(cols), days)
 	}
 	return cols
-}
-
-// TestMemoFirstTouchRace: sixteen goroutines put overlapping aggregates,
-// group-bys and scans to one set nothing has queried, so the first
-// touches of every slot collide; each answer must be the one a set
-// queried by a single goroutine gives. `make test-store` runs it under
-// the race detector at one, two and four cores.
-func TestMemoFirstTouchRace(t *testing.T) {
-	cols := historyParts(t, 12_000, 12)
-	serial, racing := NewShardSet(cols), NewShardSet(cols)
-	first, last := serial.ShardAt(2).Info(), serial.ShardAt(9).Info()
-	base := Filter{Cluster: "ranger", MinSamples: 1}
-	window := base
-	window.EndAfter, window.EndBefore = first.MinEnd+1800, last.MaxEnd-1800 // both edge shards cut
-	filters := []Filter{base, window, {Cluster: "ranger"}, {User: "user0001", MinSamples: 1}}
-	metrics := []Metric{MetricCPUIdle, MetricFlops, MetricMemUsed}
-
-	type answer struct {
-		agg    Agg
-		groups []Group
-		n      int
-		hours  float64
-		vals   []float64
-	}
-	ask := func(ss *ShardSet, q int) answer {
-		f, m := filters[q%len(filters)], metrics[q/len(filters)%len(metrics)]
-		sel := ss.Scan(f)
-		return answer{
-			agg:    aggParallel(ss, m, f, 1+q%3),
-			groups: ss.GroupBy(GroupKey(q%3), metrics[:1+q%len(metrics)], f),
-			n:      sel.Len(), hours: sel.NodeHours(), vals: sel.Values(m),
-		}
-	}
-	const queries = 24
-	want := make([]answer, queries)
-	for q := range want {
-		want[q] = ask(serial, q)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < queries; i++ {
-				q := (i + 5*g) % queries // every goroutine starts somewhere else
-				got := ask(racing, q)
-				if !aggBitsEqual(got.agg, want[q].agg) || !groupsBitsEqual(got.groups, want[q].groups) || got.n != want[q].n ||
-					math.Float64bits(got.hours) != math.Float64bits(want[q].hours) || !floatsBitsEqual(got.vals, want[q].vals) {
-					t.Errorf("goroutine %d, query %d: the racing set's answer differs from the serial one", g, q)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	// Only first touches were walks: with both sets warm, the same
-	// queries walk just the partitions their filters cut.
-	before := racing.PartitionUse()
-	for q := 0; q < queries; q++ {
-		ask(racing, q)
-	}
-	after, ref := racing.PartitionUse(), serial.PartitionUse()
-	for q := 0; q < queries; q++ {
-		ask(serial, q)
-	}
-	if got, want := after.Walked-before.Walked, serial.PartitionUse().Walked-ref.Walked; got != want {
-		t.Errorf("warm pass walked %d partitions on the raced set, %d on the serial one", got, want)
-	}
 }
 
 // TestMemoWarmAllocations is the ceiling on what a remembered answer

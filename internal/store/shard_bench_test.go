@@ -13,7 +13,7 @@ func BenchmarkShardPrune(b *testing.B) {
 	ss := NewShardSet(cols)
 	mid := ss.ShardAt(ss.NumShards() / 2).Info()
 	f := Filter{Cluster: "ranger", EndAfter: mid.MinEnd, EndBefore: mid.MaxEnd + 1}
-	if pruned := prunedParts(ss, f); pruned != ss.NumShards()-1 {
+	if pruned := PrunedParts(ss, f); pruned != ss.NumShards()-1 {
 		b.Fatalf("window pruned %d of %d shards, want all but one", pruned, ss.NumShards())
 	}
 

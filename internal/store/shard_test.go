@@ -114,6 +114,37 @@ func patchedByteFlip(data []byte, i int) []byte {
 	return b
 }
 
+// floorStore mirrors the serve benchmark's 100k-job corpus shape (one
+// cluster, 500 users, six apps).
+func floorStore(n int) *Store {
+	st := New()
+	apps := []string{"namd", "amber", "gromacs", "wrf", "hpl", "charmm"}
+	users := make([]string, 500)
+	for u := range users {
+		users[u] = "u" + string(rune('0'+u/100)) + string(rune('0'+u/10%10)) + string(rune('0'+u%10))
+	}
+	for i := 0; i < n; i++ {
+		r := JobRecord{
+			JobID:   int64(100 + i),
+			Cluster: "ranger",
+			User:    users[i%len(users)],
+			App:     apps[i%len(apps)],
+			Science: []string{"Chemistry", "Physics", "Biology"}[i%3],
+			Nodes:   1 + i%64,
+			Submit:  int64(100 * i),
+			Start:   int64(100*i + 60),
+			End:     int64(100*i+60) + 1800*(1+int64(i%8)),
+			Status:  "completed",
+			Samples: 1 + i%5,
+		}
+		r.CPUIdleFrac = float64(i%100) / 100
+		r.MemUsedGB = float64(i % 29)
+		r.FlopsGF = 0.7 * float64(i%17)
+		st.Add(r)
+	}
+	return st
+}
+
 // multiDayStore is floorStore grouped by end day — the shape every
 // shard test wants: a few thousand rows spanning several epoch days.
 func multiDayStore(n int) *Store {
@@ -325,67 +356,5 @@ func TestLoadShardSetTornShard(t *testing.T) {
 	}
 	if _, err := LoadShardSet(dir, ss1); err == nil {
 		t.Error("stale manifest (missing shard) loaded despite in-memory copy")
-	}
-}
-
-func TestShardPruneByTimeWindow(t *testing.T) {
-	st := multiDayStore(3000)
-	_, cols := st.partitionByEndDay()
-	ss := NewShardSet(cols)
-	if ss.NumShards() < 3 {
-		t.Fatalf("fixture spans %d shards, want >= 3", ss.NumShards())
-	}
-	mid := ss.ShardAt(1).Info()
-	f := Filter{Cluster: "ranger", EndAfter: mid.MinEnd, EndBefore: mid.MaxEnd + 1}
-	pruned := prunedParts(ss, f)
-	if want := ss.NumShards() - 1; pruned != want {
-		t.Errorf("one-day window pruned %d of %d shards, want %d", pruned, ss.NumShards(), want)
-	}
-	// Pruning never changes the answer.
-	for _, m := range []Metric{MetricCPUIdle, MetricMemUsed} {
-		if got, want := ss.Aggregate(m, f), st.baselineAggregate(m, f, cutsOf(cols)...); !aggBitsEqual(got, want) {
-			t.Errorf("%s: pruned aggregate diverges from the row baseline", m)
-		}
-	}
-	if got, want := len(ss.Select(f)), len(st.baselineSelect(f)); got != want {
-		t.Errorf("pruned select has %d rows, row baseline %d", got, want)
-	}
-	// An impossible window prunes everything and still answers exactly.
-	none := Filter{EndAfter: (ss.ShardAt(ss.NumShards() - 1).Info().MaxEnd) + 1}
-	pruned = prunedParts(ss, none)
-	if pruned != ss.NumShards() {
-		t.Errorf("empty window pruned %d of %d shards", pruned, ss.NumShards())
-	}
-	if got, want := ss.Aggregate(MetricCPUIdle, none), st.baselineAggregate(MetricCPUIdle, none); !aggBitsEqual(got, want) {
-		t.Error("all-pruned aggregate diverges from the row baseline empty aggregate")
-	}
-}
-
-func TestShardSetEmptyAndSingle(t *testing.T) {
-	// Empty set: every query answers like an empty store.
-	empty := NewShardSet(nil)
-	if empty.Len() != 0 {
-		t.Fatalf("empty shard set has %d rows", empty.Len())
-	}
-	if rs := empty.Select(Filter{}); rs != nil {
-		t.Errorf("empty set selected %v", rs)
-	}
-	if g := empty.GroupBy(ByApp, []Metric{MetricCPUIdle}, Filter{}); len(g) != 0 {
-		t.Errorf("empty set grouped %d buckets", len(g))
-	}
-	emptyAgg := New().baselineAggregate(MetricCPUIdle, Filter{})
-	if got := empty.Aggregate(MetricCPUIdle, Filter{}); !aggBitsEqual(got, emptyAgg) {
-		t.Error("empty shard set aggregate differs from empty store aggregate")
-	}
-
-	// Single shard: the degenerate split is exactly the monolith.
-	st := equivStore(700)
-	one := NewShardSet([]*Columns{st.Columns()})
-	for _, f := range equivFilters {
-		for _, m := range []Metric{MetricCPUIdle, MetricFlops} {
-			if got, want := one.Aggregate(m, f), st.baselineAggregate(m, f); !aggBitsEqual(got, want) {
-				t.Fatalf("single-shard aggregate diverges (%s, %+v)", m, f)
-			}
-		}
 	}
 }

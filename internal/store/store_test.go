@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -224,6 +225,82 @@ func TestValuesAndTotalNodeHours(t *testing.T) {
 	}
 	if got := ss.Scan(Filter{User: "a"}).NodeHours(); got != 8 {
 		t.Errorf("filtered nh = %v", got)
+	}
+}
+
+// selWeights reads the node-hour weight of every selected row, in
+// global order, through the ordered row walk.
+func selWeights(sel Selection) []float64 {
+	var out []float64
+	sel.Walk(func(c *Columns, rows Rows) {
+		for j := 0; j < rows.Len(); j++ {
+			out = append(out, c.NodeHours()[rows.At(j)])
+		}
+	})
+	return out
+}
+
+// TestAsSetIsolatedFromBuilder: a set taken from a store answers from
+// the rows it was taken over, whatever the builder does next. The sharp
+// case is vacuity: the set holds 99 rows of one user and one of another;
+// one more Add of the first user makes the builder's count for that
+// value equal the set's row count, and a set sharing the counts would
+// then take "user = alice" for a predicate every row passes.
+func TestAsSetIsolatedFromBuilder(t *testing.T) {
+	st := New()
+	for i := 0; i < 99; i++ {
+		st.Add(rec(int64(i+1), "alice", "namd", 1+i%4, 1, float64(i%10)/10, float64(i)))
+	}
+	st.Add(rec(100, "bob", "amber", 2, 1, 0.5, 7))
+	ss := st.AsSet()
+
+	filters := []Filter{{}, {User: "alice"}, {User: "bob"}, {User: "carol"}, {App: "namd", MinSamples: 1}, {Cluster: "lonestar4"}, {EndBefore: 1 << 40}}
+	type answers struct {
+		Len    int
+		Select []int
+		Agg    Agg
+		Groups []Group
+		Values []float64
+		Hours  float64
+		Recs   []JobRecord
+	}
+	ask := func() []answers {
+		out := make([]answers, len(filters))
+		for i, f := range filters {
+			sel := ss.Scan(f)
+			out[i] = answers{
+				Len: ss.Len(), Select: ss.Select(f), Agg: ss.Aggregate(MetricCPUIdle, f),
+				Groups: ss.GroupBy(ByUser, []Metric{MetricFlops}, f),
+				Values: sel.Values(MetricFlops), Hours: sel.NodeHours(), Recs: sel.Records(),
+			}
+		}
+		return out
+	}
+	before := ask()
+	if got := len(before[1].Select); got != 99 {
+		t.Fatalf("user=alice selects %d rows before any further Add, want 99", got)
+	}
+
+	check := func(step string) {
+		t.Helper()
+		after := ask()
+		for i, f := range filters {
+			// Formatted, not DeepEqual: an empty aggregate is all NaN.
+			if fmt.Sprintf("%+v", before[i]) != fmt.Sprintf("%+v", after[i]) {
+				t.Errorf("after %s, filter %+v: the set's answers moved\nbefore %+v\n after %+v", step, f, before[i], after[i])
+			}
+		}
+	}
+	st.Add(rec(101, "alice", "namd", 1, 1, 0.9, 1))
+	check("a 100th alice (the builder's count reaches the set's row count)")
+	st.Add(rec(102, "carol", "wrf", 1, 1, 0.9, 1))
+	check("a user the set has never seen")
+	late := rec(103, "alice", "namd", 1, 1, 0.9, 1)
+	late.Cluster, late.End, late.Samples = "lonestar4", 1<<41, 0
+	st.Add(late)
+	check("a row that moves every bound the builder keeps")
+	if st.Len() != 103 || ss.Len() != 100 {
+		t.Errorf("builder has %d rows, set %d; want 103 and 100", st.Len(), ss.Len())
 	}
 }
 
