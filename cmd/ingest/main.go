@@ -17,19 +17,15 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
 	"supremm/internal/ingest"
 	"supremm/internal/sched"
-	"supremm/internal/store"
 )
 
 func main() {
@@ -123,53 +119,9 @@ func runWorkers(rawDir, acctPath, out string, workers int, opts ingest.Options) 
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(out, 0o755); err != nil {
-		return err
-	}
-	// A columnar jobs.supremm left by an earlier writer holds an older
-	// batch, and shard repair reads it before jobs.jsonl
-	// (store.LoadBackingStore): a new or changed day rebuilt from it
-	// would fail its manifest check and stay quarantined. It goes before
-	// anything of this batch lands.
-	if err := os.Remove(filepath.Join(out, "jobs.supremm")); err == nil {
-		if err := store.FsyncDir(out); err != nil {
-			return err
-		}
-	} else if !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	// Group rows by job-end day before writing anything, so the export
-	// (jobs.jsonl) lists the rows in the order the day shards
-	// concatenate to and queries answer in. Shard repair does not need
-	// it: it keeps each day's rows in whatever order it finds them, as
-	// WriteShardDir does.
-	res.Store.ReorderByEndDay()
-	// Every output lands atomically (store.AtomicWriteFile: temp + fsync
-	// + rename + directory fsync): supremmd polls this directory and must
-	// never catch a half-written file. A reader sees either the previous
-	// file or the new one, per file. jobs.jsonl is the whole history in
-	// one file: the backing shard repair rebuilds a lost day from, and
-	// the inspectable export.
-	if err := store.AtomicWriteFile(out, "jobs.jsonl", func(f *os.File) error {
-		return res.Store.Save(f)
-	}); err != nil {
-		return err
-	}
-	if err := store.AtomicWriteFile(out, "series.jsonl", func(f *os.File) error {
-		return store.SaveSeries(f, res.Series)
-	}); err != nil {
-		return err
-	}
-	if err := store.AtomicWriteFile(out, "quality.json", func(f *os.File) error {
-		return ingest.WriteQuality(f, &res.Quality)
-	}); err != nil {
-		return err
-	}
-	// The form supremmd and xdmod load: one immutable shard per job-end
-	// day plus the CRC-checked manifest, written shards-first so the
-	// manifest never names a shard that has not landed; a day's append
-	// reloads incrementally.
-	if err := store.WriteShardDir(out, res.Store); err != nil {
+	// The batch lands through the sequence cmd/simulate shares; supremmd
+	// may be polling out.
+	if err := ingest.WriteDir(out, res.Store, res.Series, &res.Quality); err != nil {
 		return err
 	}
 	q := &res.Quality

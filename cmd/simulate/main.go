@@ -1,8 +1,12 @@
 // Command simulate runs one cluster simulation and writes its artefacts
 // to disk: raw TACC_Stats files (optional), the accounting log, the
-// rationalized event log, Lariat summaries, the job-record store (day
-// shards + MANIFEST.supremm, and jobs.jsonl) and the system series.
-// These are the inputs of cmd/ingest, cmd/xdmod and cmd/supremmd.
+// rationalized event log, Lariat summaries, and the data directory
+// proper — jobs.jsonl, the system series, day shards + MANIFEST.supremm
+// — through ingest.WriteDir, the landing sequence cmd/ingest uses. A
+// simulation has no ingest quality report, so a quality.json an earlier
+// ingest left in the directory is removed with the stale columnar
+// backing. These are the inputs of cmd/ingest, cmd/xdmod and
+// cmd/supremmd.
 //
 //	simulate -cluster ranger -nodes 64 -days 14 -out ./data -raw
 package main
@@ -15,6 +19,7 @@ import (
 
 	"supremm/internal/cluster"
 	"supremm/internal/eventlog"
+	"supremm/internal/ingest"
 	"supremm/internal/lariat"
 	"supremm/internal/sched"
 	"supremm/internal/sim"
@@ -41,17 +46,11 @@ func main() {
 }
 
 func run(clusterName string, nodes, days int, seed int64, out string, raw bool, swfOut, traceIn string) error {
-	var cc cluster.Config
-	switch clusterName {
-	case "ranger":
-		cc = cluster.RangerConfig().Scaled(nodes)
-	case "lonestar4":
-		cc = cluster.Lonestar4Config().Scaled(nodes)
-	case "stampede":
-		cc = cluster.StampedeConfig().Scaled(nodes)
-	default:
+	cc, ok := cluster.Preset(clusterName)
+	if !ok {
 		return fmt.Errorf("unknown cluster %q", clusterName)
 	}
+	cc = cc.Scaled(nodes)
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
@@ -100,13 +99,6 @@ func run(clusterName string, nodes, days int, seed int64, out string, raw bool, 
 		return err
 	}
 
-	// The job store lands in the form every reader reads — day shards
-	// under a manifest (supremmd, xdmod) — beside jobs.jsonl, the
-	// inspectable copy and the shards' repair backing. Rows are grouped by
-	// job-end day first so the copy reads in the order queries answer in
-	// (repair only needs each day's rows in the same relative order), and
-	// every file lands atomically: a daemon may be polling out.
-	res.Store.ReorderByEndDay()
 	for _, f := range []struct {
 		name  string
 		write func(*os.File) error
@@ -114,14 +106,13 @@ func run(clusterName string, nodes, days int, seed int64, out string, raw bool, 
 		{"accounting.log", func(f *os.File) error { return sched.WriteAcct(f, res.Acct) }},
 		{"events.log", func(f *os.File) error { return eventlog.WriteEvents(f, res.Events) }},
 		{"lariat.jsonl", func(f *os.File) error { return lariat.Write(f, res.Lariat) }},
-		{"jobs.jsonl", func(f *os.File) error { return res.Store.Save(f) }},
-		{"series.jsonl", func(f *os.File) error { return store.SaveSeries(f, res.Series) }},
 	} {
 		if err := store.AtomicWriteFile(out, f.name, f.write); err != nil {
 			return fmt.Errorf("write %s: %w", f.name, err)
 		}
 	}
-	if err := store.WriteShardDir(out, res.Store); err != nil {
+	// No quality report: an earlier ingest's quality.json goes.
+	if err := ingest.WriteDir(out, res.Store, res.Series, nil); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s: %d jobs, %d samples, %d events, %d acct records\n",

@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"supremm/internal/cluster"
+	"supremm/internal/ingest"
 	"supremm/internal/report"
 	"supremm/internal/sched"
 	"supremm/internal/serve"
@@ -106,6 +111,90 @@ func TestRunOutputIsADataDirectory(t *testing.T) {
 	}
 	if repaired, err := os.ReadFile(victim); err != nil || !bytes.Equal(repaired, pristine) {
 		t.Errorf("shard rebuilt from jobs.jsonl differs from the one simulate wrote (err %v)", err)
+	}
+}
+
+// TestRunOverIngestedDirDropsStaleFiles: simulate over a directory an
+// ingest wrote, with an older batch's columnar jobs.supremm planted
+// beside it. The simulated batch has no quality report, so the ingest's
+// quality.json must go (else xdmod and supremmd report on files this
+// batch never read), and the planted jobs.supremm must go (else shard
+// repair rebuilds from the older batch instead of jobs.jsonl).
+func TestRunOverIngestedDirDropsStaleFiles(t *testing.T) {
+	out := t.TempDir()
+	if err := run("ranger", 4, 1, 3, out, true, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	af, err := os.Open(filepath.Join(out, "accounting.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	acct, err := sched.ReadAcct(af)
+	af.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ingest.IngestRawOpts(filepath.Join(out, "raw"), acct, ingest.Options{Policy: ingest.Lenient, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ingest.WriteDir(out, res.Store, res.Series, &res.Quality); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AtomicWriteFile(out, store.JobsColumnarFile, func(f *os.File) error { return res.Store.SaveBinary(f) }); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := run("ranger", 4, 2, 7, out, false, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{store.QualityFile, store.JobsColumnarFile} {
+		if _, err := os.Stat(filepath.Join(out, name)); !os.IsNotExist(err) {
+			t.Errorf("%s survived the simulate (stat err %v)", name, err)
+		}
+	}
+	if _, src, err := store.LoadBackingStore(out, nil); err != nil || src != store.JobsFile {
+		t.Errorf("repair backing = %q (err %v), want %s", src, err, store.JobsFile)
+	}
+	srv, err := serve.New(serve.Config{DataDir: out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/quality", nil))
+	var body struct {
+		Available *bool `json:"available"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("/api/v1/quality: %d %q (err %v)", rec.Code, rec.Body.String(), err)
+	}
+	if body.Available == nil || *body.Available {
+		t.Errorf("/api/v1/quality = %s, want available false", rec.Body.String())
+	}
+}
+
+// TestRunStampedeLoadsWithStampedeShape: a stampede directory loads
+// with Stampede's node shape and peak, scaled to the series' active-node
+// peak — not Ranger's, which put every "% of peak" 2.35x too high.
+func TestRunStampedeLoadsWithStampedeShape(t *testing.T) {
+	out := t.TempDir()
+	if err := run("stampede", 8, 2, 3, out, false, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	realm, err := serve.LoadRealm(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := 0
+	for _, s := range realm.Series {
+		peak = max(peak, s.ActiveNodes)
+	}
+	want := cluster.StampedeConfig().Scaled(peak)
+	if realm.Cluster != "stampede" || realm.CoresPerNode != want.CoresPerNode() ||
+		realm.MemPerNodeGB != want.MemPerNodeGB || realm.PeakTFlops != want.PeakTFlops() {
+		t.Errorf("loaded %s: %d cores, %v GB, %v TF per %d nodes; want %d cores, %v GB, %v TF",
+			realm.Cluster, realm.CoresPerNode, realm.MemPerNodeGB, realm.PeakTFlops, peak,
+			want.CoresPerNode(), want.MemPerNodeGB, want.PeakTFlops())
 	}
 }
 

@@ -37,7 +37,7 @@ func main() {
 		advise    = flag.String("advise", "", "advise which cluster suits this application (e.g. gromacs)")
 		svgDir    = flag.String("svg", "", "also write vector figures into this directory")
 		htmlOut   = flag.String("html", "", "also write a self-contained HTML dashboard to this file")
-		clusterFl = flag.String("cluster", "", "restrict to one cluster (ranger|lonestar4)")
+		clusterFl = flag.String("cluster", "", "restrict to one cluster (ranger|lonestar4|stampede)")
 	)
 	flag.Parse()
 	if err := run(*days, *nodes, *seed, *fig, *table, *corr, *anomalies, *advise, *svgDir, *htmlOut, *clusterFl); err != nil {
@@ -53,19 +53,16 @@ type realmWithEvents struct {
 }
 
 func run(days, nodes int, seed int64, fig, table int, corr, anomalies bool, advise, svgDir, htmlOut, clusterName string) error {
-	var setups []cluster.Config
-	switch clusterName {
-	case "":
-		setups = []cluster.Config{
-			cluster.RangerConfig().Scaled(nodes),
-			cluster.Lonestar4Config().Scaled(nodes),
+	setups := []cluster.Config{
+		cluster.RangerConfig().Scaled(nodes),
+		cluster.Lonestar4Config().Scaled(nodes),
+	}
+	if clusterName != "" {
+		cc, ok := cluster.Preset(clusterName)
+		if !ok {
+			return fmt.Errorf("unknown cluster %q", clusterName)
 		}
-	case "ranger":
-		setups = []cluster.Config{cluster.RangerConfig().Scaled(nodes)}
-	case "lonestar4":
-		setups = []cluster.Config{cluster.Lonestar4Config().Scaled(nodes)}
-	default:
-		return fmt.Errorf("unknown cluster %q", clusterName)
+		setups = []cluster.Config{cc.Scaled(nodes)}
 	}
 
 	var realms []realmWithEvents

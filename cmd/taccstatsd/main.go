@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		clusterFl  = flag.String("cluster", "ranger", "preset cluster (ranger|lonestar4)")
+		clusterFl  = flag.String("cluster", "ranger", "preset cluster (ranger|lonestar4|stampede)")
 		app        = flag.String("app", "namd", "application archetype")
 		jobID      = flag.Int64("job", 12345, "job id for the begin/end marks")
 		samples    = flag.Int("samples", 12, "periodic samples between job begin and end")
@@ -114,13 +114,8 @@ type keepOpen struct{ io.Writer }
 func (keepOpen) Close() error { return nil }
 
 func run(clusterName, appName string, jobID int64, samples int, out string, seed, truncateAt int64, retries int) error {
-	var cc cluster.Config
-	switch clusterName {
-	case "ranger":
-		cc = cluster.RangerConfig()
-	case "lonestar4":
-		cc = cluster.Lonestar4Config()
-	default:
+	cc, ok := cluster.Preset(clusterName)
+	if !ok {
 		return fmt.Errorf("unknown cluster %q", clusterName)
 	}
 	apps := workload.DefaultApps()

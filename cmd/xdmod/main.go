@@ -16,12 +16,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
 	"supremm/internal/anomaly"
 	"supremm/internal/core"
-	"supremm/internal/ingest"
 	"supremm/internal/report"
 	"supremm/internal/sched"
 	"supremm/internal/serve"
@@ -32,7 +32,7 @@ func main() {
 	var (
 		data     = flag.String("data", "data", "data directory from cmd/ingest or cmd/simulate (MANIFEST.supremm + its shards; plus series.jsonl)")
 		reportFl = flag.String("report", "system", "report: users|apps|efficiency|persistence|system|failures|trends|workload|forecast|waits|quality")
-		queryFl  = flag.String("query", "", "custom report, e.g. 'group=app metrics=cpu_idle,cpu_flops limit=10'")
+		queryFl  = flag.String("query", "", "custom report over the /api/v1/query keys, e.g. 'group=app metrics=cpu_idle,cpu_flops limit=10'")
 		suiteFl  = flag.String("suite", "", "render a full stakeholder suite: user|developer|support|admin|manager|funding")
 		topN     = flag.Int("n", 5, "how many users/apps to show")
 	)
@@ -57,41 +57,28 @@ func main() {
 	}
 }
 
-// loadRealm delegates to the serve loader so the CLI and the daemon
-// assemble realms identically (cluster-shape inference included).
-func loadRealm(dir string) (*core.Realm, error) {
-	return serve.LoadRealm(dir)
-}
-
 // runSuite renders one stakeholder's full report set (§4.3), with the
 // data-completeness section appended for support/admin when the data
 // directory carries an ingest quality report.
 func runSuite(dir, who string) error {
-	r, err := loadRealm(dir)
+	r, err := serve.LoadRealm(dir)
 	if err != nil {
 		return err
 	}
-	q, err := loadQuality(dir)
+	q, err := serve.LoadQuality(dir)
 	if err != nil {
 		return err
 	}
 	return report.SuiteWithQuality(os.Stdout, report.Stakeholder(who), q, r)
 }
 
-// loadQuality reads the data directory's ingest quality report; a
-// missing file is not an error (cmd/simulate writes none), it just
-// means no completeness section.
-func loadQuality(dir string) (*ingest.DataQuality, error) {
-	return serve.LoadQuality(dir)
-}
-
 // runQuery executes a custom report (the §4.3 "custom reports" path).
 func runQuery(dir, spec string) error {
-	r, err := loadRealm(dir)
+	r, err := serve.LoadRealm(dir)
 	if err != nil {
 		return err
 	}
-	q, err := core.ParseQuery(spec)
+	q, err := serve.ParseQuery(spec)
 	if err != nil {
 		return err
 	}
@@ -112,7 +99,7 @@ func runQuery(dir, spec string) error {
 }
 
 func run(dir, what string, n int) error {
-	r, err := loadRealm(dir)
+	r, err := serve.LoadRealm(dir)
 	if err != nil {
 		return err
 	}
@@ -168,9 +155,12 @@ func run(dir, what string, n int) error {
 		}
 		return report.WaitReport(out, r.Cluster, sched.ComputeWaitStats(acct))
 	case "quality":
-		q, err := ingest.LoadQuality(filepath.Join(dir, "quality.json"))
+		q, err := serve.LoadQuality(dir)
+		if err == nil && q == nil {
+			err = fs.ErrNotExist
+		}
 		if err != nil {
-			return fmt.Errorf("quality report needs quality.json from cmd/ingest: %w", err)
+			return fmt.Errorf("quality report needs %s from cmd/ingest: %w", store.QualityFile, err)
 		}
 		return report.DataCompleteness(out, q)
 	case "failures":

@@ -7,6 +7,7 @@ import (
 
 	"supremm/internal/cluster"
 	"supremm/internal/ingest"
+	"supremm/internal/serve"
 	"supremm/internal/sim"
 	"supremm/internal/store"
 )
@@ -37,7 +38,7 @@ func writeData(t *testing.T, dir string) {
 func TestLoadRealmInfersShape(t *testing.T) {
 	dir := t.TempDir()
 	writeData(t, dir)
-	r, err := loadRealm(dir)
+	r, err := serve.LoadRealm(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +131,16 @@ func TestRunQueryCommand(t *testing.T) {
 	if err := runQuery(dir, "group=app metrics=cpu_idle limit=3"); err != nil {
 		t.Fatal(err)
 	}
-	if err := runQuery(dir, "group=bogus"); err == nil {
-		t.Error("bad query should error")
+	// The spec takes /api/v1/query's keys, endafter and endbefore among
+	// them, and refuses what that endpoint refuses: a repeated key is an
+	// error, not the last value silently winning.
+	if err := runQuery(dir, "group=app endafter=1 endbefore=4000000000"); err != nil {
+		t.Errorf("time-windowed query: %v", err)
+	}
+	for _, spec := range []string{"group=bogus", "group=app group=user", "limit=10001"} {
+		if err := runQuery(dir, spec); err == nil {
+			t.Errorf("query %q should error", spec)
+		}
 	}
 	if err := runQuery(t.TempDir(), "group=app"); err == nil {
 		t.Error("missing data should error")

@@ -203,6 +203,20 @@ func StampedeConfig() Config {
 	}
 }
 
+// Preset returns the full-size preset named name, as a job record's
+// cluster field carries it: "ranger", "lonestar4" or "stampede".
+func Preset(name string) (Config, bool) {
+	switch name {
+	case "ranger":
+		return RangerConfig(), true
+	case "lonestar4":
+		return Lonestar4Config(), true
+	case "stampede":
+		return StampedeConfig(), true
+	}
+	return Config{}, false
+}
+
 // NodeState enumerates the lifecycle of a node in the simulation.
 type NodeState int
 

@@ -6,22 +6,6 @@ import (
 	"supremm/internal/core"
 )
 
-func ExampleParseQuery() {
-	q, err := core.ParseQuery("group=app metrics=cpu_idle,cpu_flops app=namd limit=5 normalize=true")
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("group:", q.GroupBy)
-	fmt.Println("metrics:", q.Metrics)
-	fmt.Println("app filter:", q.Filter.App)
-	fmt.Println("normalize:", q.Normalize)
-	// Output:
-	// group: 1
-	// metrics: [cpu_idle cpu_flops]
-	// app filter: namd
-	// normalize: true
-}
-
 func ExamplePersistenceMetrics() {
 	// The five system metrics Table 1 analyzes, in column order.
 	fmt.Println(core.PersistenceMetrics())

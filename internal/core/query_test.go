@@ -7,87 +7,9 @@ import (
 	"supremm/internal/store"
 )
 
-func TestParseQueryDefaults(t *testing.T) {
-	q, err := ParseQuery("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.GroupBy != store.ByUser || len(q.Metrics) != 8 || q.Limit != 20 {
-		t.Errorf("defaults: %+v", q)
-	}
-	if q.Filter.MinSamples != 1 {
-		t.Errorf("default minsamples = %d", q.Filter.MinSamples)
-	}
-}
-
-func TestParseQueryFull(t *testing.T) {
-	q, err := ParseQuery("group=app metrics=cpu_idle,cpu_flops app=namd user=alice science=Molecular+Biosciences cluster=ranger status=COMPLETED minsamples=3 limit=5 normalize=true")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.GroupBy != store.ByApp {
-		t.Errorf("group = %v", q.GroupBy)
-	}
-	if len(q.Metrics) != 2 || q.Metrics[0] != store.MetricCPUIdle || q.Metrics[1] != store.MetricFlops {
-		t.Errorf("metrics = %v", q.Metrics)
-	}
-	f := q.Filter
-	if f.App != "namd" || f.User != "alice" || f.Cluster != "ranger" ||
-		f.Status != "COMPLETED" || f.MinSamples != 3 {
-		t.Errorf("filter = %+v", f)
-	}
-	if f.Science != "Molecular Biosciences" {
-		t.Errorf("science = %q (plus-decoding broken)", f.Science)
-	}
-	if q.Limit != 5 || !q.Normalize {
-		t.Errorf("limit/normalize = %d/%v", q.Limit, q.Normalize)
-	}
-}
-
-func TestParseQueryGroups(t *testing.T) {
-	for s, want := range map[string]store.GroupKey{
-		"group=user": store.ByUser, "group=app": store.ByApp,
-		"group=science": store.ByScience, "group=cluster": store.ByCluster,
-		"group=status": store.ByStatus,
-	} {
-		q, err := ParseQuery(s)
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		if q.GroupBy != want {
-			t.Errorf("%s -> %v, want %v", s, q.GroupBy, want)
-		}
-	}
-}
-
-func TestParseQueryErrors(t *testing.T) {
-	bad := []string{
-		"notkeyvalue",
-		"group=bogus",
-		"metrics=cpu_idle,nope",
-		"minsamples=x",
-		"minsamples=-1",
-		"minsamples=1073741825",
-		"minsamples=4294967297", // once truncated to minsamples=1
-		"limit=0",
-		"limit=x",
-		"normalize=maybe",
-		"frobnicate=1",
-	}
-	for _, s := range bad {
-		if _, err := ParseQuery(s); err == nil {
-			t.Errorf("expected error for %q", s)
-		}
-	}
-}
-
 func TestRunQuery(t *testing.T) {
 	r, _ := realms(t)
-	q, err := ParseQuery("group=app metrics=cpu_idle limit=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := r.RunQuery(q)
+	res := r.RunQuery(Query{GroupBy: store.ByApp, Metrics: []store.Metric{store.MetricCPUIdle}, Filter: store.Filter{MinSamples: 1}, Limit: 3})
 	if len(res.Groups) != 3 {
 		t.Fatalf("groups = %d, want limit 3", len(res.Groups))
 	}
@@ -107,21 +29,18 @@ func TestRunQueryNormalized(t *testing.T) {
 	// exactly 1.0 (it IS the fleet), also for a metric named twice: each
 	// group mean is divided by its fleet mean once.
 	r, _ := realms(t)
-	for _, s := range []string{
-		"group=cluster metrics=cpu_idle,cpu_flops normalize=true",
-		"group=cluster metrics=cpu_idle,cpu_flops,cpu_idle normalize=true",
+	for _, metrics := range [][]store.Metric{
+		{store.MetricCPUIdle, store.MetricFlops},
+		{store.MetricCPUIdle, store.MetricFlops, store.MetricCPUIdle},
 	} {
-		q, err := ParseQuery(s)
-		if err != nil {
-			t.Fatal(err)
-		}
+		q := Query{GroupBy: store.ByCluster, Metrics: metrics, Filter: store.Filter{MinSamples: 1}, Limit: 20, Normalize: true}
 		res := r.RunQuery(q)
 		if len(res.Groups) != 1 {
-			t.Fatalf("%s: groups = %d", s, len(res.Groups))
+			t.Fatalf("%v: groups = %d", metrics, len(res.Groups))
 		}
 		for _, m := range q.Metrics {
 			if v := res.Groups[0].Mean[m]; math.Abs(v-1) > 1e-9 {
-				t.Errorf("%s: normalized fleet %s = %v, want 1", s, m, v)
+				t.Errorf("%v: normalized fleet %s = %v, want 1", metrics, m, v)
 			}
 		}
 	}
@@ -131,8 +50,7 @@ func TestRunQueryScopedToRealmCluster(t *testing.T) {
 	// A query without a cluster filter must not leak other clusters'
 	// jobs: grouping by cluster should return only the realm's own.
 	r, _ := realms(t)
-	q, _ := ParseQuery("group=cluster")
-	res := r.RunQuery(q)
+	res := r.RunQuery(Query{GroupBy: store.ByCluster, Metrics: store.KeyMetrics(), Filter: store.Filter{MinSamples: 1}, Limit: 20})
 	if len(res.Groups) != 1 || res.Groups[0].Key != r.Cluster {
 		t.Errorf("realm scope broken: %+v", res.Groups)
 	}
@@ -140,11 +58,7 @@ func TestRunQueryScopedToRealmCluster(t *testing.T) {
 
 func TestRunQueryWithAppFilter(t *testing.T) {
 	r, _ := realms(t)
-	q, err := ParseQuery("group=user app=namd metrics=cpu_flops limit=100")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := r.RunQuery(q)
+	res := r.RunQuery(Query{GroupBy: store.ByUser, Metrics: []store.Metric{store.MetricFlops}, Filter: store.Filter{App: "namd", MinSamples: 1}, Limit: 100})
 	if len(res.Groups) == 0 {
 		t.Fatal("no namd users found")
 	}

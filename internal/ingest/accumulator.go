@@ -64,34 +64,6 @@ func (a *Accumulator) Started(jobID int64) bool {
 	return ok
 }
 
-// AddUsage accrues one interval of per-node usage replicated across
-// `nodes` nodes (the direct path; SPMD jobs behave coherently across
-// their allocation).
-func (a *Accumulator) AddUsage(jobID int64, nodes int, dtSec float64, u workload.NodeUsage) error {
-	acc, ok := a.jobs[jobID]
-	if !ok {
-		return fmt.Errorf("ingest: usage for unknown job %d", jobID)
-	}
-	w := float64(nodes) * dtSec
-	acc.nodeSecs += w
-	acc.idle += u.IdleFrac * w
-	acc.user += u.UserFrac * w
-	acc.sys += u.SysFrac * w
-	acc.memKB += float64(u.MemUsedKB) * w
-	if float64(u.MemUsedKB) > acc.maxMemKB {
-		acc.maxMemKB = float64(u.MemUsedKB)
-	}
-	acc.flops += u.Flops * float64(nodes)
-	acc.scratchB += u.ScratchWriteB * float64(nodes)
-	acc.workB += u.WorkWriteB * float64(nodes)
-	acc.readB += u.ReadB * float64(nodes)
-	acc.ibTxB += u.IBTxB * float64(nodes)
-	acc.ibRxB += u.IBRxB * float64(nodes)
-	acc.lnetTxB += u.LnetTxB * float64(nodes)
-	acc.samples++
-	return nil
-}
-
 // Interval is one raw-path measurement on a single host: counter deltas
 // over dtSec seconds, already resolved to metric units.
 type Interval struct {
@@ -108,7 +80,8 @@ type Interval struct {
 	LnetTxB         float64
 }
 
-// AddInterval accrues one raw-path interval from one host.
+// AddInterval accrues one raw-path interval from one host; it is the
+// accumulator's one fold (AddUsage goes through it).
 func (a *Accumulator) AddInterval(jobID int64, iv Interval) error {
 	acc, ok := a.jobs[jobID]
 	if !ok {
@@ -132,6 +105,28 @@ func (a *Accumulator) AddInterval(jobID int64, iv Interval) error {
 	acc.lnetTxB += iv.LnetTxB
 	acc.samples++
 	return nil
+}
+
+// AddUsage accrues one interval of per-node usage replicated across
+// `nodes` nodes (the direct path; SPMD jobs behave coherently across
+// their allocation): the Interval `nodes` hosts would each have
+// reported, folded once with its node-seconds and deltas summed.
+func (a *Accumulator) AddUsage(jobID int64, nodes int, dtSec float64, u workload.NodeUsage) error {
+	n := float64(nodes)
+	return a.AddInterval(jobID, Interval{
+		DtSec:     n * dtSec,
+		IdleFrac:  u.IdleFrac,
+		UserFrac:  u.UserFrac,
+		SysFrac:   u.SysFrac,
+		MemUsedKB: float64(u.MemUsedKB),
+		Flops:     u.Flops * n,
+		ScratchB:  u.ScratchWriteB * n,
+		WorkB:     u.WorkWriteB * n,
+		ReadB:     u.ReadB * n,
+		IBTxB:     u.IBTxB * n,
+		IBRxB:     u.IBRxB * n,
+		LnetTxB:   u.LnetTxB * n,
+	})
 }
 
 // FinishJob finalizes a job into its summary record and removes it from

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"supremm/internal/core"
 	"supremm/internal/store"
 )
 
@@ -149,4 +150,35 @@ func parseInt64(key, value string) (int64, error) {
 var filterKeys = []string{
 	"cluster", "user", "app", "science", "status",
 	"minsamples", "endafter", "endbefore",
+}
+
+// queryKeys are /api/v1/query's parameters, the vocabulary cmd/xdmod
+// -query shares through ParseQuery.
+var queryKeys = filtered("group", "metrics", "limit", "normalize")
+
+// ParseQuery parses cmd/xdmod's custom-report spec: whitespace-separated
+// key=value fields with /api/v1/query's keys, defaults, bounds and
+// escapes ('+' is a space), so the CLI and the endpoint answer the same
+// report for the same fields.
+func ParseQuery(spec string) (core.Query, error) {
+	q, err := url.ParseQuery(strings.Join(strings.Fields(spec), "&"))
+	if err != nil {
+		return core.Query{}, err
+	}
+	p, err := decodeParams(q, queryKeys...)
+	if err != nil {
+		return core.Query{}, err
+	}
+	return p.query(), nil
+}
+
+// query is the custom report p asks /api/v1/query for.
+func (p Params) query() core.Query {
+	return core.Query{
+		GroupBy:   p.Group,
+		Metrics:   p.Metrics,
+		Filter:    p.Filter,
+		Limit:     p.Limit,
+		Normalize: p.Normalize,
+	}
 }

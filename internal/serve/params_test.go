@@ -2,8 +2,10 @@ package serve
 
 import (
 	"net/url"
+	"reflect"
 	"testing"
 
+	"supremm/internal/core"
 	"supremm/internal/store"
 )
 
@@ -99,5 +101,46 @@ func TestDecodeParamsScopedAllowlist(t *testing.T) {
 	}
 	if _, err := decodeParams(q, "suite"); err != nil {
 		t.Errorf("suite rejected by its own endpoint: %v", err)
+	}
+}
+
+// TestParseQuery: cmd/xdmod's -query spec decodes through /api/v1/query's
+// keys, defaults and bounds — a repeated key, a limit past 10000 and an
+// unknown key fail as they do over HTTP, and endafter/endbefore pass. The
+// spec vocabulary's older cases are core's TestParseQuery* tests.
+func TestParseQuery(t *testing.T) {
+	defaults := core.Query{GroupBy: store.ByUser, Metrics: store.KeyMetrics(), Filter: store.Filter{MinSamples: 1}, Limit: 20}
+	full := core.Query{
+		GroupBy: store.ByApp,
+		Metrics: []store.Metric{store.MetricCPUIdle, store.MetricFlops},
+		Filter: store.Filter{
+			App: "namd", User: "alice", Science: "Molecular Biosciences", Cluster: "ranger",
+			Status: "COMPLETED", MinSamples: 3, EndAfter: 100, EndBefore: 200,
+		},
+		Limit:     5,
+		Normalize: true,
+	}
+	for spec, want := range map[string]core.Query{
+		"":    defaults,
+		" \t": defaults,
+		"group=app metrics=cpu_idle,cpu_flops app=namd user=alice science=Molecular+Biosciences cluster=ranger " +
+			"status=COMPLETED minsamples=3 endafter=100 endbefore=200 limit=5 normalize=true": full,
+	} {
+		got, err := ParseQuery(spec)
+		if err != nil {
+			t.Errorf("ParseQuery(%q): %v", spec, err)
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("ParseQuery(%q) = %+v, want %+v", spec, got, want)
+		}
+	}
+	for _, spec := range []string{
+		"limit=10001",
+		"bins=10", // another endpoint's key
+		"group=app group=user",
+		"science=%zz",
+	} {
+		if _, err := ParseQuery(spec); err == nil {
+			t.Errorf("ParseQuery(%q) accepted bad input", spec)
+		}
 	}
 }

@@ -375,7 +375,7 @@ func (r *reloader) heal(t *trip, faults []store.ShardFault) (repaired bool, err 
 // shared. The attempt's second fingerprint catches a racing rewrite.
 // The stamp read goes onto snap, the snapshot being built.
 func (r *reloader) series(t *trip, prev, snap *Snapshot) ([]store.SystemSample, error) {
-	path := filepath.Join(r.dir, "series.jsonl")
+	path := filepath.Join(r.dir, store.SeriesFile)
 	t.seriesAdopted = false
 	sf, err := r.open(path)
 	if errors.Is(err, fs.ErrNotExist) {

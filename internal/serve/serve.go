@@ -246,7 +246,7 @@ var endpoints = []endpoint{
 	{method: "POST", path: "/api/v1/reload", anyQuery: true, fn: (*Server).reload},
 	{method: "GET", path: "/api/v1/aggregate", data: true, keys: filtered("metric"), fn: (*Server).aggregate},
 	{method: "GET", path: "/api/v1/distribution", data: true, keys: filtered("metric", "bins"), fn: (*Server).distribution},
-	{method: "GET", path: "/api/v1/query", data: true, keys: filtered("group", "metrics", "limit", "normalize"), fn: (*Server).query},
+	{method: "GET", path: "/api/v1/query", data: true, keys: queryKeys, fn: (*Server).query},
 	{method: "GET", path: "/api/v1/profiles/users", data: true, keys: []string{"n"}, fn: (*Server).userProfiles},
 	{method: "GET", path: "/api/v1/profiles/apps", data: true, keys: []string{"apps"}, fn: (*Server).appProfiles},
 	{method: "GET", path: "/api/v1/efficiency", data: true, keys: []string{"limit", "n", "min_nodehours"}, fn: (*Server).efficiency},
@@ -364,14 +364,7 @@ func (s *Server) distribution(ctx context.Context, snap *Snapshot, p Params) (in
 }
 
 func (s *Server) query(_ context.Context, snap *Snapshot, p Params) (int, any, error) {
-	q := core.Query{
-		GroupBy:   p.Group,
-		Metrics:   p.Metrics,
-		Filter:    p.Filter,
-		Limit:     p.Limit,
-		Normalize: p.Normalize,
-	}
-	return http.StatusOK, newQueryDTO(snap.Realm.RunQuery(q)), nil
+	return http.StatusOK, newQueryDTO(snap.Realm.RunQuery(p.query())), nil
 }
 
 func (s *Server) userProfiles(_ context.Context, snap *Snapshot, p Params) (int, any, error) {

@@ -59,7 +59,7 @@ type Snapshot struct {
 // from, the monolithic files shard repair rebuilds from (a backing that
 // comes back must trigger the reload that repairs), the series and the
 // quality report.
-var snapshotFiles = []string{store.ManifestFile, "jobs.supremm", "jobs.jsonl", "series.jsonl", "quality.json"}
+var snapshotFiles = []string{store.ManifestFile, store.JobsColumnarFile, store.JobsFile, store.SeriesFile, store.QualityFile}
 
 // DirFingerprint summarizes the load-relevant files of a data directory
 // (size + mtime per file, plus every shard file the directory holds).
@@ -105,17 +105,18 @@ func LoadRealm(dir string) (*core.Realm, error) {
 }
 
 // newRealm wraps a loaded shard set and series in a realm. The cluster
-// shape is inferred from the first row; the active-node peak in the
-// series keeps the peak-TF scale honest for scaled runs.
+// shape is the preset the first row names (Ranger's for a name no
+// preset has); the active-node peak in the series keeps the peak-TF
+// scale honest for scaled runs.
 func newRealm(st *store.ShardSet, series []store.SystemSample) *core.Realm {
 	name := "unknown"
 	if st.Len() > 0 {
 		c := &st.ShardAt(0).Columns().Cluster
 		name = c.Values[c.Codes[0]]
 	}
-	cc := cluster.RangerConfig()
-	if name == "lonestar4" {
-		cc = cluster.Lonestar4Config()
+	cc, ok := cluster.Preset(name)
+	if !ok {
+		cc = cluster.RangerConfig()
 	}
 	nodes := cc.Nodes
 	if len(series) > 0 {
@@ -134,10 +135,10 @@ func newRealm(st *store.ShardSet, series []store.SystemSample) *core.Realm {
 }
 
 // LoadQuality reads the directory's ingest quality report; a missing
-// file is not an error (cmd/simulate writes none), it just means no
-// completeness view.
+// file is not an error (a simulated batch has none, and cmd/simulate
+// removes an earlier ingest's), it just means no completeness view.
 func LoadQuality(dir string) (*ingest.DataQuality, error) {
-	q, err := ingest.LoadQuality(filepath.Join(dir, "quality.json"))
+	q, err := ingest.LoadQuality(filepath.Join(dir, store.QualityFile))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}

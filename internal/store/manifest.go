@@ -50,8 +50,18 @@ const (
 // SecondsPerDay is the shard partition width: one epoch day.
 const SecondsPerDay = 86400
 
-// ManifestFile is the manifest's file name inside a data directory.
-const ManifestFile = "MANIFEST.supremm"
+// A data directory's fixed file names. Every reader loads the
+// manifest and the day shards it names (ShardFileName); JobsFile, and
+// JobsColumnarFile where one was put there, are the monolithic
+// backings shard repair rebuilds a lost day from; SeriesFile is the
+// system series and QualityFile the ingest data-quality report.
+const (
+	ManifestFile     = "MANIFEST.supremm"
+	JobsFile         = "jobs.jsonl"
+	JobsColumnarFile = "jobs.supremm"
+	SeriesFile       = "series.jsonl"
+	QualityFile      = "quality.json"
+)
 
 // ShardFileName returns the shard file name for an epoch day.
 func ShardFileName(day int64) string { return fmt.Sprintf("shard-%d.supremm", day) }

@@ -17,16 +17,17 @@ type Filter struct {
 	EndBefore int64
 }
 
-// MaxMinSamples is the largest MinSamples the query parsers accept
-// (serve.decodeParams, core.ParseQuery): a job holds far fewer monitor
-// intervals than this, and the sample count is a 32-bit column.
+// MaxMinSamples is the largest MinSamples the query parser accepts
+// (serve.decodeParams, which cmd/xdmod -query shares through
+// serve.ParseQuery): a job holds far fewer monitor intervals than this,
+// and the sample count is a 32-bit column.
 const MaxMinSamples = 1 << 30
 
 // population names a whole-partition selection: what is left of a filter
 // once compile has dropped every predicate the partition's rows all
 // pass. Product traffic selects two — every row, and the paper's §4.1
-// population (decodeParams, ParseQuery and Realm.JobFilter all default
-// to MinSamples 1) — and those are what a shard remembers (memo.go).
+// population (decodeParams and Realm.JobFilter both default to
+// MinSamples 1) — and those are what a shard remembers (memo.go).
 type population int8
 
 const (

@@ -32,23 +32,23 @@ import (
 // path — where a damaged preferred form must fail the load loudly — a
 // damaged backing here just means that source cannot repair, so errors
 // demote to the next source; (nil, reason) means no usable backing.
-// The returned label names the source used ("jobs.supremm" or
-// "jobs.jsonl") for repair provenance.
+// The returned label names the source used (JobsColumnarFile or
+// JobsFile) for repair provenance.
 func LoadBackingStore(dir string, open Opener) (*Store, string, error) {
 	if open == nil {
 		open = defaultOpener
 	}
 	var firstErr error
-	if data, err := readAllClose(open, filepath.Join(dir, "jobs.supremm")); err == nil {
+	if data, err := readAllClose(open, filepath.Join(dir, JobsColumnarFile)); err == nil {
 		c, derr := DecodeColumns(data)
 		if derr == nil {
-			return FromColumns(c), "jobs.supremm", nil
+			return FromColumns(c), JobsColumnarFile, nil
 		}
-		firstErr = fmt.Errorf("jobs.supremm: %w", derr)
+		firstErr = fmt.Errorf("%s: %w", JobsColumnarFile, derr)
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		firstErr = err
 	}
-	rc, err := open(filepath.Join(dir, "jobs.jsonl"))
+	rc, err := open(filepath.Join(dir, JobsFile))
 	if err != nil {
 		if firstErr == nil {
 			firstErr = err
@@ -64,9 +64,9 @@ func LoadBackingStore(dir string, open Opener) (*Store, string, error) {
 		if firstErr == nil {
 			firstErr = lerr
 		}
-		return nil, "", fmt.Errorf("store: no usable repair backing: %w (jobs.jsonl: %v)", firstErr, lerr)
+		return nil, "", fmt.Errorf("store: no usable repair backing: %w (%s: %v)", firstErr, JobsFile, lerr)
 	}
-	return st, "jobs.jsonl", nil
+	return st, JobsFile, nil
 }
 
 // RepairShard rebuilds day e.ID's shard from backing and, only if the

@@ -91,7 +91,7 @@ func TestSelectionConsumers(t *testing.T) {
 // TestMinSamplesBeyondInt32: Samples is an int32 column, so a threshold
 // above math.MaxInt32 matches no row. Compiled through an int32
 // conversion it wrapped instead: 1<<31 and 1<<32 became "any" and
-// 1<<32+1 became minsamples=1 (core.ParseQuery lets all three through).
+// 1<<32+1 became minsamples=1 (the query parser lets all three through).
 func TestMinSamplesBeyondInt32(t *testing.T) {
 	rows := equivRows(500)
 	ref := reference.Parts{rows}
