@@ -115,15 +115,39 @@ bench-e2e:
 bench-compare:
 	$(GO) run -C bench . compare $(A) $(B)
 
-# Regression gate over the committed trajectory: each PR commits its
-# `go run -C bench . record -out ../BENCH_<pr>.json` at the repository
-# root; this compares the two newest and fails on a "worse" row or a
-# larger share of failed operations. It times nothing, so CI can run it.
+# Regression gate over the committed trajectory. Each PR commits its
+# `go run -C bench . record` sets at the repository root as
+# BENCH_<pr>.json: set 0 holds its parent's runs and set 1 its own,
+# taken in alternating pairs. Three steps, each always run; any one
+# failing fails the gate:
+#   - across records: the newest record's change set against the
+#     previous record's (two different days on the same box);
+#   - within the newest record: its parent set against its change set
+#     (`compare` takes file:set);
+#   - chain: the parent commit the newest record measured (its set 0
+#     env.commit) must descend from the commit that last wrote the
+#     previous record, with no .go file changed between the two, or
+#     product code landed that no record measured.
+# It times nothing, so CI can run it; the chain check needs the git
+# history.
 bench-gate:
 	@set -- $$(ls BENCH_*.json 2>/dev/null | sort | tail -n 2); \
 	if [ $$# -lt 2 ]; then echo "bench-gate: need two BENCH_*.json records, found $$#"; exit 1; fi; \
-	echo "bench-gate: $$1 -> $$2"; \
-	$(GO) run -C bench . compare ../$$1 ../$$2
+	fail=0; \
+	echo "bench-gate: across records, $$1 -> $$2"; \
+	$(GO) run -C bench . compare ../$$1 ../$$2 || fail=1; \
+	echo "bench-gate: within $$2, set 0 (parent) -> set 1 (change)"; \
+	$(GO) run -C bench . compare ../$$2:0 ../$$2:1 || fail=1; \
+	wrote=$$(git log -1 --format=%h -- $$1); \
+	parent=$$(grep -o '"commit": *"[^"]*"' $$2 | head -n 1 | sed 's/.*"\([^"]*\)"$$/\1/'); \
+	echo "bench-gate: chain, $$1 last written by $${wrote:-?}, $$2 measured parent $$parent"; \
+	if [ -z "$$wrote" ] || ! git merge-base --is-ancestor $$wrote $$parent 2>/dev/null; then \
+		echo "bench-gate: chain broken: $$parent does not descend from $${wrote:-?}"; fail=1; \
+	elif ! git diff --quiet $$wrote $$parent -- '*.go'; then \
+		echo "bench-gate: chain broken: .go files changed between $$wrote and $$parent, measured by no record:"; \
+		git diff --stat $$wrote $$parent -- '*.go'; fail=1; \
+	fi; \
+	exit $$fail
 
 # Ingest hot-path benchmarks only (parse + raw ETL), recorded for the
 # before/after table in EXPERIMENTS.md.

@@ -201,7 +201,7 @@ func run(days, nodes int, seed int64, fig, table int, corr, anomalies bool, advi
 		if err != nil {
 			return err
 		}
-		if err := report.HTMLDashboard(f, coreRealms...); err != nil {
+		if err := report.HTMLDashboard(f, nil, coreRealms...); err != nil {
 			_ = f.Close() // render error wins
 			return err
 		}
@@ -260,21 +260,8 @@ func renderAnomalies(re realmWithEvents) error {
 	det := anomaly.NewDetector()
 	found := det.Detect(r.Store, r.JobFilter(),
 		[]store.Metric{store.MetricCPUIdle, store.MetricMemUsedMax, store.MetricScratchWrite})
-	diags := anomaly.Link(found, re.res.Events)
-	fmt.Printf("== ANCOR diagnoses, %s (%d anomalous jobs) ==\n", r.Cluster, len(diags))
-	for i, d := range diags {
-		if i >= 15 {
-			fmt.Printf("  ... %d more\n", len(diags)-15)
-			break
-		}
-		fmt.Println(" ", d.String())
+	if err := report.Diagnoses(os.Stdout, r.Cluster, anomaly.Link(found, re.res.Events), 15); err != nil {
+		return err
 	}
-	t := report.NewTable("job completion failure profile by application",
-		"app", "jobs", "completed", "failed", "timeout", "node_fail", "failure%")
-	for _, p := range anomaly.FailureProfiles(r.Store, store.ByApp, r.JobFilter()) {
-		t.AddRow(p.Key, fmt.Sprintf("%d", p.Jobs), fmt.Sprintf("%d", p.Completed),
-			fmt.Sprintf("%d", p.Failed), fmt.Sprintf("%d", p.Timeout),
-			fmt.Sprintf("%d", p.NodeFail), fmt.Sprintf("%.1f", p.FailurePct))
-	}
-	return t.Render(os.Stdout)
+	return report.FailureProfiles(os.Stdout, "job completion failure profile by application", r)
 }

@@ -12,12 +12,13 @@
 // column, analyzer, message) on stdout, moving the summary line to
 // stderr so the artifact stays parseable.
 //
-// After all passes run, the driver cross-references every
-// //supremmlint:allow directive against the findings each pass
-// actually suppressed: a directive that suppressed nothing — its
-// analyzer is gone, mis-scoped, or simply no longer fires there — is
-// itself reported (analyzer "staleallow"). A dead allow is an
-// undocumented hole in the invariant it once blessed.
+// The driver reads each package's //supremmlint:allow directives once
+// into a ledger every pass over the package shares; a pass marks the
+// directives that suppress its findings. After the package's passes, a
+// directive that suppressed nothing — its analyzer is gone,
+// mis-scoped, or simply no longer fires there — is itself reported
+// (analyzer "staleallow"). A dead allow is an undocumented hole in the
+// invariant it once blessed.
 //
 // The exit status is 1 when any finding (including a stale allow) is
 // reported, 2 on load/usage errors.
@@ -27,6 +28,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/ast"
 	"io"
 	"os"
 	"path/filepath"
@@ -89,28 +91,21 @@ func run(dir string, patterns []string, jsonOut bool, out, errw io.Writer) ([]an
 	for _, sc := range analyzers {
 		known[sc.Name] = true
 	}
-	// used accumulates, per analyzer, the directive lines that
-	// suppressed at least one finding; allows is every directive seen.
-	used := make(map[string]map[string]map[int]bool)
-	var allows []analysis.AllowDirective
 	var diags []analysis.Diagnostic
 	for _, pkg := range pkgs {
-		allows = append(allows, analysis.CollectAllows(loader.Fset, pkg.Files)...)
+		allows := analysis.CollectAllows(loader.Fset, pkg.Files)
 		for _, sc := range analyzers {
-			if !sc.PkgMatch(pkg.PkgPath) {
+			if !sc.CoversPkg(pkg.PkgPath) {
 				continue
 			}
-			files := pkg.Files
-			if sc.FileMatch != nil {
-				files = files[:0:0]
-				for _, f := range pkg.Files {
-					if sc.FileMatch(baseOf(loader.Fset.Position(f.Pos()).Filename)) {
-						files = append(files, f)
-					}
+			var files []*ast.File
+			for _, f := range pkg.Files {
+				if sc.CoversFile(filepath.Base(loader.Fset.Position(f.Pos()).Filename)) {
+					files = append(files, f)
 				}
-				if len(files) == 0 {
-					continue
-				}
+			}
+			if len(files) == 0 {
+				continue
 			}
 			pass := &analysis.Pass{
 				Analyzer:  sc.Analyzer,
@@ -119,27 +114,15 @@ func run(dir string, patterns []string, jsonOut bool, out, errw io.Writer) ([]an
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
 				PkgPath:   pkg.PkgPath,
+				Allows:    allows,
 			}
 			if err := sc.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", sc.Name, pkg.PkgPath, err)
 			}
 			diags = append(diags, pass.Diagnostics()...)
-			for file, lines := range pass.UsedAllows() {
-				byFile := used[sc.Name]
-				if byFile == nil {
-					byFile = make(map[string]map[int]bool)
-					used[sc.Name] = byFile
-				}
-				if byFile[file] == nil {
-					byFile[file] = make(map[int]bool)
-				}
-				for line := range lines {
-					byFile[file][line] = true
-				}
-			}
 		}
+		diags = append(diags, analysis.StaleAllows(allows, known)...)
 	}
-	diags = append(diags, analysis.StaleAllows(allows, used, known)...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {
@@ -196,13 +179,4 @@ func relativeTo(dir, filename string) string {
 		return filename
 	}
 	return rel
-}
-
-func baseOf(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' || path[i] == '\\' {
-			return path[i+1:]
-		}
-	}
-	return path
 }

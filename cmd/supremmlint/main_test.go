@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -153,5 +154,143 @@ func (s *Server) Get() int {
 	}
 	if len(diags) != 0 {
 		t.Fatalf("clean fixture produced findings: %v", diags)
+	}
+}
+
+// lockLeak is a file whose Leak method holds s.mu past its early
+// return: a lockcheck finding on line 12, the Lock call. The last two
+// %s verbs put a comment on line 11 (the line above) and on line 12.
+const lockLeak = `package %s
+
+import "sync"
+
+type Server struct {
+	mu sync.Mutex
+	n  int
+}
+
+func (s *Server) Leak() int {
+	%s
+	s.mu.Lock() %s
+	if s.n > 0 {
+		return s.n
+	}
+	s.mu.Unlock()
+	return 0
+}
+`
+
+func leakFile(pkg, above, same string) string {
+	return fmt.Sprintf(lockLeak, pkg, above, same)
+}
+
+// TestRunAllowLedger drives the allow ledger through the driver: which
+// directives suppress a finding, and which the stale sweep reports.
+func TestRunAllowLedger(t *testing.T) {
+	const leak = "s.mu.Lock is not released"
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+		// want lists each finding as "file:line analyzer: message part".
+		want []string
+	}{
+		{
+			name:  "unallowed",
+			files: map[string]string{"internal/serve/a.go": leakFile("serve", "", "")},
+			want:  []string{"internal/serve/a.go:12 lockcheck: " + leak},
+		},
+		{
+			name: "same line and line above are both used",
+			files: map[string]string{
+				"internal/serve/a.go": leakFile("serve", "", "//supremmlint:allow lockcheck: handed to the caller"),
+				"internal/store/a.go": leakFile("store", "//supremmlint:allow lockcheck: handed to the caller", ""),
+			},
+		},
+		{
+			name: "allow all is live where an analyzer used it",
+			files: map[string]string{
+				"internal/serve/a.go": leakFile("serve", "", "//supremmlint:allow all: reviewed"),
+				"internal/store/a.go": leakFile("store", "//supremmlint:allow all: reviewed", ""),
+			},
+		},
+		{
+			name: "allow all is stale where no analyzer used it",
+			files: map[string]string{
+				"internal/serve/a.go": `package serve
+
+//supremmlint:allow all: nothing here fires
+func Quiet() {}
+`,
+			},
+			want: []string{"internal/serve/a.go:3 staleallow: stale //supremmlint:allow all"},
+		},
+		{
+			name: "a directive for another analyzer does not cover the finding",
+			files: map[string]string{
+				"internal/serve/a.go": leakFile("serve", "", "//supremmlint:allow deferclose: wrong analyzer"),
+			},
+			want: []string{
+				"internal/serve/a.go:12 lockcheck: " + leak,
+				"internal/serve/a.go:12 staleallow: stale //supremmlint:allow deferclose",
+			},
+		},
+		{
+			name: "unknown analyzer",
+			files: map[string]string{
+				"internal/serve/a.go": leakFile("serve", "", "//supremmlint:allow lockchek: typo"),
+			},
+			want: []string{
+				"internal/serve/a.go:12 lockcheck: " + leak,
+				"internal/serve/a.go:12 staleallow: names unknown analyzer lockchek",
+			},
+		},
+		{
+			// Same base name, same line: only the package's own
+			// directives cover its findings.
+			name: "an allow in one package does not cover another",
+			files: map[string]string{
+				"internal/serve/a.go": leakFile("serve", "", ""),
+				"internal/store/a.go": `package store
+
+type Store struct{ n int }
+
+func (s *Store) Size() int {
+	return s.n
+}
+
+func (s *Store) Empty() bool {
+	// The directive below sits on line 12, the line of
+	// serve/a.go's finding.
+	return s.n == 0 //supremmlint:allow lockcheck: covers nothing here
+}
+`,
+			},
+			want: []string{
+				"internal/serve/a.go:12 lockcheck: " + leak,
+				"internal/store/a.go:12 staleallow: stale //supremmlint:allow lockcheck",
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := writeModule(t, tc.files)
+			var out, errw bytes.Buffer
+			diags, err := run(dir, []string{"./..."}, false, &out, &errw)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			var got []string
+			for _, d := range diags {
+				got = append(got, fmt.Sprintf("%s:%d %s: %s", relativeTo(dir, d.Pos.Filename), d.Pos.Line, d.Analyzer, d.Message))
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("got %d findings, want %d:\n%s", len(got), len(tc.want), strings.Join(got, "\n"))
+			}
+			for i, w := range tc.want {
+				at, part, _ := strings.Cut(w, ": ")
+				if !strings.HasPrefix(got[i], at+": ") || !strings.Contains(got[i], part) {
+					t.Errorf("finding %d = %q, want %q", i, got[i], w)
+				}
+			}
+		})
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"supremm/internal/anomaly"
 	"supremm/internal/core"
 	"supremm/internal/report"
 	"supremm/internal/sched"
@@ -164,14 +163,7 @@ func run(dir, what string, n int) error {
 		}
 		return report.DataCompleteness(out, q)
 	case "failures":
-		t := report.NewTable("job completion failure profiles by application",
-			"app", "jobs", "completed", "failed", "timeout", "node_fail", "failure%")
-		for _, p := range anomaly.FailureProfiles(r.Store, store.ByApp, r.JobFilter()) {
-			t.AddRow(p.Key, fmt.Sprintf("%d", p.Jobs), fmt.Sprintf("%d", p.Completed),
-				fmt.Sprintf("%d", p.Failed), fmt.Sprintf("%d", p.Timeout),
-				fmt.Sprintf("%d", p.NodeFail), fmt.Sprintf("%.1f", p.FailurePct))
-		}
-		return t.Render(out)
+		return report.FailureProfiles(out, "job completion failure profiles by application", r)
 	default:
 		return fmt.Errorf("unknown report %q", what)
 	}

@@ -33,7 +33,7 @@ func main() {
 	ls4 := buildRealm(cluster.Lonestar4Config().Scaled(48))
 
 	for _, who := range report.Stakeholders() {
-		if err := report.Suite(os.Stdout, who, ranger, ls4); err != nil {
+		if err := report.SuiteWithQuality(os.Stdout, who, nil, ranger, ls4); err != nil {
 			log.Fatalf("%s suite: %v", who, err)
 		}
 	}

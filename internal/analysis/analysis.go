@@ -44,11 +44,12 @@ type Pass struct {
 	TypesInfo *types.Info
 	// PkgPath is the import path ("supremm/internal/ingest").
 	PkgPath string
+	// Allows is the package's allow ledger, shared by every pass over
+	// the package (CollectAllows). Nil suppresses nothing.
+	Allows *Allows
 
-	diags      []Diagnostic
-	allowLines map[string]map[int]bool // filename -> lines carrying an allow directive
-	usedAllows map[string]map[int]bool // filename -> directive lines that suppressed a finding
-	cfgs       map[*ast.BlockStmt]*cfg.Graph
+	diags []Diagnostic
+	cfgs  map[*ast.BlockStmt]*cfg.Graph
 }
 
 // Diagnostic is one finding.
@@ -62,12 +63,13 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// Reportf records a finding at pos unless an allow directive suppresses
-// it. Suppressed findings vanish: the directive is the reviewed,
-// greppable record of the exception.
+// Reportf records a finding at pos unless an allow directive in the
+// package's ledger covers it, marking the directive used. Suppressed
+// findings vanish: the directive is the reviewed, greppable record of
+// the exception.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
-	if p.allowed(position) {
+	if p.Allows.cover(p.Analyzer.Name, position) {
 		return
 	}
 	p.diags = append(p.diags, Diagnostic{
@@ -79,77 +81,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // Diagnostics returns the findings reported so far, in report order.
 func (p *Pass) Diagnostics() []Diagnostic { return p.diags }
-
-// allowed reports whether an "//supremmlint:allow <name>" directive
-// covers the given position (same line or the line directly above).
-func (p *Pass) allowed(pos token.Position) bool {
-	if p.allowLines == nil {
-		p.allowLines = make(map[string]map[int]bool)
-		for _, f := range p.Files {
-			tf := p.Fset.File(f.Pos())
-			if tf == nil {
-				continue
-			}
-			lines := p.allowLines[tf.Name()]
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					name, ok := allowTarget(c.Text)
-					if !ok || (name != p.Analyzer.Name && name != "all") {
-						continue
-					}
-					if lines == nil {
-						lines = make(map[int]bool)
-						p.allowLines[tf.Name()] = lines
-					}
-					lines[p.Fset.Position(c.Pos()).Line] = true
-				}
-			}
-		}
-	}
-	lines := p.allowLines[pos.Filename]
-	if lines == nil || (!lines[pos.Line] && !lines[pos.Line-1]) {
-		return false
-	}
-	// Record which directive line(s) earned their keep, so the driver
-	// can flag stale allows (directives suppressing nothing).
-	if p.usedAllows == nil {
-		p.usedAllows = make(map[string]map[int]bool)
-	}
-	used := p.usedAllows[pos.Filename]
-	if used == nil {
-		used = make(map[int]bool)
-		p.usedAllows[pos.Filename] = used
-	}
-	if lines[pos.Line] {
-		used[pos.Line] = true
-	}
-	if lines[pos.Line-1] {
-		used[pos.Line-1] = true
-	}
-	return true
-}
-
-// UsedAllows returns, per filename, the allow-directive lines that
-// suppressed at least one finding of this pass's analyzer.
-func (p *Pass) UsedAllows() map[string]map[int]bool { return p.usedAllows }
-
-// allowTarget extracts the analyzer name from an allow directive
-// comment, e.g. "//supremmlint:allow hotalloc: interned once per file".
-func allowTarget(comment string) (string, bool) {
-	const prefix = "//supremmlint:allow"
-	if !strings.HasPrefix(comment, prefix) {
-		return "", false
-	}
-	rest := strings.TrimSpace(comment[len(prefix):])
-	if rest == "" {
-		return "", false
-	}
-	name := rest
-	if i := strings.IndexAny(rest, " :\t"); i >= 0 {
-		name = rest[:i]
-	}
-	return name, true
-}
 
 // FuncHasDirective reports whether fn's doc comment carries the given
 // supremmlint directive (e.g. "supremmlint:wrapsafe"). Analyzers use it

@@ -57,6 +57,7 @@ func Run(t *testing.T, a *analysis.Analyzer, pkg string) {
 		Pkg:       p.Types,
 		TypesInfo: p.Info,
 		PkgPath:   p.PkgPath,
+		Allows:    analysis.CollectAllows(l.Fset, p.Files),
 	}
 	if err := a.Run(pass); err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)

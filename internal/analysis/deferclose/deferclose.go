@@ -35,6 +35,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 
 	"supremm/internal/analysis"
 	"supremm/internal/analysis/cfg"
@@ -71,24 +72,7 @@ type res struct {
 	errKey string // ExprKey of the error variable, "" if none
 }
 
-type state map[string]res
-
-func clone(s state) state {
-	out := make(state, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		for _, fn := range pass.Functions(f) {
-			checkFunc(pass, fn)
-		}
-	}
-	return nil
-}
+type state = map[string]res
 
 type checker struct {
 	pass *analysis.Pass
@@ -97,55 +81,25 @@ type checker struct {
 	captured map[string]bool
 }
 
-func checkFunc(pass *analysis.Pass, fn analysis.FuncInfo) {
-	opens := false
+func run(pass *analysis.Pass) error {
 	c := &checker{pass: pass}
-	cfg.Inspect(fn.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && c.isOpenCall(call) {
-			opens = true
-		}
-		return !opens
-	})
-	if !opens {
-		return
-	}
-
-	c.captured = capturedKeys(pass.TypesInfo, fn.Body)
-	g := pass.CFG(fn)
-	states := cfg.Forward(g, state{}, cfg.Transfer[state]{
-		Flow:  func(b *cfg.Block, in state) state { return c.flowBlock(b, in) },
-		Edge:  func(b *cfg.Block, e cfg.Edge, out state) state { return c.refineEdge(b, e, out) },
-		Join:  joinStates,
-		Equal: equalStates,
-	})
-
-	reported := make(map[token.Pos]bool)
-	report := func(s state, how string) {
-		for _, r := range s {
-			if reported[r.pos] {
-				continue
+	return analysis.RunFlow(pass, analysis.Flow[res]{
+		Trigger: c.isOpenCall,
+		Enter:   func(fn analysis.FuncInfo) { c.captured = capturedKeys(pass.TypesInfo, fn.Body) },
+		Step: func(b *cfg.Block, s state, _ analysis.Report) {
+			for _, n := range b.Nodes {
+				c.discharges(n, s)
+				c.escapes(n, s)
+				c.creations(n, s)
 			}
-			reported[r.pos] = true
-			pass.Reportf(r.pos, "%s opened here is not closed on every path out of %s (%s); close it or defer the close",
+		},
+		Join: join,
+		Edge: c.refineEdge,
+		Exit: func(fn analysis.FuncInfo, r res, how string, report analysis.Report) {
+			report(r.pos, "%s opened here is not closed on every path out of %s (%s); close it or defer the close",
 				r.name, fn.Name, how)
-		}
-	}
-	if s, ok := states[g.Exit]; ok {
-		report(s, "a return path leaks it")
-	}
-	if s, ok := states[g.Panic]; ok {
-		report(s, "a panic path leaks it")
-	}
-}
-
-func (c *checker) flowBlock(b *cfg.Block, in state) state {
-	out := clone(in)
-	for _, n := range b.Nodes {
-		c.discharges(n, out)
-		c.escapes(n, out)
-		c.creations(n, out)
-	}
-	return out
+		},
+	})
 }
 
 // discharges deletes obligations whose resource is closed anywhere in
@@ -309,7 +263,7 @@ func (c *checker) refineEdge(b *cfg.Block, e cfg.Edge, out state) state {
 			continue
 		}
 		if refined == nil {
-			refined = clone(out)
+			refined = maps.Clone(out)
 		}
 		if errNonNil {
 			delete(refined, k)
@@ -418,25 +372,11 @@ func capturedKeys(info *types.Info, body *ast.BlockStmt) map[string]bool {
 	return out
 }
 
-func joinStates(a, b state) state {
-	out := clone(a)
-	for k, v := range b {
-		if cur, ok := out[k]; !ok || (cur.st == pending && v.st == active) {
-			out[k] = v
-		}
+// join keeps a path's obligation, preferring one the other path has
+// already activated.
+func join(a res, inA bool, b res, inB bool) res {
+	if !inA || inB && a.st == pending && b.st == active {
+		return b
 	}
-	return out
-}
-
-func equalStates(a, b state) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, av := range a {
-		bv, ok := b[k]
-		if !ok || av.st != bv.st || av.pos != bv.pos {
-			return false
-		}
-	}
-	return true
+	return a
 }

@@ -62,68 +62,27 @@ type lockFacts struct {
 	name string    // display name ("s.reloadMu.Lock")
 }
 
-type state map[string]lockFacts
-
-func clone(s state) state {
-	out := make(state, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
+type state = map[string]lockFacts
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		for _, fn := range pass.Functions(f) {
-			checkFunc(pass, fn)
-		}
-	}
-	return nil
+	info := pass.TypesInfo
+	return analysis.RunFlow(pass, analysis.Flow[lockFacts]{
+		Trigger: func(call *ast.CallExpr) bool {
+			_, _, _, ok := lockOp(info, call)
+			return ok
+		},
+		Step: func(b *cfg.Block, s state, _ analysis.Report) { step(info, b, s) },
+		Join: join,
+		Exit: func(fn analysis.FuncInfo, facts lockFacts, how string, report analysis.Report) {
+			if facts.mask&stHeld != 0 {
+				report(facts.pos, "%s is not released on every path out of %s (%s); unlock on all paths or defer the unlock",
+					facts.name, fn.Name, how)
+			}
+		},
+	})
 }
 
-func checkFunc(pass *analysis.Pass, fn analysis.FuncInfo) {
-	// Fast pre-scan: skip the dataflow for lock-free functions.
-	usesLocks := false
-	cfg.Inspect(fn.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if _, _, _, ok := lockOp(pass.TypesInfo, call); ok {
-				usesLocks = true
-			}
-		}
-		return !usesLocks
-	})
-	if !usesLocks {
-		return
-	}
-
-	g := pass.CFG(fn)
-	states := cfg.Forward(g, state{}, cfg.Transfer[state]{
-		Flow:  func(b *cfg.Block, in state) state { return flowBlock(pass.TypesInfo, b, in) },
-		Join:  joinStates,
-		Equal: equalStates,
-	})
-
-	reported := make(map[token.Pos]bool)
-	report := func(s state, how string) {
-		for _, facts := range s {
-			if facts.mask&stHeld == 0 || reported[facts.pos] {
-				continue
-			}
-			reported[facts.pos] = true
-			pass.Reportf(facts.pos, "%s is not released on every path out of %s (%s); unlock on all paths or defer the unlock",
-				facts.name, fn.Name, how)
-		}
-	}
-	if s, ok := states[g.Exit]; ok {
-		report(s, "a return path leaks it")
-	}
-	if s, ok := states[g.Panic]; ok {
-		report(s, "a panic path leaks it")
-	}
-}
-
-func flowBlock(info *types.Info, b *cfg.Block, in state) state {
-	out := clone(in)
+func step(info *types.Info, b *cfg.Block, out state) {
 	for _, n := range b.Nodes {
 		if d, ok := n.(*ast.DeferStmt); ok {
 			applyDefer(info, d, out)
@@ -146,7 +105,7 @@ func flowBlock(info *types.Info, b *cfg.Block, in state) state {
 			switch op {
 			case opLock:
 				facts.mask = shiftHeld(facts.mask, true)
-				if facts.pos == token.NoPos || facts.pos == 0 {
+				if facts.pos == token.NoPos {
 					facts.pos = call.Pos()
 					facts.name = name
 				}
@@ -160,25 +119,18 @@ func flowBlock(info *types.Info, b *cfg.Block, in state) state {
 			return true
 		})
 	}
-	return out
 }
 
 // applyDefer marks the deferred-unlock bit for every lock the deferred
 // call (or deferred function literal) releases.
 func applyDefer(info *types.Info, d *ast.DeferStmt, out state) {
 	mark := func(call *ast.CallExpr) {
-		key, name, op, ok := lockOp(info, call)
+		key, _, op, ok := lockOp(info, call)
 		if !ok || op != opUnlock {
 			return
 		}
 		facts := out[key]
 		facts.mask = setDeferred(facts.mask)
-		if facts.mask == 0 {
-			facts.mask = stDeferred
-		}
-		if facts.name == "" {
-			facts.name = name
-		}
 		out[key] = facts
 	}
 	if lit, ok := d.Call.Fun.(*ast.FuncLit); ok {
@@ -236,40 +188,20 @@ func setDeferred(mask uint8) uint8 {
 	return out
 }
 
-func joinStates(a, b state) state {
-	out := clone(a)
-	for k, bf := range b {
-		af, ok := out[k]
-		if !ok {
-			// Absent means "never touched on that path": idle.
-			af = lockFacts{mask: stIdle}
-		}
-		af.mask |= bf.mask
-		if af.pos == 0 {
-			af.pos, af.name = bf.pos, bf.name
-		}
-		out[k] = af
+// join unions the hold states a lock reaches on either path. A lock
+// absent on one path was never touched there: idle.
+func join(a lockFacts, inA bool, b lockFacts, inB bool) lockFacts {
+	if !inA {
+		a = lockFacts{mask: stIdle}
 	}
-	for k, af := range out {
-		if _, ok := b[k]; !ok {
-			af.mask |= stIdle
-			out[k] = af
-		}
+	if !inB {
+		b = lockFacts{mask: stIdle}
 	}
-	return out
-}
-
-func equalStates(a, b state) bool {
-	if len(a) != len(b) {
-		return false
+	a.mask |= b.mask
+	if a.pos == token.NoPos {
+		a.pos, a.name = b.pos, b.name
 	}
-	for k, av := range a {
-		bv, ok := b[k]
-		if !ok || av.mask != bv.mask || av.pos != bv.pos {
-			return false
-		}
-	}
-	return true
+	return a
 }
 
 type lockOpKind int

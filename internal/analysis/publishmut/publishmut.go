@@ -25,7 +25,6 @@ package publishmut
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"supremm/internal/analysis"
@@ -52,61 +51,28 @@ type pub struct {
 	how string
 }
 
-type state map[string]pub
-
-func clone(s state) state {
-	out := make(state, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
+type state = map[string]pub
 
 func run(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		for _, fn := range pass.Functions(f) {
-			checkFunc(pass, fn)
-		}
-	}
-	return nil
-}
-
-func checkFunc(pass *analysis.Pass, fn analysis.FuncInfo) {
-	g := pass.CFG(fn)
-	flow := func(b *cfg.Block, in state, report func(pos token.Pos, name, how string)) state {
-		out := clone(in)
-		for _, n := range b.Nodes {
-			stepNode(pass, n, out, report)
-		}
-		return out
-	}
-	states := cfg.Forward(g, state{}, cfg.Transfer[state]{
-		Flow:  func(b *cfg.Block, in state) state { return flow(b, in, nil) },
-		Join:  joinStates,
-		Equal: equalStates,
-	})
-	// Replay each reachable block once against its converged in-state,
-	// with reporting enabled; the fixpoint loop itself must stay silent
-	// or diagnostics would duplicate per sweep.
-	reported := make(map[token.Pos]bool)
-	for _, b := range g.Blocks {
-		in, ok := states[b]
-		if !b.Reachable || !ok {
-			continue
-		}
-		flow(b, in, func(pos token.Pos, name, how string) {
-			if reported[pos] {
-				return
+	return analysis.RunFlow(pass, analysis.Flow[pub]{
+		Step: func(b *cfg.Block, s state, report analysis.Report) {
+			for _, n := range b.Nodes {
+				stepNode(pass, n, s, report)
 			}
-			reported[pos] = true
-			pass.Reportf(pos, "write to %s after it escaped via %s; published values are read-only", name, how)
-		})
-	}
+		},
+		// A value stays published however the other path left it.
+		Join: func(a pub, inA bool, b pub, _ bool) pub {
+			if inA {
+				return a
+			}
+			return b
+		},
+	})
 }
 
 // stepNode applies one CFG node: write checks against the current
 // state first, then any publish events the node performs.
-func stepNode(pass *analysis.Pass, n ast.Node, out state, report func(token.Pos, string, string)) {
+func stepNode(pass *analysis.Pass, n ast.Node, out state, report analysis.Report) {
 	switch n := n.(type) {
 	case *ast.AssignStmt:
 		for _, lhs := range n.Lhs {
@@ -155,7 +121,7 @@ func stepNode(pass *analysis.Pass, n ast.Node, out state, report func(token.Pos,
 // checkWrite reports lhs if it writes through a published value: any
 // selector, index, or pointer dereference rooted at a published ident.
 // A bare ident is a rebind, handled by the caller's publish/clear pass.
-func checkWrite(pass *analysis.Pass, lhs ast.Expr, out state, report func(token.Pos, string, string)) {
+func checkWrite(pass *analysis.Pass, lhs ast.Expr, out state, report analysis.Report) {
 	if report == nil {
 		return
 	}
@@ -171,7 +137,7 @@ func checkWrite(pass *analysis.Pass, lhs ast.Expr, out state, report func(token.
 		return
 	}
 	if p, published := out[key]; published {
-		report(lhs.Pos(), root.Name, p.how)
+		report(lhs.Pos(), "write to %s after it escaped via %s; published values are read-only", root.Name, p.how)
 	}
 }
 
@@ -192,28 +158,6 @@ func publish(pass *analysis.Pass, e ast.Expr, how string, out state) {
 	if _, already := out[key]; !already {
 		out[key] = pub{how: how}
 	}
-}
-
-func joinStates(a, b state) state {
-	out := clone(a)
-	for k, v := range b {
-		if _, ok := out[k]; !ok {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-func equalStates(a, b state) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // rootIdent walks selector/index/star/paren chains to the base

@@ -6,6 +6,7 @@
 package suite
 
 import (
+	"slices"
 	"strings"
 
 	"supremm/internal/analysis"
@@ -23,11 +24,32 @@ import (
 // Scoped is an analyzer plus the package/file scope it applies to.
 type Scoped struct {
 	*analysis.Analyzer
-	// PkgMatch gates whole packages by import path.
-	PkgMatch func(pkgPath string) bool
-	// FileMatch, when non-nil, further gates individual files by base
-	// name within a matched package.
-	FileMatch func(base string) bool
+	// Pkgs are the import paths the analyzer runs on; a trailing "/..."
+	// takes in the package and every package below it.
+	Pkgs []string
+	// Files, when set, limits the analyzer to the files with these base
+	// names in those packages.
+	Files []string
+}
+
+// CoversPkg reports whether the scope takes in the package.
+func (s Scoped) CoversPkg(pkgPath string) bool {
+	for _, p := range s.Pkgs {
+		if tree, ok := strings.CutSuffix(p, "/..."); ok {
+			if pkgPath == tree || strings.HasPrefix(pkgPath, tree+"/") {
+				return true
+			}
+		} else if pkgPath == p {
+			return true
+		}
+	}
+	return false
+}
+
+// CoversFile reports whether the scope takes in a file, by base name,
+// of a package it covers.
+func (s Scoped) CoversFile(base string) bool {
+	return len(s.Files) == 0 || slices.Contains(s.Files, base)
 }
 
 // Analyzers returns the full supremmlint suite with its scopes.
@@ -37,7 +59,7 @@ func Analyzers() []Scoped {
 			// Raw counters flow from procfs through taccstats into ingest;
 			// everywhere else they are already reduced to float deltas.
 			Analyzer: counterdelta.Analyzer,
-			PkgMatch: pkgIn("supremm/internal/procfs", "supremm/internal/taccstats", "supremm/internal/ingest"),
+			Pkgs:     []string{"supremm/internal/procfs", "supremm/internal/taccstats", "supremm/internal/ingest"},
 		},
 		{
 			// The deterministic core: same (config, seed) in, bit-identical
@@ -46,32 +68,28 @@ func Analyzers() []Scoped {
 			// daemon takes an injected clock (Config.Now) and the real
 			// time.Now lives only in cmd/supremmd.
 			Analyzer: walltime.Analyzer,
-			PkgMatch: pkgIn("supremm/internal/sim", "supremm/internal/workload", "supremm/internal/ingest",
-				"supremm/internal/serve"),
+			Pkgs: []string{"supremm/internal/sim", "supremm/internal/workload", "supremm/internal/ingest",
+				"supremm/internal/serve"},
 		},
 		{
 			// Reproducibility is a whole-tree property: any package drawing
 			// from the process-global generator can perturb a simulation.
 			Analyzer: globalrand.Analyzer,
-			PkgMatch: pkgUnder("supremm"),
+			Pkgs:     []string{"supremm/..."},
 		},
 		{
 			// The declared hot paths: the streaming parser, the
-			// schema-compiled interval reduction (PR 1's alloc budget),
-			// and the columnar store — its binary codec, aggregation
-			// kernels and shard memo are the daemon's load and query
-			// inner loops.
+			// schema-compiled interval reduction (its per-file allocation budget)
+			// with its per-record callback (degrade.go's parseFileOnce)
+			// and per-interval bucket fold (parallel.go's processHost,
+			// bucketAt), and the columnar store — its binary codec,
+			// aggregation kernels and shard memo are the daemon's load
+			// and query inner loops.
 			Analyzer: hotalloc.Analyzer,
-			PkgMatch: pkgIn("supremm/internal/taccstats", "supremm/internal/ingest",
-				"supremm/internal/store"),
-			FileMatch: func(base string) bool {
-				switch base {
-				case "stream.go", "format.go", "plan.go", "raw.go", "accumulator.go",
-					"columns.go", "codec.go", "query.go", "index.go", "kernel.go", "memo.go", "shard.go":
-					return true
-				}
-				return false
-			},
+			Pkgs:     []string{"supremm/internal/taccstats", "supremm/internal/ingest", "supremm/internal/store"},
+			Files: []string{"stream.go", "format.go",
+				"plan.go", "raw.go", "accumulator.go", "degrade.go", "parallel.go",
+				"columns.go", "codec.go", "query.go", "index.go", "kernel.go", "memo.go", "shard.go"},
 		},
 		{
 			// The artifact emitters (report renderers, cmd tools writing
@@ -86,14 +104,8 @@ func Analyzers() []Scoped {
 			// next reload fails on, or a torn jobs.supremm that shard
 			// repair could not rebuild from.
 			Analyzer: errsink.Analyzer,
-			PkgMatch: func(pkgPath string) bool {
-				switch pkgPath {
-				case "supremm/internal/report", "supremm/internal/ingest", "supremm/internal/faultinject",
-					"supremm/internal/serve", "supremm/internal/store":
-					return true
-				}
-				return strings.HasPrefix(pkgPath, "supremm/cmd/")
-			},
+			Pkgs: []string{"supremm/internal/report", "supremm/internal/ingest", "supremm/internal/faultinject",
+				"supremm/internal/serve", "supremm/internal/store", "supremm/cmd/..."},
 		},
 		{
 			// The packages where a leaked mutex is fatal to the
@@ -104,8 +116,7 @@ func Analyzers() []Scoped {
 			// past a forgotten early return wedges every later reload or
 			// query.
 			Analyzer: lockcheck.Analyzer,
-			PkgMatch: pkgIn("supremm/internal/serve", "supremm/internal/store",
-				"supremm/internal/faultinject"),
+			Pkgs:     []string{"supremm/internal/serve", "supremm/internal/store", "supremm/internal/faultinject"},
 		},
 		{
 			// Everywhere Columns/Snapshot values are built and published:
@@ -114,7 +125,7 @@ func Analyzers() []Scoped {
 			// post-publish write reintroduces the reader race the
 			// immutable-snapshot design exists to prevent.
 			Analyzer: publishmut.Analyzer,
-			PkgMatch: pkgIn("supremm/internal/store", "supremm/internal/serve", "supremm/internal/ingest"),
+			Pkgs:     []string{"supremm/internal/store", "supremm/internal/serve", "supremm/internal/ingest"},
 		},
 		{
 			// The decode surfaces that consume bytes this process did not
@@ -122,7 +133,7 @@ func Analyzers() []Scoped {
 			// A length field must be bounds-checked before it sizes an
 			// allocation, an index, or a copy.
 			Analyzer: untrustedlen.Analyzer,
-			PkgMatch: pkgIn("supremm/internal/store", "supremm/internal/taccstats"),
+			Pkgs:     []string{"supremm/internal/store", "supremm/internal/taccstats"},
 		},
 		{
 			// The reload paths and the cmd entry points open files by the
@@ -136,28 +147,8 @@ func Analyzers() []Scoped {
 			// quarantine/repair/atomic-write paths open files and
 			// directory handles on the reload hot path.
 			Analyzer: deferclose.Analyzer,
-			PkgMatch: func(pkgPath string) bool {
-				switch pkgPath {
-				case "supremm/internal/serve", "supremm/internal/ingest",
-					"supremm/internal/faultinject", "supremm/internal/store":
-					return true
-				}
-				return strings.HasPrefix(pkgPath, "supremm/cmd/")
-			},
+			Pkgs: []string{"supremm/internal/serve", "supremm/internal/ingest", "supremm/internal/faultinject",
+				"supremm/internal/store", "supremm/cmd/..."},
 		},
-	}
-}
-
-func pkgIn(paths ...string) func(string) bool {
-	set := make(map[string]bool, len(paths))
-	for _, p := range paths {
-		set[p] = true
-	}
-	return func(pkgPath string) bool { return set[pkgPath] }
-}
-
-func pkgUnder(prefix string) func(string) bool {
-	return func(pkgPath string) bool {
-		return pkgPath == prefix || strings.HasPrefix(pkgPath, prefix+"/")
 	}
 }

@@ -54,80 +54,29 @@ var binarySources = map[string]bool{
 	"ReadVarint": true, "ReadUvarint": true,
 }
 
-type state map[string]bool
+type state = map[string]bool
 
-func clone(s state) state {
-	out := make(state, len(s))
-	for k := range s {
-		out[k] = true
-	}
-	return out
+type checker struct {
+	pass  *analysis.Pass
+	decls map[*types.Func]*ast.FuncDecl
 }
 
 func run(pass *analysis.Pass) error {
-	decls := pass.FuncDecls()
-	for _, f := range pass.Files {
-		for _, fn := range pass.Functions(f) {
-			checkFunc(pass, decls, fn)
-		}
-	}
-	return nil
-}
-
-type checker struct {
-	pass   *analysis.Pass
-	decls  map[*types.Func]*ast.FuncDecl
-	report func(pos token.Pos, what, sink string)
-}
-
-func checkFunc(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, fn analysis.FuncInfo) {
-	// Pre-scan: functions with no taint source need no dataflow.
-	hasSource := false
-	c := &checker{pass: pass, decls: decls}
-	cfg.Inspect(fn.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && c.isSourceCall(call) {
-			hasSource = true
-		}
-		return !hasSource
+	c := &checker{pass: pass, decls: pass.FuncDecls()}
+	return analysis.RunFlow(pass, analysis.Flow[bool]{
+		Trigger: c.isSourceCall,
+		Step: func(b *cfg.Block, s state, report analysis.Report) {
+			for _, n := range b.Nodes {
+				// Sinks see the state before this node's own comparisons
+				// sanitize anything: the check must precede the use.
+				c.checkSinks(n, s, report)
+				c.applyTaint(n, s)
+				c.sanitize(n, s)
+			}
+		},
+		// A value tainted on either path is tainted.
+		Join: func(bool, bool, bool, bool) bool { return true },
 	})
-	if !hasSource {
-		return
-	}
-
-	g := pass.CFG(fn)
-	states := cfg.Forward(g, state{}, cfg.Transfer[state]{
-		Flow:  func(b *cfg.Block, in state) state { return c.flowBlock(b, in) },
-		Join:  joinStates,
-		Equal: equalStates,
-	})
-	reported := make(map[token.Pos]bool)
-	c.report = func(pos token.Pos, what, sink string) {
-		if reported[pos] {
-			return
-		}
-		reported[pos] = true
-		pass.Reportf(pos, "untrusted length %s reaches %s without a bound check", what, sink)
-	}
-	for _, b := range g.Blocks {
-		in, ok := states[b]
-		if !b.Reachable || !ok {
-			continue
-		}
-		c.flowBlock(b, in)
-	}
-	c.report = nil
-}
-
-func (c *checker) flowBlock(b *cfg.Block, in state) state {
-	out := clone(in)
-	for _, n := range b.Nodes {
-		// Sinks see the state before this node's own comparisons
-		// sanitize anything: the check must precede the use.
-		c.checkSinks(n, out)
-		c.applyTaint(n, out)
-		c.sanitize(n, out)
-	}
-	return out
 }
 
 // applyTaint updates variable taint for assignments and declarations.
@@ -279,9 +228,12 @@ func (c *checker) clearOperand(e ast.Expr, out state) {
 }
 
 // checkSinks reports tainted values reaching a dangerous use in n.
-func (c *checker) checkSinks(n ast.Node, s state) {
-	if c.report == nil {
+func (c *checker) checkSinks(n ast.Node, s state, report analysis.Report) {
+	if report == nil {
 		return
+	}
+	reportSink := func(e ast.Expr, sink string) {
+		report(e.Pos(), "untrusted length %s reaches %s without a bound check", types.ExprString(e), sink)
 	}
 	info := c.pass.TypesInfo
 	cfg.Inspect(n, func(x ast.Node) bool {
@@ -291,47 +243,27 @@ func (c *checker) checkSinks(n ast.Node, s state) {
 				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
 					for _, arg := range x.Args[1:] {
 						if c.tainted(arg, s) {
-							c.report(arg.Pos(), types.ExprString(arg), "make")
+							reportSink(arg, "make")
 						}
 					}
 				}
 			}
 			if analysis.IsPkgFunc(info, x, "io", "CopyN") && len(x.Args) == 3 && c.tainted(x.Args[2], s) {
-				c.report(x.Args[2].Pos(), types.ExprString(x.Args[2]), "io.CopyN")
+				reportSink(x.Args[2], "io.CopyN")
 			}
 		case *ast.IndexExpr:
 			if isSliceOrArray(info.TypeOf(x.X)) && c.tainted(x.Index, s) {
-				c.report(x.Index.Pos(), types.ExprString(x.Index), "indexing")
+				reportSink(x.Index, "indexing")
 			}
 		case *ast.SliceExpr:
 			for _, bound := range []ast.Expr{x.Low, x.High, x.Max} {
 				if bound != nil && c.tainted(bound, s) {
-					c.report(bound.Pos(), types.ExprString(bound), "slice bounds")
+					reportSink(bound, "slice bounds")
 				}
 			}
 		}
 		return true
 	})
-}
-
-func joinStates(a, b state) state {
-	out := clone(a)
-	for k := range b {
-		out[k] = true
-	}
-	return out
-}
-
-func equalStates(a, b state) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 func isInteger(t types.Type) bool {

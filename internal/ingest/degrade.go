@@ -84,7 +84,7 @@ type FaultError struct {
 }
 
 func (e *FaultError) Error() string {
-	return fmt.Sprintf("ingest: fault at %s/%s: %v", e.Host, e.File, e.Err)
+	return fmt.Sprintf("ingest: fault at %s/%s: %v", e.Host, e.File, e.Err) //supremmlint:allow hotalloc: error path, formatted once per fault, never per record
 }
 
 func (e *FaultError) Unwrap() error { return e.Err }

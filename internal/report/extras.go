@@ -8,6 +8,7 @@ import (
 	"supremm/internal/appkernels"
 	"supremm/internal/core"
 	"supremm/internal/sched"
+	"supremm/internal/store"
 )
 
 // Trends renders the §4.3.5 resource-manager trend report.
@@ -150,4 +151,17 @@ func Diagnoses(w io.Writer, cluster string, diags []anomaly.Diagnosis, limit int
 		ew.println(" ", d.String())
 	}
 	return ew.err
+}
+
+// FailureProfiles renders the §4.3.3 job completion failure profile of
+// every application in r under title: jobs, how each ended, and the
+// failed share.
+func FailureProfiles(w io.Writer, title string, r *core.Realm) error {
+	t := NewTable(title, "app", "jobs", "completed", "failed", "timeout", "node_fail", "failure%")
+	for _, p := range anomaly.FailureProfiles(r.Store, store.ByApp, r.JobFilter()) {
+		t.AddRow(p.Key, fmt.Sprintf("%d", p.Jobs), fmt.Sprintf("%d", p.Completed),
+			fmt.Sprintf("%d", p.Failed), fmt.Sprintf("%d", p.Timeout),
+			fmt.Sprintf("%d", p.NodeFail), fmt.Sprintf("%.1f", p.FailurePct))
+	}
+	return t.Render(w)
 }

@@ -98,7 +98,7 @@ func TestDiagnosesRender(t *testing.T) {
 func TestHTMLDashboard(t *testing.T) {
 	r := testRealm(t)
 	var buf bytes.Buffer
-	if err := HTMLDashboard(&buf, r, r); err != nil {
+	if err := HTMLDashboard(&buf, nil, r, r); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -114,7 +114,7 @@ func TestHTMLDashboard(t *testing.T) {
 	if strings.Count(out, "<figure>") != strings.Count(out, "</figure>") {
 		t.Error("unbalanced figure tags")
 	}
-	if err := HTMLDashboard(&buf); err == nil {
+	if err := HTMLDashboard(&buf, nil); err == nil {
 		t.Error("no realms should error")
 	}
 }

@@ -11,16 +11,11 @@ import (
 
 // HTMLDashboard writes a single self-contained HTML page — the
 // reproduction's stand-in for XDMoD's web UI: headline tiles per
-// cluster, the vector figures inline, and the cross-system table.
+// cluster, the vector figures inline, the cross-system table, and a
+// data-completeness section rendered from the ingest quality report q
+// (nil omits it: the simulate path has no quality report to show).
 // Everything is embedded; the file opens offline in any browser.
-func HTMLDashboard(w io.Writer, realms ...*core.Realm) error {
-	return HTMLDashboardQuality(w, nil, realms...)
-}
-
-// HTMLDashboardQuality is HTMLDashboard plus a data-completeness
-// section rendered from the ingest quality report; nil q omits the
-// section (the simulate path has no quality report to show).
-func HTMLDashboardQuality(w io.Writer, q *ingest.DataQuality, realms ...*core.Realm) error {
+func HTMLDashboard(w io.Writer, q *ingest.DataQuality, realms ...*core.Realm) error {
 	if len(realms) == 0 {
 		return fmt.Errorf("report: dashboard needs at least one realm")
 	}

@@ -3,9 +3,7 @@ package report
 import (
 	"fmt"
 	"io"
-	"strings"
 
-	"supremm/internal/core"
 	"supremm/internal/ingest"
 )
 
@@ -44,28 +42,4 @@ func DataCompleteness(w io.Writer, q *ingest.DataQuality) error {
 		t.AddRow(qf.Host, qf.File, qf.Reason)
 	}
 	return t.Render(w)
-}
-
-// SuiteWithQuality renders a stakeholder suite like Suite, then appends
-// the data-completeness view for the classes that operate the pipeline:
-// support staff (§4.3.3, triaging "where did my job's data go") and
-// admins (§4.3.4, judging whether the archive is trustworthy). A nil
-// quality report degrades to plain Suite — callers without a
-// quality.json lose nothing.
-func SuiteWithQuality(w io.Writer, who Stakeholder, q *ingest.DataQuality, realms ...*core.Realm) error {
-	if err := Suite(w, who, realms...); err != nil {
-		return err
-	}
-	if q == nil {
-		return nil
-	}
-	switch who {
-	case StakeholderSupport, StakeholderAdmin:
-		if _, err := fmt.Fprintf(w, "\n######## %s suite: data completeness ########\n",
-			strings.ToUpper(string(who))); err != nil {
-			return err
-		}
-		return DataCompleteness(w, q)
-	}
-	return nil
 }

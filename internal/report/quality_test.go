@@ -103,23 +103,25 @@ func TestSuiteWithQuality(t *testing.T) {
 		t.Error("user suite should not carry the completeness section")
 	}
 
-	// Nil quality report degrades to the plain suite.
-	var plain, withNil bytes.Buffer
-	if err := Suite(&plain, StakeholderSupport, r); err != nil {
+	// A nil quality report renders the same suite minus the
+	// completeness section, which comes last.
+	var withQ, withNil bytes.Buffer
+	if err := SuiteWithQuality(&withQ, StakeholderSupport, q, r); err != nil {
 		t.Fatal(err)
 	}
 	if err := SuiteWithQuality(&withNil, StakeholderSupport, nil, r); err != nil {
 		t.Fatal(err)
 	}
-	if plain.String() != withNil.String() {
-		t.Error("nil quality should render exactly the plain suite")
+	rest, ok := strings.CutPrefix(withQ.String(), withNil.String())
+	if !ok || !strings.HasPrefix(rest, "\n######## SUPPORT suite: data completeness") {
+		t.Errorf("nil quality should render the suite without its completeness section; the rest reads:\n%s", rest)
 	}
 }
 
 func TestHTMLDashboardQuality(t *testing.T) {
 	r := testRealm(t)
 	var buf bytes.Buffer
-	if err := HTMLDashboardQuality(&buf, degradedQuality(), r); err != nil {
+	if err := HTMLDashboard(&buf, degradedQuality(), r); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -131,7 +133,7 @@ func TestHTMLDashboardQuality(t *testing.T) {
 
 	// The plain dashboard is unchanged: no quality section.
 	buf.Reset()
-	if err := HTMLDashboard(&buf, r); err != nil {
+	if err := HTMLDashboard(&buf, nil, r); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "data completeness") {

@@ -7,6 +7,7 @@ import (
 
 	"supremm/internal/anomaly"
 	"supremm/internal/core"
+	"supremm/internal/ingest"
 	"supremm/internal/store"
 )
 
@@ -31,11 +32,15 @@ func Stakeholders() []Stakeholder {
 	}
 }
 
-// Suite renders the named stakeholder's report set, assembling the §4.3
-// reports that section assigns to the class. Realms beyond the first
-// enable the cross-system pieces (Fig 3, advice, comparison); a single
-// realm renders the single-system subset.
-func Suite(w io.Writer, who Stakeholder, realms ...*core.Realm) error {
+// SuiteWithQuality renders the named stakeholder's report set,
+// assembling the §4.3 reports that section assigns to the class. Realms
+// beyond the first enable the cross-system pieces (Fig 3, advice,
+// comparison); a single realm renders the single-system subset. The
+// classes that operate the pipeline — support staff (§4.3.3, triaging
+// "where did my job's data go") and admins (§4.3.4, judging whether the
+// archive is trustworthy) — also get the data-completeness view of q;
+// a nil q omits it, so callers without a quality.json lose nothing.
+func SuiteWithQuality(w io.Writer, who Stakeholder, q *ingest.DataQuality, realms ...*core.Realm) error {
 	if len(realms) == 0 {
 		return fmt.Errorf("report: suite needs at least one realm")
 	}
@@ -43,6 +48,15 @@ func Suite(w io.Writer, who Stakeholder, realms ...*core.Realm) error {
 	head := func(title string) error {
 		_, err := fmt.Fprintf(w, "\n######## %s suite: %s ########\n", strings.ToUpper(string(who)), title)
 		return err
+	}
+	completeness := func() error {
+		if q == nil {
+			return nil
+		}
+		if err := head("data completeness"); err != nil {
+			return err
+		}
+		return DataCompleteness(w, q)
 	}
 	switch who {
 	case StakeholderUser:
@@ -106,7 +120,10 @@ func Suite(w io.Writer, who Stakeholder, realms ...*core.Realm) error {
 		for _, p := range anomaly.FailureProfiles(r.Store, store.ByApp, r.JobFilter()) {
 			t.AddRow(p.Key, fmt.Sprintf("%d", p.Jobs), fmt.Sprintf("%.1f", p.FailurePct))
 		}
-		return t.Render(w)
+		if err := t.Render(w); err != nil {
+			return err
+		}
+		return completeness()
 	case StakeholderAdmin:
 		// §4.3.4: persistence/prediction, scheduler effectiveness.
 		tab, err := r.Persistence(10)
@@ -128,7 +145,10 @@ func Suite(w io.Writer, who Stakeholder, realms ...*core.Realm) error {
 		if err := head("forecasts and scheduling hints"); err != nil {
 			return err
 		}
-		return ForecastReport(w, r)
+		if err := ForecastReport(w, r); err != nil {
+			return err
+		}
+		return completeness()
 	case StakeholderManager:
 		// §4.3.5: workload characterization, system-level reports,
 		// trends.

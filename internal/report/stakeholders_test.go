@@ -13,7 +13,7 @@ func TestSuiteRendersEveryStakeholder(t *testing.T) {
 	}
 	for _, who := range Stakeholders() {
 		var buf bytes.Buffer
-		if err := Suite(&buf, who, r); err != nil {
+		if err := SuiteWithQuality(&buf, who, nil, r); err != nil {
 			t.Errorf("%s: %v", who, err)
 			continue
 		}
@@ -32,14 +32,14 @@ func TestSuiteCrossSystemSections(t *testing.T) {
 	// funding suite gains the comparison table.
 	r := testRealm(t)
 	var buf bytes.Buffer
-	if err := Suite(&buf, StakeholderUser, r, r); err != nil {
+	if err := SuiteWithQuality(&buf, StakeholderUser, nil, r, r); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "which system suits") {
 		t.Error("user suite missing cross-system advice")
 	}
 	buf.Reset()
-	if err := Suite(&buf, StakeholderFunding, r, r); err != nil {
+	if err := SuiteWithQuality(&buf, StakeholderFunding, nil, r, r); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "cross-system comparison") {
@@ -50,10 +50,10 @@ func TestSuiteCrossSystemSections(t *testing.T) {
 func TestSuiteErrors(t *testing.T) {
 	r := testRealm(t)
 	var buf bytes.Buffer
-	if err := Suite(&buf, Stakeholder("alien"), r); err == nil {
+	if err := SuiteWithQuality(&buf, Stakeholder("alien"), nil, r); err == nil {
 		t.Error("unknown stakeholder should error")
 	}
-	if err := Suite(&buf, StakeholderUser); err == nil {
+	if err := SuiteWithQuality(&buf, StakeholderUser, nil); err == nil {
 		t.Error("no realms should error")
 	}
 }
