@@ -1,7 +1,7 @@
 # Convenience targets for the SUPReMM reproduction.
 GO ?= go
 
-.PHONY: all build test test-race vet fmt-check lint lint-fast fuzz-smoke test-serve test-store test-bench bench bench-e2e bench-compare bench-gate bench-ingest bench-serve bench-store figures dashboard pipeline clean
+.PHONY: all build test test-race vet fmt-check lint lint-fast fuzz-smoke test-serve test-store test-bench bench bench-e2e bench-compare bench-gate bench-ingest bench-serve bench-store figures pipeline clean
 
 all: build vet lint test test-race test-serve test-store test-bench
 

@@ -47,8 +47,7 @@ func load(b *testing.B) *fixture {
 			if err != nil {
 				panic(err)
 			}
-			return core.NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB,
-				cc.PeakTFlops(), res.Store.AsSet(), res.Series), res
+			return core.NewRealm(cc, res.Store.AsSet(), res.Series), res
 		}
 		var rres *sim.Result
 		fix.ranger, rres = build(cluster.RangerConfig().Scaled(128))

@@ -103,7 +103,7 @@ func run(clusterName string, nodes, days int, seed int64, out string, raw bool, 
 		name  string
 		write func(*os.File) error
 	}{
-		{"accounting.log", func(f *os.File) error { return sched.WriteAcct(f, res.Acct) }},
+		{store.AccountingFile, func(f *os.File) error { return sched.WriteAcct(f, res.Acct) }},
 		{"events.log", func(f *os.File) error { return eventlog.WriteEvents(f, res.Events) }},
 		{"lariat.jsonl", func(f *os.File) error { return lariat.Write(f, res.Lariat) }},
 	} {

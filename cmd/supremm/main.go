@@ -77,7 +77,7 @@ func run(days, nodes int, seed int64, fig, table int, corr, anomalies bool, advi
 		fmt.Fprintf(os.Stderr, "  %d jobs submitted, %d completed, %d log events\n",
 			res.JobsSubmitted, res.JobsCompleted, len(res.Events))
 		realms = append(realms, realmWithEvents{
-			realm: core.NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB, cc.PeakTFlops(), res.Store.AsSet(), res.Series),
+			realm: core.NewRealm(cc, res.Store.AsSet(), res.Series),
 			res:   res,
 		})
 	}

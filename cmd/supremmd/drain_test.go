@@ -40,9 +40,8 @@ func TestShutdownShedsQueueAndDrainsInFlight(t *testing.T) {
 	readyc := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, options{data: dir, addr: "127.0.0.1:0", drain: 5 * time.Second,
-			retries: 1, maxInFlight: 1, maxQueue: 1, hooks: hooks,
-			ready: func(addr string) { readyc <- addr }})
+		done <- run(ctx, serve.Config{DataDir: dir, RetryMax: 1, MaxInFlight: 1, MaxQueue: 1, Hooks: hooks},
+			options{addr: "127.0.0.1:0", drain: 5 * time.Second, ready: func(addr string) { readyc <- addr }})
 	}()
 	var addr string
 	select {

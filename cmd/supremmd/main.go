@@ -37,93 +37,77 @@ import (
 	"time"
 
 	"supremm/internal/serve"
+	"supremm/internal/store"
 )
 
-// options collects everything run needs; flags populate it in main,
-// tests populate it directly.
+// options is what run needs beyond the daemon's serve.Config: the
+// listener and its shutdown.
 type options struct {
-	data    string
-	addr    string
-	poll    time.Duration
-	drain   time.Duration
-	cache   int
-	retries int
-
-	maxInFlight      int           // 0 = serve default (64), negative disables
-	maxQueue         int           // 0 = 2x maxInFlight, negative = no queue
-	timeout          time.Duration // per-request deadline, 0 disables
-	retryAfter       int           // Retry-After seconds on shed responses
-	breakerThreshold int           // reload failures that open the breaker
-	breakerBackoff   int           // breaker cooldown in poll ticks
-
-	selfHeal    bool    // scrub/quarantine/repair + degraded serving
-	scrubBudget int64   // scrubber bytes per poll tick, negative = full sweep
-	minCoverage float64 // coverage floor for data queries, 0 = serve at any
-
-	// ready receives the bound address once the listener is up.
+	addr  string
+	poll  time.Duration
+	drain time.Duration
+	// ready receives the bound address once the listener is up (tests).
 	ready func(addr string)
-	// hooks are passed through to serve.Config (tests).
-	hooks serve.Hooks
+}
+
+// flags registers supremmd's flags on fs. The daemon's configuration
+// binds straight into the returned serve.Config; run adds the clock and
+// the retry backoff.
+func flags(fs *flag.FlagSet) (*serve.Config, *options) {
+	cfg, opts := &serve.Config{}, &options{}
+	fs.StringVar(&cfg.DataDir, "data", "data", "ingested data directory, as cmd/ingest writes it (MANIFEST.supremm + the shard-<day>.supremm files it names; plus series.jsonl, quality.json)")
+	fs.StringVar(&opts.addr, "addr", "127.0.0.1:8090", "listen address")
+	fs.DurationVar(&opts.poll, "poll", 10*time.Second, "data-directory poll interval for hot reload (0 disables)")
+	fs.IntVar(&cfg.CacheSize, "cache", 0, "query-cache entries (0 = default 1024, negative disables)")
+	fs.IntVar(&cfg.RetryMax, "retries", 2, "retries per snapshot load racing an ingest rewrite")
+	fs.DurationVar(&opts.drain, "drain", 10*time.Second, "shutdown drain budget for in-flight requests")
+	fs.IntVar(&cfg.MaxInFlight, "max-inflight", 0, "max concurrently executing data queries (0 = default 64, negative disables admission control)")
+	fs.IntVar(&cfg.MaxQueue, "max-queue", 0, "max queries waiting for a slot before shedding (0 = 2x max-inflight, negative = no queue)")
+	fs.DurationVar(&cfg.RequestTimeout, "timeout", 10*time.Second, "per-request deadline for data queries (0 disables)")
+	fs.IntVar(&cfg.RetryAfterSec, "retry-after", 1, "Retry-After seconds on shed/timed-out responses")
+	fs.IntVar(&cfg.BreakerThreshold, "breaker-threshold", 3, "consecutive reload failures that open the snapshot-reload breaker")
+	fs.IntVar(&cfg.BreakerBackoffPolls, "breaker-backoff", 2, "breaker cooldown in poll ticks (doubles per failed probe)")
+	fs.BoolVar(&cfg.SelfHeal, "self-heal", true, "scrub shards in the background, quarantine+repair damage, serve degraded with coverage accounting")
+	fs.Int64Var(&cfg.ScrubBudgetBytes, "scrub-budget", 0, "shard bytes the scrubber re-verifies per poll tick (0 = default 4 MiB, negative = full sweep every tick)")
+	fs.Float64Var(&cfg.MinCoverage, "degraded-min-coverage", 0, "refuse data queries (503 + missing day ranges) when degraded coverage is below this fraction (0 = serve at any coverage)")
+	return cfg, opts
 }
 
 func main() {
-	var opts options
-	flag.StringVar(&opts.data, "data", "data", "ingested data directory, as cmd/ingest writes it (MANIFEST.supremm + the shard-<day>.supremm files it names; plus series.jsonl, quality.json)")
-	flag.StringVar(&opts.addr, "addr", "127.0.0.1:8090", "listen address")
-	flag.DurationVar(&opts.poll, "poll", 10*time.Second, "data-directory poll interval for hot reload (0 disables)")
-	flag.IntVar(&opts.cache, "cache", 0, "query-cache entries (0 = default 1024, negative disables)")
-	flag.IntVar(&opts.retries, "retries", 2, "retries per snapshot load racing an ingest rewrite")
-	flag.DurationVar(&opts.drain, "drain", 10*time.Second, "shutdown drain budget for in-flight requests")
-	flag.IntVar(&opts.maxInFlight, "max-inflight", 0, "max concurrently executing data queries (0 = default 64, negative disables admission control)")
-	flag.IntVar(&opts.maxQueue, "max-queue", 0, "max queries waiting for a slot before shedding (0 = 2x max-inflight, negative = no queue)")
-	flag.DurationVar(&opts.timeout, "timeout", 10*time.Second, "per-request deadline for data queries (0 disables)")
-	flag.IntVar(&opts.retryAfter, "retry-after", 1, "Retry-After seconds on shed/timed-out responses")
-	flag.IntVar(&opts.breakerThreshold, "breaker-threshold", 3, "consecutive reload failures that open the snapshot-reload breaker")
-	flag.IntVar(&opts.breakerBackoff, "breaker-backoff", 2, "breaker cooldown in poll ticks (doubles per failed probe)")
-	flag.BoolVar(&opts.selfHeal, "self-heal", true, "scrub shards in the background, quarantine+repair damage, serve degraded with coverage accounting")
-	flag.Int64Var(&opts.scrubBudget, "scrub-budget", 0, "shard bytes the scrubber re-verifies per poll tick (0 = default 4 MiB, negative = full sweep every tick)")
-	flag.Float64Var(&opts.minCoverage, "degraded-min-coverage", 0, "refuse data queries (503 + missing day ranges) when degraded coverage is below this fraction (0 = serve at any coverage)")
+	cfg, opts := flags(flag.CommandLine)
 	flag.Parse()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, opts); err != nil {
+	if err := run(ctx, *cfg, *opts); err != nil {
 		fmt.Fprintln(os.Stderr, "supremmd:", err)
 		os.Exit(1)
 	}
 }
 
-// run starts the daemon and blocks until ctx is cancelled and the
-// listener has drained.
-func run(ctx context.Context, opts options) error {
-	srv, err := serve.New(serve.Config{
-		DataDir:   opts.data,
-		CacheSize: opts.cache,
-		RetryMax:  opts.retries,
-		Backoff: func(attempt int) {
-			time.Sleep(time.Duration(attempt) * 100 * time.Millisecond)
-		},
-		Now:                 time.Now,
-		MaxInFlight:         opts.maxInFlight,
-		MaxQueue:            opts.maxQueue,
-		RequestTimeout:      opts.timeout,
-		RetryAfterSec:       opts.retryAfter,
-		BreakerThreshold:    opts.breakerThreshold,
-		BreakerBackoffPolls: opts.breakerBackoff,
-		SelfHeal:            opts.selfHeal,
-		ScrubBudgetBytes:    opts.scrubBudget,
-		MinCoverage:         opts.minCoverage,
-		Hooks:               opts.hooks,
-	})
+// logDegraded tells the operator that generation s serves without the
+// days the custody log names.
+func logDegraded(dir string, s *serve.Snapshot) {
+	if cov := s.Coverage; cov.Degraded {
+		fmt.Fprintf(os.Stderr, "supremmd: DEGRADED generation %d: serving %d of %d rows (coverage %.4f), %d shard(s) quarantined — see %s/%s\n",
+			s.Gen, cov.RowsServed, cov.RowsTotal, cov.Ratio, cov.MissingShards, dir, store.QuarantineFile)
+	}
+}
+
+// run starts the daemon over cfg and blocks until ctx is cancelled and
+// the listener has drained.
+func run(ctx context.Context, cfg serve.Config, opts options) error {
+	cfg.Backoff = func(attempt int) {
+		time.Sleep(time.Duration(attempt) * 100 * time.Millisecond)
+	}
+	cfg.Now = time.Now
+	srv, err := serve.New(cfg)
 	if err != nil {
 		return err
 	}
 	snap := srv.Snapshot()
 	fmt.Fprintf(os.Stderr, "supremmd: serving %s (%d jobs, cluster %s, generation %d, %d shards) on %s\n",
-		opts.data, snap.Realm.Store.Len(), snap.Realm.Cluster, snap.Gen, snap.Shards, opts.addr)
-	if cov := snap.Coverage; cov.Degraded {
-		fmt.Fprintf(os.Stderr, "supremmd: DEGRADED generation %d: serving %d of %d rows (coverage %.4f), %d shard(s) quarantined — see %s/QUARANTINE.supremm\n",
-			snap.Gen, cov.RowsServed, cov.RowsTotal, cov.Ratio, cov.MissingShards, opts.data)
-	}
+		cfg.DataDir, snap.Realm.Store.Len(), snap.Realm.Cluster, snap.Gen, snap.Shards, opts.addr)
+	logDegraded(cfg.DataDir, snap)
 
 	ln, err := net.Listen("tcp", opts.addr)
 	if err != nil {
@@ -153,11 +137,8 @@ func run(ctx context.Context, opts options) error {
 					} else if reloaded {
 						s := srv.Snapshot()
 						fmt.Fprintf(os.Stderr, "supremmd: reloaded %s (%d jobs, generation %d, %d/%d shards reused)\n",
-							opts.data, s.Realm.Store.Len(), s.Gen, s.ShardsReused, s.Shards)
-						if cov := s.Coverage; cov.Degraded {
-							fmt.Fprintf(os.Stderr, "supremmd: DEGRADED generation %d: serving %d of %d rows (coverage %.4f), %d shard(s) quarantined — see %s/%s\n",
-								s.Gen, cov.RowsServed, cov.RowsTotal, cov.Ratio, cov.MissingShards, opts.data, "QUARANTINE.supremm")
-						}
+							cfg.DataDir, s.Realm.Store.Len(), s.Gen, s.ShardsReused, s.Shards)
+						logDegraded(cfg.DataDir, s)
 					}
 				}
 			}

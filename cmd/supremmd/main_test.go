@@ -3,14 +3,17 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
+	"supremm/internal/serve"
 	"supremm/internal/store"
 )
 
@@ -57,8 +60,8 @@ func TestRunServesAndDrains(t *testing.T) {
 	readyc := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, options{data: dir, addr: "127.0.0.1:0", drain: 5 * time.Second,
-			retries: 1, ready: func(addr string) { readyc <- addr }})
+		done <- run(ctx, serve.Config{DataDir: dir, RetryMax: 1},
+			options{addr: "127.0.0.1:0", drain: 5 * time.Second, ready: func(addr string) { readyc <- addr }})
 	}()
 
 	var addr string
@@ -108,9 +111,48 @@ func TestRunServesAndDrains(t *testing.T) {
 
 // TestRunBadDataDir exercises the startup failure path.
 func TestRunBadDataDir(t *testing.T) {
-	err := run(context.Background(), options{data: filepath.Join(t.TempDir(), "absent"),
-		addr: "127.0.0.1:0", drain: time.Second})
+	err := run(context.Background(), serve.Config{DataDir: filepath.Join(t.TempDir(), "absent")},
+		options{addr: "127.0.0.1:0", drain: time.Second})
 	if err == nil {
 		t.Fatal("run succeeded on a missing data directory")
+	}
+}
+
+// TestFlagsBind: each flag lands in the serve.Config field, or the
+// listener option, that it names. The argv gives every registered flag
+// a value other than its default, so a flag added without a check here
+// fails the test.
+func TestFlagsBind(t *testing.T) {
+	fs := flag.NewFlagSet("supremmd", flag.ContinueOnError)
+	cfg, opts := flags(fs)
+	if err := fs.Parse([]string{
+		"-data", "/srv/supremm", "-addr", "10.0.0.1:9000", "-poll", "3s", "-drain", "4s",
+		"-cache", "7", "-retries", "5", "-max-inflight", "9", "-max-queue", "11", "-timeout", "6s",
+		"-retry-after", "13", "-breaker-threshold", "17", "-breaker-backoff", "19",
+		"-self-heal=false", "-scrub-budget", "-1", "-degraded-min-coverage", "0.5",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	set, all := 0, 0
+	fs.Visit(func(*flag.Flag) { set++ })
+	fs.VisitAll(func(f *flag.Flag) {
+		all++
+		if f.Value.String() == f.DefValue {
+			t.Errorf("-%s is parsed at its default %q; give it another value", f.Name, f.DefValue)
+		}
+	})
+	if set != all {
+		t.Errorf("argv sets %d of %d flags", set, all)
+	}
+	want := serve.Config{
+		DataDir: "/srv/supremm", CacheSize: 7, RetryMax: 5, MaxInFlight: 9, MaxQueue: 11,
+		RequestTimeout: 6 * time.Second, RetryAfterSec: 13, BreakerThreshold: 17, BreakerBackoffPolls: 19,
+		SelfHeal: false, ScrubBudgetBytes: -1, MinCoverage: 0.5,
+	}
+	if !reflect.DeepEqual(*cfg, want) {
+		t.Errorf("serve.Config = %+v\nwant %+v", *cfg, want)
+	}
+	if opts.addr != "10.0.0.1:9000" || opts.poll != 3*time.Second || opts.drain != 4*time.Second {
+		t.Errorf("options = addr %q, poll %v, drain %v; want 10.0.0.1:9000, 3s, 4s", opts.addr, opts.poll, opts.drain)
 	}
 }

@@ -143,9 +143,9 @@ func run(dir, what string, n int) error {
 	case "forecast":
 		return report.ForecastReport(out, r)
 	case "waits":
-		af, err := os.Open(filepath.Join(dir, "accounting.log"))
+		af, err := os.Open(filepath.Join(dir, store.AccountingFile))
 		if err != nil {
-			return fmt.Errorf("waits report needs accounting.log in the data dir: %w", err)
+			return fmt.Errorf("waits report needs %s in the data dir: %w", store.AccountingFile, err)
 		}
 		defer af.Close()
 		acct, err := sched.ReadAcct(af)

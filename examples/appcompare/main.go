@@ -24,8 +24,7 @@ func buildRealm(cc cluster.Config, seed int64) *core.Realm {
 	if err != nil {
 		log.Fatal(err)
 	}
-	return core.NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB,
-		cc.PeakTFlops(), res.Store.AsSet(), res.Series)
+	return core.NewRealm(cc, res.Store.AsSet(), res.Series)
 }
 
 func main() {

@@ -35,8 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	realm := core.NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB,
-		cc.PeakTFlops(), res.Store.AsSet(), res.Series)
+	realm := core.NewRealm(cc, res.Store.AsSet(), res.Series)
 
 	// 1. Application-kernel audit: is the system performing as usual?
 	fmt.Println("=== application kernel audit ===")

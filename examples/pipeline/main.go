@@ -116,7 +116,7 @@ func main() {
 		}
 		fmt.Println(" ", ev.String())
 	}
-	realm := core.NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB, cc.PeakTFlops(), rr.Store.AsSet(), rr.Series)
+	realm := core.NewRealm(cc, rr.Store.AsSet(), rr.Series)
 	found := anomaly.NewDetector().Detect(realm.Store, realm.JobFilter(),
 		[]store.Metric{store.MetricCPUIdle, store.MetricMemUsedMax})
 	diags := anomaly.Link(found, res.Events)

@@ -34,8 +34,7 @@ func main() {
 		res.JobsSubmitted, res.JobsCompleted, len(res.Series), len(res.Events))
 
 	// 3. Build the analytics realm (the XDMoD view of the data).
-	realm := core.NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB,
-		cc.PeakTFlops(), res.Store.AsSet(), res.Series)
+	realm := core.NewRealm(cc, res.Store.AsSet(), res.Series)
 
 	// 4. Ask it questions.
 	fmt.Printf("jobs analyzed (longer than one sampling interval): %d\n", realm.JobCount())

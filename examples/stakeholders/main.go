@@ -23,8 +23,7 @@ func buildRealm(cc cluster.Config) *core.Realm {
 	if err != nil {
 		log.Fatal(err)
 	}
-	return core.NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB,
-		cc.PeakTFlops(), res.Store.AsSet(), res.Series)
+	return core.NewRealm(cc, res.Store.AsSet(), res.Series)
 }
 
 func main() {

@@ -25,8 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	realm := core.NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB,
-		cc.PeakTFlops(), res.Store.AsSet(), res.Series)
+	realm := core.NewRealm(cc, res.Store.AsSet(), res.Series)
 
 	// Fig 2: the five heaviest users, normalized to the fleet mean.
 	fmt.Println("=== the five heaviest users (Fig 2) ===")

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"supremm/internal/cluster"
 	"supremm/internal/core"
 	"supremm/internal/reference"
 	"supremm/internal/store"
@@ -71,7 +72,7 @@ func TestColumnarAnalysesMatchRowOracles(t *testing.T) {
 			probe = recs[len(recs)/2]
 		}
 		for backing, ref := range map[string]reference.Parts{"1-shard": {recs}, "5-shards": triangular(recs, 5)} {
-			r := core.NewRealm(ranger.Cluster, ranger.CoresPerNode, ranger.MemPerNodeGB, ranger.PeakTFlops, setOf(ref), nil)
+			r := core.NewRealm(cluster.RangerConfig().Scaled(128), setOf(ref), nil)
 			label := name + "/" + backing
 			check := func(what string, got, want any) {
 				t.Helper()
@@ -119,7 +120,7 @@ func TestColumnarAnalysesAllocationCeiling(t *testing.T) {
 			CPUIdleFrac: 0.1, CPUUserFrac: 0.8, CPUSysFrac: 0.1,
 		})
 	}
-	r := core.NewRealm("ranger", 16, 32, 579, st.AsSet(), nil)
+	r := core.NewRealm(cluster.RangerConfig(), st.AsSet(), nil)
 	if r.JobCount() != rows {
 		t.Fatalf("JobCount = %d, want %d", r.JobCount(), rows)
 	}

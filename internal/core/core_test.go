@@ -17,6 +17,11 @@ var (
 )
 
 // realms builds two shared simulated realms (30 days, 128 nodes each).
+// machineX is the machine of the small hand-built realms: 16 cores and
+// 32 GB a node, a 100 TF peak.
+var machineX = cluster.Config{Name: "x", Nodes: 6250, SocketsPerNode: 1, CoresPerSocket: 16,
+	ClockGHz: 1, FlopsPerCycle: 1, MemPerNodeGB: 32}
+
 func realms(t *testing.T) (*Realm, *Realm) {
 	t.Helper()
 	fixtureOnce.Do(func() {
@@ -27,7 +32,7 @@ func realms(t *testing.T) (*Realm, *Realm) {
 			if err != nil {
 				panic(err)
 			}
-			return NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB, cc.PeakTFlops(), res.Store.AsSet(), res.Series)
+			return NewRealm(cc, res.Store.AsSet(), res.Series)
 		}
 		rangerRealm = build(cluster.RangerConfig().Scaled(128))
 		ls4Realm = build(cluster.Lonestar4Config().Scaled(128))

@@ -96,7 +96,7 @@ func TestForecasterErrors(t *testing.T) {
 	if _, err := r.NewForecaster("active_nodes", 10); err == nil {
 		t.Error("non-persistence metric should error")
 	}
-	short := NewRealm("x", 16, 32, 100, store.New().AsSet(), make([]store.SystemSample, 5))
+	short := NewRealm(machineX, store.New().AsSet(), make([]store.SystemSample, 5))
 	if _, err := short.NewForecaster("cpu_flops", 10); err == nil {
 		t.Error("short series should error")
 	}

@@ -79,7 +79,7 @@ func TestEffectiveUse(t *testing.T) {
 		t.Errorf("allocated fraction = %v, want a loaded system", e.AllocatedFraction)
 	}
 	// Empty realm is all zeros, no panic.
-	empty := NewRealm("x", 16, 32, 100, store.New().AsSet(), nil)
+	empty := NewRealm(machineX, store.New().AsSet(), nil)
 	if got := empty.EffectiveUse(); got.CapacityNodeHours != 0 {
 		t.Errorf("empty effective use: %+v", got)
 	}

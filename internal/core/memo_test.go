@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"supremm/internal/cluster"
 	"supremm/internal/store"
 )
 
@@ -36,7 +37,7 @@ func (c *countingReader) Aggregate(m store.Metric, f store.Filter) store.Agg {
 func TestFleetMeanMemoConcurrent(t *testing.T) {
 	shared, _ := realms(t)
 	counter := &countingReader{Reader: shared.Store, base: shared.JobFilter(), calls: map[store.Metric]int{}}
-	r := NewRealm(shared.Cluster, shared.CoresPerNode, shared.MemPerNodeGB, shared.PeakTFlops, counter, shared.Series)
+	r := NewRealm(cluster.RangerConfig().Scaled(128), counter, shared.Series)
 
 	want := map[store.Metric]uint64{}
 	for _, m := range store.AllMetrics() {
@@ -103,7 +104,7 @@ func (p *panicsOnce) Aggregate(m store.Metric, f store.Filter) store.Agg {
 // /api/v1/query, a fleet efficiency of 1, null profiles.
 func TestFleetMeanPanicRetries(t *testing.T) {
 	shared, _ := realms(t)
-	r := NewRealm(shared.Cluster, shared.CoresPerNode, shared.MemPerNodeGB, shared.PeakTFlops, &panicsOnce{Reader: shared.Store}, shared.Series)
+	r := NewRealm(cluster.RangerConfig().Scaled(128), &panicsOnce{Reader: shared.Store}, shared.Series)
 	func() {
 		defer func() {
 			if recover() == nil {

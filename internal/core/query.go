@@ -26,15 +26,19 @@ type QueryResult struct {
 	FleetMeans map[store.Metric]float64
 }
 
-// RunQuery executes a custom report against the realm. The realm's
-// cluster filter is applied on top of the query's own filters so a
-// realm never leaks another cluster's jobs.
-func (r *Realm) RunQuery(q Query) QueryResult {
-	f := q.Filter
+// Scope puts f on the realm's cluster unless f names one itself, so a
+// query never leaks another cluster's jobs by leaving the cluster out.
+func (r *Realm) Scope(f store.Filter) store.Filter {
 	if f.Cluster == "" {
 		f.Cluster = r.Cluster
 	}
-	groups := r.Store.GroupBy(q.GroupBy, q.Metrics, f)
+	return f
+}
+
+// RunQuery executes a custom report against the realm, over the
+// query's filters put on the realm's cluster (Scope).
+func (r *Realm) RunQuery(q Query) QueryResult {
+	groups := r.Store.GroupBy(q.GroupBy, q.Metrics, r.Scope(q.Filter))
 	if q.Limit > 0 && len(groups) > q.Limit {
 		groups = groups[:q.Limit]
 	}

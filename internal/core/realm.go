@@ -7,7 +7,10 @@
 // (Figs 7-12), organized per stakeholder (§4.3).
 package core
 
-import "supremm/internal/store"
+import (
+	"supremm/internal/cluster"
+	"supremm/internal/store"
+)
 
 // Realm bundles one cluster's ingested data, in XDMoD's sense of a data
 // realm. All §4 analyses hang off it.
@@ -33,13 +36,15 @@ type Realm struct {
 	fleet [store.NumMetrics]store.Slot[float64]
 }
 
-// NewRealm assembles a realm.
-func NewRealm(clusterName string, coresPerNode int, memGB, peakTF float64, st store.Reader, series []store.SystemSample) *Realm {
+// NewRealm assembles a realm over cc's machine: its name scopes every
+// query, its per-node shape and peak scale the per-core and
+// fraction-of-capacity reports.
+func NewRealm(cc cluster.Config, st store.Reader, series []store.SystemSample) *Realm {
 	return &Realm{
-		Cluster:      clusterName,
-		CoresPerNode: coresPerNode,
-		MemPerNodeGB: memGB,
-		PeakTFlops:   peakTF,
+		Cluster:      cc.Name,
+		CoresPerNode: cc.CoresPerNode(),
+		MemPerNodeGB: cc.MemPerNodeGB,
+		PeakTFlops:   cc.PeakTFlops(),
 		Store:        st,
 		Series:       series,
 	}

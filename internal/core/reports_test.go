@@ -181,7 +181,7 @@ func TestMemoryReportReproducesFig11And12(t *testing.T) {
 }
 
 func TestMemoryDistributionEmptyRealm(t *testing.T) {
-	empty := NewRealm("x", 16, 32, 100, store.New().AsSet(), nil)
+	empty := NewRealm(machineX, store.New().AsSet(), nil)
 	used, max := empty.MemoryDistribution(64)
 	if used != nil || max != nil {
 		t.Error("empty realm should produce nil distributions")

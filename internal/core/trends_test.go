@@ -18,7 +18,7 @@ func TestSeriesTrendOnSyntheticDrift(t *testing.T) {
 			MemPerNode: 10 + 0.1*day + 0.05*math.Sin(float64(i)),
 		}
 	}
-	r := NewRealm("x", 16, 32, 100, store.New().AsSet(), series)
+	r := NewRealm(machineX, store.New().AsSet(), series)
 	tr, err := r.SeriesTrend("mem_used")
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +43,7 @@ func TestSeriesTrendFlatSeriesInsignificant(t *testing.T) {
 			TotalTFlops: 5 + math.Sin(float64(i)*0.7),
 		}
 	}
-	r := NewRealm("x", 16, 32, 100, store.New().AsSet(), series)
+	r := NewRealm(machineX, store.New().AsSet(), series)
 	tr, err := r.SeriesTrend("total_tflops")
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestSeriesTrendFlatSeriesInsignificant(t *testing.T) {
 }
 
 func TestSeriesTrendErrors(t *testing.T) {
-	r := NewRealm("x", 16, 32, 100, store.New().AsSet(), make([]store.SystemSample, 3))
+	r := NewRealm(machineX, store.New().AsSet(), make([]store.SystemSample, 3))
 	if _, err := r.SeriesTrend("mem_used"); err == nil {
 		t.Error("short series should error")
 	}
@@ -140,7 +140,7 @@ func TestCharacterize(t *testing.T) {
 }
 
 func TestCharacterizeEmptyRealm(t *testing.T) {
-	r := NewRealm("x", 16, 32, 100, store.New().AsSet(), nil)
+	r := NewRealm(machineX, store.New().AsSet(), nil)
 	c := r.Characterize()
 	if c.Jobs != 0 || c.TotalNodeHours != 0 {
 		t.Errorf("empty characterization: %+v", c)

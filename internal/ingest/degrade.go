@@ -44,34 +44,25 @@ type Options struct {
 	Backoff func(attempt int)
 }
 
-// rawOptions is Options with defaults resolved.
-type rawOptions struct {
-	policy      Policy
-	fsys        fs.FS
-	maxInterval float64
-	retryMax    int
-	backoff     func(int)
+// resolve fills in the archive filesystem: os.DirFS(dir) unless FS
+// overrides it.
+func (opts Options) resolve(dir string) Options {
+	if opts.FS == nil {
+		opts.FS = os.DirFS(dir)
+	}
+	return opts
 }
 
-func (opts Options) resolve(dir string) rawOptions {
-	o := rawOptions{
-		policy:   opts.Policy,
-		fsys:     opts.FS,
-		retryMax: opts.RetryMax,
-		backoff:  opts.Backoff,
-	}
-	if o.fsys == nil {
-		o.fsys = os.DirFS(dir)
-	}
+// maxInterval is the plausibility bound MaxIntervalSec selects, in
+// seconds: DefaultMaxIntervalSec for 0, none for a negative value.
+func (opts Options) maxInterval() float64 {
 	switch {
 	case opts.MaxIntervalSec == 0:
-		o.maxInterval = DefaultMaxIntervalSec
+		return DefaultMaxIntervalSec
 	case opts.MaxIntervalSec < 0:
-		o.maxInterval = math.Inf(1)
-	default:
-		o.maxInterval = float64(opts.MaxIntervalSec)
+		return math.Inf(1)
 	}
-	return o
+	return float64(opts.MaxIntervalSec)
 }
 
 // FaultError is what strict-policy ingest returns: the first fault,
@@ -124,22 +115,6 @@ type timedInterval struct {
 	iv                Interval
 }
 
-// fileQuality is one file's tentative accounting, merged into the host
-// totals only if the file commits.
-type fileQuality struct {
-	recordsDropped    int
-	duplicatesSkipped int
-	resetsDetected    int
-	intervalsClamped  int
-}
-
-func (fq *fileQuality) commit(q *DataQuality) {
-	q.RecordsDropped += fq.recordsDropped
-	q.DuplicatesSkipped += fq.duplicatesSkipped
-	q.ResetsDetected += fq.resetsDetected
-	q.IntervalsClamped += fq.intervalsClamped
-}
-
 // streamHost streams one host's day files in order through ParseStream,
 // folding record pairs into Intervals exactly as the schema-compiled
 // fast path always has, with degraded-mode isolation around it: each
@@ -147,12 +122,12 @@ func (fq *fileQuality) commit(q *DataQuality) {
 // emitted, accounting merged, carry state advanced — if the whole file
 // is good. A bad file either aborts (Strict) or is quarantined
 // (Lenient), and quarantine resets the carry so no interval bridges
-// across unread data. Transient read failures retry up to retryMax
+// across unread data. Transient read failures retry up to RetryMax
 // times before counting as permanent. emit receives intervals in
 // deterministic file order; peak memory is one file's intervals plus
 // two flat records.
-func streamHost(o rawOptions, host string, q *DataQuality, emit func(prevTime, curTime int64, iv Interval)) error {
-	entries, err := fs.ReadDir(o.fsys, host)
+func streamHost(o Options, host string, q *DataQuality, emit func(prevTime, curTime int64, iv Interval)) error {
+	entries, err := fs.ReadDir(o.FS, host)
 	if err != nil {
 		return fmt.Errorf("ingest: read host dir %s: %w", host, err)
 	}
@@ -162,7 +137,7 @@ func streamHost(o rawOptions, host string, q *DataQuality, emit func(prevTime, c
 		q.FilesScanned++
 		pending, next, err := parseFileRetrying(o, host, name, st, q)
 		if err != nil {
-			if o.policy == Strict {
+			if o.Policy == Strict {
 				return &FaultError{Host: host, File: name, Err: err}
 			}
 			q.FilesQuarantined++
@@ -183,19 +158,19 @@ func streamHost(o rawOptions, host string, q *DataQuality, emit func(prevTime, c
 // parseFileRetrying runs parseFileOnce with bounded retry on transient
 // errors. Each attempt starts from a snapshot of the committed carry,
 // so retries are idempotent.
-func parseFileRetrying(o rawOptions, host, name string, base hostState, q *DataQuality) ([]timedInterval, hostState, error) {
+func parseFileRetrying(o Options, host, name string, base hostState, q *DataQuality) ([]timedInterval, hostState, error) {
 	for attempt := 0; ; attempt++ {
 		pending, next, fq, err := parseFileOnce(o, host, name, base.snapshot())
 		if err == nil {
-			fq.commit(q)
+			q.add(&fq)
 			return pending, next, nil
 		}
-		if !isTransient(err) || attempt >= o.retryMax {
+		if !isTransient(err) || attempt >= o.RetryMax {
 			return nil, hostState{}, err
 		}
 		q.RetriesPerformed++
-		if o.backoff != nil {
-			o.backoff(attempt + 1)
+		if o.Backoff != nil {
+			o.Backoff(attempt + 1)
 		}
 	}
 }
@@ -212,10 +187,11 @@ func parseFileRetrying(o rawOptions, host, name string, base hostState, q *DataQ
 //     (eventDelta's reset semantics already yield the right delta);
 //   - dt beyond the plausibility bound (missing day, stepped clock):
 //     the bridging interval is suppressed and counted as clamped.
-func parseFileOnce(o rawOptions, host, name string, st hostState) ([]timedInterval, hostState, fileQuality, error) {
-	var fq fileQuality
+func parseFileOnce(o Options, host, name string, st hostState) ([]timedInterval, hostState, DataQuality, error) {
+	var fq DataQuality // this file's, added to the host's only if it commits
+	maxInterval := o.maxInterval()
 	p := path.Join(host, name)
-	fh, err := o.fsys.Open(p)
+	fh, err := o.FS.Open(p)
 	if err != nil {
 		return nil, st, fq, fmt.Errorf("open: %w", err)
 	}
@@ -233,18 +209,18 @@ func parseFileOnce(o rawOptions, host, name string, st hostState) ([]timedInterv
 				// either policy: the interval is dropped and counted,
 				// and the record becomes the new baseline, exactly as
 				// the legacy path behaved.
-				fq.recordsDropped++
+				fq.RecordsDropped++
 			case dt == 0:
-				fq.duplicatesSkipped++
+				fq.DuplicatesSkipped++
 			default:
 				if !st.plan.valid(st.prevLayout, lay) {
 					st.plan = compilePlan(st.prevLayout, lay)
 				}
 				if cpuMovedBackwards(st.plan, st.prevFlat, cur) {
-					fq.resetsDetected++
+					fq.ResetsDetected++
 				}
-				if dt > o.maxInterval {
-					fq.intervalsClamped++
+				if dt > maxInterval {
+					fq.IntervalsClamped++
 				} else {
 					pending = append(pending, timedInterval{
 						prevTime: st.prevTime, curTime: rec.Time,

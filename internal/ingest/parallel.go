@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"io/fs"
 	"sort"
-	"sync"
 
 	"supremm/internal/sched"
+	"supremm/internal/store"
 )
 
 // hostResult is everything one host's raw files contribute: attributed
@@ -71,8 +71,8 @@ type attributedInterval struct {
 // records per host rather than a materialized file (a host's reduced
 // intervals wait in its result slot for the merge). opts selects the
 // strict (abort on the first fault) or lenient degraded-mode policy.
-// Hosts are reduced by a pool of opts.Workers goroutines (a pool of one
-// when Workers <= 1) and merged in sorted host order, so the result —
+// Hosts are reduced on up to opts.Workers goroutines (store.RunChunks;
+// inline when Workers <= 1) and merged in sorted host order, so the result —
 // every float sum, every quarantine decision — is the same bytes at any
 // pool size: summation order is fixed by the merge, not by scheduling,
 // and a host's quarantine decisions depend only on its own files.
@@ -80,33 +80,18 @@ func IngestRawOpts(dir string, acct []sched.AcctRecord, opts Options) (*RawResul
 	o := opts.resolve(dir)
 	windowsByHost, identities := indexAccounting(acct)
 
-	hostDirs, err := fs.ReadDir(o.fsys, ".")
+	hostDirs, err := fs.ReadDir(o.FS, ".")
 	if err != nil {
 		return nil, fmt.Errorf("ingest: read raw dir: %w", err)
 	}
 	hosts := sortedDirs(hostDirs)
 
-	// Workers pull host indices from a buffered channel and write their
-	// result into a per-host slot: no results mutex, and the producer
-	// never blocks handing out work.
-	jobs := make(chan int, len(hosts))
+	// Each host writes its result into its own slot: no results mutex.
 	results := make([]*hostResult, len(hosts))
-	var wg sync.WaitGroup
-	for w := 0; w < max(opts.Workers, 1); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for hi := range jobs {
-				host := hosts[hi].Name()
-				results[hi] = processHost(o, host, windowsByHost[host])
-			}
-		}()
-	}
-	for hi := range hosts {
-		jobs <- hi
-	}
-	close(jobs)
-	wg.Wait()
+	store.RunChunks(len(hosts), opts.Workers, func(hi int) {
+		host := hosts[hi].Name()
+		results[hi] = processHost(o, host, windowsByHost[host])
+	})
 
 	// Deterministic merge in sorted host order.
 	acc := NewAccumulator()
@@ -144,7 +129,7 @@ func IngestRawOpts(dir string, acct []sched.AcctRecord, opts Options) (*RawResul
 // per-time buckets through the schema-compiled fast path. It never
 // touches shared state; its quarantine decisions depend only on the
 // host's own files, so they do not depend on the pool size.
-func processHost(o rawOptions, host string, windows []jobWindow) *hostResult {
+func processHost(o Options, host string, windows []jobWindow) *hostResult {
 	res := &hostResult{host: host}
 	err := streamHost(o, host, &res.quality, func(prevTime, curTime int64, iv Interval) {
 		mid := prevTime + int64(iv.DtSec/2)

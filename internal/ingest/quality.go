@@ -12,14 +12,13 @@ type Policy int
 
 const (
 	// Strict aborts the whole ingest at the first fault, reporting it
-	// with host/file(/line) context. This is the legacy behavior and
-	// the zero value: existing callers keep their abort-on-error
-	// semantics unless they opt into degradation.
+	// with host/file(/line) context: what cmd/ingest -strict runs to
+	// validate an archive. It is the zero value of Options.Policy.
 	Strict Policy = iota
 	// Lenient quarantines faulty files, drops individually implausible
 	// records, and accounts for every loss in DataQuality — the posture
 	// an 18-month production deployment needs, where partial data is
-	// the normal case.
+	// the normal case. cmd/ingest runs it unless -strict is given.
 	Lenient
 )
 

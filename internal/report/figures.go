@@ -46,17 +46,7 @@ func Fig4(w io.Writer, r *core.Realm) error {
 	if len(report) == 0 {
 		return fmt.Errorf("report: no users for Fig 4")
 	}
-	xs := make([]float64, len(report))
-	ys := make([]float64, len(report))
-	markIdx := -1
-	worst := core.WorstOf(report, 1, 50)
-	for i, u := range report {
-		xs[i] = u.NodeHours
-		ys[i] = u.WastedNodeHours
-		if len(worst) > 0 && u.User == worst[0].User {
-			markIdx = i
-		}
-	}
+	xs, ys, markIdx := fig4Points(report)
 	eff := r.FleetEfficiency()
 	if _, err := fmt.Fprintf(w, "== Figure 4: %s node-hours vs wasted node-hours (fleet efficiency %.0f%%) ==\n",
 		r.Cluster, eff*100); err != nil {
@@ -93,18 +83,36 @@ func Fig4(w io.Writer, r *core.Realm) error {
 	return t.Render(w)
 }
 
+// fig4Points is Fig 4's scatter over an efficiency report: each user's
+// node-hours and wasted node-hours, and the index of the circled user —
+// the most idle user with at least 50 node-hours, whom Fig 5 profiles —
+// or -1 when no user has that many.
+func fig4Points(report []core.UserEfficiency) (xs, ys []float64, circled int) {
+	xs, ys, circled = make([]float64, len(report)), make([]float64, len(report)), -1
+	worst := core.WorstOf(report, 1, 50)
+	for i, u := range report {
+		xs[i], ys[i] = u.NodeHours, u.WastedNodeHours
+		if len(worst) > 0 && u.User == worst[0].User {
+			circled = i
+		}
+	}
+	return xs, ys, circled
+}
+
 // Fig5 renders the Fig 5 reproduction: the profile of the worst idle
 // user (the "circled" user of Fig 4).
 func Fig5(w io.Writer, r *core.Realm) error {
-	worst := r.WorstUsers(1, 50)
-	if len(worst) == 0 {
+	report := r.EfficiencyReport()
+	_, _, circled := fig4Points(report)
+	if circled < 0 {
 		return fmt.Errorf("report: no worst user for Fig 5")
 	}
+	u := report[circled]
 	if _, err := fmt.Fprintf(w, "== Figure 5: profile of the circled user (%s, %.0f%% idle) ==\n",
-		worst[0].User, worst[0].IdleFrac*100); err != nil {
+		u.User, u.IdleFrac*100); err != nil {
 		return err
 	}
-	return Radar(w, r.UserProfile(worst[0].User))
+	return Radar(w, r.UserProfile(u.User))
 }
 
 // Table1 renders the Table 1 reproduction: persistence ratios at the

@@ -27,7 +27,7 @@ func testRealm(t *testing.T) *core.Realm {
 		if err != nil {
 			panic(err)
 		}
-		realm = core.NewRealm(cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB, cc.PeakTFlops(), res.Store.AsSet(), res.Series)
+		realm = core.NewRealm(cc, res.Store.AsSet(), res.Series)
 	})
 	return realm
 }

@@ -308,18 +308,8 @@ func SVGFigures(r *core.Realm, open func(name string) (io.WriteCloser, error)) e
 		}
 	}
 	// Fig 4: efficiency scatter.
-	eff := r.EfficiencyReport()
-	if len(eff) > 0 {
-		xs := make([]float64, len(eff))
-		ys := make([]float64, len(eff))
-		mark := -1
-		worst := core.WorstOf(eff, 1, 50)
-		for i, u := range eff {
-			xs[i], ys[i] = u.NodeHours, u.WastedNodeHours
-			if len(worst) > 0 && u.User == worst[0].User {
-				mark = i
-			}
-		}
+	if eff := r.EfficiencyReport(); len(eff) > 0 {
+		xs, ys, mark := fig4Points(eff)
 		if err := write("fig4_"+r.Cluster+".svg", func(w io.Writer) error {
 			return SVGScatter(w, fmt.Sprintf("Fig 4: %s wasted node-hours", r.Cluster),
 				"node-hours", "wasted node-hours", xs, ys, 1-r.FleetEfficiency(), mark)

@@ -262,25 +262,11 @@ func (r *reloader) attempt(t *trip, prev *Snapshot) (*Snapshot, error) {
 
 // read loads the directory into an unpublished snapshot — manifest, the
 // shards it names, series.jsonl, the realm over them — leaving Gen,
-// Quality and Fingerprint to the attempt. The manifest is the only way
-// in: jobs.supremm and jobs.jsonl are repair backing, so a directory
-// without a manifest is not a data directory, whatever else it holds.
+// Quality and Fingerprint to the attempt.
 func (r *reloader) read(t *trip, prev *Snapshot) (*Snapshot, error) {
-	mf, err := r.open(filepath.Join(r.dir, store.ManifestFile))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("serve: no %s (cmd/ingest writes it): %w", store.ManifestFile, err)
-	}
+	entries, err := store.ReadManifest(r.dir, r.open)
 	if err != nil {
 		return nil, err
-	}
-	defer mf.Close()
-	mdata, err := io.ReadAll(mf)
-	if err != nil {
-		return nil, err
-	}
-	entries, err := store.DecodeManifest(mdata)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %s: %w", store.ManifestFile, err)
 	}
 	snap := &Snapshot{}
 	if snap.shards, err = r.shards(t, entries, prev); err != nil {
@@ -338,7 +324,8 @@ func (r *reloader) shards(t *trip, entries []store.ShardInfo, prev *Snapshot) (*
 // monolithic backing when that reproduces the manifest's exact bytes. A
 // repair that cannot be done is no error — the day is served as missing,
 // the point of degraded serving — a custody record that cannot be
-// written is.
+// written is, and so is any failure after a rebuilt shard landed: the
+// record written before it is counted, then the attempt fails.
 func (r *reloader) heal(t *trip, faults []store.ShardFault) (repaired bool, err error) {
 	heals := t.note(faults)
 	for _, h := range heals {
@@ -352,17 +339,14 @@ func (r *reloader) heal(t *trip, faults []store.ShardFault) (repaired bool, err 
 		if err := r.setAside(h); err != nil {
 			return repaired, err
 		}
-		if backing == nil || store.RepairShard(r.dir, h.info, backing) != nil {
+		if backing == nil {
 			continue
 		}
-		repaired = true
-		if err := store.AppendQuarantineEvent(r.dir, store.QuarantineEvent{
-			Day: h.info.ID, Action: store.ActionRepair, Reason: "rebuilt from " + src,
-			At: r.now(), Size: h.info.Size, Hash: h.info.Hash,
-		}); err != nil {
+		h.repaired, err = store.RepairShard(r.dir, h.info, backing, src, r.now())
+		repaired = repaired || h.repaired
+		if err != nil {
 			return repaired, err
 		}
-		h.repaired = true
 	}
 	return repaired, nil
 }

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -199,6 +200,45 @@ func TestHealAccountingSurvivesRetry(t *testing.T) {
 		if metQ != logQ || metR != logR {
 			t.Errorf("%s: /metrics quarantines=%d repairs=%d, custody log has %d and %d", tc.name, metQ, metR, logQ, logR)
 		}
+	}
+}
+
+// TestRepairRecordedBeforeAsideRemoval: a rebuilt day is never served
+// without its repair record. Day 1's shard is missing, its aside copy
+// is a non-empty directory that cannot be removed, and jobs.jsonl can
+// rebuild the day. The repair lands the shard, records it and then
+// fails on the removal, which fails the attempt; the retry serves the
+// day. The custody log must hold the record, and /metrics must count
+// what the log holds.
+func TestRepairRecordedBeforeAsideRemoval(t *testing.T) {
+	dir := t.TempDir()
+	writeDataDir(t, dir, dayStore(3, 40), fixtureSeries(30), healQuality)
+	for _, name := range []string{store.JobsColumnarFile, store.ShardFileName(1)} {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.MkdirAll(filepath.Join(dir, store.QuarantinedShardFile(1), "evidence"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{DataDir: dir, SelfHeal: true, RetryMax: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cov := srv.Snapshot().Coverage; cov.Degraded || cov.RowsServed != 120 {
+		t.Fatalf("coverage %+v, want day 1 served", cov)
+	}
+	events, err := store.LoadQuarantineLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(events, func(ev store.QuarantineEvent) bool {
+		return ev.Day == 1 && ev.Action == store.ActionRepair && ev.Reason == "rebuilt from "+store.JobsFile
+	}) {
+		t.Errorf("day 1 is served rebuilt, but the custody log %+v holds no repair record of it", events)
+	}
+	if metQ, metR, logQ, logR := healCounts(t, srv, dir); metQ != logQ || metR != logR {
+		t.Errorf("/metrics quarantines=%d repairs=%d, custody log has %d and %d", metQ, metR, logQ, logR)
 	}
 }
 

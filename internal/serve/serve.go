@@ -20,7 +20,6 @@ import (
 	"supremm/internal/core"
 	"supremm/internal/report"
 	"supremm/internal/stats"
-	"supremm/internal/store"
 )
 
 // Config configures a Server.
@@ -328,22 +327,11 @@ func (s *Server) reload(context.Context, *Snapshot, Params) (int, any, error) {
 	}, nil
 }
 
-// realmFilter applies the realm's cluster default, mirroring
-// core.Realm.RunQuery: a serve realm never leaks another cluster's
-// jobs unless the query names one explicitly.
-func realmFilter(snap *Snapshot, f store.Filter) store.Filter {
-	if f.Cluster == "" {
-		f.Cluster = snap.Realm.Cluster
-	}
-	return f
-}
-
 func (s *Server) aggregate(ctx context.Context, snap *Snapshot, p Params) (int, any, error) {
 	if p.Metric == "" {
 		return http.StatusBadRequest, nil, errors.New("parameter metric is required")
 	}
-	f := realmFilter(snap, p.Filter)
-	agg, err := snap.Realm.Store.AggregateParallelCtx(ctx, p.Metric, f, 1)
+	agg, err := snap.Realm.Store.AggregateParallelCtx(ctx, p.Metric, snap.Realm.Scope(p.Filter), 1)
 	if err != nil {
 		return http.StatusInternalServerError, nil, err
 	}
@@ -354,8 +342,7 @@ func (s *Server) distribution(ctx context.Context, snap *Snapshot, p Params) (in
 	if p.Metric == "" {
 		return http.StatusBadRequest, nil, errors.New("parameter metric is required")
 	}
-	f := realmFilter(snap, p.Filter)
-	vals := snap.Realm.Store.Scan(f).Values(p.Metric)
+	vals := snap.Realm.Store.Scan(snap.Realm.Scope(p.Filter)).Values(p.Metric)
 	lo, hi := 0.0, 0.0
 	if len(vals) > 0 {
 		lo, hi = stats.MinMax(vals)

@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -84,9 +83,7 @@ func DirFingerprint(dir string) string {
 	for _, name := range snapshotFiles {
 		stamp(filepath.Join(dir, name))
 	}
-	shardFiles, _ := filepath.Glob(filepath.Join(dir, "shard-*.supremm"))
-	sort.Strings(shardFiles)
-	for _, p := range shardFiles {
+	for _, p := range store.ShardFiles(dir) {
 		stamp(p)
 	}
 	return fp.String()
@@ -106,7 +103,7 @@ func LoadRealm(dir string) (*core.Realm, error) {
 
 // newRealm wraps a loaded shard set and series in a realm. The cluster
 // shape is the preset the first row names (Ranger's for a name no
-// preset has); the active-node peak in the series keeps the peak-TF
+// preset has, under the row's name); the active-node peak in the series keeps the peak-TF
 // scale honest for scaled runs.
 func newRealm(st *store.ShardSet, series []store.SystemSample) *core.Realm {
 	name := "unknown"
@@ -117,6 +114,7 @@ func newRealm(st *store.ShardSet, series []store.SystemSample) *core.Realm {
 	cc, ok := cluster.Preset(name)
 	if !ok {
 		cc = cluster.RangerConfig()
+		cc.Name = name
 	}
 	nodes := cc.Nodes
 	if len(series) > 0 {
@@ -130,8 +128,7 @@ func newRealm(st *store.ShardSet, series []store.SystemSample) *core.Realm {
 			nodes = peak
 		}
 	}
-	cc = cc.Scaled(nodes)
-	return core.NewRealm(name, cc.CoresPerNode(), cc.MemPerNodeGB, cc.PeakTFlops(), st, series)
+	return core.NewRealm(cc.Scaled(nodes), st, series)
 }
 
 // LoadQuality reads the directory's ingest quality report; a missing

@@ -23,9 +23,18 @@ import (
 //
 // write receives the open temp file and streams the payload into it
 // (the cmd/ingest outputs are written by encoder callbacks, not from
-// in-memory byte slices). On any failure the target is left untouched
-// and the temp file is removed.
+// in-memory byte slices). On any failure before the rename the target
+// is left untouched and the temp file is removed.
 func AtomicWriteFile(dir, name string, write func(f *os.File) error) error {
+	if err := renameInto(dir, name, write); err != nil {
+		return err
+	}
+	return FsyncDir(dir)
+}
+
+// renameInto is AtomicWriteFile's steps 1–3: the file has landed at
+// dir/name when it returns nil, durably once dir is synced.
+func renameInto(dir, name string, write func(f *os.File) error) error {
 	f, err := os.CreateTemp(dir, "."+name+".tmp*")
 	if err != nil {
 		return err
@@ -54,15 +63,20 @@ func AtomicWriteFile(dir, name string, write func(f *os.File) error) error {
 		_ = os.Remove(tmp)
 		return err
 	}
-	return FsyncDir(dir)
+	return nil
 }
 
 // AtomicWriteBytes is AtomicWriteFile for an in-memory payload.
 func AtomicWriteBytes(dir, name string, data []byte) error {
-	return AtomicWriteFile(dir, name, func(f *os.File) error {
+	return AtomicWriteFile(dir, name, writeBytes(data))
+}
+
+// writeBytes is the write callback that lands data as it is.
+func writeBytes(data []byte) func(f *os.File) error {
+	return func(f *os.File) error {
 		_, err := f.Write(data)
 		return err
-	})
+	}
 }
 
 // FsyncDir flushes a directory's entry table, making completed renames

@@ -364,8 +364,8 @@ func TestRepairRestoresBytesExactly(t *testing.T) {
 		if src != wantSrc {
 			t.Fatalf("trial %d: repaired from %q, want %q", trial, src, wantSrc)
 		}
-		if err := RepairShard(dir, victim, backing); err != nil {
-			t.Fatalf("trial %d: repair: %v", trial, err)
+		if ok, err := RepairShard(dir, victim, backing, src, 0); err != nil || !ok {
+			t.Fatalf("trial %d: repair: repaired %v, err %v", trial, ok, err)
 		}
 		repaired, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
@@ -420,8 +420,8 @@ func TestRepairNeedsNoGlobalOrder(t *testing.T) {
 		if moved, err := QuarantineShard(dir, e, "drill", 0); err != nil || !moved {
 			t.Fatalf("quarantine %s: moved %v, err %v", name, moved, err)
 		}
-		if err := RepairShard(dir, e, ungrouped); err != nil {
-			t.Fatalf("repair %s from the ungrouped backing: %v", name, err)
+		if ok, err := RepairShard(dir, e, ungrouped, JobsFile, 0); err != nil || !ok {
+			t.Fatalf("repair %s from the ungrouped backing: repaired %v, err %v", name, ok, err)
 		}
 		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, good[name]) {
 			t.Fatalf("%s repaired from the ungrouped backing differs from the pristine bytes (err %v)", name, err)
@@ -447,8 +447,8 @@ func TestRepairRefusesWrongBacking(t *testing.T) {
 			partial.Add(r)
 		}
 	}
-	if err := RepairShard(dir, victim, partial); err == nil {
-		t.Fatal("repair accepted a backing missing the victim day")
+	if ok, err := RepairShard(dir, victim, partial, JobsFile, 0); ok || err != nil {
+		t.Fatalf("repair from a backing missing the victim day: repaired %v, err %v; want neither", ok, err)
 	}
 	if _, statErr := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(statErr) {
 		t.Fatal("failed repair landed a shard file anyway")
@@ -457,8 +457,8 @@ func TestRepairRefusesWrongBacking(t *testing.T) {
 		t.Fatal("failed repair removed the quarantined copy")
 	}
 	// The true backing still repairs.
-	if err := RepairShard(dir, victim, full); err != nil {
-		t.Fatal(err)
+	if ok, err := RepairShard(dir, victim, full, JobsColumnarFile, 0); err != nil || !ok {
+		t.Fatalf("repaired %v, err %v", ok, err)
 	}
 	repaired, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {

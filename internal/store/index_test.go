@@ -177,8 +177,8 @@ func TestEveryShardIsIndexed(t *testing.T) {
 	}
 	requireIndexed(t, "LoadShardsDegraded", degraded)
 
-	if err := RepairShard(dir, victim, st); err != nil {
-		t.Fatal(err)
+	if ok, err := RepairShard(dir, victim, st, JobsFile, 0); err != nil || !ok {
+		t.Fatalf("repaired %v, err %v", ok, err)
 	}
 	healed, faults := LoadShardsDegraded(dir, entries, degraded, nil)
 	if len(faults) != 0 || healed.LoadStats() != (ShardLoadStats{Loaded: 1, Reused: len(entries) - 1}) {

@@ -55,16 +55,30 @@ const SecondsPerDay = 86400
 // JobsColumnarFile where one was put there, are the monolithic
 // backings shard repair rebuilds a lost day from; SeriesFile is the
 // system series and QualityFile the ingest data-quality report.
+// AccountingFile is the scheduler's accounting log that cmd/simulate
+// writes beside them and xdmod's wait-time report reads.
 const (
 	ManifestFile     = "MANIFEST.supremm"
 	JobsFile         = "jobs.jsonl"
 	JobsColumnarFile = "jobs.supremm"
 	SeriesFile       = "series.jsonl"
 	QualityFile      = "quality.json"
+	AccountingFile   = "accounting.log"
 )
 
 // ShardFileName returns the shard file name for an epoch day.
 func ShardFileName(day int64) string { return fmt.Sprintf("shard-%d.supremm", day) }
+
+// shardGlob matches every name ShardFileName returns.
+const shardGlob = "shard-*.supremm"
+
+// ShardFiles returns the paths of the shard files in dir, sorted; a
+// directory that cannot be read has none.
+func ShardFiles(dir string) []string {
+	paths, _ := filepath.Glob(filepath.Join(dir, shardGlob))
+	slices.Sort(paths)
+	return paths
+}
 
 // EpochDay returns the epoch day containing the unix timestamp
 // (floored division, so pre-1970 timestamps land in negative days).
@@ -326,7 +340,7 @@ func fileHolds(path string, want []byte) bool {
 // into one directory are outside the design (the manifest would race
 // regardless).
 func cleanShardDir(dir string, keep map[string]bool) error {
-	for _, pattern := range []string{"shard-*.supremm", "shard-*.supremm" + QuarantineSuffix, ".*.tmp*"} {
+	for _, pattern := range []string{shardGlob, shardGlob + QuarantineSuffix, ".*.tmp*"} {
 		paths, err := filepath.Glob(filepath.Join(dir, pattern))
 		if err != nil {
 			return err
@@ -352,18 +366,36 @@ type Opener func(path string) (io.ReadCloser, error)
 
 func defaultOpener(path string) (io.ReadCloser, error) { return os.Open(path) }
 
-// LoadShardSet reads dir's manifest and loads (or, against prev,
-// reuses) every shard it lists, all or nothing — right for a directory
-// that is supposed to be one consistent batch: the first fault of the
-// fault-isolating loader, in manifest order, fails the load.
-func LoadShardSet(dir string, prev *ShardSet) (*ShardSet, error) {
-	data, err := readAllClose(defaultOpener, filepath.Join(dir, ManifestFile))
+// ReadManifest reads and decodes dir's manifest through open (nil
+// means os.Open): the first step of every load. The manifest is the
+// only way in — jobs.supremm and jobs.jsonl are repair backing — so a
+// directory without one is refused, whatever else it holds.
+func ReadManifest(dir string, open Opener) ([]ShardInfo, error) {
+	if open == nil {
+		open = defaultOpener
+	}
+	data, err := readAllClose(open, filepath.Join(dir, ManifestFile))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("store: no %s (cmd/ingest writes it): %w", ManifestFile, err)
+	}
 	if err != nil {
 		return nil, err
 	}
 	entries, err := DecodeManifest(data)
 	if err != nil {
 		return nil, fmt.Errorf("store: %s: %w", ManifestFile, err)
+	}
+	return entries, nil
+}
+
+// LoadShardSet reads dir's manifest and loads (or, against prev,
+// reuses) every shard it lists, all or nothing — right for a directory
+// that is supposed to be one consistent batch: the first fault of the
+// fault-isolating loader, in manifest order, fails the load.
+func LoadShardSet(dir string, prev *ShardSet) (*ShardSet, error) {
+	entries, err := ReadManifest(dir, nil)
+	if err != nil {
+		return nil, err
 	}
 	set, faults := LoadShardsDegraded(dir, entries, prev, nil)
 	if len(faults) > 0 {
@@ -427,7 +459,7 @@ func LoadShardsDegraded(dir string, entries []ShardInfo, prev *ShardSet, open Op
 		work = append(work, i)
 	}
 	errs := make([]error, len(work))
-	runChunks(len(work), runtime.GOMAXPROCS(0), func(c int) {
+	RunChunks(len(work), runtime.GOMAXPROCS(0), func(c int) {
 		i := work[c]
 		shards[i], errs[c] = loadShard(dir, entries[i], open)
 	})

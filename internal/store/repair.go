@@ -69,14 +69,22 @@ func LoadBackingStore(dir string, open Opener) (*Store, string, error) {
 	return st, JobsFile, nil
 }
 
-// RepairShard rebuilds day e.ID's shard from backing and, only if the
-// rebuilt bytes are bit-identical to what the manifest promised (same
-// row count, same byte length, same CRC32), lands the shard file
-// atomically and removes the quarantined copy. A backing whose rows do
-// not reproduce the manifest's bytes — damaged, from another batch, or
-// simply missing the day — is an error and the directory is left
-// untouched.
-func RepairShard(dir string, e ShardInfo, backing *Store) error {
+// RepairShard rebuilds day e.ID's shard from backing, the rows of the
+// file LoadBackingStore labelled src, and lands it only if the rebuilt
+// bytes are bit-identical to what the manifest promised (same row
+// count, same byte length, same CRC32). A backing that does not
+// reproduce them — damaged, from another batch, or simply missing the
+// day — cannot repair: (false, nil), and the directory is untouched.
+//
+// Once the shard has landed its custody record ("rebuilt from src",
+// dated now: the caller's clock in unix seconds, 0 when clock-free) is
+// appended before anything else can fail, so the log never lacks the
+// record of a rebuilt file in the directory; the record's own atomic
+// write syncs the directory, the shard's rename with it. Then the
+// quarantined copy is removed and the directory synced again. repaired
+// reports that the record was written; a failure after the landing is
+// still an error, reported beside it.
+func RepairShard(dir string, e ShardInfo, backing *Store, src string, now int64) (repaired bool, err error) {
 	var rows []int
 	for i, end := range backing.c.End {
 		if EpochDay(end) == e.ID {
@@ -84,23 +92,24 @@ func RepairShard(dir string, e ShardInfo, backing *Store) error {
 		}
 	}
 	c := backing.c.gather(rows)
-	name := ShardFileName(e.ID)
 	if c.Len() != e.Rows {
-		return fmt.Errorf("store: repair %s: backing holds %d rows for day %d, manifest says %d",
-			name, c.Len(), e.ID, e.Rows)
+		return false, nil
 	}
 	payload := EncodeColumns(c)
-	if int64(len(payload)) != e.Size {
-		return fmt.Errorf("store: repair %s: rebuilt %d bytes, manifest says %d", name, len(payload), e.Size)
+	if int64(len(payload)) != e.Size || crc32.ChecksumIEEE(payload) != e.Hash {
+		return false, nil
 	}
-	if got := crc32.ChecksumIEEE(payload); got != e.Hash {
-		return fmt.Errorf("store: repair %s: rebuilt hash %08x does not match manifest %08x", name, got, e.Hash)
+	if err := renameInto(dir, ShardFileName(e.ID), writeBytes(payload)); err != nil {
+		return false, err
 	}
-	if err := AtomicWriteBytes(dir, name, payload); err != nil {
-		return err
+	if err := AppendQuarantineEvent(dir, QuarantineEvent{
+		Day: e.ID, Action: ActionRepair, Reason: "rebuilt from " + src,
+		At: now, Size: e.Size, Hash: e.Hash,
+	}); err != nil {
+		return false, err
 	}
 	if err := os.Remove(filepath.Join(dir, QuarantinedShardFile(e.ID))); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
+		return true, err
 	}
-	return FsyncDir(dir)
+	return true, FsyncDir(dir)
 }

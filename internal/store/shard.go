@@ -221,11 +221,11 @@ func (ss *ShardSet) GroupBy(k GroupKey, metrics []Metric, f Filter) []Group {
 	return ss.groupRows(k, metrics, f)
 }
 
-// runChunks executes fn(c) for every chunk index, on up to workers
-// goroutines. Chunk assignment is work-stealing (atomic counter) but
-// since each chunk writes only its own slot, the outcome is
-// deterministic regardless of scheduling.
-func runChunks(chunks, workers int, fn func(c int)) {
+// RunChunks executes fn(c) for every chunk index, on up to workers
+// goroutines (inline when workers <= 1). Chunk assignment is
+// work-stealing (atomic counter) but since each chunk writes only its
+// own slot, the outcome is deterministic regardless of scheduling.
+func RunChunks(chunks, workers int, fn func(c int)) {
 	if workers = min(workers, chunks); workers <= 1 {
 		for c := 0; c < chunks; c++ {
 			fn(c)
