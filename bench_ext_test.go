@@ -50,8 +50,9 @@ func BenchmarkForecastSkill(b *testing.B) {
 }
 
 // BenchmarkBaselineSAR contrasts the stock sysstat/SAR stack with
-// TACC_Stats on the same node-day: bytes written, streams/formats
-// required, and — the paper's core argument — key-metric coverage.
+// TACC_Stats on the same node-day of one job, its counters moved by the
+// simulator's usage mapping: bytes written, streams/formats required,
+// and — the paper's core argument — key-metric coverage.
 func BenchmarkBaselineSAR(b *testing.B) {
 	cc := cluster.RangerConfig()
 	var sarBytes, taccBytes int
@@ -61,7 +62,7 @@ func BenchmarkBaselineSAR(b *testing.B) {
 		var cpuB, memB, netB bytes.Buffer
 		sar := sarbaseline.NewSampler(&cpuB, &memB, &netB)
 		var taccB bytes.Buffer
-		mon := taccstats.NewMonitor(snap, cc.Arch, func(day int) (io.WriteCloser, error) {
+		mon := taccstats.NewMonitor(snap, func(day int) (io.WriteCloser, error) {
 			return nopWriteCloser{&taccB}, nil
 		})
 		j := &workload.Job{
@@ -70,8 +71,7 @@ func BenchmarkBaselineSAR(b *testing.B) {
 		}
 		bh := workload.NewBehavior(j, cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB)
 		for s := 0; s < 144; s++ {
-			u := bh.Step(10)
-			applyBenchUsage(snap, cc, u)
+			sim.ApplyUsage(snap, bh.Step(10), 10)
 			snap.Time += 600
 			if err := sar.Sample(snap); err != nil {
 				b.Fatal(err)
@@ -92,30 +92,10 @@ func BenchmarkBaselineSAR(b *testing.B) {
 	b.ReportMetric(1, "tacc_formats_required")
 }
 
-// applyBenchUsage maps usage onto the counters SAR can see (plus the
-// PMC/Lustre counters only TACC_Stats reads).
-func applyBenchUsage(snap *procfs.Snapshot, cc cluster.Config, u workload.NodeUsage) {
-	dtCS := 600.0 * 100
-	for c := 0; c < cc.CoresPerNode(); c++ {
-		dev := snap.Type(procfs.TypeCPU).Devices()[c]
-		snap.Add(procfs.TypeCPU, dev, "user", uint64(u.UserFrac*dtCS))
-		snap.Add(procfs.TypeCPU, dev, "system", uint64(u.SysFrac*dtCS))
-		snap.Add(procfs.TypeCPU, dev, "idle", uint64(u.IdleFrac*dtCS))
-		snap.Add(procfs.TypeCPU, dev, "iowait", uint64(u.IowaitFrac*dtCS))
-		snap.Add(procfs.PMCType(cc.Arch), dev, "FLOPS", uint64(u.Flops/float64(cc.CoresPerNode())))
-	}
-	for s := 0; s < cc.SocketsPerNode; s++ {
-		dev := snap.Type(procfs.TypeMem).Devices()[s]
-		snap.Set(procfs.TypeMem, dev, "MemUsed", u.MemUsedKB/uint64(cc.SocketsPerNode))
-	}
-	snap.Add(procfs.TypeIB, "mlx4_0.1", "tx_bytes", uint64(u.IBTxB))
-	snap.Add(procfs.TypeLlite, "scratch", "write_bytes", uint64(u.ScratchWriteB))
-	snap.Add(procfs.TypeNet, "eth0", "tx_bytes", uint64(u.EthTxB))
-	snap.Add(procfs.TypeNet, "eth0", "rx_bytes", uint64(u.EthRxB))
-}
-
-// BenchmarkRawVolumeCompressed measures the gzip-rotated volume — the
-// paper's 60 GB/month uncompressed vs 20 GB compressed (§4.1).
+// BenchmarkRawVolumeCompressed measures the gzip-rotated volume of a
+// node-day under one job's load, driven by the simulator's usage
+// mapping — the paper's 60 GB/month uncompressed vs 20 GB compressed
+// (§4.1).
 func BenchmarkRawVolumeCompressed(b *testing.B) {
 	cc := cluster.RangerConfig()
 	var plain, compressed int64
@@ -128,9 +108,9 @@ func BenchmarkRawVolumeCompressed(b *testing.B) {
 				Nodes: 1, IdleMul: 1, FlopsMul: 1, MemMul: 1, IOMul: 1, NetMul: 1, Seed: 5,
 			}
 			bh := workload.NewBehavior(j, cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB)
-			mon := taccstats.NewMonitor(snap, cc.Arch, rotate)
+			mon := taccstats.NewMonitor(snap, rotate)
 			for s := 0; s < 144; s++ {
-				applyBenchUsage(snap, cc, bh.Step(10))
+				sim.ApplyUsage(snap, bh.Step(10), 10)
 				snap.Time += 600
 				if err := mon.Sample(); err != nil {
 					b.Fatal(err)

@@ -300,7 +300,7 @@ func BenchmarkCollectOverhead(b *testing.B) {
 	cc := cluster.RangerConfig()
 	snap := procfs.NewNodeSnapshot(cc, "bench-node")
 	snap.Time = 1306886400
-	mon := taccstats.NewMonitor(snap, cc.Arch, func(day int) (io.WriteCloser, error) {
+	mon := taccstats.NewMonitor(snap, func(day int) (io.WriteCloser, error) {
 		return nopWriteCloser{io.Discard}, nil
 	})
 	b.ResetTimer()
@@ -329,7 +329,7 @@ func BenchmarkRawVolume(b *testing.B) {
 		snap := procfs.NewNodeSnapshot(cc, "bench-node")
 		snap.Time = 1306886400
 		counter := &countingWriter{}
-		mon := taccstats.NewMonitor(snap, cc.Arch, func(day int) (io.WriteCloser, error) {
+		mon := taccstats.NewMonitor(snap, func(day int) (io.WriteCloser, error) {
 			return counter, nil
 		})
 		for s := 0; s < 144; s++ { // one day at 10-minute cadence

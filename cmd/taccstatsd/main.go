@@ -1,7 +1,9 @@
 // Command taccstatsd demonstrates the monitor agent in isolation: it
-// runs a single simulated node executing one job and writes the raw
-// TACC_Stats format to stdout (or a file) in accelerated time — the §3
-// data-collection story without the rest of the pipeline.
+// runs a single simulated node executing one job, its counters moved by
+// the same usage mapping as every node of cmd/simulate
+// (sim.ApplyUsage), and writes the raw TACC_Stats format to stdout (or
+// a file) in accelerated time — the §3 data-collection story without
+// the rest of the pipeline.
 //
 //	taccstatsd -job 12345 -samples 12 -cluster ranger
 //
@@ -20,6 +22,7 @@ import (
 
 	"supremm/internal/cluster"
 	"supremm/internal/procfs"
+	"supremm/internal/sim"
 	"supremm/internal/taccstats"
 	"supremm/internal/workload"
 )
@@ -157,25 +160,19 @@ func run(clusterName, appName string, jobID int64, samples int, out string, seed
 		return &retrySink{w: sink, retries: retries, backoff: backoff}, nil
 	}
 
+	cfg := sim.DefaultConfig(cc, seed)
 	snap := procfs.NewNodeSnapshot(cc, "c000-000."+cc.Name)
-	snap.Time = 1306886400
-	mon := taccstats.NewMonitor(snap, cc.Arch, rotate)
-
-	j := &workload.Job{
-		ID: jobID, User: &workload.User{Name: "demo", Science: workload.Physics},
-		App: a, Nodes: 1, RuntimeMin: float64(samples) * 10,
-		IdleMul: 1, FlopsMul: 1, MemMul: 1, IOMul: 1, NetMul: 1, Seed: seed,
-	}
-	b := workload.NewBehavior(j, cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB)
+	snap.Time = cfg.EpochUnix
+	mon := taccstats.NewMonitor(snap, rotate)
+	b := workload.NewBehavior(demoJob(a, jobID, samples, cfg), cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB)
 
 	err := func() error {
 		if err := mon.BeginJob(jobID); err != nil {
 			return err
 		}
 		for i := 0; i < samples; i++ {
-			u := b.Step(10)
-			applyUsage(snap, cc, u)
-			snap.Time += 600
+			sim.ApplyUsage(snap, b.Step(cfg.StepMin), cfg.StepMin)
+			snap.Time += int64(cfg.StepMin * 60)
 			if err := mon.Sample(); err != nil {
 				return err
 			}
@@ -197,24 +194,12 @@ func run(clusterName, appName string, jobID int64, samples int, out string, seed
 	return mon.Close()
 }
 
-// applyUsage maps one interval's usage onto the node snapshot; a compact
-// version of the sim engine's counter mapping for a single node.
-func applyUsage(snap *procfs.Snapshot, cc cluster.Config, u workload.NodeUsage) {
-	dtCS := 600.0 * 100
-	for c := 0; c < cc.CoresPerNode(); c++ {
-		dev := fmt.Sprintf("%d", c)
-		snap.Add(procfs.TypeCPU, dev, "user", uint64(u.UserFrac*dtCS))
-		snap.Add(procfs.TypeCPU, dev, "system", uint64(u.SysFrac*dtCS))
-		snap.Add(procfs.TypeCPU, dev, "idle", uint64(u.IdleFrac*dtCS))
-		snap.Add(procfs.TypeCPU, dev, "iowait", uint64(u.IowaitFrac*dtCS))
-		snap.Add(procfs.PMCType(cc.Arch), dev, "FLOPS", uint64(u.Flops/float64(cc.CoresPerNode())))
+// demoJob is the one job the demo node runs: samples sampling
+// intervals of cfg's cadence long, with cfg.Seed driving its behaviour.
+func demoJob(a *workload.App, jobID int64, samples int, cfg sim.Config) *workload.Job {
+	return &workload.Job{
+		ID: jobID, User: &workload.User{Name: "demo", Science: workload.Physics},
+		App: a, Nodes: 1, RuntimeMin: float64(samples) * cfg.StepMin,
+		IdleMul: 1, FlopsMul: 1, MemMul: 1, IOMul: 1, NetMul: 1, Seed: cfg.Seed,
 	}
-	for s := 0; s < cc.SocketsPerNode; s++ {
-		snap.Set(procfs.TypeMem, fmt.Sprintf("%d", s), "MemUsed", u.MemUsedKB/uint64(cc.SocketsPerNode))
-	}
-	snap.Add(procfs.TypeIB, "mlx4_0.1", "tx_bytes", uint64(u.IBTxB))
-	snap.Add(procfs.TypeIB, "mlx4_0.1", "rx_bytes", uint64(u.IBRxB))
-	snap.Add(procfs.TypeLlite, "scratch", "write_bytes", uint64(u.ScratchWriteB))
-	snap.Add(procfs.TypeLlite, "work", "write_bytes", uint64(u.WorkWriteB))
-	snap.Add(procfs.TypeLnet, "-", "tx_bytes", uint64(u.LnetTxB))
 }

@@ -3,11 +3,18 @@ package main
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"supremm/internal/cluster"
+	"supremm/internal/ingest"
+	"supremm/internal/sched"
+	"supremm/internal/sim"
+	"supremm/internal/store"
 	"supremm/internal/taccstats"
+	"supremm/internal/workload"
 )
 
 // parseRaw parses the raw file at path, keeping a materialized copy of
@@ -48,6 +55,73 @@ func TestDaemonWritesParseableOutput(t *testing.T) {
 	}
 	if parsed.Arch != "amd64_opteron" {
 		t.Errorf("arch = %q", parsed.Arch)
+	}
+}
+
+// TestDaemonAgreesWithModel: the demo node runs the simulator's usage
+// mapping, so its raw file, ingested like a fleet node's day file,
+// yields every metric of the job record that the simulator's fast path
+// accumulates from the same behaviour, within the tolerances of
+// internal/sim's TestRawIngestMatchesFastPath.
+func TestDaemonAgreesWithModel(t *testing.T) {
+	const (
+		jobID   = 777
+		samples = 12
+		seed    = 9
+	)
+	cc := cluster.RangerConfig()
+	cfg := sim.DefaultConfig(cc, seed)
+	host := "c000-000." + cc.Name
+	dir := t.TempDir()
+	hostDir := filepath.Join(dir, "raw", host)
+	if err := os.MkdirAll(hostDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	day := int(cfg.EpochUnix / 86400)
+	if err := run(cc.Name, "wrf", jobID, samples, filepath.Join(hostDir, taccstats.DayFileName(day)), seed, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	job := demoJob(workload.AppByName(workload.DefaultApps(), "wrf"), jobID, samples, cfg)
+	start := cfg.EpochUnix
+	end := start + int64(samples*cfg.StepMin*60)
+	acct := sched.AcctRecord{
+		Cluster: cc.Name, Owner: job.User.Name, JobName: job.App.Name, JobID: jobID,
+		Account: string(job.User.Science), Submit: start, Start: start, End: end,
+		Slots: cc.CoresPerNode(), NodeList: []string{host},
+	}
+	raw, err := ingest.IngestRawOpts(filepath.Join(dir, "raw"), []sched.AcctRecord{acct}, ingest.Options{Policy: ingest.Strict})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw.Store.Len() != 1 {
+		t.Fatalf("raw store holds %d records, want 1", raw.Store.Len())
+	}
+	got := raw.Store.Record(0)
+
+	acc := ingest.NewAccumulator()
+	acc.StartJob(ingest.IdentityFromJob(job, cc.Name, start, start, end, job.Status))
+	b := workload.NewBehavior(job, cc.Name, cc.CoresPerNode(), cc.MemPerNodeGB)
+	for i := 0; i < samples; i++ {
+		if err := acc.AddUsage(jobID, 1, cfg.StepMin*60, b.Step(cfg.StepMin)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := acc.FinishJob(jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range store.AllMetrics() {
+		rel, abs := 0.15, 0.05
+		switch m {
+		case store.MetricCPUIdle:
+			abs = 0.02
+		case store.MetricScratchWrite:
+			rel = 0.35
+		}
+		if a, b := got.Value(m), want.Value(m); math.Abs(a-b) > rel*math.Abs(b)+abs {
+			t.Errorf("%s: taccstatsd %v vs model %v", m, a, b)
+		}
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 )
 
 // Microarch identifies a processor microarchitecture. It determines which
-// hardware performance-counter events TACC_Stats programs (§3): FLOPS,
+// hardware performance-counter events TACC_Stats programs (§3;
+// procfs.PMCBlock names the block and its events): FLOPS,
 // memory accesses, data-cache fills and SMP/NUMA traffic on AMD Opteron;
 // FLOPS, SMP/NUMA traffic and L1 data-cache hits on Intel
 // Nehalem/Westmere.
@@ -42,19 +43,6 @@ func (m Microarch) String() string {
 		return "intel_sandybridge"
 	default:
 		return fmt.Sprintf("microarch(%d)", int(m))
-	}
-}
-
-// PMCEvents returns the hardware performance-counter events TACC_Stats
-// programs for the microarchitecture, in programming order.
-func (m Microarch) PMCEvents() []string {
-	switch m {
-	case AMDOpteron:
-		return []string{"FLOPS", "MEM_ACCESS", "DCACHE_FILLS", "NUMA_TRAFFIC"}
-	case IntelWestmere, IntelSandyBridge:
-		return []string{"FLOPS", "NUMA_TRAFFIC", "L1D_HITS"}
-	default:
-		return nil
 	}
 }
 

@@ -48,20 +48,6 @@ func TestLonestar4ConfigMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestPMCEventsPerArch(t *testing.T) {
-	amd := AMDOpteron.PMCEvents()
-	if len(amd) != 4 || amd[0] != "FLOPS" {
-		t.Errorf("AMD events = %v", amd)
-	}
-	intel := IntelWestmere.PMCEvents()
-	if len(intel) != 3 || intel[2] != "L1D_HITS" {
-		t.Errorf("Intel events = %v", intel)
-	}
-	if Microarch(99).PMCEvents() != nil {
-		t.Error("unknown arch should have no events")
-	}
-}
-
 func TestMicroarchString(t *testing.T) {
 	if AMDOpteron.String() != "amd64_opteron" {
 		t.Errorf("got %q", AMDOpteron.String())
@@ -184,8 +170,5 @@ func TestStampedeConfigMatchesSection5(t *testing.T) {
 	}
 	if IntelSandyBridge.String() != "intel_sandybridge" {
 		t.Errorf("arch string = %q", IntelSandyBridge.String())
-	}
-	if got := IntelSandyBridge.PMCEvents(); len(got) != 3 {
-		t.Errorf("PMC events = %v", got)
 	}
 }

@@ -495,8 +495,9 @@ func splitDataLine(line string) (key string, vals []uint64, ok bool) {
 	return parts[0] + " " + parts[1], vals, true
 }
 
-// rawFileNames lists a host dir's day files in numeric day order,
-// mirroring the ingest's ordering.
+// rawFileNames lists a host dir's day files in numeric day order. It
+// copies taccstats.DayFiles, which owns the day-file name and order:
+// taccstats' own fuzz test imports this package, so it stays a leaf.
 func rawFileNames(hostDir string) ([]string, error) {
 	entries, err := os.ReadDir(hostDir)
 	if err != nil {

@@ -132,8 +132,7 @@ func streamHost(o Options, host string, q *DataQuality, emit func(prevTime, curT
 		return fmt.Errorf("ingest: read host dir %s: %w", host, err)
 	}
 	var st hostState
-	for _, fe := range sortedRawFiles(entries) {
-		name := fe.Name()
+	for _, name := range taccstats.DayFiles(entries) {
 		q.FilesScanned++
 		pending, next, err := parseFileRetrying(o, host, name, st, q)
 		if err != nil {

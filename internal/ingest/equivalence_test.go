@@ -141,8 +141,8 @@ func legacyIngestRaw(dir string, acct []sched.AcctRecord) (*RawResult, error) {
 			return nil, err
 		}
 		var prev *legacySample
-		for _, fe := range sortedRawFiles(files) {
-			fh, err := os.Open(filepath.Join(dir, host, fe.Name()))
+		for _, name := range taccstats.DayFiles(files) {
+			fh, err := os.Open(filepath.Join(dir, host, name))
 			if err != nil {
 				return nil, err
 			}

@@ -3,8 +3,6 @@ package ingest
 import (
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 
 	"supremm/internal/sched"
 	"supremm/internal/store"
@@ -195,23 +193,4 @@ func sortedDirs(entries []os.DirEntry) []os.DirEntry {
 	}
 	sort.Slice(dirs, func(i, j int) bool { return dirs[i].Name() < dirs[j].Name() })
 	return dirs
-}
-
-// sortedRawFiles orders day files numerically ("2.raw" before "10.raw").
-func sortedRawFiles(entries []os.DirEntry) []os.DirEntry {
-	files := make([]os.DirEntry, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".raw") {
-			files = append(files, e)
-		}
-	}
-	dayOf := func(name string) int {
-		n, err := strconv.Atoi(strings.TrimSuffix(name, ".raw"))
-		if err != nil {
-			return 1 << 30
-		}
-		return n
-	}
-	sort.Slice(files, func(i, j int) bool { return dayOf(files[i].Name()) < dayOf(files[j].Name()) })
-	return files
 }

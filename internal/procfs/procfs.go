@@ -15,7 +15,8 @@ package procfs
 
 import (
 	"fmt"
-	"sort"
+
+	"supremm/internal/cluster"
 )
 
 // KeyClass distinguishes monotonically increasing event counters from
@@ -107,7 +108,8 @@ func (t *TypeStats) Get(dev, key string) uint64 {
 // Snapshot is the full synthetic /proc view of one node at an instant.
 type Snapshot struct {
 	Hostname string
-	Time     int64 // unix seconds
+	Time     int64             // unix seconds
+	Arch     cluster.Microarch // the node's processor: its PMC block is PMCBlock(Arch)
 	types    map[string]*TypeStats
 	names    []string // insertion-ordered type names
 }
@@ -171,12 +173,4 @@ func (s *Snapshot) Get(typ, dev, key string) uint64 {
 		return 0
 	}
 	return t.Get(dev, key)
-}
-
-// SortedTypeNames returns type names sorted lexically; used by writers
-// that need deterministic output regardless of registration order.
-func (s *Snapshot) SortedTypeNames() []string {
-	out := append([]string(nil), s.names...)
-	sort.Strings(out)
-	return out
 }

@@ -102,27 +102,15 @@ func TestDeviceRegistrationOrder(t *testing.T) {
 func TestRegisterReplaces(t *testing.T) {
 	s := NewSnapshot("n")
 	s.Register(TypeCPU, CPUSchema())
+	s.Register(TypeBlock, BlockSchema())
 	s.Add(TypeCPU, "0", "user", 7)
 	s.Register(TypeCPU, CPUSchema()) // re-register clears
 	if got := s.Get(TypeCPU, "0", "user"); got != 0 {
 		t.Errorf("re-registered value = %d, want 0", got)
 	}
-	if names := s.TypeNames(); len(names) != 1 {
-		t.Errorf("type names = %v, want 1 entry", names)
-	}
-}
-
-func TestSortedTypeNames(t *testing.T) {
-	s := NewSnapshot("n")
-	s.Register("zeta", CPUSchema())
-	s.Register("alpha", CPUSchema())
-	sorted := s.SortedTypeNames()
-	if sorted[0] != "alpha" || sorted[1] != "zeta" {
-		t.Errorf("sorted = %v", sorted)
-	}
-	// Registration order preserved separately.
-	if names := s.TypeNames(); names[0] != "zeta" {
-		t.Errorf("registration order = %v", names)
+	// One entry per type, in first-registration order.
+	if names := s.TypeNames(); len(names) != 2 || names[0] != TypeCPU || names[1] != TypeBlock {
+		t.Errorf("type names = %v, want [cpu block]", names)
 	}
 }
 
@@ -131,6 +119,9 @@ func TestNewNodeSnapshotRanger(t *testing.T) {
 	s := NewNodeSnapshot(cfg, "c000-000.ranger")
 	if s.Hostname != "c000-000.ranger" {
 		t.Errorf("hostname = %q", s.Hostname)
+	}
+	if s.Arch != cluster.AMDOpteron {
+		t.Errorf("arch = %v", s.Arch)
 	}
 	if got := len(s.Type(TypeCPU).Devices()); got != 16 {
 		t.Errorf("cpu devices = %d, want 16", got)
@@ -163,6 +154,9 @@ func TestNewNodeSnapshotRanger(t *testing.T) {
 func TestNewNodeSnapshotLonestar4(t *testing.T) {
 	cfg := cluster.Lonestar4Config()
 	s := NewNodeSnapshot(cfg, "c000-000.lonestar4")
+	if s.Arch != cluster.IntelWestmere {
+		t.Errorf("arch = %v", s.Arch)
+	}
 	if got := len(s.Type(TypeCPU).Devices()); got != 12 {
 		t.Errorf("cpu devices = %d, want 12", got)
 	}
@@ -178,11 +172,22 @@ func TestNewNodeSnapshotLonestar4(t *testing.T) {
 }
 
 func TestPMCType(t *testing.T) {
-	if PMCType(cluster.AMDOpteron) != TypeAMDPMC {
+	if typ, _ := PMCBlock(cluster.AMDOpteron); typ != TypeAMDPMC {
 		t.Error("AMD PMC type wrong")
 	}
-	if PMCType(cluster.IntelWestmere) != TypeIntelPMC {
+	if typ, _ := PMCBlock(cluster.IntelWestmere); typ != TypeIntelPMC {
 		t.Error("Intel PMC type wrong")
+	}
+}
+
+func TestPMCEventsPerArch(t *testing.T) {
+	if _, amd := PMCBlock(cluster.AMDOpteron); len(amd) != 4 || amd[0].Name != "FLOPS" {
+		t.Errorf("AMD events = %v", amd)
+	}
+	for _, arch := range []cluster.Microarch{cluster.IntelWestmere, cluster.IntelSandyBridge} {
+		if _, intel := PMCBlock(arch); len(intel) != 3 || intel[2].Name != "L1D_HITS" {
+			t.Errorf("%v events = %v", arch, intel)
+		}
 	}
 }
 

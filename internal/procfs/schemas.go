@@ -203,13 +203,14 @@ func IntelPMCSchema() Schema {
 	}
 }
 
-// PMCType returns the stat type name of the hardware counter block for a
-// microarchitecture.
-func PMCType(arch cluster.Microarch) string {
+// PMCBlock returns the stat type name and schema of the hardware
+// counter block TACC_Stats programs on a microarchitecture (§3): the
+// AMD block on Opteron, the Intel block on Nehalem and its successors.
+func PMCBlock(arch cluster.Microarch) (string, Schema) {
 	if arch == cluster.AMDOpteron {
-		return TypeAMDPMC
+		return TypeAMDPMC, AMDPMCSchema()
 	}
-	return TypeIntelPMC
+	return TypeIntelPMC, IntelPMCSchema()
 }
 
 // PanasasSchema: per-mount Panasas (panfs) client counters; §3 lists
@@ -226,9 +227,11 @@ func PanasasSchema() Schema {
 
 // NewNodeSnapshot builds a Snapshot for one node of cfg with every stat
 // type registered, devices created for each core, socket, mount and
-// device, and capacity gauges initialized (MemTotal per socket).
+// device, capacity gauges initialized (MemTotal per socket) and the
+// node's architecture recorded.
 func NewNodeSnapshot(cfg cluster.Config, hostname string) *Snapshot {
 	s := NewSnapshot(hostname)
+	s.Arch = cfg.Arch
 
 	cpu := s.Register(TypeCPU, CPUSchema())
 	for c := 0; c < cfg.CoresPerNode(); c++ {
@@ -287,14 +290,7 @@ func NewNodeSnapshot(cfg cluster.Config, hostname string) *Snapshot {
 	s.Register(TypePS, PSSchema()).Values("-")
 	s.Register(TypeTmpfs, TmpfsSchema()).Values("dev_shm")
 
-	var pmcSchema Schema
-	var pmcType string
-	if cfg.Arch == cluster.AMDOpteron {
-		pmcSchema, pmcType = AMDPMCSchema(), TypeAMDPMC
-	} else {
-		pmcSchema, pmcType = IntelPMCSchema(), TypeIntelPMC
-	}
-	pmc := s.Register(pmcType, pmcSchema)
+	pmc := s.Register(PMCBlock(cfg.Arch))
 	for c := 0; c < cfg.CoresPerNode(); c++ {
 		pmc.Values(fmt.Sprintf("%d", c))
 	}

@@ -79,9 +79,11 @@ func (s *Sampler) Sample(snap *procfs.Snapshot) error {
 			cpu[3] += ts.Get(dev, "idle")
 		}
 	}
+	var nics []string
 	nets := make(map[string][2]uint64)
 	if ts := snap.Type(procfs.TypeNet); ts != nil {
-		for _, dev := range ts.Devices() {
+		nics = ts.Devices()
+		for _, dev := range nics {
 			nets[dev] = [2]uint64{ts.Get(dev, "rx_bytes"), ts.Get(dev, "tx_bytes")}
 		}
 	}
@@ -102,8 +104,8 @@ func (s *Sampler) Sample(snap *procfs.Snapshot) error {
 					return err
 				}
 			}
-			for dev, cur := range nets {
-				prev := s.prevNet[dev]
+			for _, dev := range nics { // the snapshot's order, not the map's
+				cur, prev := nets[dev], s.prevNet[dev]
 				rx := float64(cur[0]-prev[0]) / dt / 1024
 				tx := float64(cur[1]-prev[1]) / dt / 1024
 				if _, err := fmt.Fprintf(s.netW, "%d %s %.2f %.2f\n", snap.Time, dev, rx, tx); err != nil {

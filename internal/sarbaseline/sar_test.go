@@ -181,3 +181,35 @@ func TestMetricCoverageIsTheHeadlineDeficiency(t *testing.T) {
 		}
 	}
 }
+
+// TestNetLinesInDeviceOrder: a node with two NICs writes its `sar -n`
+// lines in the snapshot's device order at every sample, so one node-day
+// always yields the same stream.
+func TestNetLinesInDeviceOrder(t *testing.T) {
+	cc := cluster.Lonestar4Config()
+	snap := procfs.NewNodeSnapshot(cc, "n0")
+	snap.Time = 1000
+	var cpuB, memB, netB bytes.Buffer
+	s := NewSampler(&cpuB, &memB, &netB)
+	for i := 0; i <= 144; i++ {
+		for _, dev := range cc.EthernetDevices {
+			snap.Add(procfs.TypeNet, dev, "rx_bytes", 1<<20)
+		}
+		if err := s.Sample(snap); err != nil {
+			t.Fatal(err)
+		}
+		snap.Time += 600
+	}
+	lines, err := ParseNet(&netB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 144 * len(cc.EthernetDevices); len(lines) != want {
+		t.Fatalf("net lines = %d, want %d", len(lines), want)
+	}
+	for i, l := range lines {
+		if want := cc.EthernetDevices[i%len(cc.EthernetDevices)]; l.Device != want {
+			t.Fatalf("net line %d (time %d) is %s, want %s: lines follow map order", i, l.Time, l.Device, want)
+		}
+	}
+}

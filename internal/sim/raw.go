@@ -9,106 +9,126 @@ import (
 	"supremm/internal/workload"
 )
 
-// applyUsageToNodes translates one job-step's per-node usage into
-// counter increments on every allocated node's synthetic /proc snapshot
-// (raw mode). The mapping mirrors how a real kernel would account the
+// ApplyUsage moves one node's counters by one interval of usage, dtMin
+// minutes long (raw mode and cmd/taccstatsd). The node's shape — cores,
+// sockets and their MemTotal, NICs, HCA ports, mounts, block devices
+// and the PMC block — is read from snap, as procfs.NewNodeSnapshot
+// built it. The mapping mirrors how a real kernel would account the
 // same activity: scheduler centiseconds per core, gauges per socket,
 // event bytes per device.
-func (e *engine) applyUsageToNodes(rj *sched.RunningJob, u workload.NodeUsage, dtMin float64) {
-	cfg := e.cfg.Cluster
-	cores := cfg.CoresPerNode()
-	sockets := cfg.SocketsPerNode
+func ApplyUsage(snap *procfs.Snapshot, u workload.NodeUsage, dtMin float64) {
+	cpus := snap.Type(procfs.TypeCPU).Devices()
+	sockets := snap.Type(procfs.TypeMem).Devices()
+	cores := len(cpus)
 	dtCS := dtMin * 60 * 100 // centiseconds per core
 
-	for _, n := range rj.Nodes {
-		snap := e.snaps[n.Index]
+	for _, dev := range cpus {
+		snap.Add(procfs.TypeCPU, dev, "user", uint64(u.UserFrac*dtCS))
+		snap.Add(procfs.TypeCPU, dev, "system", uint64(u.SysFrac*dtCS))
+		snap.Add(procfs.TypeCPU, dev, "idle", uint64(u.IdleFrac*dtCS))
+		snap.Add(procfs.TypeCPU, dev, "iowait", uint64(u.IowaitFrac*dtCS))
+	}
 
-		for c := 0; c < cores; c++ {
-			dev := fmt.Sprintf("%d", c)
-			snap.Add(procfs.TypeCPU, dev, "user", uint64(u.UserFrac*dtCS))
-			snap.Add(procfs.TypeCPU, dev, "system", uint64(u.SysFrac*dtCS))
-			snap.Add(procfs.TypeCPU, dev, "idle", uint64(u.IdleFrac*dtCS))
-			snap.Add(procfs.TypeCPU, dev, "iowait", uint64(u.IowaitFrac*dtCS))
+	perSocketKB := u.MemUsedKB / uint64(len(sockets))
+	for _, dev := range sockets {
+		totalKB := snap.Get(procfs.TypeMem, dev, "MemTotal")
+		snap.Set(procfs.TypeMem, dev, "MemUsed", perSocketKB)
+		free := uint64(0)
+		if totalKB > perSocketKB {
+			free = totalKB - perSocketKB
 		}
+		snap.Set(procfs.TypeMem, dev, "MemFree", free)
+		snap.Set(procfs.TypeMem, dev, "Cached", u.BuffCacheKB/uint64(len(sockets)))
+		snap.Add(procfs.TypeNUMA, dev, "numa_hit", uint64(u.MemAccess/float64(len(sockets))/1000))
+		snap.Add(procfs.TypeNUMA, dev, "numa_miss", uint64(u.NumaTraffic/float64(len(sockets))/10000))
+	}
 
-		perSocketKB := u.MemUsedKB / uint64(sockets)
-		totalKB := uint64(cfg.MemPerNodeGB * 1024 * 1024 / float64(sockets))
-		for s := 0; s < sockets; s++ {
-			dev := fmt.Sprintf("%d", s)
-			snap.Set(procfs.TypeMem, dev, "MemUsed", perSocketKB)
-			free := uint64(0)
-			if totalKB > perSocketKB {
-				free = totalKB - perSocketKB
-			}
-			snap.Set(procfs.TypeMem, dev, "MemFree", free)
-			snap.Set(procfs.TypeMem, dev, "Cached", u.BuffCacheKB/uint64(sockets))
-			snap.Add(procfs.TypeNUMA, dev, "numa_hit", uint64(u.MemAccess/float64(sockets)/1000))
-			snap.Add(procfs.TypeNUMA, dev, "numa_miss", uint64(u.NumaTraffic/float64(sockets)/10000))
-		}
+	snap.Add(procfs.TypeVM, "-", "pswpin", uint64(u.SwapIn))
+	snap.Add(procfs.TypeVM, "-", "pswpout", uint64(u.SwapOut))
+	snap.Add(procfs.TypeVM, "-", "pgpgin", uint64(u.PgPgInKB))
+	snap.Add(procfs.TypeVM, "-", "pgpgout", uint64(u.PgPgOutKB))
+	snap.Add(procfs.TypeVM, "-", "pgfault", uint64(u.PgFault))
+	snap.Add(procfs.TypeVM, "-", "pgmajfault", uint64(u.PgMajFault))
 
-		snap.Add(procfs.TypeVM, "-", "pswpin", uint64(u.SwapIn))
-		snap.Add(procfs.TypeVM, "-", "pswpout", uint64(u.SwapOut))
-		snap.Add(procfs.TypeVM, "-", "pgpgin", uint64(u.PgPgInKB))
-		snap.Add(procfs.TypeVM, "-", "pgpgout", uint64(u.PgPgOutKB))
-		snap.Add(procfs.TypeVM, "-", "pgfault", uint64(u.PgFault))
-		snap.Add(procfs.TypeVM, "-", "pgmajfault", uint64(u.PgMajFault))
+	nics := snap.Type(procfs.TypeNet).Devices()
+	for _, dev := range nics {
+		snap.Add(procfs.TypeNet, dev, "tx_bytes", uint64(u.EthTxB/float64(len(nics))))
+		snap.Add(procfs.TypeNet, dev, "rx_bytes", uint64(u.EthRxB/float64(len(nics))))
+	}
 
-		for _, dev := range cfg.EthernetDevices {
-			snap.Add(procfs.TypeNet, dev, "tx_bytes", uint64(u.EthTxB/float64(len(cfg.EthernetDevices))))
-			snap.Add(procfs.TypeNet, dev, "rx_bytes", uint64(u.EthRxB/float64(len(cfg.EthernetDevices))))
-		}
+	ports := snap.Type(procfs.TypeIB).Devices()
+	for _, dev := range ports {
+		txB, rxB := u.IBTxB/float64(len(ports)), u.IBRxB/float64(len(ports))
+		snap.Add(procfs.TypeIB, dev, "tx_bytes", uint64(txB))
+		snap.Add(procfs.TypeIB, dev, "rx_bytes", uint64(rxB))
+		snap.Add(procfs.TypeIB, dev, "tx_packets", uint64(txB/2048))
+		snap.Add(procfs.TypeIB, dev, "rx_packets", uint64(rxB/2048))
+	}
 
-		snap.Add(procfs.TypeIB, "mlx4_0.1", "tx_bytes", uint64(u.IBTxB))
-		snap.Add(procfs.TypeIB, "mlx4_0.1", "rx_bytes", uint64(u.IBRxB))
-		snap.Add(procfs.TypeIB, "mlx4_0.1", "tx_packets", uint64(u.IBTxB/2048))
-		snap.Add(procfs.TypeIB, "mlx4_0.1", "rx_packets", uint64(u.IBRxB/2048))
-
-		snap.Add(procfs.TypeLlite, "scratch", "write_bytes", uint64(u.ScratchWriteB))
-		snap.Add(procfs.TypeLlite, "work", "write_bytes", uint64(u.WorkWriteB))
-		if len(cfg.LustreMounts) > 2 {
-			snap.Add(procfs.TypeLlite, "share", "write_bytes", uint64(u.ShareWriteB))
-		}
-		snap.Add(procfs.TypeLlite, "scratch", "read_bytes", uint64(u.ReadB))
-		snap.Add(procfs.TypeLnet, "-", "tx_bytes", uint64(u.LnetTxB))
-		snap.Add(procfs.TypeLnet, "-", "rx_bytes", uint64(u.LnetRxB))
-
-		for _, dev := range cfg.BlockDevices {
-			snap.Add(procfs.TypeBlock, dev, "wr_sectors", uint64(u.BlockWrSectors))
-			snap.Add(procfs.TypeBlock, dev, "rd_sectors", uint64(u.BlockRdSectors))
-		}
-
-		snap.Add(procfs.TypeIRQ, "-", "hw_irq", uint64((u.IBTxB+u.IBRxB)/16384))
-		snap.Set(procfs.TypePS, "-", "load_1", uint64((1-u.IdleFrac)*float64(cores)*100))
-		snap.Set(procfs.TypePS, "-", "nr_running", uint64((1-u.IdleFrac)*float64(cores)+1))
-		snap.Add(procfs.TypePS, "-", "ctxt", uint64((1-u.IdleFrac)*float64(cores)*dtMin*60*2000))
-
-		// MPI runtimes hold SysV shared-memory segments for intra-node
-		// transport; the footprint tracks rank count.
-		snap.Set(procfs.TypeSysv, "-", "mem_used", uint64((1-u.IdleFrac)*float64(cores))*32<<20)
-		snap.Set(procfs.TypeSysv, "-", "segs_used", uint64((1-u.IdleFrac)*float64(cores))+1)
-		snap.Set(procfs.TypeTmpfs, "dev_shm", "bytes_used", uint64((1-u.IdleFrac)*float64(cores))*16<<20)
-
-		// Home directories ride NFS on clusters that mount it (LS4).
-		if cfg.HasNFS {
-			snap.Add(procfs.TypeNFS, "home", "write_bytes", uint64(u.WorkWriteB*0.1))
-			snap.Add(procfs.TypeNFS, "home", "read_bytes", uint64(u.ReadB*0.05))
-			snap.Add(procfs.TypeNFS, "home", "ops", uint64((u.WorkWriteB*0.1+u.ReadB*0.05)/32768))
-		}
-
-		pmcType := procfs.PMCType(cfg.Arch)
-		flopsPerCore := u.Flops / float64(cores)
-		for c := 0; c < cores; c++ {
-			dev := fmt.Sprintf("%d", c)
-			snap.Add(pmcType, dev, "FLOPS", uint64(flopsPerCore))
-			snap.Add(pmcType, dev, "NUMA_TRAFFIC", uint64(u.NumaTraffic/float64(cores)))
-			if cfg.Arch == cluster.AMDOpteron {
-				snap.Add(pmcType, dev, "MEM_ACCESS", uint64(u.MemAccess/float64(cores)))
-				snap.Add(pmcType, dev, "DCACHE_FILLS", uint64(u.CacheFills/float64(cores)))
-			} else {
-				snap.Add(pmcType, dev, "L1D_HITS", uint64(u.L1Hits/float64(cores)))
-			}
+	for _, mnt := range snap.Type(procfs.TypeLlite).Devices() {
+		switch mnt {
+		case "scratch":
+			snap.Add(procfs.TypeLlite, mnt, "write_bytes", uint64(u.ScratchWriteB))
+			snap.Add(procfs.TypeLlite, mnt, "read_bytes", uint64(u.ReadB))
+		case "work":
+			snap.Add(procfs.TypeLlite, mnt, "write_bytes", uint64(u.WorkWriteB))
+		case "share":
+			snap.Add(procfs.TypeLlite, mnt, "write_bytes", uint64(u.ShareWriteB))
 		}
 	}
+	snap.Add(procfs.TypeLnet, "-", "tx_bytes", uint64(u.LnetTxB))
+	snap.Add(procfs.TypeLnet, "-", "rx_bytes", uint64(u.LnetRxB))
+
+	for _, dev := range snap.Type(procfs.TypeBlock).Devices() {
+		snap.Add(procfs.TypeBlock, dev, "wr_sectors", uint64(u.BlockWrSectors))
+		snap.Add(procfs.TypeBlock, dev, "rd_sectors", uint64(u.BlockRdSectors))
+	}
+
+	snap.Add(procfs.TypeIRQ, "-", "hw_irq", uint64((u.IBTxB+u.IBRxB)/16384))
+	snap.Set(procfs.TypePS, "-", "load_1", uint64((1-u.IdleFrac)*float64(cores)*100))
+	snap.Set(procfs.TypePS, "-", "nr_running", uint64((1-u.IdleFrac)*float64(cores)+1))
+	snap.Add(procfs.TypePS, "-", "ctxt", uint64((1-u.IdleFrac)*float64(cores)*dtMin*60*2000))
+
+	// MPI runtimes hold SysV shared-memory segments for intra-node
+	// transport; the footprint tracks rank count.
+	snap.Set(procfs.TypeSysv, "-", "mem_used", uint64((1-u.IdleFrac)*float64(cores))*32<<20)
+	snap.Set(procfs.TypeSysv, "-", "segs_used", uint64((1-u.IdleFrac)*float64(cores))+1)
+	snap.Set(procfs.TypeTmpfs, "dev_shm", "bytes_used", uint64((1-u.IdleFrac)*float64(cores))*16<<20)
+
+	// Home directories ride NFS on clusters that mount it (LS4).
+	if nfs := snap.Type(procfs.TypeNFS); nfs != nil {
+		for _, mnt := range nfs.Devices() {
+			snap.Add(procfs.TypeNFS, mnt, "write_bytes", uint64(u.WorkWriteB*0.1))
+			snap.Add(procfs.TypeNFS, mnt, "read_bytes", uint64(u.ReadB*0.05))
+			snap.Add(procfs.TypeNFS, mnt, "ops", uint64((u.WorkWriteB*0.1+u.ReadB*0.05)/32768))
+		}
+	}
+
+	// Every event the chip's PMC block programs, split evenly over cores.
+	pmcType, _ := procfs.PMCBlock(snap.Arch)
+	pmc := snap.Type(pmcType)
+	for _, dev := range pmc.Devices() {
+		for _, k := range pmc.Schema {
+			snap.Add(pmcType, dev, k.Name, uint64(pmcCount(u, k.Name)/float64(cores)))
+		}
+	}
+}
+
+// pmcCount is a node's count of one PMC event over an interval.
+func pmcCount(u workload.NodeUsage, event string) float64 {
+	switch event {
+	case "FLOPS":
+		return u.Flops
+	case "MEM_ACCESS":
+		return u.MemAccess
+	case "DCACHE_FILLS":
+		return u.CacheFills
+	case "NUMA_TRAFFIC":
+		return u.NumaTraffic
+	case "L1D_HITS":
+		return u.L1Hits
+	}
+	panic(fmt.Sprintf("sim: no usage drives PMC event %q", event))
 }
 
 // sampleMonitors ticks every up node's monitor at the step boundary,
@@ -131,13 +151,14 @@ func (e *engine) sampleMonitors(nowMin float64, running []*sched.RunningJob) {
 		snap.Time = unix
 		if !busy[i] {
 			// Idle background: all cores idle, OS footprint only.
-			for c := 0; c < e.cfg.Cluster.CoresPerNode(); c++ {
-				snap.Add(procfs.TypeCPU, fmt.Sprintf("%d", c), "idle", uint64(dtCS*0.998))
-				snap.Add(procfs.TypeCPU, fmt.Sprintf("%d", c), "system", uint64(dtCS*0.002))
+			for _, dev := range snap.Type(procfs.TypeCPU).Devices() {
+				snap.Add(procfs.TypeCPU, dev, "idle", uint64(dtCS*0.998))
+				snap.Add(procfs.TypeCPU, dev, "system", uint64(dtCS*0.002))
 			}
-			osKB := uint64(512 * 1024 / e.cfg.Cluster.SocketsPerNode)
-			for s := 0; s < e.cfg.Cluster.SocketsPerNode; s++ {
-				snap.Set(procfs.TypeMem, fmt.Sprintf("%d", s), "MemUsed", osKB)
+			sockets := snap.Type(procfs.TypeMem).Devices()
+			osKB := uint64(512 * 1024 / len(sockets))
+			for _, dev := range sockets {
+				snap.Set(procfs.TypeMem, dev, "MemUsed", osKB)
 			}
 		}
 		// Errors are monitor-local (a full disk on one node does not

@@ -9,7 +9,9 @@ import (
 
 	"supremm/internal/cluster"
 	"supremm/internal/ingest"
+	"supremm/internal/procfs"
 	"supremm/internal/store"
+	"supremm/internal/workload"
 )
 
 // rawConfig is a tiny raw-mode run: 8 nodes, 2 days.
@@ -95,15 +97,29 @@ func TestRawIngestMatchesFastPath(t *testing.T) {
 			continue // short jobs suffer boundary quantization
 		}
 		checked++
-		relCheck(t, rr.JobID, "cpu_idle", rr.CPUIdleFrac, fr.CPUIdleFrac, 0.15, 0.02)
-		relCheck(t, rr.JobID, "flops", rr.FlopsGF, fr.FlopsGF, 0.15, 0.05)
-		relCheck(t, rr.JobID, "mem", rr.MemUsedGB, fr.MemUsedGB, 0.15, 0.1)
-		relCheck(t, rr.JobID, "scratch", rr.ScratchWriteMB, fr.ScratchWriteMB, 0.35, 0.1)
-		relCheck(t, rr.JobID, "ib_tx", rr.IBTxMB, fr.IBTxMB, 0.15, 0.05)
+		for _, m := range store.AllMetrics() {
+			rel, abs := rawTolerance(m)
+			relCheck(t, rr.JobID, string(m), rr.Value(m), fr.Value(m), rel, abs)
+		}
 	}
 	if checked < 10 {
 		t.Errorf("only %d jobs compared; run too small", checked)
 	}
+}
+
+// rawTolerance is how far a raw-path metric may sit from the fast
+// path's: 15 % plus 0.05 units, looser where quantization bites harder
+// (bursty scratch writes) or the unit is coarser (memory, in GB).
+func rawTolerance(m store.Metric) (rel, abs float64) {
+	switch m {
+	case store.MetricCPUIdle:
+		return 0.15, 0.02
+	case store.MetricMemUsed:
+		return 0.15, 0.1
+	case store.MetricScratchWrite:
+		return 0.35, 0.1
+	}
+	return 0.15, 0.05
 }
 
 // relCheck asserts |a-b| <= rel*|b| + abs.
@@ -206,5 +222,51 @@ func TestRawPipelineLonestar4(t *testing.T) {
 	}
 	if !bytes.Contains(data, []byte("!intel_pmc ")) {
 		t.Error("LS4 raw file missing intel_pmc schema")
+	}
+}
+
+// TestApplyUsageFollowsSnapshotShape: the usage mapping takes the node's
+// shape from its snapshot, so every preset's NICs, mounts and whole PMC
+// block move, and nothing outside the registered devices appears.
+func TestApplyUsageFollowsSnapshotShape(t *testing.T) {
+	u := workload.NodeUsage{
+		UserFrac: 0.8, SysFrac: 0.05, IowaitFrac: 0.05, IdleFrac: 0.1,
+		Flops: 1e12, MemUsedKB: 8 << 20, BuffCacheKB: 1 << 20,
+		ScratchWriteB: 1e9, WorkWriteB: 1e8, ShareWriteB: 1e7, ReadB: 1e9,
+		IBTxB: 1e9, IBRxB: 1e9, LnetTxB: 1e8, LnetRxB: 1e8, EthTxB: 1e6, EthRxB: 1e6,
+		BlockRdSectors: 100, BlockWrSectors: 100,
+		MemAccess: 1e10, CacheFills: 1e9, L1Hits: 1e11, NumaTraffic: 1e9,
+	}
+	for _, cc := range []cluster.Config{cluster.RangerConfig(), cluster.Lonestar4Config(), cluster.StampedeConfig()} {
+		snap := procfs.NewNodeSnapshot(cc, "h")
+		devices := func(typ string) int { return len(snap.Type(typ).Devices()) }
+		before := map[string]int{}
+		for _, typ := range snap.TypeNames() {
+			before[typ] = devices(typ)
+		}
+		ApplyUsage(snap, u, 10)
+		for _, typ := range snap.TypeNames() {
+			if devices(typ) != before[typ] {
+				t.Errorf("%s: %s grew from %d to %d devices", cc.Name, typ, before[typ], devices(typ))
+			}
+		}
+		for _, dev := range cc.EthernetDevices {
+			if snap.Get(procfs.TypeNet, dev, "tx_bytes") == 0 {
+				t.Errorf("%s: NIC %s did not move", cc.Name, dev)
+			}
+		}
+		for _, m := range cc.LustreMounts {
+			if snap.Get(procfs.TypeLlite, m.Name, "write_bytes") == 0 {
+				t.Errorf("%s: mount %s did not move", cc.Name, m.Name)
+			}
+		}
+		pmcType, schema := procfs.PMCBlock(cc.Arch)
+		for _, dev := range snap.Type(pmcType).Devices() {
+			for _, k := range schema {
+				if snap.Get(pmcType, dev, k.Name) == 0 {
+					t.Errorf("%s: %s %s on core %s did not move", cc.Name, pmcType, k.Name, dev)
+				}
+			}
+		}
 	}
 }

@@ -14,7 +14,6 @@
 package sim
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -209,9 +208,9 @@ func (e *engine) initRawMode() error {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				return nil, err
 			}
-			return os.Create(filepath.Join(dir, fmt.Sprintf("%d.raw", day)))
+			return os.Create(filepath.Join(dir, taccstats.DayFileName(day)))
 		}
-		e.monitors[i] = taccstats.NewMonitor(snap, e.cfg.Cluster.Arch, rotate)
+		e.monitors[i] = taccstats.NewMonitor(snap, rotate)
 	}
 	return nil
 }
@@ -258,7 +257,9 @@ func (e *engine) step(now float64) error {
 		sys.LnetTxMBps += u.LnetTxB * fn / (dtMin * 60) * 1e-6
 
 		if e.monitors != nil {
-			e.applyUsageToNodes(rj, u, dtMin)
+			for _, n := range rj.Nodes {
+				ApplyUsage(e.snaps[n.Index], u, dtMin)
+			}
 		}
 		e.maybeEmitJobEvents(rj, u, sampleUnix)
 	}

@@ -19,7 +19,7 @@ func TestGzipRotateRoundTrip(t *testing.T) {
 	rotate := GzipRotate(func(day int) (io.WriteCloser, error) {
 		return nopCloser{&buf}, nil
 	})
-	m := NewMonitor(snap, cfg.Arch, rotate)
+	m := NewMonitor(snap, rotate)
 	if err := m.BeginJob(5); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestGzipCompressionRatio(t *testing.T) {
 	write := func(rotate RotateFunc) {
 		snap := procfs.NewNodeSnapshot(cfg, "node")
 		snap.Time = 1306886400
-		m := NewMonitor(snap, cfg.Arch, rotate)
+		m := NewMonitor(snap, rotate)
 		for i := 0; i < 144; i++ {
 			snap.Time += 600
 			for c := 0; c < 16; c++ {

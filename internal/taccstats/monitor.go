@@ -3,8 +3,11 @@ package taccstats
 import (
 	"fmt"
 	"io"
+	"io/fs"
+	"sort"
+	"strconv"
+	"strings"
 
-	"supremm/internal/cluster"
 	"supremm/internal/procfs"
 )
 
@@ -12,6 +15,34 @@ import (
 // are per node per day on the deployed systems). Returning an error
 // aborts the sample that triggered rotation.
 type RotateFunc func(day int) (io.WriteCloser, error)
+
+// dayFileExt ends every day file of a raw archive.
+const dayFileExt = ".raw"
+
+// DayFileName names the file of a raw archive's host directory that
+// holds the given day (unix seconds / 86400): "15126.raw".
+func DayFileName(day int) string { return strconv.Itoa(day) + dayFileExt }
+
+// DayFiles returns the names of the day files among a host directory's
+// entries, in day order ("2.raw" before "10.raw"); a day file whose
+// name carries no day number sorts last.
+func DayFiles(entries []fs.DirEntry) []string {
+	var names []string
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), dayFileExt) {
+			names = append(names, e.Name())
+		}
+	}
+	dayOf := func(name string) int {
+		n, err := strconv.Atoi(strings.TrimSuffix(name, dayFileExt))
+		if err != nil {
+			return 1 << 30
+		}
+		return n
+	}
+	sort.Slice(names, func(i, j int) bool { return dayOf(names[i]) < dayOf(names[j]) })
+	return names
+}
 
 // Monitor is the per-node TACC_Stats agent. It samples the node's
 // synthetic /proc snapshot at job begin, periodically (every ten minutes
@@ -21,30 +52,21 @@ type RotateFunc func(day int) (io.WriteCloser, error)
 // daily.
 type Monitor struct {
 	snap   *procfs.Snapshot
-	arch   cluster.Microarch
 	rotate RotateFunc
 
-	cur     io.WriteCloser
-	w       *Writer
-	curDay  int
-	started bool
-
-	// SampleIntervalSec is the periodic cadence; 600 in production.
-	SampleIntervalSec int64
+	cur    io.WriteCloser
+	w      *Writer
+	curDay int
 
 	totalBytes int64
 	samples    int64
 }
 
-// NewMonitor creates a monitor over a node snapshot.
-func NewMonitor(snap *procfs.Snapshot, arch cluster.Microarch, rotate RotateFunc) *Monitor {
-	return &Monitor{
-		snap:              snap,
-		arch:              arch,
-		rotate:            rotate,
-		curDay:            -1,
-		SampleIntervalSec: 600,
-	}
+// NewMonitor creates a monitor over a node snapshot; the snapshot's
+// Arch names the processor in each file header and picks the PMC block
+// that job begin reprograms.
+func NewMonitor(snap *procfs.Snapshot, rotate RotateFunc) *Monitor {
+	return &Monitor{snap: snap, rotate: rotate, curDay: -1}
 }
 
 // TotalBytes reports raw bytes emitted over the monitor's lifetime,
@@ -78,7 +100,7 @@ func (m *Monitor) ensureFile() error {
 	m.cur = wc
 	m.w = NewWriter(wc)
 	m.curDay = day
-	return m.w.WriteHeader(m.snap, m.arch.String())
+	return m.w.WriteHeader(m.snap, m.snap.Arch.String())
 }
 
 func (m *Monitor) closeCurrent() error {
@@ -120,14 +142,13 @@ func (m *Monitor) writeSample(mark string) error {
 		return err
 	}
 	m.samples++
-	m.started = true
 	return nil
 }
 
 // reprogramPMCs zeroes the hardware performance counter block, the
 // observable effect of writing the event-select registers.
 func (m *Monitor) reprogramPMCs() {
-	typ := procfs.PMCType(m.arch)
+	typ, _ := procfs.PMCBlock(m.snap.Arch)
 	ts := m.snap.Type(typ)
 	if ts == nil {
 		return

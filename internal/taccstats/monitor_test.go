@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"io/fs"
+	"slices"
 	"testing"
+	"testing/fstest"
 
 	"supremm/internal/cluster"
 	"supremm/internal/procfs"
@@ -37,7 +40,7 @@ func newTestMonitor(t *testing.T) (*Monitor, *procfs.Snapshot, *memFiles) {
 	snap := procfs.NewNodeSnapshot(cfg, "c000-000.ranger")
 	snap.Time = 0
 	files := newMemFiles()
-	m := NewMonitor(snap, cfg.Arch, files.rotate)
+	m := NewMonitor(snap, files.rotate)
 	return m, snap, files
 }
 
@@ -153,7 +156,7 @@ func TestRotateErrorPropagates(t *testing.T) {
 	cfg := cluster.RangerConfig()
 	snap := procfs.NewNodeSnapshot(cfg, "h")
 	boom := errors.New("disk full")
-	m := NewMonitor(snap, cfg.Arch, func(day int) (io.WriteCloser, error) {
+	m := NewMonitor(snap, func(day int) (io.WriteCloser, error) {
 		return nil, boom
 	})
 	if err := m.Sample(); !errors.Is(err, boom) {
@@ -165,7 +168,7 @@ func TestIntelPMCReprogram(t *testing.T) {
 	cfg := cluster.Lonestar4Config()
 	snap := procfs.NewNodeSnapshot(cfg, "h")
 	files := newMemFiles()
-	m := NewMonitor(snap, cfg.Arch, files.rotate)
+	m := NewMonitor(snap, files.rotate)
 	snap.Add(procfs.TypeIntelPMC, "3", "L1D_HITS", 12345)
 	if err := m.BeginJob(9); err != nil {
 		t.Fatal(err)
@@ -174,4 +177,25 @@ func TestIntelPMCReprogram(t *testing.T) {
 		t.Errorf("Intel PMC not reprogrammed: %d", got)
 	}
 	m.Close()
+}
+
+func TestDayFiles(t *testing.T) {
+	if got := DayFileName(15126); got != "15126.raw" {
+		t.Errorf("DayFileName(15126) = %q", got)
+	}
+	dir := fstest.MapFS{
+		"10.raw":    {},
+		"2.raw":     {},
+		"notes.txt": {},
+		"x.raw":     {},
+		"3.raw/a":   {},
+	}
+	entries, err := fs.ReadDir(dir, ".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := DayFiles(entries)
+	if want := []string{"2.raw", "10.raw", "x.raw"}; !slices.Equal(got, want) {
+		t.Errorf("DayFiles = %v, want %v", got, want)
+	}
 }
