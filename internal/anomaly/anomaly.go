@@ -192,13 +192,14 @@ func FailureProfiles(st store.Reader, by store.GroupKey, f store.Filter) []Failu
 	index := make(map[string]int) // key -> position in out
 	out := []FailureProfile{}
 	st.Scan(f).Walk(func(c *store.Columns, rows []int32) {
-		keys, statuses := c.KeyColumn(by), c.Status.Values
+		keys, status := c.KeyColumn(by), c.KeyColumn(store.ByStatus)
 		if keys == nil {
-			keys = &c.Cluster
+			keys = c.KeyColumn(store.ByCluster)
 		}
+		statuses := status.Values
 		counts := make([]int, len(keys.Values)*len(statuses))
 		for _, i := range rows {
-			counts[int(keys.Codes[i])*len(statuses)+int(c.Status.Codes[i])]++
+			counts[int(keys.Codes[i])*len(statuses)+int(status.Codes[i])]++
 		}
 		for at, n := range counts {
 			if n == 0 {

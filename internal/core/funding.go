@@ -38,7 +38,7 @@ func (r *Realm) UsageByScienceOverTime(bucketDays int) []ScienceUsagePoint {
 	}
 	buckets := make(map[int64]*bucket)
 	r.Store.Scan(r.JobFilter()).Walk(func(c *store.Columns, rows []int32) {
-		nodeHours := c.NodeHours()
+		nodeHours, science := c.NodeHours(), c.KeyColumn(store.ByScience)
 		// Consecutive rows mostly share a bucket (a day shard never
 		// straddles one), so it is looked up once per run of rows.
 		var cur *bucket
@@ -51,7 +51,7 @@ func (r *Realm) UsageByScienceOverTime(bucketDays int) []ScienceUsagePoint {
 				}
 				curStart = b
 			}
-			sci := c.Science.Values[c.Science.Codes[i]]
+			sci := science.Values[science.Codes[i]]
 			cl := cur.cells[sci]
 			if cl == nil {
 				cl = &cell{}

@@ -116,11 +116,12 @@ func Fig5(w io.Writer, r *core.Realm) error {
 }
 
 // Table1 renders the Table 1 reproduction: persistence ratios at the
-// paper's offsets with per-metric fit R^2.
+// paper's offsets with per-metric fit R^2, one column per
+// core.PersistenceMetrics entry under its short header label.
 func Table1(w io.Writer, tab *core.PersistenceTable) error {
 	t := NewTable("== Table 1: persistence ratios (offset-difference sd normalized; see DESIGN.md) ==",
 		"offset(min)", "flops", "mem", "write", "ib_tx", "cpu_idle")
-	cols := []string{"cpu_flops", "mem_used", "io_scratch_write", "net_ib_tx", "cpu_idle"}
+	cols := core.PersistenceMetrics()
 	for i, off := range tab.OffsetsMin {
 		row := []string{fmt.Sprintf("%d", off)}
 		for _, m := range cols {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -41,7 +42,9 @@ const (
 
 // decodeParams validates q against the allowed key set and fills
 // Params with defaults matching the paper's analysis population
-// (minsamples=1: jobs longer than one sampling interval).
+// (minsamples=1: jobs longer than one sampling interval). A bad query
+// gets one error whatever q's map order: the lexicographically smallest
+// unknown key, else the first bad key in allowed's order.
 func decodeParams(q url.Values, allowed ...string) (Params, error) {
 	p := Params{
 		Group:   store.ByUser,
@@ -51,13 +54,19 @@ func decodeParams(q url.Values, allowed ...string) (Params, error) {
 		Bins:    20,
 		N:       5,
 	}
-	allow := make(map[string]bool, len(allowed))
-	for _, k := range allowed {
-		allow[k] = true
+	unknown, found := "", false
+	for key := range q {
+		if !slices.Contains(allowed, key) && (!found || key < unknown) {
+			unknown, found = key, true
+		}
 	}
-	for key, vals := range q {
-		if !allow[key] {
-			return Params{}, fmt.Errorf("unknown parameter %q", key)
+	if found {
+		return Params{}, fmt.Errorf("unknown parameter %q", unknown)
+	}
+	for _, key := range allowed {
+		vals, ok := q[key]
+		if !ok {
+			continue
 		}
 		if len(vals) != 1 {
 			return Params{}, fmt.Errorf("parameter %q repeated %d times", key, len(vals))

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"net/http"
 	"net/url"
 	"reflect"
+	"strings"
 	"testing"
 
 	"supremm/internal/core"
@@ -141,6 +143,62 @@ func TestParseQuery(t *testing.T) {
 	} {
 		if _, err := ParseQuery(spec); err == nil {
 			t.Errorf("ParseQuery(%q) accepted bad input", spec)
+		}
+	}
+}
+
+// TestDecodeParamsErrorIsDeterministic: a query with several bad keys
+// gets the same 400 on every call, whatever url.Values' map order —
+// the lexicographically smallest unknown key, else the first bad key
+// in the order the endpoint lists its keys. Both over HTTP and through
+// ParseQuery (cmd/xdmod -query).
+func TestDecodeParamsErrorIsDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	writeDataDir(t, dir, fixtureStore(20), fixtureSeries(5), nil)
+	srv := newTestServer(t, dir)
+	const calls = 200
+	for target, want := range map[string]string{
+		"/api/v1/distribution?bins=0&minsamples=-1&n=abc":           `unknown parameter \"n\"`,
+		"/api/v1/distribution?zz=1&bins=0&minsamples=-1&n=abc":      `unknown parameter \"n\"`,
+		"/api/v1/distribution?minsamples=-1&bins=0&metric=bogus":    `unknown metric \"bogus\"`,
+		"/api/v1/distribution?minsamples=-1&bins=0&metric=cpu_idle": `bad bins \"0\"`,
+	} {
+		bodies := map[string]int{}
+		for i := 0; i < calls; i++ {
+			status, body := get(t, srv, target)
+			if status != http.StatusBadRequest {
+				t.Fatalf("%s: status %d, want 400", target, status)
+			}
+			bodies[string(body)]++
+		}
+		if len(bodies) != 1 {
+			t.Errorf("%s: %d different bodies over %d calls: %v", target, len(bodies), calls, bodies)
+		}
+		for body := range bodies {
+			if !strings.Contains(body, want) {
+				t.Errorf("%s: body %s, want it to name %s", target, body, want)
+			}
+		}
+	}
+	for spec, want := range map[string]string{
+		"limit=0 bogus=1":       `unknown parameter "bogus"`,
+		"limit=0 minsamples=-1": `bad limit "0"`,
+	} {
+		errs := map[string]int{}
+		for i := 0; i < calls; i++ {
+			_, err := ParseQuery(spec)
+			if err == nil {
+				t.Fatalf("ParseQuery(%q) accepted bad input", spec)
+			}
+			errs[err.Error()]++
+		}
+		if len(errs) != 1 {
+			t.Errorf("ParseQuery(%q): %d different errors over %d calls: %v", spec, len(errs), calls, errs)
+		}
+		for e := range errs {
+			if !strings.Contains(e, want) {
+				t.Errorf("ParseQuery(%q): %s, want it to name %s", spec, e, want)
+			}
 		}
 	}
 }

@@ -108,7 +108,7 @@ func LoadRealm(dir string) (*core.Realm, error) {
 func newRealm(st *store.ShardSet, series []store.SystemSample) *core.Realm {
 	name := "unknown"
 	if st.Len() > 0 {
-		c := &st.ShardAt(0).Columns().Cluster
+		c := st.ShardAt(0).Columns().KeyColumn(store.ByCluster)
 		name = c.Values[c.Codes[0]]
 	}
 	cc, ok := cluster.Preset(name)

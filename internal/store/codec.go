@@ -12,17 +12,18 @@ import (
 //
 // The file is a direct little-endian serialization of Columns: a fixed
 // header followed by one length-prefixed, CRC32-guarded block per
-// column, in a fixed canonical order. Numeric columns are raw value
-// arrays; string columns are a dictionary (each distinct value once,
-// in first-appearance order) plus one uint32 code per row. Decoding
-// never trusts a declared length without checking it against the bytes
+// column, in the order Columns.each walks them: block k, id k, is the
+// walk's k-th column. Numeric columns are raw value arrays; string
+// columns are a dictionary (each distinct value once, in
+// first-appearance order) plus one uint32 code per row. Decoding never
+// trusts a declared length without checking it against the bytes
 // actually present, so a hostile file cannot drive allocations past its
 // own size, and any structural damage (truncation, bit flips, trailing
 // garbage) is an error — never a panic, never a silently wrong store.
 //
 // Versioning: the major version is part of the header; readers reject
 // any version they do not know. New columns get new block ids and a
-// version bump; v1 requires exactly the 23 known blocks in canonical
+// version bump; v1 requires exactly the 23 known blocks in that
 // order, which also makes encode→decode→encode byte-stable.
 
 const (
@@ -34,25 +35,6 @@ const (
 	codecHeaderLen = 8 + 4 + 4 + 8
 	// blockHeaderLen is id + payload length + payload CRC32.
 	blockHeaderLen = 4 + 8 + 4
-	// numBlocks is the fixed v1 block count: 5 int64/int32 identity
-	// columns + job id + 5 dictionary columns + 12 metric columns.
-	numBlocks = 11 + NumMetrics
-)
-
-// Block ids, in the canonical file order.
-const (
-	blockJobID   = 1
-	blockCluster = 2
-	blockUser    = 3
-	blockApp     = 4
-	blockScience = 5
-	blockStatus  = 6
-	blockNodes   = 7
-	blockSubmit  = 8
-	blockStart   = 9
-	blockEnd     = 10
-	blockSamples = 11
-	blockMetric0 = 12 // metric k is block blockMetric0+k, AllMetrics order
 )
 
 // EncodeColumns serializes the columnar layout into the binary snapshot
@@ -62,7 +44,7 @@ const (
 // result is allocated once, at its exact size.
 func EncodeColumns(c *Columns) []byte {
 	total, _ := encodedLen(c)
-	bw := blockWriter{buf: make([]byte, 0, total)}
+	bw := &blockWriter{buf: make([]byte, 0, total)}
 	bw.columns(c)
 	return bw.buf
 }
@@ -71,15 +53,23 @@ func EncodeColumns(c *Columns) []byte {
 // largest single piece (the file header, or one block with its header):
 // what EncodeColumns and SaveBinary allocate, once, never to regrow.
 func encodedLen(c *Columns) (total, largestPiece int) {
-	n := c.Len()
-	total = codecHeaderLen + numBlocks*blockHeaderLen + (4+NumMetrics)*8*n + 2*4*n
-	largest := 8 * n
-	for _, d := range []*DictColumn{&c.Cluster, &c.User, &c.App, &c.Science, &c.Status} {
-		size := d.encodedLen()
-		total, largest = total+size, max(largest, size)
-	}
-	return total, max(codecHeaderLen, blockHeaderLen+largest)
+	sz := &sizer{total: codecHeaderLen, largest: codecHeaderLen}
+	c.each(sz)
+	return sz.total, sz.largest
 }
+
+// sizer is the walk that measures the blocks Columns.each would write.
+type sizer struct{ total, largest int }
+
+func (sz *sizer) block(size int) {
+	sz.total += blockHeaderLen + size
+	sz.largest = max(sz.largest, blockHeaderLen+size)
+}
+
+func (sz *sizer) int64s(col *[]int64)     { sz.block(8 * len(*col)) }
+func (sz *sizer) int32s(col *[]int32)     { sz.block(4 * len(*col)) }
+func (sz *sizer) float64s(col *[]float64) { sz.block(8 * len(*col)) }
+func (sz *sizer) dict(col *DictColumn)    { sz.block(col.encodedLen()) }
 
 // encodedLen is the dictionary block's payload size: the value count,
 // each value length-prefixed, one code per row.
@@ -100,36 +90,25 @@ func (d *DictColumn) encodedLen() int {
 type blockWriter struct {
 	buf []byte
 	w   io.Writer
-	err error // first error from w; nothing is written after it
+	err error  // first error from w; nothing is written after it
+	id  uint32 // the last block's id: block k is the k-th of Columns.each
 }
 
-// columns emits the file header and the 23 blocks in canonical order.
+// columns emits the file header, then one block per column of the walk.
 func (bw *blockWriter) columns(c *Columns) {
 	bw.buf = append(bw.buf, codecMagic...)
 	bw.buf = binary.LittleEndian.AppendUint32(bw.buf, codecVersion)
 	bw.buf = binary.LittleEndian.AppendUint32(bw.buf, 0) // flags, reserved
 	bw.buf = binary.LittleEndian.AppendUint64(bw.buf, uint64(c.Len()))
 	bw.flush()
-
-	bw.int64s(blockJobID, c.JobID)
-	bw.dict(blockCluster, &c.Cluster)
-	bw.dict(blockUser, &c.User)
-	bw.dict(blockApp, &c.App)
-	bw.dict(blockScience, &c.Science)
-	bw.dict(blockStatus, &c.Status)
-	bw.int32s(blockNodes, c.Nodes)
-	bw.int64s(blockSubmit, c.Submit)
-	bw.int64s(blockStart, c.Start)
-	bw.int64s(blockEnd, c.End)
-	bw.int32s(blockSamples, c.Samples)
-	for k := 0; k < NumMetrics; k++ {
-		bw.float64s(uint32(blockMetric0+k), c.Metrics[k])
-	}
+	c.each(bw)
 }
 
-// block appends one block: fill encodes the size payload bytes in place.
-func (bw *blockWriter) block(id uint32, size int, fill func(payload []byte)) {
-	start := len(bw.buf)
+// block appends the next block: fill encodes the size payload bytes in
+// place.
+func (bw *blockWriter) block(size int, fill func(payload []byte)) {
+	bw.id++
+	id, start := bw.id, len(bw.buf)
 	bw.buf = bw.buf[:start+blockHeaderLen+size]
 	hdr, payload := bw.buf[start:start+blockHeaderLen], bw.buf[start+blockHeaderLen:]
 	fill(payload)
@@ -150,32 +129,32 @@ func (bw *blockWriter) flush() {
 	bw.buf = bw.buf[:0]
 }
 
-func (bw *blockWriter) int64s(id uint32, col []int64) {
-	bw.block(id, len(col)*8, func(p []byte) {
-		for i, v := range col {
+func (bw *blockWriter) int64s(col *[]int64) {
+	bw.block(len(*col)*8, func(p []byte) {
+		for i, v := range *col {
 			binary.LittleEndian.PutUint64(p[i*8:], uint64(v))
 		}
 	})
 }
 
-func (bw *blockWriter) int32s(id uint32, col []int32) {
-	bw.block(id, len(col)*4, func(p []byte) {
-		for i, v := range col {
+func (bw *blockWriter) int32s(col *[]int32) {
+	bw.block(len(*col)*4, func(p []byte) {
+		for i, v := range *col {
 			binary.LittleEndian.PutUint32(p[i*4:], uint32(v))
 		}
 	})
 }
 
-func (bw *blockWriter) float64s(id uint32, col []float64) {
-	bw.block(id, len(col)*8, func(p []byte) {
-		for i, v := range col {
+func (bw *blockWriter) float64s(col *[]float64) {
+	bw.block(len(*col)*8, func(p []byte) {
+		for i, v := range *col {
 			binary.LittleEndian.PutUint64(p[i*8:], math.Float64bits(v))
 		}
 	})
 }
 
-func (bw *blockWriter) dict(id uint32, d *DictColumn) {
-	bw.block(id, d.encodedLen(), func(p []byte) {
+func (bw *blockWriter) dict(d *DictColumn) {
+	bw.block(d.encodedLen(), func(p []byte) {
 		binary.LittleEndian.PutUint32(p, uint32(len(d.Values)))
 		p = p[4:]
 		for _, v := range d.Values {
@@ -392,8 +371,9 @@ func DecodeColumns(data []byte) (*Columns, error) {
 	rows := int(rows64)
 
 	c := &Columns{}
-	if err := decodeBody(&d, c, rows); err != nil {
-		return nil, err
+	br := &blockReader{d: &d, rows: rows}
+	if c.each(br); br.err != nil {
+		return nil, br.err
 	}
 	if d.remaining() != 0 {
 		return nil, fmt.Errorf("store: %d trailing bytes after last block", d.remaining())
@@ -402,76 +382,49 @@ func DecodeColumns(data []byte) (*Columns, error) {
 	return c, nil
 }
 
-// decodeBody reads the 23 canonical blocks into c.
-func decodeBody(d *decoder, c *Columns, rows int) error {
-	var err error
-	int64Col := func(id uint32, dst *[]int64) error {
-		payload, berr := d.block(id)
-		if berr != nil {
-			return berr
-		}
-		*dst, berr = decodeInt64s(payload, rows)
-		return berr
+// blockReader is the decoding walk: each call reads the next block,
+// verifies its id and checksum, and decodes it into the column. The
+// first error sticks; every later call is a no-op.
+type blockReader struct {
+	d    *decoder
+	rows int
+	id   uint32 // the last block's id: block k is the k-th of Columns.each
+	err  error
+}
+
+// payload returns the next block's verified payload; ok is false once
+// any block has failed.
+func (br *blockReader) payload() (p []byte, ok bool) {
+	if br.err != nil {
+		return nil, false
 	}
-	int32Col := func(id uint32, dst *[]int32) error {
-		payload, berr := d.block(id)
-		if berr != nil {
-			return berr
-		}
-		*dst, berr = decodeInt32s(payload, rows)
-		return berr
+	br.id++
+	p, br.err = br.d.block(br.id)
+	return p, br.err == nil
+}
+
+func (br *blockReader) int64s(col *[]int64) {
+	if p, ok := br.payload(); ok {
+		*col, br.err = decodeInt64s(p, br.rows)
 	}
-	dictCol := func(id uint32, dst *DictColumn) error {
-		payload, berr := d.block(id)
-		if berr != nil {
-			return berr
-		}
-		*dst, berr = decodeDict(payload, rows)
-		return berr
+}
+
+func (br *blockReader) int32s(col *[]int32) {
+	if p, ok := br.payload(); ok {
+		*col, br.err = decodeInt32s(p, br.rows)
 	}
-	if err = int64Col(blockJobID, &c.JobID); err != nil {
-		return err
+}
+
+func (br *blockReader) float64s(col *[]float64) {
+	if p, ok := br.payload(); ok {
+		*col, br.err = decodeFloat64s(p, br.rows)
 	}
-	if err = dictCol(blockCluster, &c.Cluster); err != nil {
-		return err
+}
+
+func (br *blockReader) dict(col *DictColumn) {
+	if p, ok := br.payload(); ok {
+		*col, br.err = decodeDict(p, br.rows)
 	}
-	if err = dictCol(blockUser, &c.User); err != nil {
-		return err
-	}
-	if err = dictCol(blockApp, &c.App); err != nil {
-		return err
-	}
-	if err = dictCol(blockScience, &c.Science); err != nil {
-		return err
-	}
-	if err = dictCol(blockStatus, &c.Status); err != nil {
-		return err
-	}
-	if err = int32Col(blockNodes, &c.Nodes); err != nil {
-		return err
-	}
-	if err = int64Col(blockSubmit, &c.Submit); err != nil {
-		return err
-	}
-	if err = int64Col(blockStart, &c.Start); err != nil {
-		return err
-	}
-	if err = int64Col(blockEnd, &c.End); err != nil {
-		return err
-	}
-	if err = int32Col(blockSamples, &c.Samples); err != nil {
-		return err
-	}
-	for k := 0; k < NumMetrics; k++ {
-		payload, berr := d.block(uint32(blockMetric0 + k))
-		if berr != nil {
-			return berr
-		}
-		if c.Metrics[k], berr = decodeFloat64s(payload, rows); berr != nil {
-			return berr
-		}
-	}
-	return nil
 }
 
 // SaveBinary writes the store as a binary snapshot (jobs.supremm): the
@@ -479,7 +432,7 @@ func decodeBody(d *decoder, c *Columns, rows int) error {
 // the size of the largest block instead of a second copy of the store.
 func (s *Store) SaveBinary(w io.Writer) error {
 	_, largest := encodedLen(&s.c)
-	bw := blockWriter{buf: make([]byte, 0, largest), w: w}
+	bw := &blockWriter{buf: make([]byte, 0, largest), w: w}
 	bw.columns(&s.c)
 	return bw.err
 }

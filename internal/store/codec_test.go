@@ -185,7 +185,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		return b
 	})
 	mutate("reordered block id", func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[codecHeaderLen:], blockCluster)
+		binary.LittleEndian.PutUint32(b[codecHeaderLen:], 2) // the second block's id
 		return b
 	})
 	mutate("hostile block length", func(b []byte) []byte {
@@ -304,6 +304,14 @@ func TestSaveBinaryMatchesEncodeColumns(t *testing.T) {
 	}
 }
 
+// blockCounter is a walk that counts the snapshot's blocks.
+type blockCounter int
+
+func (n *blockCounter) int64s(*[]int64)     { *n++ }
+func (n *blockCounter) int32s(*[]int32)     { *n++ }
+func (n *blockCounter) float64s(*[]float64) { *n++ }
+func (n *blockCounter) dict(*DictColumn)    { *n++ }
+
 // failAfter accepts writes until the failAt-th (0-based), which fails.
 type failAfter struct {
 	failAt, calls int
@@ -328,6 +336,9 @@ func (w *failAfter) Write(p []byte) (int, error) {
 func TestSaveBinaryStopsAtFirstWriteError(t *testing.T) {
 	st := codecStore(300)
 	want := EncodeColumns(st.Columns())
+	var blocks blockCounter
+	st.Columns().each(&blocks)
+	numBlocks := int(blocks)
 	for failAt := 0; failAt <= numBlocks; failAt++ {
 		w := &failAfter{failAt: failAt}
 		if err := st.SaveBinary(w); !errors.Is(err, errDiskFull) {

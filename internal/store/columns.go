@@ -11,12 +11,9 @@ import "math"
 // filter and aggregation kernel runs over these slices, and the binary
 // snapshot format (codec.go) is a direct serialization of this struct.
 type Columns struct {
-	JobID   []int64
-	Cluster DictColumn
-	User    DictColumn
-	App     DictColumn
-	Science DictColumn
-	Status  DictColumn
+	JobID []int64
+	// keys holds the five string dimensions by GroupKey (KeyColumn).
+	keys    [numGroupKeys]DictColumn
 	Nodes   []int32
 	Submit  []int64
 	Start   []int64
@@ -38,6 +35,34 @@ type Columns struct {
 	minSamples int32
 	minEnd     int64
 	maxEnd     int64
+}
+
+// columnVisitor is one step over the serialized columns: the encoder,
+// the decoder and the sizer each implement it, and Columns.each drives
+// them all through the same file order.
+type columnVisitor interface {
+	int64s(col *[]int64)
+	int32s(col *[]int32)
+	float64s(col *[]float64)
+	dict(col *DictColumn)
+}
+
+// each visits the serialized columns in the v1 file order — the one
+// statement of the snapshot layout (DESIGN.md §11): block k of a
+// jobs.supremm or shard file is the k-th call.
+func (c *Columns) each(v columnVisitor) {
+	v.int64s(&c.JobID)
+	for _, k := range [...]GroupKey{ByCluster, ByUser, ByApp, ByScience, ByStatus} {
+		v.dict(&c.keys[k])
+	}
+	v.int32s(&c.Nodes)
+	v.int64s(&c.Submit)
+	v.int64s(&c.Start)
+	v.int64s(&c.End)
+	v.int32s(&c.Samples)
+	for k := range c.Metrics {
+		v.float64s(&c.Metrics[k])
+	}
 }
 
 // NumMetrics is the number of numeric metric columns (AllMetrics).
@@ -152,18 +177,16 @@ func (d *DictColumn) rebuildIndex() {
 // derived weight and bounds.
 func (c *Columns) appendRecord(r JobRecord) {
 	c.JobID = append(c.JobID, r.JobID)
-	c.Cluster.append(r.Cluster)
-	c.User.append(r.User)
-	c.App.append(r.App)
-	c.Science.append(r.Science)
-	c.Status.append(r.Status)
+	for k, v := range r.keyFields() {
+		c.keys[k].append(*v)
+	}
 	c.Nodes = append(c.Nodes, int32(r.Nodes))
 	c.Submit = append(c.Submit, r.Submit)
 	c.Start = append(c.Start, r.Start)
 	c.End = append(c.End, r.End)
 	c.Samples = append(c.Samples, int32(r.Samples))
-	for pos, m := range AllMetrics() {
-		c.Metrics[pos] = append(c.Metrics[pos], r.Value(m))
+	for k, v := range r.metricFields() {
+		c.Metrics[k] = append(c.Metrics[k], *v)
 	}
 	c.weight = append(c.weight, float64(r.Nodes)*float64(r.End-r.Start)/3600)
 	n := len(c.JobID)
@@ -195,8 +218,9 @@ func (c *Columns) gather(rows []int) *Columns {
 	out.JobID, out.Submit = gatherCol(c.JobID, rows), gatherCol(c.Submit, rows)
 	out.Start, out.End = gatherCol(c.Start, rows), gatherCol(c.End, rows)
 	out.Nodes, out.Samples = gatherCol(c.Nodes, rows), gatherCol(c.Samples, rows)
-	out.Cluster, out.User, out.App = c.Cluster.gather(rows), c.User.gather(rows), c.App.gather(rows)
-	out.Science, out.Status = c.Science.gather(rows), c.Status.gather(rows)
+	for k := range c.keys {
+		out.keys[k] = c.keys[k].gather(rows)
+	}
 	for k := range c.Metrics {
 		out.Metrics[k] = gatherCol(c.Metrics[k], rows)
 	}
@@ -244,11 +268,9 @@ func (c *Columns) Len() int { return len(c.JobID) }
 // the weight cache, the vacuity bounds) from the serialized columns.
 // DecodeColumns calls it after a successful structural decode.
 func (c *Columns) recomputeDerived() {
-	c.Cluster.rebuildIndex()
-	c.User.rebuildIndex()
-	c.App.rebuildIndex()
-	c.Science.rebuildIndex()
-	c.Status.rebuildIndex()
+	for k := range c.keys {
+		c.keys[k].rebuildIndex()
+	}
 	n := c.Len()
 	c.weight = make([]float64, n)
 	c.minSamples = 0
@@ -274,22 +296,15 @@ func (c *Columns) recomputeDerived() {
 // record materializes row i back into the compatibility JobRecord.
 func (c *Columns) record(i int) JobRecord {
 	r := JobRecord{
-		JobID: c.JobID[i], Cluster: c.Cluster.value(i), User: c.User.value(i),
-		App: c.App.value(i), Science: c.Science.value(i), Nodes: int(c.Nodes[i]),
+		JobID: c.JobID[i], Nodes: int(c.Nodes[i]),
 		Submit: c.Submit[i], Start: c.Start[i], End: c.End[i],
-		Status: c.Status.value(i), Samples: int(c.Samples[i]),
+		Samples: int(c.Samples[i]),
 	}
-	r.CPUIdleFrac = c.Metrics[0][i]
-	r.CPUUserFrac = c.Metrics[1][i]
-	r.CPUSysFrac = c.Metrics[2][i]
-	r.MemUsedGB = c.Metrics[3][i]
-	r.MemUsedMaxGB = c.Metrics[4][i]
-	r.FlopsGF = c.Metrics[5][i]
-	r.ScratchWriteMB = c.Metrics[6][i]
-	r.WorkWriteMB = c.Metrics[7][i]
-	r.ReadMB = c.Metrics[8][i]
-	r.IBTxMB = c.Metrics[9][i]
-	r.IBRxMB = c.Metrics[10][i]
-	r.LnetTxMB = c.Metrics[11][i]
+	for k, v := range r.keyFields() {
+		*v = c.keys[k].value(i)
+	}
+	for k, v := range r.metricFields() {
+		*v = c.Metrics[k][i]
+	}
 	return r
 }

@@ -1,17 +1,19 @@
 package store
 
 // Index is a shard's secondary-index layer: one posting list of
-// ascending row ids per cluster, user and app value that narrows — a
-// value some row carries and some row does not — accelerating the
-// selective filters the query daemon serves. newShard builds it with
-// the shard, so every shard has one and none is written after
-// construction. Lists are ascending, so an indexed selection is exactly
-// the row set (and order) a full scan would give.
+// ascending row ids per value of each indexed dimension (indexedKeys)
+// that narrows — a value some row carries and some row does not —
+// accelerating the selective filters the query daemon serves. newShard
+// builds it with the shard, so every shard has one and none is written
+// after construction. Lists are ascending, so an indexed selection is
+// exactly the row set (and order) a full scan would give.
 type Index struct {
-	cluster postings
-	user    postings
-	app     postings
+	lists [numGroupKeys]postings // by GroupKey; nil for a key not in indexedKeys
 }
+
+// indexedKeys are the dimensions that carry posting lists, in the order
+// narrowest breaks a tie between equally short lists.
+var indexedKeys = [...]GroupKey{ByCluster, ByUser, ByApp}
 
 // postings holds, by dictionary code, the ascending row ids carrying
 // the value; nil for a value every row carries, which narrows nothing
@@ -20,11 +22,11 @@ type postings [][]int32
 
 // newIndex inverts the indexed dictionary columns.
 func newIndex(c *Columns) Index {
-	return Index{
-		cluster: buildPostings(&c.Cluster),
-		user:    buildPostings(&c.User),
-		app:     buildPostings(&c.App),
+	var ix Index
+	for _, k := range indexedKeys {
+		ix.lists[k] = buildPostings(&c.keys[k])
 	}
+	return ix
 }
 
 // buildPostings inverts a dictionary column. The lists are carved,
@@ -59,16 +61,12 @@ func buildPostings(d *DictColumn) postings {
 func (ix *Index) narrowest(cf *compiledFilter) ([]int32, bool) {
 	var best []int32
 	found := false
-	consider := func(p postings, code int64) {
-		if code < 0 {
-			return
-		}
-		if list := p[code]; !found || len(list) < len(best) {
-			best, found = list, true
+	for _, k := range indexedKeys {
+		if code := cf.keys[k]; code >= 0 {
+			if list := ix.lists[k][code]; !found || len(list) < len(best) {
+				best, found = list, true
+			}
 		}
 	}
-	consider(ix.cluster, cf.cluster)
-	consider(ix.user, cf.user)
-	consider(ix.app, cf.app)
 	return best, found
 }

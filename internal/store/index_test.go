@@ -113,19 +113,19 @@ func TestIndexSkipsValueEveryRowCarries(t *testing.T) {
 	}
 	for name, st := range map[string]*Store{"one cluster": one, "two clusters": two} {
 		part := st.AsSet().ShardAt(0)
-		for code, v := range part.c.Cluster.Values {
-			every := part.c.Cluster.counts[code] == part.c.Len()
-			if list := part.idx.cluster[code]; every != (list == nil) {
+		for code, v := range part.c.keys[ByCluster].Values {
+			every := part.c.keys[ByCluster].counts[code] == part.c.Len()
+			if list := part.idx.lists[ByCluster][code]; every != (list == nil) {
 				t.Errorf("%s: cluster %q carried by every row = %v, posting list kept = %v", name, v, every, list != nil)
-			} else if !every && len(list) != part.c.Cluster.counts[code] {
-				t.Errorf("%s: cluster %q has %d rows and a list of %d", name, v, part.c.Cluster.counts[code], len(list))
+			} else if !every && len(list) != part.c.keys[ByCluster].counts[code] {
+				t.Errorf("%s: cluster %q has %d rows and a list of %d", name, v, part.c.keys[ByCluster].counts[code], len(list))
 			}
 		}
 	}
 	// With its one cluster's list gone, a window-cut broad filter scans
 	// the shard's columns instead of chasing every row id through it.
 	var cf compiledFilter
-	if !one.AsSet().ShardAt(0).compile(&Filter{Cluster: "ranger", EndAfter: 200_000}, &cf) || cf.cluster >= 0 || cf.endAfter == 0 || cf.whole != popNone {
+	if !one.AsSet().ShardAt(0).compile(&Filter{Cluster: "ranger", EndAfter: 200_000}, &cf) || cf.keys[ByCluster] >= 0 || cf.endAfter == 0 || cf.whole != popNone {
 		t.Errorf("compiled %+v: the vacuous cluster predicate survived, or the window did not", cf)
 	}
 }

@@ -154,7 +154,7 @@ func TestMemoFillPanicRetries(t *testing.T) {
 			func(ss *ShardSet) any { return ss.Scan(Filter{}).NodeHours() }},
 		{"aggregate partial", func(c *Columns) func() { return cutShort(&c.Metrics[MetricPos(MetricCPUIdle)]) }, nil,
 			func(ss *ShardSet) any { return ss.Aggregate(MetricCPUIdle, Filter{}) }},
-		{"group base", func(c *Columns) func() { return cutShort(&c.App.Codes) }, nil,
+		{"group base", func(c *Columns) func() { return cutShort(&c.keys[ByApp].Codes) }, nil,
 			func(ss *ShardSet) any { return ss.GroupBy(ByApp, metrics, Filter{}) }},
 		{"group metric sums", func(c *Columns) func() { return cutShort(&c.Metrics[MetricPos(MetricFlops)]) },
 			func(ss *ShardSet) { ss.GroupBy(ByApp, metrics, Filter{}) },

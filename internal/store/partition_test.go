@@ -57,7 +57,7 @@ func (s *Store) rowwisePartitionByEndDay() ([]int64, []*Columns) {
 type columnsView struct {
 	JobID, Submit, Start, End []int64
 	Nodes, Samples            []int32
-	Dicts                     [5]DictColumn
+	Dicts                     [numGroupKeys]DictColumn
 	Metrics                   [NumMetrics][]uint64
 	Weight                    []uint64
 	MinSamples                int32
@@ -78,7 +78,7 @@ func viewOf(c *Columns) columnsView {
 	v := columnsView{
 		JobID: c.JobID, Submit: c.Submit, Start: c.Start, End: c.End,
 		Nodes: c.Nodes, Samples: c.Samples,
-		Dicts:      [5]DictColumn{c.Cluster, c.User, c.App, c.Science, c.Status},
+		Dicts:      c.keys,
 		Weight:     bits(c.weight),
 		MinSamples: c.minSamples, MinEnd: c.minEnd, MaxEnd: c.maxEnd,
 	}

@@ -17,6 +17,14 @@ type Filter struct {
 	EndBefore int64
 }
 
+// keys returns the filter's string predicates by GroupKey.
+func (f *Filter) keys() [numGroupKeys]string {
+	return [numGroupKeys]string{
+		ByUser: f.User, ByApp: f.App, ByScience: f.Science,
+		ByCluster: f.Cluster, ByStatus: f.Status,
+	}
+}
+
 // MaxMinSamples is the largest MinSamples the query parser accepts
 // (serve.decodeParams, which cmd/xdmod -query shares through
 // serve.ParseQuery): a job holds far fewer monitor intervals than this,
@@ -47,10 +55,10 @@ const (
 // kernels then take the rows and their sums from the shard's memo
 // instead of walking.
 type compiledFilter struct {
-	cluster, user, app, science, status int64 // dict code, or -1 for "any"
-	minSamples                          int32 // 0 for "any"
-	endAfter, endBefore                 int64 // 0 for unbounded
-	whole                               population
+	keys                [numGroupKeys]int64 // dict code by GroupKey, or -1 for "any"
+	minSamples          int32               // 0 for "any"
+	endAfter, endBefore int64               // 0 for unbounded
+	whole               population
 }
 
 // compileDict resolves one string predicate: -1 for "any" — no value
@@ -85,17 +93,12 @@ func (sh *Shard) compile(f *Filter, cf *compiledFilter) bool {
 	}
 	*cf = compiledFilter{whole: popNone}
 	impossible, narrowed := false, false // no row can match; some dictionary predicate survives
-	dict := func(d *DictColumn, val string) int64 {
-		code, imp := compileDict(d, val, n)
+	for k, val := range f.keys() {
+		code, imp := compileDict(&c.keys[k], val, n)
+		cf.keys[k] = code
 		impossible = impossible || imp
 		narrowed = narrowed || code >= 0
-		return code
 	}
-	cf.cluster = dict(&c.Cluster, f.Cluster)
-	cf.user = dict(&c.User, f.User)
-	cf.app = dict(&c.App, f.App)
-	cf.science = dict(&c.Science, f.Science)
-	cf.status = dict(&c.Status, f.Status)
 	switch {
 	case f.MinSamples > math.MaxInt32:
 		return false // Samples is an int32 column: no row reaches it
@@ -123,17 +126,12 @@ func (sh *Shard) compile(f *Filter, cf *compiledFilter) bool {
 // matchCompiled reports whether row i passes the compiled filter.
 func (sh *Shard) matchCompiled(i int, cf *compiledFilter) bool {
 	c := sh.c
+	for k, code := range &cf.keys {
+		if code >= 0 && int64(c.keys[k].Codes[i]) != code {
+			return false
+		}
+	}
 	switch {
-	case cf.cluster >= 0 && int64(c.Cluster.Codes[i]) != cf.cluster:
-		return false
-	case cf.user >= 0 && int64(c.User.Codes[i]) != cf.user:
-		return false
-	case cf.app >= 0 && int64(c.App.Codes[i]) != cf.app:
-		return false
-	case cf.science >= 0 && int64(c.Science.Codes[i]) != cf.science:
-		return false
-	case cf.status >= 0 && int64(c.Status.Codes[i]) != cf.status:
-		return false
 	case cf.minSamples > 0 && c.Samples[i] < cf.minSamples:
 		return false
 	case cf.endAfter != 0 && c.End[i] < cf.endAfter:
@@ -230,20 +228,10 @@ func (k GroupKey) Name() string {
 // KeyColumn returns the dictionary column behind a grouping dimension,
 // nil for a key that is no dimension.
 func (c *Columns) KeyColumn(k GroupKey) *DictColumn {
-	switch k {
-	case ByUser:
-		return &c.User
-	case ByApp:
-		return &c.App
-	case ByScience:
-		return &c.Science
-	case ByCluster:
-		return &c.Cluster
-	case ByStatus:
-		return &c.Status
-	default:
+	if k < 0 || int(k) >= numGroupKeys {
 		return nil
 	}
+	return &c.keys[k]
 }
 
 // Group is one group-by bucket.

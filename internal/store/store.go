@@ -96,35 +96,30 @@ func AllMetrics() []Metric {
 	}
 }
 
-// Value extracts a metric from a record.
+// Value extracts a metric from a record, 0 for an unknown name.
 func (r *JobRecord) Value(m Metric) float64 {
-	switch m {
-	case MetricCPUIdle:
-		return r.CPUIdleFrac
-	case MetricCPUUser:
-		return r.CPUUserFrac
-	case MetricCPUSys:
-		return r.CPUSysFrac
-	case MetricMemUsed:
-		return r.MemUsedGB
-	case MetricMemUsedMax:
-		return r.MemUsedMaxGB
-	case MetricFlops:
-		return r.FlopsGF
-	case MetricScratchWrite:
-		return r.ScratchWriteMB
-	case MetricWorkWrite:
-		return r.WorkWriteMB
-	case MetricRead:
-		return r.ReadMB
-	case MetricIBTx:
-		return r.IBTxMB
-	case MetricIBRx:
-		return r.IBRxMB
-	case MetricLnetTx:
-		return r.LnetTxMB
-	default:
+	pos := MetricPos(m)
+	if pos < 0 {
 		return 0
+	}
+	return *r.metricFields()[pos]
+}
+
+// metricFields returns the record's metric fields in AllMetrics order —
+// the one map from a metric's position to its JobRecord field.
+func (r *JobRecord) metricFields() [NumMetrics]*float64 {
+	return [NumMetrics]*float64{
+		&r.CPUIdleFrac, &r.CPUUserFrac, &r.CPUSysFrac, &r.MemUsedGB,
+		&r.MemUsedMaxGB, &r.FlopsGF, &r.ScratchWriteMB,
+		&r.WorkWriteMB, &r.ReadMB, &r.IBTxMB, &r.IBRxMB, &r.LnetTxMB,
+	}
+}
+
+// keyFields returns the record's string dimensions by GroupKey.
+func (r *JobRecord) keyFields() [numGroupKeys]*string {
+	return [numGroupKeys]*string{
+		ByUser: &r.User, ByApp: &r.App, ByScience: &r.Science,
+		ByCluster: &r.Cluster, ByStatus: &r.Status,
 	}
 }
 
