@@ -53,6 +53,14 @@ type realmWithEvents struct {
 }
 
 func run(days, nodes int, seed int64, fig, table int, corr, anomalies bool, advise, svgDir, htmlOut, clusterName string) error {
+	// 0 selects nothing; any other value must name something the paper
+	// has, checked before the simulation runs.
+	if fig != 0 && (fig < 2 || fig > 12) {
+		return fmt.Errorf("no figure %d: -fig takes 2-12", fig)
+	}
+	if table != 0 && table != 1 {
+		return fmt.Errorf("no table %d: -table takes 1", table)
+	}
 	setups := []cluster.Config{
 		cluster.RangerConfig().Scaled(nodes),
 		cluster.Lonestar4Config().Scaled(nodes),
@@ -96,7 +104,7 @@ func run(days, nodes int, seed int64, fig, table int, corr, anomalies bool, advi
 		}
 	}
 	if all || fig == 3 {
-		if err := report.Fig3(out, coreRealms, []string{"namd", "amber", "gromacs"}); err != nil {
+		if err := report.Fig3(out, coreRealms, core.MDCodes()); err != nil {
 			return err
 		}
 	}

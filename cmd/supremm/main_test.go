@@ -68,3 +68,19 @@ func TestRunRejectsUnknownCluster(t *testing.T) {
 		t.Error("unknown cluster should error")
 	}
 }
+
+// TestRunRejectsUnknownSelection: a -fig or -table the paper does not
+// have is an error naming the valid range, not an empty exit 0.
+func TestRunRejectsUnknownSelection(t *testing.T) {
+	for _, c := range []struct {
+		fig, table int
+		want       string
+	}{
+		{13, 0, "2-12"}, {1, 0, "2-12"}, {-3, 0, "2-12"}, {0, 2, "takes 1"},
+	} {
+		err := run(1, 8, 1, c.fig, c.table, false, false, "", "", "", "ranger")
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("-fig %d -table %d: err = %v, want one naming %q", c.fig, c.table, err, c.want)
+		}
+	}
+}

@@ -107,7 +107,7 @@ func run(dir, what string, n int) error {
 	case "users":
 		return report.Fig2(out, r, n)
 	case "apps":
-		return report.Fig3(out, []*core.Realm{r}, []string{"namd", "amber", "gromacs"})
+		return report.Fig3(out, []*core.Realm{r}, core.MDCodes())
 	case "efficiency":
 		if err := report.Fig4(out, r); err != nil {
 			return err

@@ -28,7 +28,7 @@ func buildRealm(cc cluster.Config, seed int64) *core.Realm {
 }
 
 func main() {
-	mdCodes := []string{"namd", "amber", "gromacs"}
+	mdCodes := core.MDCodes()
 	ranger := buildRealm(cluster.RangerConfig().Scaled(64), 3)
 	ls4 := buildRealm(cluster.Lonestar4Config().Scaled(64), 3)
 

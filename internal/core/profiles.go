@@ -94,8 +94,10 @@ func (r *Realm) AppProfile(app string) Profile {
 	return r.profileFor(app, store.ByApp, f, store.KeyMetrics())
 }
 
-// AppProfiles profiles a list of applications (e.g. the three MD codes
-// of Fig 3).
+// MDCodes returns the three molecular-dynamics codes Fig 3 profiles.
+func MDCodes() []string { return []string{"namd", "amber", "gromacs"} }
+
+// AppProfiles profiles a list of applications (e.g. MDCodes, Fig 3).
 func (r *Realm) AppProfiles(apps []string) []Profile {
 	out := make([]Profile, 0, len(apps))
 	for _, a := range apps {

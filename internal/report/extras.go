@@ -109,12 +109,12 @@ func ForecastReport(w io.Writer, r *core.Realm) error {
 	if err != nil {
 		return err
 	}
-	for _, off := range []float64{10, 30, 100, 500, 1000} {
-		ev, err := f.Evaluate(r.Series, off)
+	for _, off := range core.PersistenceOffsetsMin() {
+		ev, err := f.Evaluate(r.Series, float64(off))
 		if err != nil {
 			continue
 		}
-		t.AddRow(fmt.Sprintf("%.0f", off),
+		t.AddRow(fmt.Sprint(off),
 			fmt.Sprintf("%.4f", ev.MAE), fmt.Sprintf("%.4f", ev.NaiveMAE),
 			fmt.Sprintf("%+.2f", ev.Skill))
 	}

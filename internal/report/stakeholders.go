@@ -83,7 +83,7 @@ func SuiteWithQuality(w io.Writer, who Stakeholder, q *ingest.DataQuality, realm
 			if err := head("which system suits the top codes (Fig 3 reading)"); err != nil {
 				return err
 			}
-			for _, app := range []string{"namd", "amber", "gromacs"} {
+			for _, app := range core.MDCodes() {
 				choice := core.AdviseSystem(app, realms...)
 				if choice.Best != "" {
 					if _, err := fmt.Fprintf(w, "  %-10s -> %s\n", app, choice.Best); err != nil {
@@ -98,7 +98,7 @@ func SuiteWithQuality(w io.Writer, who Stakeholder, q *ingest.DataQuality, realm
 		if err := head("application profiles (Fig 3)"); err != nil {
 			return err
 		}
-		return Fig3(w, realms, []string{"namd", "amber", "gromacs"})
+		return Fig3(w, realms, core.MDCodes())
 	case StakeholderSupport:
 		// §4.3.3: inefficient users, abnormal terminations.
 		if err := head("wasted node-hours (Fig 4)"); err != nil {

@@ -361,7 +361,7 @@ func (s *Server) userProfiles(_ context.Context, snap *Snapshot, p Params) (int,
 func (s *Server) appProfiles(_ context.Context, snap *Snapshot, p Params) (int, any, error) {
 	apps := p.Apps
 	if len(apps) == 0 {
-		apps = []string{"namd", "amber", "gromacs"} // the Fig 3 MD codes
+		apps = core.MDCodes()
 	}
 	return http.StatusOK, newProfileDTOs(snap.Realm.AppProfiles(apps)), nil
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -10,16 +11,18 @@ import (
 
 // Binary snapshot format ("jobs.supremm", DESIGN.md §11).
 //
-// The file is a direct little-endian serialization of Columns: a fixed
-// header followed by one length-prefixed, CRC32-guarded block per
+// The file is a direct little-endian serialization of Columns: the
+// file header (appendHeader, shared with the manifest; its count is the
+// row count) followed by one length-prefixed, CRC32-guarded block per
 // column, in the order Columns.each walks them: block k, id k, is the
 // walk's k-th column. Numeric columns are raw value arrays; string
 // columns are a dictionary (each distinct value once, in
-// first-appearance order) plus one uint32 code per row. Decoding never
-// trusts a declared length without checking it against the bytes
-// actually present, so a hostile file cannot drive allocations past its
-// own size, and any structural damage (truncation, bit flips, trailing
-// garbage) is an error — never a panic, never a silently wrong store.
+// first-appearance order) plus one uint32 code per row. Decoding runs
+// on the sticky decoder and never trusts a declared length without
+// checking it against the bytes actually present, so a hostile file
+// cannot drive allocations past its own size, and any structural
+// damage (truncation, bit flips, trailing garbage) is an error — never
+// a panic, never a silently wrong store.
 //
 // Versioning: the major version is part of the header; readers reject
 // any version they do not know. New columns get new block ids and a
@@ -31,8 +34,6 @@ const (
 	codecMagic = "SUPRMMC1"
 	// codecVersion is the current (and only) format version.
 	codecVersion = 1
-	// codecHeaderLen is magic + version + flags + row count.
-	codecHeaderLen = 8 + 4 + 4 + 8
 	// blockHeaderLen is id + payload length + payload CRC32.
 	blockHeaderLen = 4 + 8 + 4
 )
@@ -53,7 +54,7 @@ func EncodeColumns(c *Columns) []byte {
 // largest single piece (the file header, or one block with its header):
 // what EncodeColumns and SaveBinary allocate, once, never to regrow.
 func encodedLen(c *Columns) (total, largestPiece int) {
-	sz := &sizer{total: codecHeaderLen, largest: codecHeaderLen}
+	sz := &sizer{total: headerLen, largest: headerLen}
 	c.each(sz)
 	return sz.total, sz.largest
 }
@@ -96,10 +97,7 @@ type blockWriter struct {
 
 // columns emits the file header, then one block per column of the walk.
 func (bw *blockWriter) columns(c *Columns) {
-	bw.buf = append(bw.buf, codecMagic...)
-	bw.buf = binary.LittleEndian.AppendUint32(bw.buf, codecVersion)
-	bw.buf = binary.LittleEndian.AppendUint32(bw.buf, 0) // flags, reserved
-	bw.buf = binary.LittleEndian.AppendUint64(bw.buf, uint64(c.Len()))
+	bw.buf = appendHeader(bw.buf, codecMagic, codecVersion, c.Len())
 	bw.flush()
 	c.each(bw)
 }
@@ -167,157 +165,157 @@ func (bw *blockWriter) dict(d *DictColumn) {
 	})
 }
 
-// decoder walks the snapshot bytes with strict bounds checking; every
-// take is validated against the remaining length before any slice or
-// allocation is derived from it.
+// The header both binary formats open with, snapshot and manifest
+// alike: magic | u32 version | u32 flags (reserved, 0) | u64 count.
+// appendHeader is its one writer and decoder.header its one reader.
+
+// headerLen is magic (8 bytes) + version + flags + count.
+const headerLen = 8 + 4 + 4 + 8
+
+// appendHeader appends a file header declaring count records.
+func appendHeader(buf []byte, magic string, version uint32, count int) []byte {
+	buf = append(buf, magic...)
+	buf = binary.LittleEndian.AppendUint32(buf, version)
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // flags, reserved
+	return binary.LittleEndian.AppendUint64(buf, uint64(count))
+}
+
+// decoder walks input bytes with strict bounds checking: every take is
+// validated against the remaining length before any slice or
+// allocation is derived from it. Its first failure sticks: fail keeps
+// only the first error, and after it every read returns zero values.
+// So a decode reads its fields straight through, checks each value as
+// it comes (a check that trips after a failure records nothing), and
+// reads err only before it sizes an allocation from a decoded value
+// and before it returns.
 type decoder struct {
 	data []byte
 	off  int
+	err  error
 }
 
 func (d *decoder) remaining() int { return len(d.data) - d.off }
 
+// fail records the decode's first failure; later ones are dropped.
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+	}
+}
+
 // take returns the next n input bytes after bounds-checking n against
-// what remains.
+// what remains; nil once the decode has failed.
 //
 // supremmlint:untrusted — the returned bytes are raw input.
-func (d *decoder) take(n int) ([]byte, error) {
+func (d *decoder) take(n int) []byte {
 	if n < 0 || n > d.remaining() {
-		return nil, fmt.Errorf("store: snapshot truncated at offset %d (need %d bytes, have %d)", d.off, n, d.remaining())
+		d.fail("store: snapshot truncated at offset %d (need %d bytes, have %d)", d.off, n, d.remaining())
+	}
+	if d.err != nil {
+		return nil
 	}
 	b := d.data[d.off : d.off+n]
 	d.off += n
-	return b, nil
+	return b
 }
 
-// uint32 decodes the next little-endian u32.
+// uint32 decodes the next little-endian u32, 0 once the decode has
+// failed.
 //
 // supremmlint:untrusted — the result comes straight from input bytes
 // and must be bounds-checked before sizing anything.
-func (d *decoder) uint32() (uint32, error) {
-	b, err := d.take(4)
-	if err != nil {
-		return 0, err
+func (d *decoder) uint32() uint32 {
+	if b := d.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b), nil
+	return 0
 }
 
-// uint64 decodes the next little-endian u64.
+// uint64 decodes the next little-endian u64, 0 once the decode has
+// failed.
 //
 // supremmlint:untrusted — the result comes straight from input bytes
 // and must be bounds-checked before sizing anything.
-func (d *decoder) uint64() (uint64, error) {
-	b, err := d.take(8)
-	if err != nil {
-		return 0, err
+func (d *decoder) uint64() uint64 {
+	if b := d.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	return 0
+}
+
+// header reads a file header written by appendHeader, checks its
+// magic, version and flags against the format's (what names it in the
+// errors), and returns the declared count.
+//
+// supremmlint:untrusted — the count comes straight from input bytes
+// and must be bounds-checked before sizing anything.
+func (d *decoder) header(what, magic string, version uint32) uint64 {
+	if m := d.take(len(magic)); !bytes.Equal(m, []byte(magic)) {
+		d.fail("store: bad %s magic %q", what, m)
+	}
+	if v := d.uint32(); v != version {
+		d.fail("store: unsupported %s version %d (want %d)", what, v, version)
+	}
+	if flags := d.uint32(); flags != 0 {
+		d.fail("store: unsupported %s flags %#x", what, flags)
+	}
+	return d.uint64()
 }
 
 // block reads one block header and returns the checksum-verified
-// payload for the expected block id.
-func (d *decoder) block(wantID uint32) ([]byte, error) {
-	id, err := d.uint32()
-	if err != nil {
-		return nil, err
+// payload for the expected block id; nil once the decode has failed.
+func (d *decoder) block(wantID uint32) []byte {
+	if id := d.uint32(); id != wantID {
+		d.fail("store: snapshot block %d out of order (want %d)", id, wantID)
 	}
-	if id != wantID {
-		return nil, fmt.Errorf("store: snapshot block %d out of order (want %d)", id, wantID)
-	}
-	length, err := d.uint64()
-	if err != nil {
-		return nil, err
-	}
-	sum, err := d.uint32()
-	if err != nil {
-		return nil, err
-	}
+	length, sum := d.uint64(), d.uint32()
 	if length > uint64(d.remaining()) {
-		return nil, fmt.Errorf("store: snapshot block %d claims %d payload bytes, only %d remain", id, length, d.remaining())
+		d.fail("store: snapshot block %d claims %d payload bytes, only %d remain", wantID, length, d.remaining())
 	}
-	payload, err := d.take(int(length))
-	if err != nil {
-		return nil, err
-	}
+	payload := d.take(int(length))
 	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, fmt.Errorf("store: snapshot block %d checksum mismatch (%08x != %08x)", id, got, sum)
+		d.fail("store: snapshot block %d checksum mismatch (%08x != %08x)", wantID, got, sum)
 	}
-	return payload, nil
+	if d.err != nil {
+		return nil
+	}
+	return payload
 }
 
-func decodeInt64s(payload []byte, rows int) ([]int64, error) {
-	if len(payload) != rows*8 {
-		return nil, fmt.Errorf("store: int64 column payload is %d bytes, want %d", len(payload), rows*8)
-	}
-	out := make([]int64, rows)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(payload[i*8:]))
-	}
-	return out, nil
-}
-
-func decodeInt32s(payload []byte, rows int) ([]int32, error) {
-	if len(payload) != rows*4 {
-		return nil, fmt.Errorf("store: int32 column payload is %d bytes, want %d", len(payload), rows*4)
-	}
-	out := make([]int32, rows)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(payload[i*4:]))
-	}
-	return out, nil
-}
-
-func decodeFloat64s(payload []byte, rows int) ([]float64, error) {
-	if len(payload) != rows*8 {
-		return nil, fmt.Errorf("store: float64 column payload is %d bytes, want %d", len(payload), rows*8)
-	}
-	out := make([]float64, rows)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
-	}
-	return out, nil
-}
-
+// decodeDict parses a dictionary block's payload: the value count,
+// each value length-prefixed, one code per row.
 func decodeDict(payload []byte, rows int) (DictColumn, error) {
 	var out DictColumn
 	d := decoder{data: payload}
-	dictLen, err := d.uint32()
-	if err != nil {
-		return out, err
-	}
+	dictLen := d.uint32()
 	// Each dictionary entry needs at least its 4-byte length prefix and
 	// each row a 4-byte code, so dictLen is bounded by the payload
 	// itself — checked before allocating.
 	if uint64(dictLen)*4+uint64(rows)*4 > uint64(d.remaining()) {
-		return out, fmt.Errorf("store: dictionary claims %d values in %d bytes", dictLen, d.remaining())
+		d.fail("store: dictionary claims %d values in %d bytes", dictLen, d.remaining())
+	}
+	if d.err != nil {
+		return out, d.err
 	}
 	out.Values = make([]string, 0, dictLen)
 	seen := make(map[string]bool, dictLen)
-	for k := uint32(0); k < dictLen; k++ {
-		strLen, err := d.uint32()
-		if err != nil {
-			return out, err
-		}
-		raw, err := d.take(int(strLen))
-		if err != nil {
-			return out, err
-		}
-		v := string(raw) //supremmlint:allow hotalloc: dictionary values are interned once per distinct string, not per row
+	for k := uint32(0); k < dictLen && d.err == nil; k++ {
+		v := string(d.take(int(d.uint32()))) //supremmlint:allow hotalloc: dictionary values are interned once per distinct string, not per row
 		if seen[v] {
 			// Duplicate dictionary entries never come out of the encoder
 			// and would break the one-group-per-code invariant GroupBy
 			// relies on.
-			return out, fmt.Errorf("store: dictionary value %q appears twice", v)
+			d.fail("store: dictionary value %q appears twice", v)
 		}
 		seen[v] = true
 		out.Values = append(out.Values, v)
 	}
-	codes, err := d.take(rows * 4)
-	if err != nil {
-		return out, err
-	}
+	codes := d.take(rows * 4)
 	if d.remaining() != 0 {
-		return out, fmt.Errorf("store: dictionary has %d trailing bytes", d.remaining())
+		d.fail("store: dictionary has %d trailing bytes", d.remaining())
+	}
+	if d.err != nil {
+		return out, d.err
 	}
 	out.Codes = make([]uint32, rows)
 	for i := range out.Codes {
@@ -336,94 +334,90 @@ func decodeDict(payload []byte, rows int) (DictColumn, error) {
 // trailing bytes — returns an error; decode never panics and never
 // allocates more than a small multiple of len(data).
 func DecodeColumns(data []byte) (*Columns, error) {
-	d := decoder{data: data}
-	magic, err := d.take(8)
-	if err != nil {
-		return nil, err
-	}
-	if string(magic) != codecMagic {
-		return nil, fmt.Errorf("store: not a snapshot file (bad magic %q)", magic)
-	}
-	version, err := d.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if version != codecVersion {
-		return nil, fmt.Errorf("store: snapshot version %d not supported (reader knows %d)", version, codecVersion)
-	}
-	flags, err := d.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if flags != 0 {
-		return nil, fmt.Errorf("store: snapshot uses unknown flags %#x", flags)
-	}
-	rows64, err := d.uint64()
-	if err != nil {
-		return nil, err
-	}
+	d := &decoder{data: data}
+	rows := d.header("snapshot", codecMagic, codecVersion)
 	// Every row costs at least 4 bytes in each of the 11 fixed-width /
 	// code arrays, so a row count the remaining bytes cannot hold is
 	// structurally invalid — rejected before any allocation.
-	if rows64 > uint64(d.remaining())/4 {
-		return nil, fmt.Errorf("store: snapshot claims %d rows in %d bytes", rows64, d.remaining())
+	if rows > uint64(d.remaining())/4 {
+		d.fail("store: snapshot claims %d rows in %d bytes", rows, d.remaining())
 	}
-	rows := int(rows64)
-
 	c := &Columns{}
-	br := &blockReader{d: &d, rows: rows}
-	if c.each(br); br.err != nil {
-		return nil, br.err
-	}
+	c.each(&blockReader{d: d, rows: int(rows)})
 	if d.remaining() != 0 {
-		return nil, fmt.Errorf("store: %d trailing bytes after last block", d.remaining())
+		d.fail("store: %d trailing bytes after last block", d.remaining())
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	c.recomputeDerived()
 	return c, nil
 }
 
 // blockReader is the decoding walk: each call reads the next block,
-// verifies its id and checksum, and decodes it into the column. The
-// first error sticks; every later call is a no-op.
+// verifies its id and checksum, and decodes it into the column. After
+// the decoder's first failure every later call is a no-op.
 type blockReader struct {
 	d    *decoder
 	rows int
 	id   uint32 // the last block's id: block k is the k-th of Columns.each
-	err  error
 }
 
-// payload returns the next block's verified payload; ok is false once
-// any block has failed.
-func (br *blockReader) payload() (p []byte, ok bool) {
-	if br.err != nil {
-		return nil, false
-	}
+// payload returns the next block's verified payload.
+func (br *blockReader) payload() []byte {
 	br.id++
-	p, br.err = br.d.block(br.id)
-	return p, br.err == nil
+	return br.d.block(br.id)
+}
+
+// fixed returns the next block's payload, checked to hold one
+// width-byte value per row.
+func (br *blockReader) fixed(kind string, width int) []byte {
+	p := br.payload()
+	if len(p) != br.rows*width {
+		br.d.fail("store: %s column payload is %d bytes, want %d", kind, len(p), br.rows*width)
+	}
+	return p
 }
 
 func (br *blockReader) int64s(col *[]int64) {
-	if p, ok := br.payload(); ok {
-		*col, br.err = decodeInt64s(p, br.rows)
+	p := br.fixed("int64", 8)
+	if br.d.err != nil {
+		return
 	}
+	out := make([]int64, br.rows)
+	for i := range out {
+		out[i] = int64(binary.LittleEndian.Uint64(p[i*8:]))
+	}
+	*col = out
 }
 
 func (br *blockReader) int32s(col *[]int32) {
-	if p, ok := br.payload(); ok {
-		*col, br.err = decodeInt32s(p, br.rows)
+	p := br.fixed("int32", 4)
+	if br.d.err != nil {
+		return
 	}
+	out := make([]int32, br.rows)
+	for i := range out {
+		out[i] = int32(binary.LittleEndian.Uint32(p[i*4:]))
+	}
+	*col = out
 }
 
 func (br *blockReader) float64s(col *[]float64) {
-	if p, ok := br.payload(); ok {
-		*col, br.err = decodeFloat64s(p, br.rows)
+	p := br.fixed("float64", 8)
+	if br.d.err != nil {
+		return
 	}
+	out := make([]float64, br.rows)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
+	}
+	*col = out
 }
 
 func (br *blockReader) dict(col *DictColumn) {
-	if p, ok := br.payload(); ok {
-		*col, br.err = decodeDict(p, br.rows)
+	if p := br.payload(); br.d.err == nil {
+		*col, br.d.err = decodeDict(p, br.rows)
 	}
 }
 

@@ -177,27 +177,27 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	mutate("truncated last byte", func(b []byte) []byte { return b[:len(b)-1] })
 	mutate("trailing garbage", func(b []byte) []byte { return append(b, 0xde, 0xad) })
 	mutate("corrupted payload vs CRC", func(b []byte) []byte {
-		b[codecHeaderLen+blockHeaderLen] ^= 0x01 // first byte of first payload
+		b[headerLen+blockHeaderLen] ^= 0x01 // first byte of first payload
 		return b
 	})
 	mutate("corrupted CRC field", func(b []byte) []byte {
-		b[codecHeaderLen+12] ^= 0x01 // CRC of first block
+		b[headerLen+12] ^= 0x01 // CRC of first block
 		return b
 	})
 	mutate("reordered block id", func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[codecHeaderLen:], 2) // the second block's id
+		binary.LittleEndian.PutUint32(b[headerLen:], 2) // the second block's id
 		return b
 	})
 	mutate("hostile block length", func(b []byte) []byte {
 		// First block claims a huge payload; must be caught against
 		// remaining bytes, not allocated.
-		binary.LittleEndian.PutUint64(b[codecHeaderLen+4:], 1<<50)
+		binary.LittleEndian.PutUint64(b[headerLen+4:], 1<<50)
 		return b
 	})
 
 	// Dictionary-specific damage needs the cluster block (id 2): it
 	// follows the job-id block.
-	dictOff := codecHeaderLen + blockHeaderLen + 50*8
+	dictOff := headerLen + blockHeaderLen + 50*8
 	mutate("hostile dictionary count", func(b []byte) []byte {
 		payloadStart := dictOff + blockHeaderLen
 		binary.LittleEndian.PutUint32(b[payloadStart:], 1<<30)
@@ -238,8 +238,8 @@ func TestEncodeColumnsExactSize(t *testing.T) {
 		if len(data) != total || cap(data) != total {
 			t.Errorf("n=%d: len %d cap %d, encodedLen says %d", n, len(data), cap(data), total)
 		}
-		if largest > total || largest < codecHeaderLen {
-			t.Errorf("n=%d: largest piece %d outside [%d,%d]", n, largest, codecHeaderLen, total)
+		if largest > total || largest < headerLen {
+			t.Errorf("n=%d: largest piece %d outside [%d,%d]", n, largest, headerLen, total)
 		}
 	}
 }

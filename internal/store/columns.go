@@ -1,7 +1,5 @@
 package store
 
-import "math"
-
 // Columns is the struct-of-arrays execution layout of the warehouse:
 // one contiguous slice per JobRecord field, with the low-cardinality
 // string fields dictionary-encoded (a shared value table plus a uint32
@@ -23,15 +21,13 @@ type Columns struct {
 	// Metrics holds the numeric columns in AllMetrics order.
 	Metrics [NumMetrics][]float64
 
-	// weight caches the §4.1 node-hour weight per row. It is derived
-	// (recomputed on load, never serialized) with the exact expression
-	// nodeHours always used, so cached and recomputed values are
-	// bit-identical.
-	weight []float64
-
-	// Derived bounds used to prove filter predicates vacuous (see
+	// weight caches the §4.1 node-hour weight per row, and the bounds
+	// below are used to prove filter predicates vacuous (see
 	// compileFilter): the minimum samples value and the end-time range
-	// over all rows. Maintained by appendRecord and recomputeDerived.
+	// over all rows. All of it is derived, never serialized: derive is
+	// the one step that computes a row's share, and appendRecord,
+	// gather and decode each call it for every row they build.
+	weight     []float64
 	minSamples int32
 	minEnd     int64
 	maxEnd     int64
@@ -188,21 +184,31 @@ func (c *Columns) appendRecord(r JobRecord) {
 	for k, v := range r.metricFields() {
 		c.Metrics[k] = append(c.Metrics[k], *v)
 	}
-	c.weight = append(c.weight, float64(r.Nodes)*float64(r.End-r.Start)/3600)
-	n := len(c.JobID)
-	if n == 1 {
-		c.minSamples = int32(r.Samples)
-		c.minEnd, c.maxEnd = r.End, r.End
+	c.weight = append(c.weight, 0)
+	c.derive(c.Len() - 1)
+}
+
+// derive computes row i's derived state from its serialized columns:
+// it writes the row's node-hour weight and folds the row into the
+// vacuity bounds, which row 0 starts.
+func (c *Columns) derive(i int) {
+	c.weight[i] = nodeHours(int(c.Nodes[i]), c.Start[i], c.End[i])
+	samples, end := c.Samples[i], c.End[i]
+	if i == 0 {
+		c.minSamples, c.minEnd, c.maxEnd = samples, end, end
 		return
 	}
-	if int32(r.Samples) < c.minSamples {
-		c.minSamples = int32(r.Samples)
-	}
-	if r.End < c.minEnd {
-		c.minEnd = r.End
-	}
-	if r.End > c.maxEnd {
-		c.maxEnd = r.End
+	c.minSamples = min(c.minSamples, samples)
+	c.minEnd, c.maxEnd = min(c.minEnd, end), max(c.maxEnd, end)
+}
+
+// deriveAll derives every row's state, as appending the rows one by one
+// would have.
+func (c *Columns) deriveAll() {
+	c.weight = make([]float64, c.Len())
+	c.minSamples, c.minEnd, c.maxEnd = 0, 0, 0
+	for i := range c.weight {
+		c.derive(i)
 	}
 }
 
@@ -224,13 +230,7 @@ func (c *Columns) gather(rows []int) *Columns {
 	for k := range c.Metrics {
 		out.Metrics[k] = gatherCol(c.Metrics[k], rows)
 	}
-	out.weight = gatherCol(c.weight, rows)
-	out.minSamples = out.Samples[0]
-	out.minEnd, out.maxEnd = out.End[0], out.End[0]
-	for k, end := range out.End {
-		out.minSamples = min(out.minSamples, out.Samples[k])
-		out.minEnd, out.maxEnd = min(out.minEnd, end), max(out.maxEnd, end)
-	}
+	out.deriveAll()
 	return out
 }
 
@@ -265,32 +265,13 @@ func (d *DictColumn) gather(rows []int) DictColumn {
 func (c *Columns) Len() int { return len(c.JobID) }
 
 // recomputeDerived rebuilds every derived field (dictionary indexes,
-// the weight cache, the vacuity bounds) from the serialized columns.
+// the weights, the vacuity bounds) from the serialized columns.
 // DecodeColumns calls it after a successful structural decode.
 func (c *Columns) recomputeDerived() {
 	for k := range c.keys {
 		c.keys[k].rebuildIndex()
 	}
-	n := c.Len()
-	c.weight = make([]float64, n)
-	c.minSamples = 0
-	c.minEnd, c.maxEnd = 0, 0
-	if n > 0 {
-		c.minSamples = math.MaxInt32
-		c.minEnd, c.maxEnd = math.MaxInt64, math.MinInt64
-	}
-	for i := 0; i < n; i++ {
-		c.weight[i] = float64(int(c.Nodes[i])) * float64(c.End[i]-c.Start[i]) / 3600
-		if c.Samples[i] < c.minSamples {
-			c.minSamples = c.Samples[i]
-		}
-		if c.End[i] < c.minEnd {
-			c.minEnd = c.End[i]
-		}
-		if c.End[i] > c.maxEnd {
-			c.maxEnd = c.End[i]
-		}
-	}
+	c.deriveAll()
 }
 
 // record materializes row i back into the compatibility JobRecord.

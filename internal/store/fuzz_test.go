@@ -17,11 +17,11 @@ func fuzzSeedSnapshots() [][]byte {
 		valid,
 		EncodeColumns(New().Columns()), // zero rows
 		valid[:len(valid)/3],           // truncated mid-block
-		valid[:codecHeaderLen],         // header only
+		valid[:headerLen],              // header only
 		{},
 	}
 	crc := append([]byte(nil), valid...)
-	crc[codecHeaderLen+12] ^= 0xff // first block's CRC field
+	crc[headerLen+12] ^= 0xff // first block's CRC field
 	seeds = append(seeds, crc)
 
 	hostile := append([]byte(nil), valid...)
@@ -29,7 +29,7 @@ func fuzzSeedSnapshots() [][]byte {
 	seeds = append(seeds, hostile)
 
 	hostileBlock := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint64(hostileBlock[codecHeaderLen+4:], 1<<50) // absurd block length
+	binary.LittleEndian.PutUint64(hostileBlock[headerLen+4:], 1<<50) // absurd block length
 	seeds = append(seeds, hostileBlock)
 	return seeds
 }
@@ -81,7 +81,7 @@ func fuzzSeedManifests() [][]byte {
 	valid := EncodeManifest(manifestFixture())
 	one := EncodeManifest(manifestFixture()[:1])
 	empty := EncodeManifest(nil)
-	seeds := [][]byte{valid, one, empty, {}, valid[:manifestHeaderLen], valid[:len(valid)-5]}
+	seeds := [][]byte{valid, one, empty, {}, valid[:headerLen], valid[:len(valid)-5]}
 
 	crc := append([]byte(nil), valid...)
 	crc[len(crc)/2] ^= 0xff

@@ -171,6 +171,49 @@ func TestSnapshotLayoutPinned(t *testing.T) {
 	}
 }
 
+// TestManifestLayoutPinned holds the manifest codec to its v1 layout
+// built by hand, with encoding/binary and crc32 alone, from the format
+// comment: the 24-byte header, then one 44-byte entry per shard (id
+// i64 | rows u64 | minEnd i64 | maxEnd i64 | size u64 | hash u32), then
+// the CRC32-IEEE of everything before it. EncodeManifest must produce
+// those bytes and DecodeManifest must give the entries back: a field
+// swapped the same way in both round-trips through every other test.
+func TestManifestLayoutPinned(t *testing.T) {
+	day := int64(19500) * store.SecondsPerDay
+	entries := []store.ShardInfo{
+		{ID: 19500, Rows: 7, MinEnd: day + 60, MaxEnd: day + 3600, Size: 4096, Hash: 0xdeadbeef},
+		{ID: 19502, Rows: 11, MinEnd: day + 2*store.SecondsPerDay + 5, MaxEnd: day + 3*store.SecondsPerDay - 1, Size: 8192, Hash: 0x0badf00d},
+	}
+	le := binary.LittleEndian
+	want := []byte("SUPRMMS1")
+	want = le.AppendUint32(want, 1) // version
+	want = le.AppendUint32(want, 0) // flags
+	want = le.AppendUint64(want, uint64(len(entries)))
+	for _, e := range entries {
+		want = le.AppendUint64(want, uint64(e.ID))
+		want = le.AppendUint64(want, uint64(e.Rows))
+		want = le.AppendUint64(want, uint64(e.MinEnd))
+		want = le.AppendUint64(want, uint64(e.MaxEnd))
+		want = le.AppendUint64(want, uint64(e.Size))
+		want = le.AppendUint32(want, e.Hash)
+	}
+	want = le.AppendUint32(want, crc32.ChecksumIEEE(want))
+	if len(want) != 24+2*44+4 {
+		t.Fatalf("hand-built manifest is %d bytes, want %d", len(want), 24+2*44+4)
+	}
+
+	if got := store.EncodeManifest(entries); !bytes.Equal(got, want) {
+		t.Errorf("EncodeManifest: %d bytes differ from the v1 layout's %d at offset %d", len(got), len(want), firstDiff(got, want))
+	}
+	back, err := store.DecodeManifest(want)
+	if err != nil {
+		t.Fatalf("DecodeManifest of the v1 layout: %v", err)
+	}
+	if !reflect.DeepEqual(back, entries) {
+		t.Errorf("decoded %+v, want %+v", back, entries)
+	}
+}
+
 func firstDiff(a, b []byte) int {
 	for i := range min(len(a), len(b)) {
 		if a[i] != b[i] {

@@ -23,23 +23,22 @@ import (
 // partition key, row count, end-time range, file size and content
 // hash, little-endian, followed by a CRC32 over everything before it.
 //
-// Layout:
+// Layout (the header is appendHeader's, shared with the snapshot):
 //
 //	magic "SUPRMMS1" | version u32 | flags u32 | count u64
 //	count × entry { id i64 | rows u64 | minEnd i64 | maxEnd i64 | size u64 | hash u32 }
 //	crc32 u32 (IEEE, over all preceding bytes)
 //
-// Decoding is as strict as the columnar codec's: the CRC must match,
-// the entry region must be exactly count entries long (no trailing
-// bytes), shard IDs must be strictly ascending (no duplicates), every
-// shard must hold at least one row, and each entry's end-time range
-// must lie inside its own day — which structurally rejects overlapping
-// shard time ranges. encode(decode(m)) == m for every accepted m.
+// Decoding runs on the snapshot's sticky decoder and is as strict: the
+// CRC must match, the entry region must be exactly count entries long
+// (no trailing bytes), shard IDs must be strictly ascending (no
+// duplicates), every shard must hold at least one row, and each
+// entry's end-time range must lie inside its own day — which
+// structurally rejects overlapping shard time ranges.
+// encode(decode(m)) == m for every accepted m.
 const (
 	manifestMagic   = "SUPRMMS1"
 	manifestVersion = 1
-	// manifestHeaderLen is magic + version + flags + entry count.
-	manifestHeaderLen = 8 + 4 + 4 + 8
 	// manifestEntryLen is one fixed-width shard entry.
 	manifestEntryLen = 8 + 8 + 8 + 8 + 8 + 4
 	// manifestMaxID bounds |shard ID| so id*SecondsPerDay can never
@@ -111,11 +110,8 @@ type ShardInfo struct {
 // EncodeManifest serializes manifest entries. Entries must already be
 // in ascending ID order (WriteShardDir's partition order).
 func EncodeManifest(entries []ShardInfo) []byte {
-	buf := make([]byte, 0, manifestHeaderLen+len(entries)*manifestEntryLen+4)
-	buf = append(buf, manifestMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, manifestVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // flags, reserved
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(entries)))
+	buf := make([]byte, 0, headerLen+len(entries)*manifestEntryLen+4)
+	buf = appendHeader(buf, manifestMagic, manifestVersion, len(entries))
 	for _, e := range entries {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.ID))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Rows))
@@ -132,7 +128,7 @@ func EncodeManifest(entries []ShardInfo) []byte {
 // unordered shard IDs, hostile counts or out-of-day time ranges — is
 // an error, never a panic and never a silently wrong shard list.
 func DecodeManifest(data []byte) ([]ShardInfo, error) {
-	if len(data) < manifestHeaderLen+4 {
+	if len(data) < headerLen+4 {
 		return nil, fmt.Errorf("store: manifest is %d bytes, shorter than any valid manifest", len(data))
 	}
 	body := data[:len(data)-4]
@@ -141,97 +137,52 @@ func DecodeManifest(data []byte) ([]ShardInfo, error) {
 		return nil, fmt.Errorf("store: manifest checksum mismatch (%08x != %08x)", got, sum)
 	}
 	d := decoder{data: body}
-	magic, err := d.take(len(manifestMagic))
-	if err != nil {
-		return nil, err
-	}
-	if string(magic) != manifestMagic {
-		return nil, fmt.Errorf("store: bad manifest magic %q", magic)
-	}
-	version, err := d.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if version != manifestVersion {
-		return nil, fmt.Errorf("store: unsupported manifest version %d (want %d)", version, manifestVersion)
-	}
-	flags, err := d.uint32()
-	if err != nil {
-		return nil, err
-	}
-	if flags != 0 {
-		return nil, fmt.Errorf("store: unsupported manifest flags %#x", flags)
-	}
-	count, err := d.uint64()
-	if err != nil {
-		return nil, err
-	}
-	// The entry region must hold exactly count entries: checked against
-	// the remaining bytes before the allocation is sized from it.
+	count := d.header("manifest", manifestMagic, manifestVersion)
+	// The entry region must hold exactly count entries — no trailing
+	// bytes: checked against the remaining bytes before the allocation
+	// is sized from it.
 	if count > uint64(d.remaining())/manifestEntryLen {
-		return nil, fmt.Errorf("store: manifest claims %d shards in %d bytes", count, d.remaining())
+		d.fail("store: manifest claims %d shards in %d bytes", count, d.remaining())
 	}
 	if int(count)*manifestEntryLen != d.remaining() {
-		return nil, fmt.Errorf("store: manifest has %d entry bytes, want %d for %d shards",
+		d.fail("store: manifest has %d entry bytes, want %d for %d shards",
 			d.remaining(), int(count)*manifestEntryLen, count)
 	}
+	if d.err != nil {
+		return nil, d.err
+	}
 	entries := make([]ShardInfo, 0, count)
-	for k := uint64(0); k < count; k++ {
-		id, err := d.uint64()
-		if err != nil {
-			return nil, err
-		}
-		rows, err := d.uint64()
-		if err != nil {
-			return nil, err
-		}
-		minEnd, err := d.uint64()
-		if err != nil {
-			return nil, err
-		}
-		maxEnd, err := d.uint64()
-		if err != nil {
-			return nil, err
-		}
-		size, err := d.uint64()
-		if err != nil {
-			return nil, err
-		}
-		hash, err := d.uint32()
-		if err != nil {
-			return nil, err
-		}
-		e := ShardInfo{
-			ID: int64(id), MinEnd: int64(minEnd), MaxEnd: int64(maxEnd), Hash: hash,
-		}
-		if e.ID < -manifestMaxID || e.ID > manifestMaxID {
-			return nil, fmt.Errorf("store: manifest shard id %d out of range", e.ID)
-		}
-		if rows == 0 {
-			return nil, fmt.Errorf("store: manifest shard %d claims zero rows", e.ID)
-		}
-		if size > uint64(1)<<62 || rows > size/4 {
+	for k := uint64(0); k < count && d.err == nil; k++ {
+		e := ShardInfo{ID: int64(d.uint64())}
+		rows := d.uint64()
+		e.MinEnd, e.MaxEnd = int64(d.uint64()), int64(d.uint64())
+		size := d.uint64()
+		e.Hash = d.uint32()
+		e.Rows, e.Size = int(rows), int64(size)
+		switch {
+		case e.ID < -manifestMaxID || e.ID > manifestMaxID:
+			d.fail("store: manifest shard id %d out of range", e.ID)
+		case rows == 0:
+			d.fail("store: manifest shard %d claims zero rows", e.ID)
+		case size > uint64(1)<<62 || rows > size/4:
 			// A shard row costs far more than 4 bytes in the columnar
 			// codec; a count past this is hostile, not merely corrupt.
-			return nil, fmt.Errorf("store: manifest shard %d claims %d rows in %d bytes", e.ID, rows, size)
-		}
-		e.Rows = int(rows)
-		e.Size = int64(size)
-		if len(entries) > 0 && e.ID <= entries[len(entries)-1].ID {
-			return nil, fmt.Errorf("store: manifest shard ids not strictly ascending (%d after %d)",
+			d.fail("store: manifest shard %d claims %d rows in %d bytes", e.ID, rows, size)
+		case len(entries) > 0 && e.ID <= entries[len(entries)-1].ID:
+			d.fail("store: manifest shard ids not strictly ascending (%d after %d)",
 				e.ID, entries[len(entries)-1].ID)
-		}
-		// The shard's end-time range must lie inside its own day; this
-		// also makes overlapping time ranges between shards impossible.
-		dayLo := e.ID * SecondsPerDay
-		if e.MinEnd < dayLo || e.MaxEnd >= dayLo+SecondsPerDay || e.MinEnd > e.MaxEnd {
-			return nil, fmt.Errorf("store: manifest shard %d time range [%d,%d] outside its day [%d,%d)",
-				e.ID, e.MinEnd, e.MaxEnd, dayLo, dayLo+SecondsPerDay)
+		default:
+			// The shard's end-time range must lie inside its own day; this
+			// also makes overlapping time ranges between shards impossible.
+			if dayLo := e.ID * SecondsPerDay; e.MinEnd < dayLo || e.MaxEnd >= dayLo+SecondsPerDay || e.MinEnd > e.MaxEnd {
+				d.fail("store: manifest shard %d time range [%d,%d] outside its day [%d,%d)",
+					e.ID, e.MinEnd, e.MaxEnd, dayLo, dayLo+SecondsPerDay)
+			}
 		}
 		entries = append(entries, e)
 	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("store: manifest has %d trailing bytes", d.remaining())
+	if d.err != nil {
+		return nil, d.err
 	}
 	return entries, nil
 }

@@ -73,7 +73,7 @@ func TestManifestRejectMatrix(t *testing.T) {
 		data []byte
 	}{
 		{"empty", nil},
-		{"shorter than header", valid[:manifestHeaderLen]},
+		{"shorter than header", valid[:headerLen]},
 		{"truncated tail", valid[:len(valid)-5]},
 		{"flipped byte (checksum)", patchedByteFlip(valid, len(valid)/2)},
 		{"bad magic", patched(func(b []byte) { b[0] ^= 0xff })},

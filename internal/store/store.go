@@ -55,8 +55,12 @@ type JobRecord struct {
 func (r *JobRecord) WallclockSec() int64 { return r.End - r.Start }
 
 // NodeHours returns nodes * wallclock hours, the §4.1 weighting.
-func (r *JobRecord) NodeHours() float64 {
-	return float64(r.Nodes) * float64(r.WallclockSec()) / 3600
+func (r *JobRecord) NodeHours() float64 { return nodeHours(r.Nodes, r.Start, r.End) }
+
+// nodeHours is the one §4.1 weight expression, behind both
+// JobRecord.NodeHours and every row's cached weight (Columns.derive).
+func nodeHours(nodes int, start, end int64) float64 {
+	return float64(nodes) * float64(end-start) / 3600
 }
 
 // Metric identifies one numeric column of a JobRecord.
