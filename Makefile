@@ -1,9 +1,9 @@
 # Convenience targets for the SUPReMM reproduction.
 GO ?= go
 
-.PHONY: all build test test-race vet fmt-check lint lint-fast fuzz-smoke test-serve test-store test-bench bench bench-e2e bench-compare bench-gate bench-ingest bench-serve bench-store figures pipeline clean
+.PHONY: all build test test-race vet fmt-check lint lint-fast fuzz-smoke test-serve test-store test-ingest test-bench bench bench-e2e bench-compare bench-gate bench-ingest bench-serve bench-store figures pipeline clean
 
-all: build vet lint test test-race test-serve test-store test-bench
+all: build vet lint test test-race test-serve test-store test-ingest test-bench
 
 build:
 	$(GO) build ./...
@@ -85,6 +85,12 @@ test-serve:
 # GOMAXPROCS, and concurrent first touches of a shard's memo race).
 test-store:
 	$(GO) test -race -cpu 1,2,4 -timeout 30m ./internal/store
+
+# Ingest suite under the race detector at one, two and four cores: the
+# hosts run on a pool and fold in host order (store.RunChunks), so every
+# output must be the same bytes at any pool size and GOMAXPROCS.
+test-ingest:
+	$(GO) test -race -cpu 1,2,4 ./internal/ingest ./cmd/ingest
 
 # The benchmark (BENCHMARK.json) is its own module, supremm/bench, which
 # the root `go build ./...` never sees: vet it and run its self-tests

@@ -81,8 +81,8 @@ func Analyzers() []Scoped {
 			// The declared hot paths: the streaming parser, the
 			// schema-compiled interval reduction (its per-file allocation budget)
 			// with its per-record callback (degrade.go's parseFileOnce)
-			// and per-interval bucket fold (parallel.go's processHost,
-			// bucketAt), and the columnar store — its binary codec,
+			// and the per-interval fold (parallel.go's IngestRawOpts,
+			// raw.go's sysBucket.fold), and the columnar store — its binary codec,
 			// aggregation kernels and shard memo are the daemon's load
 			// and query inner loops.
 			Analyzer: hotalloc.Analyzer,

@@ -201,14 +201,18 @@ func corruptHost(rng *rand.Rand, m *Manifest, srcHost, dstHost, host string, fil
 	if len(files) == 0 {
 		return fmt.Errorf("no raw files")
 	}
-	// Kinds that need structure the host lacks degrade to garble, which
-	// only needs one data line; the manifest records what actually ran.
+	// Kinds that need structure the host lacks degrade to garble; the
+	// manifest records what actually ran.
 	if kind == KindMissingDay && len(files) < 3 {
 		kind = KindGarble
 	}
-	target := files[len(files)/2]
-	if kind == KindTruncate {
-		target = files[len(files)-1]
+	var target string
+	var rf *rawFile
+	if kind != KindMissingDay {
+		var err error
+		if kind, target, rf, err = pickTarget(srcHost, files, kind); err != nil {
+			return err
+		}
 	}
 
 	switch kind {
@@ -245,9 +249,6 @@ func corruptHost(rng *rand.Rand, m *Manifest, srcHost, dstHost, host string, fil
 			rf, err := parseRawLines(srcPath)
 			if err != nil {
 				return err
-			}
-			if len(rf.blocks) < 2 {
-				return fmt.Errorf("%s: need >= 2 records", name)
 			}
 			from := 0
 			if !started {
@@ -286,13 +287,6 @@ func corruptHost(rng *rand.Rand, m *Manifest, srcHost, dstHost, host string, fil
 		if err := copyFile(filepath.Join(srcHost, name), filepath.Join(dstHost, name)); err != nil {
 			return err
 		}
-	}
-	rf, err := parseRawLines(filepath.Join(srcHost, target))
-	if err != nil {
-		return err
-	}
-	if len(rf.blocks) < 3 {
-		return fmt.Errorf("%s: need >= 3 records", target)
 	}
 	switch kind {
 	case KindGarble:
@@ -339,6 +333,45 @@ func corruptHost(rng *rand.Rand, m *Manifest, srcHost, dstHost, host string, fil
 		return fmt.Errorf("unknown kind %q", kind)
 	}
 	return os.WriteFile(filepath.Join(dstHost, target), rf.bytes(), 0o644)
+}
+
+// pickTarget returns the kind that runs on a host, the file it
+// corrupts and that file parsed: the file nearest the middle (for
+// truncate, the last) that holds the records the kind needs, else
+// garble's file.
+func pickTarget(srcHost string, files []string, kind Kind) (Kind, string, *rawFile, error) {
+	parsed := make([]*rawFile, len(files))
+	for {
+		need, from := 3, len(files)/2
+		switch kind {
+		case KindGarble, KindClockSkew, KindCounterReset:
+			need = 2
+		case KindTruncate:
+			from = len(files) - 1
+		}
+		// Nearest first; of two at one distance, the earlier.
+		for d := 0; d < len(files); d++ {
+			for _, i := range []int{from - d, from + d} {
+				if i < 0 || i >= len(files) {
+					continue
+				}
+				if parsed[i] == nil {
+					rf, err := parseRawLines(filepath.Join(srcHost, files[i]))
+					if err != nil {
+						return kind, "", nil, err
+					}
+					parsed[i] = rf
+				}
+				if len(parsed[i].blocks) >= need {
+					return kind, files[i], parsed[i], nil
+				}
+			}
+		}
+		if kind == KindGarble {
+			return kind, "", nil, fmt.Errorf("no file holds >= %d records", need)
+		}
+		kind = KindGarble
+	}
 }
 
 // ---------------------------------------------------------------------

@@ -119,25 +119,25 @@ type timedInterval struct {
 // folding record pairs into Intervals exactly as the schema-compiled
 // fast path always has, with degraded-mode isolation around it: each
 // file parses into a pending buffer first and only commits — intervals
-// emitted, accounting merged, carry state advanced — if the whole file
+// appended, accounting merged, carry state advanced — if the whole file
 // is good. A bad file either aborts (Strict) or is quarantined
 // (Lenient), and quarantine resets the carry so no interval bridges
 // across unread data. Transient read failures retry up to RetryMax
-// times before counting as permanent. emit receives intervals in
-// deterministic file order; peak memory is one file's intervals plus
-// two flat records.
-func streamHost(o Options, host string, q *DataQuality, emit func(prevTime, curTime int64, iv Interval)) error {
+// times before counting as permanent. It returns the host's committed
+// intervals in file order.
+func streamHost(o Options, host string, q *DataQuality) ([]timedInterval, error) {
 	entries, err := fs.ReadDir(o.FS, host)
 	if err != nil {
-		return fmt.Errorf("ingest: read host dir %s: %w", host, err)
+		return nil, fmt.Errorf("ingest: read host dir %s: %w", host, err)
 	}
 	var st hostState
+	var out []timedInterval
 	for _, name := range taccstats.DayFiles(entries) {
 		q.FilesScanned++
 		pending, next, err := parseFileRetrying(o, host, name, st, q)
 		if err != nil {
 			if o.Policy == Strict {
-				return &FaultError{Host: host, File: name, Err: err}
+				return nil, &FaultError{Host: host, File: name, Err: err}
 			}
 			q.FilesQuarantined++
 			q.Quarantined = append(q.Quarantined, QuarantinedFile{
@@ -146,12 +146,10 @@ func streamHost(o Options, host string, q *DataQuality, emit func(prevTime, curT
 			st = hostState{}
 			continue
 		}
-		for i := range pending {
-			emit(pending[i].prevTime, pending[i].curTime, pending[i].iv)
-		}
+		out = append(out, pending...)
 		st = next
 	}
-	return nil
+	return out, nil
 }
 
 // parseFileRetrying runs parseFileOnce with bounded retry on transient

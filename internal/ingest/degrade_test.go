@@ -3,11 +3,13 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"supremm/internal/faultinject"
@@ -295,6 +297,57 @@ func TestIngestRetriesTransientErrors(t *testing.T) {
 			t.Fatalf("strict error = %v, want fault at d001/2.raw", err)
 		}
 	})
+}
+
+// openLog is an fs.FS that records every host a file or directory is
+// opened under.
+type openLog struct {
+	fs.FS
+	mu    sync.Mutex
+	hosts map[string]bool
+}
+
+func (l *openLog) Open(name string) (fs.File, error) {
+	if host, _, _ := strings.Cut(name, "/"); host != "." {
+		l.mu.Lock()
+		l.hosts[host] = true
+		l.mu.Unlock()
+	}
+	return l.FS.Open(name)
+}
+
+// TestStrictFaultStopsReading: once a strict ingest meets a fault in the
+// first host, the hosts not yet started are never read — none after it
+// at one worker, none past the 2*Workers window at four — and the error
+// names the fault.
+func TestStrictFaultStopsReading(t *testing.T) {
+	dir := t.TempDir()
+	hosts, acct := writeDegradeArchive(t, dir, 12)
+	bad := filepath.Join(dir, hosts[0], "1.raw")
+	raw, err := os.ReadFile(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(bad, []byte(strings.Replace(string(raw), "mem 0 ", "mem 0 x", 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		log := &openLog{FS: os.DirFS(dir), hosts: make(map[string]bool)}
+		_, err := IngestRawOpts(dir, acct, Options{Policy: Strict, Workers: workers, FS: log})
+		var fe *FaultError
+		if !errors.As(err, &fe) || fe.Host != hosts[0] || fe.File != "1.raw" {
+			t.Fatalf("workers=%d: error = %v, want a fault at %s/1.raw", workers, err, hosts[0])
+		}
+		read := 1 // the faulting host alone
+		if workers > 1 {
+			read = 2 * workers
+		}
+		for _, host := range hosts[read:] {
+			if log.hosts[host] {
+				t.Errorf("workers=%d: host %s was read after the fault", workers, host)
+			}
+		}
+	}
 }
 
 // TestIngestQuarantineStarvedJob is the satellite fix: a job whose only

@@ -341,23 +341,15 @@ func TestIngestRawStreamingEquivalence(t *testing.T) {
 }
 
 // TestSysBucketDtConsistency is the regression test for the historical
-// fold/merge divergence: fold used to overwrite the bucket dt
-// unconditionally while merge guarded on positive dt. Both must keep the
-// last positive dt so a zero-dt interval cannot wipe the bucket's rate
-// denominator.
+// fold divergence: fold used to overwrite the bucket dt unconditionally.
+// It must keep the last positive dt so a zero-dt interval cannot wipe
+// the bucket's rate denominator.
 func TestSysBucketDtConsistency(t *testing.T) {
 	b := &sysBucket{}
 	b.fold(Interval{DtSec: 600, Flops: 1}, true)
 	b.fold(Interval{DtSec: 0, Flops: 1}, true)
 	if b.dt != 600 {
 		t.Errorf("fold: dt = %v after zero-dt interval, want 600", b.dt)
-	}
-
-	m := &sysBucket{}
-	m.merge(&sysBucket{dt: 600, hosts: 1})
-	m.merge(&sysBucket{dt: 0, hosts: 1})
-	if m.dt != 600 {
-		t.Errorf("merge: dt = %v after zero-dt bucket, want 600", m.dt)
 	}
 
 	// Rates must use the surviving dt.

@@ -70,7 +70,7 @@ type DataQuality struct {
 	Quarantined []QuarantinedFile `json:"quarantined,omitempty"`
 }
 
-// add merges another host's accounting (parallel merge path).
+// add merges another host's accounting (the ordered host fold).
 func (q *DataQuality) add(o *DataQuality) {
 	q.FilesScanned += o.FilesScanned
 	q.FilesQuarantined += o.FilesQuarantined

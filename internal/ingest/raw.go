@@ -138,8 +138,8 @@ func (b *sysBucket) fold(iv Interval, busy bool) {
 	}
 	b.flops += iv.Flops
 	if iv.DtSec > 0 {
-		// Keep the last positive dt, mirroring merge: a zero-dt interval
-		// must not wipe the rate denominator for the whole bucket.
+		// Keep the last positive dt: a zero-dt interval must not wipe
+		// the rate denominator for the whole bucket.
 		b.dt = iv.DtSec
 	}
 	b.memKB += iv.MemUsedKB

@@ -410,16 +410,15 @@ func LoadShardsDegraded(dir string, entries []ShardInfo, prev *ShardSet, open Op
 		work = append(work, i)
 	}
 	errs := make([]error, len(work))
+	var faults []ShardFault
 	RunChunks(len(work), runtime.GOMAXPROCS(0), func(c int) {
 		i := work[c]
 		shards[i], errs[c] = loadShard(dir, entries[i], open)
-	})
-	var faults []ShardFault
-	for c, err := range errs {
-		if err != nil {
-			faults = append(faults, ShardFault{Info: entries[work[c]], Err: err})
+	}, func(c int) {
+		if errs[c] != nil {
+			faults = append(faults, ShardFault{Info: entries[work[c]], Err: errs[c]})
 		}
-	}
+	})
 	healthy := shards[:0]
 	for _, sh := range shards {
 		if sh != nil {

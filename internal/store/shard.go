@@ -221,27 +221,60 @@ func (ss *ShardSet) GroupBy(k GroupKey, metrics []Metric, f Filter) []Group {
 	return ss.groupRows(k, metrics, f)
 }
 
-// RunChunks executes fn(c) for every chunk index, on up to workers
-// goroutines (inline when workers <= 1). Chunk assignment is
-// work-stealing (atomic counter) but since each chunk writes only its
-// own slot, the outcome is deterministic regardless of scheduling.
-func RunChunks(chunks, workers int, fn func(c int)) {
+// RunChunks executes fn(c) for every chunk index on up to workers
+// goroutines, and then(c) on the calling goroutine in ascending c once
+// fn has returned for c, so a caller can fold each chunk's slot in
+// order and drop it. A worker claims a chunk only while fewer than
+// 2*workers claimed chunks wait for their then. With workers <= 1 it
+// runs fn(c) and then(c) inline.
+func RunChunks(chunks, workers int, fn, then func(c int)) {
 	if workers = min(workers, chunks); workers <= 1 {
 		for c := 0; c < chunks; c++ {
 			fn(c)
+			then(c)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		mu     sync.Mutex
+		turn   = sync.NewCond(&mu)
+		next   int // the next chunk to claim
+		folded int // chunks whose then has returned
+		done   = make([]bool, chunks)
+		wg     sync.WaitGroup
+	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
+			mu.Lock()
+			for next < chunks {
+				if next-folded >= 2*workers {
+					turn.Wait()
+					continue
+				}
+				c := next
+				next++
+				mu.Unlock()
 				fn(c)
+				mu.Lock()
+				done[c] = true
+				turn.Broadcast()
 			}
+			mu.Unlock()
 		}()
 	}
+	mu.Lock()
+	for f := 0; f < chunks; f++ {
+		for !done[f] {
+			turn.Wait()
+		}
+		mu.Unlock()
+		then(f)
+		mu.Lock()
+		folded++
+		turn.Broadcast()
+	}
+	mu.Unlock()
 	wg.Wait()
 }
