@@ -88,9 +88,11 @@ test-store:
 
 # Ingest suite under the race detector at one, two and four cores: the
 # hosts run on a pool and fold in host order (store.RunChunks), so every
-# output must be the same bytes at any pool size and GOMAXPROCS.
+# output must be the same bytes at any pool size and GOMAXPROCS. The
+# parser is in it because its scanner buffers pass between the pool's
+# goroutines (taccstats.ParseStream's sync.Pool).
 test-ingest:
-	$(GO) test -race -cpu 1,2,4 ./internal/ingest ./cmd/ingest
+	$(GO) test -race -cpu 1,2,4 ./internal/taccstats ./internal/ingest ./cmd/ingest
 
 # The benchmark (BENCHMARK.json) is its own module, supremm/bench, which
 # the root `go build ./...` never sees: vet it and run its self-tests

@@ -118,13 +118,14 @@ type timedInterval struct {
 // streamHost streams one host's day files in order through ParseStream,
 // folding record pairs into Intervals exactly as the schema-compiled
 // fast path always has, with degraded-mode isolation around it: each
-// file parses into a pending buffer first and only commits — intervals
-// appended, accounting merged, carry state advanced — if the whole file
-// is good. A bad file either aborts (Strict) or is quarantined
-// (Lenient), and quarantine resets the carry so no interval bridges
-// across unread data. Transient read failures retry up to RetryMax
-// times before counting as permanent. It returns the host's committed
-// intervals in file order.
+// file appends its intervals straight onto the host's, and they only
+// stay — with the accounting merged and the carry state advanced — if
+// the whole file is good; otherwise the slice is cut back to the file's
+// start. A bad file either aborts (Strict) or is quarantined (Lenient),
+// and quarantine resets the carry so no interval bridges across unread
+// data. Transient read failures retry up to RetryMax times before
+// counting as permanent. It returns the host's committed intervals in
+// file order.
 func streamHost(o Options, host string, q *DataQuality) ([]timedInterval, error) {
 	entries, err := fs.ReadDir(o.FS, host)
 	if err != nil {
@@ -134,7 +135,7 @@ func streamHost(o Options, host string, q *DataQuality) ([]timedInterval, error)
 	var out []timedInterval
 	for _, name := range taccstats.DayFiles(entries) {
 		q.FilesScanned++
-		pending, next, err := parseFileRetrying(o, host, name, st, q)
+		out, st, err = parseFileRetrying(o, host, name, st, out, q)
 		if err != nil {
 			if o.Policy == Strict {
 				return nil, &FaultError{Host: host, File: name, Err: err}
@@ -144,26 +145,26 @@ func streamHost(o Options, host string, q *DataQuality) ([]timedInterval, error)
 				Host: host, File: name, Reason: err.Error(),
 			})
 			st = hostState{}
-			continue
 		}
-		out = append(out, pending...)
-		st = next
 	}
 	return out, nil
 }
 
 // parseFileRetrying runs parseFileOnce with bounded retry on transient
-// errors. Each attempt starts from a snapshot of the committed carry,
-// so retries are idempotent.
-func parseFileRetrying(o Options, host, name string, base hostState, q *DataQuality) ([]timedInterval, hostState, error) {
+// errors. Each attempt starts from a snapshot of the committed carry
+// and from out cut back to its committed length, so retries are
+// idempotent; a file that fails for good leaves out as it found it.
+func parseFileRetrying(o Options, host, name string, base hostState, out []timedInterval, q *DataQuality) ([]timedInterval, hostState, error) {
+	mark := len(out)
 	for attempt := 0; ; attempt++ {
-		pending, next, fq, err := parseFileOnce(o, host, name, base.snapshot())
+		grown, next, fq, err := parseFileOnce(o, host, name, base.snapshot(), out[:mark])
 		if err == nil {
 			q.add(&fq)
-			return pending, next, nil
+			return grown, next, nil
 		}
+		out = grown
 		if !isTransient(err) || attempt >= o.RetryMax {
-			return nil, hostState{}, err
+			return out[:mark], hostState{}, err
 		}
 		q.RetriesPerformed++
 		if o.Backoff != nil {
@@ -184,15 +185,17 @@ func parseFileRetrying(o Options, host, name string, base hostState, q *DataQual
 //     (eventDelta's reset semantics already yield the right delta);
 //   - dt beyond the plausibility bound (missing day, stepped clock):
 //     the bridging interval is suppressed and counted as clamped.
-func parseFileOnce(o Options, host, name string, st hostState) ([]timedInterval, hostState, DataQuality, error) {
+//
+// It appends the file's intervals to out and returns the grown slice,
+// on failure too, so the caller can cut it back and keep its capacity.
+func parseFileOnce(o Options, host, name string, st hostState, out []timedInterval) ([]timedInterval, hostState, DataQuality, error) {
 	var fq DataQuality // this file's, added to the host's only if it commits
 	maxInterval := o.maxInterval()
 	p := path.Join(host, name)
 	fh, err := o.FS.Open(p)
 	if err != nil {
-		return nil, st, fq, fmt.Errorf("open: %w", err)
+		return out, st, fq, fmt.Errorf("open: %w", err)
 	}
-	var pending []timedInterval
 	_, perr := taccstats.ParseStream(fh, func(rec *taccstats.Record) error {
 		lay := rec.Layout()
 		cur := rec.Flat()
@@ -219,7 +222,7 @@ func parseFileOnce(o Options, host, name string, st hostState) ([]timedInterval,
 				if dt > maxInterval {
 					fq.IntervalsClamped++
 				} else {
-					pending = append(pending, timedInterval{
+					out = append(out, timedInterval{
 						prevTime: st.prevTime, curTime: rec.Time,
 						iv: computeIntervalPlan(st.plan, st.prevFlat, cur, dt),
 					})
@@ -234,12 +237,12 @@ func parseFileOnce(o Options, host, name string, st hostState) ([]timedInterval,
 	})
 	closeErr := fh.Close()
 	if perr != nil {
-		return nil, st, fq, fmt.Errorf("parse: %w", perr)
+		return out, st, fq, fmt.Errorf("parse: %w", perr)
 	}
 	if closeErr != nil {
-		return nil, st, fq, fmt.Errorf("close: %w", closeErr)
+		return out, st, fq, fmt.Errorf("close: %w", closeErr)
 	}
-	return pending, st, fq, nil
+	return out, st, fq, nil
 }
 
 // cpuMovedBackwards reports whether any scheduler CPU counter moved

@@ -2,6 +2,7 @@ package taccstats
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"supremm/internal/cluster"
@@ -37,26 +38,52 @@ func benchFile(tb testing.TB, records int) []byte {
 	return buf.Bytes()
 }
 
+// shuffleRecords returns data with the data lines of each record in a
+// seeded random order: every line misses the predicted slot.
+func shuffleRecords(data []byte, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	for i := 0; i < len(lines); {
+		j := i
+		for j < len(lines) && len(lines[j]) > 0 && !(lines[j][0] >= '0' && lines[j][0] <= '9') &&
+			lines[j][0] != '$' && lines[j][0] != '!' {
+			j++
+		}
+		run := lines[i:j]
+		rng.Shuffle(len(run), func(a, b int) { run[a], run[b] = run[b], run[a] })
+		i = j + 1
+	}
+	return bytes.Join(lines, nil)
+}
+
 // BenchmarkParseStream measures the zero-allocation streaming fast path
-// over the same file; the delta to BenchmarkParseMaterialize is the
-// cost of materializing nested maps.
+// over the same file, as written (every line on its predicted slot) and
+// with each record's lines shuffled (every line looked up); the delta
+// to BenchmarkParseMaterialize is the cost of materializing nested
+// maps.
 func BenchmarkParseStream(b *testing.B) {
-	data := benchFile(b, 144)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		_, err := ParseStream(bytes.NewReader(data), func(rec *Record) error {
-			n++
-			return nil
+	ordered := benchFile(b, 144)
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"ordered", ordered}, {"shuffled", shuffleRecords(ordered, 1)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(c.data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				n := 0
+				_, err := ParseStream(bytes.NewReader(c.data), func(rec *Record) error {
+					n++
+					return nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n != 144 {
+					b.Fatal("bad parse")
+				}
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != 144 {
-			b.Fatal("bad parse")
-		}
 	}
 }
 

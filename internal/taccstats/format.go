@@ -249,27 +249,25 @@ func parseKeySpec(spec []byte) (procfs.Key, error) {
 }
 
 // Get reads one value from a record; missing entries read 0 with
-// ok=false. Streamed records resolve through their Layout (ignoring
-// schemas); materialized records resolve through the nested maps.
+// ok=false. Streamed records resolve through the last present slot of
+// (typ, dev), the one Materialize keeps, under that slot's own schema
+// (ignoring schemas): a type re-declared after the record's lines still
+// reads the values those lines wrote. Materialized records resolve
+// through the nested maps.
 func (r *Record) Get(schemas map[string]procfs.Schema, typ, dev, key string) (uint64, bool) {
 	if r.layout != nil {
-		tc := r.layout.byName[typ]
-		if tc == nil {
-			return 0, false
+		for i := len(r.present) - 1; i >= 0; i-- {
+			s := &r.layout.slots[i]
+			if !r.present[i] || s.dev != dev || s.t.name != typ {
+				continue
+			}
+			ki := s.t.schema.Index(key)
+			if ki < 0 {
+				return 0, false
+			}
+			return r.flat[s.off+ki], true
 		}
-		di, ok := tc.byDev[dev]
-		if !ok {
-			return 0, false
-		}
-		d := tc.devs[di]
-		if d.slot >= len(r.present) || !r.present[d.slot] {
-			return 0, false
-		}
-		ki, ok := tc.keyIdx[key]
-		if !ok {
-			return 0, false
-		}
-		return r.flat[d.off+ki], true
+		return 0, false
 	}
 	devs, ok := r.Data[typ]
 	if !ok {

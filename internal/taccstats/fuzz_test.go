@@ -18,9 +18,11 @@ import (
 var updateCorpus = flag.Bool("update-corpus", false,
 	"rewrite the committed testdata/fuzz seed corpus from fuzzSeedCorpus")
 
-// fuzzSeedCorpus renders the round-trip fixture plus the malformed-input
-// corpus exercised by TestParseRejectsMalformed, so the fuzzer starts
-// from both accepting and rejecting paths.
+// fuzzSeedCorpus renders the round-trip fixture, the malformed-input
+// corpus exercised by TestParseRejectsMalformed, the injector's
+// corruption shapes and the inputs that leave ParseStream's predicted
+// slot (slotSeeds), so the fuzzer starts from both accepting and
+// rejecting paths.
 func fuzzSeedCorpus(tb testing.TB) [][]byte {
 	tb.Helper()
 	snap := rangerSnap()
@@ -56,7 +58,43 @@ func fuzzSeedCorpus(tb testing.TB) [][]byte {
 		[]byte("$loner\n"),
 		[]byte(header + "100\ncpu 0\n"),
 	}
-	return append(seeds, injectedSeeds(tb)...)
+	seeds = append(seeds, injectedSeeds(tb)...)
+	return append(seeds, slotSeeds()...)
+}
+
+// slotSeeds are files on which a parser that predicts each data line's
+// (type, device) slot from the previous line's must fall back to a
+// lookup, or must not take the slot it predicts, plus the value tokens
+// at the edge of its one-pass digit loop.
+func slotSeeds() [][]byte {
+	header := "$tacc_stats 2.0\n$hostname h\n$arch a\n!cpu user,E idle,E\n!mem MemUsed,U=KB\n"
+	return [][]byte{
+		// Lines reordered inside a record.
+		[]byte(header + "100\ncpu 0 1 2\ncpu 1 3 4\nmem 0 5\n200\nmem 0 6\ncpu 1 7 8\ncpu 0 9 10\n"),
+		// A device first seen mid-file, between two known ones.
+		[]byte(header + "100\ncpu 0 1 2\nmem 0 5\n200\ncpu 0 3 4\ncpu 7 1 1\nmem 0 6\n300\ncpu 0 5 6\ncpu 7 2 2\nmem 0 7\n"),
+		// A repeated line: the later values stand.
+		[]byte(header + "100\ncpu 0 1 2\ncpu 0 1 2\nmem 0 5\n200\ncpu 0 3 4\nmem 0 6\nmem 0 8\n"),
+		// A schema re-declared mid-file, identical.
+		[]byte(header + "100\ncpu 0 1 2\nmem 0 5\n!cpu user,E idle,E\n200\ncpu 0 3 4\nmem 0 6\n"),
+		// A schema re-declared mid-file, changed: the old slot of cpu 0
+		// is next in line but must not be taken.
+		[]byte(header + "100\ncpu 0 1 2\nmem 0 5\n!cpu user,E\n200\ncpu 0 3\nmem 0 6\n300\ncpu 0 4\nmem 0 7\n"),
+		// ... and changed inside a record.
+		[]byte(header + "100\ncpu 0 1 2\n!cpu idle,E user,E system,E\ncpu 0 3 4 5\nmem 0 6\n200\ncpu 0 7 8 9\nmem 0 1\n"),
+		// Tab and double-space separators.
+		[]byte(header + "100\ncpu\t0 1\t2\ncpu 1  3  4\nmem  0 5\n200\ncpu 0\t\t3 4\ncpu\t1 5 6\nmem 0\t7\n"),
+		// 19-, 20- and 21-digit values: the largest uint64, a leading
+		// zero, and one past the largest.
+		[]byte(header + "100\ncpu 0 9999999999999999999 18446744073709551615\nmem 0 000000000000000000007\n"),
+		[]byte(header + "100\ncpu 0 1 2\n200\ncpu 0 18446744073709551616 2\n"),
+		[]byte(header + "100\ncpu 0 1 2\n200\ncpu 0 1 99999999999999999999\n"),
+		// Extra tokens past the width, numeric and not.
+		[]byte(header + "100\ncpu 0 1 2\n200\ncpu 0 1 2 3\n"),
+		[]byte(header + "100\ncpu 0 1 2\n200\ncpu 0 1 2 x 99999999999999999999\n"),
+		// A value that ends on a byte that is neither digit nor space.
+		[]byte(header + "100\ncpu 0 1 2\n200\ncpu 0 12x 2\n"),
+	}
 }
 
 // injectedSeeds runs the fault injector over a minimal clean archive
@@ -143,22 +181,30 @@ func TestSeedCorpusCommitted(t *testing.T) {
 }
 
 // FuzzParseFile throws mutated raw files at the parser: it may not
-// panic, two passes must agree on accept/reject and on every
-// materialized record, and on accepted inputs each streamed record's
-// layout-resolved reads must equal its materialized copy's.
+// panic, it must accept exactly the files refParse (the tests' naive
+// strconv and map-of-maps reading of the format) accepts, and on those
+// it must return the same header, schemas and records. Each streamed
+// record's layout-resolved reads must equal its materialized copy's.
 func FuzzParseFile(f *testing.F) {
 	for _, seed := range fuzzSeedCorpus(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pf, errFile := parseFile(bytes.NewReader(data))
+		ref, errRef := refParse(data)
 
 		var streamed []Record
 		sf, errStream := ParseStream(bytes.NewReader(data), func(rec *Record) error {
 			m := rec.Materialize()
 			for typ, devs := range m.Data {
-				schemas := map[string]procfs.Schema{typ: rec.Layout().byName[typ].schema}
 				for dev := range devs {
+					// The schema the values were written under: that of
+					// the last present slot, which Materialize keeps.
+					schemas := map[string]procfs.Schema{}
+					for i, s := range rec.Layout().slots {
+						if i < len(rec.present) && rec.present[i] && s.t.name == typ && s.dev == dev {
+							schemas[typ] = s.t.schema
+						}
+					}
 					for _, k := range schemas[typ] {
 						got, gok := rec.Get(nil, typ, dev, k.Name)
 						want, wok := m.Get(schemas, typ, dev, k.Name)
@@ -173,20 +219,20 @@ func FuzzParseFile(f *testing.F) {
 			return nil
 		})
 
-		if (errFile == nil) != (errStream == nil) {
-			t.Fatalf("first pass err=%v, second pass err=%v", errFile, errStream)
+		if (errRef == nil) != (errStream == nil) {
+			t.Fatalf("reference err=%v, ParseStream err=%v", errRef, errStream)
 		}
-		if errFile != nil {
+		if errRef != nil {
 			return
 		}
-		if pf.Hostname != sf.Hostname || pf.Arch != sf.Arch || pf.Version != sf.Version {
-			t.Fatalf("headers differ: %+v vs %+v", pf, sf)
+		if ref.Hostname != sf.Hostname || ref.Arch != sf.Arch || ref.Version != sf.Version {
+			t.Fatalf("headers differ: reference %+v, ParseStream %+v", ref, sf)
 		}
-		if !reflect.DeepEqual(pf.Schemas, sf.Schemas) {
-			t.Fatalf("schemas differ")
+		if !reflect.DeepEqual(ref.Schemas, sf.Schemas) {
+			t.Fatalf("schemas differ:\n reference   %+v\n ParseStream %+v", ref.Schemas, sf.Schemas)
 		}
-		if !reflect.DeepEqual(pf.Records, streamed) {
-			t.Fatalf("two passes materialized different records:\n first  %+v\n second %+v", pf.Records, streamed)
+		if !reflect.DeepEqual(ref.Records, streamed) {
+			t.Fatalf("records differ:\n reference   %+v\n ParseStream %+v", ref.Records, streamed)
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"sync"
 
 	"supremm/internal/procfs"
 )
@@ -17,19 +18,27 @@ import (
 // parse loop performs no string allocation, and consumers can compile
 // (type, device, key) paths down to plain integer indices once per file
 // (the "schema compilation" the ingest metric plan performs).
+//
+// A file lists the same types and devices in the same order in every
+// record, so the line after slot s is almost always slot s+1: next is
+// that predicted slot, and a data line that starts with its type and
+// device takes it without a map lookup.
 type Layout struct {
 	byName  map[string]*typeCols
 	slots   []slotRef
 	width   int
 	version int
+	next    int
 }
 
 type typeCols struct {
 	name   string
 	schema procfs.Schema
-	keyIdx map[string]int
 	devs   []devCols
 	byDev  map[string]int
+	// replaced is set when a changed schema re-declares the type: its
+	// slots keep their columns but are never predicted again.
+	replaced bool
 }
 
 type devCols struct {
@@ -44,6 +53,18 @@ type slotRef struct {
 	t   *typeCols
 	dev string
 	off int
+}
+
+// starts returns the length of line's "type dev " prefix when line
+// begins with this slot's type and device, compared in place, and 0
+// when it does not.
+func (s *slotRef) starts(line []byte) int {
+	n, d := len(s.t.name), len(s.dev)
+	if len(line) <= n+d+1 || line[n] != ' ' || line[n+d+1] != ' ' ||
+		!hasPrefix(line, s.t.name) || !hasPrefix(line[n+1:], s.dev) {
+		return 0
+	}
+	return n + d + 2
 }
 
 func newLayout() *Layout {
@@ -71,11 +92,11 @@ func (l *Layout) Columns(typ, key string) []ColRef {
 	if tc == nil {
 		return nil
 	}
-	ki, ok := tc.keyIdx[key]
+	ki := tc.schema.Index(key)
 	out := make([]ColRef, 0, len(tc.devs))
 	for _, d := range tc.devs {
 		col := -1
-		if ok {
+		if ki >= 0 {
 			col = d.off + ki
 		}
 		out = append(out, ColRef{Dev: d.dev, Col: col})
@@ -90,8 +111,8 @@ func (l *Layout) Column(typ, dev, key string) int {
 	if tc == nil {
 		return -1
 	}
-	ki, ok := tc.keyIdx[key]
-	if !ok {
+	ki := tc.schema.Index(key)
+	if ki < 0 {
 		return -1
 	}
 	di, ok := tc.byDev[dev]
@@ -105,30 +126,22 @@ func (l *Layout) Column(typ, dev, key string) int {
 // is a no-op; a changed schema starts a fresh column block so columns
 // already assigned keep their meaning for records parsed earlier.
 func (l *Layout) registerType(name string, schema procfs.Schema) {
-	if tc := l.byName[name]; tc != nil && schemasEqual(tc.schema, schema) {
-		return
-	}
-	tc := &typeCols{
-		name:   name,
-		schema: schema,
-		keyIdx: make(map[string]int, len(schema)),
-		byDev:  make(map[string]int),
-	}
-	for i, k := range schema {
-		if _, dup := tc.keyIdx[k.Name]; !dup {
-			tc.keyIdx[k.Name] = i // first occurrence wins, like Schema.Index
+	if old := l.byName[name]; old != nil {
+		if schemasEqual(old.schema, schema) {
+			return
 		}
+		old.replaced = true
 	}
+	tc := &typeCols{name: name, schema: schema, byDev: make(map[string]int)}
 	l.byName[name] = tc
 	l.version++
 }
 
-// ensureDev returns the presence slot and column offset for dev,
-// claiming new columns on first appearance.
-func (tc *typeCols) ensureDev(l *Layout, dev []byte) (slot, off int) {
+// ensureDev returns the presence slot for dev, claiming new columns on
+// first appearance.
+func (tc *typeCols) ensureDev(l *Layout, dev []byte) int {
 	if i, ok := tc.byDev[string(dev)]; ok {
-		d := tc.devs[i]
-		return d.slot, d.off
+		return tc.devs[i].slot
 	}
 	name := string(dev) //supremmlint:allow hotalloc: device name interned once on first appearance
 	d := devCols{dev: name, off: l.width, slot: len(l.slots)}
@@ -137,7 +150,7 @@ func (tc *typeCols) ensureDev(l *Layout, dev []byte) (slot, off int) {
 	l.slots = append(l.slots, slotRef{t: tc, dev: name, off: d.off})
 	l.width += len(tc.schema)
 	l.version++
-	return d.slot, d.off
+	return d.slot
 }
 
 func schemasEqual(a, b procfs.Schema) bool {
@@ -159,17 +172,21 @@ func schemasEqual(a, b procfs.Schema) bool {
 // until fn returns — callers that retain data must copy it (or call
 // Materialize). The returned File carries the header fields and schemas.
 //
-// This is the zero-allocation fast path: data lines are tokenized in
-// place from the scanner's byte buffer, values are parsed without any
-// intermediate strings, and after the per-file layout has seen every
-// (type, device) pair the steady-state loop allocates nothing.
+// This is the zero-allocation fast path: data lines are matched against
+// the predicted slot and read in place from the scanner's byte buffer,
+// values are parsed without any intermediate strings, and after the
+// per-file layout has seen every (type, device) pair the steady-state
+// loop allocates nothing.
 func ParseStream(r io.Reader, fn func(*Record) error) (*File, error) {
 	f := &File{Schemas: make(map[string]procfs.Schema)}
 	lay := newLayout()
 	sc := bufio.NewScanner(r)
-	// Start small; the scanner grows on demand up to 16 MB for
-	// pathological lines, so steady-state memory stays near one line.
-	sc.Buffer(make([]byte, 64<<10), 16<<20)
+	// Start from a recycled 64 KB buffer; the scanner grows on demand up
+	// to 16 MB for pathological lines, so steady-state memory stays near
+	// one line.
+	buf := scanBufs.Get().(*[64 << 10]byte)
+	defer scanBufs.Put(buf)
+	sc.Buffer(buf[:], 16<<20)
 
 	rec := Record{layout: lay}
 	var flat []uint64
@@ -223,6 +240,7 @@ func ParseStream(r io.Reader, fn func(*Record) error) (*File, error) {
 				present = append(present, make([]bool, len(lay.slots)-len(present))...)
 			}
 			clear(present)
+			lay.next = 0
 			inRec = true
 		default:
 			if !inRec {
@@ -241,6 +259,10 @@ func ParseStream(r io.Reader, fn func(*Record) error) (*File, error) {
 	}
 	return f, nil
 }
+
+// scanBufs recycles ParseStream's scanner buffers across files and the
+// goroutines that parse them. No slice of one outlives its parse.
+var scanBufs = sync.Pool{New: func() any { return new([64 << 10]byte) }}
 
 // asciiSpace is the whitespace set the plain-text format can contain.
 var asciiSpace = [256]bool{' ': true, '\t': true, '\n': true, '\v': true, '\f': true, '\r': true}
@@ -382,45 +404,100 @@ func parseTimestampBytes(line []byte) (ts int64, mark string, jobID int64, err e
 }
 
 // parseDataBytes parses "type device v0 v1 ..." directly from the
-// scanner's buffer into the record's flat array.
+// scanner's buffer into the record's flat array. A line that starts
+// "type dev " of the predicted slot takes that slot; any other line, or
+// one whose type a changed schema has re-declared, is split into type
+// and device and looked up (claiming a slot for a new device). Either
+// way the cursor moves to the slot after this line's.
 func parseDataBytes(line []byte, lay *Layout, flat *[]uint64, present *[]bool) error {
-	i := 0
-	typ := nextField(line, &i)
-	dev := nextField(line, &i)
-	if len(dev) == 0 {
-		return fmt.Errorf("malformed data line %q", line)
+	slot, i := lay.next, 0
+	if slot < len(lay.slots) && !lay.slots[slot].t.replaced {
+		i = lay.slots[slot].starts(line)
 	}
-	tc := lay.byName[string(typ)]
-	if tc == nil {
-		return fmt.Errorf("data for undeclared type %q", typ)
-	}
-	width := len(tc.schema)
-	slot, off := tc.ensureDev(lay, dev)
-	if len(*flat) < lay.width {
-		*flat = append(*flat, make([]uint64, lay.width-len(*flat))...)
-	}
-	if len(*present) < len(lay.slots) {
-		*present = append(*present, make([]bool, len(lay.slots)-len(*present))...)
-	}
-	dst := (*flat)[off : off+width]
-	n := 0
-	for {
-		tok := nextField(line, &i)
-		if tok == nil {
-			break
+	if i == 0 {
+		typ := nextField(line, &i)
+		dev := nextField(line, &i)
+		if len(dev) == 0 {
+			return fmt.Errorf("malformed data line %q", line)
 		}
-		if n < width {
-			v, ok := parseUint64(tok)
-			if !ok {
-				return fmt.Errorf("bad value %q", tok)
-			}
-			dst[n] = v
+		tc := lay.byName[string(typ)]
+		if tc == nil {
+			return fmt.Errorf("data for undeclared type %q", typ)
 		}
-		n++
+		slot = tc.ensureDev(lay, dev)
+		if len(*flat) < lay.width {
+			*flat = append(*flat, make([]uint64, lay.width-len(*flat))...)
+		}
+		if len(*present) < len(lay.slots) {
+			*present = append(*present, make([]bool, len(lay.slots)-len(*present))...)
+		}
+	}
+	lay.next = slot + 1
+	s := &lay.slots[slot]
+	width := len(s.t.schema)
+	n, err := parseValues(line[i:], (*flat)[s.off:s.off+width])
+	if err != nil {
+		return err
 	}
 	if n != width {
-		return fmt.Errorf("type %q: %d values for %d-key schema", tc.name, n, width)
+		return fmt.Errorf("type %q: %d values for %d-key schema", s.t.name, n, width)
 	}
 	(*present)[slot] = true
 	return nil
+}
+
+// hasPrefix reports whether line starts with p, comparing in place.
+func hasPrefix(line []byte, p string) bool {
+	if len(line) < len(p) {
+		return false
+	}
+	for i := 0; i < len(p); i++ {
+		if line[i] != p[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// parseValues reads the whitespace-separated values in b into dst in
+// one pass and returns how many tokens b holds. A token of at most 19
+// digits followed by a space or the end cannot overflow and is taken as
+// read; any other token (longer, or ending on a byte that is neither
+// digit nor space) is re-read by parseUint64, whose rejection and
+// overflow rules decide. Tokens past len(dst) are counted, not parsed.
+func parseValues(b []byte, dst []uint64) (int, error) {
+	n, i := 0, 0
+	for i < len(b) {
+		if asciiSpace[b[i]] {
+			i++
+			continue
+		}
+		start := i
+		if n >= len(dst) {
+			for i < len(b) && !asciiSpace[b[i]] {
+				i++
+			}
+			n++
+			continue
+		}
+		var v uint64
+		for ; i < len(b); i++ {
+			d := b[i] - '0'
+			if d > 9 {
+				break
+			}
+			v = v*10 + uint64(d)
+		}
+		if i-start > 19 || (i < len(b) && !asciiSpace[b[i]]) {
+			i = start
+			tok := nextField(b, &i)
+			var ok bool
+			if v, ok = parseUint64(tok); !ok {
+				return n, fmt.Errorf("bad value %q", tok)
+			}
+		}
+		dst[n] = v
+		n++
+	}
+	return n, nil
 }

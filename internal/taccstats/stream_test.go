@@ -57,6 +57,24 @@ func TestParseStreamRecordsMatchParseFile(t *testing.T) {
 	}
 }
 
+// TestParseStreamSteadyStateAllocs pins the zero-allocation steady
+// state: once a parse has warmed the scanner buffer pool, what a file
+// allocates is its layout's, and twice the records cost no more.
+func TestParseStreamSteadyStateAllocs(t *testing.T) {
+	allocs := func(records int) float64 {
+		data := benchFile(t, records)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := ParseStream(bytes.NewReader(data), func(*Record) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(144), allocs(288)
+	if long > short {
+		t.Errorf("288 records allocate %v times, 144 records %v: the steady-state loop allocates", long, short)
+	}
+}
+
 func TestLayoutColumns(t *testing.T) {
 	content := "$tacc_stats 2.0\n!cpu user,E idle,E\n!mem MemUsed,U=KB\n" +
 		"100\ncpu 0 1 2\ncpu 1 3 4\nmem 0 500\n" +
