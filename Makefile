@@ -183,7 +183,7 @@ bench-serve:
 # incremental reload is pinned by bytes read, not by this ratio
 # (TestIncrementalReloadOpensOneShard).
 bench-store:
-	$(GO) test -run '^$$' -bench 'BenchmarkAggregateColumnar|BenchmarkColumnsCodec|BenchmarkEncodeColumns|BenchmarkSaveBinary|BenchmarkWriteShardDirAppend|BenchmarkIncrementalReload|BenchmarkShardPrune|BenchmarkShardMemo' -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkAggregateColumnar|BenchmarkColumnsCodec|BenchmarkEncodeColumns|BenchmarkSaveBinary|BenchmarkWriteShardDirAppend|BenchmarkIncrementalReload|BenchmarkShardPrune|BenchmarkShardMemo|BenchmarkDistribution|BenchmarkGroupByUser' -benchmem \
 		./internal/store ./internal/serve
 
 # Render every paper figure as text plus vector/HTML artifacts.

@@ -22,6 +22,13 @@
 // /healthz, /readyz, /metrics and an X-Supremm-Coverage header on every
 // response. -degraded-min-coverage sets a floor below which data
 // queries are refused outright.
+//
+// -debug-addr (off by default) serves the Go profiler, net/http/pprof,
+// on a listener of its own: the data listener never answers
+// /debug/pprof/, and a profile is never queued or shed behind the
+// admission valve. It closes when the drain ends.
+//
+//	go tool pprof 'http://127.0.0.1:6060/debug/pprof/profile?seconds=10'
 package main
 
 import (
@@ -31,6 +38,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -46,8 +54,11 @@ type options struct {
 	addr  string
 	poll  time.Duration
 	drain time.Duration
-	// ready receives the bound address once the listener is up (tests).
-	ready func(addr string)
+	// debugAddr is the profiler's listen address; empty starts none.
+	debugAddr string
+	// ready receives the bound address once the listener is up, and
+	// debugReady the profiler's (tests).
+	ready, debugReady func(addr string)
 }
 
 // flags registers supremmd's flags on fs. The daemon's configuration
@@ -57,6 +68,7 @@ func flags(fs *flag.FlagSet) (*serve.Config, *options) {
 	cfg, opts := &serve.Config{}, &options{}
 	fs.StringVar(&cfg.DataDir, "data", "data", "ingested data directory, as cmd/ingest writes it (MANIFEST.supremm + the shard-<day>.supremm files it names; plus series.jsonl, quality.json)")
 	fs.StringVar(&opts.addr, "addr", "127.0.0.1:8090", "listen address")
+	fs.StringVar(&opts.debugAddr, "debug-addr", "", "serve net/http/pprof on this separate listen address, outside admission control (empty = off)")
 	fs.DurationVar(&opts.poll, "poll", 10*time.Second, "data-directory poll interval for hot reload (0 disables)")
 	fs.IntVar(&cfg.CacheSize, "cache", 0, "query-cache entries (0 = default 1024, negative disables)")
 	fs.IntVar(&cfg.RetryMax, "retries", 2, "retries per snapshot load racing an ingest rewrite")
@@ -113,6 +125,19 @@ func run(ctx context.Context, cfg serve.Config, opts options) error {
 	if err != nil {
 		return err
 	}
+	if opts.debugAddr != "" {
+		addr, stop, err := debugListener(opts.debugAddr)
+		if err != nil {
+			_ = ln.Close() // the bind error is the one to report
+			return err
+		}
+		// Closed as run returns, after the drain: a profile can watch it.
+		defer stop()
+		fmt.Fprintf(os.Stderr, "supremmd: profiler on %s/debug/pprof/\n", addr)
+		if opts.debugReady != nil {
+			opts.debugReady(addr)
+		}
+	}
 	httpSrv := &http.Server{Handler: srv}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
@@ -165,4 +190,32 @@ func run(ctx context.Context, cfg serve.Config, opts options) error {
 		err = serr
 	}
 	return err
+}
+
+// debugListener serves net/http/pprof's handlers on a listener of its
+// own at addr. stop closes it, cutting off a profile in progress, and
+// waits for its goroutine.
+func debugListener(addr string) (bound string, stop func(), err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", nil, err
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	hs := &http.Server{Handler: mux}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			fmt.Fprintln(os.Stderr, "supremmd: profiler:", err)
+		}
+	}()
+	return ln.Addr().String(), func() {
+		_ = hs.Close() // best-effort: the daemon is done with it
+		<-done
+	}, nil
 }

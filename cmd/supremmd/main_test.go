@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"supremm/internal/leakcheck"
 	"supremm/internal/serve"
 	"supremm/internal/store"
 )
@@ -130,6 +131,7 @@ func TestFlagsBind(t *testing.T) {
 		"-cache", "7", "-retries", "5", "-max-inflight", "9", "-max-queue", "11", "-timeout", "6s",
 		"-retry-after", "13", "-breaker-threshold", "17", "-breaker-backoff", "19",
 		"-self-heal=false", "-scrub-budget", "-1", "-degraded-min-coverage", "0.5",
+		"-debug-addr", "127.0.0.1:6060",
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +154,102 @@ func TestFlagsBind(t *testing.T) {
 	if !reflect.DeepEqual(*cfg, want) {
 		t.Errorf("serve.Config = %+v\nwant %+v", *cfg, want)
 	}
-	if opts.addr != "10.0.0.1:9000" || opts.poll != 3*time.Second || opts.drain != 4*time.Second {
-		t.Errorf("options = addr %q, poll %v, drain %v; want 10.0.0.1:9000, 3s, 4s", opts.addr, opts.poll, opts.drain)
+	if opts.addr != "10.0.0.1:9000" || opts.poll != 3*time.Second || opts.drain != 4*time.Second || opts.debugAddr != "127.0.0.1:6060" {
+		t.Errorf("options = addr %q, poll %v, drain %v, debug-addr %q; want 10.0.0.1:9000, 3s, 4s, 127.0.0.1:6060",
+			opts.addr, opts.poll, opts.drain, opts.debugAddr)
+	}
+}
+
+// startRun runs the daemon over a five-job directory with opts until
+// the returned stop is called, and returns the data listener's address
+// and the profiler's ("" when run started none).
+func startRun(t *testing.T, opts options) (addr, debug string, stop func()) {
+	t.Helper()
+	dir := t.TempDir()
+	writeData(t, dir, 5)
+	ctx, cancel := context.WithCancel(context.Background())
+	readyc, debugc := make(chan string, 1), make(chan string, 1)
+	opts.ready = func(addr string) { readyc <- addr }
+	opts.debugReady = func(addr string) { debugc <- addr }
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, serve.Config{DataDir: dir, RetryMax: 1}, opts) }()
+	select {
+	case addr = <-readyc:
+	case err := <-done:
+		t.Fatalf("daemon exited before ready: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon never became ready")
+	}
+	select {
+	case debug = <-debugc:
+	default:
+	}
+	return addr, debug, func() {
+		t.Helper()
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run returned %v after cancel, want nil", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("daemon did not drain after cancel")
+		}
+	}
+}
+
+// status GETs url and returns the response status.
+func status(t *testing.T, url string) int {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if err := resp.Body.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode
+}
+
+// TestDebugListener: -debug-addr serves the profiler on its own
+// listener, which the data listener does not; the default flags start
+// none; and the drain closes it, leaving no goroutine behind.
+func TestDebugListener(t *testing.T) {
+	leakcheck.Check(t)
+	fs := flag.NewFlagSet("supremmd", flag.ContinueOnError)
+	_, opts := flags(fs)
+	if err := fs.Parse([]string{"-addr", "127.0.0.1:0", "-poll", "0"}); err != nil {
+		t.Fatal(err)
+	}
+	addr, debug, stop := startRun(t, *opts)
+	if debug != "" {
+		t.Errorf("the default flags started a profiler on %s", debug)
+	}
+	if got := status(t, "http://"+addr+"/debug/pprof/"); got != http.StatusNotFound {
+		t.Errorf("data listener /debug/pprof/: %d, want 404", got)
+	}
+	stop()
+
+	opts.debugAddr = "127.0.0.1:0"
+	addr, debug, stop = startRun(t, *opts)
+	if debug == "" {
+		t.Fatal("-debug-addr started no profiler")
+	}
+	if got := status(t, "http://"+debug+"/debug/pprof/"); got != http.StatusOK {
+		t.Errorf("profiler /debug/pprof/: %d, want 200", got)
+	}
+	if got := status(t, "http://"+debug+"/debug/pprof/goroutine?debug=1"); got != http.StatusOK {
+		t.Errorf("profiler goroutine profile: %d, want 200", got)
+	}
+	if got := status(t, "http://"+addr+"/debug/pprof/"); got != http.StatusNotFound {
+		t.Errorf("data listener /debug/pprof/: %d, want 404", got)
+	}
+	stop()
+	if resp, err := http.Get("http://" + debug + "/debug/pprof/"); err == nil {
+		resp.Body.Close()
+		t.Error("the profiler still answers after the drain")
 	}
 }

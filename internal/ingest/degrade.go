@@ -184,7 +184,10 @@ func parseFileRetrying(o Options, host, name string, base hostState, out []timed
 //   - CPU counters moving backwards: a node reboot; counted as a reset
 //     (eventDelta's reset semantics already yield the right delta);
 //   - dt beyond the plausibility bound (missing day, stepped clock):
-//     the bridging interval is suppressed and counted as clamped.
+//     the bridging interval is suppressed and counted as clamped;
+//   - a type re-declared with a changed schema after its devices were
+//     read (taccstats.Layout.Replaced): the plan cannot resolve the
+//     type across the change, so the file fails, naming the type.
 //
 // It appends the file's intervals to out and returns the grown slice,
 // on failure too, so the caller can cut it back and keep its capacity.
@@ -198,6 +201,9 @@ func parseFileOnce(o Options, host, name string, st hostState, out []timedInterv
 	}
 	_, perr := taccstats.ParseStream(fh, func(rec *taccstats.Record) error {
 		lay := rec.Layout()
+		if typ := lay.Replaced(); typ != "" {
+			return fmt.Errorf("type %s re-declared with a changed schema after its devices were read: its intervals across the change cannot be reduced", typ)
+		}
 		cur := rec.Flat()
 		if st.havePrev {
 			dt := float64(rec.Time - st.prevTime)

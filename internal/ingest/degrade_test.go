@@ -487,3 +487,53 @@ func TestIngestQualityRoundTrip(t *testing.T) {
 		t.Fatalf("completeness = %v, want 0.8", c)
 	}
 }
+
+// TestIngestRefusesSchemaChange: a file that re-declares a type with a
+// changed schema after the type's devices were read cannot be reduced —
+// the metric plan resolves the type through the new column block, so
+// the interval across the change differences the new block against a
+// previous record that has no values there. The host is 100% user time
+// throughout, in both key orders; reduced through the change, the
+// second file read the user counter against zero and the job came out
+// at a user fraction below 1. Lenient ingest quarantines that file,
+// naming the type, and keeps the first file's intervals; strict ingest
+// fails on it.
+func TestIngestRefusesSchemaChange(t *testing.T) {
+	dir := t.TempDir()
+	hostDir := filepath.Join(dir, "d000")
+	if err := os.MkdirAll(hostDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const head = "$tacc_stats 2.0\n$hostname d000\n$arch amd64_opteron\n!cpu user,E,U=cs idle,E,U=cs\n"
+	files := map[string]string{
+		"1.raw": head + "1000\ncpu 0 0 500\n1600\ncpu 0 60000 500\n2200\ncpu 0 120000 500\n",
+		"2.raw": head + "2800\ncpu 0 180000 500\n3400\n!cpu idle,E,U=cs user,E,U=cs\ncpu 0 500 240000\n4000\ncpu 0 500 300000\n",
+	}
+	for name, content := range files {
+		if err := os.WriteFile(filepath.Join(hostDir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acct := []sched.AcctRecord{{
+		Cluster: "ranger", Owner: "bob", JobName: "app", JobID: 42, Account: "P",
+		Submit: 900, Start: 1000, End: 4000, Status: workload.Completed,
+		Slots: 2, NodeList: []string{"d000"},
+	}}
+	res, err := IngestRawOpts(dir, acct, Options{Policy: Lenient})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := res.Quality
+	if q.FilesQuarantined != 1 || len(q.Quarantined) != 1 || q.Quarantined[0].File != "2.raw" ||
+		!strings.Contains(q.Quarantined[0].Reason, "type cpu re-declared") {
+		t.Fatalf("quality = %+v, want 2.raw quarantined for the cpu schema change", q)
+	}
+	if rec := res.Store.Record(0); rec.Samples != 2 || rec.CPUUserFrac != 1 {
+		t.Errorf("job = %d samples at user fraction %v, want the first file's 2 intervals at 1", rec.Samples, rec.CPUUserFrac)
+	}
+	_, err = IngestRawOpts(dir, acct, Options{Policy: Strict})
+	var fe *FaultError
+	if !errors.As(err, &fe) || fe.Host != "d000" || fe.File != "2.raw" || !strings.Contains(err.Error(), "type cpu re-declared") {
+		t.Fatalf("strict: error = %v, want a fault at d000/2.raw naming type cpu", err)
+	}
+}

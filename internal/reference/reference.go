@@ -170,6 +170,18 @@ func (p Parts) Values(m store.Metric, f store.Filter) []float64 {
 	return out
 }
 
+// Histogram is the rows passing f binned by metric m: their Values
+// copied out, stats.MinMax's range over them ([0, 0) when no row
+// passes) and stats.NewHistogram — what store.Reader.Histogram answers.
+func (p Parts) Histogram(m store.Metric, f store.Filter, bins int) *stats.Histogram {
+	vals := p.Values(m, f)
+	lo, hi := 0.0, 0.0
+	if len(vals) > 0 {
+		lo, hi = stats.MinMax(vals)
+	}
+	return stats.NewHistogram(vals, lo, hi, bins)
+}
+
 // NodeHours is the node-hour total of the rows passing f: what a
 // Selection's NodeHours answers over a set cut as p is.
 func (p Parts) NodeHours(f store.Filter) float64 {

@@ -9,10 +9,12 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"supremm/internal/leakcheck"
+	"supremm/internal/reference"
 	"supremm/internal/store"
 )
 
@@ -109,6 +111,66 @@ func TestRequestDeadlineCancelsAggregation(t *testing.T) {
 	}
 	if n := srv.met.deadlineTimeouts.Load(); n != 1 {
 		t.Errorf("deadline_timeouts = %d, want 1", n)
+	}
+}
+
+// TestRequestDeadlineCancelsDistribution: a distribution whose deadline
+// has passed before its kernel runs ends as TestRequestModel's expires
+// twist says a context-honouring render does — a counted deadline
+// timeout, 503 with Retry-After, nothing cached — and never answers a
+// partial histogram: the same URL asked again, in time, is a cache miss
+// whose body is the reference's.
+func TestRequestDeadlineCancelsDistribution(t *testing.T) {
+	leakcheck.Check(t)
+	const target = "/api/v1/distribution?metric=cpu_idle&bins=5"
+	if !dataShot(target).honoursCtx {
+		t.Fatalf("the request model does not predict a timeout for %s", target)
+	}
+	dir := t.TempDir()
+	st := fixtureStore(50)
+	writeDataDir(t, dir, st, fixtureSeries(5), nil)
+	var park atomic.Bool
+	park.Store(true)
+	srv, err := New(Config{
+		DataDir:        dir,
+		RequestTimeout: 20 * time.Millisecond,
+		Hooks: Hooks{BeforeHandle: func(ctx context.Context, _ string) func() {
+			if park.Load() {
+				<-ctx.Done() // the deadline passes before the kernel runs
+			}
+			return nil
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+	var body map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := body["error"]; rec.Code != http.StatusServiceUnavailable || !ok || len(body) != 1 {
+		t.Fatalf("expired distribution: status %d, body %s; want 503 and an error only", rec.Code, rec.Body.String())
+	}
+	if rec.Header().Get("Retry-After") == "" {
+		t.Error("timed-out response lacks Retry-After")
+	}
+	if n := srv.met.deadlineTimeouts.Load(); n != 1 {
+		t.Errorf("deadline_timeouts = %d, want 1", n)
+	}
+
+	park.Store(false)
+	rows := make([]store.JobRecord, st.Len())
+	for i := range rows {
+		rows[i] = st.Record(i)
+	}
+	status, got := get(t, srv, target)
+	if want := referenceBody(t, reference.ByEndDay(rows), target); status != http.StatusOK || !bytes.Equal(got, want) {
+		t.Errorf("the same distribution in time: %d\n%s\nwant\n%s", status, got, want)
+	}
+	if hits, misses := srv.met.cacheHits.Load(), srv.met.cacheMisses.Load(); hits != 0 || misses != 2 {
+		t.Errorf("cache hits %d, misses %d; want 0 and 2: the timed-out answer must not be cached", hits, misses)
 	}
 }
 

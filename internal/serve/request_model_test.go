@@ -84,13 +84,13 @@ type shot struct {
 	data           bool   // a data row: admission, hook, floor, cache
 	decodes        bool   // gets past parameter decoding
 	status         int
-	honoursCtx     bool // its render stops on a done context (aggregate's kernel)
+	honoursCtx     bool // its render stops on a done context (the aggregate and histogram kernels)
 }
 
 func dataShot(target string) shot {
 	path, _, _ := strings.Cut(target, "?")
 	return shot{method: "GET", target: target, route: path, data: true, decodes: true,
-		status: http.StatusOK, honoursCtx: path == "/api/v1/aggregate"}
+		status: http.StatusOK, honoursCtx: path == "/api/v1/aggregate" || path == "/api/v1/distribution"}
 }
 
 var (

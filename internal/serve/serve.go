@@ -19,7 +19,6 @@ import (
 
 	"supremm/internal/core"
 	"supremm/internal/report"
-	"supremm/internal/stats"
 )
 
 // Config configures a Server.
@@ -342,12 +341,11 @@ func (s *Server) distribution(ctx context.Context, snap *Snapshot, p Params) (in
 	if p.Metric == "" {
 		return http.StatusBadRequest, nil, errors.New("parameter metric is required")
 	}
-	vals := snap.Realm.Store.Scan(snap.Realm.Scope(p.Filter)).Values(p.Metric)
-	lo, hi := 0.0, 0.0
-	if len(vals) > 0 {
-		lo, hi = stats.MinMax(vals)
+	h, err := snap.Realm.Store.Histogram(ctx, p.Metric, snap.Realm.Scope(p.Filter), p.Bins)
+	if err != nil {
+		return http.StatusInternalServerError, nil, err
 	}
-	return http.StatusOK, newDistributionDTO(p.Metric, stats.NewHistogram(vals, lo, hi, p.Bins)), nil
+	return http.StatusOK, newDistributionDTO(p.Metric, h), nil
 }
 
 func (s *Server) query(_ context.Context, snap *Snapshot, p Params) (int, any, error) {

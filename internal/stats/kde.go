@@ -126,33 +126,46 @@ type Histogram struct {
 	Lo, Hi float64
 	Counts []int
 	N      int
+	width  float64 // of one bin, computed once by EmptyHistogram
 }
 
-// NewHistogram bins xs into bins equal-width buckets across [lo, hi).
-// Values outside the range are clamped into the end bins so totals are
-// preserved; a NaN belongs to no bin and is not counted, so N is always
-// the sum of Counts. An empty or NaN range has no bins.
+// NewHistogram bins xs into bins equal-width buckets across [lo, hi):
+// EmptyHistogram, then Add for each value in order.
 func NewHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
+	h := EmptyHistogram(lo, hi, bins)
+	for _, x := range xs {
+		h.Add(x)
+	}
+	return h
+}
+
+// EmptyHistogram is the histogram of bins equal-width buckets across
+// [lo, hi) with nothing added yet. An empty or NaN range has no bins,
+// and Add then counts nothing.
+func EmptyHistogram(lo, hi float64, bins int) *Histogram {
 	if bins <= 0 || !(lo < hi) {
 		return &Histogram{Lo: lo, Hi: hi}
 	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	width := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		if math.IsNaN(x) {
-			continue // int(NaN) is platform-defined
-		}
-		i := int((x - lo) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= bins {
-			i = bins - 1
-		}
-		h.Counts[i]++
-		h.N++
+	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins), width: (hi - lo) / float64(bins)}
+}
+
+// Add counts x in its bin. Values outside the range are clamped into
+// the end bins so totals are preserved; a NaN belongs to no bin and is
+// not counted, so N is always the sum of Counts.
+func (h *Histogram) Add(x float64) {
+	bins := len(h.Counts)
+	if bins == 0 || math.IsNaN(x) {
+		return // int(NaN) is platform-defined
 	}
-	return h
+	i := int((x - h.Lo) / h.width)
+	if i < 0 {
+		i = 0
+	}
+	if i >= bins {
+		i = bins - 1
+	}
+	h.Counts[i]++
+	h.N++
 }
 
 // BinCenter returns the midpoint of bin i.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"supremm/internal/reference"
+	"supremm/internal/stats"
 	"supremm/internal/store"
 )
 
@@ -61,6 +62,15 @@ func aggParallel(r store.Reader, m store.Metric, f store.Filter, workers int) st
 		panic(err)
 	}
 	return agg
+}
+
+// histogram is Reader.Histogram on a context that never fires.
+func histogram(r store.Reader, m store.Metric, f store.Filter, bins int) *stats.Histogram {
+	h, err := r.Histogram(context.Background(), m, f, bins)
+	if err != nil {
+		panic(err)
+	}
+	return h
 }
 
 // equivRows exercise the tricky aggregation inputs: NaN metric values,

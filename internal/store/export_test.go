@@ -30,3 +30,12 @@ func PrunedParts(ss *ShardSet, f Filter) (n int) {
 	}
 	return n
 }
+
+// Bounds is the histogram kernel's first step over the rows f selects:
+// metric m's range, from the partitions' partials.
+func Bounds(ss *ShardSet, m Metric, f Filter) (lo, hi float64) {
+	sel := ss.selectParts(f)
+	defer ss.tally(sel)
+	lo, hi, _ = bounds(nil, sel, m)
+	return lo, hi
+}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"sort"
+
+	"supremm/internal/stats"
 )
 
 // The query engine (DESIGN.md §11, §14.3): one kernel per Reader method,
@@ -265,29 +267,10 @@ func (ss *ShardSet) aggregate(ctx context.Context, m Metric, f Filter) (Agg, err
 	if n == 0 {
 		return emptyAgg(), nil
 	}
-	// A time window selects a run of adjacent day partitions; only the
-	// run is visited (n > 0: some partition holds a selected row).
-	for len(sel[0].rows) == 0 {
-		sel = sel[1:]
-	}
-	for len(sel[len(sel)-1].rows) == 0 {
-		sel = sel[:len(sel)-1]
-	}
-	total := newPartial()
-	for i := range sel {
-		if cancelled(ctx) {
-			return Agg{}, ctx.Err()
-		}
-		p := sel[i].partial(m)
-		total.sw += p.sw
-		total.swx += p.swx
-		total.plain += p.plain
-		if p.min < total.min {
-			total.min = p.min
-		}
-		if p.max > total.max {
-			total.max = p.max
-		}
+	sel = selRun(sel)
+	total, err := mergePartials(ctx, sel, m)
+	if err != nil {
+		return Agg{}, err
 	}
 	// Zero total weight has no weighted mean: Mean and StdDev stay NaN
 	// and no second pass runs.
@@ -309,6 +292,93 @@ func (ss *ShardSet) aggregate(ctx context.Context, m Metric, f Filter) (Agg, err
 		agg.StdDev = math.Sqrt(dev / total.sw)
 	}
 	return agg, nil
+}
+
+// selRun trims a selection holding a row to the run of partitions from
+// the first to the last that hold one: a time window selects a run of
+// adjacent day partitions, and only the run is visited.
+func selRun(sel []shardSel) []shardSel {
+	for len(sel[0].rows) == 0 {
+		sel = sel[1:]
+	}
+	for len(sel[len(sel)-1].rows) == 0 {
+		sel = sel[:len(sel)-1]
+	}
+	return sel
+}
+
+// mergePartials adds the partitions' partials of metric m in partition
+// order, checking ctx between partitions.
+func mergePartials(ctx context.Context, sel []shardSel, m Metric) (aggPartial, error) {
+	total := newPartial()
+	for i := range sel {
+		if cancelled(ctx) {
+			return aggPartial{}, ctx.Err()
+		}
+		p := sel[i].partial(m)
+		total.sw += p.sw
+		total.swx += p.swx
+		total.plain += p.plain
+		if p.min < total.min {
+			total.min = p.min
+		}
+		if p.max > total.max {
+			total.max = p.max
+		}
+	}
+	return total, nil
+}
+
+// bounds is the smallest and largest number metric m takes over the
+// selected rows — stats.MinMax of Values(m), without the copy: the min
+// and max of the partitions' partials (a whole population's from its
+// memo), merged in partition order, whose strict comparisons keep the
+// first of a -0/+0 tie as MinMax's running fold does. NaN, NaN when no
+// selected row holds a number.
+func bounds(ctx context.Context, sel []shardSel, m Metric) (lo, hi float64, err error) {
+	total, err := mergePartials(ctx, sel, m)
+	if err != nil {
+		return 0, 0, err
+	}
+	if total.min > total.max {
+		return math.NaN(), math.NaN(), nil
+	}
+	return total.min, total.max, nil
+}
+
+// Histogram is the distribution kernel: metric m over the filtered rows
+// binned into bins equal-width buckets across their bounds — which is
+// stats.NewHistogram over Values(m) and stats.MinMax's range, bin for
+// bin, but one ordered walk adds each selected value in place, through
+// the same Add, and no copy of the selection is made. An empty
+// selection has the range [0, 0) and no bins. ctx is checked between
+// partitions, as in aggregate: a fired ctx returns its error, never a
+// partial histogram.
+func (ss *ShardSet) Histogram(ctx context.Context, m Metric, f Filter, bins int) (*stats.Histogram, error) {
+	sel := ss.selectParts(f)
+	defer ss.tally(sel)
+	if selTotal(sel) == 0 {
+		return stats.EmptyHistogram(0, 0, bins), nil
+	}
+	sel = selRun(sel)
+	lo, hi, err := bounds(ctx, sel, m)
+	if err != nil {
+		return nil, err
+	}
+	h := stats.EmptyHistogram(lo, hi, bins)
+	if len(h.Counts) == 0 {
+		return h, nil
+	}
+	for i := range sel {
+		if cancelled(ctx) {
+			return nil, ctx.Err()
+		}
+		col := sel[i].c.Metric(m)
+		for _, r := range sel[i].rows {
+			h.Add(col[r])
+		}
+	}
+	return h, nil
 }
 
 // cancelled reports whether ctx has fired; a nil ctx never does.
@@ -355,8 +425,9 @@ func (g groupSums) column(j, n int) []float64 {
 // rows, in row order, into sums indexed directly by its own dictionary
 // codes (groupRun — no row pays a string lookup; once per shard for a
 // whole population, which the shard then remembers), then the codes
-// that took a row merge into their keys' totals, in partition order, at
-// one map lookup per (partition, key).
+// that took a row merge into their keys' totals, in partition order,
+// through the set's union of the key's dictionaries: a code becomes
+// its key's id by one table read, and the id indexes the key's slot.
 func (ss *ShardSet) groupRows(k GroupKey, metrics []Metric, f Filter) []Group {
 	sel := ss.selectParts(f)
 	defer ss.tally(sel)
@@ -370,9 +441,10 @@ func (ss *ShardSet) groupRows(k GroupKey, metrics []Metric, f Filter) []Group {
 			codes = max(codes, len(s.c.KeyColumn(k).Values))
 		}
 	}
+	u := ss.union(k)
 	total := groupSums{stride, make([]int, 0, codes), make([]float64, 0, codes*stride)}
 	keys := make([]string, 0, codes)
-	slotOf := make(map[string]int, codes)
+	slotOf := make([]int32, u.keys) // by key id: 1 + the key's slot, 0 until it takes a row
 	sc := newGroupScratch(len(metrics), codes)
 	l := make([]float64, stride) // one code's partition sums
 	for i := range sel {
@@ -381,14 +453,14 @@ func (ss *ShardSet) groupRows(k GroupKey, metrics []Metric, f Filter) []Group {
 			continue
 		}
 		part := s.groups(k, metrics, &sc)
-		values := s.c.KeyColumn(k).Values
+		ids := u.ids[i]
 		for _, code := range part.codes {
 			at := int(code) * part.stride
 			for j, col := range part.sums {
 				l[j] = col[at]
 			}
-			n, key := part.n[code], values[code]
-			if ks, ok := slotOf[key]; ok {
+			n, id := part.n[code], ids[code]
+			if ks := int(slotOf[id]) - 1; ks >= 0 {
 				total.n[ks] += n
 				t := total.at(ks)
 				for j, x := range l {
@@ -396,8 +468,8 @@ func (ss *ShardSet) groupRows(k GroupKey, metrics []Metric, f Filter) []Group {
 				}
 			} else {
 				// A key's first partial is its total so far.
-				slotOf[key] = len(keys)
-				keys = append(keys, key)
+				slotOf[id] = int32(len(keys) + 1)
+				keys = append(keys, s.c.KeyColumn(k).Values[code])
 				total.n = append(total.n, n)
 				total.sums = append(total.sums, l...)
 			}
@@ -414,6 +486,43 @@ func (ss *ShardSet) groupRows(k GroupKey, metrics []Metric, f Filter) []Group {
 		return out[i].Key < out[j].Key
 	})
 	return out
+}
+
+// keyUnion is the union of one key's dictionaries over a set's shards:
+// keys distinct values, numbered in order of first appearance over the
+// shards in list order, and ids[i][c] the number of shard i's code c.
+type keyUnion struct {
+	keys int
+	ids  [][]uint32
+}
+
+// union returns key k's union over the set's shards, built on the first
+// group-by by k and kept for the set's life: the shards never change,
+// so neither does it.
+func (ss *ShardSet) union(k GroupKey) *keyUnion {
+	return ss.unions[k].Get(func() *keyUnion {
+		n := 0
+		for _, sh := range ss.shards {
+			n += len(sh.c.keys[k].Values)
+		}
+		flat := make([]uint32, n)
+		u := &keyUnion{ids: make([][]uint32, len(ss.shards))}
+		idOf := make(map[string]uint32)
+		for i, sh := range ss.shards {
+			values := sh.c.keys[k].Values
+			u.ids[i], flat = flat[:len(values):len(values)], flat[len(values):]
+			for c, v := range values {
+				id, ok := idOf[v]
+				if !ok {
+					id = uint32(len(idOf))
+					idOf[v] = id
+				}
+				u.ids[i][c] = id
+			}
+		}
+		u.keys = len(idOf)
+		return u
+	})
 }
 
 // newGroup turns one key's merged sums into its Group.

@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"supremm/internal/stats"
 )
 
 // Reader is the query surface: everything above the store layer (core,
@@ -23,6 +25,8 @@ import (
 // never move) — and everything that serves queries holds the same
 // split, the job-end day shards of the manifest. The two aggregate
 // entry points return the same bits; the Ctx one adds cancellation.
+// Histogram is Values binned over stats.MinMax's range, without the
+// copy.
 type Reader interface {
 	Len() int
 	Scan(f Filter) Selection
@@ -34,6 +38,7 @@ type Reader interface {
 	Aggregate(m Metric, f Filter) Agg
 	AggregateParallelCtx(ctx context.Context, m Metric, f Filter, workers int) (Agg, error)
 	GroupBy(k GroupKey, metrics []Metric, f Filter) []Group
+	Histogram(ctx context.Context, m Metric, f Filter, bins int) (*stats.Histogram, error)
 }
 
 var _ Reader = (*ShardSet)(nil)
@@ -95,6 +100,9 @@ type ShardSet struct {
 	// uses counts, by partUse, the partitions this set's kernel calls
 	// pruned, walked and remembered.
 	uses [numPartUses]atomic.Int64
+	// unions holds, by GroupKey, the union of the shards' dictionaries
+	// that a group-by merges through (kernel.go).
+	unions [numGroupKeys]Slot[*keyUnion]
 }
 
 // PartitionUse counts how the kernel calls on one set — one served

@@ -35,7 +35,8 @@ func randomCuts(rng *rand.Rand, rows, n int) []int {
 // every Selection consumer bit-identically to the reference over ref,
 // which holds the same rows in the same global order, cut where r is
 // cut: Select, Scan's Records, Walk and Values (which no cut can move),
-// its NodeHours, Aggregate through both entry points and GroupBy over
+// its NodeHours, Histogram (whose bounds no cut can move either),
+// Aggregate through both entry points and GroupBy over
 // all five keys plus an out-of-range one (whose sums follow the cuts).
 // groupFirst asks each filter's group-bys before its selection and
 // aggregates, so that on a set nothing has queried yet a different
@@ -103,6 +104,9 @@ func checkFilters(t *testing.T, label string, r store.Reader, ref reference.Part
 			wv := ref.Values(m, f)
 			same("Values "+string(m), scan.Values(m), wv)
 			same("Reader.Values "+string(m), r.Values(m, f), wv)
+			for _, bins := range []int{1, 7} {
+				same(fmt.Sprintf("Histogram %s bins=%d", m, bins), histogram(r, m, f, bins), ref.Histogram(m, f, bins))
+			}
 		}
 		if !groupFirst {
 			groups()
@@ -486,6 +490,7 @@ func TestMemoFirstTouchRace(t *testing.T) {
 			aggParallel(ss, m, f, 1+q%3),
 			ss.GroupBy(store.GroupKey(q%3), metrics[:1+q%len(metrics)], f),
 			sel.Len(), sel.NodeHours(), sel.Values(m),
+			histogram(ss, m, f, 5),
 		}
 	}
 	const queries = 24

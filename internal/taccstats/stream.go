@@ -29,6 +29,9 @@ type Layout struct {
 	width   int
 	version int
 	next    int
+	// replaced names the first type whose block a changed schema
+	// replaced after the block had claimed devices (Replaced).
+	replaced string
 }
 
 type typeCols struct {
@@ -74,6 +77,15 @@ func newLayout() *Layout {
 // Version increments whenever a new type or device claims columns;
 // compiled plans use it to detect that they must be rebuilt.
 func (l *Layout) Version() int { return l.version }
+
+// Replaced names the first type that a changed schema re-declared
+// after its column block had claimed devices, "" while none has. From
+// then on Columns and Column resolve the type through the new block
+// alone, which holds none of what the record being built had already
+// read of it, and which the previous record's values are not in: no
+// (type, key) path compiled against the layout reads the type across
+// the change.
+func (l *Layout) Replaced() string { return l.replaced }
 
 // Width is the current length of the flat value array.
 func (l *Layout) Width() int { return l.width }
@@ -131,6 +143,9 @@ func (l *Layout) registerType(name string, schema procfs.Schema) {
 			return
 		}
 		old.replaced = true
+		if len(old.devs) > 0 && l.replaced == "" {
+			l.replaced = name
+		}
 	}
 	tc := &typeCols{name: name, schema: schema, byDev: make(map[string]int)}
 	l.byName[name] = tc
