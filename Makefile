@@ -49,14 +49,17 @@ lint-fast:
 	$(GO) run ./cmd/supremmlint $$dirs
 
 # Quick fuzz regression pass: replays the committed seed corpora plus a
-# short budget of new inputs against the raw-format parsers, the
-# columnar binary snapshot decoder, the daemon's corrupt-snapshot
+# short budget of new inputs against the raw-format parsers, the raw
+# ingest (against its naive reference; its inputs are whole archives,
+# so minimizing one takes most of a short budget and is capped),
+# the columnar binary snapshot decoder, the daemon's corrupt-snapshot
 # reload path (served generation must never change on a failed decode),
 # its request path (malformed input is always a 4xx, never a panic or
 # 5xx) and its answers (a well-formed request over HTTP gets the
 # reference's body, byte for byte).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseFile -fuzztime 10s ./internal/taccstats
+	$(GO) test -run '^$$' -fuzz FuzzIngestDifferential -fuzztime 10s -fuzzminimizetime 2s ./internal/ingest
 	$(GO) test -run '^$$' -fuzz FuzzColumnsDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzManifestDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzReloadCorrupt -fuzztime 10s ./internal/serve

@@ -10,6 +10,7 @@ import (
 
 	"supremm/internal/cluster"
 	"supremm/internal/ingest"
+	"supremm/internal/reference"
 	"supremm/internal/sched"
 	"supremm/internal/sim"
 	"supremm/internal/store"
@@ -17,21 +18,14 @@ import (
 	"supremm/internal/workload"
 )
 
-// parseRaw parses the raw file at path, keeping a materialized copy of
-// every record.
-func parseRaw(t *testing.T, path string) (*taccstats.File, []taccstats.Record, error) {
+// parseRaw reads the raw file at path through reference.Parse.
+func parseRaw(t *testing.T, path string) (*reference.RawFile, error) {
 	t.Helper()
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	var recs []taccstats.Record
-	parsed, err := taccstats.ParseStream(f, func(rec *taccstats.Record) error {
-		recs = append(recs, rec.Materialize())
-		return nil
-	})
-	return parsed, recs, err
+	return reference.Parse(data)
 }
 
 func TestDaemonWritesParseableOutput(t *testing.T) {
@@ -39,10 +33,11 @@ func TestDaemonWritesParseableOutput(t *testing.T) {
 	if err := run("ranger", "wrf", 777, 6, out, 9, 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	parsed, recs, err := parseRaw(t, out)
+	parsed, err := parseRaw(t, out)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs := parsed.Records
 	// begin + 6 samples + end.
 	if len(recs) != 8 {
 		t.Fatalf("records = %d, want 8", len(recs))
@@ -130,7 +125,7 @@ func TestDaemonLonestar(t *testing.T) {
 	if err := run("lonestar4", "gromacs", 1, 2, out, 1, 0, 2); err != nil {
 		t.Fatal(err)
 	}
-	parsed, _, err := parseRaw(t, out)
+	parsed, err := parseRaw(t, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +162,8 @@ func TestDaemonTruncateAt(t *testing.T) {
 	if st.Size() != limit {
 		t.Fatalf("crashed file is %d bytes, want exactly %d", st.Size(), limit)
 	}
-	if _, recs, perr := parseRaw(t, out); perr == nil && len(recs) >= 8 {
-		t.Fatalf("crash-truncated file parsed as complete (%d records)", len(recs))
+	if parsed, perr := parseRaw(t, out); perr == nil && len(parsed.Records) >= 8 {
+		t.Fatalf("crash-truncated file parsed as complete (%d records)", len(parsed.Records))
 	}
 }
 

@@ -4,189 +4,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"supremm/internal/cluster"
 	"supremm/internal/procfs"
+	"supremm/internal/reference"
 	"supremm/internal/sched"
-	"supremm/internal/store"
 	"supremm/internal/taccstats"
 	"supremm/internal/workload"
 )
-
-// ---------------------------------------------------------------------
-// Legacy reference implementation: the pre-streaming ingest path that
-// materializes every record of every file and reduces intervals through
-// nested map lookups. Kept here verbatim as the oracle the streaming
-// and parallel paths must match bit for bit.
-// ---------------------------------------------------------------------
-
-type legacySample struct {
-	rec     *taccstats.Record
-	schemas map[string]procfs.Schema
-}
-
-func (h *legacySample) get(typ, dev, key string) (uint64, bool) {
-	return h.rec.Get(h.schemas, typ, dev, key)
-}
-
-func legacySumDevices(prev, cur *legacySample, typ, key string) float64 {
-	devs, ok := cur.rec.Data[typ]
-	if !ok {
-		return 0
-	}
-	var total float64
-	for dev := range devs {
-		c, _ := cur.get(typ, dev, key)
-		p, _ := prev.get(typ, dev, key)
-		total += eventDelta(p, c)
-	}
-	return total
-}
-
-func legacySumGauge(cur *legacySample, typ, key string) float64 {
-	devs, ok := cur.rec.Data[typ]
-	if !ok {
-		return 0
-	}
-	var total float64
-	for dev := range devs {
-		v, _ := cur.get(typ, dev, key)
-		total += float64(v)
-	}
-	return total
-}
-
-func legacyComputeInterval(prev, cur *legacySample, dt float64) Interval {
-	user := legacySumDevices(prev, cur, procfs.TypeCPU, "user") + legacySumDevices(prev, cur, procfs.TypeCPU, "nice")
-	sys := legacySumDevices(prev, cur, procfs.TypeCPU, "system") +
-		legacySumDevices(prev, cur, procfs.TypeCPU, "irq") + legacySumDevices(prev, cur, procfs.TypeCPU, "softirq")
-	idle := legacySumDevices(prev, cur, procfs.TypeCPU, "idle")
-	iowait := legacySumDevices(prev, cur, procfs.TypeCPU, "iowait")
-	totalCS := user + sys + idle + iowait
-
-	iv := Interval{DtSec: dt}
-	if totalCS > 0 {
-		iv.UserFrac = user / totalCS
-		iv.SysFrac = sys / totalCS
-		iv.IdleFrac = (idle + iowait) / totalCS
-	}
-	iv.MemUsedKB = legacySumGauge(cur, procfs.TypeMem, "MemUsed")
-	iv.Flops = legacySumDevices(prev, cur, procfs.TypeAMDPMC, "FLOPS") +
-		legacySumDevices(prev, cur, procfs.TypeIntelPMC, "FLOPS")
-	if devs, ok := cur.rec.Data[procfs.TypeLlite]; ok {
-		for dev := range devs {
-			c, _ := cur.get(procfs.TypeLlite, dev, "write_bytes")
-			p, _ := prev.get(procfs.TypeLlite, dev, "write_bytes")
-			d := eventDelta(p, c)
-			switch dev {
-			case "scratch":
-				iv.ScratchB += d
-			case "work":
-				iv.WorkB += d
-			}
-			cr, _ := cur.get(procfs.TypeLlite, dev, "read_bytes")
-			pr, _ := prev.get(procfs.TypeLlite, dev, "read_bytes")
-			iv.ReadB += eventDelta(pr, cr)
-		}
-	}
-	iv.IBTxB = legacySumDevices(prev, cur, procfs.TypeIB, "tx_bytes")
-	iv.IBRxB = legacySumDevices(prev, cur, procfs.TypeIB, "rx_bytes")
-	iv.LnetTxB = legacySumDevices(prev, cur, procfs.TypeLnet, "tx_bytes")
-	return iv
-}
-
-// legacyFold attributes one interval to the job occupying the host at
-// its midpoint and folds it straight into the shared accumulator and
-// system buckets, host after host — the order the production merge must
-// reproduce. Returns 1 if the interval matched no job window (it still
-// counts in the system series: idle nodes are part of the cluster view).
-func legacyFold(acc *Accumulator, buckets map[int64]*sysBucket,
-	windows []jobWindow, identities map[int64]store.JobRecord,
-	prevTime, curTime int64, iv Interval) int {
-
-	jobID := findJob(windows, prevTime+int64(iv.DtSec/2))
-	if jobID != 0 {
-		if !acc.Started(jobID) {
-			acc.StartJob(identities[jobID])
-		}
-		_ = acc.AddInterval(jobID, iv) // only fails for an unknown job, started above
-	}
-	b := buckets[curTime]
-	if b == nil {
-		b = &sysBucket{}
-		buckets[curTime] = b
-	}
-	b.fold(iv, jobID != 0)
-	if jobID == 0 {
-		return 1
-	}
-	return 0
-}
-
-func legacyIngestRaw(dir string, acct []sched.AcctRecord) (*RawResult, error) {
-	windowsByHost, identities := indexAccounting(acct)
-	hostDirs, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: read raw dir: %w", err)
-	}
-	acc := NewAccumulator()
-	buckets := make(map[int64]*sysBucket)
-	unattributed := 0
-	for _, hd := range sortedDirs(hostDirs) {
-		host := hd.Name()
-		files, err := os.ReadDir(filepath.Join(dir, host))
-		if err != nil {
-			return nil, err
-		}
-		var prev *legacySample
-		for _, name := range taccstats.DayFiles(files) {
-			fh, err := os.Open(filepath.Join(dir, host, name))
-			if err != nil {
-				return nil, err
-			}
-			var recs []taccstats.Record
-			f, err := taccstats.ParseStream(fh, func(rec *taccstats.Record) error {
-				recs = append(recs, rec.Materialize())
-				return nil
-			})
-			fh.Close()
-			if err != nil {
-				return nil, err
-			}
-			for i := range recs {
-				cur := &legacySample{rec: &recs[i], schemas: f.Schemas}
-				if prev != nil {
-					dt := float64(cur.rec.Time - prev.rec.Time)
-					if dt > 0 {
-						iv := legacyComputeInterval(prev, cur, dt)
-						unattributed += legacyFold(acc, buckets, windowsByHost[host], identities,
-							prev.rec.Time, cur.rec.Time, iv)
-					}
-				}
-				prev = cur
-			}
-		}
-	}
-	st := store.New()
-	ids := make([]int64, 0, len(identities))
-	for id := range identities {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if !acc.Started(id) {
-			acc.StartJob(identities[id])
-		}
-		rec, err := acc.FinishJob(id)
-		if err != nil {
-			return nil, err
-		}
-		st.Add(rec)
-	}
-	return &RawResult{Store: st, Series: flattenBuckets(buckets), Unattributed: unattributed}, nil
-}
 
 // ---------------------------------------------------------------------
 // Equivalence fixture: a simulated multi-host raw tree with per-host
@@ -195,7 +21,7 @@ func legacyIngestRaw(dir string, acct []sched.AcctRecord) (*RawResult, error) {
 // PMC reset, and an idle tail no accounting window covers.
 // ---------------------------------------------------------------------
 
-func writeEquivalenceTree(t *testing.T, dir string) []sched.AcctRecord {
+func writeEquivalenceTree(t testing.TB, dir string) []sched.AcctRecord {
 	t.Helper()
 	hosts := []string{"c100-000.ranger", "c100-001.ranger", "c100-002.ranger"}
 	for hi, host := range hosts {
@@ -292,43 +118,69 @@ func writeEquivalenceTree(t *testing.T, dir string) []sched.AcctRecord {
 	}}
 }
 
-func requireIdenticalResults(t *testing.T, label string, want, got *RawResult) {
+// asReference is res in the reference's form: its job records in store
+// order, its series, and its quality without the quarantine reasons.
+func asReference(res *RawResult) *reference.IngestResult {
+	q := res.Quality
+	out := &reference.IngestResult{
+		Series: res.Series, Unattributed: res.Unattributed,
+		Quality: reference.IngestQuality{
+			FilesScanned: q.FilesScanned, FilesQuarantined: q.FilesQuarantined,
+			RecordsDropped: q.RecordsDropped, DuplicatesSkipped: q.DuplicatesSkipped,
+			ResetsDetected: q.ResetsDetected, IntervalsClamped: q.IntervalsClamped,
+			RetriesPerformed: q.RetriesPerformed, JobsNoData: q.JobsNoData,
+		},
+	}
+	for i := 0; i < res.Store.Len(); i++ {
+		out.Jobs = append(out.Jobs, res.Store.Record(i))
+	}
+	for _, f := range q.Quarantined {
+		out.Quality.Quarantined = append(out.Quality.Quarantined, reference.HostFile{Host: f.Host, File: f.File})
+	}
+	return out
+}
+
+// requireReference holds an ingest's result to the reference's (or to
+// another ingest's, through asReference), floats by their bits, naming
+// the first part that differs.
+func requireReference(t *testing.T, label string, want *reference.IngestResult, res *RawResult) {
 	t.Helper()
-	if got.Store.Len() != want.Store.Len() {
-		t.Fatalf("%s: %d vs %d records", label, got.Store.Len(), want.Store.Len())
+	got := asReference(res)
+	if reference.Same(got, want) {
+		return
 	}
-	for i := 0; i < want.Store.Len(); i++ {
-		if got.Store.Record(i) != want.Store.Record(i) {
-			t.Fatalf("%s: record %d differs:\n want %+v\n got  %+v",
-				label, i, want.Store.Record(i), got.Store.Record(i))
+	switch {
+	case !reference.Same(got.Jobs, want.Jobs):
+		for i := range want.Jobs {
+			if i < len(got.Jobs) && !reference.Same(got.Jobs[i], want.Jobs[i]) {
+				t.Fatalf("%s: job %d differs:\n reference %+v\n ingest    %+v", label, i, want.Jobs[i], got.Jobs[i])
+			}
 		}
-	}
-	if len(got.Series) != len(want.Series) {
-		t.Fatalf("%s: series %d vs %d", label, len(got.Series), len(want.Series))
-	}
-	for i := range want.Series {
-		if got.Series[i] != want.Series[i] {
-			t.Fatalf("%s: series %d differs:\n want %+v\n got  %+v",
-				label, i, want.Series[i], got.Series[i])
+		t.Fatalf("%s: %d jobs, the reference has %d", label, len(got.Jobs), len(want.Jobs))
+	case !reference.Same(got.Series, want.Series):
+		for i := range want.Series {
+			if i < len(got.Series) && !reference.Same(got.Series[i], want.Series[i]) {
+				t.Fatalf("%s: series sample %d differs:\n reference %+v\n ingest    %+v", label, i, want.Series[i], got.Series[i])
+			}
 		}
+		t.Fatalf("%s: %d series samples, the reference has %d", label, len(got.Series), len(want.Series))
 	}
-	if got.Unattributed != want.Unattributed {
-		t.Fatalf("%s: unattributed %d vs %d", label, got.Unattributed, want.Unattributed)
-	}
+	t.Fatalf("%s: unattributed %d, quality %+v; the reference's %d, %+v",
+		label, got.Unattributed, got.Quality, want.Unattributed, want.Quality)
 }
 
 // TestIngestRawStreamingEquivalence runs the same simulated multi-host
-// tree through the legacy materializing path and through IngestRawOpts
-// at pool sizes 1, 2 and 7, and requires bit-identical RawResults.
+// tree through IngestRawOpts at pool sizes 1, 2 and 7 and requires each
+// result to equal reference.Ingest's bit for bit.
 func TestIngestRawStreamingEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	acct := writeEquivalenceTree(t, dir)
 
-	legacy, err := legacyIngestRaw(dir, acct)
+	want, err := reference.Ingest(os.DirFS(dir), acct, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Unattributed == 0 {
+	if want.Unattributed == 0 {
 		t.Fatal("fixture must produce unattributed intervals")
 	}
 	for _, workers := range []int{1, 2, 7} {
@@ -336,7 +188,7 @@ func TestIngestRawStreamingEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		requireIdenticalResults(t, fmt.Sprintf("workers=%d", workers), legacy, got)
+		requireReference(t, fmt.Sprintf("workers=%d", workers), want, got)
 	}
 }
 

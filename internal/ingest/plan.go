@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"slices"
+
 	"supremm/internal/procfs"
 	"supremm/internal/taccstats"
 )
@@ -56,6 +58,16 @@ func compilePlan(prev, cur *taccstats.Layout) *metricPlan {
 		for _, c := range cols {
 			out = append(out, colPair{cur: c.Col, prev: prev.Column(typ, c.Dev, key)})
 		}
+		if prev == cur || typ != procfs.TypeCPU {
+			return out
+		}
+		// A CPU device of prev's file that cur's has not seen reads zero
+		// in cur: its deltas are zero, and a counter it held moved back.
+		for _, pc := range prev.Columns(typ, key) {
+			if !slices.ContainsFunc(cols, func(c taccstats.ColRef) bool { return c.Dev == pc.Dev }) {
+				out = append(out, colPair{cur: -1, prev: pc.Col})
+			}
+		}
 		return out
 	}
 	p.user = pairs(procfs.TypeCPU, "user")
@@ -107,9 +119,8 @@ func sumEventCols(prev, cur []uint64, cols []colPair) float64 {
 
 // computeIntervalPlan is computeInterval over flat arrays: identical
 // arithmetic and summation structure, direct indexing instead of map
-// lookups. Device sums run in layout (first-appearance) order; the
-// counters are integers well under 2^53, so the float sums are exact and
-// order-insensitive, keeping the result bit-identical to the map path.
+// lookups. Device sums run in layout (first-appearance) order, the order
+// reference.Ingest's map path sums in, so any counter gives its bits.
 func computeIntervalPlan(p *metricPlan, prev, cur []uint64, dt float64) Interval {
 	user := sumEventCols(prev, cur, p.user) + sumEventCols(prev, cur, p.nice)
 	sys := sumEventCols(prev, cur, p.system) +

@@ -389,7 +389,7 @@ func TestIngestRawParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		requireIdenticalResults(t, fmt.Sprintf("workers=%d", workers), seq, par)
+		requireReference(t, fmt.Sprintf("workers=%d", workers), asReference(seq), par)
 	}
 }
 

@@ -1,15 +1,20 @@
 // Package reference is the naive oracle the differential tests hold the
-// query engine to: plain loops over []store.JobRecord that share no code
-// with the store kernels, answering every store.Reader query and every
-// core and anomaly analysis the daemon serves. It has the engine's one
-// definition of a sum (DESIGN.md §11): the rows are cut into partitions
-// — the job-end day shards of a data directory — each partition's
-// selected rows add into a running sum of their own, in row order, and
-// the partition sums add in partition order. Min and max compare
-// against ±Inf seeds, so a NaN value never wins either. The analyses
-// that are no such sum (Characterize, CPUHours, UsageByScience) add
-// their rows in one running sum, in global row order, as the engine's
-// do.
+// product to. On the query side it is plain loops over []store.JobRecord
+// that share no code with the store kernels, answering every
+// store.Reader query and every core and anomaly analysis the daemon
+// serves; on the raw side, Parse reads the TACC_Stats format and Ingest
+// turns an archive into job records and the series with map lookups
+// (ingest.go lists its rules). It imports neither taccstats nor ingest,
+// so their internal tests can use it.
+//
+// It has the engine's one definition of a sum (DESIGN.md §11): the rows
+// are cut into partitions — the job-end day shards of a data directory
+// — each partition's selected rows add into a running sum of their own,
+// in row order, and the partition sums add in partition order. Min and
+// max compare against ±Inf seeds, so a NaN value never wins either. The
+// analyses that are no such sum (Characterize, CPUHours,
+// UsageByScience) add their rows in one running sum, in global row
+// order, as the engine's do.
 //
 // Same is the one comparison: answers are equal when they are equal bit
 // for bit.

@@ -39,6 +39,49 @@ func TestOnlyTestsImport(t *testing.T) {
 	}
 }
 
+// TestImportsNeitherParserNorIngest keeps the raw-path oracle apart
+// from what it checks: no package this one builds on, directly or
+// through others, is taccstats or ingest, so their internal tests can
+// import it without a cycle and it can share no code with them.
+func TestImportsNeitherParserNorIngest(t *testing.T) {
+	root := filepath.Join("..", "..")
+	seen := map[string]bool{}
+	var visit func(pkg string)
+	visit = func(pkg string) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		if pkg == "supremm/internal/taccstats" || pkg == "supremm/internal/ingest" {
+			t.Errorf("internal/reference builds on %s", pkg)
+			return
+		}
+		dir := filepath.Join(root, strings.TrimPrefix(pkg, "supremm/"))
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(p, "supremm/") {
+					visit(p)
+				}
+			}
+		}
+	}
+	visit("supremm/internal/reference")
+	if !seen["supremm/internal/store"] {
+		t.Fatal("the walk never reached internal/store: it read no imports")
+	}
+}
+
 // rows spreads jobs over five end days, out of day order, with the
 // inputs that make sums tricky: NaN and ±Inf metrics, zero-node and
 // zero-wallclock jobs, unsampled jobs.

@@ -1,13 +1,42 @@
 package serve
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"time"
+)
 
-// latencyBucketsMicros are the upper bounds (µs) of the request-latency
+// latencyBucketsMicros are the upper bounds (µs) of every latency
 // histogram, expvar-style cumulative-free buckets plus an implicit
 // overflow bucket.
-var latencyBucketsMicros = []int64{
+var latencyBucketsMicros = [...]int64{
 	100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000,
 	100000, 250000, 500000, 1000000,
+}
+
+// histogram counts durations on latencyBucketsMicros' edges.
+type histogram struct {
+	counts  [len(latencyBucketsMicros) + 1]atomic.Int64 // last = overflow
+	totalUS atomic.Int64
+}
+
+func (h *histogram) observe(d time.Duration) {
+	us := d.Microseconds()
+	h.totalUS.Add(us)
+	for i, hi := range latencyBucketsMicros {
+		if us <= hi {
+			h.counts[i].Add(1)
+			return
+		}
+	}
+	h.counts[len(latencyBucketsMicros)].Add(1)
+}
+
+// routeStats is one route label's accounting: its request count, the
+// latency of its whole requests, and that of each stage they reached.
+type routeStats struct {
+	requests atomic.Int64
+	latency  histogram
+	stages   [numStages]histogram
 }
 
 // Metrics is the daemon's instrumentation: per-endpoint request counts,
@@ -16,18 +45,14 @@ var latencyBucketsMicros = []int64{
 // serialize on a metrics lock. Each side has one writer: fold here for
 // requests, reloader.fold for the rest.
 type Metrics struct {
-	// requests has one counter per route label, made in New from the
+	// routes has one entry per route label, made in New from the
 	// endpoint table before the server is reachable; after that the map is
 	// only read.
-	requests map[string]*atomic.Int64
+	routes map[string]*routeStats
 
 	status2xx atomic.Int64
 	status4xx atomic.Int64
 	status5xx atomic.Int64
-
-	latencyCounts   []atomic.Int64 // len(latencyBucketsMicros)+1, last = overflow
-	latencyTotalUS  atomic.Int64
-	latencyObserved atomic.Int64
 
 	reloads       atomic.Int64
 	reloadErrors  atomic.Int64
@@ -62,16 +87,14 @@ type Metrics struct {
 }
 
 func newMetrics() *Metrics {
-	return &Metrics{
-		requests:      make(map[string]*atomic.Int64),
-		latencyCounts: make([]atomic.Int64, len(latencyBucketsMicros)+1),
-	}
+	return &Metrics{routes: make(map[string]*routeStats)}
 }
 
 // fold is the one place a finished request is counted.
 func (m *Metrics) fold(r request) {
 	m.requestsTotal.Add(1)
-	m.requests[r.route].Add(1)
+	rt := m.routes[r.route]
+	rt.requests.Add(1)
 	switch {
 	case r.status >= 500:
 		m.status5xx.Add(1)
@@ -106,16 +129,12 @@ func (m *Metrics) fold(r request) {
 	if r.elapsed <= 0 {
 		return // no clock injected (deterministic tests)
 	}
-	us := r.elapsed.Microseconds()
-	m.latencyTotalUS.Add(us)
-	m.latencyObserved.Add(1)
-	for i, hi := range latencyBucketsMicros {
-		if us <= hi {
-			m.latencyCounts[i].Add(1)
-			return
+	rt.latency.observe(r.elapsed)
+	for st := range numStages {
+		if r.timed&(1<<st) != 0 {
+			rt.stages[st].observe(r.stages[st])
 		}
 	}
-	m.latencyCounts[len(latencyBucketsMicros)].Add(1)
 }
 
 // metricsDTO is the /metrics response body. The partitions_* keys are
@@ -152,6 +171,15 @@ type metricsDTO struct {
 	Admission       admissionDTO     `json:"admission"`
 	Breaker         breakerDTO       `json:"breaker"`
 	Latency         latencyDTO       `json:"latency"`
+	// LatencyByRoute is, per route with a timed request, the latency of
+	// its whole requests and of each stage they reached; Latency is the
+	// sum of its whole-request histograms.
+	LatencyByRoute map[string]routeLatencyDTO `json:"latency_by_endpoint"`
+}
+
+type routeLatencyDTO struct {
+	Request latencyDTO            `json:"request"`
+	Stages  map[string]latencyDTO `json:"stages"`
 }
 
 type latencyDTO struct {
@@ -205,22 +233,47 @@ func (m *Metrics) snapshotDTO(snap *Snapshot, adm *admission, brk *breaker) metr
 	if total := hits + misses; total > 0 {
 		dto.CacheHitRatio = F(float64(hits) / float64(total))
 	}
-	for p, c := range m.requests {
-		if n := c.Load(); n > 0 { // a route nobody has asked for is not listed
+	var sum histogram
+	for p, rt := range m.routes {
+		if n := rt.requests.Load(); n > 0 { // a route nobody has asked for is not listed
 			dto.Requests[p] = n
 		}
+		req := rt.latency.dto()
+		if req.Observed == 0 {
+			continue
+		}
+		rl := routeLatencyDTO{Request: req, Stages: make(map[string]latencyDTO)}
+		for st := range numStages {
+			if d := rt.stages[st].dto(); d.Observed > 0 {
+				rl.Stages[stageNames[st]] = d
+			}
+		}
+		if dto.LatencyByRoute == nil {
+			dto.LatencyByRoute = make(map[string]routeLatencyDTO)
+		}
+		dto.LatencyByRoute[p] = rl
+		sum.totalUS.Add(rt.latency.totalUS.Load())
+		for i := range sum.counts {
+			sum.counts[i].Add(rt.latency.counts[i].Load())
+		}
 	}
-	dto.Latency.Observed = m.latencyObserved.Load()
-	dto.Latency.TotalMicros = m.latencyTotalUS.Load()
-	if dto.Latency.Observed > 0 {
-		dto.Latency.MeanMicros = F(float64(dto.Latency.TotalMicros) / float64(dto.Latency.Observed))
-	}
-	for i := range m.latencyCounts {
-		b := latencyBucket{Count: m.latencyCounts[i].Load()}
+	dto.Latency = sum.dto()
+	return dto
+}
+
+// dto renders the histogram's current counts.
+func (h *histogram) dto() latencyDTO {
+	d := latencyDTO{TotalMicros: h.totalUS.Load()}
+	for i := range h.counts {
+		b := latencyBucket{Count: h.counts[i].Load()}
 		if i < len(latencyBucketsMicros) {
 			b.LeMicros = latencyBucketsMicros[i]
 		}
-		dto.Latency.Buckets = append(dto.Latency.Buckets, b)
+		d.Buckets = append(d.Buckets, b)
+		d.Observed += b.Count
 	}
-	return dto
+	if d.Observed > 0 {
+		d.MeanMicros = F(float64(d.TotalMicros) / float64(d.Observed))
+	}
+	return d
 }

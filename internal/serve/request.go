@@ -20,7 +20,9 @@ import (
 //
 // through serve, the bracketed steps for data rows of the endpoint table
 // only. A pass produces one record and is counted in one place,
-// Metrics.fold.
+// Metrics.fold. With an injected clock the record also times the stages
+// the pass reached: admission wait, decode, lookup (snapshot, floor and
+// cache), render, marshal and write (store and write).
 
 // Hooks are instrumentation seams for the chaos harness and tests;
 // production builds leave them unset and pay a nil check.
@@ -53,6 +55,21 @@ const (
 	endedPanic            // recovered
 )
 
+// stage is a step of the sequence whose duration a request records.
+type stage int
+
+const (
+	stageAdmit   stage = iota // waiting for the admission valve
+	stageDecode               // decoding the parameters
+	stageLookup               // the snapshot, the floor and the cache lookup
+	stageRender               // the endpoint's fn
+	stageMarshal              // rendering the body
+	stageWrite                // storing and writing the answer
+	numStages
+)
+
+var stageNames = [numStages]string{"admit", "decode", "lookup", "render", "marshal", "write"}
+
 // request is the record of one pass through the sequence, by value.
 type request struct {
 	route       string       // the endpoint's path, otherRoute for a 404 or 405
@@ -62,6 +79,11 @@ type request struct {
 	status      int
 	writeFailed bool
 	elapsed     time.Duration // 0 when no clock is injected
+	// stages holds the duration of each stage the request reached, and
+	// timed a bit per stage timed; an error answer's write is not one.
+	stages [numStages]time.Duration
+	timed  uint8
+	mark   time.Time // where the stage being timed began
 }
 
 const (
@@ -79,6 +101,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, ep *endpoint) {
 	var start time.Time
 	if s.cfg.Now != nil {
 		start = s.cfg.Now()
+		rec.mark = start
 	}
 	// One bad request (or one bug in one endpoint) must never take the
 	// whole daemon down: a panic anywhere below becomes a counted 500.
@@ -115,6 +138,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, ep *endpoint) {
 		// must keep answering while the daemon sheds query load, or
 		// operators lose sight of the overload exactly when they need it.
 		release, verdict := s.adm.acquire(ctx)
+		s.lap(&rec, stageAdmit)
 		rec.verdict = verdict
 		switch verdict {
 		case admitShed:
@@ -135,6 +159,9 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, ep *endpoint) {
 				defer done()
 			}
 		}
+		if s.cfg.Now != nil {
+			rec.mark = s.cfg.Now() // the deadline's and the hook's time is no stage's
+		}
 	}
 
 	var (
@@ -144,7 +171,9 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, ep *endpoint) {
 	if !ep.anyQuery {
 		q = r.URL.Query()
 		var err error
-		if p, err = decodeParams(q, ep.keys...); err != nil {
+		p, err = decodeParams(q, ep.keys...)
+		s.lap(&rec, stageDecode)
+		if err != nil {
 			s.writeError(w, &rec, http.StatusBadRequest, err)
 			return
 		}
@@ -167,15 +196,19 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, ep *endpoint) {
 			return
 		}
 		key = cacheKey(ep.path, q.Encode())
-		if e, ok := snap.cache.Get(key); ok {
+		e, ok := snap.cache.Get(key)
+		s.lap(&rec, stageLookup)
+		if ok {
 			rec.cache = cacheHit
 			s.write(w, &rec, snap, http.StatusOK, e.contentType, e.body)
+			s.lap(&rec, stageWrite)
 			return
 		}
 		rec.cache = cacheMiss
 	}
 
 	status, v, err := ep.fn(s, ctx, snap, p)
+	s.lap(&rec, stageRender)
 	switch {
 	case err == nil:
 	case errors.Is(err, context.DeadlineExceeded):
@@ -193,7 +226,11 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, ep *endpoint) {
 	e := cacheEntry{contentType: jsonType}
 	if text, ok := v.([]byte); ok {
 		e = cacheEntry{body: text, contentType: textType}
-	} else if e.body, err = marshalBody(v); err != nil {
+	} else {
+		e.body, err = marshalBody(v)
+	}
+	s.lap(&rec, stageMarshal)
+	if err != nil {
 		s.writeError(w, &rec, http.StatusInternalServerError, err)
 		return
 	}
@@ -205,6 +242,20 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, ep *endpoint) {
 		snap = s.snap.Load()
 	}
 	s.write(w, &rec, snap, status, e.contentType, e.body)
+	s.lap(&rec, stageWrite)
+}
+
+// lap ends stage st, which the request has been in since rec.mark, at
+// the injected clock's now, and starts the next stage there. With no
+// clock it reads none.
+func (s *Server) lap(rec *request, st stage) {
+	if s.cfg.Now == nil {
+		return
+	}
+	now := s.cfg.Now()
+	rec.stages[st] = now.Sub(rec.mark)
+	rec.timed |= 1 << st
+	rec.mark = now
 }
 
 // belowFloor reports whether snap is degraded below Config.MinCoverage,

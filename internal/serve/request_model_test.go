@@ -32,7 +32,9 @@ import (
 // connection fails, reloads in between — /metrics must read exactly what
 // a reference model of the sequence (requestModel, written from the
 // sequence's description, not from its code) says it reads, after every
-// step. One driver goroutine per seed, plus the requests it parks.
+// step: with a clock, which stages each route's requests reached too,
+// their times inside the requests' own, and the global histogram as the
+// routes' sum. One driver goroutine per seed, plus the requests it parks.
 func TestRequestModel(t *testing.T) {
 	leakcheck.Check(t)
 	seeds, steps := 24, 300
@@ -85,6 +87,7 @@ type shot struct {
 	decodes        bool   // gets past parameter decoding
 	status         int
 	honoursCtx     bool // its render stops on a done context (the aggregate and histogram kernels)
+	anyQuery       bool // an ops row that never decodes its query
 }
 
 func dataShot(target string) shot {
@@ -124,11 +127,11 @@ var (
 		// Ops rows.
 		{method: "GET", target: "/api/v1/health", route: "/api/v1/health", decodes: true, status: 200},
 		{method: "GET", target: "/api/v1/health?unexpected=1", route: "/api/v1/health", status: 400},
-		{method: "GET", target: "/healthz?probe=7", route: "/healthz", decodes: true, status: 200},
-		{method: "HEAD", target: "/healthz", route: "/healthz", decodes: true, status: 200},
-		{method: "GET", target: "/readyz", route: "/readyz", decodes: true, status: 200},
-		{method: "GET", target: "/metrics?scrape=1&scrape=2", route: "/metrics", decodes: true, status: 200},
-		{method: "POST", target: "/api/v1/reload", route: "/api/v1/reload", decodes: true, status: 200},
+		{method: "GET", target: "/healthz?probe=7", route: "/healthz", decodes: true, anyQuery: true, status: 200},
+		{method: "HEAD", target: "/healthz", route: "/healthz", decodes: true, anyQuery: true, status: 200},
+		{method: "GET", target: "/readyz", route: "/readyz", decodes: true, anyQuery: true, status: 200},
+		{method: "GET", target: "/metrics?scrape=1&scrape=2", route: "/metrics", decodes: true, anyQuery: true, status: 200},
+		{method: "POST", target: "/api/v1/reload", route: "/api/v1/reload", decodes: true, anyQuery: true, status: 200},
 		// No row.
 		{method: "GET", target: "/api/v1/nothing", route: otherRoute, status: 404},
 		{method: "GET", target: "/api/v1/health/", route: otherRoute, status: 404},
@@ -162,25 +165,46 @@ type requestModel struct {
 	belowFloor                                      bool
 	bound                                           int
 	lru                                             []string // the served generation's cache keys, most recent first
+	// stages counts, per route, the requests that reached each timed
+	// stage: admission wait, decode, lookup, render, marshal, and the
+	// write of an answer (an error's write is no stage).
+	stages map[string]map[string]int64
 }
 
 // request counts one finished request and returns the status it must
 // have been answered with.
 func (m *requestModel) request(s shot, tw twist, verdict admitVerdict, brokenPipe bool) int {
 	status, route := s.status, s.route
+	var reached []string
 	switch {
+	case route == otherRoute:
 	case !s.data:
+		if !s.anyQuery {
+			reached = append(reached, "decode")
+		}
+		if s.decodes {
+			reached = append(reached, "render", "marshal", "write")
+		}
 		if s.route == "/readyz" && m.belowFloor {
 			status = 503
 		}
 	case verdict == admitShed:
 		m.shed++
 		status = 503
+		reached = append(reached, "admit")
 	case verdict == admitCancelled:
 		m.cancelled++
 		status = 503
+		reached = append(reached, "admit")
 	default:
 		m.admitted++
+		reached = append(reached, "admit")
+		if tw != panics {
+			reached = append(reached, "decode")
+			if s.decodes && !m.belowFloor {
+				reached = append(reached, "lookup")
+			}
+		}
 		u, _ := url.Parse(s.target)
 		key := u.Path + "?" + u.Query().Encode()
 		at := -1
@@ -201,13 +225,18 @@ func (m *requestModel) request(s shot, tw twist, verdict admitVerdict, brokenPip
 			m.hits++
 			m.lru = append([]string{key}, append(m.lru[:at:at], m.lru[at+1:]...)...)
 			status = 200
+			reached = append(reached, "write")
 		case tw == expires && s.honoursCtx:
 			m.misses, m.deadlines, status = m.misses+1, m.deadlines+1, 503
+			reached = append(reached, "render")
 		case tw == goesAway && s.honoursCtx:
 			m.misses, m.cancelled, status = m.misses+1, m.cancelled+1, 503
+			reached = append(reached, "render")
 		default:
 			m.misses++
-			if status == 200 {
+			reached = append(reached, "render")
+			if status == 200 { // not refused by the endpoint
+				reached = append(reached, "marshal", "write")
 				m.lru = append([]string{key}, m.lru...)
 				if len(m.lru) > m.bound {
 					m.evicted++
@@ -218,6 +247,12 @@ func (m *requestModel) request(s shot, tw twist, verdict admitVerdict, brokenPip
 	}
 	m.total++
 	m.byRoute[route]++
+	for _, st := range reached {
+		if m.stages[route] == nil {
+			m.stages[route] = map[string]int64{}
+		}
+		m.stages[route][st]++
+	}
 	switch {
 	case status >= 500:
 		m.c5xx++
@@ -328,7 +363,7 @@ func runRequestModel(t *testing.T, fixture string, seed int64, steps int) *reque
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &requestModel{byRoute: map[string]int64{}, gen: 1, bound: cfg.CacheSize}
+	m := &requestModel{byRoute: map[string]int64{}, stages: map[string]map[string]int64{}, gen: 1, bound: cfg.CacheSize}
 	var lastGen uint64
 	var lastMisses, lastParts int64 // at the previous /metrics read
 
@@ -528,6 +563,47 @@ func runRequestModel(t *testing.T, fixture string, seed int64, steps int) *reque
 		if !reflect.DeepEqual(have, want) {
 			fail("/metrics disagrees with the model:\n have %+v\n want %+v", have, want)
 		}
+		// With a clock, each route's whole-request histogram counts its
+		// requests, and each stage's the requests that reached the stage;
+		// the stages of a request fit inside it; the global histogram is
+		// the routes' sum. Without one, nothing is timed.
+		stages, sum := map[string]map[string]int64{}, latencyDTO{Buckets: make([]latencyBucket, len(got.Latency.Buckets))}
+		for route, rl := range got.LatencyByRoute {
+			if n := got.Requests[route]; rl.Request.Observed != n {
+				fail("%s: %d requests, %d in its latency histogram", route, n, rl.Request.Observed)
+			}
+			var stageUS int64
+			for name, h := range rl.Stages {
+				if stages[route] == nil {
+					stages[route] = map[string]int64{}
+				}
+				stages[route][name] = h.Observed
+				stageUS += h.TotalMicros
+			}
+			if stageUS > rl.Request.TotalMicros {
+				fail("%s: stages took %d µs of requests that took %d µs", route, stageUS, rl.Request.TotalMicros)
+			}
+			sum.Observed += rl.Request.Observed
+			sum.TotalMicros += rl.Request.TotalMicros
+			for i, b := range rl.Request.Buckets {
+				sum.Buckets[i].Count += b.Count
+			}
+		}
+		wantStages := map[string]map[string]int64{}
+		if cfg.Now != nil {
+			wantStages = m.stages
+		}
+		if !reflect.DeepEqual(stages, wantStages) {
+			fail("stages timed per route %v, the model says %v", stages, wantStages)
+		}
+		if sum.Observed != got.Latency.Observed || sum.TotalMicros != got.Latency.TotalMicros {
+			fail("latency %d requests in %d µs, the routes' sum %d in %d µs", got.Latency.Observed, got.Latency.TotalMicros, sum.Observed, sum.TotalMicros)
+		}
+		for i, b := range got.Latency.Buckets {
+			if b.Count != sum.Buckets[i].Count {
+				fail("latency bucket %d counts %d, the routes' sum %d", i, b.Count, sum.Buckets[i].Count)
+			}
+		}
 		// The partition counters are the served generation's kernel
 		// calls: each call sorts every shard exactly one way, and only a
 		// cache miss reaches a kernel.
@@ -543,7 +619,7 @@ func runRequestModel(t *testing.T, fixture string, seed int64, steps int) *reque
 		if hi := hook.insideHi.Load(); hi > int64(cfg.MaxInFlight) {
 			fail("%d requests inside the hook's window at once, the valve admits %d", hi, cfg.MaxInFlight)
 		}
-		m.request(shot{route: "/metrics", status: 200}, plain, admitOK, false)
+		m.request(shot{route: "/metrics", decodes: true, anyQuery: true, status: 200}, plain, admitOK, false)
 	}
 	return m
 }

@@ -162,11 +162,11 @@ func New(cfg Config) (*Server, error) {
 	// Dispatch is the mux's (path cleaning and redirects with it); every
 	// answer, the 404 and 405 included, is the one sequence's (request.go).
 	s.mux = http.NewServeMux()
-	s.met.requests[otherRoute] = &atomic.Int64{}
+	s.met.routes[otherRoute] = &routeStats{}
 	s.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, nil) })
 	for i := range endpoints {
 		ep := &endpoints[i]
-		s.met.requests[ep.path] = &atomic.Int64{}
+		s.met.routes[ep.path] = &routeStats{}
 		s.mux.HandleFunc(ep.path, func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, ep) })
 	}
 	return s, nil

@@ -121,7 +121,10 @@ func (ss *ShardSet) selectRows(f Filter) []int {
 // Scan answers any number of questions about the same job population —
 // Len, NodeHours, one Values slice per metric, Records, or a Walk over
 // the columns themselves.
-type Selection struct{ sel []shardSel }
+type Selection struct {
+	ss  *ShardSet
+	sel []shardSel
+}
 
 // Len returns the number of selected rows across all partitions.
 func (s Selection) Len() int { return selTotal(s.sel) }
@@ -162,8 +165,21 @@ func (s Selection) Values(m Metric) []float64 {
 	return vals
 }
 
-// NodeHours sums the §4.1 node-hour weights of the selected rows.
-func (s Selection) NodeHours() float64 { return sumWeights(s.sel) }
+// NodeHours sums the §4.1 node-hour weights of the selected rows. It is
+// a kernel call of its own: a partition whose sum it folds counts
+// walked, one whose sum it reads from a filled slot remembered.
+func (s Selection) NodeHours() float64 {
+	for i := range s.sel {
+		if p := &s.sel[i]; p.memo != nil {
+			p.use = partRemembered // until its slot's fill says walked
+		} else if p.use != partPruned {
+			p.use = partWalked
+		}
+	}
+	total := sumWeights(s.sel)
+	s.ss.tally(s.sel)
+	return total
+}
 
 // Records materializes the selected rows, in global row order — the one
 // exported place a selection becomes JobRecords (export, CLI tools,

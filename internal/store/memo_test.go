@@ -57,6 +57,30 @@ func historyParts(tb testing.TB, jobs, days int) []*Columns {
 	return cols
 }
 
+// TestSelectionNodeHoursTallies: a Selection's NodeHours is a kernel
+// call of its own. Over four day shards whose row lists one Scan has
+// filled, a second Scan remembers every shard, the NodeHours after it
+// walks every shard (its fold fills the node-hours slot), and a second
+// NodeHours remembers every shard.
+func TestSelectionNodeHoursTallies(t *testing.T) {
+	ss := NewShardSet(historyParts(t, 400, 4))
+	ss.Scan(Filter{})
+	sel := ss.Scan(Filter{})
+	if use := ss.PartitionUse(); use != (PartitionUse{Remembered: 4, Walked: 4}) {
+		t.Fatalf("two Scans: %+v, want 4 walked then 4 remembered", use)
+	}
+	first := sel.NodeHours()
+	if use := ss.PartitionUse(); use != (PartitionUse{Remembered: 4, Walked: 8}) {
+		t.Fatalf("NodeHours after the Scans: %+v, want its fold counted as 4 walks", use)
+	}
+	if sel.NodeHours() != first {
+		t.Fatal("a remembered NodeHours differs from the fold")
+	}
+	if use := ss.PartitionUse(); use != (PartitionUse{Remembered: 8, Walked: 8}) {
+		t.Fatalf("a second NodeHours: %+v, want 4 more remembered", use)
+	}
+}
+
 // TestMemoWarmAllocations is the ceiling on what a remembered answer
 // allocates, over either whole population: a broad aggregate over every
 // day shard a fixed handful of objects (one row-id list per shard

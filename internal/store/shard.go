@@ -198,7 +198,7 @@ func (ss *ShardSet) BuildIndex() {}
 func (ss *ShardSet) Scan(f Filter) Selection {
 	sel := ss.selectParts(f)
 	ss.tally(sel)
-	return Selection{sel}
+	return Selection{ss, sel}
 }
 
 // Select returns the global row indices passing the filter, ascending.

@@ -57,10 +57,9 @@ func shuffleRecords(data []byte, seed int64) []byte {
 }
 
 // BenchmarkParseStream measures the zero-allocation streaming fast path
-// over the same file, as written (every line on its predicted slot) and
-// with each record's lines shuffled (every line looked up); the delta
-// to BenchmarkParseMaterialize is the cost of materializing nested
-// maps.
+// over a 144-record (one day at 10-minute cadence) Ranger node file, as
+// written (every line on its predicted slot) and with each record's
+// lines shuffled (every line looked up).
 func BenchmarkParseStream(b *testing.B) {
 	ordered := benchFile(b, 144)
 	for _, c := range []struct {
@@ -84,28 +83,5 @@ func BenchmarkParseStream(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkParseMaterialize measures the same parse with every record
-// materialized, over a 144-record (one day at 10-minute cadence) Ranger
-// node file.
-func BenchmarkParseMaterialize(b *testing.B) {
-	data := benchFile(b, 144)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var recs []Record
-		_, err := ParseStream(bytes.NewReader(data), func(rec *Record) error {
-			recs = append(recs, rec.Materialize())
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(recs) != 144 {
-			b.Fatal("bad parse")
-		}
 	}
 }

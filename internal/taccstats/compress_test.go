@@ -42,7 +42,11 @@ func TestGzipRotateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer zr.Close()
-	f, err := parseFile(zr)
+	data, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := parseChecked(t, data)
 	if err != nil {
 		t.Fatal(err)
 	}

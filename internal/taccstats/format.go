@@ -126,61 +126,29 @@ func (w *Writer) printString(s string) error {
 }
 
 // Record is one parsed sample: a timestamp, an optional job mark, and
-// the counter values. Records delivered by ParseStream store their
-// values in a flat array described by the per-file Layout (see
-// Flat/Layout) and have a nil Data map; Materialize builds the nested
-// Data view.
+// the counter values, stored in a flat array described by the per-file
+// Layout (see Flat/Layout).
 type Record struct {
 	Time int64
 	// Mark is "", "begin", "end" or "rotate".
 	Mark string
 	// JobID accompanies begin/end marks.
 	JobID int64
-	Data  map[string]map[string][]uint64
 
-	// Streaming representation: flat values at layout-assigned columns,
-	// with per-(type,device) presence bits.
+	// Flat values at layout-assigned columns, with per-(type,device)
+	// presence bits.
 	flat    []uint64
 	present []bool
 	layout  *Layout
 }
 
-// Layout returns the per-file column layout backing a streamed record,
-// or nil for records holding the nested Data view.
+// Layout returns the per-file column layout backing the record.
 func (r *Record) Layout() *Layout { return r.layout }
 
-// Flat returns the flat value array of a streamed record, indexed by the
-// columns its Layout assigns. Absent devices read zero. The slice is
-// reused by the parser and only valid until the ParseStream callback
-// returns.
+// Flat returns the record's flat value array, indexed by the columns
+// its Layout assigns. Absent devices read zero. The slice is reused by
+// the parser and only valid until the ParseStream callback returns.
 func (r *Record) Flat() []uint64 { return r.flat }
-
-// Materialize returns a deep, self-contained copy of the record with the
-// nested Data view populated; safe to retain after the ParseStream
-// callback returns.
-func (r *Record) Materialize() Record {
-	out := Record{Time: r.Time, Mark: r.Mark, JobID: r.JobID}
-	if r.layout == nil {
-		out.Data = r.Data
-		return out
-	}
-	out.Data = make(map[string]map[string][]uint64)
-	for i, s := range r.layout.slots {
-		if i >= len(r.present) || !r.present[i] {
-			continue
-		}
-		w := len(s.t.schema)
-		vals := make([]uint64, w)
-		copy(vals, r.flat[s.off:s.off+w])
-		devs := out.Data[s.t.name]
-		if devs == nil {
-			devs = make(map[string][]uint64)
-			out.Data[s.t.name] = devs
-		}
-		devs[s.dev] = vals
-	}
-	return out
-}
 
 // File is a raw file's header and schemas, as ParseStream returns them
 // once every record has been delivered.
@@ -246,44 +214,4 @@ func parseKeySpec(spec []byte) (procfs.Key, error) {
 			return k, nil
 		}
 	}
-}
-
-// Get reads one value from a record; missing entries read 0 with
-// ok=false. Streamed records resolve through the last present slot of
-// (typ, dev), the one Materialize keeps, under that slot's own schema
-// (ignoring schemas): a type re-declared after the record's lines still
-// reads the values those lines wrote. Materialized records resolve
-// through the nested maps.
-func (r *Record) Get(schemas map[string]procfs.Schema, typ, dev, key string) (uint64, bool) {
-	if r.layout != nil {
-		for i := len(r.present) - 1; i >= 0; i-- {
-			s := &r.layout.slots[i]
-			if !r.present[i] || s.dev != dev || s.t.name != typ {
-				continue
-			}
-			ki := s.t.schema.Index(key)
-			if ki < 0 {
-				return 0, false
-			}
-			return r.flat[s.off+ki], true
-		}
-		return 0, false
-	}
-	devs, ok := r.Data[typ]
-	if !ok {
-		return 0, false
-	}
-	vals, ok := devs[dev]
-	if !ok {
-		return 0, false
-	}
-	schema, ok := schemas[typ]
-	if !ok {
-		return 0, false
-	}
-	i := schema.Index(key)
-	if i < 0 || i >= len(vals) {
-		return 0, false
-	}
-	return vals[i], true
 }

@@ -2,34 +2,12 @@ package taccstats
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 
 	"supremm/internal/cluster"
 	"supremm/internal/procfs"
 )
-
-// parsedFile is a raw file with every record materialized: the shape
-// the tests read records from.
-type parsedFile struct {
-	*File
-	Records []Record
-}
-
-// parseFile reads a complete raw file through ParseStream, keeping a
-// materialized copy of every record.
-func parseFile(r io.Reader) (*parsedFile, error) {
-	var recs []Record
-	f, err := ParseStream(r, func(rec *Record) error {
-		recs = append(recs, rec.Materialize())
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &parsedFile{File: f, Records: recs}, nil
-}
 
 func rangerSnap() *procfs.Snapshot {
 	cfg := cluster.RangerConfig()
@@ -64,7 +42,7 @@ func TestWriteAndParseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := parseFile(&buf)
+	f, err := parseChecked(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,15 +66,15 @@ func TestWriteAndParseRoundTrip(t *testing.T) {
 		t.Errorf("timestamps: %d %d", r0.Time, r1.Time)
 	}
 	// Counter values round trip.
-	v, ok := r0.Get(f.Schemas, procfs.TypeCPU, "0", "user")
+	v, ok := r0.Get(procfs.TypeCPU, "0", "user")
 	if !ok || v != 4000 {
 		t.Errorf("r0 cpu user = %d (%v)", v, ok)
 	}
-	v, ok = r1.Get(f.Schemas, procfs.TypeCPU, "0", "user")
+	v, ok = r1.Get(procfs.TypeCPU, "0", "user")
 	if !ok || v != 4500 {
 		t.Errorf("r1 cpu user = %d (%v)", v, ok)
 	}
-	v, ok = r0.Get(f.Schemas, procfs.TypeIB, "mlx4_0.1", "tx_bytes")
+	v, ok = r0.Get(procfs.TypeIB, "mlx4_0.1", "tx_bytes")
 	if !ok || v != 123456789 {
 		t.Errorf("ib tx = %d (%v)", v, ok)
 	}
@@ -132,7 +110,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 		{"short data line", header + "100\ncpu 0\n"},
 	}
 	for _, c := range bad {
-		if _, err := parseFile(strings.NewReader(c.content)); err == nil {
+		if _, err := parseChecked(t, []byte(c.content)); err == nil {
 			t.Errorf("%s: expected parse error", c.name)
 		}
 	}
@@ -140,21 +118,21 @@ func TestParseRejectsMalformed(t *testing.T) {
 
 func TestParseToleratesUnknownHeadersAndBlanks(t *testing.T) {
 	content := "$tacc_stats 2.0\n$hostname h\n$future stuff\n\n!cpu user,E\n100\ncpu 0 7\n\n"
-	f, err := parseFile(strings.NewReader(content))
+	f, err := parseChecked(t, []byte(content))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(f.Records) != 1 {
 		t.Fatalf("records = %d", len(f.Records))
 	}
-	if v, ok := f.Records[0].Get(f.Schemas, "cpu", "0", "user"); !ok || v != 7 {
+	if v, ok := f.Records[0].Get("cpu", "0", "user"); !ok || v != 7 {
 		t.Errorf("value = %d (%v)", v, ok)
 	}
 }
 
 func TestRotateMark(t *testing.T) {
 	content := "$tacc_stats 2.0\n!cpu user,E\n100 rotate\ncpu 0 1\n"
-	f, err := parseFile(strings.NewReader(content))
+	f, err := parseChecked(t, []byte(content))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,20 +141,22 @@ func TestRotateMark(t *testing.T) {
 	}
 }
 
+// TestRecordGetMisses: a record read through the reference reads an
+// absent type, device or key as not there.
 func TestRecordGetMisses(t *testing.T) {
 	content := "$tacc_stats 2.0\n!cpu user,E\n100\ncpu 0 1\n"
-	f, err := parseFile(strings.NewReader(content))
+	f, err := parseChecked(t, []byte(content))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := f.Records[0]
-	if _, ok := r.Get(f.Schemas, "mem", "0", "MemUsed"); ok {
+	if _, ok := r.Get("mem", "0", "MemUsed"); ok {
 		t.Error("missing type should not be ok")
 	}
-	if _, ok := r.Get(f.Schemas, "cpu", "9", "user"); ok {
+	if _, ok := r.Get("cpu", "9", "user"); ok {
 		t.Error("missing device should not be ok")
 	}
-	if _, ok := r.Get(f.Schemas, "cpu", "0", "nokey"); ok {
+	if _, ok := r.Get("cpu", "0", "nokey"); ok {
 		t.Error("missing key should not be ok")
 	}
 }

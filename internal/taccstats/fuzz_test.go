@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"supremm/internal/faultinject"
-	"supremm/internal/procfs"
 )
 
 var updateCorpus = flag.Bool("update-corpus", false,
@@ -181,58 +179,15 @@ func TestSeedCorpusCommitted(t *testing.T) {
 }
 
 // FuzzParseFile throws mutated raw files at the parser: it may not
-// panic, it must accept exactly the files refParse (the tests' naive
+// panic, it must accept exactly the files reference.Parse (the naive
 // strconv and map-of-maps reading of the format) accepts, and on those
-// it must return the same header, schemas and records. Each streamed
-// record's layout-resolved reads must equal its materialized copy's.
+// it must read the same header, schemas and records, each record read
+// off the layout's slots and presence bits (parseChecked).
 func FuzzParseFile(f *testing.F) {
 	for _, seed := range fuzzSeedCorpus(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ref, errRef := refParse(data)
-
-		var streamed []Record
-		sf, errStream := ParseStream(bytes.NewReader(data), func(rec *Record) error {
-			m := rec.Materialize()
-			for typ, devs := range m.Data {
-				for dev := range devs {
-					// The schema the values were written under: that of
-					// the last present slot, which Materialize keeps.
-					schemas := map[string]procfs.Schema{}
-					for i, s := range rec.Layout().slots {
-						if i < len(rec.present) && rec.present[i] && s.t.name == typ && s.dev == dev {
-							schemas[typ] = s.t.schema
-						}
-					}
-					for _, k := range schemas[typ] {
-						got, gok := rec.Get(nil, typ, dev, k.Name)
-						want, wok := m.Get(schemas, typ, dev, k.Name)
-						if got != want || gok != wok {
-							t.Fatalf("record %d %s/%s/%s: streamed %d (%v), materialized %d (%v)",
-								len(streamed), typ, dev, k.Name, got, gok, want, wok)
-						}
-					}
-				}
-			}
-			streamed = append(streamed, m)
-			return nil
-		})
-
-		if (errRef == nil) != (errStream == nil) {
-			t.Fatalf("reference err=%v, ParseStream err=%v", errRef, errStream)
-		}
-		if errRef != nil {
-			return
-		}
-		if ref.Hostname != sf.Hostname || ref.Arch != sf.Arch || ref.Version != sf.Version {
-			t.Fatalf("headers differ: reference %+v, ParseStream %+v", ref, sf)
-		}
-		if !reflect.DeepEqual(ref.Schemas, sf.Schemas) {
-			t.Fatalf("schemas differ:\n reference   %+v\n ParseStream %+v", ref.Schemas, sf.Schemas)
-		}
-		if !reflect.DeepEqual(ref.Records, streamed) {
-			t.Fatalf("records differ:\n reference   %+v\n ParseStream %+v", ref.Records, streamed)
-		}
+		parseChecked(t, data)
 	})
 }

@@ -63,7 +63,7 @@ func TestMonitorJobLifecycle(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := parseFile(bytes.NewReader(files.buffers[0].Bytes()))
+	f, err := parseChecked(t, files.buffers[0].Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,12 +101,12 @@ func TestPMCReprogramOnlyAtJobBegin(t *testing.T) {
 	}
 	m.Close()
 
-	f, err := parseFile(bytes.NewReader(files.buffers[0].Bytes()))
+	f, err := parseChecked(t, files.buffers[0].Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	get := func(i int) uint64 {
-		v, _ := f.Records[i].Get(f.Schemas, procfs.TypeAMDPMC, "0", "FLOPS")
+		v, _ := f.Records[i].Get(procfs.TypeAMDPMC, "0", "FLOPS")
 		return v
 	}
 	if get(0) != 0 {
@@ -137,7 +137,7 @@ func TestDailyRotation(t *testing.T) {
 	}
 	// Each file is independently parseable (self-describing headers).
 	for day, buf := range files.buffers {
-		f, err := parseFile(bytes.NewReader(buf.Bytes()))
+		f, err := parseChecked(t, buf.Bytes())
 		if err != nil {
 			t.Fatalf("day %d: %v", day, err)
 		}

@@ -60,7 +60,7 @@ func TestFormatPropertyRoundTrip(t *testing.T) {
 		if err := w.WriteRecord(snap, fmt.Sprintf("begin %d", jobID)); err != nil {
 			return false
 		}
-		parsed, err := parseFile(&buf)
+		parsed, err := parseChecked(t, buf.Bytes())
 		if err != nil {
 			return false
 		}
@@ -72,7 +72,7 @@ func TestFormatPropertyRoundTrip(t *testing.T) {
 			return false
 		}
 		for p, want := range expect {
-			got, ok := rec.Get(parsed.Schemas, p.typ, p.dev, p.key)
+			got, ok := rec.Get(p.typ, p.dev, p.key)
 			if !ok || got != want {
 				return false
 			}
@@ -94,7 +94,7 @@ func TestParsePropertyNeverPanics(t *testing.T) {
 				ok = false
 			}
 		}()
-		_, _ = parseFile(bytes.NewReader(data))
+		_, _ = parseChecked(t, data)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -114,7 +114,7 @@ func TestParsePropertyStructuredGarbage(t *testing.T) {
 		}()
 		data := []byte(base)
 		data[int(pos)%len(data)] = b
-		_, _ = parseFile(bytes.NewReader(data))
+		_, _ = parseChecked(t, data)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -1,127 +1,74 @@
 package taccstats
 
 import (
-	"errors"
-	"strconv"
-	"strings"
+	"bytes"
+	"slices"
+	"testing"
 
-	"supremm/internal/procfs"
+	"supremm/internal/reference"
 )
 
-// refFile is what refParse reads from a raw file: the header fields,
-// the last declaration of every schema, and every record as a nested
-// map.
-type refFile struct {
-	Version, Hostname, Arch string
-	Schemas                 map[string]procfs.Schema
-	Records                 []Record
-}
-
-var errRef = errors.New("reference: rejected")
-
-// isRefSpace is the format's whitespace set. strings.Fields would also
-// split on Unicode spaces such as U+00A0, which the format does not
-// treat as separators.
-func isRefSpace(r rune) bool {
-	return r == ' ' || r == '\t' || r == '\n' || r == '\v' || r == '\f' || r == '\r'
-}
-
-// refParse is the tests' naive reading of the raw format, written from
-// the format's rules without sharing a line of code with ParseStream:
-// split into lines, then into fields, parse numbers with strconv, and
-// keep each record as a map of maps. A data line's type must be
-// declared by an earlier schema line, and its value count must match
-// that type's latest schema; a later line for the same type and device
-// in one record replaces the earlier one. Lines over the scanner's
-// 16 MB limit are out of its scope.
-func refParse(data []byte) (*refFile, error) {
-	f := &refFile{Schemas: map[string]procfs.Schema{}}
-	var cur *Record
-	for _, raw := range strings.Split(string(data), "\n") {
-		line := strings.TrimFunc(raw, isRefSpace)
-		if line == "" {
+// streamedRecord is rec in the reference's form, read off its layout's
+// slots in order: each present slot's values under its own block's
+// schema, a later slot of the same type and device (the block a changed
+// schema opened) replacing an earlier one.
+func streamedRecord(rec *Record) reference.RawRecord {
+	out := reference.RawRecord{Time: rec.Time, Mark: rec.Mark, JobID: rec.JobID,
+		Data: map[string]map[string]reference.RawLine{}}
+	for i, s := range rec.layout.slots {
+		if i >= len(rec.present) || !rec.present[i] {
 			continue
 		}
-		fields := strings.FieldsFunc(line, isRefSpace)
-		switch c := line[0]; {
-		case c == '$':
-			key, val, ok := strings.Cut(line[1:], " ")
-			if !ok {
-				return nil, errRef
+		devs := out.Data[s.t.name]
+		if devs == nil {
+			devs = map[string]reference.RawLine{}
+			out.Data[s.t.name] = devs
+		}
+		devs[s.dev] = reference.RawLine{Schema: s.t.schema,
+			Values: append([]uint64(nil), rec.flat[s.off:s.off+len(s.t.schema)]...)}
+	}
+	return out
+}
+
+// parseStreamed reads a whole file through ParseStream into the
+// reference's form: the header and schemas, every record, each type's
+// devices in slot order, and the layout's Replaced.
+func parseStreamed(data []byte) (*reference.RawFile, error) {
+	out := &reference.RawFile{Devices: map[string][]string{}}
+	var lay *Layout
+	f, err := ParseStream(bytes.NewReader(data), func(rec *Record) error {
+		lay = rec.layout
+		out.Records = append(out.Records, streamedRecord(rec))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out.Version, out.Hostname, out.Arch, out.Schemas = f.Version, f.Hostname, f.Arch, f.Schemas
+	if lay != nil {
+		out.Redeclared = lay.Replaced()
+		for _, s := range lay.slots {
+			if !slices.Contains(out.Devices[s.t.name], s.dev) {
+				out.Devices[s.t.name] = append(out.Devices[s.t.name], s.dev)
 			}
-			switch key {
-			case "tacc_stats":
-				f.Version = val
-			case "hostname":
-				f.Hostname = val
-			case "arch":
-				f.Arch = val
-			}
-		case c == '!':
-			fields = strings.FieldsFunc(line[1:], isRefSpace)
-			if len(fields) < 2 {
-				return nil, errRef
-			}
-			var schema procfs.Schema
-			for _, spec := range fields[1:] {
-				parts := strings.Split(spec, ",")
-				k := procfs.Key{Name: parts[0]}
-				for _, p := range parts[1:] {
-					switch {
-					case p == "E":
-						k.Class = procfs.Event
-					case strings.HasPrefix(p, "U="):
-						k.Unit = p[2:]
-					default:
-						return nil, errRef
-					}
-				}
-				schema = append(schema, k)
-			}
-			f.Schemas[fields[0]] = schema
-		case c >= '0' && c <= '9':
-			rec := Record{Data: map[string]map[string][]uint64{}}
-			ts, err := strconv.ParseInt(fields[0], 10, 64)
-			if err != nil {
-				return nil, errRef
-			}
-			rec.Time = ts
-			switch {
-			case len(fields) == 2 && fields[1] == "rotate":
-				rec.Mark = "rotate"
-			case len(fields) == 3 && (fields[1] == "begin" || fields[1] == "end"):
-				rec.Mark = fields[1]
-				if rec.JobID, err = strconv.ParseInt(fields[2], 10, 64); err != nil {
-					return nil, errRef
-				}
-			case len(fields) != 1:
-				return nil, errRef
-			}
-			f.Records = append(f.Records, rec)
-			cur = &f.Records[len(f.Records)-1]
-		default:
-			if cur == nil || len(fields) < 2 {
-				return nil, errRef
-			}
-			schema, ok := f.Schemas[fields[0]]
-			if !ok || len(fields)-2 != len(schema) {
-				return nil, errRef
-			}
-			vals := make([]uint64, len(schema))
-			for i, tok := range fields[2:] {
-				v, err := strconv.ParseUint(tok, 10, 64)
-				if err != nil {
-					return nil, errRef
-				}
-				vals[i] = v
-			}
-			devs := cur.Data[fields[0]]
-			if devs == nil {
-				devs = map[string][]uint64{}
-				cur.Data[fields[0]] = devs
-			}
-			devs[fields[1]] = vals
 		}
 	}
-	return f, nil
+	return out, nil
+}
+
+// parseChecked reads data through reference.Parse and holds ParseStream
+// to the same reading: both accept or both reject, and an accepted file
+// reads the same header, schemas, device order, re-declaration and
+// records. Every test that reads a raw file checks the parser on it.
+func parseChecked(tb testing.TB, data []byte) (*reference.RawFile, error) {
+	tb.Helper()
+	want, errRef := reference.Parse(data)
+	got, errStream := parseStreamed(data)
+	if (errRef == nil) != (errStream == nil) {
+		tb.Fatalf("reference err=%v, ParseStream err=%v", errRef, errStream)
+	}
+	if errRef == nil && !reference.Same(got, want) {
+		tb.Fatalf("ParseStream and the reference read differently:\n reference   %+v\n ParseStream %+v", want, got)
+	}
+	return want, errRef
 }

@@ -184,8 +184,8 @@ func schemasEqual(a, b procfs.Schema) bool {
 // complete record in file order. The Record passed to fn stores its
 // values in a flat array described by its Layout and is reused between
 // calls: it, its Flat array and its Layout-resolved reads are only valid
-// until fn returns — callers that retain data must copy it (or call
-// Materialize). The returned File carries the header fields and schemas.
+// until fn returns — callers that retain data must copy it. The
+// returned File carries the header fields and schemas.
 //
 // This is the zero-allocation fast path: data lines are matched against
 // the predicted slot and read in place from the scanner's byte buffer,

@@ -6,8 +6,13 @@ import (
 	"testing"
 
 	"supremm/internal/procfs"
+	"supremm/internal/reference"
 )
 
+// TestParseStreamRecordsMatchParseFile holds the layout's resolved
+// reads, the ones the ingest plan compiles, to reference.Parse: every
+// value of every record read through Layout.Column equals the
+// reference's.
 func TestParseStreamRecordsMatchParseFile(t *testing.T) {
 	snap := rangerSnap()
 	var buf bytes.Buffer
@@ -24,36 +29,33 @@ func TestParseStreamRecordsMatchParseFile(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	pf, err := parseFile(bytes.NewReader(data))
+	ref, err := reference.Parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var times []int64
+	n := 0
 	sf, err := ParseStream(bytes.NewReader(data), func(rec *Record) error {
-		times = append(times, rec.Time)
-		i := len(times) - 1
-		// Streamed Get must agree with the materialized record.
-		for typ, devs := range pf.Records[i].Data {
-			for dev, vals := range devs {
-				for ki, want := range vals {
-					key := pf.Schemas[typ][ki].Name
-					got, ok := rec.Get(pf.Schemas, typ, dev, key)
-					if !ok || got != want {
-						t.Errorf("rec %d %s/%s/%s = %d (%v), want %d", i, typ, dev, key, got, ok, want)
+		for typ, devs := range ref.Records[n].Data {
+			for dev, line := range devs {
+				for ki, k := range line.Schema {
+					col := rec.Layout().Column(typ, dev, k.Name)
+					if col < 0 || rec.Flat()[col] != line.Values[ki] {
+						t.Errorf("rec %d %s/%s/%s: column %d, want %d", n, typ, dev, k.Name, col, line.Values[ki])
 					}
 				}
 			}
 		}
+		n++
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(times) != len(pf.Records) {
-		t.Fatalf("streamed %d records, materialized %d", len(times), len(pf.Records))
+	if n != len(ref.Records) {
+		t.Fatalf("streamed %d records, the reference read %d", n, len(ref.Records))
 	}
-	if sf.Hostname != pf.Hostname || sf.Version != pf.Version {
-		t.Errorf("headers differ: %+v vs %+v", sf, pf)
+	if sf.Hostname != ref.Hostname || sf.Version != ref.Version {
+		t.Errorf("headers differ: %+v vs %+v", sf, ref)
 	}
 }
 
@@ -122,7 +124,8 @@ func TestParseStreamLateDevice(t *testing.T) {
 	var oks []bool
 	var versions []int
 	_, err := ParseStream(strings.NewReader(content), func(rec *Record) error {
-		v, ok := rec.Get(nil, "cpu", "1", "user")
+		r := streamedRecord(rec)
+		v, ok := r.Get("cpu", "1", "user")
 		vals = append(vals, v)
 		oks = append(oks, ok)
 		versions = append(versions, rec.Layout().Version())
@@ -168,23 +171,3 @@ var errStop = &stopError{}
 type stopError struct{}
 
 func (*stopError) Error() string { return "stop" }
-
-func TestMaterializeDetachesFromParserBuffers(t *testing.T) {
-	content := "$tacc_stats 2.0\n!cpu user,E\n100\ncpu 0 1\n200\ncpu 0 2\n"
-	var mats []Record
-	_, err := ParseStream(strings.NewReader(content), func(rec *Record) error {
-		mats = append(mats, rec.Materialize())
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The parser reuses its flat buffer; materialized copies must keep
-	// the values they had at callback time.
-	if v := mats[0].Data["cpu"]["0"][0]; v != 1 {
-		t.Errorf("rec 0 user = %d, want 1", v)
-	}
-	if v := mats[1].Data["cpu"]["0"][0]; v != 2 {
-		t.Errorf("rec 1 user = %d, want 2", v)
-	}
-}
