@@ -1,7 +1,7 @@
 # Convenience targets for the SUPReMM reproduction.
 GO ?= go
 
-.PHONY: all build test test-race vet fmt-check lint lint-fast fuzz-smoke test-serve test-store test-ingest test-bench bench bench-e2e bench-compare bench-gate bench-ingest bench-serve bench-store figures pipeline clean
+.PHONY: all build test test-race vet fmt-check lint lint-fast fuzz-smoke test-serve test-store test-ingest test-bench bench bench-e2e bench-compare bench-gate bench-ingest bench-serve bench-store fleet figures pipeline clean
 
 all: build vet lint test test-race test-serve test-store test-ingest test-bench
 
@@ -52,7 +52,8 @@ lint-fast:
 # short budget of new inputs against the raw-format parsers, the raw
 # ingest (against its naive reference; its inputs are whole archives,
 # so minimizing one takes most of a short budget and is capped),
-# the columnar binary snapshot decoder, the daemon's corrupt-snapshot
+# the columnar binary snapshot decoder, series.jsonl's line decoder
+# (against plain encoding/json), the daemon's corrupt-snapshot
 # reload path (served generation must never change on a failed decode),
 # its request path (malformed input is always a 4xx, never a panic or
 # 5xx) and its answers (a well-formed request over HTTP gets the
@@ -62,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzIngestDifferential -fuzztime 10s -fuzzminimizetime 2s ./internal/ingest
 	$(GO) test -run '^$$' -fuzz FuzzColumnsDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzManifestDecode -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzLoadSeries -fuzztime 10s -fuzzminimizetime 2s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzReloadCorrupt -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzQueryParams -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzServeDifferential -fuzztime 10s ./internal/serve
@@ -178,16 +180,28 @@ bench-serve:
 # kernels on a one-shard set next to internal/reference, the tests'
 # naive oracle (the product has no row path), the binary codec (encode, decode, and the
 # same rows decoded from JSON lines), the write path at 200k rows over
-# 120 days (in-memory encode, streamed SaveBinary, a one-day
-# WriteShardDir append), the incremental shard reload vs a full load,
+# 120 days (in-memory encode, streamed SaveBinary, WriteShardDir into a
+# fresh directory and a one-day append), series.jsonl's decode (17 280
+# samples), the incremental shard reload vs a full load,
 # and the whole-shard time-prune win; recorded in EXPERIMENTS.md. The
 # decode / decode-jsonl ratio backs the >=5x decode and the kernel /
 # reference broad-scan ratio the >=3x acceptance criteria; the
 # incremental reload is pinned by bytes read, not by this ratio
 # (TestIncrementalReloadOpensOneShard).
 bench-store:
-	$(GO) test -run '^$$' -bench 'BenchmarkAggregateColumnar|BenchmarkColumnsCodec|BenchmarkEncodeColumns|BenchmarkSaveBinary|BenchmarkWriteShardDirAppend|BenchmarkIncrementalReload|BenchmarkShardPrune|BenchmarkShardMemo|BenchmarkDistribution|BenchmarkGroupByUser' -benchmem \
+	$(GO) test -run '^$$' -bench 'BenchmarkAggregateColumnar|BenchmarkColumnsCodec|BenchmarkEncodeColumns|BenchmarkSaveBinary|BenchmarkWriteShardDir|BenchmarkLoadSeries|BenchmarkIncrementalReload|BenchmarkShardPrune|BenchmarkShardMemo|BenchmarkDistribution|BenchmarkGroupByUser' -benchmem \
 		./internal/store ./internal/serve
+
+# The paper's scale through the real binaries, not in CI: one Ranger
+# night (3936 nodes) through cmd/ingest at -workers 1 and N in pairs,
+# and 547 days of history through supremmd (cold start, RSS, dashboard
+# latencies, a series-adopting and a series-decoding reload, VmHWM).
+# Writes $(FLEET), named FLEET_<pr>.json when committed as a record
+# (make fleet FLEET=FLEET_<pr>.json); no bounds. Needs about 3 GB of
+# disk and 2.2 GB of memory for the history's simulate run.
+FLEET ?= FLEET.json
+fleet:
+	$(GO) test ./internal/fleet -run TestFleet -fleet -fleet-out $(CURDIR)/$(FLEET) -timeout 60m -v
 
 # Render every paper figure as text plus vector/HTML artifacts.
 figures:

@@ -84,12 +84,12 @@ func Analyzers() []Scoped {
 			// and the per-interval fold (parallel.go's IngestRawOpts,
 			// raw.go's sysBucket.fold), and the columnar store — its binary codec,
 			// aggregation kernels and shard memo are the daemon's load
-			// and query inner loops.
+			// and query inner loops, and series.jsonl's line decoder.
 			Analyzer: hotalloc.Analyzer,
 			Pkgs:     []string{"supremm/internal/taccstats", "supremm/internal/ingest", "supremm/internal/store"},
 			Files: []string{"stream.go", "format.go",
 				"plan.go", "raw.go", "accumulator.go", "degrade.go", "parallel.go",
-				"columns.go", "codec.go", "query.go", "index.go", "kernel.go", "memo.go", "shard.go"},
+				"columns.go", "codec.go", "query.go", "index.go", "kernel.go", "memo.go", "shard.go", "series.go"},
 		},
 		{
 			// The artifact emitters (report renderers, cmd tools writing

@@ -28,8 +28,9 @@ var fuzzHosts = []string{"h0", "h1", "h2"}
 
 // fuzzAcct is the fuzzed archives' fixed accounting: one job on every
 // host, a second on two of them after a gap, and an idle tail after
-// both. Job 1 ends between two of the seeds' 600 s samples, so an
-// interval attributed at its end lands elsewhere than at its midpoint.
+// both; on h2 a third job runs inside the first. Job 1 ends between two
+// of the seeds' 600 s samples, so an interval attributed at its end
+// lands elsewhere than at its midpoint.
 var fuzzAcct = []sched.AcctRecord{
 	{Cluster: "ranger", Owner: "alice", JobName: "namd", JobID: 1, Account: "Physics",
 		Submit: 900, Start: 1000, End: 3200, Status: workload.Completed, Slots: 48,
@@ -37,6 +38,9 @@ var fuzzAcct = []sched.AcctRecord{
 	{Cluster: "ranger", Owner: "bob", JobName: "wrf", JobID: 2, Account: "Chemistry",
 		Submit: 3000, Start: 3600, End: 90000, Status: workload.Failed, Slots: 32,
 		NodeList: []string{"h0", "h1"}},
+	{Cluster: "ranger", Owner: "carol", JobName: "lammps", JobID: 3, Account: "Materials",
+		Submit: 1100, Start: 1200, End: 1400, Status: workload.Completed, Slots: 16,
+		NodeList: []string{"h2"}},
 }
 
 // fuzzArchive splits one fuzz input at NUL bytes into the day files
@@ -70,7 +74,8 @@ func joinArchive(files ...[]byte) []byte { return bytes.Join(files, []byte{0}) }
 //   - a type re-declared with a changed schema after its data was read;
 //   - a record that lost its ib line, and one that lost a cpu line;
 //   - a day file whose first record lacks a device of the day before;
-//   - three faulty files on two hosts, for a strict run's first fault.
+//   - three faulty files on two hosts, for a strict run's first fault;
+//   - h2 sampled across job 3, which runs inside job 1.
 func ingestSeedCorpus(tb testing.TB) [][]byte {
 	tb.Helper()
 	dir := tb.TempDir()
@@ -119,6 +124,13 @@ func ingestSeedCorpus(tb testing.TB) [][]byte {
 		[]byte(head+"2800\ncpu 0 1 2 3\n"),
 		[]byte(good),
 		[]byte(head+"100 weird\n"),
+	))
+
+	// Job 3 holds the first interval's midpoint (1300) inside job 1's
+	// window; job 1 keeps the two after it.
+	seeds = append(seeds, joinArchive(
+		[]byte(good), nil, []byte(good), nil,
+		[]byte(head+"1000\ncpu 0 0 500\n1600\ncpu 0 60000 500\n2200\ncpu 0 120000 500\n2800\ncpu 0 180000 500\n"), nil,
 	))
 	return seeds
 }

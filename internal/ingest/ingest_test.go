@@ -1,11 +1,14 @@
 package ingest
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+	"testing/fstest"
 
+	"supremm/internal/reference"
 	"supremm/internal/sched"
 	"supremm/internal/store"
 	"supremm/internal/workload"
@@ -146,6 +149,7 @@ func TestFindJob(t *testing.T) {
 		{start: 100, end: 200, jobID: 1},
 		{start: 300, end: 400, jobID: 2},
 	}
+	orderWindows(windows)
 	cases := []struct {
 		t    int64
 		want int64
@@ -159,6 +163,40 @@ func TestFindJob(t *testing.T) {
 	}
 	if findJob(nil, 100) != 0 {
 		t.Error("empty windows should find nothing")
+	}
+}
+
+// TestNestedJobKeepsItsLaterIntervals: a short job nested in a long one
+// on the same host takes the interval whose midpoint it holds, and the
+// long job keeps the two after the short one ended — in IngestRawOpts
+// and in reference.Ingest alike.
+func TestNestedJobKeepsItsLaterIntervals(t *testing.T) {
+	acct := []sched.AcctRecord{
+		{Cluster: "ranger", Owner: "alice", JobName: "namd", JobID: 1, Account: "Physics",
+			Submit: 900, Start: 1000, End: 2800, Status: workload.Completed, Slots: 16, NodeList: []string{"h0"}},
+		{Cluster: "ranger", Owner: "bob", JobName: "wrf", JobID: 2, Account: "Chemistry",
+			Submit: 1100, Start: 1200, End: 1400, Status: workload.Completed, Slots: 16, NodeList: []string{"h0"}},
+	}
+	const head = "$tacc_stats 2.0\n$hostname h\n$arch amd64_opteron\n!cpu user,E,U=cs idle,E,U=cs\n"
+	fsys := fstest.MapFS{"h0/1.raw": &fstest.MapFile{Data: []byte(head +
+		"1000\ncpu 0 0 500\n1600\ncpu 0 60000 500\n2200\ncpu 0 120000 500\n2800\ncpu 0 180000 500\n")}}
+	want, err := reference.Ingest(fsys, acct, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := map[int64]int{}
+	for _, j := range want.Jobs {
+		samples[j.JobID] = j.Samples
+	}
+	if samples[1] != 2 || samples[2] != 1 {
+		t.Errorf("reference: job samples %v, want job 1: 2 and job 2: 1", samples)
+	}
+	for _, workers := range []int{1, 2} {
+		got, err := IngestRawOpts("", acct, Options{Workers: workers, FS: fsys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireReference(t, fmt.Sprintf("workers=%d", workers), want, got)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 type jobWindow struct {
 	start, end int64
 	jobID      int64
+	reach      int64 // the latest end of this window and every one before it
 }
 
 // RawResult is what the raw-path ETL produces.
@@ -85,24 +86,36 @@ func indexAccounting(acct []sched.AcctRecord) (map[string][]jobWindow, map[int64
 			windows[host] = append(windows[host], jobWindow{start: r.Start, end: r.End, jobID: r.JobID})
 		}
 	}
-	for host := range windows {
-		ws := windows[host]
-		sort.Slice(ws, func(i, j int) bool { return ws[i].start < ws[j].start })
+	for _, ws := range windows {
+		orderWindows(ws)
 	}
 	return windows, identities
 }
 
-// findJob returns the job occupying the host at time t, or 0.
-func findJob(windows []jobWindow, t int64) int64 {
-	// Binary search on start, then check containment; windows on one
-	// host never overlap (whole-node scheduling).
-	i := sort.Search(len(windows), func(i int) bool { return windows[i].start > t })
-	if i == 0 {
-		return 0
+// orderWindows sorts one host's windows by start, those that start
+// together in accounting order, and sets each one's reach.
+func orderWindows(ws []jobWindow) {
+	sort.SliceStable(ws, func(i, j int) bool { return ws[i].start < ws[j].start })
+	for i := range ws {
+		ws[i].reach = ws[i].end
+		if i > 0 {
+			ws[i].reach = max(ws[i].end, ws[i-1].reach)
+		}
 	}
-	w := windows[i-1]
-	if t >= w.start && t <= w.end {
-		return w.jobID
+}
+
+// findJob returns the job occupying the host at time t, or 0: of the
+// windows that hold t, the one that started last, and of those that
+// started together the one later in the accounting. Windows overlap
+// only where the accounting nests a job in another; reach ends the
+// backward search at once when no earlier window lasts until t, so
+// without overlaps it is one binary search and one step.
+func findJob(windows []jobWindow, t int64) int64 {
+	i := sort.Search(len(windows), func(i int) bool { return windows[i].start > t }) - 1
+	for ; i >= 0 && windows[i].reach >= t; i-- {
+		if windows[i].end >= t {
+			return windows[i].jobID
+		}
 	}
 	return 0
 }

@@ -85,9 +85,10 @@ var cpuKeys = []string{"user", "nice", "system", "irq", "softirq", "idle", "iowa
 //     counter moving backwards on any device counts a reset; dt > 86 400
 //     s counts a clamped interval and attributes nothing.
 //   - An interval goes to the job whose accounting window on its host
-//     holds its midpoint, prev + (cur − prev)/2 (windows on a host do
-//     not overlap), and to the series sample of its end time, busy or
-//     idle.
+//     holds its midpoint, prev + (cur − prev)/2 — of several (a job
+//     nested in another), the one that started last, and of those that
+//     started together the one later in the accounting — and to the
+//     series sample of its end time, busy or idle.
 //   - The job sums and series samples add host after host, each host's
 //     intervals in order; every accounting job gets a record, one with
 //     no interval (jobs_no_data) all zero metrics.
@@ -289,14 +290,16 @@ func reduce(prev, cur *RawRecord, devs map[string][]string, dt float64) interval
 	return iv
 }
 
-// jobAt is the job whose accounting window on host holds t, 0 for none.
+// jobAt is the job whose accounting window on host holds t and started
+// last, the later in acct on a tie; 0 for none.
 func jobAt(acct []sched.AcctRecord, host string, t int64) int64 {
+	var job, start int64
 	for _, r := range acct {
-		if t >= r.Start && t <= r.End && slices.Contains(r.NodeList, host) {
-			return r.JobID
+		if t >= r.Start && t <= r.End && slices.Contains(r.NodeList, host) && (job == 0 || r.Start >= start) {
+			job, start = r.JobID, r.Start
 		}
 	}
-	return 0
+	return job
 }
 
 // jobSums is one job's intervals added up, the node-seconds weighting

@@ -250,3 +250,64 @@ type healthDTO struct {
 	Series     int    `json:"series_samples"`
 	Shards     int    `json:"shards"`
 }
+
+// tripDTO is one trip of the reload sequence in /debug/reloads: how it
+// ended, the phases it reached with their times (0 without a clock)
+// and what they read.
+type tripDTO struct {
+	Seq         int64      `json:"seq"`
+	Kind        string     `json:"kind"` // "poll" or "forced"
+	Outcome     string     `json:"outcome"`
+	Generation  uint64     `json:"generation"` // served after the trip
+	Attempts    int        `json:"attempts"`
+	Error       string     `json:"error,omitempty"`
+	ElapsedUS   int64      `json:"elapsed_us"`
+	Phases      []phaseDTO `json:"phases"`
+	Quarantined int        `json:"quarantined"`
+	Repaired    int        `json:"repaired"`
+	// The last attempt's shards: read from disk, or adopted from the
+	// previous generation.
+	ShardsRead        int   `json:"shards_read"`
+	ShardBytesRead    int64 `json:"shard_bytes_read"`
+	ShardsAdopted     int   `json:"shards_adopted"`
+	ShardBytesAdopted int64 `json:"shard_bytes_adopted"`
+}
+
+// phaseDTO is one phase a trip reached, its time summed over attempts,
+// and the bytes it read or, for series_adopt, kept.
+type phaseDTO struct {
+	Phase string `json:"phase"`
+	US    int64  `json:"us"`
+	Bytes int64  `json:"bytes,omitempty"`
+}
+
+func newTripDTO(t *trip, gen uint64) tripDTO {
+	d := tripDTO{
+		Kind: "poll", Outcome: t.outcome.String(), Generation: gen, Attempts: t.attempts,
+		ElapsedUS: t.mark.Sub(t.start).Microseconds(), Phases: []phaseDTO{},
+		ShardsRead: t.shards.Loaded, ShardBytesRead: t.shards.LoadedBytes,
+		ShardsAdopted: t.shards.Reused, ShardBytesAdopted: t.shards.ReusedBytes,
+	}
+	if t.forced {
+		d.Kind = "forced"
+	}
+	if t.err != nil {
+		d.Error = t.err.Error()
+	}
+	for _, h := range t.heals {
+		if h.quarantined {
+			d.Quarantined++
+		}
+		if h.repaired {
+			d.Repaired++
+		}
+	}
+	bytes := [numPhases]int64{phaseScrub: t.scrubBytes, phaseManifest: t.manifestBytes, phaseShards: t.shards.LoadedBytes,
+		phaseSeriesDecode: t.seriesBytes, phaseSeriesAdopt: t.seriesBytes}
+	for p := range numPhases {
+		if t.reached&(1<<p) != 0 {
+			d.Phases = append(d.Phases, phaseDTO{Phase: phaseNames[p], US: t.phases[p].Microseconds(), Bytes: bytes[p]})
+		}
+	}
+	return d
+}

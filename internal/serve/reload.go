@@ -35,6 +35,43 @@ const (
 	tripDegraded                     // ... without the days that are quarantined and unrepaired
 )
 
+func (o tripOutcome) String() string {
+	switch o {
+	case tripUnchanged:
+		return "unchanged"
+	case tripSkipped:
+		return "skipped"
+	case tripFailed:
+		return "failed"
+	case tripPublished:
+		return "published"
+	default:
+		return "degraded"
+	}
+}
+
+// tripPhase is a step of the sequence whose duration a trip records.
+type tripPhase int
+
+const (
+	phaseScrub        tripPhase = iota // the scrub step's pass of the cursor
+	phaseFingerprint                   // stamping the directory: the poll's compare, an attempt's two stamps
+	phaseManifest                      // reading and decoding MANIFEST.supremm
+	phaseShards                        // reading the changed shards, adopting the rest, healing
+	phaseSeriesDecode                  // decoding series.jsonl
+	phaseSeriesAdopt                   // sharing the previous generation's samples instead
+	phaseRealm                         // building the realm over shards and series
+	phaseQuality                       // reading quality.json
+	phaseSwap                          // publishing the generation
+	numPhases
+)
+
+var phaseNames = [numPhases]string{"scrub", "fingerprint", "manifest", "shards", "series_decode",
+	"series_adopt", "realm", "quality", "swap"}
+
+// tripRing is how many trips /debug/reloads shows.
+const tripRing = 16
+
 // shardHeal is what one trip found wrong with one shard and did about
 // it. quarantined and repaired each mean the custody record was
 // appended, so their counts are QUARANTINE.supremm's.
@@ -65,6 +102,19 @@ type trip struct {
 	outcome tripOutcome
 	snap    *Snapshot // the generation this trip published, else nil
 	err     error     // why it failed, else nil
+
+	// forced: force's trip, not poll's. phases holds the time spent in
+	// each phase, summed over attempts, and reached a bit per phase the
+	// trip entered. The times come from the injected clock, read at the
+	// phase boundaries from start on; without one they stay zero.
+	forced  bool
+	phases  [numPhases]time.Duration
+	reached uint16
+	start   time.Time
+	mark    time.Time // where the phase being timed began
+	// Bytes the phases read: the scrub step's shards, the manifest and
+	// series.jsonl (decoded or adopted); the shards' are in shards.
+	scrubBytes, manifestBytes, seriesBytes int64
 }
 
 // note appends one record per fault — its classification; the step that
@@ -103,22 +153,30 @@ type reloader struct {
 	mu       sync.Mutex
 	brk      *breaker
 	scrubber *store.Scrubber // cursor over the served generation's shards; nil until its first step
+
+	// The last tripRing trips that attempted a load, failed or healed:
+	// the n-th recorded (from 0) is trips[n%tripRing]. Its own mutex, so
+	// /debug/reloads answers while a load holds mu.
+	tripsMu sync.Mutex
+	trips   [tripRing]tripDTO
+	tripSeq int64 // trips recorded so far
 }
 
 // poll is one tick of cmd/supremmd's ticker.
 func (r *reloader) poll() trip {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var t trip
+	t := r.begin(false)
 	if r.selfHeal {
 		// Before the fingerprint: a shard this step moves aside changes
 		// it, so rot found now is healed by this same trip.
 		t.err = r.scrub(&t)
+		r.lap(&t, phaseScrub)
 	}
 	switch {
 	case t.err != nil:
 		t.outcome = tripFailed
-	case DirFingerprint(r.dir) == r.snap.Load().Fingerprint:
+	case r.unchanged(&t):
 		t.outcome = tripUnchanged
 	case !r.brk.tick():
 		t.outcome = tripSkipped
@@ -135,10 +193,41 @@ func (r *reloader) poll() trip {
 func (r *reloader) force() trip {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var t trip
+	t := r.begin(true)
 	r.load(&t)
 	r.fold(&t)
 	return t
+}
+
+// begin starts a trip, at the clock's now when there is one.
+func (r *reloader) begin(forced bool) trip {
+	t := trip{forced: forced}
+	if r.clock != nil {
+		t.start = r.clock()
+		t.mark = t.start
+	}
+	return t
+}
+
+// lap ends phase p, which the trip has been in since t.mark, at the
+// clock's now, and starts the next phase there. With no clock it reads
+// none and only notes that p was reached.
+func (r *reloader) lap(t *trip, p tripPhase) {
+	t.reached |= 1 << p
+	if r.clock == nil {
+		return
+	}
+	now := r.clock()
+	t.phases[p] += now.Sub(t.mark)
+	t.mark = now
+}
+
+// unchanged reports whether the directory still has the served
+// snapshot's fingerprint.
+func (r *reloader) unchanged(t *trip) bool {
+	same := DirFingerprint(r.dir) == r.snap.Load().Fingerprint
+	r.lap(t, phaseFingerprint)
+	return same
 }
 
 // fold is the one place a trip takes effect, failed trips and published
@@ -164,7 +253,36 @@ func (r *reloader) fold(t *trip) {
 		if old := r.snap.Swap(t.snap); old != nil {
 			r.met.reloads.Add(1)
 		}
+		r.lap(t, phaseSwap)
 	}
+	if t.attempts > 0 || t.outcome == tripFailed || len(t.heals) > 0 {
+		r.record(t)
+	}
+}
+
+// record puts t in the ring /debug/reloads shows.
+func (r *reloader) record(t *trip) {
+	var gen uint64 // none served yet: New's first trip failed
+	if snap := r.snap.Load(); snap != nil {
+		gen = snap.Gen
+	}
+	d := newTripDTO(t, gen)
+	r.tripsMu.Lock()
+	defer r.tripsMu.Unlock()
+	d.Seq = r.tripSeq + 1
+	r.trips[r.tripSeq%tripRing] = d
+	r.tripSeq++
+}
+
+// recentTrips is the ring's trips, oldest first.
+func (r *reloader) recentTrips() []tripDTO {
+	r.tripsMu.Lock()
+	defer r.tripsMu.Unlock()
+	out := make([]tripDTO, 0, tripRing)
+	for seq := max(r.tripSeq-tripRing, 0); seq < r.tripSeq; seq++ {
+		out = append(out, r.trips[seq%tripRing])
+	}
+	return out
 }
 
 // scrub is the scrub step: one budget-limited pass of the cursor over
@@ -180,9 +298,10 @@ func (r *reloader) scrub(t *trip) error {
 		}
 		r.scrubber = store.NewScrubber(r.dir, entries, r.open)
 	}
-	before := r.scrubber.Verified()
+	before, beforeBytes := r.scrubber.Verified(), r.scrubber.VerifiedBytes()
 	findings, sweeps := r.scrubber.Tick(r.scrubBudget)
 	t.scrubbed, t.sweeps = r.scrubber.Verified()-before, sweeps
+	t.scrubBytes = r.scrubber.VerifiedBytes() - beforeBytes
 	heals := t.note(findings)
 	for i := range heals {
 		if heals[i].ahead {
@@ -236,14 +355,18 @@ func (r *reloader) load(t *trip) {
 // stamp, read, quality, stamp again.
 func (r *reloader) attempt(t *trip, prev *Snapshot) (*Snapshot, error) {
 	fp, noted := DirFingerprint(r.dir), len(t.heals)
+	r.lap(t, phaseFingerprint)
 	snap, err := r.read(t, prev)
 	if err != nil {
 		return nil, err
 	}
-	if snap.Quality, err = LoadQuality(r.dir); err != nil {
+	snap.Quality, err = LoadQuality(r.dir)
+	r.lap(t, phaseQuality)
+	if err != nil {
 		return nil, err
 	}
 	snap.Fingerprint = DirFingerprint(r.dir)
+	r.lap(t, phaseFingerprint)
 	ours := slices.ContainsFunc(t.heals[noted:], func(h shardHeal) bool { return h.quarantined || h.repaired })
 	if snap.Fingerprint != fp && !ours {
 		// Someone else changed the directory mid-load; what was read may
@@ -265,11 +388,15 @@ func (r *reloader) attempt(t *trip, prev *Snapshot) (*Snapshot, error) {
 // Quality and Fingerprint to the attempt.
 func (r *reloader) read(t *trip, prev *Snapshot) (*Snapshot, error) {
 	entries, err := store.ReadManifest(r.dir, r.open)
+	r.lap(t, phaseManifest)
 	if err != nil {
 		return nil, err
 	}
+	t.manifestBytes = store.ManifestSize(len(entries))
 	snap := &Snapshot{}
-	if snap.shards, err = r.shards(t, entries, prev); err != nil {
+	snap.shards, err = r.shards(t, entries, prev)
+	r.lap(t, phaseShards)
+	if err != nil {
 		return nil, err
 	}
 	series, err := r.series(t, prev, snap)
@@ -277,6 +404,7 @@ func (r *reloader) read(t *trip, prev *Snapshot) (*Snapshot, error) {
 		return nil, err
 	}
 	snap.Realm = newRealm(snap.shards, series)
+	r.lap(t, phaseRealm)
 	snap.Shards, snap.ShardsReused = snap.shards.NumShards(), t.shards.Reused
 	snap.Coverage = coverageFrom(entries, snap.shards)
 	return snap, nil
@@ -360,21 +488,26 @@ func (r *reloader) heal(t *trip, faults []store.ShardFault) (repaired bool, err 
 // The stamp read goes onto snap, the snapshot being built.
 func (r *reloader) series(t *trip, prev, snap *Snapshot) ([]store.SystemSample, error) {
 	path := filepath.Join(r.dir, store.SeriesFile)
-	t.seriesAdopted = false
+	t.seriesAdopted, t.seriesBytes = false, 0
 	sf, err := r.open(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
+		r.lap(t, phaseSeriesDecode)
 		return nil, err
 	}
 	defer sf.Close()
 	if st, err := os.Stat(path); err == nil {
 		snap.seriesStamp = fmt.Sprint(st.Size(), st.ModTime().UnixNano())
+		t.seriesBytes = st.Size()
 	}
 	if prev != nil && len(prev.Realm.Series) > 0 && snap.seriesStamp != "" && snap.seriesStamp == prev.seriesStamp {
 		t.seriesAdopted = true
+		r.lap(t, phaseSeriesAdopt)
 		return prev.Realm.Series, nil
 	}
-	return store.LoadSeries(sf)
+	samples, err := store.LoadSeries(sf)
+	r.lap(t, phaseSeriesDecode)
+	return samples, err
 }

@@ -12,7 +12,9 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"supremm/internal/store"
 )
@@ -333,5 +335,68 @@ func TestNoDeadGenerationCacheEntries(t *testing.T) {
 	if m.CacheMisses != 1 || srv.met.cacheMisses.Load() != 2 || srv.met.cacheHits.Load() != 0 {
 		t.Errorf("cache misses %d then %d, hits %d: want 1, 2 and 0 (neither request could hit)",
 			m.CacheMisses, srv.met.cacheMisses.Load(), srv.met.cacheHits.Load())
+	}
+}
+
+// TestDebugReloadsPhases: /debug/reloads lists the forced trips in
+// order, and of a reload after series.jsonl changed and one after it
+// did not, only the first decodes the series and only the second adopts
+// it. With a clock each phase's time lies inside the trip's; without
+// one the same phases are listed, at zero.
+func TestDebugReloadsPhases(t *testing.T) {
+	for _, clocked := range []bool{false, true} {
+		dir := t.TempDir()
+		writeDataDir(t, dir, fixtureStore(40), fixtureSeries(20), nil)
+		cfg := Config{DataDir: dir}
+		var reads atomic.Int64
+		if clocked {
+			cfg.Now = func() time.Time { return time.Unix(0, reads.Add(1)*int64(time.Millisecond)) }
+		}
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		later := time.Now().Add(time.Hour)
+		if err := os.Chtimes(filepath.Join(dir, store.SeriesFile), later, later); err != nil {
+			t.Fatal(err)
+		}
+		for range 2 {
+			if _, err := srv.Reload(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		status, body := get(t, srv, "/debug/reloads")
+		var got struct{ Trips []tripDTO }
+		if err := json.Unmarshal(body, &got); status != http.StatusOK || err != nil {
+			t.Fatalf("status %d, %v: %s", status, err, body)
+		}
+		if len(got.Trips) != 3 {
+			t.Fatalf("clock %v: %d trips, want New's and two reloads': %s", clocked, len(got.Trips), body)
+		}
+		for i, trip := range got.Trips {
+			phases := map[string]phaseDTO{}
+			var sum int64
+			for _, p := range trip.Phases {
+				phases[p.Phase] = p
+				sum += p.US
+			}
+			_, decoded := phases["series_decode"]
+			_, adopted := phases["series_adopt"]
+			if trip.Seq != int64(i+1) || trip.Kind != "forced" || trip.Outcome != "published" || trip.Generation != uint64(i+1) {
+				t.Errorf("clock %v: trip %d is %+v", clocked, i, trip)
+			}
+			if decoded != (i < 2) || adopted != (i == 2) {
+				t.Errorf("clock %v: trip %d decoded the series %v, adopted it %v", clocked, i, decoded, adopted)
+			}
+			if _, ok := phases["shards"]; !ok || phases["manifest"].Bytes == 0 {
+				t.Errorf("clock %v: trip %d phases %+v", clocked, i, trip.Phases)
+			}
+			if clocked && (sum == 0 || sum > trip.ElapsedUS) || !clocked && (sum != 0 || trip.ElapsedUS != 0) {
+				t.Errorf("clock %v: trip %d phases sum to %d µs of %d", clocked, i, sum, trip.ElapsedUS)
+			}
+		}
+		if first, last := got.Trips[0], got.Trips[2]; first.ShardsRead == 0 || last.ShardsRead != 0 || last.ShardsAdopted != first.ShardsRead {
+			t.Errorf("clock %v: shards read %d then %d, adopted %d", clocked, first.ShardsRead, last.ShardsRead, last.ShardsAdopted)
+		}
 	}
 }

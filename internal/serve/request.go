@@ -113,7 +113,10 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, ep *endpoint) {
 			rec.ended = endedPanic
 			s.writeError(w, &rec, http.StatusInternalServerError, fmt.Errorf("internal panic: %v", p))
 		}
-		if s.cfg.Now != nil {
+		switch {
+		case rec.timed&(1<<stageWrite) != 0:
+			rec.elapsed = rec.mark.Sub(start) // the write was the last lap: its end is now
+		case s.cfg.Now != nil:
 			rec.elapsed = s.cfg.Now().Sub(start)
 		}
 		s.met.fold(rec)

@@ -242,6 +242,7 @@ var endpoints = []endpoint{
 	{method: "GET", path: "/readyz", anyQuery: true, fn: (*Server).readyz},
 	{method: "GET", path: "/metrics", anyQuery: true, fn: (*Server).metrics},
 	{method: "POST", path: "/api/v1/reload", anyQuery: true, fn: (*Server).reload},
+	{method: "GET", path: "/debug/reloads", anyQuery: true, fn: (*Server).reloads},
 	{method: "GET", path: "/api/v1/aggregate", data: true, keys: filtered("metric"), fn: (*Server).aggregate},
 	{method: "GET", path: "/api/v1/distribution", data: true, keys: filtered("metric", "bins"), fn: (*Server).distribution},
 	{method: "GET", path: "/api/v1/query", data: true, keys: queryKeys, fn: (*Server).query},
@@ -324,6 +325,11 @@ func (s *Server) reload(context.Context, *Snapshot, Params) (int, any, error) {
 		"jobs":       snap.Realm.Store.Len(),
 		"cluster":    snap.Realm.Cluster,
 	}, nil
+}
+
+// reloads is the last trips of the reload sequence, oldest first.
+func (s *Server) reloads(context.Context, *Snapshot, Params) (int, any, error) {
+	return http.StatusOK, map[string]any{"trips": s.dir.recentTrips()}, nil
 }
 
 func (s *Server) aggregate(ctx context.Context, snap *Snapshot, p Params) (int, any, error) {

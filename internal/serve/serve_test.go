@@ -239,6 +239,31 @@ func TestCacheHitsAndGenerationInvalidation(t *testing.T) {
 	}
 }
 
+// TestCachedHitClockReads pins how often a cached hit reads the injected
+// clock: once at the top, once per timed stage (admission, decode,
+// lookup, write) and once after the deadline and the hook — the write's
+// lap ends the request, so its elapsed time reads no clock of its own.
+func TestCachedHitClockReads(t *testing.T) {
+	dir := t.TempDir()
+	writeDataDir(t, dir, fixtureStore(100), fixtureSeries(10), nil)
+	var reads atomic.Int64
+	srv, err := New(Config{DataDir: dir, Now: func() time.Time {
+		return time.Unix(0, reads.Add(1)*int64(time.Microsecond))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const target = "/api/v1/aggregate?metric=cpu_idle"
+	get(t, srv, target)
+	before := reads.Load()
+	if status, _ := get(t, srv, target); status != http.StatusOK || srv.met.cacheHits.Load() != 1 {
+		t.Fatalf("status %d, %d cache hits: the second request is not a cached hit", status, srv.met.cacheHits.Load())
+	}
+	if n := reads.Load() - before; n != 6 {
+		t.Errorf("a cached hit reads the clock %d times, want 6", n)
+	}
+}
+
 // TestCachedHitAllocations pins what one cached GET costs in
 // allocations through the whole of ServeHTTP — mux, sequence, cache,
 // headers — with no clock injected, at the figure of the commit before

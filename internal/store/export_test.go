@@ -39,3 +39,9 @@ func Bounds(ss *ShardSet, m Metric, f Filter) (lo, hi float64) {
 	lo, hi, _ = bounds(nil, sel, m)
 	return lo, hi
 }
+
+// SeriesLine is LoadSeries' decoder of one line in SaveSeries' shape.
+var SeriesLine = seriesLine
+
+// LoadSeriesBuffered is LoadSeries over a read buffer of size bytes.
+var LoadSeriesBuffered = loadSeries

@@ -181,7 +181,12 @@ func TestEveryShardIsIndexed(t *testing.T) {
 		t.Fatalf("repaired %v, err %v", ok, err)
 	}
 	healed, faults := LoadShardsDegraded(dir, entries, degraded, nil)
-	if len(faults) != 0 || healed.LoadStats() != (ShardLoadStats{Loaded: 1, Reused: len(entries) - 1}) {
+	var total int64
+	for _, e := range entries {
+		total += e.Size
+	}
+	want := ShardLoadStats{Loaded: 1, Reused: len(entries) - 1, LoadedBytes: victim.Size, ReusedBytes: total - victim.Size}
+	if len(faults) != 0 || healed.LoadStats() != want {
 		t.Fatalf("heal pass: faults %+v, stats %+v; want the repaired day decoded and the rest adopted", faults, healed.LoadStats())
 	}
 	requireIndexed(t, "repaired by the heal pass", healed)

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"sync"
 )
 
 // Shard manifest format ("MANIFEST.supremm", DESIGN.md §14).
@@ -107,10 +108,13 @@ type ShardInfo struct {
 	Hash uint32
 }
 
+// ManifestSize is the length of a manifest of n entries.
+func ManifestSize(n int) int64 { return int64(headerLen + n*manifestEntryLen + 4) }
+
 // EncodeManifest serializes manifest entries. Entries must already be
 // in ascending ID order (WriteShardDir's partition order).
 func EncodeManifest(entries []ShardInfo) []byte {
-	buf := make([]byte, 0, headerLen+len(entries)*manifestEntryLen+4)
+	buf := make([]byte, 0, ManifestSize(len(entries)))
 	buf = appendHeader(buf, manifestMagic, manifestVersion, len(entries))
 	for _, e := range entries {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.ID))
@@ -232,8 +236,9 @@ func (s *Store) partitionByEndDay() ([]int64, []*Columns) {
 
 // WriteShardDir writes the store's time-partitioned form into dir: one
 // shard-<epochday>.supremm per job-end day plus MANIFEST.supremm. Each
-// file lands atomically (temp + fsync + rename + directory fsync, see
-// AtomicWriteFile), shards before the manifest, so a poller never sees
+// file lands atomically (temp + fsync + rename, see AtomicWriteFile),
+// every shard before the manifest, and one directory sync makes the
+// shards' renames durable before the manifest's, so a poller never sees
 // a manifest naming a shard that has not landed; shard files from an
 // earlier batch whose day dropped out of the manifest are removed
 // afterwards, along with any quarantine leftovers (*.quarantined
@@ -244,6 +249,14 @@ func (s *Store) partitionByEndDay() ([]int64, []*Columns) {
 // already on disk and its file is left alone: an append costs one shard
 // and the manifest, not the history. The witness is the file's content,
 // never its stat: a same-size bit-rotted or torn shard is rewritten.
+//
+// Days are encoded and compared on the calling goroutine, in day order.
+// A lone changed day lands there too; from a second one on, the changed
+// days land on a pool of GOMAXPROCS goroutines, which bounds the
+// payloads held at once. So before the manifest lands, any subset of
+// the changed days may be new on disk: each is ahead of the manifest
+// (DESIGN.md §14.1). On a failed landing the first error is returned
+// and no manifest is written.
 func WriteShardDir(dir string, s *Store) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -251,6 +264,7 @@ func WriteShardDir(dir string, s *Store) error {
 	days, cols := s.partitionByEndDay()
 	entries := make([]ShardInfo, len(days))
 	keep := make(map[string]bool, len(days)+1)
+	land := shardLanding{dir: dir, slots: make(chan struct{}, runtime.GOMAXPROCS(0))}
 	for i, day := range days {
 		payload := EncodeColumns(cols[i])
 		name := ShardFileName(day)
@@ -262,17 +276,91 @@ func WriteShardDir(dir string, s *Store) error {
 			Size:   int64(len(payload)),
 			Hash:   crc32.ChecksumIEEE(payload),
 		}
-		if !fileHolds(filepath.Join(dir, name), payload) {
-			if err := AtomicWriteBytes(dir, name, payload); err != nil {
-				return err
-			}
-		}
 		keep[name] = true
+		if !fileHolds(filepath.Join(dir, name), payload) && !land.add(name, payload) {
+			break
+		}
+	}
+	if err := land.wait(); err != nil {
+		return err
+	}
+	if land.changed > 0 {
+		if err := FsyncDir(dir); err != nil {
+			return err
+		}
 	}
 	if err := AtomicWriteBytes(dir, ManifestFile, EncodeManifest(entries)); err != nil {
 		return err
 	}
 	return cleanShardDir(dir, keep)
+}
+
+// shardLanding lands WriteShardDir's changed shard files by renameInto:
+// the first is held until a second arrives, so a lone one lands on the
+// caller in wait; from then on each lands on a goroutine of its own, at
+// most cap(slots) at a time.
+type shardLanding struct {
+	dir      string
+	slots    chan struct{}
+	changed  int
+	held     string // the first changed day's name, until a second one
+	heldData []byte
+	wg       sync.WaitGroup
+	mu       sync.Mutex
+	err      error // the first failed landing's
+}
+
+// add lands name, or holds it when it is the first; false once a landing
+// has failed, so the caller stops encoding.
+func (l *shardLanding) add(name string, payload []byte) bool {
+	l.changed++
+	switch l.changed {
+	case 1:
+		l.held, l.heldData = name, payload
+		return true
+	case 2:
+		l.start(l.held, l.heldData)
+		l.heldData = nil
+	}
+	l.start(name, payload)
+	return l.failed() == nil
+}
+
+// start lands one file on a goroutine once a slot is free.
+func (l *shardLanding) start(name string, payload []byte) {
+	l.slots <- struct{}{}
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		if err := renameInto(l.dir, name, writeBytes(payload)); err != nil {
+			l.fail(err)
+		}
+		<-l.slots
+	}()
+}
+
+func (l *shardLanding) fail(err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err == nil {
+		l.err = err
+	}
+}
+
+func (l *shardLanding) failed() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err
+}
+
+// wait lands a lone held file and waits for every landing; it returns
+// the first error.
+func (l *shardLanding) wait() error {
+	if l.changed == 1 {
+		return renameInto(l.dir, l.held, writeBytes(l.heldData))
+	}
+	l.wg.Wait()
+	return l.failed()
 }
 
 // fileHolds reports whether the file at path holds exactly want; a
@@ -389,7 +477,10 @@ func LoadShardsDegraded(dir string, entries []ShardInfo, prev *ShardSet, open Op
 		open = defaultOpener
 	}
 	shards := make([]*Shard, len(entries))
-	var work []int
+	var (
+		work  []int
+		stats ShardLoadStats
+	)
 	for i, e := range entries {
 		if prev != nil {
 			if sh := prev.shardByID(e.ID); sh != nil && sh.info == e {
@@ -403,6 +494,8 @@ func LoadShardsDegraded(dir string, entries []ShardInfo, prev *ShardSet, open Op
 				// already failed the entry equality.)
 				if st, err := os.Stat(filepath.Join(dir, ShardFileName(e.ID))); err == nil && st.Size() == e.Size {
 					shards[i] = sh
+					stats.Reused++
+					stats.ReusedBytes += e.Size
 					continue
 				}
 			}
@@ -415,8 +508,11 @@ func LoadShardsDegraded(dir string, entries []ShardInfo, prev *ShardSet, open Op
 		i := work[c]
 		shards[i], errs[c] = loadShard(dir, entries[i], open)
 	}, func(c int) {
-		if errs[c] != nil {
-			faults = append(faults, ShardFault{Info: entries[work[c]], Err: errs[c]})
+		if e := entries[work[c]]; errs[c] != nil {
+			faults = append(faults, ShardFault{Info: e, Err: errs[c]})
+		} else {
+			stats.Loaded++
+			stats.LoadedBytes += e.Size
 		}
 	})
 	healthy := shards[:0]
@@ -425,10 +521,7 @@ func LoadShardsDegraded(dir string, entries []ShardInfo, prev *ShardSet, open Op
 			healthy = append(healthy, sh)
 		}
 	}
-	return newShardSet(healthy, ShardLoadStats{
-		Loaded: len(work) - len(faults),
-		Reused: len(entries) - len(work),
-	}), faults
+	return newShardSet(healthy, stats), faults
 }
 
 // readShard reads day e.ID's shard file and holds it to the manifest

@@ -26,8 +26,8 @@ type Scrubber struct {
 	entries []ShardInfo
 	open    Opener
 
-	pos      int
-	verified int64
+	pos                     int
+	verified, verifiedBytes int64
 }
 
 // NewScrubber builds a scrubber over entries in dir; nil open means
@@ -57,6 +57,7 @@ func (sc *Scrubber) Tick(budgetBytes int64) (findings []ShardFault, sweeps int) 
 			findings = append(findings, ShardFault{Info: e, Err: err})
 		}
 		sc.verified++
+		sc.verifiedBytes += e.Size
 		read += e.Size
 		sc.pos++
 		if sc.pos == n {
@@ -72,3 +73,6 @@ func (sc *Scrubber) Tick(budgetBytes int64) (findings []ShardFault, sweeps int) 
 
 // Verified returns the total shard verifications performed.
 func (sc *Scrubber) Verified() int64 { return sc.verified }
+
+// VerifiedBytes returns the shard bytes those verifications read.
+func (sc *Scrubber) VerifiedBytes() int64 { return sc.verifiedBytes }

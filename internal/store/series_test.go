@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -88,5 +89,33 @@ func TestSeriesSummary(t *testing.T) {
 	e := SeriesSummary(nil, "mem_used")
 	if e.N != 0 || !math.IsNaN(e.Mean) {
 		t.Errorf("empty summary = %+v", e)
+	}
+}
+
+// BenchmarkLoadSeries decodes 120 days of 10-minute samples (17 280
+// lines, the benchmark history's series.jsonl), every line on the fast
+// path (make bench-store).
+func BenchmarkLoadSeries(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	samples := make([]SystemSample, 120*144)
+	for i := range samples {
+		busy := rng.Intn(128)
+		samples[i] = SystemSample{Time: 1_600_000_000 + int64(i)*600, ActiveNodes: 128, BusyNodes: busy,
+			QueuedJobs: rng.Intn(40), RunningJobs: rng.Intn(60), TotalTFlops: rng.Float64() * 3,
+			MemPerNode: rng.Float64() * 16, CPUUserFrac: rng.Float64(), CPUSysFrac: rng.Float64() / 20,
+			CPUIdleFrac: rng.Float64(), ScratchMBps: rng.Float64() * 900, WorkMBps: rng.Float64() * 90,
+			ShareMBps: rng.Float64() * 9, IBTxMBps: rng.Float64() * 4000, LnetTxMBps: rng.Float64() * 700}
+	}
+	var buf bytes.Buffer
+	if err := SaveSeries(&buf, samples); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got, err := LoadSeries(bytes.NewReader(buf.Bytes())); err != nil || len(got) != len(samples) {
+			b.Fatal(len(got), err)
+		}
 	}
 }

@@ -128,10 +128,10 @@ func (ss *ShardSet) PartitionUse() PartitionUse {
 
 // ShardLoadStats counts how a set was assembled: Loaded shards were
 // decoded from disk, Reused shards were adopted pointer-wise from the
-// previous generation.
+// previous generation; the Bytes fields are their files' sizes.
 type ShardLoadStats struct {
-	Loaded int
-	Reused int
+	Loaded, Reused           int
+	LoadedBytes, ReusedBytes int64
 }
 
 // NewShardSet wraps in-memory columnar partitions as a shard set, in

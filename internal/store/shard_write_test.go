@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"testing"
 	"time"
 
@@ -186,6 +188,67 @@ func TestWriteShardDirCleansWhileSkipping(t *testing.T) {
 	}
 }
 
+// TestWriteShardDirFailedLanding: when one changed day's rename fails
+// (a directory sits at its file name) while others land concurrently,
+// WriteShardDir returns the error, the manifest keeps its old bytes, no
+// temp file is left, and every day that did land holds exactly its new
+// payload — the others keep their old one.
+func TestWriteShardDirFailedLanding(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		dir := t.TempDir()
+		old := appendBenchStore(1200, 12)
+		if err := WriteShardDir(dir, old); err != nil {
+			t.Fatal(err)
+		}
+		manifest, err := os.ReadFile(filepath.Join(dir, ManifestFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := appendBenchStore(1300, 12) // other rows on every day
+		days, cols := next.partitionByEndDay()
+		blocked := ShardFileName(days[len(days)/2])
+		if err := os.Remove(filepath.Join(dir, blocked)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(dir, blocked, "in-the-way"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		oldFiles := map[string][]byte{}
+		for _, day := range days {
+			oldFiles[ShardFileName(day)], _ = os.ReadFile(filepath.Join(dir, ShardFileName(day)))
+		}
+		if err := WriteShardDir(dir, next); err == nil {
+			t.Fatalf("GOMAXPROCS=%d: a rename onto a directory did not fail the landing", procs)
+		}
+		if got, _ := os.ReadFile(filepath.Join(dir, ManifestFile)); !bytes.Equal(got, manifest) {
+			t.Errorf("GOMAXPROCS=%d: the manifest changed on a failed landing", procs)
+		}
+		if tmps, _ := filepath.Glob(filepath.Join(dir, ".*.tmp*")); len(tmps) > 0 {
+			t.Errorf("GOMAXPROCS=%d: temp files left: %v", procs, tmps)
+		}
+		landed := 0
+		for i, day := range days {
+			name := ShardFileName(day)
+			if name == blocked {
+				continue
+			}
+			got, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch want := EncodeColumns(cols[i]); {
+			case bytes.Equal(got, want):
+				landed++
+			case !bytes.Equal(got, oldFiles[name]):
+				t.Errorf("GOMAXPROCS=%d: %s holds neither its old nor its new payload", procs, name)
+			}
+		}
+		t.Logf("GOMAXPROCS=%d: %d of %d other days landed", procs, landed, len(days)-1)
+	}
+}
+
 // appendBenchStore is the write-path benchmark corpus: rows jobs
 // ending evenly over days epoch days, grouped by end day.
 func appendBenchStore(rows, days int) *Store {
@@ -234,6 +297,21 @@ func BenchmarkSaveBinary(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := st.SaveBinary(f); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWriteShardDirFresh lands the whole corpus into an empty
+// directory per iteration: every day is written, as by the first ingest
+// into a directory or the benchmark's set-up.
+func BenchmarkWriteShardDirFresh(b *testing.B) {
+	st := appendBenchStore(benchRows, benchDays)
+	root := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteShardDir(filepath.Join(root, strconv.Itoa(i)), st); err != nil {
 			b.Fatal(err)
 		}
 	}
