@@ -201,13 +201,11 @@ func land(t *testing.T, src, dst, name string) {
 // TestCrashSweepServesOldOrNew is the enumerated crash sweep: the real
 // writer lands batch N, then batch N+1 (one new job-end day, and late
 // jobs into a day N already wrote) on top of it; the landing order of
-// N+1 is taken from that run itself. The two changed day shards land
-// concurrently, so the order between them is the run's, and the sweep
-// takes it both ways. For every prefix of either order — the first k
-// files new, the rest still N's, which is every state a kill of
-// cmd/ingest between two renames can leave, "either or both changed
-// shards landed (the rest content-skipped), manifest not yet written"
-// among them — and for each also with the half-written temp file of the next
+// N+1 is taken from that run itself. For every prefix of the order —
+// the first k files new, the rest still N's, which is every state a
+// kill of cmd/ingest between two renames can leave, "changed shards
+// landed (the rest content-skipped), manifest not yet written" among
+// them — and for each also with the half-written temp file of the next
 // output lying about, a daemon serving N polls once and must answer
 // exactly N's rows or exactly N+1's (a naive per-row reference) at
 // coverage 1, having renamed, removed and written nothing; and once the
@@ -265,82 +263,73 @@ func TestCrashSweepServesOldOrNew(t *testing.T) {
 	}
 	order := landed()
 	t.Logf("batch N+1 landed %v", order)
-	n := len(order)
-	if n < 6 || order[n-1] != store.ManifestFile || !sameSet(order[n-3:n-1], store.ShardFileName(lastDay-1), store.ShardFileName(lastDay)) {
-		t.Fatalf("landing order %v: want jobs.jsonl, series and quality, then the two changed day shards %d and %d in either order, the manifest last",
+	if n := len(order); n < 6 || order[n-1] != store.ManifestFile ||
+		order[n-2] != store.ShardFileName(lastDay) || order[n-3] != store.ShardFileName(lastDay-1) {
+		t.Fatalf("landing order %v: want jobs.jsonl, series and quality, then the two changed day shards %d and %d, the manifest last",
 			order, lastDay-1, lastDay)
 	}
-	swapped := append([]string(nil), order...)
-	swapped[n-3], swapped[n-2] = order[n-2], order[n-3]
 
 	wantOld, wantNew := naiveJobs(t, dirOld), naiveJobs(t, dirNew)
 	if reflect.DeepEqual(wantOld, wantNew) {
 		t.Fatal("fixture: batch N and batch N+1 answer alike")
 	}
 
-	for o, order := range [][]string{order, swapped} {
-		for _, selfHeal := range []bool{false, true} {
-			for k := 0; k <= len(order); k++ {
-				for _, debris := range []bool{false, true} {
-					if debris && k == len(order) {
-						continue
-					}
-					what := fmt.Sprintf("order %v, self-heal %v, %d of %d files landed, temp debris %v", order, selfHeal, k, len(order), debris)
-					dir := filepath.Join(work, fmt.Sprintf("sweep-%d-%v-%d-%v", o, selfHeal, k, debris))
-					copyDir(t, dirOld, dir)
-					srv, err := serve.New(serve.Config{DataDir: dir, SelfHeal: selfHeal, ScrubBudgetBytes: -1})
+	for _, selfHeal := range []bool{false, true} {
+		for k := 0; k <= len(order); k++ {
+			for _, debris := range []bool{false, true} {
+				if debris && k == len(order) {
+					continue
+				}
+				what := fmt.Sprintf("self-heal %v, %d of %d files landed, temp debris %v", selfHeal, k, len(order), debris)
+				dir := filepath.Join(work, fmt.Sprintf("sweep-%v-%d-%v", selfHeal, k, debris))
+				copyDir(t, dirOld, dir)
+				srv, err := serve.New(serve.Config{DataDir: dir, SelfHeal: selfHeal, ScrubBudgetBytes: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := askJobs(t, srv); !reflect.DeepEqual(got, wantOld) {
+					t.Fatalf("%s: the daemon over batch N does not answer as the naive reference:\n%+v\n%+v", what, got, wantOld)
+				}
+
+				for _, name := range order[:k] {
+					land(t, dirNew, dir, name)
+				}
+				if debris {
+					half, err := os.ReadFile(filepath.Join(dirNew, order[k]))
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := askJobs(t, srv); !reflect.DeepEqual(got, wantOld) {
-						t.Fatalf("%s: the daemon over batch N does not answer as the naive reference:\n%+v\n%+v", what, got, wantOld)
+					if err := os.WriteFile(filepath.Join(dir, "."+order[k]+".tmp4242"), half[:len(half)/2], 0o644); err != nil {
+						t.Fatal(err)
 					}
+				}
+				before := dirState(t, dir)
+				_, pollErr := srv.MaybeReload()
+				if after := dirState(t, dir); !reflect.DeepEqual(after, before) {
+					t.Errorf("%s: the poll changed the directory:\n%v\n%v", what, before, after)
+				}
+				snap := srv.Snapshot()
+				if snap.Coverage.Degraded || snap.Coverage.Ratio != 1 {
+					t.Errorf("%s: coverage %+v (poll error %v)", what, snap.Coverage, pollErr)
+				}
+				got := askJobs(t, srv)
+				switch {
+				case reflect.DeepEqual(got, wantOld):
+				case reflect.DeepEqual(got, wantNew) && k == len(order):
+				default:
+					t.Errorf("%s: job answers are neither batch N's nor (with the manifest landed) batch N+1's (poll error %v):\n%+v", what, pollErr, got)
+				}
 
-					for _, name := range order[:k] {
-						land(t, dirNew, dir, name)
-					}
-					if debris {
-						half, err := os.ReadFile(filepath.Join(dirNew, order[k]))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := os.WriteFile(filepath.Join(dir, "."+order[k]+".tmp4242"), half[:len(half)/2], 0o644); err != nil {
-							t.Fatal(err)
-						}
-					}
-					before := dirState(t, dir)
-					_, pollErr := srv.MaybeReload()
-					if after := dirState(t, dir); !reflect.DeepEqual(after, before) {
-						t.Errorf("%s: the poll changed the directory:\n%v\n%v", what, before, after)
-					}
-					snap := srv.Snapshot()
-					if snap.Coverage.Degraded || snap.Coverage.Ratio != 1 {
-						t.Errorf("%s: coverage %+v (poll error %v)", what, snap.Coverage, pollErr)
-					}
-					got := askJobs(t, srv)
-					switch {
-					case reflect.DeepEqual(got, wantOld):
-					case reflect.DeepEqual(got, wantNew) && k == len(order):
-					default:
-						t.Errorf("%s: job answers are neither batch N's nor (with the manifest landed) batch N+1's (poll error %v):\n%+v", what, pollErr, got)
-					}
-
-					for _, name := range order[k:] {
-						land(t, dirNew, dir, name)
-					}
-					if _, err := srv.MaybeReload(); err != nil {
-						t.Errorf("%s: poll after the rest landed: %v", what, err)
-					}
-					if got := askJobs(t, srv); !reflect.DeepEqual(got, wantNew) {
-						t.Errorf("%s: after the rest landed the daemon does not serve batch N+1", what)
-					}
+				for _, name := range order[k:] {
+					land(t, dirNew, dir, name)
+				}
+				if _, err := srv.MaybeReload(); err != nil {
+					t.Errorf("%s: poll after the rest landed: %v", what, err)
+				}
+				if got := askJobs(t, srv); !reflect.DeepEqual(got, wantNew) {
+					t.Errorf("%s: after the rest landed the daemon does not serve batch N+1", what)
 				}
 			}
 		}
 	}
-}
-
-// sameSet reports whether names holds exactly a and b, in either order.
-func sameSet(names []string, a, b string) bool {
-	return len(names) == 2 && (names[0] == a && names[1] == b || names[0] == b && names[1] == a)
 }

@@ -24,16 +24,18 @@ import (
 var (
 	fleet      = flag.Bool("fleet", false, "run TestFleet: the real binaries at the paper's scale (minutes, GBs of disk)")
 	fleetOut   = flag.String("fleet-out", "", "write the record to this file")
-	fleetHalf  = flag.String("fleet-half", "both", "night, history or both")
 	fleetData  = flag.String("fleet-data", "", "history data directory to reuse if it holds a manifest, else to simulate into (default: a temp dir)")
 	fleetDays  = flag.Int("fleet-days", 547, "history days")
 	fleetRaw   = flag.String("fleet-raw", "", "night directory to reuse if it holds raw/, else to simulate into (default: a temp dir)")
-	fleetN     = flag.Int("fleet-pairs", 2, "ingest -workers 1 / -workers N pairs")
 	fleetNodes = flag.Int("fleet-nodes", 3936, "simulated nodes (the paper's Ranger: 3936)")
 )
 
 // fleetSeed is the simulation seed of both halves.
 const fleetSeed = "3"
+
+// ingestPairs is how many ingest -workers 1 / -workers N pairs the
+// night half runs.
+const ingestPairs = 2
 
 // dashboardURLs are the history half's fixed queries, uncached (the
 // daemon runs with -cache -1): the paper's system, workload and
@@ -67,8 +69,8 @@ type environment struct {
 type record struct {
 	Env     environment `json:"env"`
 	Started string      `json:"started"`
-	Night   *night      `json:"night,omitempty"`
-	History *history    `json:"history,omitempty"`
+	Night   *night      `json:"night"`
+	History *history    `json:"history"`
 }
 
 type night struct {
@@ -131,12 +133,8 @@ func TestFleet(t *testing.T) {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
 	rec := record{Env: readEnvironment(build.Dir), Started: time.Now().UTC().Format(time.RFC3339)}
-	if *fleetHalf != "history" {
-		rec.Night = measureNight(t, bin)
-	}
-	if *fleetHalf != "night" {
-		rec.History = measureHistory(t, bin)
-	}
+	rec.Night = measureNight(t, bin)
+	rec.History = measureHistory(t, bin)
 	out, err := json.MarshalIndent(rec, "", " ")
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +161,7 @@ func measureNight(t *testing.T, bin string) *night {
 	}
 	rawBytes, files := treeSize(t, raw)
 	n := &night{Nodes: *fleetNodes, RawMB: float64(rawBytes) / 1e6, RawFiles: files, Workers: runtime.GOMAXPROCS(0)}
-	for i := 0; i < *fleetN; i++ {
+	for range ingestPairs {
 		var outs [2]string
 		var runs [2]run
 		for k, workers := range []int{1, n.Workers} {

@@ -55,6 +55,7 @@ type tripPhase int
 
 const (
 	phaseScrub        tripPhase = iota // the scrub step's pass of the cursor
+	phaseBackoff                       // waiting before a retried attempt
 	phaseFingerprint                   // stamping the directory: the poll's compare, an attempt's two stamps
 	phaseManifest                      // reading and decoding MANIFEST.supremm
 	phaseShards                        // reading the changed shards, adopting the rest, healing
@@ -66,7 +67,7 @@ const (
 	numPhases
 )
 
-var phaseNames = [numPhases]string{"scrub", "fingerprint", "manifest", "shards", "series_decode",
+var phaseNames = [numPhases]string{"scrub", "backoff", "fingerprint", "manifest", "shards", "series_decode",
 	"series_adopt", "realm", "quality", "swap"}
 
 // tripRing is how many trips /debug/reloads shows.
@@ -338,6 +339,7 @@ func (r *reloader) load(t *trip) {
 	for t.attempts <= r.retryMax {
 		if t.attempts > 0 && r.backoff != nil {
 			r.backoff(t.attempts)
+			r.lap(t, phaseBackoff)
 		}
 		t.attempts++
 		if t.snap, t.err = r.attempt(t, prev); t.err == nil {

@@ -399,4 +399,47 @@ func TestDebugReloadsPhases(t *testing.T) {
 			t.Errorf("clock %v: shards read %d then %d, adopted %d", clocked, first.ShardsRead, last.ShardsRead, last.ShardsAdopted)
 		}
 	}
+
+	// A retried attempt: the first fails opening series.jsonl, the
+	// backoff moves the clock by a second, the second publishes. The
+	// second is the backoff's, no other phase's.
+	dir := t.TempDir()
+	writeDataDir(t, dir, fixtureStore(40), fixtureSeries(20), nil)
+	var now atomic.Int64
+	failing := 0
+	srv, err := New(Config{
+		DataDir:  dir,
+		Now:      func() time.Time { return time.Unix(0, now.Add(int64(time.Millisecond))) },
+		RetryMax: 1,
+		Backoff:  func(int) { now.Add(int64(time.Second)) },
+		Open: func(path string) (io.ReadCloser, error) {
+			if filepath.Base(path) == store.SeriesFile && failing > 0 {
+				failing--
+				return nil, errors.New("injected: transient series.jsonl read failure")
+			}
+			return osOpen(path)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing = 1
+	if _, err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	_, body := get(t, srv, "/debug/reloads")
+	var got struct{ Trips []tripDTO }
+	if err := json.Unmarshal(body, &got); err != nil || len(got.Trips) != 2 {
+		t.Fatalf("%v: %s", err, body)
+	}
+	trip := got.Trips[1]
+	second := time.Second.Microseconds()
+	for _, p := range trip.Phases {
+		if p.Phase == "backoff" && p.US < second || p.Phase != "backoff" && p.US >= second {
+			t.Errorf("phase %s took %d µs: %+v", p.Phase, p.US, trip)
+		}
+	}
+	if trip.Attempts != 2 || !slices.ContainsFunc(trip.Phases, func(p phaseDTO) bool { return p.Phase == "backoff" }) {
+		t.Errorf("retried trip %+v: want 2 attempts and a backoff phase", trip)
+	}
 }

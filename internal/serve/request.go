@@ -113,9 +113,12 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, ep *endpoint) {
 			rec.ended = endedPanic
 			s.writeError(w, &rec, http.StatusInternalServerError, fmt.Errorf("internal panic: %v", p))
 		}
+		// A timed write was the last lap: the request's time ends where
+		// it did, before the release, cancel and done deferred below ran.
+		// An error answer's time ends here, after them (DESIGN.md §10).
 		switch {
 		case rec.timed&(1<<stageWrite) != 0:
-			rec.elapsed = rec.mark.Sub(start) // the write was the last lap: its end is now
+			rec.elapsed = rec.mark.Sub(start)
 		case s.cfg.Now != nil:
 			rec.elapsed = s.cfg.Now().Sub(start)
 		}

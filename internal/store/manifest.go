@@ -251,12 +251,13 @@ func (s *Store) partitionByEndDay() ([]int64, []*Columns) {
 // never its stat: a same-size bit-rotted or torn shard is rewritten.
 //
 // Days are encoded and compared on the calling goroutine, in day order.
-// A lone changed day lands there too; from a second one on, the changed
-// days land on a pool of GOMAXPROCS goroutines, which bounds the
-// payloads held at once. So before the manifest lands, any subset of
-// the changed days may be new on disk: each is ahead of the manifest
-// (DESIGN.md §14.1). On a failed landing the first error is returned
-// and no manifest is written.
+// The first changed day lands there too (an append changes one or two);
+// the later ones land on at most GOMAXPROCS goroutines, which overlap
+// their fsyncs and bound the payloads held at once. So before the
+// manifest lands, the first changed day and any subset of the others
+// may be new on disk, each ahead of the manifest (DESIGN.md §14.1). On
+// a failed landing the first error is returned and no manifest is
+// written.
 func WriteShardDir(dir string, s *Store) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -264,7 +265,12 @@ func WriteShardDir(dir string, s *Store) error {
 	days, cols := s.partitionByEndDay()
 	entries := make([]ShardInfo, len(days))
 	keep := make(map[string]bool, len(days)+1)
-	land := shardLanding{dir: dir, slots: make(chan struct{}, runtime.GOMAXPROCS(0))}
+	var (
+		changed int
+		slots   = make(chan struct{}, runtime.GOMAXPROCS(0))
+		failed  = make(chan error, 1) // the first failed landing's error
+		landing sync.WaitGroup
+	)
 	for i, day := range days {
 		payload := EncodeColumns(cols[i])
 		name := ShardFileName(day)
@@ -277,14 +283,38 @@ func WriteShardDir(dir string, s *Store) error {
 			Hash:   crc32.ChecksumIEEE(payload),
 		}
 		keep[name] = true
-		if !fileHolds(filepath.Join(dir, name), payload) && !land.add(name, payload) {
+		if fileHolds(filepath.Join(dir, name), payload) {
+			continue
+		}
+		if changed++; changed == 1 {
+			if err := renameInto(dir, name, writeBytes(payload)); err != nil {
+				return err
+			}
+			continue
+		}
+		if len(failed) > 0 {
 			break
 		}
+		slots <- struct{}{}
+		landing.Add(1)
+		go func() {
+			defer landing.Done()
+			if err := renameInto(dir, name, writeBytes(payload)); err != nil {
+				select {
+				case failed <- err:
+				default:
+				}
+			}
+			<-slots
+		}()
 	}
-	if err := land.wait(); err != nil {
+	landing.Wait()
+	select {
+	case err := <-failed:
 		return err
+	default:
 	}
-	if land.changed > 0 {
+	if changed > 0 {
 		if err := FsyncDir(dir); err != nil {
 			return err
 		}
@@ -293,74 +323,6 @@ func WriteShardDir(dir string, s *Store) error {
 		return err
 	}
 	return cleanShardDir(dir, keep)
-}
-
-// shardLanding lands WriteShardDir's changed shard files by renameInto:
-// the first is held until a second arrives, so a lone one lands on the
-// caller in wait; from then on each lands on a goroutine of its own, at
-// most cap(slots) at a time.
-type shardLanding struct {
-	dir      string
-	slots    chan struct{}
-	changed  int
-	held     string // the first changed day's name, until a second one
-	heldData []byte
-	wg       sync.WaitGroup
-	mu       sync.Mutex
-	err      error // the first failed landing's
-}
-
-// add lands name, or holds it when it is the first; false once a landing
-// has failed, so the caller stops encoding.
-func (l *shardLanding) add(name string, payload []byte) bool {
-	l.changed++
-	switch l.changed {
-	case 1:
-		l.held, l.heldData = name, payload
-		return true
-	case 2:
-		l.start(l.held, l.heldData)
-		l.heldData = nil
-	}
-	l.start(name, payload)
-	return l.failed() == nil
-}
-
-// start lands one file on a goroutine once a slot is free.
-func (l *shardLanding) start(name string, payload []byte) {
-	l.slots <- struct{}{}
-	l.wg.Add(1)
-	go func() {
-		defer l.wg.Done()
-		if err := renameInto(l.dir, name, writeBytes(payload)); err != nil {
-			l.fail(err)
-		}
-		<-l.slots
-	}()
-}
-
-func (l *shardLanding) fail(err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err == nil {
-		l.err = err
-	}
-}
-
-func (l *shardLanding) failed() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
-
-// wait lands a lone held file and waits for every landing; it returns
-// the first error.
-func (l *shardLanding) wait() error {
-	if l.changed == 1 {
-		return renameInto(l.dir, l.held, writeBytes(l.heldData))
-	}
-	l.wg.Wait()
-	return l.failed()
 }
 
 // fileHolds reports whether the file at path holds exactly want; a

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -189,63 +190,71 @@ func TestWriteShardDirCleansWhileSkipping(t *testing.T) {
 }
 
 // TestWriteShardDirFailedLanding: when one changed day's rename fails
-// (a directory sits at its file name) while others land concurrently,
-// WriteShardDir returns the error, the manifest keeps its old bytes, no
-// temp file is left, and every day that did land holds exactly its new
-// payload — the others keep their old one.
+// (a directory sits at its file name), WriteShardDir returns the error,
+// the manifest keeps its old bytes and no temp file is left. The first
+// changed day lands on the caller: when it is the one that fails,
+// nothing else lands; otherwise it holds exactly its new payload, and
+// each later day, landing concurrently, its old or exactly its new one.
 func TestWriteShardDirFailedLanding(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		dir := t.TempDir()
-		old := appendBenchStore(1200, 12)
-		if err := WriteShardDir(dir, old); err != nil {
-			t.Fatal(err)
-		}
-		manifest, err := os.ReadFile(filepath.Join(dir, ManifestFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		next := appendBenchStore(1300, 12) // other rows on every day
-		days, cols := next.partitionByEndDay()
-		blocked := ShardFileName(days[len(days)/2])
-		if err := os.Remove(filepath.Join(dir, blocked)); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Join(dir, blocked, "in-the-way"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		oldFiles := map[string][]byte{}
-		for _, day := range days {
-			oldFiles[ShardFileName(day)], _ = os.ReadFile(filepath.Join(dir, ShardFileName(day)))
-		}
-		if err := WriteShardDir(dir, next); err == nil {
-			t.Fatalf("GOMAXPROCS=%d: a rename onto a directory did not fail the landing", procs)
-		}
-		if got, _ := os.ReadFile(filepath.Join(dir, ManifestFile)); !bytes.Equal(got, manifest) {
-			t.Errorf("GOMAXPROCS=%d: the manifest changed on a failed landing", procs)
-		}
-		if tmps, _ := filepath.Glob(filepath.Join(dir, ".*.tmp*")); len(tmps) > 0 {
-			t.Errorf("GOMAXPROCS=%d: temp files left: %v", procs, tmps)
-		}
-		landed := 0
-		for i, day := range days {
-			name := ShardFileName(day)
-			if name == blocked {
-				continue
+		for _, first := range []bool{true, false} {
+			what := fmt.Sprintf("GOMAXPROCS=%d, first changed day fails %v", procs, first)
+			dir := t.TempDir()
+			if err := WriteShardDir(dir, appendBenchStore(1200, 12)); err != nil {
+				t.Fatal(err)
 			}
-			got, err := os.ReadFile(filepath.Join(dir, name))
+			manifest, err := os.ReadFile(filepath.Join(dir, ManifestFile))
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch want := EncodeColumns(cols[i]); {
-			case bytes.Equal(got, want):
-				landed++
-			case !bytes.Equal(got, oldFiles[name]):
-				t.Errorf("GOMAXPROCS=%d: %s holds neither its old nor its new payload", procs, name)
+			next := appendBenchStore(1300, 12) // other rows on every day
+			days, cols := next.partitionByEndDay()
+			k := len(days) / 2
+			if first {
+				k = 0
+			}
+			blocked := ShardFileName(days[k])
+			if err := os.Remove(filepath.Join(dir, blocked)); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.MkdirAll(filepath.Join(dir, blocked, "in-the-way"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			oldFiles := map[string][]byte{}
+			for _, day := range days {
+				oldFiles[ShardFileName(day)], _ = os.ReadFile(filepath.Join(dir, ShardFileName(day)))
+			}
+			if err := WriteShardDir(dir, next); err == nil {
+				t.Fatalf("%s: a rename onto a directory did not fail the landing", what)
+			}
+			if got, _ := os.ReadFile(filepath.Join(dir, ManifestFile)); !bytes.Equal(got, manifest) {
+				t.Errorf("%s: the manifest changed on a failed landing", what)
+			}
+			if tmps, _ := filepath.Glob(filepath.Join(dir, ".*.tmp*")); len(tmps) > 0 {
+				t.Errorf("%s: temp files left: %v", what, tmps)
+			}
+			for i, day := range days {
+				if i == k {
+					continue
+				}
+				name := ShardFileName(day)
+				got, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				isNew, isOld := bytes.Equal(got, EncodeColumns(cols[i])), bytes.Equal(got, oldFiles[name])
+				switch {
+				case first && !isOld:
+					t.Errorf("%s: %s changed after the first landing failed", what, name)
+				case !first && i == 0 && !isNew:
+					t.Errorf("%s: the first changed day %s does not hold its new payload", what, name)
+				case !isNew && !isOld:
+					t.Errorf("%s: %s holds neither its old nor its new payload", what, name)
+				}
 			}
 		}
-		t.Logf("GOMAXPROCS=%d: %d of %d other days landed", procs, landed, len(days)-1)
 	}
 }
 
