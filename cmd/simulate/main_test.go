@@ -74,8 +74,9 @@ func TestRunOutputIsADataDirectory(t *testing.T) {
 		t.Fatalf("loaded cluster %q, %d jobs, %d samples", realm.Cluster, realm.Store.Len(), len(realm.Series))
 	}
 	var buf bytes.Buffer
-	if err := report.Fig7(&buf, realm); err != nil || buf.Len() == 0 {
-		t.Errorf("system report over simulate output: %d bytes, err %v", buf.Len(), err)
+	report.Fig7(&buf, realm)
+	if buf.Len() == 0 {
+		t.Error("system report over simulate output is empty")
 	}
 	entries, err := os.ReadDir(out)
 	if err != nil {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -40,19 +41,81 @@ func main() {
 		clusterFl = flag.String("cluster", "", "restrict to one cluster (ranger|lonestar4|stampede)")
 	)
 	flag.Parse()
-	if err := run(*days, *nodes, *seed, *fig, *table, *corr, *anomalies, *advise, *svgDir, *htmlOut, *clusterFl); err != nil {
+	if err := run(os.Stdout, *days, *nodes, *seed, *fig, *table, *corr, *anomalies, *advise, *svgDir, *htmlOut, *clusterFl); err != nil {
 		fmt.Fprintln(os.Stderr, "supremm:", err)
 		os.Exit(1)
 	}
 }
 
-// realmWithEvents pairs a realm with the run's log events for ANCOR.
-type realmWithEvents struct {
+// realmRun is one simulated cluster: its realm, the run's log events
+// for ANCOR, and the persistence fit Table 1 and Fig 6 share.
+type realmRun struct {
 	realm *core.Realm
 	res   *sim.Result
+	tab   *core.PersistenceTable
 }
 
-func run(days, nodes int, seed int64, fig, table int, corr, anomalies bool, advise, svgDir, htmlOut, clusterName string) error {
+func (rr *realmRun) persistence() (*core.PersistenceTable, error) {
+	var err error
+	if rr.tab == nil {
+		rr.tab, err = rr.realm.Persistence(10)
+	}
+	return rr.tab, err
+}
+
+// selection is what the flags ask for; all is set when they name
+// nothing, which renders every artefact.
+type selection struct {
+	fig, table      int
+	corr, anomalies bool
+	all             bool
+}
+
+func figure(n int) func(selection) bool {
+	return func(s selection) bool { return s.all || s.fig == n }
+}
+
+// perRealm is every artefact rendered once per cluster, in print order.
+var perRealm = []struct {
+	wanted func(selection) bool
+	render func(*bytes.Buffer, *realmRun) error
+}{
+	{figure(4), func(b *bytes.Buffer, rr *realmRun) error { return report.Fig4(b, rr.realm) }},
+	{figure(5), func(b *bytes.Buffer, rr *realmRun) error { return report.Fig5(b, rr.realm) }},
+	{func(s selection) bool { return s.all || s.table == 1 }, func(b *bytes.Buffer, rr *realmRun) error {
+		tab, err := rr.persistence()
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(b, "[%s]\n", rr.realm.Cluster)
+		report.Table1(b, tab)
+		return nil
+	}},
+	{figure(6), func(b *bytes.Buffer, rr *realmRun) error {
+		tab, err := rr.persistence()
+		if err != nil {
+			return err
+		}
+		report.Fig6(b, rr.realm.Cluster, tab)
+		return nil
+	}},
+	{figure(7), func(b *bytes.Buffer, rr *realmRun) error { report.Fig7(b, rr.realm); return nil }},
+	{figure(8), func(b *bytes.Buffer, rr *realmRun) error { return report.Fig8(b, rr.realm) }},
+	{figure(9), func(b *bytes.Buffer, rr *realmRun) error { return report.Fig9(b, rr.realm) }},
+	{figure(10), func(b *bytes.Buffer, rr *realmRun) error { return report.Fig10(b, rr.realm) }},
+	{figure(11), func(b *bytes.Buffer, rr *realmRun) error { return report.Fig11(b, rr.realm) }},
+	{figure(12), func(b *bytes.Buffer, rr *realmRun) error { return report.Fig12(b, rr.realm) }},
+	{func(s selection) bool { return s.all || s.corr }, func(b *bytes.Buffer, rr *realmRun) error {
+		report.CorrelationReport(b, rr.realm)
+		return nil
+	}},
+	{func(s selection) bool { return s.all || s.anomalies }, renderAnomalies},
+}
+
+// run simulates the clusters and writes the selected artefacts to w,
+// each as soon as it is rendered — with what it rendered before a
+// failure, then that failure.
+func run(w io.Writer, days, nodes int, seed int64, fig, table int, corr, anomalies bool, advise, svgDir, htmlOut, clusterName string) error {
 	// 0 selects nothing; any other value must name something the paper
 	// has, checked before the simulation runs.
 	if fig != 0 && (fig < 2 || fig > 12) {
@@ -73,7 +136,8 @@ func run(days, nodes int, seed int64, fig, table int, corr, anomalies bool, advi
 		setups = []cluster.Config{cc.Scaled(nodes)}
 	}
 
-	var realms []realmWithEvents
+	var runs []*realmRun
+	var realms []*core.Realm
 	for _, cc := range setups {
 		fmt.Fprintf(os.Stderr, "simulating %s: %d nodes, %d days...\n", cc.Name, cc.Nodes, days)
 		cfg := sim.DefaultConfig(cc, seed)
@@ -84,136 +148,64 @@ func run(days, nodes int, seed int64, fig, table int, corr, anomalies bool, advi
 		}
 		fmt.Fprintf(os.Stderr, "  %d jobs submitted, %d completed, %d log events\n",
 			res.JobsSubmitted, res.JobsCompleted, len(res.Events))
-		realms = append(realms, realmWithEvents{
-			realm: core.NewRealm(cc, res.Store.AsSet(), res.Series),
-			res:   res,
-		})
+		realm := core.NewRealm(cc, res.Store.AsSet(), res.Series)
+		runs = append(runs, &realmRun{realm: realm, res: res})
+		realms = append(realms, realm)
 	}
 
-	out := os.Stdout
-	all := fig == 0 && table == 0 && !corr && !anomalies && advise == ""
-
-	coreRealms := make([]*core.Realm, len(realms))
-	for i, re := range realms {
-		coreRealms[i] = re.realm
-	}
-
-	if all || fig == 2 {
-		if err := report.Fig2(out, coreRealms[0], 5); err != nil {
+	sel := selection{fig: fig, table: table, corr: corr, anomalies: anomalies,
+		all: fig == 0 && table == 0 && !corr && !anomalies && advise == ""}
+	var b bytes.Buffer
+	flush := func(err error) error {
+		_, werr := w.Write(b.Bytes())
+		b.Reset()
+		if err != nil {
 			return err
 		}
+		return werr
 	}
-	if all || fig == 3 {
-		if err := report.Fig3(out, coreRealms, core.MDCodes()); err != nil {
-			return err
-		}
+	if sel.all || fig == 2 {
+		report.Fig2(&b, realms[0], 5)
 	}
-	for _, re := range realms {
-		r := re.realm
-		if all || fig == 4 {
-			if err := report.Fig4(out, r); err != nil {
-				return err
-			}
-		}
-		if all || fig == 5 {
-			if err := report.Fig5(out, r); err != nil {
-				return err
-			}
-		}
-		if all || table == 1 || fig == 6 {
-			tab, err := r.Persistence(10)
-			if err != nil {
-				return err
-			}
-			if all || table == 1 {
-				if _, err := fmt.Fprintf(out, "[%s]\n", r.Cluster); err != nil {
-					return err
-				}
-				if err := report.Table1(out, tab); err != nil {
-					return err
-				}
-			}
-			if all || fig == 6 {
-				if err := report.Fig6(out, r.Cluster, tab); err != nil {
+	if sel.all || fig == 3 {
+		report.Fig3(&b, realms, core.MDCodes())
+	}
+	for _, rr := range runs {
+		for _, a := range perRealm {
+			if a.wanted(sel) {
+				if err := flush(a.render(&b, rr)); err != nil {
 					return err
 				}
 			}
 		}
-		if all || fig == 7 {
-			if err := report.Fig7(out, r); err != nil {
-				return err
-			}
-		}
-		if all || fig == 8 {
-			if err := report.Fig8(out, r); err != nil {
-				return err
-			}
-		}
-		if all || fig == 9 {
-			if err := report.Fig9(out, r); err != nil {
-				return err
-			}
-		}
-		if all || fig == 10 {
-			if err := report.Fig10(out, r); err != nil {
-				return err
-			}
-		}
-		if all || fig == 11 {
-			if err := report.Fig11(out, r); err != nil {
-				return err
-			}
-		}
-		if all || fig == 12 {
-			if err := report.Fig12(out, r); err != nil {
-				return err
-			}
-		}
-		if all || corr {
-			if err := report.CorrelationReport(out, r); err != nil {
-				return err
-			}
-		}
-		if all || anomalies {
-			if err := renderAnomalies(re); err != nil {
-				return err
-			}
-		}
 	}
-	if all && len(coreRealms) > 1 {
-		if err := renderComparison(out, coreRealms); err != nil {
-			return err
-		}
+	if sel.all && len(realms) > 1 {
+		renderComparison(&b, realms)
 	}
 	if advise != "" {
-		if err := renderAdvice(out, advise, coreRealms); err != nil {
-			return err
-		}
+		renderAdvice(&b, advise, realms)
+	}
+	if err := flush(nil); err != nil {
+		return err
 	}
 	if svgDir != "" {
 		if err := os.MkdirAll(svgDir, 0o755); err != nil {
 			return err
 		}
-		for _, r := range coreRealms {
-			err := report.SVGFigures(r, func(name string) (io.WriteCloser, error) {
-				return os.Create(filepath.Join(svgDir, name))
-			})
-			if err != nil {
+		for _, r := range realms {
+			if err := report.SVGFigures(r, func(name string, svg []byte) error {
+				return os.WriteFile(filepath.Join(svgDir, name), svg, 0o666)
+			}); err != nil {
 				return err
 			}
 		}
 		fmt.Fprintf(os.Stderr, "wrote vector figures to %s\n", svgDir)
 	}
 	if htmlOut != "" {
-		f, err := os.Create(htmlOut)
-		if err != nil {
+		if err := report.HTMLDashboard(&b, nil, realms...); err != nil {
 			return err
 		}
-		if err := report.HTMLDashboard(f, nil, coreRealms...); err != nil {
-			_ = f.Close() // render error wins
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(htmlOut, b.Bytes(), 0o666); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote dashboard to %s\n", htmlOut)
@@ -221,8 +213,8 @@ func run(days, nodes int, seed int64, fig, table int, corr, anomalies bool, advi
 	return nil
 }
 
-// renderAdvice prints the §4.3.1 system-selection report for one app.
-func renderAdvice(out *os.File, app string, realms []*core.Realm) error {
+// renderAdvice renders the §4.3.1 system-selection report for one app.
+func renderAdvice(b *bytes.Buffer, app string, realms []*core.Realm) {
 	choice := core.AdviseSystem(app, realms...)
 	t := report.NewTable(fmt.Sprintf("== which system suits %s (sec 4.3.1) ==", app),
 		"cluster", "jobs", "node-hours", "rel. idle (x fleet)", "efficiency", "GF/s per core")
@@ -233,21 +225,17 @@ func renderAdvice(out *os.File, app string, realms []*core.Realm) error {
 			fmt.Sprintf("%.1f%%", row.Efficiency*100),
 			fmt.Sprintf("%.2f", row.FlopsPerCoreGF))
 	}
-	if err := t.Render(out); err != nil {
-		return err
-	}
-	var err error
+	t.Render(b)
 	if choice.Best != "" {
-		_, err = fmt.Fprintf(out, "recommendation: run %s on %s\n", app, choice.Best)
+		fmt.Fprintf(b, "recommendation: run %s on %s\n", app, choice.Best)
 	} else {
-		_, err = fmt.Fprintf(out, "not enough evidence to recommend a system for %s\n", app)
+		fmt.Fprintf(b, "not enough evidence to recommend a system for %s\n", app)
 	}
-	return err
 }
 
-// renderComparison prints the cross-system table for funding agencies
+// renderComparison renders the cross-system table for funding agencies
 // (§4.3.6).
-func renderComparison(out *os.File, realms []*core.Realm) error {
+func renderComparison(b *bytes.Buffer, realms []*core.Realm) {
 	cmp := core.CompareSystems(realms...)
 	t := report.NewTable("== cross-system comparison (sec 4.3.6) ==",
 		"cluster", "jobs", "node-hours", "efficiency", "mean TF", "% of peak", "mem used", "allocated")
@@ -260,16 +248,15 @@ func renderComparison(out *os.File, realms []*core.Realm) error {
 			fmt.Sprintf("%.1f%%", row.MemFraction*100),
 			fmt.Sprintf("%.1f%%", row.AllocatedFraction*100))
 	}
-	return t.Render(out)
+	t.Render(b)
 }
 
-func renderAnomalies(re realmWithEvents) error {
-	r := re.realm
+func renderAnomalies(b *bytes.Buffer, rr *realmRun) error {
+	r := rr.realm
 	det := anomaly.NewDetector()
 	found := det.Detect(r.Store, r.JobFilter(),
 		[]store.Metric{store.MetricCPUIdle, store.MetricMemUsedMax, store.MetricScratchWrite})
-	if err := report.Diagnoses(os.Stdout, r.Cluster, anomaly.Link(found, re.res.Events), 15); err != nil {
-		return err
-	}
-	return report.FailureProfiles(os.Stdout, "job completion failure profile by application", r)
+	report.Diagnoses(b, r.Cluster, anomaly.Link(found, rr.res.Events), 15)
+	report.FailureProfiles(b, "job completion failure profile by application", r)
+	return nil
 }

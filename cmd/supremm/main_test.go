@@ -1,40 +1,71 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// The goldens under testdata are the command's output at the tests'
+// small scale: fig-N, table-1, corr, anomalies and advise-gromacs are
+// stdout; svg-html is the stdout of the -fig 4 run whose -svg files and
+// -html dashboard are under testdata/svg.
+
+// checkGolden fails t unless got is the golden file's bytes.
+func checkGolden(t *testing.T, got []byte, name string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs:\ngot:\n%s\nwant:\n%s", name, got, want)
+	}
+}
+
 func TestRunSingleFigures(t *testing.T) {
 	// Small, fast configurations per figure; all figures exercised.
 	for _, fig := range []int{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12} {
-		if err := run(4, 16, 51, fig, 0, false, false, "", "", "", "ranger"); err != nil {
+		var out bytes.Buffer
+		if err := run(&out, 4, 16, 51, fig, 0, false, false, "", "", "", "ranger"); err != nil {
 			t.Errorf("fig %d: %v", fig, err)
 		}
+		checkGolden(t, out.Bytes(), fmt.Sprintf("fig-%d.golden", fig))
 	}
 }
 
 func TestRunTableAndExtras(t *testing.T) {
-	if err := run(4, 16, 51, 0, 1, false, false, "", "", "", "lonestar4"); err != nil {
-		t.Errorf("table 1: %v", err)
-	}
-	if err := run(4, 16, 51, 0, 0, true, false, "", "", "", "ranger"); err != nil {
-		t.Errorf("corr: %v", err)
-	}
-	if err := run(4, 16, 51, 0, 0, false, true, "", "", "", "ranger"); err != nil {
-		t.Errorf("anomalies: %v", err)
-	}
-	if err := run(4, 16, 51, 0, 0, false, false, "gromacs", "", "", ""); err != nil {
-		t.Errorf("advise: %v", err)
+	for _, c := range []struct {
+		golden          string
+		table           int
+		corr, anomalies bool
+		advise, cluster string
+	}{
+		{"table-1.golden", 1, false, false, "", "lonestar4"},
+		{"corr.golden", 0, true, false, "", "ranger"},
+		{"anomalies.golden", 0, false, true, "", "ranger"},
+		{"advise-gromacs.golden", 0, false, false, "gromacs", ""},
+	} {
+		var out bytes.Buffer
+		if err := run(&out, 4, 16, 51, 0, c.table, c.corr, c.anomalies, c.advise, "", "", c.cluster); err != nil {
+			t.Errorf("%s: %v", c.golden, err)
+		}
+		checkGolden(t, out.Bytes(), c.golden)
 	}
 }
 
 func TestRunSVGOutput(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(3, 12, 51, 4, 0, false, false, "", dir, "", "ranger"); err != nil {
+	var out bytes.Buffer
+	if err := run(&out, 3, 12, 51, 4, 0, false, false, "", dir, "", "ranger"); err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, out.Bytes(), "svg-html.golden")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -46,12 +77,17 @@ func TestRunSVGOutput(t *testing.T) {
 		if !strings.HasSuffix(e.Name(), ".svg") {
 			t.Errorf("unexpected file %s", e.Name())
 		}
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, data, filepath.Join("svg", e.Name()))
 	}
 }
 
 func TestRunHTMLDashboard(t *testing.T) {
 	out := t.TempDir() + "/dash.html"
-	if err := run(3, 12, 51, 4, 0, false, false, "", "", out, "ranger"); err != nil {
+	if err := run(io.Discard, 3, 12, 51, 4, 0, false, false, "", "", out, "ranger"); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -61,10 +97,24 @@ func TestRunHTMLDashboard(t *testing.T) {
 	if !strings.Contains(string(data), "<svg") {
 		t.Error("dashboard missing inline figures")
 	}
+	checkGolden(t, data, filepath.Join("svg", "dashboard.html"))
+}
+
+// failWriter fails every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("sink broken") }
+
+// TestRunReportsWriteErrors: a stdout that cannot be written fails the
+// run.
+func TestRunReportsWriteErrors(t *testing.T) {
+	if err := run(failWriter{}, 2, 8, 1, 7, 0, false, false, "", "", "", "ranger"); err == nil {
+		t.Error("a failing writer should fail the run")
+	}
 }
 
 func TestRunRejectsUnknownCluster(t *testing.T) {
-	if err := run(2, 8, 1, 4, 0, false, false, "", "", "", "summit"); err == nil {
+	if err := run(io.Discard, 2, 8, 1, 4, 0, false, false, "", "", "", "summit"); err == nil {
 		t.Error("unknown cluster should error")
 	}
 }
@@ -78,7 +128,7 @@ func TestRunRejectsUnknownSelection(t *testing.T) {
 	}{
 		{13, 0, "2-12"}, {1, 0, "2-12"}, {-3, 0, "2-12"}, {0, 2, "takes 1"},
 	} {
-		err := run(1, 8, 1, c.fig, c.table, false, false, "", "", "", "ranger")
+		err := run(io.Discard, 1, 8, 1, c.fig, c.table, false, false, "", "", "", "ranger")
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("-fig %d -table %d: err = %v, want one naming %q", c.fig, c.table, err, c.want)
 		}

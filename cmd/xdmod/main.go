@@ -14,8 +14,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -36,47 +38,48 @@ func main() {
 		topN     = flag.Int("n", 5, "how many users/apps to show")
 	)
 	flag.Parse()
-	if *queryFl != "" {
-		if err := runQuery(*data, *queryFl); err != nil {
-			fmt.Fprintln(os.Stderr, "xdmod:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *suiteFl != "" {
-		if err := runSuite(*data, *suiteFl); err != nil {
-			fmt.Fprintln(os.Stderr, "xdmod:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*data, *reportFl, *topN); err != nil {
+	if err := run(os.Stdout, *data, *reportFl, *queryFl, *suiteFl, *topN); err != nil {
 		fmt.Fprintln(os.Stderr, "xdmod:", err)
 		os.Exit(1)
 	}
 }
 
-// runSuite renders one stakeholder's full report set (§4.3), with the
-// data-completeness section appended for support/admin when the data
-// directory carries an ingest quality report.
-func runSuite(dir, who string) error {
+// run renders over the data directory the custom report spec names,
+// else the suite named who, else the report named what, and writes it
+// to w: what was rendered before a failure too, then the failure.
+func run(w io.Writer, dir, what, spec, who string, n int) error {
 	r, err := serve.LoadRealm(dir)
 	if err != nil {
 		return err
 	}
+	var b bytes.Buffer
+	switch {
+	case spec != "":
+		err = renderQuery(&b, r, spec)
+	case who != "":
+		err = renderSuite(&b, r, dir, who)
+	default:
+		err = renderReport(&b, r, dir, what, n)
+	}
+	if _, werr := w.Write(b.Bytes()); err == nil {
+		err = werr
+	}
+	return err
+}
+
+// renderSuite renders one stakeholder's full report set (§4.3), with
+// the data-completeness section appended for support/admin when the
+// data directory carries an ingest quality report.
+func renderSuite(b *bytes.Buffer, r *core.Realm, dir, who string) error {
 	q, err := serve.LoadQuality(dir)
 	if err != nil {
 		return err
 	}
-	return report.SuiteWithQuality(os.Stdout, report.Stakeholder(who), q, r)
+	return report.SuiteWithQuality(b, report.Stakeholder(who), q, r)
 }
 
-// runQuery executes a custom report (the §4.3 "custom reports" path).
-func runQuery(dir, spec string) error {
-	r, err := serve.LoadRealm(dir)
-	if err != nil {
-		return err
-	}
+// renderQuery renders a custom report (the §4.3 "custom reports" path).
+func renderQuery(b *bytes.Buffer, r *core.Realm, spec string) error {
 	q, err := serve.ParseQuery(spec)
 	if err != nil {
 		return err
@@ -94,54 +97,42 @@ func runQuery(dir, spec string) error {
 		}
 		t.AddRow(row...)
 	}
-	return t.Render(os.Stdout)
+	t.Render(b)
+	return nil
 }
 
-func run(dir, what string, n int) error {
-	r, err := serve.LoadRealm(dir)
-	if err != nil {
-		return err
-	}
-	out := os.Stdout
+// renderReport renders the -report named what over r.
+func renderReport(b *bytes.Buffer, r *core.Realm, dir, what string, n int) error {
 	switch what {
 	case "users":
-		return report.Fig2(out, r, n)
+		report.Fig2(b, r, n)
 	case "apps":
-		return report.Fig3(out, []*core.Realm{r}, core.MDCodes())
+		report.Fig3(b, []*core.Realm{r}, core.MDCodes())
 	case "efficiency":
-		if err := report.Fig4(out, r); err != nil {
+		if err := report.Fig4(b, r); err != nil {
 			return err
 		}
-		return report.Fig5(out, r)
+		return report.Fig5(b, r)
 	case "persistence":
 		tab, err := r.Persistence(10)
 		if err != nil {
 			return err
 		}
-		if err := report.Table1(out, tab); err != nil {
-			return err
-		}
-		return report.Fig6(out, r.Cluster, tab)
+		report.Table1(b, tab)
+		report.Fig6(b, r.Cluster, tab)
 	case "system":
-		for _, f := range []func() error{
-			func() error { return report.Fig7(out, r) },
-			func() error { return report.Fig8(out, r) },
-			func() error { return report.Fig9(out, r) },
-			func() error { return report.Fig10(out, r) },
-			func() error { return report.Fig11(out, r) },
-			func() error { return report.Fig12(out, r) },
-		} {
-			if err := f(); err != nil {
+		report.Fig7(b, r)
+		for _, fig := range []func(*bytes.Buffer, *core.Realm) error{report.Fig8, report.Fig9, report.Fig10, report.Fig11, report.Fig12} {
+			if err := fig(b, r); err != nil {
 				return err
 			}
 		}
-		return nil
 	case "trends":
-		return report.Trends(out, r.Cluster, r.TrendReport())
+		report.Trends(b, r.Cluster, r.TrendReport())
 	case "workload":
-		return report.Characterization(out, r.Cluster, r.Characterize())
+		report.Characterization(b, r.Cluster, r.Characterize())
 	case "forecast":
-		return report.ForecastReport(out, r)
+		return report.ForecastReport(b, r)
 	case "waits":
 		af, err := os.Open(filepath.Join(dir, store.AccountingFile))
 		if err != nil {
@@ -152,7 +143,7 @@ func run(dir, what string, n int) error {
 		if err != nil {
 			return err
 		}
-		return report.WaitReport(out, r.Cluster, sched.ComputeWaitStats(acct))
+		report.WaitReport(b, r.Cluster, sched.ComputeWaitStats(acct))
 	case "quality":
 		q, err := serve.LoadQuality(dir)
 		if err == nil && q == nil {
@@ -161,10 +152,11 @@ func run(dir, what string, n int) error {
 		if err != nil {
 			return fmt.Errorf("quality report needs %s from cmd/ingest: %w", store.QualityFile, err)
 		}
-		return report.DataCompleteness(out, q)
+		report.DataCompleteness(b, q)
 	case "failures":
-		return report.FailureProfiles(out, "job completion failure profiles by application", r)
+		report.FailureProfiles(b, "job completion failure profiles by application", r)
 	default:
 		return fmt.Errorf("unknown report %q", what)
 	}
+	return nil
 }

@@ -6,7 +6,9 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -17,42 +19,57 @@ import (
 	"supremm/internal/store"
 )
 
-func buildRealm(cc cluster.Config, seed int64) *core.Realm {
+func buildRealm(cc cluster.Config, seed int64) (*core.Realm, error) {
 	cfg := sim.DefaultConfig(cc, seed)
 	cfg.DurationMin = 21 * 24 * 60
 	res, err := sim.Run(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	return core.NewRealm(cc, res.Store.AsSet(), res.Series)
+	return core.NewRealm(cc, res.Store.AsSet(), res.Series), nil
 }
 
 func main() {
-	mdCodes := core.MDCodes()
-	ranger := buildRealm(cluster.RangerConfig().Scaled(64), 3)
-	ls4 := buildRealm(cluster.Lonestar4Config().Scaled(64), 3)
-
-	// Fig 3: the six radar charts (3 codes x 2 clusters).
-	if err := report.Fig3(os.Stdout, []*core.Realm{ranger, ls4}, mdCodes); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// run compares the MD codes across both clusters and writes the
+// comparison to w.
+func run(w io.Writer) error {
+	mdCodes := core.MDCodes()
+	ranger, err := buildRealm(cluster.RangerConfig().Scaled(64), 3)
+	if err != nil {
+		return err
+	}
+	ls4, err := buildRealm(cluster.Lonestar4Config().Scaled(64), 3)
+	if err != nil {
+		return err
+	}
+
+	// Fig 3: the six radar charts (3 codes x 2 clusters).
+	var b bytes.Buffer
+	report.Fig3(&b, []*core.Realm{ranger, ls4}, mdCodes)
 
 	// The paper's reading of the charts, computed:
-	fmt.Println("\n=== efficiency by code (cpu idle, normalized to fleet) ===")
+	b.WriteString("\n=== efficiency by code (cpu idle, normalized to fleet) ===\n")
 	for _, r := range []*core.Realm{ranger, ls4} {
 		for _, code := range mdCodes {
 			p := r.AppProfile(code)
-			fmt.Printf("  %-10s on %-10s idle %.2fx fleet  (%d jobs, %.0f node-hours)\n",
+			fmt.Fprintf(&b, "  %-10s on %-10s idle %.2fx fleet  (%d jobs, %.0f node-hours)\n",
 				code, r.Cluster, p.Normalized[store.MetricCPUIdle], p.N, p.NodeHours)
 		}
 	}
 
-	fmt.Println("\n=== cross-cluster profile distance (lower = more similar) ===")
+	b.WriteString("\n=== cross-cluster profile distance (lower = more similar) ===\n")
 	for _, code := range mdCodes {
 		d := core.ProfileDistance(ranger.AppProfile(code), ls4.AppProfile(code))
-		fmt.Printf("  %-10s %.3f\n", code, d)
+		fmt.Fprintf(&b, "  %-10s %.3f\n", code, d)
 	}
-	fmt.Println("\nThe paper's observations to check: AMBER idles more than NAMD")
-	fmt.Println("and GROMACS on both machines; NAMD's profile is nearly the same")
-	fmt.Println("on both clusters while GROMACS differs (it exploits Westmere).")
+	b.WriteString("\nThe paper's observations to check: AMBER idles more than NAMD\n")
+	b.WriteString("and GROMACS on both machines; NAMD's profile is nearly the same\n")
+	b.WriteString("on both clusters while GROMACS differs (it exploits Westmere).\n")
+	_, err = w.Write(b.Bytes())
+	return err
 }

@@ -7,8 +7,11 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"supremm/internal/appkernels"
 	"supremm/internal/cluster"
@@ -19,6 +22,15 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run exercises the forward-looking capabilities and writes their
+// reports to w.
+func run(w io.Writer) error {
+	var b bytes.Buffer
 	cc := cluster.RangerConfig().Scaled(32)
 	cfg := sim.DefaultConfig(cc, 23)
 	cfg.DurationMin = 21 * 24 * 60
@@ -33,60 +45,60 @@ func main() {
 
 	res, err := sim.Run(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	realm := core.NewRealm(cc, res.Store.AsSet(), res.Series)
 
 	// 1. Application-kernel audit: is the system performing as usual?
-	fmt.Println("=== application kernel audit ===")
+	fmt.Fprintln(&b, "=== application kernel audit ===")
 	for _, v := range appkernels.NewAuditor().AuditAll(realm.Store, kernels) {
 		state := "OK"
 		if v.Degraded {
 			state = "DEGRADED"
 		}
-		fmt.Printf("  %-12s %2d runs  baseline %6.1f GF/s  recent %6.1f GF/s  (%+.1f%%)  %s\n",
+		fmt.Fprintf(&b, "  %-12s %2d runs  baseline %6.1f GF/s  recent %6.1f GF/s  (%+.1f%%)  %s\n",
 			v.Kernel, v.Runs, v.BaselineMean, v.RecentMean, v.DeltaPct, state)
 	}
 
 	// 2. Forecasting: how predictable is the system right now?
-	fmt.Println("\n=== persistence forecasts (cpu_flops) ===")
+	fmt.Fprintln(&b, "\n=== persistence forecasts (cpu_flops) ===")
 	fc, err := realm.NewForecaster("cpu_flops", 10)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, off := range []float64{10, 100, 1000} {
 		ev, err := fc.Evaluate(res.Series, off)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  %5.0f min ahead: MAE %.3f TF vs climatology %.3f TF (skill %+.2f)\n",
+		fmt.Fprintf(&b, "  %5.0f min ahead: MAE %.3f TF vs climatology %.3f TF (skill %+.2f)\n",
 			off, ev.MAE, ev.NaiveMAE, ev.Skill)
 	}
 
 	// 3. Scheduling hints: where is the headroom in the next hour?
-	fmt.Println("\n=== scheduling hints (60 min ahead) ===")
+	fmt.Fprintln(&b, "\n=== scheduling hints (60 min ahead) ===")
 	for _, metric := range []string{"io_scratch_write", "net_ib_tx"} {
 		h, err := realm.Hint(metric, 60)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		verdict := "hold back"
 		if h.Favorable {
 			verdict = "good time to launch"
 		}
-		fmt.Printf("  %-18s now %8.1f  forecast %8.1f  typical %8.1f  headroom %+5.1f%%  -> %s heavy users of it\n",
+		fmt.Fprintf(&b, "  %-18s now %8.1f  forecast %8.1f  typical %8.1f  headroom %+5.1f%%  -> %s heavy users of it\n",
 			h.Metric, h.Current, h.ForecastMean, h.FleetMean, h.Headroom*100, verdict)
 	}
 
 	// 4. Queue health by policy (the scheduler-tuning report, §4.3.4).
-	fmt.Println("\n=== queue waits under each scheduling policy ===")
+	fmt.Fprintln(&b, "\n=== queue waits under each scheduling policy ===")
 	for _, p := range []sched.Policy{sched.PolicyFIFO, sched.PolicyEASY, sched.PolicyComplementary} {
 		pcfg := cfg
 		pcfg.Jobs = nil // regenerate the same stream per run
 		pcfg.Policy = p
 		pres, err := sim.Run(pcfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		ws := sched.ComputeWaitStats(pres.Acct)
 		var busy float64
@@ -94,7 +106,9 @@ func main() {
 			busy += float64(s.BusyNodes)
 		}
 		util := busy / float64(len(pres.Series)) / 32 * 100
-		fmt.Printf("  %-14s util %5.1f%%  mean wait %6.1f min  (small %5.1f / medium %5.1f / large %6.1f)\n",
+		fmt.Fprintf(&b, "  %-14s util %5.1f%%  mean wait %6.1f min  (small %5.1f / medium %5.1f / large %6.1f)\n",
 			p, util, ws.MeanWaitMin, ws.SmallMeanMin, ws.MediumMeanMin, ws.LargeMeanMin)
 	}
+	_, err = w.Write(b.Bytes())
+	return err
 }

@@ -7,7 +7,9 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"os"
@@ -23,9 +25,17 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run drives the data path end to end and writes what it checks to w.
+func run(w io.Writer) error {
+	var b bytes.Buffer
 	rawDir, err := os.MkdirTemp("", "supremm-raw-*")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(rawDir)
 
@@ -37,12 +47,12 @@ func main() {
 	cfg.RawDir = rawDir
 	res, err := sim.Run(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("simulated: %d jobs, %.1f MB of raw TACC_Stats data (%d samples)\n",
+	fmt.Fprintf(&b, "simulated: %d jobs, %.1f MB of raw TACC_Stats data (%d samples)\n",
 		res.Store.Len(), float64(res.MonitorBytes)/1e6, res.MonitorSamples)
 	// Per-node-per-day volume, the paper's 0.5 MB yardstick (§4.1).
-	fmt.Printf("raw volume: %.2f MB per node per day (paper: ~0.5 MB on Ranger)\n",
+	fmt.Fprintf(&b, "raw volume: %.2f MB per node per day (paper: ~0.5 MB on Ranger)\n",
 		float64(res.MonitorBytes)/1e6/12/3)
 
 	// Show a flavour of the raw format.
@@ -51,12 +61,7 @@ func main() {
 		days, _ := os.ReadDir(filepath.Join(rawDir, hosts[0].Name()))
 		if len(days) > 0 {
 			raw, _ := os.ReadFile(filepath.Join(rawDir, hosts[0].Name(), days[0].Name()))
-			fmt.Printf("\nfirst lines of %s/%s:\n", hosts[0].Name(), days[0].Name())
-			for i, line := 0, 0; i < len(raw) && line < 6; i++ {
-				if raw[i] == '\n' {
-					line++
-				}
-			}
+			fmt.Fprintf(&b, "\nfirst lines of %s/%s:\n", hosts[0].Name(), days[0].Name())
 			end := 0
 			lines := 0
 			for ; end < len(raw) && lines < 6; end++ {
@@ -64,7 +69,7 @@ func main() {
 					lines++
 				}
 			}
-			fmt.Print(string(raw[:end]))
+			b.Write(raw[:end])
 		}
 	}
 
@@ -72,9 +77,9 @@ func main() {
 	//    stage the deployed system runs on the Netezza appliance.
 	rr, err := ingest.IngestRawOpts(rawDir, res.Acct, ingest.Options{Policy: ingest.Strict})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\ningested: %d job records, %d series samples, %d unattributed intervals\n",
+	fmt.Fprintf(&b, "\ningested: %d job records, %d series samples, %d unattributed intervals\n",
 		rr.Store.Len(), len(rr.Series), rr.Unattributed)
 
 	// 3. Verify the ETL against the simulator's direct records.
@@ -99,7 +104,7 @@ func main() {
 		}
 		compared++
 	}
-	fmt.Printf("ETL check: %d jobs compared, worst cpu_idle relative error %.1f%%\n",
+	fmt.Fprintf(&b, "ETL check: %d jobs compared, worst cpu_idle relative error %.1f%%\n",
 		compared, worst*100)
 
 	// 4. The rationalized log + anomaly linkage (§4.3.4).
@@ -109,22 +114,24 @@ func main() {
 			crit++
 		}
 	}
-	fmt.Printf("\nrationalized log: %d events (%d error+), e.g.:\n", len(res.Events), crit)
+	fmt.Fprintf(&b, "\nrationalized log: %d events (%d error+), e.g.:\n", len(res.Events), crit)
 	for i, ev := range res.Events {
 		if i >= 3 {
 			break
 		}
-		fmt.Println(" ", ev.String())
+		fmt.Fprintln(&b, " ", ev.String())
 	}
 	realm := core.NewRealm(cc, rr.Store.AsSet(), rr.Series)
 	found := anomaly.NewDetector().Detect(realm.Store, realm.JobFilter(),
 		[]store.Metric{store.MetricCPUIdle, store.MetricMemUsedMax})
 	diags := anomaly.Link(found, res.Events)
-	fmt.Printf("\nANCOR linkage: %d anomalous jobs diagnosed\n", len(diags))
+	fmt.Fprintf(&b, "\nANCOR linkage: %d anomalous jobs diagnosed\n", len(diags))
 	for i, d := range diags {
 		if i >= 3 {
 			break
 		}
-		fmt.Println(" ", d.String())
+		fmt.Fprintln(&b, " ", d.String())
 	}
+	_, err = w.Write(b.Bytes())
+	return err
 }

@@ -6,7 +6,9 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -16,25 +18,40 @@ import (
 	"supremm/internal/sim"
 )
 
-func buildRealm(cc cluster.Config) *core.Realm {
+func buildRealm(cc cluster.Config) (*core.Realm, error) {
 	cfg := sim.DefaultConfig(cc, 2013)
 	cfg.DurationMin = 14 * 24 * 60
 	res, err := sim.Run(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	return core.NewRealm(cc, res.Store.AsSet(), res.Series)
+	return core.NewRealm(cc, res.Store.AsSet(), res.Series), nil
 }
 
 func main() {
-	fmt.Fprintln(os.Stderr, "simulating two weeks on both clusters...")
-	ranger := buildRealm(cluster.RangerConfig().Scaled(48))
-	ls4 := buildRealm(cluster.Lonestar4Config().Scaled(48))
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run renders every suite over both clusters and writes them to w.
+func run(w io.Writer) error {
+	fmt.Fprintln(os.Stderr, "simulating two weeks on both clusters...")
+	ranger, err := buildRealm(cluster.RangerConfig().Scaled(48))
+	if err != nil {
+		return err
+	}
+	ls4, err := buildRealm(cluster.Lonestar4Config().Scaled(48))
+	if err != nil {
+		return err
+	}
+	var b bytes.Buffer
 	for _, who := range report.Stakeholders() {
-		if err := report.SuiteWithQuality(os.Stdout, who, nil, ranger, ls4); err != nil {
-			log.Fatalf("%s suite: %v", who, err)
+		if err := report.SuiteWithQuality(&b, who, nil, ranger, ls4); err != nil {
+			return fmt.Errorf("%s suite: %w", who, err)
 		}
 	}
-	fmt.Println("\nAll six stakeholder suites rendered (paper sec 4.3.1-4.3.6).")
+	b.WriteString("\nAll six stakeholder suites rendered (paper sec 4.3.1-4.3.6).\n")
+	_, err = w.Write(b.Bytes())
+	return err
 }

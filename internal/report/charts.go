@@ -1,8 +1,8 @@
 package report
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -15,9 +15,8 @@ import (
 // Radar renders a profile as a labelled bar view — the textual analogue
 // of the paper's radar charts, with one row per metric, the fleet-mean
 // line at 1.0 marked with '|'.
-func Radar(w io.Writer, p core.Profile) error {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "profile %s on %s  (%d jobs, %.0f node-hours)\n",
+func Radar(b *bytes.Buffer, p core.Profile) {
+	fmt.Fprintf(b, "profile %s on %s  (%d jobs, %.0f node-hours)\n",
 		p.Key, p.Cluster, p.N, p.NodeHours)
 	metrics := sortedMetrics(p.Normalized)
 	scale := 20.0 // columns per 1.0x
@@ -39,10 +38,8 @@ func Radar(w io.Writer, p core.Profile) error {
 			line += strings.Repeat(" ", unity-len(line))
 		}
 		line = line[:unity] + "|" + line[unity:]
-		fmt.Fprintf(&sb, "  %-18s %6.2fx %s\n", m, v, line)
+		fmt.Fprintf(b, "  %-18s %6.2fx %s\n", m, v, line)
 	}
-	_, err := io.WriteString(w, sb.String())
-	return err
 }
 
 func sortedMetrics(m map[store.Metric]float64) []store.Metric {
@@ -69,8 +66,8 @@ type Scatter struct {
 	RefLineSlope float64 // y = slope*x reference (efficiency line); 0 none
 }
 
-// Render draws the scatter.
-func (s *Scatter) Render(w io.Writer) error {
+// Render draws the scatter into b.
+func (s *Scatter) Render(b *bytes.Buffer) error {
 	if len(s.Xs) != len(s.Ys) || len(s.Xs) == 0 {
 		return fmt.Errorf("report: scatter needs matching non-empty series")
 	}
@@ -134,24 +131,22 @@ func (s *Scatter) Render(w io.Writer) error {
 	if s.MarkIdx >= 0 && s.MarkIdx < len(s.Xs) {
 		place(s.Xs[s.MarkIdx], s.Ys[s.MarkIdx], 'O')
 	}
-	var sb strings.Builder
 	if s.Title != "" {
-		sb.WriteString(s.Title + "\n")
+		b.WriteString(s.Title + "\n")
 	}
 	for _, row := range grid {
-		sb.WriteString("  |")
-		sb.Write(row)
-		sb.WriteByte('\n')
+		b.WriteString("  |")
+		b.Write(row)
+		b.WriteByte('\n')
 	}
-	sb.WriteString("  +" + strings.Repeat("-", width) + "\n")
-	fmt.Fprintf(&sb, "   x: %s   y: %s\n", s.XLabel, s.YLabel)
-	_, err := io.WriteString(w, sb.String())
-	return err
+	b.WriteString("  +" + strings.Repeat("-", width) + "\n")
+	fmt.Fprintf(b, "   x: %s   y: %s\n", s.XLabel, s.YLabel)
+	return nil
 }
 
 // TimeSeries renders a downsampled series as a column chart — the view
 // of Figs 8, 9 and 11.
-func TimeSeries(w io.Writer, title string, points []core.TimePoint, height int) error {
+func TimeSeries(b *bytes.Buffer, title string, points []core.TimePoint, height int) error {
 	if len(points) == 0 {
 		return fmt.Errorf("report: empty time series")
 	}
@@ -167,32 +162,30 @@ func TimeSeries(w io.Writer, title string, points []core.TimePoint, height int) 
 	if ymax <= 0 {
 		ymax = 1
 	}
-	var sb strings.Builder
-	sb.WriteString(title + "\n")
+	b.WriteString(title + "\n")
 	for r := height; r >= 1; r-- {
 		threshold := ymax * float64(r) / float64(height)
 		lineLabel := "        "
 		if r == height {
 			lineLabel = fmt.Sprintf("%7.1f ", ymax)
 		}
-		sb.WriteString(lineLabel + "|")
+		b.WriteString(lineLabel + "|")
 		for _, p := range points {
 			if p.Value >= threshold-1e-12 {
-				sb.WriteByte('#')
+				b.WriteByte('#')
 			} else {
-				sb.WriteByte(' ')
+				b.WriteByte(' ')
 			}
 		}
-		sb.WriteByte('\n')
+		b.WriteByte('\n')
 	}
-	sb.WriteString("    0.0 +" + strings.Repeat("-", len(points)) + "\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
+	b.WriteString("    0.0 +" + strings.Repeat("-", len(points)) + "\n")
+	return nil
 }
 
 // Density renders a KDE curve — the view of Figs 10 and 12. Multiple
 // curves overlay with distinct glyphs.
-func Density(w io.Writer, title, xlabel string, curves map[string][]stats.CurvePoint, width, height int) error {
+func Density(b *bytes.Buffer, title, xlabel string, curves map[string][]stats.CurvePoint, width, height int) error {
 	if len(curves) == 0 {
 		return fmt.Errorf("report: no density curves")
 	}
@@ -235,19 +228,17 @@ func Density(w io.Writer, title, xlabel string, curves map[string][]stats.CurveP
 			}
 		}
 	}
-	var sb strings.Builder
-	sb.WriteString(title + "\n")
+	b.WriteString(title + "\n")
 	for _, row := range grid {
-		sb.WriteString("  |")
-		sb.Write(row)
-		sb.WriteByte('\n')
+		b.WriteString("  |")
+		b.Write(row)
+		b.WriteByte('\n')
 	}
-	sb.WriteString("  +" + strings.Repeat("-", width) + "\n")
-	fmt.Fprintf(&sb, "   %g%s%g  (%s)   legend:", xmin, strings.Repeat(" ", width-18), xmax, xlabel)
+	b.WriteString("  +" + strings.Repeat("-", width) + "\n")
+	fmt.Fprintf(b, "   %g%s%g  (%s)   legend:", xmin, strings.Repeat(" ", width-18), xmax, xlabel)
 	for gi, n := range names {
-		fmt.Fprintf(&sb, " %c=%s", glyphs[gi%len(glyphs)], n)
+		fmt.Fprintf(b, " %c=%s", glyphs[gi%len(glyphs)], n)
 	}
-	sb.WriteByte('\n')
-	_, err := io.WriteString(w, sb.String())
-	return err
+	b.WriteByte('\n')
+	return nil
 }

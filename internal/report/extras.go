@@ -1,8 +1,8 @@
 package report
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 
 	"supremm/internal/anomaly"
 	"supremm/internal/appkernels"
@@ -12,7 +12,7 @@ import (
 )
 
 // Trends renders the §4.3.5 resource-manager trend report.
-func Trends(w io.Writer, cluster string, trends []core.Trend) error {
+func Trends(b *bytes.Buffer, cluster string, trends []core.Trend) {
 	t := NewTable(fmt.Sprintf("== resource use trends, %s ==", cluster),
 		"metric", "slope/day", "rel/month", "p-value", "significant")
 	for _, tr := range trends {
@@ -25,36 +25,28 @@ func Trends(w io.Writer, cluster string, trends []core.Trend) error {
 			fmt.Sprintf("%+.1f%%", tr.RelativePerMonth*100),
 			fmt.Sprintf("%.3g", tr.P), sig)
 	}
-	return t.Render(w)
+	t.Render(b)
 }
 
 // Characterization renders the workload-characterization report.
-func Characterization(w io.Writer, cluster string, c core.Characterization) error {
-	ew := newErrWriter(w)
-	ew.printf("== workload characterization, %s ==\n", cluster)
-	ew.printf("jobs analyzed: %d   node-hours: %.0f\n", c.Jobs, c.TotalNodeHours)
-	ew.printf("runtime: median %.0f min, mean %.0f, node-hour-weighted mean %.0f (the paper's 549/446-min statistic)\n",
+func Characterization(b *bytes.Buffer, cluster string, c core.Characterization) {
+	fmt.Fprintf(b, "== workload characterization, %s ==\n", cluster)
+	fmt.Fprintf(b, "jobs analyzed: %d   node-hours: %.0f\n", c.Jobs, c.TotalNodeHours)
+	fmt.Fprintf(b, "runtime: median %.0f min, mean %.0f, node-hour-weighted mean %.0f (the paper's 549/446-min statistic)\n",
 		c.Runtime.Median, c.Runtime.Mean, c.WeightedMeanRuntimeMin)
-	if ew.err != nil {
-		return ew.err
-	}
 
 	t := NewTable("job-size mix", "size", "jobs", "node-hours", "share")
-	for _, b := range c.SizeBuckets {
-		t.AddRow(b.Label, fmt.Sprintf("%d", b.Jobs),
-			fmt.Sprintf("%.0f", b.NodeHours), fmt.Sprintf("%.1f%%", b.NodeHoursShare*100))
+	for _, sz := range c.SizeBuckets {
+		t.AddRow(sz.Label, fmt.Sprintf("%d", sz.Jobs),
+			fmt.Sprintf("%.0f", sz.NodeHours), fmt.Sprintf("%.1f%%", sz.NodeHoursShare*100))
 	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
+	t.Render(b)
 
 	s := NewTable("node-hours by parent science", "science", "share", "jobs")
 	for _, row := range c.ScienceShare {
 		s.AddRow(row.Key, fmt.Sprintf("%.1f%%", row.Share*100), fmt.Sprintf("%d", row.Jobs))
 	}
-	if err := s.Render(w); err != nil {
-		return err
-	}
+	s.Render(b)
 
 	a := NewTable("node-hours by application (top 10)", "app", "share", "jobs")
 	for i, row := range c.AppShare {
@@ -63,14 +55,12 @@ func Characterization(w io.Writer, cluster string, c core.Characterization) erro
 		}
 		a.AddRow(row.Key, fmt.Sprintf("%.1f%%", row.Share*100), fmt.Sprintf("%d", row.Jobs))
 	}
-	return a.Render(w)
+	a.Render(b)
 }
 
 // WaitReport renders queue-wait statistics.
-func WaitReport(w io.Writer, cluster string, ws sched.WaitStats) error {
-	if _, err := fmt.Fprintf(w, "== queue waits, %s (%d jobs) ==\n", cluster, ws.Jobs); err != nil {
-		return err
-	}
+func WaitReport(b *bytes.Buffer, cluster string, ws sched.WaitStats) {
+	fmt.Fprintf(b, "== queue waits, %s (%d jobs) ==\n", cluster, ws.Jobs)
 	t := NewTable("", "population", "mean wait (min)")
 	t.AddRow("all", fmt.Sprintf("%.1f", ws.MeanWaitMin))
 	t.AddRow("median", fmt.Sprintf("%.1f", ws.MedianWaitMin))
@@ -78,11 +68,11 @@ func WaitReport(w io.Writer, cluster string, ws sched.WaitStats) error {
 	t.AddRow("1 node", fmt.Sprintf("%.1f", ws.SmallMeanMin))
 	t.AddRow("2-15 nodes", fmt.Sprintf("%.1f", ws.MediumMeanMin))
 	t.AddRow("16+ nodes", fmt.Sprintf("%.1f", ws.LargeMeanMin))
-	return t.Render(w)
+	t.Render(b)
 }
 
 // KernelAudit renders application-kernel verdicts.
-func KernelAudit(w io.Writer, verdicts []appkernels.Verdict) error {
+func KernelAudit(b *bytes.Buffer, verdicts []appkernels.Verdict) {
 	t := NewTable("== application kernel audit ==",
 		"kernel", "runs", "baseline GF/s", "recent GF/s", "delta", "state")
 	for _, v := range verdicts {
@@ -94,15 +84,13 @@ func KernelAudit(w io.Writer, verdicts []appkernels.Verdict) error {
 			fmt.Sprintf("%.1f", v.BaselineMean), fmt.Sprintf("%.1f", v.RecentMean),
 			fmt.Sprintf("%+.1f%%", v.DeltaPct), state)
 	}
-	return t.Render(w)
+	t.Render(b)
 }
 
 // ForecastReport renders forecaster skill at the Table 1 offsets plus
 // the current scheduling hints.
-func ForecastReport(w io.Writer, r *core.Realm) error {
-	if _, err := fmt.Fprintf(w, "== persistence forecasts, %s ==\n", r.Cluster); err != nil {
-		return err
-	}
+func ForecastReport(b *bytes.Buffer, r *core.Realm) error {
+	fmt.Fprintf(b, "== persistence forecasts, %s ==\n", r.Cluster)
 	t := NewTable("forecast skill vs climatology (cpu_flops)",
 		"offset (min)", "MAE", "naive MAE", "skill")
 	f, err := r.NewForecaster("cpu_flops", 10)
@@ -118,9 +106,7 @@ func ForecastReport(w io.Writer, r *core.Realm) error {
 			fmt.Sprintf("%.4f", ev.MAE), fmt.Sprintf("%.4f", ev.NaiveMAE),
 			fmt.Sprintf("%+.2f", ev.Skill))
 	}
-	if err := t.Render(w); err != nil {
-		return err
-	}
+	t.Render(b)
 	h := NewTable("scheduling hints (60 min ahead)",
 		"resource", "current", "forecast", "typical", "headroom", "verdict")
 	for _, metric := range []string{"io_scratch_write", "net_ib_tx"} {
@@ -136,32 +122,31 @@ func ForecastReport(w io.Writer, r *core.Realm) error {
 			fmt.Sprintf("%.1f", hint.Current), fmt.Sprintf("%.1f", hint.ForecastMean),
 			fmt.Sprintf("%.1f", hint.FleetMean), fmt.Sprintf("%+.0f%%", hint.Headroom*100), verdict)
 	}
-	return h.Render(w)
+	h.Render(b)
+	return nil
 }
 
 // Diagnoses renders ANCOR linkage results.
-func Diagnoses(w io.Writer, cluster string, diags []anomaly.Diagnosis, limit int) error {
-	ew := newErrWriter(w)
-	ew.printf("== ANCOR diagnoses, %s (%d anomalous jobs) ==\n", cluster, len(diags))
+func Diagnoses(b *bytes.Buffer, cluster string, diags []anomaly.Diagnosis, limit int) {
+	fmt.Fprintf(b, "== ANCOR diagnoses, %s (%d anomalous jobs) ==\n", cluster, len(diags))
 	for i, d := range diags {
 		if limit > 0 && i >= limit {
-			ew.printf("  ... %d more\n", len(diags)-limit)
+			fmt.Fprintf(b, "  ... %d more\n", len(diags)-limit)
 			break
 		}
-		ew.println(" ", d.String())
+		fmt.Fprintln(b, " ", d.String())
 	}
-	return ew.err
 }
 
 // FailureProfiles renders the §4.3.3 job completion failure profile of
 // every application in r under title: jobs, how each ended, and the
 // failed share.
-func FailureProfiles(w io.Writer, title string, r *core.Realm) error {
+func FailureProfiles(b *bytes.Buffer, title string, r *core.Realm) {
 	t := NewTable(title, "app", "jobs", "completed", "failed", "timeout", "node_fail", "failure%")
 	for _, p := range anomaly.FailureProfiles(r.Store, store.ByApp, r.JobFilter()) {
 		t.AddRow(p.Key, fmt.Sprintf("%d", p.Jobs), fmt.Sprintf("%d", p.Completed),
 			fmt.Sprintf("%d", p.Failed), fmt.Sprintf("%d", p.Timeout),
 			fmt.Sprintf("%d", p.NodeFail), fmt.Sprintf("%.1f", p.FailurePct))
 	}
-	return t.Render(w)
+	t.Render(b)
 }

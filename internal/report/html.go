@@ -3,23 +3,21 @@ package report
 import (
 	"bytes"
 	"fmt"
-	"io"
 
 	"supremm/internal/core"
 	"supremm/internal/ingest"
 )
 
-// HTMLDashboard writes a single self-contained HTML page — the
+// HTMLDashboard appends a single self-contained HTML page to b — the
 // reproduction's stand-in for XDMoD's web UI: headline tiles per
 // cluster, the vector figures inline, the cross-system table, and a
 // data-completeness section rendered from the ingest quality report q
 // (nil omits it: the simulate path has no quality report to show).
 // Everything is embedded; the file opens offline in any browser.
-func HTMLDashboard(w io.Writer, q *ingest.DataQuality, realms ...*core.Realm) error {
+func HTMLDashboard(b *bytes.Buffer, q *ingest.DataQuality, realms ...*core.Realm) error {
 	if len(realms) == 0 {
 		return fmt.Errorf("report: dashboard needs at least one realm")
 	}
-	var b bytes.Buffer
 	b.WriteString(`<!DOCTYPE html>
 <html><head><meta charset="utf-8"><title>SUPReMM dashboard</title>
 <style>
@@ -39,9 +37,9 @@ figure { display: inline-block; margin: 8px; border: 1px solid #eee; }
 		flops := r.FlopsReport()
 		mem := r.MemoryReport()
 		eff := r.EffectiveUse()
-		fmt.Fprintf(&b, "<h2>%s</h2>\n<div class=\"tiles\">\n", svgEscape(r.Cluster))
+		fmt.Fprintf(b, "<h2>%s</h2>\n<div class=\"tiles\">\n", svgEscape(r.Cluster))
 		tile := func(value, key string) {
-			fmt.Fprintf(&b, `<div class="tile"><div class="v">%s</div><div class="k">%s</div></div>`+"\n",
+			fmt.Fprintf(b, `<div class="tile"><div class="v">%s</div><div class="k">%s</div></div>`+"\n",
 				svgEscape(value), svgEscape(key))
 		}
 		tile(fmt.Sprintf("%d", r.JobCount()), "jobs analyzed")
@@ -53,9 +51,11 @@ figure { display: inline-block; margin: 8px; border: 1px solid #eee; }
 		b.WriteString("</div>\n")
 
 		// Inline the vector figures.
-		if err := SVGFigures(r, func(name string) (io.WriteCloser, error) {
-			fmt.Fprintf(&b, "<figure><!-- %s -->\n", svgEscape(name))
-			return &htmlInline{buf: &b}, nil
+		if err := SVGFigures(r, func(name string, svg []byte) error {
+			fmt.Fprintf(b, "<figure><!-- %s -->\n", svgEscape(name))
+			b.Write(svg)
+			b.WriteString("</figure>\n")
+			return nil
 		}); err != nil {
 			return err
 		}
@@ -64,18 +64,17 @@ figure { display: inline-block; margin: 8px; border: 1px solid #eee; }
 		cmp := core.CompareSystems(realms...)
 		b.WriteString("<h2>cross-system comparison</h2>\n<table><tr><th>cluster</th><th>jobs</th><th>node-hours</th><th>efficiency</th><th>mean TF</th><th>mem used</th><th>allocated</th></tr>\n")
 		for _, row := range cmp.Rows {
-			fmt.Fprintf(&b, "<tr><td>%s</td><td>%d</td><td>%.0f</td><td>%.1f%%</td><td>%.2f</td><td>%.1f%%</td><td>%.1f%%</td></tr>\n",
+			fmt.Fprintf(b, "<tr><td>%s</td><td>%d</td><td>%.0f</td><td>%.1f%%</td><td>%.2f</td><td>%.1f%%</td><td>%.1f%%</td></tr>\n",
 				svgEscape(row.Cluster), row.Jobs, row.NodeHours, row.Efficiency*100,
 				row.MeanTFlops, row.MemFraction*100, row.AllocatedFraction*100)
 		}
 		b.WriteString("</table>\n")
 	}
 	if q != nil {
-		htmlQualitySection(&b, q)
+		htmlQualitySection(b, q)
 	}
 	b.WriteString("</body></html>\n")
-	_, err := w.Write(b.Bytes())
-	return err
+	return nil
 }
 
 // htmlQualitySection renders the ingest quality report as dashboard
@@ -103,13 +102,4 @@ func htmlQualitySection(b *bytes.Buffer, q *ingest.DataQuality) {
 			svgEscape(qf.Host), svgEscape(qf.File), svgEscape(qf.Reason))
 	}
 	b.WriteString("</table>\n")
-}
-
-// htmlInline adapts the SVGFigures writer contract to in-page embedding.
-type htmlInline struct{ buf *bytes.Buffer }
-
-func (h *htmlInline) Write(p []byte) (int, error) { return h.buf.Write(p) }
-func (h *htmlInline) Close() error {
-	h.buf.WriteString("</figure>\n")
-	return nil
 }

@@ -1,8 +1,8 @@
 package report
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 
 	"supremm/internal/ingest"
 )
@@ -12,26 +12,22 @@ import (
 // into the warehouse, and where the rest went. Pairs with the §4.3.3
 // failure profiles: one explains failed jobs, this explains missing
 // measurements.
-func DataCompleteness(w io.Writer, q *ingest.DataQuality) error {
-	ew := newErrWriter(w)
-	ew.printf("== data completeness (ingest quality report) ==\n")
-	ew.printf("  files ingested      %d of %d (%.1f%%)\n",
+func DataCompleteness(b *bytes.Buffer, q *ingest.DataQuality) {
+	b.WriteString("== data completeness (ingest quality report) ==\n")
+	fmt.Fprintf(b, "  files ingested      %d of %d (%.1f%%)\n",
 		q.FilesScanned-q.FilesQuarantined, q.FilesScanned, q.Completeness()*100)
-	ew.printf("  records dropped     %d (out-of-order timestamps)\n", q.RecordsDropped)
-	ew.printf("  duplicates skipped  %d\n", q.DuplicatesSkipped)
-	ew.printf("  counter resets      %d (node reboots mid-archive)\n", q.ResetsDetected)
-	ew.printf("  intervals clamped   %d (gaps past the sanity bound)\n", q.IntervalsClamped)
-	ew.printf("  transient retries   %d\n", q.RetriesPerformed)
-	ew.printf("  jobs without data   %d\n", q.JobsNoData)
+	fmt.Fprintf(b, "  records dropped     %d (out-of-order timestamps)\n", q.RecordsDropped)
+	fmt.Fprintf(b, "  duplicates skipped  %d\n", q.DuplicatesSkipped)
+	fmt.Fprintf(b, "  counter resets      %d (node reboots mid-archive)\n", q.ResetsDetected)
+	fmt.Fprintf(b, "  intervals clamped   %d (gaps past the sanity bound)\n", q.IntervalsClamped)
+	fmt.Fprintf(b, "  transient retries   %d\n", q.RetriesPerformed)
+	fmt.Fprintf(b, "  jobs without data   %d\n", q.JobsNoData)
 	if !q.Degraded() {
-		ew.printf("  no degradation: every scanned file ingested cleanly\n")
-		return ew.err
-	}
-	if ew.err != nil {
-		return ew.err
+		b.WriteString("  no degradation: every scanned file ingested cleanly\n")
+		return
 	}
 	if len(q.Quarantined) == 0 {
-		return nil
+		return
 	}
 	t := NewTable("quarantined files", "host", "file", "reason")
 	for i, qf := range q.Quarantined {
@@ -41,5 +37,5 @@ func DataCompleteness(w io.Writer, q *ingest.DataQuality) error {
 		}
 		t.AddRow(qf.Host, qf.File, qf.Reason)
 	}
-	return t.Render(w)
+	t.Render(b)
 }

@@ -2,7 +2,6 @@ package report
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 
@@ -36,8 +35,12 @@ func TestSVGScatter(t *testing.T) {
 	if !strings.Contains(out, `stroke="red"`) {
 		t.Error("missing reference line and mark")
 	}
+	n := buf.Len()
 	if err := SVGScatter(&buf, "t", "x", "y", []float64{1}, nil, 0, -1); err == nil {
 		t.Error("mismatched series should error")
+	}
+	if buf.Len() != n {
+		t.Error("a refused scatter wrote to the buffer")
 	}
 }
 
@@ -76,9 +79,13 @@ func TestSVGDensity(t *testing.T) {
 	if err := SVGDensity(&buf, "t", "x", nil); err == nil {
 		t.Error("no curves should error")
 	}
+	n := buf.Len()
 	flat := []stats.CurvePoint{{X: 1, Density: 0}, {X: 1, Density: 0}}
 	if err := SVGDensity(&buf, "t", "x", map[string][]stats.CurvePoint{"flat": flat}); err == nil {
 		t.Error("degenerate curve should error")
+	}
+	if buf.Len() != n {
+		t.Error("a refused density wrote to the buffer")
 	}
 }
 
@@ -104,19 +111,14 @@ func TestSVGRadar(t *testing.T) {
 	}
 }
 
-type memFile struct{ bytes.Buffer }
-
-func (m *memFile) Close() error { return nil }
-
 func TestSVGFiguresProducesAllFiles(t *testing.T) {
 	r := testRealm(t)
-	files := map[string]*memFile{}
-	open := func(name string) (io.WriteCloser, error) {
-		f := &memFile{}
-		files[name] = f
-		return f, nil
+	files := map[string]string{}
+	emit := func(name string, svg []byte) error {
+		files[name] = string(svg)
+		return nil
 	}
-	if err := SVGFigures(r, open); err != nil {
+	if err := SVGFigures(r, emit); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"fig2_ranger.svg", "fig4_ranger.svg", "fig8_9_11_ranger.svg", "fig10_ranger.svg", "fig12_ranger.svg"} {
@@ -125,6 +127,6 @@ func TestSVGFiguresProducesAllFiles(t *testing.T) {
 			t.Errorf("missing %s (have %v)", want, len(files))
 			continue
 		}
-		checkSVG(t, f.String())
+		checkSVG(t, f)
 	}
 }

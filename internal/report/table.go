@@ -3,11 +3,17 @@
 // curves as ASCII charts. It is the stand-in for XDMoD's chart UI — every
 // figure of the paper has a renderer here that emits both the underlying
 // series (CSV) and a human-readable view.
+//
+// Every renderer appends to a bytes.Buffer its caller owns and never
+// writes anywhere that can fail, so none has a write error to report: a
+// renderer's error is about its data. The caller makes the one write
+// that can fail (stdout, a file, an HTTP body) and checks it, after
+// writing what the buffer holds when a renderer failed part-way.
 package report
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -36,8 +42,8 @@ func (t *Table) AddRowf(format string, args ...any) {
 	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "\t")...)
 }
 
-// Render writes the aligned table.
-func (t *Table) Render(w io.Writer) error {
+// Render appends the aligned table to b.
+func (t *Table) Render(b *bytes.Buffer) {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
 		widths[i] = len(h)
@@ -49,56 +55,50 @@ func (t *Table) Render(w io.Writer) error {
 			}
 		}
 	}
-	var sb strings.Builder
 	if t.Title != "" {
-		sb.WriteString(t.Title)
-		sb.WriteByte('\n')
+		b.WriteString(t.Title)
+		b.WriteByte('\n')
 	}
 	writeRow := func(cells []string) {
 		for i, c := range cells {
 			if i > 0 {
-				sb.WriteString("  ")
+				b.WriteString("  ")
 			}
-			sb.WriteString(c)
+			b.WriteString(c)
 			if i < len(cells)-1 {
-				sb.WriteString(strings.Repeat(" ", widths[i]-len(c)))
+				b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
 			}
 		}
-		sb.WriteByte('\n')
+		b.WriteByte('\n')
 	}
 	writeRow(t.Headers)
 	total := 0
 	for _, w2 := range widths {
 		total += w2 + 2
 	}
-	sb.WriteString(strings.Repeat("-", total))
-	sb.WriteByte('\n')
+	b.WriteString(strings.Repeat("-", total))
+	b.WriteByte('\n')
 	for _, row := range t.Rows {
 		writeRow(row)
 	}
-	_, err := io.WriteString(w, sb.String())
-	return err
 }
 
-// WriteCSV emits the table as CSV with a header row. Cells containing
-// commas or quotes are quoted per RFC 4180.
-func (t *Table) WriteCSV(w io.Writer) error {
-	var sb strings.Builder
+// WriteCSV appends the table to b as CSV with a header row. Cells
+// containing commas or quotes are quoted per RFC 4180.
+func (t *Table) WriteCSV(b *bytes.Buffer) {
 	writeRow := func(cells []string) {
 		for i, c := range cells {
 			if i > 0 {
-				sb.WriteByte(',')
+				b.WriteByte(',')
 			}
-			sb.WriteString(csvEscape(c))
+			b.WriteString(csvEscape(c))
 		}
-		sb.WriteByte('\n')
+		b.WriteByte('\n')
 	}
 	writeRow(t.Headers)
 	for _, row := range t.Rows {
 		writeRow(row)
 	}
-	_, err := io.WriteString(w, sb.String())
-	return err
 }
 
 func csvEscape(s string) string {

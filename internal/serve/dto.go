@@ -251,6 +251,18 @@ type healthDTO struct {
 	Shards     int    `json:"shards"`
 }
 
+// shardDTO is one manifest entry in /debug/shards. Since is 0, and
+// left out, for a day the generation does not serve.
+type shardDTO struct {
+	Day   int64  `json:"day"`
+	Date  string `json:"date"`
+	State string `json:"state"` // "served", "quarantined" or "missing"
+	Rows  int    `json:"rows"`
+	Bytes int64  `json:"bytes"`
+	CRC   string `json:"crc"`
+	Since uint64 `json:"since_generation,omitempty"`
+}
+
 // tripDTO is one trip of the reload sequence in /debug/reloads: how it
 // ended, the phases it reached with their times (0 without a clock)
 // and what they read.

@@ -47,7 +47,12 @@ var goldenTargets = []string{
 	"/api/v1/trends",
 	"/api/v1/workload",
 	"/api/v1/quality",
+	"/api/v1/report?suite=user",
+	"/api/v1/report?suite=developer",
+	"/api/v1/report?suite=support",
+	"/api/v1/report?suite=admin",
 	"/api/v1/report?suite=manager",
+	"/api/v1/report?suite=funding",
 }
 
 // simGoldenRaw simulates the golden ranger into raw TACC_Stats

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -616,4 +618,76 @@ func TestChaosSelfHeal(t *testing.T) {
 	if counts := chaos.Counts(); counts[faultinject.KindBitRot] == 0 {
 		t.Errorf("fault counts incomplete: %v", counts)
 	}
+}
+
+// TestDebugShards: /debug/shards lists the served manifest day by day,
+// and a shard keeps the generation that first served it until it is
+// decoded again — through a fresh load, a one-day append, rot with no
+// backing to repair from, and the repair once the backing is back.
+func TestDebugShards(t *testing.T) {
+	dir := t.TempDir()
+	writeDataDir(t, dir, dayStore(3, 40), fixtureSeries(30), healQuality)
+	srv, err := New(Config{DataDir: dir, SelfHeal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, gen uint64, want ...string) {
+		t.Helper()
+		status, body := get(t, srv, "/debug/shards")
+		var got struct {
+			Generation uint64
+			Shards     []shardDTO
+		}
+		if err := json.Unmarshal(body, &got); status != http.StatusOK || err != nil {
+			t.Fatalf("%s: status %d, %v: %s", step, status, err, body)
+		}
+		entries, err := store.ReadManifest(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []string
+		for i, r := range got.Shards {
+			rows = append(rows, fmt.Sprintf("%d %s %d", r.Day, r.State, r.Since))
+			e := entries[i]
+			if r.Day != e.ID || r.Date != dayDate(e.ID) || r.Rows != e.Rows || r.Bytes != e.Size || r.CRC != fmt.Sprintf("%08x", e.Hash) {
+				t.Errorf("%s: row %+v, manifest entry %+v", step, r, e)
+			}
+		}
+		if got.Generation != gen || !slices.Equal(rows, want) {
+			t.Errorf("%s: generation %d, rows %q; want %d, %q", step, got.Generation, rows, gen, want)
+		}
+	}
+	check("fresh load", 1, "0 served 1", "1 served 1", "2 served 1")
+
+	writeDataDir(t, dir, dayStore(4, 40), fixtureSeries(30), healQuality)
+	if _, err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	check("append", 2, "0 served 1", "1 served 1", "2 served 1", "3 served 2")
+
+	backing, err := os.ReadFile(filepath.Join(dir, store.JobsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{store.JobsFile, store.JobsColumnarFile} {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	corruptFile(t, filepath.Join(dir, store.ShardFileName(1)))
+	if _, err := srv.MaybeReload(); err != nil {
+		t.Fatal(err)
+	}
+	check("rot, no backing", 3, "0 served 1", "1 quarantined 0", "2 served 1", "3 served 2")
+
+	if err := store.AtomicWriteFile(dir, store.JobsFile, func(f *os.File) error {
+		_, err := f.Write(backing)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.MaybeReload(); err != nil {
+		t.Fatal(err)
+	}
+	check("repair", 4, "0 served 1", "1 served 4", "2 served 1", "3 served 2")
 }

@@ -381,6 +381,16 @@ func (r *reloader) attempt(t *trip, prev *Snapshot) (*Snapshot, error) {
 	if prev != nil {
 		snap.Gen = prev.Gen + 1
 	}
+	snap.since = make(map[*store.Shard]uint64, snap.shards.NumShards())
+	for i := range snap.shards.NumShards() {
+		sh := snap.shards.ShardAt(i)
+		snap.since[sh] = snap.Gen
+		if prev != nil {
+			if gen, ok := prev.since[sh]; ok {
+				snap.since[sh] = gen // adopted: the same shard, first served then
+			}
+		}
+	}
 	snap.cache = newCache(r.cacheSize)
 	return snap, nil
 }
@@ -395,7 +405,7 @@ func (r *reloader) read(t *trip, prev *Snapshot) (*Snapshot, error) {
 		return nil, err
 	}
 	t.manifestBytes = store.ManifestSize(len(entries))
-	snap := &Snapshot{}
+	snap := &Snapshot{manifest: entries}
 	snap.shards, err = r.shards(t, entries, prev)
 	r.lap(t, phaseShards)
 	if err != nil {

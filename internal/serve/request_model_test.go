@@ -133,6 +133,7 @@ var (
 		{method: "GET", target: "/metrics?scrape=1&scrape=2", route: "/metrics", decodes: true, anyQuery: true, status: 200},
 		{method: "POST", target: "/api/v1/reload", route: "/api/v1/reload", decodes: true, anyQuery: true, status: 200},
 		{method: "GET", target: "/debug/reloads?n=1", route: "/debug/reloads", decodes: true, anyQuery: true, status: 200},
+		{method: "GET", target: "/debug/shards?day=1", route: "/debug/shards", decodes: true, anyQuery: true, status: 200},
 		// No row.
 		{method: "GET", target: "/api/v1/nothing", route: otherRoute, status: 404},
 		{method: "GET", target: "/api/v1/health/", route: otherRoute, status: 404},

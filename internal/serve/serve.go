@@ -14,11 +14,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"time"
 
 	"supremm/internal/core"
 	"supremm/internal/report"
+	"supremm/internal/store"
 )
 
 // Config configures a Server.
@@ -243,6 +246,7 @@ var endpoints = []endpoint{
 	{method: "GET", path: "/metrics", anyQuery: true, fn: (*Server).metrics},
 	{method: "POST", path: "/api/v1/reload", anyQuery: true, fn: (*Server).reload},
 	{method: "GET", path: "/debug/reloads", anyQuery: true, fn: (*Server).reloads},
+	{method: "GET", path: "/debug/shards", anyQuery: true, fn: (*Server).shards},
 	{method: "GET", path: "/api/v1/aggregate", data: true, keys: filtered("metric"), fn: (*Server).aggregate},
 	{method: "GET", path: "/api/v1/distribution", data: true, keys: filtered("metric", "bins"), fn: (*Server).distribution},
 	{method: "GET", path: "/api/v1/query", data: true, keys: queryKeys, fn: (*Server).query},
@@ -330,6 +334,26 @@ func (s *Server) reload(context.Context, *Snapshot, Params) (int, any, error) {
 // reloads is the last trips of the reload sequence, oldest first.
 func (s *Server) reloads(context.Context, *Snapshot, Params) (int, any, error) {
 	return http.StatusOK, map[string]any{"trips": s.dir.recentTrips()}, nil
+}
+
+// shards lists the served generation's manifest, one row per day: the
+// shard's state, its manifest entry, and the generation that first
+// served it. A day the snapshot does not serve is "quarantined" when
+// its shard was moved aside, else "missing".
+func (s *Server) shards(_ context.Context, snap *Snapshot, _ Params) (int, any, error) {
+	rows := make([]shardDTO, len(snap.manifest))
+	k := 0
+	for i, e := range snap.manifest {
+		rows[i] = shardDTO{Day: e.ID, Date: dayDate(e.ID), State: "missing",
+			Rows: e.Rows, Bytes: e.Size, CRC: fmt.Sprintf("%08x", e.Hash)}
+		if k < snap.shards.NumShards() && snap.shards.ShardAt(k).ID() == e.ID {
+			rows[i].State, rows[i].Since = "served", snap.since[snap.shards.ShardAt(k)]
+			k++
+		} else if _, err := os.Stat(filepath.Join(s.dir.dir, store.QuarantinedShardFile(e.ID))); err == nil {
+			rows[i].State = "quarantined"
+		}
+	}
+	return http.StatusOK, map[string]any{"generation": snap.Gen, "shards": rows}, nil
 }
 
 func (s *Server) aggregate(ctx context.Context, snap *Snapshot, p Params) (int, any, error) {

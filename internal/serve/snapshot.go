@@ -44,6 +44,11 @@ type Snapshot struct {
 	// shards is Realm.Store under its concrete type: what the next load
 	// adopts unchanged days from and what the scrubber walks.
 	shards *store.ShardSet
+	// manifest is the entries the snapshot was loaded from, in day
+	// order, and since maps each shard it serves to the generation that
+	// first served that shard (/debug/shards).
+	manifest []store.ShardInfo
+	since    map[*store.Shard]uint64
 	// seriesStamp is series.jsonl's size and mtime when Realm.Series was
 	// decoded; the next load adopts the samples while the file still
 	// carries it.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"strconv"
 
 	"supremm/internal/stats"
@@ -106,13 +107,14 @@ func LoadSeries(r io.Reader) ([]SystemSample, error) { return loadSeries(r, seri
 const seriesBufSize = 64 << 10
 
 func loadSeries(r io.Reader, size int) ([]SystemSample, error) {
+	hint := seriesCap(r)
 	br := bufio.NewReaderSize(r, size)
 	var out []SystemSample
 	for {
 		line, err := br.ReadSlice('\n')
 		if err == nil {
 			if s, ok := seriesLine(line); ok {
-				out = append(out, s)
+				out = appendSample(out, s, hint)
 				continue
 			}
 		}
@@ -125,12 +127,46 @@ func loadSeries(r io.Reader, size int) ([]SystemSample, error) {
 		if err != nil && err != bufio.ErrBufferFull {
 			rest = errReader{err}
 		}
-		return decodeSeries(out, io.MultiReader(bytes.NewReader(bytes.Clone(line)), rest))
+		return decodeSeries(out, hint, io.MultiReader(bytes.NewReader(bytes.Clone(line)), rest))
 	}
 }
 
+// minSeriesLine is the shortest line SaveSeries writes: every key, a
+// one-digit value each, then "}\n".
+var minSeriesLine = func() int {
+	n := len("}\n")
+	for _, k := range seriesKeys {
+		n += len(k) + 1
+	}
+	return n
+}()
+
+// seriesCap is how many samples r can hold at most when it can tell its
+// size, as an *os.File or a Len does; else 0.
+func seriesCap(r io.Reader) int {
+	var size int64
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		size = int64(r.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if st, err := r.Stat(); err == nil && st.Mode().IsRegular() {
+			size = st.Size()
+		}
+	}
+	return int(size / int64(minSeriesLine))
+}
+
+// appendSample appends s to out, sizing out for hint samples first: a
+// series with no sample stays nil, as encoding/json leaves it.
+func appendSample(out []SystemSample, s SystemSample, hint int) []SystemSample {
+	if out == nil {
+		out = make([]SystemSample, 0, hint)
+	}
+	return append(out, s)
+}
+
 // decodeSeries appends what encoding/json decodes from r to out.
-func decodeSeries(out []SystemSample, r io.Reader) ([]SystemSample, error) {
+func decodeSeries(out []SystemSample, hint int, r io.Reader) ([]SystemSample, error) {
 	dec := json.NewDecoder(r)
 	for {
 		var s SystemSample
@@ -139,7 +175,7 @@ func decodeSeries(out []SystemSample, r io.Reader) ([]SystemSample, error) {
 		} else if err != nil {
 			return nil, fmt.Errorf("store: load series: %w", err)
 		}
-		out = append(out, s)
+		out = appendSample(out, s, hint)
 	}
 }
 

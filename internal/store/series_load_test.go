@@ -119,6 +119,21 @@ func TestSeriesLineAllocs(t *testing.T) {
 	}
 }
 
+// TestLoadSeriesSizesOnce: a reader that tells its size gets its
+// samples in one slice sized up front, not one grown line by line — the
+// bufio.Reader, its buffer and the samples are LoadSeries' only
+// allocations.
+func TestLoadSeriesSizesOnce(t *testing.T) {
+	data := saveSeries(t, randomSamples(rand.New(rand.NewSource(3)), 1000))
+	if n := testing.AllocsPerRun(10, func() {
+		if got, err := store.LoadSeries(bytes.NewReader(data)); err != nil || len(got) != 1000 {
+			t.Fatal(len(got), err)
+		}
+	}); n > 4 {
+		t.Errorf("LoadSeries allocates %v times, want at most 4", n)
+	}
+}
+
 // seriesSeedCorpus is FuzzLoadSeries' seeds: SaveSeries output over
 // random and extreme samples, then that output with one line mutated
 // into a shape the fast path must hand to encoding/json — accepted by
