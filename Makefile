@@ -56,8 +56,9 @@ lint-fast:
 # (against plain encoding/json), the daemon's corrupt-snapshot
 # reload path (served generation must never change on a failed decode),
 # its request path (malformed input is always a 4xx, never a panic or
-# 5xx) and its answers (a well-formed request over HTTP gets the
-# reference's body, byte for byte).
+# 5xx), its answers (a well-formed request over HTTP gets the
+# reference's body, byte for byte), and the order-statistic summary
+# (selection in place against a sorted copy, bit for bit).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseFile -fuzztime 10s ./internal/taccstats
 	$(GO) test -run '^$$' -fuzz FuzzIngestDifferential -fuzztime 10s -fuzzminimizetime 2s ./internal/ingest
@@ -68,6 +69,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzQueryParams -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzServeDifferential -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzQuarantineRecord -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzSummarize -fuzztime 10s ./internal/stats
 
 # Query-daemon suite: race-detector HTTP tests (concurrent queries vs
 # hot reload), the simulate→ingest→supremmd golden harness, the chaos

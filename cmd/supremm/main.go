@@ -47,20 +47,11 @@ func main() {
 	}
 }
 
-// realmRun is one simulated cluster: its realm, the run's log events
-// for ANCOR, and the persistence fit Table 1 and Fig 6 share.
+// realmRun is one simulated cluster: its realm and the run's log
+// events for ANCOR.
 type realmRun struct {
 	realm *core.Realm
 	res   *sim.Result
-	tab   *core.PersistenceTable
-}
-
-func (rr *realmRun) persistence() (*core.PersistenceTable, error) {
-	var err error
-	if rr.tab == nil {
-		rr.tab, err = rr.realm.Persistence(10)
-	}
-	return rr.tab, err
 }
 
 // selection is what the flags ask for; all is set when they name
@@ -83,7 +74,7 @@ var perRealm = []struct {
 	{figure(4), func(b *bytes.Buffer, rr *realmRun) error { return report.Fig4(b, rr.realm) }},
 	{figure(5), func(b *bytes.Buffer, rr *realmRun) error { return report.Fig5(b, rr.realm) }},
 	{func(s selection) bool { return s.all || s.table == 1 }, func(b *bytes.Buffer, rr *realmRun) error {
-		tab, err := rr.persistence()
+		tab, err := rr.realm.Persistence(10)
 		if err != nil {
 			return err
 		}
@@ -92,7 +83,7 @@ var perRealm = []struct {
 		return nil
 	}},
 	{figure(6), func(b *bytes.Buffer, rr *realmRun) error {
-		tab, err := rr.persistence()
+		tab, err := rr.realm.Persistence(10)
 		if err != nil {
 			return err
 		}
@@ -117,7 +108,10 @@ var perRealm = []struct {
 // failure, then that failure.
 func run(w io.Writer, days, nodes int, seed int64, fig, table int, corr, anomalies bool, advise, svgDir, htmlOut, clusterName string) error {
 	// 0 selects nothing; any other value must name something the paper
-	// has, checked before the simulation runs.
+	// has, checked before the simulation runs, as the length is.
+	if days <= 0 {
+		return fmt.Errorf("-days %d: the simulation needs at least 1 day", days)
+	}
 	if fig != 0 && (fig < 2 || fig > 12) {
 		return fmt.Errorf("no figure %d: -fig takes 2-12", fig)
 	}

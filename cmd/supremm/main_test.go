@@ -134,3 +134,16 @@ func TestRunRejectsUnknownSelection(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsNonPositiveDays: -days 0 or below is an error before
+// anything is simulated or written, not a silent run of the simulator's
+// default length.
+func TestRunRejectsNonPositiveDays(t *testing.T) {
+	for _, days := range []int{0, -1} {
+		var out bytes.Buffer
+		err := run(&out, days, 4, 1, 8, 0, false, false, "", "", "", "ranger")
+		if err == nil || err.Error() != fmt.Sprintf("-days %d: the simulation needs at least 1 day", days) || out.Len() != 0 {
+			t.Errorf("-days %d: err = %v, stdout %q; want the error and nothing written", days, err, out.String())
+		}
+	}
+}

@@ -22,7 +22,7 @@ var (
 var machineX = cluster.Config{Name: "x", Nodes: 6250, SocketsPerNode: 1, CoresPerSocket: 16,
 	ClockGHz: 1, FlopsPerCycle: 1, MemPerNodeGB: 32}
 
-func realms(t *testing.T) (*Realm, *Realm) {
+func realms(t testing.TB) (*Realm, *Realm) {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		build := func(cc cluster.Config) *Realm {

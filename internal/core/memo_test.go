@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -119,5 +121,196 @@ func TestFleetMeanPanicRetries(t *testing.T) {
 	}
 	if got, want := r.FleetEfficiency(), shared.FleetEfficiency(); math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("FleetEfficiency after a panicked fill = %v, want %v", got, want)
+	}
+}
+
+// scanCounter counts the whole-realm scans and group-bys a realm
+// issues: what Characterize's fill runs.
+type scanCounter struct {
+	store.Reader
+	base store.Filter
+
+	scans, groupBys atomic.Int64
+}
+
+func (c *scanCounter) Scan(f store.Filter) store.Selection {
+	if f == c.base {
+		c.scans.Add(1)
+	}
+	return c.Reader.Scan(f)
+}
+
+func (c *scanCounter) GroupBy(k store.GroupKey, ms []store.Metric, f store.Filter) []store.Group {
+	if f == c.base {
+		c.groupBys.Add(1)
+	}
+	return c.Reader.GroupBy(k, ms, f)
+}
+
+// TestCharacterizeMemoConcurrent hammers one fresh realm's Characterize
+// from 16 goroutines (run under -race): one fill — one scan and the two
+// share group-bys — however many first callers raced for it, everyone
+// handed the same value, bit for bit the serial result.
+func TestCharacterizeMemoConcurrent(t *testing.T) {
+	shared, _ := realms(t)
+	cc := cluster.RangerConfig().Scaled(128)
+	want := fmt.Sprintf("%#v", NewRealm(cc, shared.Store, shared.Series).characterize())
+	counter := &scanCounter{Reader: shared.Store, base: shared.JobFilter()}
+	r := NewRealm(cc, counter, shared.Series)
+
+	const workers = 16
+	got := make([]Characterization, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			got[w] = r.Characterize()
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+
+	if s, g := counter.scans.Load(), counter.groupBys.Load(); s != 1 || g != 2 {
+		t.Errorf("%d whole-realm scans and %d group-bys, want one fill: 1 and 2", s, g)
+	}
+	for w, c := range got {
+		if s := fmt.Sprintf("%#v", c); s != want {
+			t.Fatalf("worker %d got %s\nwant %s", w, s, want)
+		}
+		if &c.SizeBuckets[0] != &got[0].SizeBuckets[0] || &c.AppShare[0] != &got[0].AppShare[0] {
+			t.Errorf("worker %d was handed a characterization of its own", w)
+		}
+	}
+}
+
+// TestPersistenceMemoKeyedBySeries: a realm computes the persistence
+// table once per series value and step, and only ever answers with the
+// table of the samples it holds now — one built as a struct literal,
+// one whose Series is reassigned, one that adopted another realm's.
+func TestPersistenceMemoKeyedBySeries(t *testing.T) {
+	shared, other := realms(t)
+	fresh := func(series []store.SystemSample, step float64) string {
+		tab, err := PersistenceFromSeries(series, step)
+		return fmt.Sprintf("%#v %v", tab, err)
+	}
+	r := &Realm{Series: shared.Series}
+	a, err := r.Persistence(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := r.Persistence(10); b != a {
+		t.Error("a second Persistence(10) computed the table again")
+	}
+	if s := fmt.Sprintf("%#v %v", a, error(nil)); s != fresh(shared.Series, 10) {
+		t.Errorf("memoized table %s differs from a fresh one", s)
+	}
+	if c, _ := r.Persistence(20); c == a || fmt.Sprintf("%#v %v", c, error(nil)) != fresh(shared.Series, 20) {
+		t.Error("Persistence(20) did not compute its own table")
+	}
+
+	r.Series = other.Series
+	if b, _ := r.Persistence(10); b == a || fmt.Sprintf("%#v %v", b, error(nil)) != fresh(other.Series, 10) {
+		t.Error("after Series was reassigned, Persistence answered from the old samples")
+	}
+	r.Series = shared.Series[:len(shared.Series)-1]
+	if b, _ := r.Persistence(10); b == a || fmt.Sprintf("%#v %v", b, error(nil)) != fresh(r.Series, 10) {
+		t.Error("a shorter view of the same samples read the longer series' table")
+	}
+
+	r.Series = shared.Series[:5]
+	_, err1 := r.Persistence(10)
+	_, err2 := r.Persistence(10)
+	if err1 == nil || err1 != err2 {
+		t.Errorf("a too-short series: errors %v then %v, want one remembered error", err1, err2)
+	}
+
+	// 16 first callers each of a fresh realm and of the realm that
+	// adopted its series before either filled anything (under -race):
+	// one table for all 32.
+	prev, next := &Realm{Series: shared.Series}, &Realm{}
+	next.AdoptSeries(prev)
+	const workers = 16
+	tabs := make([]*PersistenceTable, 2*workers)
+	var wg sync.WaitGroup
+	wg.Add(len(tabs))
+	for w := range tabs {
+		go func(w int) {
+			defer wg.Done()
+			r := prev
+			if w%2 == 1 {
+				r = next
+			}
+			tabs[w], _ = r.Persistence(10)
+		}(w)
+	}
+	wg.Wait()
+	for w, tab := range tabs {
+		if tab == nil || tab != tabs[0] {
+			t.Fatalf("caller %d got table %p, caller 0 %p: the adopted series did not share one fill", w, tab, tabs[0])
+		}
+	}
+	if &next.Series[0] != &shared.Series[0] {
+		t.Error("AdoptSeries did not take the previous realm's samples")
+	}
+}
+
+var (
+	sinkCharacterization Characterization
+	sinkTable            *PersistenceTable
+)
+
+// benchRealm is a synthetic realm of n jobs over 120 day shards, its
+// runtimes lognormal around the benchmark fixture's, loaded from disk
+// as the daemon loads one.
+func benchRealm(b *testing.B, n int) *Realm {
+	rng := rand.New(rand.NewSource(11))
+	st := store.New()
+	apps := []string{"namd", "amber", "gromacs", "lammps", "wrf", "vasp", "enzo", "milc"}
+	day0 := int64(15000) * store.SecondsPerDay
+	for i := 0; i < n; i++ {
+		wall := int64(300 * math.Exp(rng.NormFloat64()*1.1+2.2))
+		wall = min(max(wall, 120), 172800)
+		end := day0 + rng.Int63n(120*store.SecondsPerDay)
+		st.Add(store.JobRecord{
+			JobID: int64(i), Cluster: "ranger", User: fmt.Sprintf("user%03d", rng.Intn(400)),
+			App: apps[i%len(apps)], Science: apps[i%4], Nodes: 1 << rng.Intn(7),
+			Submit: end - wall - 60, Start: end - wall, End: end, Status: "COMPLETED",
+			Samples: int(wall/600) + 1,
+		})
+	}
+	dir := b.TempDir()
+	if err := store.WriteShardDir(dir, st); err != nil {
+		b.Fatal(err)
+	}
+	set, err := store.LoadShardSet(dir, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return NewRealm(cluster.RangerConfig(), set, nil)
+}
+
+// BenchmarkCharacterizeFill times what the Characterize memo saves: the
+// fill on a fresh realm over the same shards, 200 000 jobs, as a swap
+// leaves it (the shards adopted, with what they remember).
+func BenchmarkCharacterizeFill(b *testing.B) {
+	base := benchRealm(b, 200_000)
+	cc := cluster.RangerConfig()
+	b.ResetTimer()
+	for range b.N {
+		sinkCharacterization = NewRealm(cc, base.Store, nil).Characterize()
+	}
+}
+
+// BenchmarkPersistenceFill times one persistence table over the shared
+// 30-day series: what an admin render computed four times before the
+// table was remembered with its series.
+func BenchmarkPersistenceFill(b *testing.B) {
+	shared, _ := realms(b)
+	b.ResetTimer()
+	for range b.N {
+		sinkTable, _ = (&Realm{Series: shared.Series}).Persistence(10)
 	}
 }

@@ -39,9 +39,25 @@ type PersistenceTable struct {
 }
 
 // Persistence computes the Table 1 / Fig 6 analysis over the realm's
-// system series. stepMin is the series' sampling cadence.
+// system series. stepMin is the series' sampling cadence. The table and
+// error are computed once per series value and step and shared by every
+// caller, and by the next generation's realm when it adopts the series
+// (AdoptSeries): the table is read-only.
 func (r *Realm) Persistence(stepMin float64) (*PersistenceTable, error) {
-	return PersistenceFromSeries(r.Series, stepMin)
+	m := r.memo()
+	m.mu.Lock()
+	key := math.Float64bits(stepMin)
+	slot := m.persist[key]
+	if slot == nil {
+		slot = new(store.Slot[persistence])
+		m.persist[key] = slot
+	}
+	m.mu.Unlock()
+	p := slot.Get(func() persistence {
+		t, err := PersistenceFromSeries(m.samples, stepMin)
+		return persistence{t, err}
+	})
+	return p.table, p.err
 }
 
 // PersistenceFromSeries is the series-level entry point (used directly

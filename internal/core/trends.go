@@ -73,6 +73,8 @@ func (r *Realm) TrendReport() []Trend {
 
 // Characterization is the §4.3.5 "workload characterization" report:
 // the shape of the job mix a planner would size a new machine against.
+// A realm computes it once and hands every caller the same one, so its
+// slices are read-only.
 type Characterization struct {
 	Jobs           int
 	TotalNodeHours float64
@@ -110,9 +112,15 @@ type ShareRow struct {
 	Jobs      int
 }
 
-// Characterize computes the workload characterization over the realm's
-// analyzed jobs.
+// Characterize returns the workload characterization over the realm's
+// analyzed jobs. It is a property of the loaded data, so it is computed
+// once per realm, as the fleet means are: concurrent first callers wait
+// on one fill.
 func (r *Realm) Characterize() Characterization {
+	return r.character.Get(r.characterize)
+}
+
+func (r *Realm) characterize() Characterization {
 	sel := r.Store.Scan(r.JobFilter())
 	out := Characterization{Jobs: sel.Len()}
 	buckets := []SizeBucket{

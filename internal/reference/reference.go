@@ -414,7 +414,7 @@ func (p Parts) Characterize(f store.Filter) core.Characterization {
 		}
 	}
 	out.SizeBuckets = buckets
-	out.Runtime = stats.Summarize(runtimes)
+	out.Runtime = Summarize(runtimes)
 	out.WeightedMeanRuntimeMin = math.NaN()
 	if wSum > 0 {
 		out.WeightedMeanRuntimeMin = wRuntime / wSum

@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"supremm/internal/anomaly"
 	"supremm/internal/appkernels"
@@ -62,13 +63,22 @@ func Characterization(b *bytes.Buffer, cluster string, c core.Characterization) 
 func WaitReport(b *bytes.Buffer, cluster string, ws sched.WaitStats) {
 	fmt.Fprintf(b, "== queue waits, %s (%d jobs) ==\n", cluster, ws.Jobs)
 	t := NewTable("", "population", "mean wait (min)")
-	t.AddRow("all", fmt.Sprintf("%.1f", ws.MeanWaitMin))
-	t.AddRow("median", fmt.Sprintf("%.1f", ws.MedianWaitMin))
-	t.AddRow("max", fmt.Sprintf("%.1f", ws.MaxWaitMin))
-	t.AddRow("1 node", fmt.Sprintf("%.1f", ws.SmallMeanMin))
-	t.AddRow("2-15 nodes", fmt.Sprintf("%.1f", ws.MediumMeanMin))
-	t.AddRow("16+ nodes", fmt.Sprintf("%.1f", ws.LargeMeanMin))
+	t.AddRow("all", minutesOrDash(ws.MeanWaitMin))
+	t.AddRow("median", minutesOrDash(ws.MedianWaitMin))
+	t.AddRow("max", minutesOrDash(ws.MaxWaitMin))
+	t.AddRow("1 node", minutesOrDash(ws.SmallMeanMin))
+	t.AddRow("2-15 nodes", minutesOrDash(ws.MediumMeanMin))
+	t.AddRow("16+ nodes", minutesOrDash(ws.LargeMeanMin))
 	t.Render(b)
+}
+
+// minutesOrDash is one row's wait, or "-" for a population with no
+// jobs (sched.WaitStats' NaN).
+func minutesOrDash(m float64) string {
+	if math.IsNaN(m) {
+		return "-"
+	}
+	return fmt.Sprintf("%.1f", m)
 }
 
 // KernelAudit renders application-kernel verdicts.

@@ -2,8 +2,8 @@ package sched
 
 import (
 	"math"
-	"sort"
 
+	"supremm/internal/stats"
 	"supremm/internal/workload"
 )
 
@@ -94,7 +94,8 @@ type WaitStats struct {
 	MeanWaitMin   float64
 	MedianWaitMin float64
 	MaxWaitMin    float64
-	// By size class: small (1 node), medium (2-15), large (16+).
+	// By size class: small (1 node), medium (2-15), large (16+); NaN
+	// for a class with no jobs.
 	SmallMeanMin  float64
 	MediumMeanMin float64
 	LargeMeanMin  float64
@@ -132,10 +133,8 @@ func ComputeWaitStats(acct []AcctRecord) WaitStats {
 		return st
 	}
 	st.MeanWaitMin = mean(all)
-	sorted := append([]float64(nil), all...)
-	sort.Float64s(sorted)
-	st.MedianWaitMin = sorted[len(sorted)/2]
-	st.MaxWaitMin = sorted[len(sorted)-1]
+	st.MedianWaitMin = stats.OrderStatOwned(all, len(all)/2)
+	st.MaxWaitMin = stats.OrderStatOwned(all, len(all)-1)
 	st.SmallMeanMin = mean(small)
 	st.MediumMeanMin = mean(medium)
 	st.LargeMeanMin = mean(large)

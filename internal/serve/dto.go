@@ -251,21 +251,27 @@ type healthDTO struct {
 	Shards     int    `json:"shards"`
 }
 
-// shardDTO is one manifest entry in /debug/shards. Since is 0, and
-// left out, for a day the generation does not serve.
+// shardDTO is one row of /debug/shards: a manifest entry, or a
+// well-formed shard file of a day the manifest does not list (state
+// "ahead", described by its own bytes). Since is 0, and left out, for a
+// day the generation does not serve. LastScrubTrip is the seq, as
+// /debug/reloads numbers trips, of the trip whose scrub step last
+// re-verified this exact shard, 0 if none has.
 type shardDTO struct {
-	Day   int64  `json:"day"`
-	Date  string `json:"date"`
-	State string `json:"state"` // "served", "quarantined" or "missing"
-	Rows  int    `json:"rows"`
-	Bytes int64  `json:"bytes"`
-	CRC   string `json:"crc"`
-	Since uint64 `json:"since_generation,omitempty"`
+	Day           int64  `json:"day"`
+	Date          string `json:"date"`
+	State         string `json:"state"` // "served", "quarantined", "missing" or "ahead"
+	Rows          int    `json:"rows"`
+	Bytes         int64  `json:"bytes"`
+	CRC           string `json:"crc"`
+	Since         uint64 `json:"since_generation,omitempty"`
+	LastScrubTrip int64  `json:"last_scrub_trip"`
 }
 
 // tripDTO is one trip of the reload sequence in /debug/reloads: how it
 // ended, the phases it reached with their times (0 without a clock)
-// and what they read.
+// and what they read. Seq numbers every trip the daemon began, so a gap
+// is polls that found nothing to load, fail or heal.
 type tripDTO struct {
 	Seq         int64      `json:"seq"`
 	Kind        string     `json:"kind"` // "poll" or "forced"
@@ -295,7 +301,7 @@ type phaseDTO struct {
 
 func newTripDTO(t *trip, gen uint64) tripDTO {
 	d := tripDTO{
-		Kind: "poll", Outcome: t.outcome.String(), Generation: gen, Attempts: t.attempts,
+		Seq: t.seq, Kind: "poll", Outcome: t.outcome.String(), Generation: gen, Attempts: t.attempts,
 		ElapsedUS: t.mark.Sub(t.start).Microseconds(), Phases: []phaseDTO{},
 		ShardsRead: t.shards.Loaded, ShardBytesRead: t.shards.LoadedBytes,
 		ShardsAdopted: t.shards.Reused, ShardBytesAdopted: t.shards.ReusedBytes,

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -620,10 +621,12 @@ func TestChaosSelfHeal(t *testing.T) {
 	}
 }
 
-// TestDebugShards: /debug/shards lists the served manifest day by day,
-// and a shard keeps the generation that first served it until it is
-// decoded again — through a fresh load, a one-day append, rot with no
-// backing to repair from, and the repair once the backing is back.
+// TestDebugShards: /debug/shards lists the manifest in day order with
+// each day's state, the generation that first served its shard and the
+// trip (as /debug/reloads numbers them) whose scrub step last
+// re-verified that exact shard, across an append, rot found by the
+// scrub step and its repair; and a well-formed shard of a day the
+// manifest does not list yet is a row of its own, "ahead".
 func TestDebugShards(t *testing.T) {
 	dir := t.TempDir()
 	writeDataDir(t, dir, dayStore(3, 40), fixtureSeries(30), healQuality)
@@ -631,6 +634,7 @@ func TestDebugShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ahead []store.ShardInfo // shard files written ahead of the manifest
 	check := func(step string, gen uint64, want ...string) {
 		t.Helper()
 		status, body := get(t, srv, "/debug/shards")
@@ -645,25 +649,30 @@ func TestDebugShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		entries = append(entries, ahead...)
+		slices.SortFunc(entries, func(a, b store.ShardInfo) int { return cmp.Compare(a.ID, b.ID) })
+		if len(got.Shards) != len(entries) {
+			t.Fatalf("%s: %d rows for %d days: %s", step, len(got.Shards), len(entries), body)
+		}
 		var rows []string
 		for i, r := range got.Shards {
-			rows = append(rows, fmt.Sprintf("%d %s %d", r.Day, r.State, r.Since))
+			rows = append(rows, fmt.Sprintf("%d %s %d %d", r.Day, r.State, r.Since, r.LastScrubTrip))
 			e := entries[i]
 			if r.Day != e.ID || r.Date != dayDate(e.ID) || r.Rows != e.Rows || r.Bytes != e.Size || r.CRC != fmt.Sprintf("%08x", e.Hash) {
-				t.Errorf("%s: row %+v, manifest entry %+v", step, r, e)
+				t.Errorf("%s: row %+v, want entry %+v", step, r, e)
 			}
 		}
 		if got.Generation != gen || !slices.Equal(rows, want) {
 			t.Errorf("%s: generation %d, rows %q; want %d, %q", step, got.Generation, rows, gen, want)
 		}
 	}
-	check("fresh load", 1, "0 served 1", "1 served 1", "2 served 1")
+	check("fresh load", 1, "0 served 1 0", "1 served 1 0", "2 served 1 0")
 
 	writeDataDir(t, dir, dayStore(4, 40), fixtureSeries(30), healQuality)
 	if _, err := srv.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	check("append", 2, "0 served 1", "1 served 1", "2 served 1", "3 served 2")
+	check("append", 2, "0 served 1 0", "1 served 1 0", "2 served 1 0", "3 served 2 0")
 
 	backing, err := os.ReadFile(filepath.Join(dir, store.JobsFile))
 	if err != nil {
@@ -675,10 +684,12 @@ func TestDebugShards(t *testing.T) {
 		}
 	}
 	corruptFile(t, filepath.Join(dir, store.ShardFileName(1)))
+	// Trip 3 (New's was 1, the append's 2): its scrub step re-verifies
+	// every shard of generation 2 and finds day 1 rotted.
 	if _, err := srv.MaybeReload(); err != nil {
 		t.Fatal(err)
 	}
-	check("rot, no backing", 3, "0 served 1", "1 quarantined 0", "2 served 1", "3 served 2")
+	check("rot, no backing", 3, "0 served 1 3", "1 quarantined 0 3", "2 served 1 3", "3 served 2 3")
 
 	if err := store.AtomicWriteFile(dir, store.JobsFile, func(f *os.File) error {
 		_, err := f.Write(backing)
@@ -686,8 +697,34 @@ func TestDebugShards(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// Trip 4 scrubs generation 3's shards; day 1's is rebuilt after it,
+	// so no scrub step has re-verified that one yet.
 	if _, err := srv.MaybeReload(); err != nil {
 		t.Fatal(err)
 	}
-	check("repair", 4, "0 served 1", "1 served 4", "2 served 1", "3 served 2")
+	check("repair", 4, "0 served 1 4", "1 served 4 0", "2 served 1 4", "3 served 2 4")
+
+	// A writer lands day 4's shard; its manifest has not landed.
+	next := t.TempDir()
+	grown := dayStore(5, 40)
+	grown.ReorderByEndDay()
+	if err := store.WriteShardDir(next, grown); err != nil {
+		t.Fatal(err)
+	}
+	all, err := store.ReadManifest(next, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(next, store.ShardFileName(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.AtomicWriteFile(dir, store.ShardFileName(4), func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ahead = all[4:]
+	check("shard ahead of its manifest", 4, "0 served 1 4", "1 served 4 0", "2 served 1 4", "3 served 2 4", "4 ahead 0 0")
 }

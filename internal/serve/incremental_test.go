@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"supremm/internal/core"
 	"supremm/internal/ingest"
 	"supremm/internal/leakcheck"
 	"supremm/internal/reference"
@@ -643,4 +644,89 @@ func TestAppendWalksOnePartition(t *testing.T) {
 	if want := (store.PartitionUse{Walked: 2, Remembered: 3*days + 1}); got[2] != want {
 		t.Errorf("after the day grew, %s: %+v, want %+v", modelTargets[2], got[2], want)
 	}
+}
+
+// TestPersistenceMemoFollowsSeries: the persistence table is remembered
+// with the samples it was computed from. A reload that adopts the
+// series (series.jsonl untouched, a day of jobs appended) serves the
+// very table the previous generation computed — no second
+// PersistenceFromSeries — and one that decodes a rewritten series.jsonl
+// serves a fresh table of the new samples. Either way the admin suite
+// reads as it does from a cold server over the same directory.
+func TestPersistenceMemoFollowsSeries(t *testing.T) {
+	const days, perDay = 3, 20
+	dir := t.TempDir()
+	writeDataDir(t, dir, dayStore(days, perDay), fixtureSeries(200), nil)
+	srv, err := New(Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	admin := func(srv *Server) []byte {
+		t.Helper()
+		status, body := get(t, srv, "/api/v1/report?suite=admin")
+		if status != http.StatusOK {
+			t.Fatalf("admin suite: status %d: %s", status, body)
+		}
+		return body
+	}
+	coldAdmin := func(step string) {
+		t.Helper()
+		cold, err := New(Config{DataDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := admin(srv), admin(cold); !bytes.Equal(got, want) {
+			t.Errorf("%s: admin suite\n%s\nwant a cold server's\n%s", step, got, want)
+		}
+	}
+	table := func(snap *Snapshot) *core.PersistenceTable {
+		t.Helper()
+		tab, err := snap.Realm.Persistence(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	admin(srv) // fills the memo through the handler
+	first := table(srv.Snapshot())
+
+	grown := dayStore(days+1, perDay)
+	grown.ReorderByEndDay()
+	if err := store.WriteShardDir(dir, grown); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := srv.Reload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.ShardsReused != days {
+		t.Fatalf("append reload reused %d shards, want %d", snap.ShardsReused, days)
+	}
+	if table(snap) != first {
+		t.Error("a reload that adopted the series computed its persistence table again")
+	}
+	coldAdmin("series adopted")
+
+	rewritten := fixtureSeries(200)
+	for i := range rewritten {
+		rewritten[i].TotalTFlops += float64(i%7) / 4
+	}
+	if err := store.AtomicWriteFile(dir, store.SeriesFile, func(f *os.File) error { return store.SaveSeries(f, rewritten) }); err != nil {
+		t.Fatal(err)
+	}
+	later := time.Now().Add(time.Hour)
+	if err := os.Chtimes(filepath.Join(dir, store.SeriesFile), later, later); err != nil {
+		t.Fatal(err)
+	}
+	if snap, err = srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.PersistenceFromSeries(rewritten, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := table(snap); got == first || fmt.Sprintf("%#v", got) != fmt.Sprintf("%#v", want) {
+		t.Errorf("after series.jsonl was rewritten: table\n%#v\nwant a fresh one of the new samples\n%#v", got, want)
+	}
+	coldAdmin("series decoded")
 }

@@ -89,6 +89,7 @@ type shardHeal struct {
 
 // trip is the record of one pass through the sequence, by value.
 type trip struct {
+	seq      int64 // from 1: every trip the reloader began, recorded or not
 	scrubbed int64 // shards the scrub step re-read
 	sweeps   int   // full passes over the served set it completed
 
@@ -151,16 +152,21 @@ type reloader struct {
 	cacheSize int // entries each generation's response cache may hold
 	met       *Metrics
 
-	mu       sync.Mutex
-	brk      *breaker
-	scrubber *store.Scrubber // cursor over the served generation's shards; nil until its first step
+	mu           sync.Mutex
+	brk          *breaker
+	scrubber     *store.Scrubber   // cursor over the served generation's shards; nil until its first step
+	scrubEntries []store.ShardInfo // the scrubber's entries, which it walks from the first
+	begun        int64             // trips begun so far
 
 	// The last tripRing trips that attempted a load, failed or healed:
-	// the n-th recorded (from 0) is trips[n%tripRing]. Its own mutex, so
-	// /debug/reloads answers while a load holds mu.
-	tripsMu sync.Mutex
-	trips   [tripRing]tripDTO
-	tripSeq int64 // trips recorded so far
+	// the n-th recorded (from 0) is trips[n%tripRing]; and for each
+	// shard of the served generation the trip whose scrub step last
+	// re-verified it. Their own mutex, so /debug/reloads and
+	// /debug/shards answer while a load holds mu.
+	tripsMu   sync.Mutex
+	trips     [tripRing]tripDTO
+	recorded  int64                     // trips recorded so far
+	lastScrub map[store.ShardInfo]int64 // by manifest entry: a rewritten day starts unscrubbed
 }
 
 // poll is one tick of cmd/supremmd's ticker.
@@ -200,9 +206,10 @@ func (r *reloader) force() trip {
 	return t
 }
 
-// begin starts a trip, at the clock's now when there is one.
+// begin starts a trip, numbered, at the clock's now when there is one.
 func (r *reloader) begin(forced bool) trip {
-	t := trip{forced: forced}
+	r.begun++
+	t := trip{seq: r.begun, forced: forced}
 	if r.clock != nil {
 		t.start = r.clock()
 		t.mark = t.start
@@ -270,9 +277,8 @@ func (r *reloader) record(t *trip) {
 	d := newTripDTO(t, gen)
 	r.tripsMu.Lock()
 	defer r.tripsMu.Unlock()
-	d.Seq = r.tripSeq + 1
-	r.trips[r.tripSeq%tripRing] = d
-	r.tripSeq++
+	r.trips[r.recorded%tripRing] = d
+	r.recorded++
 }
 
 // recentTrips is the ring's trips, oldest first.
@@ -280,10 +286,18 @@ func (r *reloader) recentTrips() []tripDTO {
 	r.tripsMu.Lock()
 	defer r.tripsMu.Unlock()
 	out := make([]tripDTO, 0, tripRing)
-	for seq := max(r.tripSeq-tripRing, 0); seq < r.tripSeq; seq++ {
-		out = append(out, r.trips[seq%tripRing])
+	for n := max(r.recorded-tripRing, 0); n < r.recorded; n++ {
+		out = append(out, r.trips[n%tripRing])
 	}
 	return out
+}
+
+// lastScrubbed is the seq of the trip whose scrub step last re-verified
+// the shard of entry e, 0 if none has.
+func (r *reloader) lastScrubbed(e store.ShardInfo) int64 {
+	r.tripsMu.Lock()
+	defer r.tripsMu.Unlock()
+	return r.lastScrub[e]
 }
 
 // scrub is the scrub step: one budget-limited pass of the cursor over
@@ -297,12 +311,30 @@ func (r *reloader) scrub(t *trip) error {
 		for i := range entries {
 			entries[i] = ss.ShardAt(i).Info()
 		}
-		r.scrubber = store.NewScrubber(r.dir, entries, r.open)
+		r.scrubber, r.scrubEntries = store.NewScrubber(r.dir, entries, r.open), entries
+		r.tripsMu.Lock()
+		kept := make(map[store.ShardInfo]int64, len(entries))
+		for _, e := range entries {
+			if seq, ok := r.lastScrub[e]; ok {
+				kept[e] = seq
+			}
+		}
+		r.lastScrub = kept
+		r.tripsMu.Unlock()
 	}
 	before, beforeBytes := r.scrubber.Verified(), r.scrubber.VerifiedBytes()
 	findings, sweeps := r.scrubber.Tick(r.scrubBudget)
 	t.scrubbed, t.sweeps = r.scrubber.Verified()-before, sweeps
 	t.scrubBytes = r.scrubber.VerifiedBytes() - beforeBytes
+	if n := int64(len(r.scrubEntries)); n > 0 {
+		// The cursor starts at the first entry and moves one per
+		// verification, so this tick's began at before mod n.
+		r.tripsMu.Lock()
+		for k := before; k < before+t.scrubbed; k++ {
+			r.lastScrub[r.scrubEntries[k%n]] = t.seq
+		}
+		r.tripsMu.Unlock()
+	}
 	heals := t.note(findings)
 	for i := range heals {
 		if heals[i].ahead {
@@ -416,6 +448,9 @@ func (r *reloader) read(t *trip, prev *Snapshot) (*Snapshot, error) {
 		return nil, err
 	}
 	snap.Realm = newRealm(snap.shards, series)
+	if t.seriesAdopted {
+		snap.Realm.AdoptSeries(prev.Realm) // and what was computed from it
+	}
 	r.lap(t, phaseRealm)
 	snap.Shards, snap.ShardsReused = snap.shards.NumShards(), t.shards.Reused
 	snap.Coverage = coverageFrom(entries, snap.shards)

@@ -337,21 +337,34 @@ func (s *Server) reloads(context.Context, *Snapshot, Params) (int, any, error) {
 }
 
 // shards lists the served generation's manifest, one row per day: the
-// shard's state, its manifest entry, and the generation that first
-// served it. A day the snapshot does not serve is "quarantined" when
-// its shard was moved aside, else "missing".
+// shard's state, its manifest entry, the generation that first served
+// it and the trip that last scrubbed it. A day the snapshot does not
+// serve is "quarantined" when its shard was moved aside, else
+// "missing". A well-formed shard file of a day the manifest does not
+// list gets a row of its own, "ahead", in day order.
 func (s *Server) shards(_ context.Context, snap *Snapshot, _ Params) (int, any, error) {
-	rows := make([]shardDTO, len(snap.manifest))
+	row := func(e store.ShardInfo, state string) shardDTO {
+		return shardDTO{Day: e.ID, Date: dayDate(e.ID), State: state, Rows: e.Rows, Bytes: e.Size,
+			CRC: fmt.Sprintf("%08x", e.Hash), LastScrubTrip: s.dir.lastScrubbed(e)}
+	}
+	ahead := store.AheadShards(s.dir.dir, snap.manifest, s.dir.open)
+	rows := make([]shardDTO, 0, len(snap.manifest)+len(ahead))
 	k := 0
-	for i, e := range snap.manifest {
-		rows[i] = shardDTO{Day: e.ID, Date: dayDate(e.ID), State: "missing",
-			Rows: e.Rows, Bytes: e.Size, CRC: fmt.Sprintf("%08x", e.Hash)}
+	for _, e := range snap.manifest {
+		for len(ahead) > 0 && ahead[0].ID < e.ID {
+			rows, ahead = append(rows, row(ahead[0], "ahead")), ahead[1:]
+		}
+		r := row(e, "missing")
 		if k < snap.shards.NumShards() && snap.shards.ShardAt(k).ID() == e.ID {
-			rows[i].State, rows[i].Since = "served", snap.since[snap.shards.ShardAt(k)]
+			r.State, r.Since = "served", snap.since[snap.shards.ShardAt(k)]
 			k++
 		} else if _, err := os.Stat(filepath.Join(s.dir.dir, store.QuarantinedShardFile(e.ID))); err == nil {
-			rows[i].State = "quarantined"
+			r.State = "quarantined"
 		}
+		rows = append(rows, r)
+	}
+	for _, e := range ahead {
+		rows = append(rows, row(e, "ahead"))
 	}
 	return http.StatusOK, map[string]any{"generation": snap.Gen, "shards": rows}, nil
 }

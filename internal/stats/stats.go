@@ -13,7 +13,8 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // ErrEmpty is returned by routines that require at least one observation.
@@ -147,39 +148,156 @@ func Sum(xs []float64) float64 {
 
 // Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (R type-7, the R default).
-// The input need not be sorted.
+// The input need not be sorted, and is left as it was; a NaN in it
+// ranks below every number, where sort.Float64s puts it.
 func Quantile(xs []float64, q float64) float64 {
-	n := len(xs)
-	if n == 0 || q < 0 || q > 1 {
+	if len(xs) == 0 || !(q >= 0 && q <= 1) {
 		return math.NaN()
 	}
-	sorted := make([]float64, n)
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
+	s := newSelection(append([]float64(nil), xs...))
+	return s.quantile(q)
 }
 
 // QuantileSorted is Quantile for an already ascending-sorted slice,
-// avoiding the copy and sort.
+// avoiding the copy and the selection.
 func QuantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 || q < 0 || q > 1 {
+	if len(sorted) == 0 || !(q >= 0 && q <= 1) {
 		return math.NaN()
 	}
-	return quantileSorted(sorted, q)
+	return quantile(len(sorted), q, func(k int) float64 { return sorted[k] })
 }
 
-func quantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
+// quantile is the type-7 quantile q of n ascending values, of which
+// at(k) returns the one at rank k, asked in non-decreasing order. At
+// frac 0 it still reads rank i+1, so a −Inf there makes NaN (0·Inf).
+func quantile(n int, q float64, at func(int) float64) float64 {
 	if n == 1 {
-		return sorted[0]
+		return at(0)
 	}
 	h := q * float64(n-1)
 	i := int(math.Floor(h))
 	if i >= n-1 {
-		return sorted[n-1]
+		return at(n - 1)
 	}
 	frac := h - float64(i)
-	return sorted[i] + frac*(sorted[i+1]-sorted[i])
+	lo := at(i)
+	hi := at(i + 1)
+	return lo + frac*(hi-lo)
+}
+
+// OrderStatOwned returns the value sort.Float64s would put at xs[k],
+// for a caller that is done with xs: it reorders xs in place, by
+// selection rather than a sort.
+func OrderStatOwned(xs []float64, k int) float64 {
+	s := newSelection(xs)
+	return s.at(k)
+}
+
+// selection answers order statistics of xs — the value sort.Float64s
+// would put at a rank, NaNs first — by partitioning xs in place. Ranks
+// must be asked for in non-decreasing order (asking again for one
+// asked before is fine): each selection works on the part above the
+// rank asked before, which earlier ones left in place.
+type selection struct {
+	xs   []float64
+	nans int // xs[:nans] is every NaN of xs
+	// lo is where the unplaced part begins: no value of xs[lo:] is
+	// below one before it, and every rank asked below lo is in place.
+	lo int
+}
+
+// newSelection moves xs's NaNs to its front.
+func newSelection(xs []float64) selection {
+	nans := 0
+	for i, x := range xs {
+		if x != x {
+			xs[i], xs[nans] = xs[nans], x
+			nans++
+		}
+	}
+	return selection{xs: xs, nans: nans, lo: nans}
+}
+
+// at returns the value at rank k. The largest rank is a scan for the
+// greatest number (NaN when every value is one), and so is the least
+// unplaced one for the least number: rank i+1, asked after rank i, costs
+// a scan, not a second selection.
+func (s *selection) at(k int) float64 {
+	xs := s.xs
+	switch {
+	case k == len(xs)-1:
+		if s.nans == len(xs) {
+			return math.NaN()
+		}
+		m := xs[s.nans]
+		for _, x := range xs[s.nans+1:] {
+			if x > m {
+				m = x
+			}
+		}
+		return m
+	case k == s.lo:
+		m := k
+		for j := k + 1; j < len(xs); j++ {
+			if xs[j] < xs[m] {
+				m = j
+			}
+		}
+		xs[k], xs[m] = xs[m], xs[k]
+		s.lo = k + 1
+	case k > s.lo:
+		selectRank(xs[s.lo:], k-s.lo)
+		s.lo = k + 1
+	}
+	return xs[k]
+}
+
+// quantile is Quantile over the selection's values.
+func (s *selection) quantile(q float64) float64 {
+	return quantile(len(s.xs), q, s.at)
+}
+
+// selectRank moves the k-th smallest value of xs, which holds no NaN,
+// to xs[k], with no greater value before it and no smaller one after.
+// It is Hoare's partition about a median of three: a run of values
+// equal to the pivot is split down the middle, so ties — runtimes
+// repeat heavily — cost no more than distinct values. An input that
+// keeps defeating the pivot is sorted after 2·log₂n rounds instead.
+func selectRank(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for rounds := 2 * bits.Len(uint(len(xs))); hi > lo; rounds-- {
+		if rounds == 0 {
+			slices.Sort(xs[lo : hi+1])
+			return
+		}
+		mid := lo + (hi-lo)/2
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+			if xs[mid] < xs[lo] {
+				xs[mid], xs[lo] = xs[lo], xs[mid]
+			}
+		}
+		p := xs[mid]
+		i, j := lo-1, hi+1
+		for {
+			for i++; xs[i] < p; i++ {
+			}
+			for j--; p < xs[j]; j-- {
+			}
+			if i >= j {
+				break
+			}
+			xs[i], xs[j] = xs[j], xs[i]
+		}
+		if k <= j {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+	}
 }
 
 // Median returns the 0.5 quantile.
@@ -291,9 +409,11 @@ func Summarize(xs []float64) Describe {
 }
 
 // SummarizeOwned is Summarize for a caller that is done with xs: it
-// sorts xs in place for the quantiles instead of sorting a copy. Mean
-// and StdDev are taken first, over the caller's order, so the result
-// is bit-identical to Summarize.
+// reorders xs in place for the order statistics instead of copying it.
+// Mean and StdDev are taken first, over the caller's order, so the
+// result is bit-identical to Summarize. Min and Max are scans, and each
+// quartile selects its two ranks in the part above the one before, so
+// nothing is sorted; every field is what sorting xs would give.
 func SummarizeOwned(xs []float64) Describe {
 	d := Describe{N: len(xs)}
 	if len(xs) == 0 {
@@ -303,11 +423,11 @@ func SummarizeOwned(xs []float64) Describe {
 	}
 	d.Mean = Mean(xs)
 	d.StdDev = StdDev(xs)
-	sort.Float64s(xs)
-	d.Min = xs[0]
-	d.Max = xs[len(xs)-1]
-	d.Q25 = quantileSorted(xs, 0.25)
-	d.Median = quantileSorted(xs, 0.5)
-	d.Q75 = quantileSorted(xs, 0.75)
+	s := newSelection(xs)
+	d.Min = s.at(0)
+	d.Q25 = s.quantile(0.25)
+	d.Median = s.quantile(0.5)
+	d.Q75 = s.quantile(0.75)
+	d.Max = s.at(len(xs) - 1)
 	return d
 }

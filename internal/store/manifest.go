@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -505,10 +506,54 @@ func readShard(dir string, e ShardInfo, open Opener) ([]byte, error) {
 	} else {
 		return data, nil
 	}
-	if c, derr := DecodeColumns(data); derr == nil && c.Len() > 0 && EpochDay(c.minEnd) == e.ID && EpochDay(c.maxEnd) == e.ID {
+	if shardOfDay(data, e.ID) != nil {
 		err = fmt.Errorf("%w: %w", err, ErrShardAhead)
 	}
 	return nil, err
+}
+
+// shardOfDay decodes data if it is a well-formed shard of day — it
+// decodes, every block CRC passing, and every job end lies inside the
+// day — and returns nil if it is not.
+func shardOfDay(data []byte, day int64) *Columns {
+	c, err := DecodeColumns(data)
+	if err != nil || c.Len() == 0 || EpochDay(c.minEnd) != day || EpochDay(c.maxEnd) != day {
+		return nil
+	}
+	return c
+}
+
+// AheadShards returns, in day order, the shard files in dir whose day
+// entries does not list but whose bytes are a well-formed shard of that
+// day: days written ahead of a manifest that has not landed. Each is
+// described as a manifest entry would describe it. A file that cannot
+// be read, or is no such shard, is left out.
+func AheadShards(dir string, entries []ShardInfo, open Opener) []ShardInfo {
+	if open == nil {
+		open = defaultOpener
+	}
+	listed := make(map[int64]bool, len(entries))
+	for _, e := range entries {
+		listed[e.ID] = true
+	}
+	var out []ShardInfo
+	for _, path := range ShardFiles(dir) {
+		var day int64
+		name := filepath.Base(path)
+		if _, err := fmt.Sscanf(name, "shard-%d.supremm", &day); err != nil || ShardFileName(day) != name || listed[day] {
+			continue
+		}
+		data, err := readAllClose(open, path)
+		if err != nil {
+			continue
+		}
+		if c := shardOfDay(data, day); c != nil {
+			out = append(out, ShardInfo{ID: day, Rows: c.Len(), MinEnd: c.minEnd, MaxEnd: c.maxEnd,
+				Size: int64(len(data)), Hash: crc32.ChecksumIEEE(data)})
+		}
+	}
+	slices.SortFunc(out, func(a, b ShardInfo) int { return cmp.Compare(a.ID, b.ID) })
+	return out
 }
 
 // loadShard reads, verifies and decodes one shard file against its
