@@ -1,7 +1,7 @@
 # Convenience targets for the SUPReMM reproduction.
 GO ?= go
 
-.PHONY: all build test test-race vet fmt-check lint lint-fast fuzz-smoke test-serve test-store test-ingest test-bench bench bench-e2e bench-compare bench-gate bench-ingest bench-serve bench-store fleet figures pipeline clean
+.PHONY: all build test test-shuffle test-race vet fmt-check lint lint-fast fuzz-smoke test-serve test-store test-ingest test-bench bench bench-e2e bench-compare bench-gate bench-ingest bench-serve bench-store fleet figures pipeline clean
 
 all: build vet lint test test-race test-serve test-store test-ingest test-bench
 
@@ -110,6 +110,12 @@ test-bench:
 
 test:
 	$(GO) test ./...
+
+# Tier-1 twice over in a random order: a test that leans on state an
+# earlier one left behind (a shared fixture's memo, a package global)
+# fails here.
+test-shuffle:
+	$(GO) test -count=2 -shuffle=on ./...
 
 # The race detector over every package except the six that test-serve,
 # test-store and test-ingest already run under it at -cpu 1,2,4.

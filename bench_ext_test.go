@@ -28,18 +28,18 @@ import (
 // operational payoff of Table 1.
 func BenchmarkForecastSkill(b *testing.B) {
 	f := load(b)
-	fc, err := f.ranger.NewForecaster("cpu_flops", 10)
+	fc, err := f.ranger.NewForecaster("cpu_flops")
 	if err != nil {
 		b.Fatal(err)
 	}
 	var short, long float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s10, err := fc.Evaluate(f.ranger.Series, 10)
+		s10, err := fc.Evaluate(10)
 		if err != nil {
 			b.Fatal(err)
 		}
-		s1000, err := fc.Evaluate(f.ranger.Series, 1000)
+		s1000, err := fc.Evaluate(1000)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -150,7 +150,7 @@ func BenchmarkTable1Persistence(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		tab, err = f.ranger.Persistence(10)
+		tab, err = f.ranger.Persistence()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,8 +170,8 @@ func BenchmarkFig6PersistenceFit(b *testing.B) {
 	var rt, lt *core.PersistenceTable
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt, _ = f.ranger.Persistence(10)
-		lt, _ = f.ls4.Persistence(10)
+		rt, _ = f.ranger.Persistence()
+		lt, _ = f.ls4.Persistence()
 	}
 	b.StopTimer()
 	b.ReportMetric(rt.Combined.Slope, "ranger_slope")
@@ -362,7 +362,7 @@ func BenchmarkRenderAllFigures(b *testing.B) {
 	var out bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab, err := f.ranger.Persistence(10)
+		tab, err := f.ranger.Persistence()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -414,8 +414,8 @@ func BenchmarkAblationWhiteNoise(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		baseSeries := ablationSeries(b, func(a *workload.App) {})
 		whiteSeries := ablationSeries(b, func(a *workload.App) { a.Dyn.Theta = 0.1 })
-		base, _ = core.PersistenceFromSeries(baseSeries, 10)
-		ablated, _ = core.PersistenceFromSeries(whiteSeries, 10)
+		base, _ = core.PersistenceFromSeries(baseSeries)
+		ablated, _ = core.PersistenceFromSeries(whiteSeries)
 	}
 	b.ReportMetric(base.Ratios["cpu_flops"][0], "flops_ratio10_base")
 	b.ReportMetric(ablated.Ratios["cpu_flops"][0], "flops_ratio10_whitenoise")
@@ -431,8 +431,8 @@ func BenchmarkAblationSteadyIO(b *testing.B) {
 		steadySeries := ablationSeries(b, func(a *workload.App) {
 			a.Dyn.IOBurst = workload.BurstSpec{}
 		})
-		base, _ = core.PersistenceFromSeries(baseSeries, 10)
-		ablated, _ = core.PersistenceFromSeries(steadySeries, 10)
+		base, _ = core.PersistenceFromSeries(baseSeries)
+		ablated, _ = core.PersistenceFromSeries(steadySeries)
 	}
 	b.ReportMetric(base.Ratios["io_scratch_write"][0], "write_ratio10_bursty")
 	b.ReportMetric(ablated.Ratios["io_scratch_write"][0], "write_ratio10_steady")

@@ -74,7 +74,7 @@ var perRealm = []struct {
 	{figure(4), func(b *bytes.Buffer, rr *realmRun) error { return report.Fig4(b, rr.realm) }},
 	{figure(5), func(b *bytes.Buffer, rr *realmRun) error { return report.Fig5(b, rr.realm) }},
 	{func(s selection) bool { return s.all || s.table == 1 }, func(b *bytes.Buffer, rr *realmRun) error {
-		tab, err := rr.realm.Persistence(10)
+		tab, err := rr.realm.Persistence()
 		if err != nil {
 			return err
 		}
@@ -83,7 +83,7 @@ var perRealm = []struct {
 		return nil
 	}},
 	{figure(6), func(b *bytes.Buffer, rr *realmRun) error {
-		tab, err := rr.realm.Persistence(10)
+		tab, err := rr.realm.Persistence()
 		if err != nil {
 			return err
 		}

@@ -114,7 +114,7 @@ func renderReport(b *bytes.Buffer, r *core.Realm, dir, what string, n int) error
 		}
 		return report.Fig5(b, r)
 	case "persistence":
-		tab, err := r.Persistence(10)
+		tab, err := r.Persistence()
 		if err != nil {
 			return err
 		}

@@ -62,12 +62,12 @@ func run(w io.Writer) error {
 
 	// 2. Forecasting: how predictable is the system right now?
 	fmt.Fprintln(&b, "\n=== persistence forecasts (cpu_flops) ===")
-	fc, err := realm.NewForecaster("cpu_flops", 10)
+	fc, err := realm.NewForecaster("cpu_flops")
 	if err != nil {
 		return err
 	}
 	for _, off := range []float64{10, 100, 1000} {
-		ev, err := fc.Evaluate(res.Series, off)
+		ev, err := fc.Evaluate(off)
 		if err != nil {
 			return err
 		}

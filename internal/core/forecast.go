@@ -26,8 +26,9 @@ import (
 // value any better than using the general statistics of the ensemble").
 type Forecaster struct {
 	Metric  string
-	StepMin float64
+	StepMin float64 // the series' sampling step, as the persistence table read it
 
+	col   []float64 // the metric's column the forecaster was fitted on
 	mean  float64
 	sigma float64
 	fit   stats.LinearFit // ratio = a + b*ln(offset_min)
@@ -35,7 +36,7 @@ type Forecaster struct {
 
 // NewForecaster fits a forecaster for one system metric from the
 // realm's series and persistence table.
-func (r *Realm) NewForecaster(metric string, stepMin float64) (*Forecaster, error) {
+func (r *Realm) NewForecaster(metric string) (*Forecaster, error) {
 	col := store.SeriesColumn(r.Series, metric)
 	if col == nil {
 		return nil, fmt.Errorf("core: unknown series metric %q", metric)
@@ -43,7 +44,7 @@ func (r *Realm) NewForecaster(metric string, stepMin float64) (*Forecaster, erro
 	if len(col) < 20 {
 		return nil, fmt.Errorf("core: series too short to fit a forecaster (%d samples)", len(col))
 	}
-	tab, err := r.Persistence(stepMin)
+	tab, err := r.Persistence()
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +54,8 @@ func (r *Realm) NewForecaster(metric string, stepMin float64) (*Forecaster, erro
 	}
 	return &Forecaster{
 		Metric:  metric,
-		StepMin: stepMin,
+		StepMin: tab.StepMin,
+		col:     col,
 		mean:    stats.Mean(col),
 		sigma:   stats.PopStdDev(col),
 		fit:     fit,
@@ -85,8 +87,8 @@ func (f *Forecaster) Forecast(current, offsetMin float64) (pred, se float64) {
 	return pred, se
 }
 
-// EvalResult summarizes out-of-sample forecast quality against the
-// naive climatology (always predict the ensemble mean).
+// EvalResult summarizes in-sample forecast quality against the naive
+// climatology (always predict the ensemble mean).
 type EvalResult struct {
 	OffsetMin float64
 	N         int
@@ -97,21 +99,18 @@ type EvalResult struct {
 	Skill float64
 }
 
-// Evaluate walks the series and scores the forecaster at one offset.
-func (f *Forecaster) Evaluate(series []store.SystemSample, offsetMin float64) (EvalResult, error) {
-	col := store.SeriesColumn(series, f.Metric)
-	if col == nil {
-		return EvalResult{}, fmt.Errorf("core: unknown series metric %q", f.Metric)
-	}
+// Evaluate walks the column the forecaster was fitted on and scores it
+// at one offset.
+func (f *Forecaster) Evaluate(offsetMin float64) (EvalResult, error) {
 	lag := int(math.Round(offsetMin / f.StepMin))
-	if lag < 1 || lag >= len(col) {
-		return EvalResult{}, fmt.Errorf("core: offset %v min out of range for %d samples", offsetMin, len(col))
+	if lag < 1 || lag >= len(f.col) {
+		return EvalResult{}, fmt.Errorf("core: offset %v min out of range for %d samples", offsetMin, len(f.col))
 	}
 	var sumErr, sumNaive float64
 	n := 0
-	for i := 0; i+lag < len(col); i++ {
-		pred, _ := f.Forecast(col[i], offsetMin)
-		actual := col[i+lag]
+	for i := 0; i+lag < len(f.col); i++ {
+		pred, _ := f.Forecast(f.col[i], offsetMin)
+		actual := f.col[i+lag]
 		sumErr += math.Abs(pred - actual)
 		sumNaive += math.Abs(f.mean - actual)
 		n++
@@ -144,12 +143,11 @@ type ScheduleHint struct {
 
 // Hint produces a scheduling hint for one metric at a lead time.
 func (r *Realm) Hint(metric string, leadMin float64) (ScheduleHint, error) {
-	f, err := r.NewForecaster(metric, 10)
+	f, err := r.NewForecaster(metric)
 	if err != nil {
 		return ScheduleHint{}, err
 	}
-	col := store.SeriesColumn(r.Series, metric)
-	current := col[len(col)-1]
+	current := f.col[len(f.col)-1]
 	pred, _ := f.Forecast(current, leadMin)
 	h := ScheduleHint{
 		Metric:       metric,

@@ -9,7 +9,7 @@ import (
 
 func TestForecasterBasics(t *testing.T) {
 	r, _ := realms(t)
-	f, err := r.NewForecaster("cpu_flops", 10)
+	f, err := r.NewForecaster("cpu_flops")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestForecasterBasics(t *testing.T) {
 
 func TestForecastInterpolatesBetweenCurrentAndMean(t *testing.T) {
 	r, _ := realms(t)
-	f, err := r.NewForecaster("cpu_flops", 10)
+	f, err := r.NewForecaster("cpu_flops")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,18 +64,18 @@ func TestForecastSkillBeatsClimatologyAtShortOffsets(t *testing.T) {
 	// offsets the advantage vanishes.
 	r, _ := realms(t)
 	for _, metric := range []string{"cpu_flops", "mem_used"} {
-		f, err := r.NewForecaster(metric, 10)
+		f, err := r.NewForecaster(metric)
 		if err != nil {
 			t.Fatal(err)
 		}
-		short, err := f.Evaluate(r.Series, 10)
+		short, err := f.Evaluate(10)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if short.Skill < 0.3 {
 			t.Errorf("%s: 10-min skill = %v, want strong", metric, short.Skill)
 		}
-		long, err := f.Evaluate(r.Series, 2000)
+		long, err := f.Evaluate(2000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,28 +90,25 @@ func TestForecastSkillBeatsClimatologyAtShortOffsets(t *testing.T) {
 
 func TestForecasterErrors(t *testing.T) {
 	r, _ := realms(t)
-	if _, err := r.NewForecaster("bogus", 10); err == nil {
+	if _, err := r.NewForecaster("bogus"); err == nil {
 		t.Error("unknown metric should error")
 	}
-	if _, err := r.NewForecaster("active_nodes", 10); err == nil {
+	if _, err := r.NewForecaster("active_nodes"); err == nil {
 		t.Error("non-persistence metric should error")
 	}
 	short := NewRealm(machineX, store.New().AsSet(), make([]store.SystemSample, 5))
-	if _, err := short.NewForecaster("cpu_flops", 10); err == nil {
+	if _, err := short.NewForecaster("cpu_flops"); err == nil {
 		t.Error("short series should error")
 	}
-	f, err := r.NewForecaster("cpu_flops", 10)
+	f, err := r.NewForecaster("cpu_flops")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Evaluate(r.Series, 0.1); err == nil {
+	if _, err := f.Evaluate(0.1); err == nil {
 		t.Error("sub-step offset should error")
 	}
-	if _, err := f.Evaluate(r.Series, 1e9); err == nil {
+	if _, err := f.Evaluate(1e9); err == nil {
 		t.Error("beyond-series offset should error")
-	}
-	if _, err := f.Evaluate(nil, 10); err == nil {
-		t.Error("empty series should error")
 	}
 }
 

@@ -186,51 +186,22 @@ func TestCharacterizeMemoConcurrent(t *testing.T) {
 	}
 }
 
-// TestPersistenceMemoKeyedBySeries: a realm computes the persistence
-// table once per series value and step, and only ever answers with the
-// table of the samples it holds now — one built as a struct literal,
-// one whose Series is reassigned, one that adopted another realm's.
-func TestPersistenceMemoKeyedBySeries(t *testing.T) {
+// TestPersistenceMemoTravelsWithSeries: a realm computes its persistence
+// table once, under 16 concurrent first callers of its own and 16 of a
+// realm that adopted its series before either filled anything (run
+// under -race), and the table is a fresh PersistenceFromSeries' bit for
+// bit. AdoptSeries shares the table by pointer; a NewRealm over other
+// samples computes its own; an error is remembered as a table is.
+func TestPersistenceMemoTravelsWithSeries(t *testing.T) {
 	shared, other := realms(t)
-	fresh := func(series []store.SystemSample, step float64) string {
-		tab, err := PersistenceFromSeries(series, step)
+	cc := cluster.RangerConfig().Scaled(128)
+	fresh := func(series []store.SystemSample) string {
+		tab, err := PersistenceFromSeries(series)
 		return fmt.Sprintf("%#v %v", tab, err)
 	}
-	r := &Realm{Series: shared.Series}
-	a, err := r.Persistence(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b, _ := r.Persistence(10); b != a {
-		t.Error("a second Persistence(10) computed the table again")
-	}
-	if s := fmt.Sprintf("%#v %v", a, error(nil)); s != fresh(shared.Series, 10) {
-		t.Errorf("memoized table %s differs from a fresh one", s)
-	}
-	if c, _ := r.Persistence(20); c == a || fmt.Sprintf("%#v %v", c, error(nil)) != fresh(shared.Series, 20) {
-		t.Error("Persistence(20) did not compute its own table")
-	}
 
-	r.Series = other.Series
-	if b, _ := r.Persistence(10); b == a || fmt.Sprintf("%#v %v", b, error(nil)) != fresh(other.Series, 10) {
-		t.Error("after Series was reassigned, Persistence answered from the old samples")
-	}
-	r.Series = shared.Series[:len(shared.Series)-1]
-	if b, _ := r.Persistence(10); b == a || fmt.Sprintf("%#v %v", b, error(nil)) != fresh(r.Series, 10) {
-		t.Error("a shorter view of the same samples read the longer series' table")
-	}
-
-	r.Series = shared.Series[:5]
-	_, err1 := r.Persistence(10)
-	_, err2 := r.Persistence(10)
-	if err1 == nil || err1 != err2 {
-		t.Errorf("a too-short series: errors %v then %v, want one remembered error", err1, err2)
-	}
-
-	// 16 first callers each of a fresh realm and of the realm that
-	// adopted its series before either filled anything (under -race):
-	// one table for all 32.
-	prev, next := &Realm{Series: shared.Series}, &Realm{}
+	prev := NewRealm(cc, shared.Store, shared.Series)
+	next := NewRealm(cc, shared.Store, nil)
 	next.AdoptSeries(prev)
 	const workers = 16
 	tabs := make([]*PersistenceTable, 2*workers)
@@ -243,7 +214,7 @@ func TestPersistenceMemoKeyedBySeries(t *testing.T) {
 			if w%2 == 1 {
 				r = next
 			}
-			tabs[w], _ = r.Persistence(10)
+			tabs[w], _ = r.Persistence()
 		}(w)
 	}
 	wg.Wait()
@@ -252,8 +223,23 @@ func TestPersistenceMemoKeyedBySeries(t *testing.T) {
 			t.Fatalf("caller %d got table %p, caller 0 %p: the adopted series did not share one fill", w, tab, tabs[0])
 		}
 	}
+	if s := fmt.Sprintf("%#v %v", tabs[0], error(nil)); s != fresh(shared.Series) {
+		t.Errorf("memoized table %s differs from a fresh one", s)
+	}
 	if &next.Series[0] != &shared.Series[0] {
 		t.Error("AdoptSeries did not take the previous realm's samples")
+	}
+
+	own := NewRealm(cc, shared.Store, other.Series)
+	if tab, err := own.Persistence(); tab == tabs[0] || fmt.Sprintf("%#v %v", tab, err) != fresh(other.Series) {
+		t.Error("a realm over other samples did not compute its own table")
+	}
+
+	short := NewRealm(cc, shared.Store, shared.Series[:5])
+	_, err1 := short.Persistence()
+	_, err2 := short.Persistence()
+	if err1 == nil || err1 != err2 {
+		t.Errorf("a too-short series: errors %v then %v, want one remembered error", err1, err2)
 	}
 }
 
@@ -311,6 +297,6 @@ func BenchmarkPersistenceFill(b *testing.B) {
 	shared, _ := realms(b)
 	b.ResetTimer()
 	for range b.N {
-		sinkTable, _ = (&Realm{Series: shared.Series}).Persistence(10)
+		sinkTable, _ = NewRealm(cluster.RangerConfig(), shared.Store, shared.Series).Persistence()
 	}
 }

@@ -28,7 +28,7 @@ func PersistenceOffsetsMin() []int { return []int{10, 30, 100, 500, 1000} }
 // which matches both limits of Table 1 (see DESIGN.md §2).
 type PersistenceTable struct {
 	OffsetsMin []int
-	StepMin    float64
+	StepMin    float64 // the series' sampling step, read from its times
 	// Ratios[metric][i] is the persistence ratio at OffsetsMin[i];
 	// NaN where the offset exceeds the series length.
 	Ratios map[string][]float64
@@ -39,22 +39,13 @@ type PersistenceTable struct {
 }
 
 // Persistence computes the Table 1 / Fig 6 analysis over the realm's
-// system series. stepMin is the series' sampling cadence. The table and
-// error are computed once per series value and step and shared by every
+// system series, at the series' own sampling step (seriesStepMin). The
+// table and error are computed once per series and shared by every
 // caller, and by the next generation's realm when it adopts the series
 // (AdoptSeries): the table is read-only.
-func (r *Realm) Persistence(stepMin float64) (*PersistenceTable, error) {
-	m := r.memo()
-	m.mu.Lock()
-	key := math.Float64bits(stepMin)
-	slot := m.persist[key]
-	if slot == nil {
-		slot = new(store.Slot[persistence])
-		m.persist[key] = slot
-	}
-	m.mu.Unlock()
-	p := slot.Get(func() persistence {
-		t, err := PersistenceFromSeries(m.samples, stepMin)
+func (r *Realm) Persistence() (*PersistenceTable, error) {
+	p := r.persist.Get(func() persistence {
+		t, err := PersistenceFromSeries(r.Series)
 		return persistence{t, err}
 	})
 	return p.table, p.err
@@ -62,12 +53,13 @@ func (r *Realm) Persistence(stepMin float64) (*PersistenceTable, error) {
 
 // PersistenceFromSeries is the series-level entry point (used directly
 // by the ablation benchmarks).
-func PersistenceFromSeries(series []store.SystemSample, stepMin float64) (*PersistenceTable, error) {
-	if stepMin <= 0 {
-		return nil, fmt.Errorf("core: stepMin must be positive")
-	}
+func PersistenceFromSeries(series []store.SystemSample) (*PersistenceTable, error) {
 	if len(series) < 10 {
 		return nil, fmt.Errorf("core: series too short for persistence analysis (%d samples)", len(series))
+	}
+	stepMin, err := seriesStepMin(series)
+	if err != nil {
+		return nil, err
 	}
 	t := &PersistenceTable{
 		OffsetsMin: PersistenceOffsetsMin(),
@@ -78,9 +70,6 @@ func PersistenceFromSeries(series []store.SystemSample, stepMin float64) (*Persi
 	var combX, combY []float64
 	for _, metric := range PersistenceMetrics() {
 		col := store.SeriesColumn(series, metric)
-		if col == nil {
-			return nil, fmt.Errorf("core: unknown series metric %q", metric)
-		}
 		ratios := make([]float64, len(t.OffsetsMin))
 		var fitX, fitY []float64
 		for i, off := range t.OffsetsMin {
@@ -110,6 +99,21 @@ func PersistenceFromSeries(series []store.SystemSample, stepMin float64) (*Persi
 		}
 	}
 	return t, nil
+}
+
+// seriesStepMin is the series' sampling step in minutes: the median gap
+// between consecutive sample times, so a missing bucket (an outage no
+// host reported) does not move it. TACC_Stats samples every 10 minutes.
+func seriesStepMin(series []store.SystemSample) (float64, error) {
+	gaps := make([]float64, 0, len(series))
+	for i := 1; i < len(series); i++ {
+		gaps = append(gaps, float64(series[i].Time-series[i-1].Time))
+	}
+	step := stats.Median(gaps) / 60
+	if !(step > 0) {
+		return 0, fmt.Errorf("core: series times do not advance (median step %v min)", step)
+	}
+	return step, nil
 }
 
 // PredictabilityOrder returns metric names ordered from hardest to

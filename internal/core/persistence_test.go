@@ -2,14 +2,16 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"supremm/internal/stats"
 	"supremm/internal/store"
 )
 
 func TestPersistenceTableReproducesTable1(t *testing.T) {
 	r, _ := realms(t)
-	tab, err := r.Persistence(10)
+	tab, err := r.Persistence()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestPersistenceOrderingMatchesPaper(t *testing.T) {
 	// the least persistent and flops/mem the most. We assert the robust
 	// part: write is least predictable, flops and mem are the two most.
 	r, _ := realms(t)
-	tab, err := r.Persistence(10)
+	tab, err := r.Persistence()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +91,11 @@ func TestPersistenceOrderingMatchesPaper(t *testing.T) {
 
 func TestCombinedFitReproducesFig6(t *testing.T) {
 	ranger, ls4 := realms(t)
-	rt, err := ranger.Persistence(10)
+	rt, err := ranger.Persistence()
 	if err != nil {
 		t.Fatal(err)
 	}
-	lt, err := ls4.Persistence(10)
+	lt, err := ls4.Persistence()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,15 +130,11 @@ func TestCombinedFitReproducesFig6(t *testing.T) {
 }
 
 func TestPersistenceErrors(t *testing.T) {
-	r, _ := realms(t)
-	if _, err := r.Persistence(0); err == nil {
-		t.Error("stepMin=0 should error")
-	}
-	if _, err := PersistenceFromSeries(nil, 10); err == nil {
+	if _, err := PersistenceFromSeries(nil); err == nil {
 		t.Error("empty series should error")
 	}
 	short := make([]store.SystemSample, 5)
-	if _, err := PersistenceFromSeries(short, 10); err == nil {
+	if _, err := PersistenceFromSeries(short); err == nil {
 		t.Error("short series should error")
 	}
 }
@@ -145,5 +143,60 @@ func TestPredictionHorizonDegenerate(t *testing.T) {
 	tab := &PersistenceTable{}
 	if !math.IsNaN(tab.PredictionHorizonMin(0.9)) {
 		t.Error("zero-slope horizon should be NaN")
+	}
+}
+
+// respaced is series with its samples spaced gap seconds apart.
+func respaced(series []store.SystemSample, gap int64) []store.SystemSample {
+	out := slices.Clone(series)
+	for i := range out {
+		out[i].Time = series[0].Time + int64(i)*gap
+	}
+	return out
+}
+
+// TestPersistenceStepFromSeries: the table is computed at the step the
+// series' own times give. At 300 s Table 1's 10-minute row is a lag of
+// two samples; three missing buckets of a 600 s series do not move its
+// step; times that do not advance are an error, never a table.
+func TestPersistenceStepFromSeries(t *testing.T) {
+	r, _ := realms(t)
+	fine := respaced(r.Series, 300)
+	tab, err := PersistenceFromSeries(fine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.StepMin != 5 {
+		t.Errorf("300 s series: StepMin %v, want 5", tab.StepMin)
+	}
+	for _, m := range PersistenceMetrics() {
+		want := stats.PersistenceRatio(store.SeriesColumn(fine, m), 2)
+		if got := tab.Ratios[m][0]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("300 s series: %s ratio at 10 min = %v, want lag 2's %v", m, got, want)
+		}
+	}
+	if f, err := NewRealm(machineX, r.Store, fine).NewForecaster("cpu_flops"); err != nil {
+		t.Error(err)
+	} else if f.StepMin != 5 {
+		t.Errorf("300 s series: forecaster step %v, want 5", f.StepMin)
+	}
+
+	gappy := respaced(r.Series, 600)
+	gappy = slices.Delete(gappy, 300, 301)
+	gappy = slices.Delete(gappy, 200, 201)
+	gappy = slices.Delete(gappy, 100, 101)
+	if tab, err := PersistenceFromSeries(gappy); err != nil || tab.StepMin != 10 {
+		t.Errorf("600 s series, 3 buckets missing: %+v, %v; want StepMin 10", tab, err)
+	}
+
+	still := respaced(r.Series, 0)
+	backwards := respaced(r.Series, -600)
+	for name, series := range map[string][]store.SystemSample{"constant": still, "backwards": backwards} {
+		if tab, err := PersistenceFromSeries(series); err == nil || tab != nil {
+			t.Errorf("%s times: table %p, error %v; want an error and no table", name, tab, err)
+		}
+		if tab, err := NewRealm(machineX, r.Store, series).Persistence(); err == nil || tab != nil {
+			t.Errorf("%s times through a realm: table %p, error %v; want an error and no table", name, tab, err)
+		}
 	}
 }

@@ -8,8 +8,6 @@
 package core
 
 import (
-	"sync"
-
 	"supremm/internal/cluster"
 	"supremm/internal/store"
 )
@@ -28,10 +26,9 @@ type Realm struct {
 	// manifest's day shards or taken from an in-memory store with
 	// AsSet. It stays the interface the frozen benchmark names.
 	Store store.Reader
-	// Series is the system series, read-only once the realm is built.
-	// What is computed from it (Persistence) is remembered with the
-	// samples it was computed from, so a realm whose Series is
-	// reassigned computes afresh.
+	// Series is the system series, read-only once the realm is built:
+	// what is computed from it (Persistence) is remembered with it, and
+	// AdoptSeries hands both to the next generation's realm.
 	Series []store.SystemSample
 
 	// fleet memoizes FleetMean, one slot per metric in store.MetricPos
@@ -41,11 +38,9 @@ type Realm struct {
 	// their generation: there is nothing to invalidate (DESIGN.md §10).
 	fleet     [store.NumMetrics]store.Slot[float64]
 	character store.Slot[Characterization]
-
-	// seriesMu guards derived, the memo of what was computed from the
-	// series; AdoptSeries hands it to the next generation's realm.
-	seriesMu sync.Mutex
-	derived  *seriesMemo
+	// persist memoizes Persistence over Series, made by NewRealm (the
+	// one constructor); a pointer, so it travels with the samples.
+	persist *store.Slot[persistence]
 }
 
 // NewRealm assembles a realm over cc's machine: its name scopes every
@@ -59,6 +54,7 @@ func NewRealm(cc cluster.Config, st store.Reader, series []store.SystemSample) *
 		PeakTFlops:   cc.PeakTFlops(),
 		Store:        st,
 		Series:       series,
+		persist:      new(store.Slot[persistence]),
 	}
 }
 
@@ -98,46 +94,15 @@ func (r *Realm) TotalNodeHours() float64 {
 	return r.Store.Scan(r.JobFilter()).NodeHours()
 }
 
-// seriesMemo is what was computed from one series value: the
-// persistence tables, one per sampling step, each filled once with its
-// error. It is keyed by the samples themselves, so it can travel with
-// them from one realm to the next.
-type seriesMemo struct {
-	samples []store.SystemSample
-
-	mu      sync.Mutex
-	persist map[uint64]*store.Slot[persistence] // by math.Float64bits(stepMin)
-}
-
 // persistence is one filled Persistence call.
 type persistence struct {
 	table *PersistenceTable
 	err   error
 }
 
-// memo returns the memo of the realm's present Series, starting an
-// empty one when there is none or it was computed from other samples.
-func (r *Realm) memo() *seriesMemo {
-	r.seriesMu.Lock()
-	defer r.seriesMu.Unlock()
-	if r.derived == nil || !sameSamples(r.derived.samples, r.Series) {
-		r.derived = &seriesMemo{samples: r.Series, persist: map[uint64]*store.Slot[persistence]{}}
-	}
-	return r.derived
-}
-
-// sameSamples reports whether a and b are one series value: the same
-// backing array, the same length.
-func sameSamples(a, b []store.SystemSample) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// AdoptSeries makes prev's series r's, together with everything prev
-// computed from it: a reload whose series.jsonl did not change shares
-// the samples and so the persistence tables. r must not be in use yet.
+// AdoptSeries makes prev's series r's, together with what prev computed
+// from it: a reload whose series.jsonl did not change shares the samples
+// and so the persistence table. r must not be in use yet.
 func (r *Realm) AdoptSeries(prev *Realm) {
-	m := prev.memo()
-	r.seriesMu.Lock()
-	defer r.seriesMu.Unlock()
-	r.Series, r.derived = m.samples, m
+	r.Series, r.persist = prev.Series, prev.persist
 }

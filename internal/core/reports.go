@@ -67,27 +67,24 @@ type LustreMountReport struct {
 
 // LustreByMount reproduces Fig 7c from the system series.
 func (r *Realm) LustreByMount() []LustreMountReport {
-	mounts := []struct {
-		name string
-		col  func(store.SystemSample) float64
-	}{
-		{"scratch", func(s store.SystemSample) float64 { return s.ScratchMBps }},
-		{"share", func(s store.SystemSample) float64 { return s.ShareMBps }},
-		{"work", func(s store.SystemSample) float64 { return s.WorkMBps }},
+	mounts := []struct{ name, col string }{
+		{"scratch", "io_scratch_write"},
+		{"share", "io_share_write"},
+		{"work", "io_work_write"},
 	}
 	out := make([]LustreMountReport, 0, len(mounts))
 	for _, m := range mounts {
 		var sum, peak float64
-		for _, s := range r.Series {
-			v := m.col(s)
+		col := store.SeriesColumn(r.Series, m.col)
+		for _, v := range col {
 			sum += v
 			if v > peak {
 				peak = v
 			}
 		}
 		mean := math.NaN()
-		if len(r.Series) > 0 {
-			mean = sum / float64(len(r.Series))
+		if len(col) > 0 {
+			mean = sum / float64(len(col))
 		}
 		out = append(out, LustreMountReport{Mount: m.name, MeanMBps: mean, PeakMBps: peak})
 	}
@@ -163,7 +160,7 @@ type FlopsSummary struct {
 
 // FlopsReport computes the Fig 9 headline numbers.
 func (r *Realm) FlopsReport() FlopsSummary {
-	d := store.SeriesSummary(r.Series, "total_tflops")
+	d := stats.Summarize(store.SeriesColumn(r.Series, "total_tflops"))
 	out := FlopsSummary{
 		MeanTFlops:    d.Mean,
 		PeakTFlops:    d.Max,
@@ -190,7 +187,7 @@ type MemorySummary struct {
 
 // MemoryReport computes the Fig 11/12 headline numbers.
 func (r *Realm) MemoryReport() MemorySummary {
-	d := store.SeriesSummary(r.Series, "mem_used")
+	d := stats.Summarize(store.SeriesColumn(r.Series, "mem_used"))
 	out := MemorySummary{
 		MeanGB:     d.Mean,
 		PeakGB:     d.Max,

@@ -103,12 +103,12 @@ func ForecastReport(b *bytes.Buffer, r *core.Realm) error {
 	fmt.Fprintf(b, "== persistence forecasts, %s ==\n", r.Cluster)
 	t := NewTable("forecast skill vs climatology (cpu_flops)",
 		"offset (min)", "MAE", "naive MAE", "skill")
-	f, err := r.NewForecaster("cpu_flops", 10)
+	f, err := r.NewForecaster("cpu_flops")
 	if err != nil {
 		return err
 	}
 	for _, off := range core.PersistenceOffsetsMin() {
-		ev, err := f.Evaluate(r.Series, float64(off))
+		ev, err := f.Evaluate(float64(off))
 		if err != nil {
 			continue
 		}

@@ -153,7 +153,7 @@ func TestDensityRender(t *testing.T) {
 func TestAllFigureRenderers(t *testing.T) {
 	r := testRealm(t)
 	var buf bytes.Buffer
-	tab, err := r.Persistence(10)
+	tab, err := r.Persistence()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestAllFigureRenderers(t *testing.T) {
 
 func TestTable1ContainsAllOffsets(t *testing.T) {
 	r := testRealm(t)
-	tab, err := r.Persistence(10)
+	tab, err := r.Persistence()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func SuiteWithQuality(b *bytes.Buffer, who Stakeholder, q *ingest.DataQuality, r
 		t.Render(b)
 	case StakeholderAdmin:
 		// §4.3.4: persistence/prediction, scheduler effectiveness.
-		tab, err := r.Persistence(10)
+		tab, err := r.Persistence()
 		if err != nil {
 			return err
 		}

@@ -256,7 +256,8 @@ type healthDTO struct {
 // "ahead", described by its own bytes). Since is 0, and left out, for a
 // day the generation does not serve. LastScrubTrip is the seq, as
 // /debug/reloads numbers trips, of the trip whose scrub step last
-// re-verified this exact shard, 0 if none has.
+// re-verified this exact shard, 0 if none has. MemoSlots counts the
+// memo slots a served shard has filled (store.Shard.MemoSlots).
 type shardDTO struct {
 	Day           int64  `json:"day"`
 	Date          string `json:"date"`
@@ -266,6 +267,7 @@ type shardDTO struct {
 	CRC           string `json:"crc"`
 	Since         uint64 `json:"since_generation,omitempty"`
 	LastScrubTrip int64  `json:"last_scrub_trip"`
+	MemoSlots     int    `json:"memo_slots"`
 }
 
 // tripDTO is one trip of the reload sequence in /debug/reloads: how it

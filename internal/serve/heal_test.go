@@ -626,7 +626,11 @@ func TestChaosSelfHeal(t *testing.T) {
 // trip (as /debug/reloads numbers them) whose scrub step last
 // re-verified that exact shard, across an append, rot found by the
 // scrub step and its repair; and a well-formed shard of a day the
-// manifest does not list yet is a row of its own, "ahead".
+// manifest does not list yet is a row of its own, "ahead". Each served
+// row counts the memo slots its shard has filled: none on a fresh
+// generation, a population's rows and one metric's partial after one
+// aggregate, kept by a shard adopted across a reload and none yet on a
+// day appended or repaired.
 func TestDebugShards(t *testing.T) {
 	dir := t.TempDir()
 	writeDataDir(t, dir, dayStore(3, 40), fixtureSeries(30), healQuality)
@@ -656,7 +660,7 @@ func TestDebugShards(t *testing.T) {
 		}
 		var rows []string
 		for i, r := range got.Shards {
-			rows = append(rows, fmt.Sprintf("%d %s %d %d", r.Day, r.State, r.Since, r.LastScrubTrip))
+			rows = append(rows, fmt.Sprintf("%d %s %d %d %d", r.Day, r.State, r.Since, r.LastScrubTrip, r.MemoSlots))
 			e := entries[i]
 			if r.Day != e.ID || r.Date != dayDate(e.ID) || r.Rows != e.Rows || r.Bytes != e.Size || r.CRC != fmt.Sprintf("%08x", e.Hash) {
 				t.Errorf("%s: row %+v, want entry %+v", step, r, e)
@@ -666,13 +670,17 @@ func TestDebugShards(t *testing.T) {
 			t.Errorf("%s: generation %d, rows %q; want %d, %q", step, got.Generation, rows, gen, want)
 		}
 	}
-	check("fresh load", 1, "0 served 1 0", "1 served 1 0", "2 served 1 0")
+	check("fresh load", 1, "0 served 1 0 0", "1 served 1 0 0", "2 served 1 0 0")
+	if status, body := get(t, srv, "/api/v1/aggregate?metric=cpu_idle"); status != http.StatusOK {
+		t.Fatalf("aggregate: status %d: %s", status, body)
+	}
+	check("one aggregate", 1, "0 served 1 0 2", "1 served 1 0 2", "2 served 1 0 2")
 
 	writeDataDir(t, dir, dayStore(4, 40), fixtureSeries(30), healQuality)
 	if _, err := srv.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	check("append", 2, "0 served 1 0", "1 served 1 0", "2 served 1 0", "3 served 2 0")
+	check("append", 2, "0 served 1 0 2", "1 served 1 0 2", "2 served 1 0 2", "3 served 2 0 0")
 
 	backing, err := os.ReadFile(filepath.Join(dir, store.JobsFile))
 	if err != nil {
@@ -689,7 +697,7 @@ func TestDebugShards(t *testing.T) {
 	if _, err := srv.MaybeReload(); err != nil {
 		t.Fatal(err)
 	}
-	check("rot, no backing", 3, "0 served 1 3", "1 quarantined 0 3", "2 served 1 3", "3 served 2 3")
+	check("rot, no backing", 3, "0 served 1 3 2", "1 quarantined 0 3 0", "2 served 1 3 2", "3 served 2 3 0")
 
 	if err := store.AtomicWriteFile(dir, store.JobsFile, func(f *os.File) error {
 		_, err := f.Write(backing)
@@ -702,7 +710,7 @@ func TestDebugShards(t *testing.T) {
 	if _, err := srv.MaybeReload(); err != nil {
 		t.Fatal(err)
 	}
-	check("repair", 4, "0 served 1 4", "1 served 4 0", "2 served 1 4", "3 served 2 4")
+	check("repair", 4, "0 served 1 4 2", "1 served 4 0 0", "2 served 1 4 2", "3 served 2 4 0")
 
 	// A writer lands day 4's shard; its manifest has not landed.
 	next := t.TempDir()
@@ -726,5 +734,5 @@ func TestDebugShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	ahead = all[4:]
-	check("shard ahead of its manifest", 4, "0 served 1 4", "1 served 4 0", "2 served 1 4", "3 served 2 4", "4 ahead 0 0")
+	check("shard ahead of its manifest", 4, "0 served 1 4 2", "1 served 4 0 0", "2 served 1 4 2", "3 served 2 4 0", "4 ahead 0 0 0")
 }

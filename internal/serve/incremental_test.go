@@ -681,7 +681,7 @@ func TestPersistenceMemoFollowsSeries(t *testing.T) {
 	}
 	table := func(snap *Snapshot) *core.PersistenceTable {
 		t.Helper()
-		tab, err := snap.Realm.Persistence(10)
+		tab, err := snap.Realm.Persistence()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -721,7 +721,7 @@ func TestPersistenceMemoFollowsSeries(t *testing.T) {
 	if snap, err = srv.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.PersistenceFromSeries(rewritten, 10)
+	want, err := core.PersistenceFromSeries(rewritten)
 	if err != nil {
 		t.Fatal(err)
 	}

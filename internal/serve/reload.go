@@ -531,11 +531,17 @@ func (r *reloader) heal(t *trip, faults []store.ShardFault) (repaired bool, err 
 // unreadable file cannot publish an empty time series. A file with the
 // stamp (size and mtime, the witness the poll trusts) the previous
 // generation decoded it under is not read again: its samples are
-// shared. The attempt's second fingerprint catches a racing rewrite.
-// The stamp read goes onto snap, the snapshot being built.
+// shared. The stamp is taken before the open: a file renamed in between
+// costs one more decode, never old samples kept under the new stamp.
+// The attempt's second fingerprint catches a racing rewrite. The stamp
+// read goes onto snap, the snapshot being built.
 func (r *reloader) series(t *trip, prev, snap *Snapshot) ([]store.SystemSample, error) {
 	path := filepath.Join(r.dir, store.SeriesFile)
 	t.seriesAdopted, t.seriesBytes = false, 0
+	if st, err := os.Stat(path); err == nil {
+		snap.seriesStamp = fmt.Sprint(st.Size(), st.ModTime().UnixNano())
+		t.seriesBytes = st.Size()
+	}
 	sf, err := r.open(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
@@ -545,10 +551,6 @@ func (r *reloader) series(t *trip, prev, snap *Snapshot) ([]store.SystemSample, 
 		return nil, err
 	}
 	defer sf.Close()
-	if st, err := os.Stat(path); err == nil {
-		snap.seriesStamp = fmt.Sprint(st.Size(), st.ModTime().UnixNano())
-		t.seriesBytes = st.Size()
-	}
 	if prev != nil && len(prev.Realm.Series) > 0 && snap.seriesStamp != "" && snap.seriesStamp == prev.seriesStamp {
 		t.seriesAdopted = true
 		r.lap(t, phaseSeriesAdopt)

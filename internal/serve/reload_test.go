@@ -443,3 +443,55 @@ func TestDebugReloadsPhases(t *testing.T) {
 		t.Errorf("retried trip %+v: want 2 attempts and a backoff phase", trip)
 	}
 }
+
+// TestSeriesStampTakenBeforeOpen: a generation's series stamp is the
+// file's as it stood before the open, so a writer that lands a new
+// series.jsonl between the open and the stamp cannot pin the old
+// samples under the new file's stamp. The race is only served when the
+// attempt healed a shard (its own renames excuse a changed
+// fingerprint); the next forced reload must then decode the new file,
+// not adopt the stale samples again.
+func TestSeriesStampTakenBeforeOpen(t *testing.T) {
+	dir := t.TempDir()
+	writeDataDir(t, dir, dayStore(6, 40), fixtureSeries(40), healQuality)
+	var race atomic.Bool
+	srv, err := New(Config{DataDir: dir, SelfHeal: true, Open: func(path string) (io.ReadCloser, error) {
+		f, err := osOpen(path)
+		if err == nil && filepath.Base(path) == store.SeriesFile && race.CompareAndSwap(true, false) {
+			if err := store.AtomicWriteFile(dir, store.SeriesFile, func(f *os.File) error {
+				return store.SaveSeries(f, fixtureSeries(25))
+			}); err != nil {
+				t.Error(err)
+			}
+		}
+		return f, err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := filepath.Join(dir, store.ShardFileName(2))
+	st, err := os.Stat(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(shard, st.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	race.Store(true)
+	if reloaded, err := srv.MaybeReload(); err != nil || !reloaded {
+		t.Fatalf("healing poll: reloaded=%v err=%v", reloaded, err)
+	}
+	if race.Load() {
+		t.Fatal("the healing poll did not open series.jsonl")
+	}
+	if n := len(srv.Snapshot().Realm.Series); n != 40 {
+		t.Fatalf("gen %d serves %d samples, want the 40 it opened", srv.Snapshot().Gen, n)
+	}
+	snap, err := srv.Reload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(snap.Realm.Series); n != 25 {
+		t.Errorf("gen %d serves %d samples, want the file's 25", snap.Gen, n)
+	}
+}

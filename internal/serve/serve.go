@@ -356,7 +356,8 @@ func (s *Server) shards(_ context.Context, snap *Snapshot, _ Params) (int, any, 
 		}
 		r := row(e, "missing")
 		if k < snap.shards.NumShards() && snap.shards.ShardAt(k).ID() == e.ID {
-			r.State, r.Since = "served", snap.since[snap.shards.ShardAt(k)]
+			sh := snap.shards.ShardAt(k)
+			r.State, r.Since, r.MemoSlots = "served", snap.since[sh], sh.MemoSlots()
 			k++
 		} else if _, err := os.Stat(filepath.Join(s.dir.dir, store.QuarantinedShardFile(e.ID))); err == nil {
 			r.State = "quarantined"

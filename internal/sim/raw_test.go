@@ -10,6 +10,7 @@ import (
 	"supremm/internal/cluster"
 	"supremm/internal/ingest"
 	"supremm/internal/procfs"
+	"supremm/internal/stats"
 	"supremm/internal/store"
 	"supremm/internal/workload"
 )
@@ -154,8 +155,8 @@ func TestRawIngestSystemSeries(t *testing.T) {
 		}
 	}
 	// Cluster FLOPS from raw deltas should track fast path to ~15%.
-	fastMean := store.SeriesSummary(res.Series, "total_tflops").Mean
-	rawMean := store.SeriesSummary(raw.Series, "total_tflops").Mean
+	fastMean := stats.Mean(store.SeriesColumn(res.Series, "total_tflops"))
+	rawMean := stats.Mean(store.SeriesColumn(raw.Series, "total_tflops"))
 	if math.Abs(fastMean-rawMean) > 0.2*fastMean {
 		t.Errorf("series flops: raw %v vs fast %v", rawMean, fastMean)
 	}

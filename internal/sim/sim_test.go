@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"supremm/internal/cluster"
+	"supremm/internal/stats"
 	"supremm/internal/store"
 )
 
@@ -224,7 +225,7 @@ func TestFlopsFractionOfPeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean := store.SeriesSummary(res.Series, "total_tflops").Mean
+	mean := stats.Mean(store.SeriesColumn(res.Series, "total_tflops"))
 	peak := cluster.RangerConfig().Scaled(32).PeakTFlops()
 	frac := mean / peak
 	if frac < 0.005 || frac > 0.15 {
@@ -243,7 +244,7 @@ func TestMemoryFractionOfCapacity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return store.SeriesSummary(res.Series, "mem_used").Mean / cc.MemPerNodeGB
+		return stats.Mean(store.SeriesColumn(res.Series, "mem_used")) / cc.MemPerNodeGB
 	}
 	ranger := run(cluster.RangerConfig().Scaled(48))
 	ls4 := run(cluster.Lonestar4Config().Scaled(48))

@@ -42,6 +42,14 @@ func (s *Slot[T]) Get(fill func() T) T {
 	return s.v
 }
 
+// filled is 1 once the slot holds its value, else 0.
+func (s *Slot[T]) filled() int {
+	if s.done.Load() {
+		return 1
+	}
+	return 0
+}
+
 func (s *Slot[T]) fill(fill func() T) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -75,6 +83,27 @@ type groupBase struct {
 	n     []int
 	sw    []float64
 	codes []uint32
+}
+
+// MemoSlots counts the memo slots the shard has filled over both of its
+// populations (/debug/shards).
+func (sh *Shard) MemoSlots() int {
+	n := 0
+	for i := range sh.memo {
+		if m := sh.memo[i].Load(); m != nil {
+			n += m.rows.filled() + m.nodeHours.filled()
+			for j := range m.agg {
+				n += m.agg[j].filled()
+			}
+			for k := range m.groups {
+				n += m.groups[k].base.filled()
+				for j := range m.groups[k].swx {
+					n += m.groups[k].swx[j].filled()
+				}
+			}
+		}
+	}
+	return n
 }
 
 // The seam: a shardSel hands out its partition's share of an answer

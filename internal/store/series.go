@@ -8,8 +8,6 @@ import (
 	"io"
 	"io/fs"
 	"strconv"
-
-	"supremm/internal/stats"
 )
 
 // SystemSample is one sampling interval's cluster-wide aggregate — the
@@ -56,6 +54,8 @@ func (s SystemSample) SeriesMetric(name string) (float64, bool) {
 		return s.ScratchMBps, true
 	case "io_work_write":
 		return s.WorkMBps, true
+	case "io_share_write":
+		return s.ShareMBps, true
 	case "net_ib_tx":
 		return s.IBTxMBps, true
 	case "net_lnet_tx":
@@ -287,9 +287,4 @@ func numberLen(b []byte) (n int, integer bool) {
 		}
 	}
 	return i, integer
-}
-
-// SeriesSummary summarizes a column of the series.
-func SeriesSummary(samples []SystemSample, name string) stats.Describe {
-	return stats.Summarize(SeriesColumn(samples, name))
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -27,7 +26,7 @@ func TestSeriesMetricCoversAllNames(t *testing.T) {
 		"active_nodes": 10, "busy_nodes": 8, "cpu_flops": 1.5,
 		"total_tflops": 1.5, "mem_used": 8, "mem_per_node_gb": 8,
 		"cpu_idle": 0.15, "cpu_user": 0.8, "cpu_sys": 0.05,
-		"io_scratch_write": 100, "io_work_write": 10,
+		"io_scratch_write": 100, "io_work_write": 10, "io_share_write": 1,
 		"net_ib_tx": 500, "net_lnet_tx": 120,
 	}
 	for name, want := range cases {
@@ -78,17 +77,6 @@ func TestSaveLoadSeries(t *testing.T) {
 	empty, err := LoadSeries(strings.NewReader(""))
 	if err != nil || len(empty) != 0 {
 		t.Errorf("empty stream: %v, %v", empty, err)
-	}
-}
-
-func TestSeriesSummary(t *testing.T) {
-	d := SeriesSummary(sampleSeries(), "mem_used")
-	if d.N != 2 || math.Abs(d.Mean-8.5) > 1e-12 || d.Min != 8 || d.Max != 9 {
-		t.Errorf("summary = %+v", d)
-	}
-	e := SeriesSummary(nil, "mem_used")
-	if e.N != 0 || !math.IsNaN(e.Mean) {
-		t.Errorf("empty summary = %+v", e)
 	}
 }
 
