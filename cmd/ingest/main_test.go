@@ -9,6 +9,7 @@ import (
 	"supremm/internal/cluster"
 	"supremm/internal/ingest"
 	"supremm/internal/sched"
+	"supremm/internal/serve"
 	"supremm/internal/sim"
 	"supremm/internal/store"
 )
@@ -19,8 +20,7 @@ func run(rawDir, acctPath, out string) error {
 }
 
 // assertNoTempFiles fails if any ".<name>.tmp*" work file is left in
-// dir — leaked temps would accumulate on the ingest host and confuse
-// directory fingerprinting.
+// dir — leaked temps would accumulate on the ingest host.
 func assertNoTempFiles(t *testing.T, dir string) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -94,9 +94,9 @@ func TestIngestCommandEndToEnd(t *testing.T) {
 	if len(series) == 0 {
 		t.Error("empty series")
 	}
-	q, err := ingest.LoadQuality(filepath.Join(out, "quality.json"))
-	if err != nil {
-		t.Fatal(err)
+	q, err := serve.LoadQuality(out)
+	if err != nil || q == nil {
+		t.Fatalf("quality.json: %v, %v", q, err)
 	}
 	if q.FilesScanned == 0 {
 		t.Error("quality report scanned no files")
@@ -156,9 +156,9 @@ func TestIngestCommandPolicies(t *testing.T) {
 	if err := run(rawDir, acctPath, out); err != nil {
 		t.Fatalf("lenient run errored on corrupt file: %v", err)
 	}
-	q, err := ingest.LoadQuality(filepath.Join(out, "quality.json"))
-	if err != nil {
-		t.Fatal(err)
+	q, err := serve.LoadQuality(out)
+	if err != nil || q == nil {
+		t.Fatalf("quality.json: %v, %v", q, err)
 	}
 	if q.FilesQuarantined != 1 {
 		t.Errorf("quality = %+v, want 1 quarantined file", q)

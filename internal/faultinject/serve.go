@@ -29,8 +29,9 @@ const (
 	// in-memory snapshot while a reload crawls.
 	KindSlowRead Kind = "slow-read"
 	// KindReloadStorm rewrites the data directory rapidly and
-	// non-atomically, churning the fingerprint so the poll loop sees a
-	// "new batch" every tick and may catch files mid-write.
+	// non-atomically, moving the size and mtime of files the served
+	// generation read, so every poll sees them changed and a load may
+	// catch one mid-write.
 	KindReloadStorm Kind = "reload-storm"
 	// KindSlowClient is a client that reads its response a few bytes at
 	// a time or disconnects mid-body; the daemon's goroutines and
@@ -50,7 +51,7 @@ const (
 	KindStaleManifest Kind = "stale-manifest"
 	// KindBitRot flips bytes inside a committed shard file without
 	// changing its size — and with its mtime restored afterwards, so the
-	// poll fingerprint (size + mtime) is unchanged and no reload fires.
+	// stamp the poll compares (size + mtime) holds and no reload fires.
 	// Silent media corruption: only re-reading the bytes and checking
 	// them against the manifest hash (the scrubber) can catch it, after
 	// which the daemon must quarantine the day and serve degraded.
@@ -195,7 +196,7 @@ func (c *ServeChaos) TearShard() (string, float64, error) {
 
 // RotFile flips bytes in the named shard file (seeded positions, seeded
 // masks) without changing its size, then restores the file's mtime so
-// the directory fingerprint cannot see the damage. At least one byte is
+// the poll's size + mtime stamp cannot see the damage. At least one byte is
 // flipped, each xored with a non-zero mask, so the content — and its
 // CRC32, which detects all single-byte errors — always differs from the
 // known-good bytes.
@@ -233,7 +234,7 @@ func (c *ServeChaos) rotLocked(name string, flips int) error {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return err
 	}
-	// Put the mtime back: rot is silent, the fingerprint must not
+	// Put the mtime back: rot is silent, the poll's stamp must not
 	// notice. (Writing the same byte count keeps the size unchanged.)
 	if err := os.Chtimes(path, st.ModTime(), st.ModTime()); err != nil {
 		return err
@@ -257,7 +258,7 @@ func (c *ServeChaos) StaleManifest() (string, error) {
 }
 
 // Storm rewrites every known-good file non-atomically, rewrites times
-// over — fingerprint churn with windows where a reader can catch a
+// over — stamp churn with windows where a reader can catch a
 // file half-written, the shape of a legacy ingest rewriting in place.
 func (c *ServeChaos) Storm(rewrites int) error {
 	c.mu.Lock()

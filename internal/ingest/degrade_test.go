@@ -473,7 +473,12 @@ func TestIngestQualityRoundTrip(t *testing.T) {
 	if err := store.AtomicWriteFile(dir, "quality.json", func(f *os.File) error { return WriteQuality(f, q) }); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadQuality(filepath.Join(dir, "quality.json"))
+	f, err := os.Open(filepath.Join(dir, "quality.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := ReadQuality(f, f.Name())
 	if err != nil {
 		t.Fatal(err)
 	}

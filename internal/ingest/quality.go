@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // Policy selects how ingest reacts to faulty input.
@@ -109,15 +108,16 @@ func WriteQuality(w io.Writer, q *DataQuality) error {
 	return nil
 }
 
-// LoadQuality reads a report written by WriteQuality.
-func LoadQuality(path string) (*DataQuality, error) {
-	b, err := os.ReadFile(path)
+// ReadQuality reads a report written by WriteQuality from r; name (its
+// path) labels a parse error.
+func ReadQuality(r io.Reader, name string) (*DataQuality, error) {
+	b, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
 	var q DataQuality
 	if err := json.Unmarshal(b, &q); err != nil {
-		return nil, fmt.Errorf("ingest: parse quality report %s: %w", path, err)
+		return nil, fmt.Errorf("ingest: parse quality report %s: %w", name, err)
 	}
 	return &q, nil
 }

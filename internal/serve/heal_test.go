@@ -44,7 +44,7 @@ func withoutDay(full *store.Store, day int64) *store.Store {
 }
 
 // corruptFile flips one byte in the middle of a file in place (size
-// preserved, mtime updated — the damage a fingerprint CAN see).
+// preserved, mtime updated — the damage a witness CAN see).
 func corruptFile(t *testing.T, path string) {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -309,7 +309,7 @@ func TestHealMinCoverageFloor(t *testing.T) {
 }
 
 // TestHealScrubCatchesSilentRot: mtime-preserving bit rot is invisible
-// to the directory fingerprint; only the scrubber's byte re-read can
+// to the generation's witness; only the scrubber's byte re-read can
 // catch it. One poll tick must go rot -> quarantine -> repair -> fresh
 // full-coverage generation.
 func TestHealScrubCatchesSilentRot(t *testing.T) {
@@ -336,9 +336,9 @@ func TestHealScrubCatchesSilentRot(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The rot is silent: size and mtime are unchanged, so the poll's
-	// fingerprint check alone would find nothing to do.
-	if fp := DirFingerprint(dir); fp != srv.Snapshot().Fingerprint {
-		t.Fatal("bit rot changed the directory fingerprint; it must be silent")
+	// witness check alone would find nothing to do.
+	if !srv.Snapshot().witness.holds(dir) {
+		t.Fatal("bit rot moved a witnessed stamp; it must be silent")
 	}
 
 	reloaded, err := srv.MaybeReload()
@@ -509,27 +509,27 @@ func TestChaosSelfHeal(t *testing.T) {
 	}
 
 	// --- Phase 1: remove the monolithic backing so the coming rot is
-	// unrepairable. The fingerprint sees the removal; the reload stays
-	// full-coverage (every shard is still healthy).
+	// unrepairable. A healthy generation read no backing, so its witness
+	// does not name one and the poll finds nothing to do.
 	for _, backing := range []string{"jobs.supremm", "jobs.jsonl"} {
 		if err := os.Remove(filepath.Join(dir, backing)); err != nil {
 			fail("remove backing: %v", err)
 		}
 	}
-	if _, err := srv.MaybeReload(); err != nil {
-		fail("reload after backing removal: %v", err)
+	if reloaded, err := srv.MaybeReload(); err != nil || reloaded {
+		fail("poll after backing removal: reloaded=%v err=%v", reloaded, err)
 	}
 	if cov := srv.Snapshot().Coverage; cov.Degraded {
 		fail("coverage degraded before any shard damage: %+v", cov)
 	}
 
-	// --- Phase 2: silent rot on the victim shard. The fingerprint must
-	// not move; the scrub tick must quarantine and the same poll must
+	// --- Phase 2: silent rot on the victim shard. The witness must
+	// still hold; the scrub tick must quarantine and the same poll must
 	// publish a degraded generation.
 	if err := chaos.RotFile(victim, 3); err != nil {
 		fail("rot: %v", err)
 	}
-	if DirFingerprint(dir) != srv.Snapshot().Fingerprint {
+	if !srv.Snapshot().witness.holds(dir) {
 		fail("rot was not silent")
 	}
 	reloaded, err := srv.MaybeReload()

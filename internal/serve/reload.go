@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,7 +26,7 @@ import (
 type tripOutcome int
 
 const (
-	tripUnchanged tripOutcome = iota // poll: the served snapshot's fingerprint
+	tripUnchanged tripOutcome = iota // poll: the served snapshot's witness holds
 	tripSkipped                      // poll: breaker open, one cooldown tick burnt, nothing read
 	tripFailed                       // no snapshot came of it; the last-good one keeps serving
 	tripPublished                    // the next generation is served, at full coverage
@@ -56,7 +54,7 @@ type tripPhase int
 const (
 	phaseScrub        tripPhase = iota // the scrub step's pass of the cursor
 	phaseBackoff                       // waiting before a retried attempt
-	phaseFingerprint                   // stamping the directory: the poll's compare, an attempt's two stamps
+	phaseFingerprint                   // the poll's re-stat of the served snapshot's witness
 	phaseManifest                      // reading and decoding MANIFEST.supremm
 	phaseShards                        // reading the changed shards, adopting the rest, healing
 	phaseSeriesDecode                  // decoding series.jsonl
@@ -175,8 +173,8 @@ func (r *reloader) poll() trip {
 	defer r.mu.Unlock()
 	t := r.begin(false)
 	if r.selfHeal {
-		// Before the fingerprint: a shard this step moves aside changes
-		// it, so rot found now is healed by this same trip.
+		// Before the witness compare: a shard this step moves aside
+		// moves its stamp, so rot found now is healed by this same trip.
 		t.err = r.scrub(&t)
 		r.lap(&t, phaseScrub)
 	}
@@ -195,7 +193,7 @@ func (r *reloader) poll() trip {
 }
 
 // force is the start-up load, POST /api/v1/reload and Server.Reload: no
-// scrub step, no fingerprint compare, no breaker gate — whoever asks
+// scrub step, no witness compare, no breaker gate — whoever asks
 // wants the attempt and its error — but the same load and the same fold.
 func (r *reloader) force() trip {
 	r.mu.Lock()
@@ -230,10 +228,10 @@ func (r *reloader) lap(t *trip, p tripPhase) {
 	t.mark = now
 }
 
-// unchanged reports whether the directory still has the served
-// snapshot's fingerprint.
+// unchanged reports whether every file the served snapshot read still
+// carries the stamp it was read under.
 func (r *reloader) unchanged(t *trip) bool {
-	same := DirFingerprint(r.dir) == r.snap.Load().Fingerprint
+	same := r.snap.Load().witness.holds(r.dir)
 	r.lap(t, phaseFingerprint)
 	return same
 }
@@ -301,8 +299,8 @@ func (r *reloader) lastScrubbed(e store.ShardInfo) int64 {
 }
 
 // scrub is the scrub step: one budget-limited pass of the cursor over
-// the served generation's shards, re-reading bytes the fingerprint
-// cannot vouch for. Damage is moved aside; a shard ahead of its manifest
+// the served generation's shards, re-reading bytes the witness cannot
+// vouch for. Damage is moved aside; a shard ahead of its manifest
 // is only noted — the load step meets it again and fails on it.
 func (r *reloader) scrub(t *trip) error {
 	if r.scrubber == nil {
@@ -385,29 +383,18 @@ func (r *reloader) load(t *trip) {
 	t.outcome, t.err = tripFailed, fmt.Errorf("serve: load %s: %w", r.dir, t.err)
 }
 
-// attempt reads the directory once into the generation after prev:
-// stamp, read, quality, stamp again.
+// attempt reads the directory once into the generation after prev: the
+// manifest, its shards, the series, quality.json.
 func (r *reloader) attempt(t *trip, prev *Snapshot) (*Snapshot, error) {
-	fp, noted := DirFingerprint(r.dir), len(t.heals)
-	r.lap(t, phaseFingerprint)
 	snap, err := r.read(t, prev)
 	if err != nil {
 		return nil, err
 	}
-	snap.Quality, err = LoadQuality(r.dir)
+	snap.witness.take(r.dir, store.QualityFile)
+	snap.Quality, err = readQuality(r.dir, r.open)
 	r.lap(t, phaseQuality)
 	if err != nil {
 		return nil, err
-	}
-	snap.Fingerprint = DirFingerprint(r.dir)
-	r.lap(t, phaseFingerprint)
-	ours := slices.ContainsFunc(t.heals[noted:], func(h shardHeal) bool { return h.quarantined || h.repaired })
-	if snap.Fingerprint != fp && !ours {
-		// Someone else changed the directory mid-load; what was read may
-		// mix batches. When this attempt itself moved files the later
-		// stamp is adopted, so the next poll does not fire on our own
-		// renames; a racing writer's next file lands after it.
-		return nil, fmt.Errorf("serve: %s changed during load", r.dir)
 	}
 	snap.Gen = 1
 	if prev != nil {
@@ -428,17 +415,19 @@ func (r *reloader) attempt(t *trip, prev *Snapshot) (*Snapshot, error) {
 }
 
 // read loads the directory into an unpublished snapshot — manifest, the
-// shards it names, series.jsonl, the realm over them — leaving Gen,
-// Quality and Fingerprint to the attempt.
+// shards it names, series.jsonl, the realm over them, each stamped into
+// its witness first — leaving Gen and Quality to the attempt.
 func (r *reloader) read(t *trip, prev *Snapshot) (*Snapshot, error) {
+	snap := &Snapshot{witness: witness{}}
+	snap.witness.take(r.dir, store.ManifestFile)
 	entries, err := store.ReadManifest(r.dir, r.open)
 	r.lap(t, phaseManifest)
 	if err != nil {
 		return nil, err
 	}
 	t.manifestBytes = store.ManifestSize(len(entries))
-	snap := &Snapshot{manifest: entries}
-	snap.shards, err = r.shards(t, entries, prev)
+	snap.manifest = entries
+	snap.shards, err = r.shards(t, snap, prev)
 	r.lap(t, phaseShards)
 	if err != nil {
 		return nil, err
@@ -461,17 +450,22 @@ func (r *reloader) read(t *trip, prev *Snapshot) (*Snapshot, error) {
 // change (§14.2); days it could not serve are missing from the set.
 // Under the strict policy there are none: the first fault fails the
 // attempt. Under self-heal only a shard ahead of its manifest does.
-func (r *reloader) shards(t *trip, entries []store.ShardInfo, prev *Snapshot) (*store.ShardSet, error) {
+// Adopted shards are stamped afresh too: adoption trusts a file of the
+// manifest's size, and a same-size rewrite must fire one poll, not all.
+func (r *reloader) shards(t *trip, snap, prev *Snapshot) (*store.ShardSet, error) {
 	var adopt *store.ShardSet
 	if prev != nil {
 		adopt = prev.shards
 	}
-	set, faults := store.LoadShardsDegraded(r.dir, entries, adopt, r.open)
+	for _, e := range snap.manifest {
+		snap.witness.take(r.dir, store.ShardFileName(e.ID))
+	}
+	set, faults := store.LoadShardsDegraded(r.dir, snap.manifest, adopt, r.open)
 	if len(faults) > 0 {
 		if !r.selfHeal {
 			return nil, faults[0].Err
 		}
-		repaired, err := r.heal(t, faults)
+		repaired, err := r.heal(t, snap.witness, faults)
 		if err != nil {
 			return nil, err
 		}
@@ -479,7 +473,7 @@ func (r *reloader) shards(t *trip, entries []store.ShardInfo, prev *Snapshot) (*
 			// The second pass decodes the repaired days and adopts the
 			// rest from the first by pointer. What still faults is
 			// served as missing — unless a writer got in between.
-			set, faults = store.LoadShardsDegraded(r.dir, entries, set, r.open)
+			set, faults = store.LoadShardsDegraded(r.dir, snap.manifest, set, r.open)
 			for _, f := range faults {
 				if errors.Is(f.Err, store.ErrShardAhead) {
 					return nil, f.Err
@@ -501,24 +495,33 @@ func (r *reloader) shards(t *trip, entries []store.ShardInfo, prev *Snapshot) (*
 // the point of degraded serving — a custody record that cannot be
 // written is, and so is any failure after a rebuilt shard landed: the
 // record written before it is counted, then the attempt fails.
-func (r *reloader) heal(t *trip, faults []store.ShardFault) (repaired bool, err error) {
+// The backing is stamped into w, absent too, so a backing that comes
+// back fires the poll that repairs; so is each shard heal moves.
+func (r *reloader) heal(t *trip, w witness, faults []store.ShardFault) (repaired bool, err error) {
 	heals := t.note(faults)
 	for _, h := range heals {
 		if h.ahead {
 			return false, h.cause
 		}
 	}
+	w.take(r.dir, store.JobsColumnarFile)
+	w.take(r.dir, store.JobsFile)
 	backing, src, _ := store.LoadBackingStore(r.dir, r.open)
 	for i := range heals {
-		h := &heals[i]
+		h, name := &heals[i], store.ShardFileName(heals[i].info.ID)
 		if err := r.setAside(h); err != nil {
 			return repaired, err
+		}
+		if h.quarantined {
+			w[name] = fileStamp{} // moved aside
 		}
 		if backing == nil {
 			continue
 		}
-		h.repaired, err = store.RepairShard(r.dir, h.info, backing, src, r.now())
-		repaired = repaired || h.repaired
+		if h.repaired, err = store.RepairShard(r.dir, h.info, backing, src, r.now()); h.repaired {
+			repaired = true
+			w.take(r.dir, name)
+		}
 		if err != nil {
 			return repaired, err
 		}
@@ -529,20 +532,13 @@ func (r *reloader) heal(t *trip, faults []store.ShardFault) (repaired bool, err 
 // series reads series.jsonl through the open seam. Only a missing file
 // means "no series"; any other failure fails the attempt, so an
 // unreadable file cannot publish an empty time series. A file with the
-// stamp (size and mtime, the witness the poll trusts) the previous
-// generation decoded it under is not read again: its samples are
-// shared. The stamp is taken before the open: a file renamed in between
-// costs one more decode, never old samples kept under the new stamp.
-// The attempt's second fingerprint catches a racing rewrite. The stamp
-// read goes onto snap, the snapshot being built.
+// stamp the previous generation read it under is not read again: its
+// samples are shared. Stamped before the open, a file renamed in between
+// costs one more decode and poll, never old samples under a new stamp.
 func (r *reloader) series(t *trip, prev, snap *Snapshot) ([]store.SystemSample, error) {
-	path := filepath.Join(r.dir, store.SeriesFile)
-	t.seriesAdopted, t.seriesBytes = false, 0
-	if st, err := os.Stat(path); err == nil {
-		snap.seriesStamp = fmt.Sprint(st.Size(), st.ModTime().UnixNano())
-		t.seriesBytes = st.Size()
-	}
-	sf, err := r.open(path)
+	st := snap.witness.take(r.dir, store.SeriesFile)
+	t.seriesAdopted, t.seriesBytes = false, st.size
+	sf, err := r.open(filepath.Join(r.dir, store.SeriesFile))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
@@ -551,7 +547,7 @@ func (r *reloader) series(t *trip, prev, snap *Snapshot) ([]store.SystemSample, 
 		return nil, err
 	}
 	defer sf.Close()
-	if prev != nil && len(prev.Realm.Series) > 0 && snap.seriesStamp != "" && snap.seriesStamp == prev.seriesStamp {
+	if prev != nil && len(prev.Realm.Series) > 0 && st.present && st == prev.witness[store.SeriesFile] {
 		t.seriesAdopted = true
 		r.lap(t, phaseSeriesAdopt)
 		return prev.Realm.Series, nil

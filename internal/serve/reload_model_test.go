@@ -36,8 +36,9 @@ import (
 // written from the table, not from the code); and world, which knows
 // what the schedule did to the directory and so what every step of a
 // trip must find there. After every step the daemon has to agree with
-// both, and its answers with a naive per-row loop over exactly the rows
-// it claims to serve.
+// both — its answers with a naive per-row loop over exactly the rows it
+// claims to serve, /debug/reloads and /debug/shards with the trips and
+// days the world predicts.
 //
 // The row names below are the table's; a row no seed reaches fails the
 // test.
@@ -338,14 +339,28 @@ type world struct {
 	transient    int              // manifest opens that will fail
 	armed        atomic.Int64     // the same, as the open seam sees it
 
-	// stamp is the fingerprint as the world keeps it: per fingerprinted
-	// file, the number of the write that last landed it (absent: no
-	// entry). Silent rot, by definition, does not move it.
+	// stamp is, per file, the number of the write that last landed it
+	// (absent: no entry). Silent rot, by definition, does not move it.
+	// servedStamp is the served snapshot's witness: stamp, when it was
+	// loaded, of every file that load read (absent: 0).
 	stamp       map[string]int64
-	servedStamp map[string]int64 // stamp, when the served snapshot was loaded
-	served      batch            // what the daemon serves
-	servedFrom  batch            // the manifest that snapshot was loaded from
+	servedStamp map[string]int64
+	served      batch // what the daemon serves
+	servedFrom  batch // the manifest that snapshot was loaded from
 	bodies      [][]byte
+
+	// What /debug/shards and /debug/reloads must show: the generation
+	// that first served each served day's shard, the trip whose scrub
+	// step last re-read each manifest entry (pruned to the served ones
+	// when the first scrub after a publish builds its cursor), trips
+	// begun, and the ring of recorded trips.
+	gen        uint64
+	since      map[int64]uint64
+	lastScrub  map[store.ShardInfo]int64
+	scrubStale bool
+	seq        int64
+	trips      []tripDTO
+	seriesSize int64
 
 	tick     int64                  // logical mtime clock of the schedule's own writes
 	listing  map[string]os.FileInfo // as of the end of the last step
@@ -357,10 +372,20 @@ type world struct {
 func (w *world) path(name string) string { return filepath.Join(w.dir, name) }
 
 // touch records that name was (re)written, gone that it was renamed or
-// removed; dirty is the poll's "changed?".
+// removed.
 func (w *world) touch(name string) { w.tick++; w.stamp[name] = w.tick }
 func (w *world) gone(name string)  { delete(w.stamp, name) }
-func (w *world) dirty() bool       { return !reflect.DeepEqual(w.stamp, w.servedStamp) }
+
+// dirty is the poll's "changed?": a file the served snapshot read has
+// moved since.
+func (w *world) dirty() bool {
+	for name, at := range w.servedStamp {
+		if w.stamp[name] != at {
+			return true
+		}
+	}
+	return false
+}
 
 // write lands data under name the way the writers do, minus the fsyncs.
 func (w *world) write(name string, data []byte) {
@@ -394,7 +419,7 @@ func (w *world) list() map[string]os.FileInfo {
 
 // settle ends a step of the schedule: every file the step wrote gets the
 // next tick of a logical clock as its mtime, so no two writes of the
-// schedule can share a fingerprint stamp however coarse the filesystem's
+// schedule can share a stamp however coarse the filesystem's
 // own clock is. Files the daemon wrote keep their stamps (it has adopted
 // them), and rot has put its victim's stamp back already.
 func (w *world) settle(bless bool) {
@@ -508,7 +533,10 @@ func (w *world) mutate() string {
 			w.land(w.grow(true, w.rng.Intn(2) == 0))
 			return "append late rows into an old day"
 		case 2:
-			if w.pend == nil {
+			if w.pend == nil && w.rng.Intn(3) == 0 {
+				w.landAllButManifest(w.grow(false, true))
+				return "append a new day, stopped before the manifest"
+			} else if w.pend == nil {
 				w.landAllButManifest(w.grow(true, w.rng.Intn(2) == 0))
 				return "append late rows, stopped before the manifest"
 			}
@@ -616,45 +644,69 @@ func (w *world) wantScrub() (heals []healWant) {
 	return heals
 }
 
+// loadWant is what one load attempt must find, do and end as.
+type loadWant struct {
+	heals []healWant
+	// The manifest decoded, and how many entries it has; the shards
+	// adopted and decoded with their bytes, as the last shard pass
+	// counts them, when the shard step succeeded.
+	manifest, shardsOK         bool
+	entries                    int
+	adopted, decoded           int
+	adoptedBytes, decodedBytes int64
+	ok, degraded               bool
+}
+
+func entrySize(d int64, n int) int64 {
+	_, e := shardBytes(d, n)
+	return e.Size
+}
+
 // wantLoad is what one load attempt must find, do and end as.
-func (w *world) wantLoad() (heals []healWant, adopted, decoded int, ok, degraded bool) {
+func (w *world) wantLoad() (l loadWant) {
 	if w.transient > 0 {
 		w.transient--
-		return nil, 0, 0, false, false
+		return l
 	}
 	if w.tornManifest != nil {
-		return nil, 0, 0, false, false
+		return l
 	}
+	l.manifest, l.entries = true, len(w.cur)
 	var faulty []int64
 	anyAhead := false
+	kept := map[int64]bool{} // served days whose shard is adopted from the served snapshot
 	for _, d := range w.cur.days() {
 		f, n := w.file[d], w.cur[d]
 		switch {
 		case w.served[d] == n && f.n == n && (f.bad == nil || f.rot):
-			adopted++ // entry and on-disk size unchanged: shared, not read
+			// entry and on-disk size unchanged: shared, not read
+			l.adopted, l.adoptedBytes, kept[d] = l.adopted+1, l.adoptedBytes+entrySize(d, n), true
 		case f.n == n && f.bad == nil:
-			decoded++
+			l.decoded, l.decodedBytes = l.decoded+1, l.decodedBytes+entrySize(d, n)
 		default:
 			ahead := f.n > 0 && f.bad == nil
 			anyAhead = anyAhead || ahead
 			faulty = append(faulty, d)
-			heals = append(heals, healWant{day: d, ahead: ahead})
+			l.heals = append(l.heals, healWant{day: d, ahead: ahead})
 		}
 	}
 	if len(faulty) == 0 {
-		w.publish(nil)
-		return nil, adopted, decoded, true, false
+		w.publish(nil, kept, false)
+		l.shardsOK, l.ok = true, true
+		return l
 	}
 	if !w.selfHeal {
 		w.cov.hit("S8 any fault · strict policy")
-		return nil, 0, 0, false, false
+		l.heals = nil
+		return l
 	}
 	if anyAhead {
 		w.cov.hit("S7 ahead of the manifest · load step")
-		return heals, 0, 0, false, false
+		return l
 	}
+	heals := l.heals
 	var missing []int64
-	repaired := 0
+	repaired, repairedBytes := 0, int64(0)
 	for i, d := range faulty {
 		f := w.file[d]
 		if _, aside := w.aside[d]; !aside {
@@ -668,7 +720,7 @@ func (w *world) wantLoad() (heals []healWant, adopted, decoded int, ok, degraded
 		if w.backing && w.backed[d] == w.cur[d] {
 			w.cov.hit("S4 aside · repair verifies")
 			heals[i].repaired = true
-			repaired++
+			repaired, repairedBytes = repaired+1, repairedBytes+entrySize(d, w.cur[d])
 			delete(w.aside, d)
 			w.file[d] = shardFile{n: w.cur[d]}
 			w.touch(store.ShardFileName(d))
@@ -678,20 +730,43 @@ func (w *world) wantLoad() (heals []healWant, adopted, decoded int, ok, degraded
 		}
 	}
 	if repaired > 0 { // the second pass adopts the first's healthy shards
-		adopted, decoded = adopted+decoded, repaired
+		l.adopted, l.decoded = l.adopted+l.decoded, repaired
+		l.adoptedBytes, l.decodedBytes = l.adoptedBytes+l.decodedBytes, repairedBytes
 	}
-	w.publish(missing)
-	return heals, adopted, decoded, true, len(missing) > 0
+	w.publish(missing, kept, true)
+	l.shardsOK, l.ok, l.degraded = true, true, len(missing) > 0
+	return l
 }
 
-func (w *world) publish(missing []int64) {
+// publish records the next generation: loaded from the manifest on
+// disk, serving all of its days but missing, its shards of the kept
+// days adopted from the served snapshot. Its witness is the manifest,
+// every shard the manifest names, series.jsonl, quality.json and — when
+// the load healed, and so read the repair backing — both backings.
+func (w *world) publish(missing []int64, kept map[int64]bool, healed bool) {
+	w.gen++
 	w.servedFrom, w.served = w.cur, w.cur.clone()
 	for _, d := range missing {
 		delete(w.served, d)
 	}
-	w.bodies, w.servedStamp = nil, make(map[string]int64, len(w.stamp))
-	for name, at := range w.stamp {
-		w.servedStamp[name] = at
+	since := make(map[int64]uint64, len(w.served))
+	for d := range w.served {
+		since[d] = w.gen
+		if kept[d] {
+			since[d] = w.since[d]
+		}
+	}
+	w.since, w.scrubStale = since, true
+	witnessed := []string{store.ManifestFile, store.SeriesFile, store.QualityFile}
+	for _, d := range w.cur.days() {
+		witnessed = append(witnessed, store.ShardFileName(d))
+	}
+	if healed {
+		witnessed = append(witnessed, store.JobsColumnarFile, store.JobsFile)
+	}
+	w.bodies, w.servedStamp = nil, make(map[string]int64, len(witnessed))
+	for _, name := range witnessed {
+		w.servedStamp[name] = w.stamp[name]
 	}
 }
 
@@ -787,6 +862,7 @@ func runReloadModel(t *testing.T, seed int64, steps int, cov *rowCoverage) {
 		t.Fatal(err)
 	}
 	w.write("series.jsonl", series.Bytes())
+	w.seriesSize = int64(series.Len())
 	w.land(batch{0: 4, 1: 3, 2: 5})
 	w.settle(true)
 
@@ -798,7 +874,8 @@ func runReloadModel(t *testing.T, seed int64, steps int, cov *rowCoverage) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.publish(nil)
+	w.seq++ // New's forced trip: nothing served yet, so every shard is decoded
+	w.recordTrip(true, tripPublished, nil, w.wantLoad(), true, 0)
 	w.settle(false)
 
 	// sum is the trip records added up: what /metrics must read.
@@ -813,17 +890,22 @@ func runReloadModel(t *testing.T, seed int64, steps int, cov *rowCoverage) {
 			forced := w.rng.Intn(4) == 0
 			what = map[bool]string{false: "poll", true: "forced reload"}[forced]
 			var heals []healWant
+			var scrubBytes int64
+			w.seq++
 			if !forced && w.selfHeal {
-				heals = w.wantScrub()
+				heals, scrubBytes = w.wantScrub(), w.scrubbed()
 			}
 			scrubbed := int64(len(w.served))
-			var adopted, decoded int
+			var l loadWant
+			loaded := false
 			want, row := m.trip(forced, w.dirty(), func() (ok, degraded bool) {
-				var loadHeals []healWant
-				loadHeals, adopted, decoded, ok, degraded = w.wantLoad()
-				heals = append(heals, loadHeals...)
-				return ok, degraded
+				l, loaded = w.wantLoad(), true
+				heals = append(heals, l.heals...)
+				return l.ok, l.degraded
 			})
+			if loaded || want == tripFailed || len(heals) > 0 {
+				w.recordTrip(forced, want, heals, l, loaded, scrubBytes)
+			}
 			cov.hit(row)
 			what += " (" + row + ")"
 
@@ -869,9 +951,9 @@ func runReloadModel(t *testing.T, seed int64, steps int, cov *rowCoverage) {
 			switch {
 			case published:
 				sum.Reloads++
-				if tr.shards.Reused != adopted || tr.shards.Loaded != decoded || !tr.seriesAdopted {
+				if tr.shards.Reused != l.adopted || tr.shards.Loaded != l.decoded || !tr.seriesAdopted {
 					t.Errorf("seed %d step %d, %s: %d shards adopted, %d decoded, series adopted %v; want %d, %d, true",
-						seed, step, what, tr.shards.Reused, tr.shards.Loaded, tr.seriesAdopted, adopted, decoded)
+						seed, step, what, tr.shards.Reused, tr.shards.Loaded, tr.seriesAdopted, l.adopted, l.decoded)
 				}
 			case want == tripFailed:
 				sum.ReloadErrors++
@@ -907,7 +989,7 @@ func runReloadModel(t *testing.T, seed int64, steps int, cov *rowCoverage) {
 			RowsServed: rowsServed, RowsTotal: rowsTotal, Ratio: float64(rowsServed) / float64(rowsTotal),
 			Degraded: len(missing) > 0, MissingShards: len(missing), MissingDays: collapseDays(missing),
 		}
-		if !coverageEqual(snap.Coverage, wantCov) || snap.Gen != m.gen {
+		if !coverageEqual(snap.Coverage, wantCov) || snap.Gen != m.gen || w.gen != m.gen {
 			t.Fatalf("seed %d step %d, %s: generation %d coverage %+v, want generation %d coverage %+v",
 				seed, step, what, snap.Gen, snap.Coverage, m.gen, wantCov)
 		}
@@ -941,7 +1023,154 @@ func runReloadModel(t *testing.T, seed int64, steps int, cov *rowCoverage) {
 			t.Fatalf("seed %d step %d, %s: /metrics counts %d quarantines and %d repairs, the custody log %d and %d",
 				seed, step, what, met.Quarantines, met.Repairs, logQ, logR)
 		}
+
+		// The debug endpoints: the recorded trips and the served days, as
+		// the world predicts them.
+		var reloads struct{ Trips []tripDTO }
+		if err := json.Unmarshal(getRec(srv, "/debug/reloads").Body.Bytes(), &reloads); err != nil {
+			t.Fatal(err)
+		}
+		for i := range reloads.Trips {
+			if reloads.Trips[i].Error != "" {
+				reloads.Trips[i].Error = "failed" // the fault's own text is not modelled
+			}
+		}
+		if !reflect.DeepEqual(reloads.Trips, w.trips) {
+			t.Fatalf("seed %d step %d, %s: /debug/reloads\n%+v\nthe world says\n%+v", seed, step, what, reloads.Trips, w.trips)
+		}
+		var shards struct {
+			Generation uint64
+			Shards     []shardDTO
+		}
+		if err := json.Unmarshal(getRec(srv, "/debug/shards").Body.Bytes(), &shards); err != nil {
+			t.Fatal(err)
+		}
+		wantShards := w.wantShards()
+		for i := range wantShards {
+			// What a served shard remembers is the kernels' business, not
+			// the world's; a day not served remembers nothing.
+			if i < len(shards.Shards) && wantShards[i].State == "served" {
+				wantShards[i].MemoSlots = shards.Shards[i].MemoSlots
+			}
+		}
+		if shards.Generation != w.gen || !reflect.DeepEqual(shards.Shards, wantShards) {
+			t.Fatalf("seed %d step %d, %s: /debug/shards generation %d\n%+v\nthe world says generation %d\n%+v",
+				seed, step, what, shards.Generation, shards.Shards, w.gen, wantShards)
+		}
 	}
+}
+
+// scrubbed is the scrub step as /debug/shards sees it: the first scrub
+// after a publish builds its cursor over the served shards, forgetting
+// every other entry, and each step re-reads every served shard. It
+// returns the bytes the step read.
+func (w *world) scrubbed() (read int64) {
+	if w.scrubStale {
+		kept := map[store.ShardInfo]int64{}
+		for d, n := range w.served {
+			_, e := shardBytes(d, n)
+			if seq, ok := w.lastScrub[e]; ok {
+				kept[e] = seq
+			}
+		}
+		w.lastScrub, w.scrubStale = kept, false
+	}
+	for d, n := range w.served {
+		_, e := shardBytes(d, n)
+		w.lastScrub[e] = w.seq
+		read += e.Size
+	}
+	return read
+}
+
+// recordTrip appends the /debug/reloads row of trip w.seq: its outcome,
+// the generation served after it, the shards it healed, and each phase
+// it reached with the bytes read there (no clock: every time is 0).
+func (w *world) recordTrip(forced bool, outcome tripOutcome, heals []healWant, l loadWant, loaded bool, scrubBytes int64) {
+	d := tripDTO{Seq: w.seq, Kind: "poll", Outcome: outcome.String(), Generation: w.gen, Phases: []phaseDTO{}}
+	phase := func(name string, bytes int64) { d.Phases = append(d.Phases, phaseDTO{Phase: name, Bytes: bytes}) }
+	if forced {
+		d.Kind = "forced"
+	}
+	if outcome == tripFailed {
+		d.Error = "failed"
+	}
+	for _, h := range heals {
+		if h.quarantined {
+			d.Quarantined++
+		}
+		if h.repaired {
+			d.Repaired++
+		}
+	}
+	if !forced && w.selfHeal {
+		phase("scrub", scrubBytes)
+	}
+	if !forced {
+		phase("fingerprint", 0)
+	}
+	if loaded {
+		d.Attempts = 1
+		if !l.manifest {
+			phase("manifest", 0)
+		} else {
+			phase("manifest", store.ManifestSize(l.entries))
+			if !l.shardsOK {
+				phase("shards", 0)
+			} else {
+				d.ShardsRead, d.ShardBytesRead = l.decoded, l.decodedBytes
+				d.ShardsAdopted, d.ShardBytesAdopted = l.adopted, l.adoptedBytes
+				phase("shards", l.decodedBytes)
+			}
+		}
+	}
+	if l.ok {
+		series := "series_adopt" // series.jsonl never changes after the first load
+		if w.gen == 1 {
+			series = "series_decode"
+		}
+		phase(series, w.seriesSize)
+		phase("realm", 0)
+		phase("quality", 0)
+		phase("swap", 0)
+	}
+	w.trips = append(w.trips, d)
+	if len(w.trips) > tripRing {
+		w.trips = w.trips[1:]
+	}
+}
+
+// wantShards is what /debug/shards must list: one row per day of the
+// manifest the served snapshot was loaded from, and one per well-formed
+// shard file of a day that manifest does not name (ahead), in day order.
+func (w *world) wantShards() []shardDTO {
+	var days []int64
+	for d, f := range w.file {
+		if _, listed := w.servedFrom[d]; !listed && f.n > 0 && f.bad == nil {
+			days = append(days, d)
+		}
+	}
+	days = append(days, w.servedFrom.days()...)
+	sort.Slice(days, func(i, j int) bool { return days[i] < days[j] })
+	rows := []shardDTO{}
+	for _, d := range days {
+		n, listed := w.servedFrom[d]
+		state := "ahead"
+		switch _, aside := w.aside[d]; {
+		case !listed:
+			n = w.file[d].n
+		case w.served[d] > 0:
+			state = "served"
+		case aside:
+			state = "quarantined"
+		default:
+			state = "missing"
+		}
+		_, e := shardBytes(d, n)
+		rows = append(rows, shardDTO{Day: d, Date: dayDate(d), State: state, Rows: n, Bytes: e.Size,
+			CRC: fmt.Sprintf("%08x", e.Hash), Since: w.since[d], LastScrubTrip: w.lastScrub[e]})
+	}
+	return rows
 }
 
 // TestReloadModelRacing is the same directory under real concurrency —

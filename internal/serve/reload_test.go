@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"supremm/internal/ingest"
 	"supremm/internal/store"
 )
 
@@ -446,11 +448,9 @@ func TestDebugReloadsPhases(t *testing.T) {
 
 // TestSeriesStampTakenBeforeOpen: a generation's series stamp is the
 // file's as it stood before the open, so a writer that lands a new
-// series.jsonl between the open and the stamp cannot pin the old
-// samples under the new file's stamp. The race is only served when the
-// attempt healed a shard (its own renames excuse a changed
-// fingerprint); the next forced reload must then decode the new file,
-// not adopt the stale samples again.
+// series.jsonl after the open cannot pin the old samples under the new
+// file's stamp. The healing generation serves the samples it opened,
+// and the next poll finds the stamp moved and serves the new file.
 func TestSeriesStampTakenBeforeOpen(t *testing.T) {
 	dir := t.TempDir()
 	writeDataDir(t, dir, dayStore(6, 40), fixtureSeries(40), healQuality)
@@ -487,11 +487,170 @@ func TestSeriesStampTakenBeforeOpen(t *testing.T) {
 	if n := len(srv.Snapshot().Realm.Series); n != 40 {
 		t.Fatalf("gen %d serves %d samples, want the 40 it opened", srv.Snapshot().Gen, n)
 	}
-	snap, err := srv.Reload()
+	if reloaded, err := srv.MaybeReload(); err != nil || !reloaded {
+		t.Fatalf("poll after the race: reloaded=%v err=%v", reloaded, err)
+	}
+	if snap := srv.Snapshot(); len(snap.Realm.Series) != 25 {
+		t.Errorf("gen %d serves %d samples, want the file's 25", snap.Gen, len(snap.Realm.Series))
+	}
+}
+
+// TestWitnessTakenBeforeOpen: every file a generation reads is stamped
+// before its open, so a writer that replaces it after the open is seen
+// by the next poll, whatever the file and even when the attempt healed
+// (moved files of its own). In each case a healing poll — one shard torn
+// under a batch that adds a day, found by the load step, not the scrub
+// step — opens the target; the writer lands the target's newest bytes
+// right after that open. The poll serves what it opened; one more poll,
+// with no forced reload, must reload and serve what a cold load of the
+// directory serves.
+func TestWitnessTakenBeforeOpen(t *testing.T) {
+	land := func(t *testing.T, dir, name string, fn func(*os.File) error) {
+		t.Helper()
+		if err := store.AtomicWriteFile(dir, name, fn); err != nil {
+			t.Error(err)
+			return
+		}
+		// A later mtime than any earlier write, however coarse the clock.
+		later := time.Now().Add(time.Hour)
+		if err := os.Chtimes(filepath.Join(dir, name), later, later); err != nil {
+			t.Error(err)
+		}
+	}
+	grown := dayStore(7, 40) // the batch the poll loads: day 6 is decoded, the rest adopted
+	cases := []struct {
+		name   string
+		target string
+		before func(t *testing.T, dir string) // after the batch lands, before the poll
+		writer func(t *testing.T, dir string)
+	}{
+		{"manifest", store.ManifestFile, nil, func(t *testing.T, dir string) {
+			entries, err := store.ReadManifest(dir, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			land(t, dir, store.ManifestFile, func(f *os.File) error {
+				_, err := f.Write(store.EncodeManifest(entries[:len(entries)-1]))
+				return err
+			})
+		}},
+		{"decoded shard", store.ShardFileName(6), nil, func(t *testing.T, dir string) {
+			data, err := os.ReadFile(filepath.Join(dir, store.ShardFileName(6)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			land(t, dir, store.ShardFileName(6), func(f *os.File) error { _, err := f.Write(data); return err })
+		}},
+		{"series", store.SeriesFile, nil, func(t *testing.T, dir string) {
+			land(t, dir, store.SeriesFile, func(f *os.File) error { return store.SaveSeries(f, fixtureSeries(25)) })
+		}},
+		{"quality", store.QualityFile, nil, func(t *testing.T, dir string) {
+			land(t, dir, store.QualityFile, func(f *os.File) error {
+				return ingest.WriteQuality(f, &ingest.DataQuality{FilesScanned: 12})
+			})
+		}},
+		{"backing", store.JobsColumnarFile, func(t *testing.T, dir string) {
+			// A backing of another batch: it cannot rebuild the torn day.
+			land(t, dir, store.JobsColumnarFile, func(f *os.File) error { return dayStore(7, 41).SaveBinary(f) })
+		}, func(t *testing.T, dir string) {
+			land(t, dir, store.JobsColumnarFile, func(f *os.File) error { return grown.SaveBinary(f) })
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			writeDataDir(t, dir, dayStore(6, 40), fixtureSeries(40), healQuality)
+			var race atomic.Bool
+			// The scrub step re-reads one shard a poll, day 0's first.
+			srv, err := New(Config{DataDir: dir, SelfHeal: true, ScrubBudgetBytes: 1, Open: func(path string) (io.ReadCloser, error) {
+				f, err := osOpen(path)
+				if err == nil && filepath.Base(path) == tc.target && race.CompareAndSwap(true, false) {
+					tc.writer(t, dir)
+				}
+				return f, err
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeDataDir(t, dir, grown, fixtureSeries(40), healQuality)
+			if tc.before != nil {
+				tc.before(t, dir)
+			}
+			shard := filepath.Join(dir, store.ShardFileName(2))
+			st, err := os.Stat(shard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(shard, st.Size()/2); err != nil {
+				t.Fatal(err)
+			}
+			race.Store(true)
+			if reloaded, err := srv.MaybeReload(); err != nil || !reloaded {
+				t.Fatalf("healing poll: reloaded=%v err=%v", reloaded, err)
+			}
+			if race.Load() {
+				t.Fatalf("the healing poll did not open %s", tc.target)
+			}
+			if metQ, _, _, _ := healCounts(t, srv, dir); metQ != 1 {
+				t.Fatalf("the poll quarantined %d shards, want the torn one", metQ)
+			}
+			if reloaded, err := srv.MaybeReload(); err != nil || !reloaded {
+				t.Fatalf("poll after the writer: reloaded=%v err=%v, want a reload", reloaded, err)
+			}
+			cold, err := New(Config{DataDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := func(srv *Server) string {
+				snap := srv.Snapshot()
+				_, agg := get(t, srv, "/api/v1/aggregate?metric=cpu_idle")
+				return fmt.Sprintf("%d shards, %d samples, quality %+v, coverage %+v\n%s",
+					snap.Shards, len(snap.Realm.Series), *snap.Quality, snap.Coverage, agg)
+			}
+			if got, want := served(srv), served(cold); got != want {
+				t.Errorf("after one more poll the daemon serves\n%s\na cold load serves\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestAdoptedShardStampedAfresh: a shard adopted from the previous
+// generation is stamped anew, not left with the stamp it was first read
+// under. Adoption trusts a file of the manifest's size, so under the
+// strict policy (no scrub step) a same-size rewrite of a day the
+// manifest still names is adopted: it must fire exactly one reload, and
+// the poll after that must find nothing changed.
+func TestAdoptedShardStampedAfresh(t *testing.T) {
+	dir := t.TempDir()
+	writeDataDir(t, dir, dayStore(4, 40), fixtureSeries(10), nil)
+	srv, err := New(Config{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(snap.Realm.Series); n != 25 {
-		t.Errorf("gen %d serves %d samples, want the file's 25", snap.Gen, n)
+	name := store.ShardFileName(1)
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := store.AtomicWriteFile(dir, name, func(f *os.File) error { _, err := f.Write(data); return err }); err != nil {
+		t.Fatal(err)
+	}
+	later := time.Now().Add(time.Hour)
+	if err := os.Chtimes(filepath.Join(dir, name), later, later); err != nil {
+		t.Fatal(err)
+	}
+	if reloaded, err := srv.MaybeReload(); err != nil || !reloaded {
+		t.Fatalf("poll after the rewrite: reloaded=%v err=%v, want one reload", reloaded, err)
+	}
+	if snap := srv.Snapshot(); snap.Gen != 2 || snap.ShardsReused != 4 {
+		t.Fatalf("generation %d adopted %d shards, want generation 2 adopting all 4", snap.Gen, snap.ShardsReused)
+	}
+	for i := 0; i < 3; i++ {
+		if reloaded, err := srv.MaybeReload(); err != nil || reloaded {
+			t.Fatalf("poll %d after the reload: reloaded=%v err=%v, want unchanged", i+1, reloaded, err)
+		}
 	}
 }

@@ -82,7 +82,7 @@ type Config struct {
 	// strict policy: the load fails. On, a damaged shard is moved aside,
 	// rebuilt from the repair backing if that reproduces the manifest's
 	// exact bytes and served as missing (with coverage accounting) if
-	// not, and every poll scrubs for rot the fingerprint cannot see.
+	// not, and every poll scrubs for rot the witness cannot see.
 	// Under either policy a well-formed shard of its day that the
 	// manifest does not describe is a write in progress, never damage:
 	// the load fails and nothing is moved.
@@ -202,12 +202,12 @@ func (s *Server) Reload() (*Snapshot, error) {
 
 // MaybeReload is the poll step cmd/supremmd drives on a ticker
 // (fsnotify-free hot reload): under self-heal one scrub step, then a
-// reload only if the data directory's fingerprint differs from the
-// served snapshot's. While the breaker is open the load is skipped (no
-// load, no error) until a probe is due; the last-good snapshot serves
-// throughout. The step runs under the mutex a forced Reload takes:
-// pollers that all saw one change queue behind the first, then find
-// the fingerprint current — one generation per directory change.
+// reload only if a file the served snapshot read has moved since. While
+// the breaker is open the load is skipped (no load, no error) until a
+// probe is due; the last-good snapshot serves throughout. The step runs
+// under the mutex a forced Reload takes: pollers that all saw one change
+// queue behind the first, then find its witness current — one
+// generation per directory change.
 func (s *Server) MaybeReload() (bool, error) {
 	t := s.dir.poll()
 	return t.snap != nil, t.err

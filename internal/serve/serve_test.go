@@ -301,7 +301,7 @@ func TestMaybeReloadPolling(t *testing.T) {
 		t.Fatal("MaybeReload reloaded with an unchanged directory")
 	}
 	// Rewrite with different content; ensure the mtime-or-size
-	// fingerprint moves even on coarse-mtime filesystems.
+	// stamps move even on coarse-mtime filesystems.
 	writeDataDir(t, dir, fixtureStore(60), fixtureSeries(5), nil)
 	fixed := time.Unix(1700000000, 0)
 	if err := os.Chtimes(filepath.Join(dir, "jobs.jsonl"), fixed, fixed); err != nil {

@@ -6,8 +6,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"supremm/internal/cluster"
 	"supremm/internal/core"
@@ -21,17 +19,16 @@ func osOpen(path string) (io.ReadCloser, error) { return os.Open(path) }
 
 // Snapshot is one immutable, fully loaded view of a data directory:
 // the shard set wrapped in a realm, the ingest quality report, and
-// the fingerprint of the files it came from. The daemon swaps whole
+// the witness of the files it came from. The daemon swaps whole
 // snapshots atomically, so a query either sees the old store or the new
 // one — never a torn mixture. Only the reload sequence (reload.go)
 // makes and publishes them.
 type Snapshot struct {
 	// Gen numbers the published snapshots 1, 2, 3, ...: a load that
 	// fails uses no number up.
-	Gen         uint64
-	Realm       *core.Realm
-	Quality     *ingest.DataQuality
-	Fingerprint string
+	Gen     uint64
+	Realm   *core.Realm
+	Quality *ingest.DataQuality
 	// Shards and ShardsReused describe the load: how many shard files
 	// back the realm and how many were adopted pointer-wise from the
 	// previous generation instead of decoded.
@@ -49,49 +46,47 @@ type Snapshot struct {
 	// first served that shard (/debug/shards).
 	manifest []store.ShardInfo
 	since    map[*store.Shard]uint64
-	// seriesStamp is series.jsonl's size and mtime when Realm.Series was
-	// decoded; the next load adopts the samples while the file still
-	// carries it.
-	seriesStamp string
+	// witness is every file the load read, stamped before its open: what
+	// the poll compares and what the next load adopts series.jsonl by.
+	witness witness
 	// cache holds the responses rendered from this snapshot, and only
 	// those: what a request finds here was computed on these rows.
 	cache *responseCache
 }
 
-// snapshotFiles are the fixed-name data-directory members whose change
-// forces a reload, in fingerprint order: the manifest every load starts
-// from, the monolithic files shard repair rebuilds from (a backing that
-// comes back must trigger the reload that repairs), the series and the
-// quality report.
-var snapshotFiles = []string{store.ManifestFile, store.JobsColumnarFile, store.JobsFile, store.SeriesFile, store.QualityFile}
+// witness is what a generation read: per file name, its size and mtime
+// (or absence, the zero stamp) stat'ed just before its open (DESIGN.md
+// §13.2). The daemon polls it instead of watching the filesystem:
+// writers replace whole files, so a moved stamp is a file landed since.
+type witness map[string]fileStamp
 
-// DirFingerprint summarizes the load-relevant files of a data directory
-// (size + mtime per file, plus every shard file the directory holds).
-// The daemon polls this instead of watching the filesystem: cmd/ingest
-// rewrites whole files, so a changed fingerprint is exactly "a new
-// batch landed" — including a new day's shard appearing or an existing
-// day's shard being rewritten.
-func DirFingerprint(dir string) string {
-	var fp strings.Builder
-	stamp := func(path string) {
-		fp.WriteString(filepath.Base(path))
-		fp.WriteByte(':')
-		if st, err := os.Stat(path); err == nil {
-			fp.WriteString(strconv.FormatInt(st.Size(), 10))
-			fp.WriteByte(',')
-			fp.WriteString(strconv.FormatInt(st.ModTime().UnixNano(), 10))
-		} else {
-			fp.WriteString("absent")
+type fileStamp struct {
+	present     bool
+	size, mtime int64
+}
+
+// take stamps dir's file name into w and returns the stamp.
+func (w witness) take(dir, name string) fileStamp {
+	w[name] = stampOf(dir, name)
+	return w[name]
+}
+
+// holds reports whether every file w stamped still carries its stamp.
+func (w witness) holds(dir string) bool {
+	for name, s := range w {
+		if stampOf(dir, name) != s {
+			return false
 		}
-		fp.WriteByte(';')
 	}
-	for _, name := range snapshotFiles {
-		stamp(filepath.Join(dir, name))
+	return true
+}
+
+func stampOf(dir, name string) fileStamp {
+	st, err := os.Stat(filepath.Join(dir, name))
+	if err != nil {
+		return fileStamp{}
 	}
-	for _, p := range store.ShardFiles(dir) {
-		stamp(p)
-	}
-	return fp.String()
+	return fileStamp{true, st.Size(), st.ModTime().UnixNano()}
 }
 
 // LoadRealm loads the job store (+ optional series.jsonl) from a data
@@ -139,10 +134,18 @@ func newRealm(st *store.ShardSet, series []store.SystemSample) *core.Realm {
 // LoadQuality reads the directory's ingest quality report; a missing
 // file is not an error (a simulated batch has none, and cmd/simulate
 // removes an earlier ingest's), it just means no completeness view.
-func LoadQuality(dir string) (*ingest.DataQuality, error) {
-	q, err := ingest.LoadQuality(filepath.Join(dir, store.QualityFile))
+func LoadQuality(dir string) (*ingest.DataQuality, error) { return readQuality(dir, osOpen) }
+
+// readQuality is LoadQuality through an open seam.
+func readQuality(dir string, open func(path string) (io.ReadCloser, error)) (*ingest.DataQuality, error) {
+	path := filepath.Join(dir, store.QualityFile)
+	f, err := open(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
-	return q, err
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ingest.ReadQuality(f, path)
 }

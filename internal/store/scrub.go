@@ -4,7 +4,7 @@ package store
 //
 // A loaded shard is verified once, at load time — but disks rot after
 // the load: a flipped bit in a committed shard changes neither the
-// file's size nor its mtime, so the poll fingerprint never notices and
+// file's size nor its mtime, so the poll's stamp never notices and
 // the next reload would only read the file when its manifest entry
 // changes (which bit rot does not do). The scrubber closes that hole:
 // it re-reads shard bytes from disk on a byte budget per poll tick,
